@@ -12,6 +12,7 @@ All arithmetic is exact: GF(2), GF(2)[T, T^-1] and rationals only.
 from floercone.linalg import (
     CompositionNonzero,
     F2Matrix,
+    InvariantViolated,
     LaurentMatrix,
     LaurentPoly,
     homology_dim_f2,
@@ -83,6 +84,7 @@ __all__ = [
     "FlipMissing",
     "FlipTerm",
     "Generator",
+    "InvariantViolated",
     "KnotComplex",
     "LaurentMatrix",
     "LaurentPoly",

@@ -1,9 +1,9 @@
 """Command-line frontend.
 
 Exit codes: 0 success, 1 the unknotting verdict reports an impossible
-surgery description, 2 input or usage error.  With --machine every result
-is one JSON object per line with sorted keys; human output is aligned
-text.  Output is deterministic for a given input.
+surgery description, 2 input or usage error, or a failed internal check.
+With --machine every result is one JSON object per line with sorted keys;
+human output is aligned text.  Output is deterministic for a given input.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from floercone.detect import (
     unknotting_verdict,
 )
 from floercone.io_format import DuplicateName, ParseError, load_path
+from floercone.linalg import CompositionNonzero, InvariantViolated, NotAChainMap
 from floercone.model import NoFlipFound, ValidationError
 from floercone.subquotient import TruncationUnstable, hf_red_graded
 from floercone.twisted import twisted_homology_laurent
@@ -372,7 +373,8 @@ def main(argv=None) -> int:
     try:
         return args.handler(args)
     except (ParseError, DuplicateName, ValidationError, NoFlipFound,
-            NotHomologySphere, TruncationUnstable, OSError, ValueError) as e:
+            NotHomologySphere, TruncationUnstable, CompositionNonzero, NotAChainMap,
+            InvariantViolated, OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -18,7 +18,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from floercone.linalg import F2Matrix, kernel_basis_f2, rank_f2, rank_f2_modulo, vector_mask
+from floercone.linalg import (
+    F2Matrix,
+    InvariantViolated,
+    NotAChainMap,
+    kernel_basis_f2,
+    rank_f2,
+    rank_f2_modulo,
+    vector_mask,
+)
 from floercone.model import KnotComplex, derive_flip, flip_map, require_valid
 from floercone.subquotient import (
     GradedUModule,
@@ -30,10 +38,6 @@ from floercone.subquotient import (
     graded_homology_dims,
     stabilize,
 )
-
-
-class NotAChainMap(Exception):
-    """A built map failed to commute with the differentials."""
 
 
 class FlipMissing(Exception):
@@ -58,18 +62,28 @@ def make_chain_map(source: SubquotientComplex, target: SubquotientComplex,
     """Wrap a matrix as a chain map, verifying commutation with differentials."""
     if matrix.rows != target.dim or matrix.cols != source.dim:
         raise ValueError("matrix shape does not match source/target")
-    left = matrix.mul(source.differential)
-    right = target.differential.mul(matrix)
-    if left.entries != right.entries:
+    if matrix.mul(source.differential) != target.differential.mul(matrix):
         raise NotAChainMap("matrix does not commute with the differentials")
-    shifts = {target.maslov[r] - source.maslov[c] for r, c in matrix.entries}
-    if len(shifts) > 1:
-        shift = None
-    elif shifts:
-        shift = shifts.pop()
-    else:
-        shift = Fraction(0)
-    return ChainMapF2(source, target, matrix, shift)
+    return ChainMapF2(source, target, matrix, _maslov_shift(source, target, matrix))
+
+
+def _maslov_shift(source: SubquotientComplex, target: SubquotientComplex,
+                  matrix: F2Matrix) -> Fraction | None:
+    """The grading change common to every entry of matrix: 0 when there are
+    no entries, None when two entries disagree."""
+    shift = None
+    for m, col in zip(source.maslov, matrix.column_masks()):
+        if not col:
+            continue
+        if shift is None:
+            shift = target.maslov[col.bit_length() - 1] - m
+        image = m + shift
+        while col:
+            low = col & -col
+            if target.maslov[low.bit_length() - 1] != image:
+                return None
+            col ^= low
+    return Fraction(0) if shift is None else shift
 
 
 def induced_rank(cm: ChainMapF2) -> int:
@@ -160,7 +174,8 @@ def _build_h_plus(c: KnotComplex, s: int, a: SubquotientComplex,
             continue
         for target_name in phi.get(e.generator, ()):
             row = tindex.get((target_name, j - s))
-            assert row is not None, "h image left the truncated region"
+            if row is None:
+                raise InvariantViolated("h image left the truncated region")
             entries.append((row, col))
     return make_chain_map(a, b, F2Matrix.from_entries(b.dim, a.dim, entries))
 
@@ -179,11 +194,10 @@ class ConeResult:
 
 def _cone_parts(a: SubquotientComplex, b: SubquotientComplex, f: F2Matrix):
     """Total differential and gradings of the cone of f : a -> b."""
-    na, nb = a.dim, b.dim
-    entries = [(r, c) for r, c in a.differential.entries]
-    entries += [(na + r, na + c) for r, c in b.differential.entries]
-    entries += [(na + r, c) for r, c in f.entries]
-    total = F2Matrix.from_entries(na + nb, na + nb, entries)
+    na, n = a.dim, a.dim + b.dim
+    columns = [da | fm << na for da, fm in zip(a.differential.column_masks(), f.column_masks())]
+    columns += [db << na for db in b.differential.column_masks()]
+    total = F2Matrix._from_masks(n, n, tuple(columns))
     maslovs = list(a.maslov) + [m - 1 for m in b.maslov]
     return total, maslovs
 
@@ -197,7 +211,8 @@ def _assemble(c: KnotComplex, s: int, flavor: str, a, b, v: ChainMapF2, h: Chain
     rk = rank_f2(total)
     total_dim = (a.dim + b.dim) - 2 * rk
     by_rank_nullity = a.homology_dim() + b.homology_dim() - 2 * rank_vh
-    assert total_dim == by_rank_nullity, "rank-nullity identity violated"
+    if total_dim != by_rank_nullity:
+        raise InvariantViolated("rank-nullity identity violated")
     return ConeResult(
         s=s,
         flavor=flavor,
@@ -243,10 +258,10 @@ def _plus_socle(c: KnotComplex, s: int, n: int) -> dict:
     f = v.matrix.add(h.matrix)
     total, maslovs = _cone_parts(a, b, f)
     na = a.dim
-    u_entries = [(r, col) for r, col in ua.matrix.entries]
-    u_entries += [(na + r, na + col) for r, col in ub.matrix.entries]
-    u_total = F2Matrix.from_entries(a.dim + b.dim, a.dim + b.dim, u_entries)
-    assert u_total.mul(total).entries == total.mul(u_total).entries
+    u_columns = ua.matrix.column_masks() + tuple(m << na for m in ub.matrix.column_masks())
+    u_total = F2Matrix._from_masks(total.rows, total.cols, u_columns)
+    if u_total.mul(total) != total.mul(u_total):
+        raise NotAChainMap("U does not commute with the cone differential")
     module = GradedUModule(maslovs, total, u_total)
     return module.socle_dims(_artifact_cutoff(c, n))
 

@@ -1,11 +1,13 @@
 """Exact linear algebra over GF(2), over the Laurent ring GF(2)[T, T^-1],
 and over its fraction field.
 
-GF(2) matrices are sparse position sets; elimination runs on Python-int
-bitmasks so every computation is exact.  Laurent polynomials are frozen
-exponent-support sets (a set of exponents whose coefficient is 1).  The
-Laurent ring is Euclidean once unit powers of T are stripped, which is
-what the Smith reduction and the division steps rely on.
+GF(2) matrices store one Python-int bitmask per column; products and
+elimination run on those masks, so every computation is exact, and the set
+of (row, col) positions equal to 1 is a view derived on request.  Laurent
+polynomials are frozen exponent-support sets (a set of exponents whose
+coefficient is 1).  The Laurent ring is Euclidean once unit powers of T
+are stripped, which is what the Smith reduction and the division steps
+rely on.
 
 No floating point is used anywhere in this module.
 """
@@ -17,6 +19,14 @@ from dataclasses import dataclass
 
 class CompositionNonzero(Exception):
     """Raised when d_out composed with d_in is not the zero map."""
+
+
+class NotAChainMap(Exception):
+    """A built map failed to commute with the differentials."""
+
+
+class InvariantViolated(Exception):
+    """A computed object broke an identity that the construction guarantees."""
 
 
 def _mask_bits(mask: int):
@@ -94,79 +104,126 @@ class F2Span:
         return combo if residue == 0 else None
 
 
-@dataclass(frozen=True)
+def _combine(masks, select: int) -> int:
+    """XOR of masks[k] over the set bits k of select."""
+    acc = 0
+    while select:
+        low = select & -select
+        acc ^= masks[low.bit_length() - 1]
+        select ^= low
+    return acc
+
+
+def _check_shape(rows: int, cols: int) -> None:
+    if rows < 0 or cols < 0:
+        raise ValueError("negative matrix dimensions")
+
+
+def _cell(rows: int, cols: int, pos) -> tuple[int, int]:
+    """(column, row bit) of a position, bounds-checked."""
+    r, c = int(pos[0]), int(pos[1])
+    if not (0 <= r < rows and 0 <= c < cols):
+        raise ValueError(f"entry {(r, c)} outside {rows}x{cols} matrix")
+    return c, 1 << r
+
+
+@dataclass(frozen=True, init=False)
 class F2Matrix:
-    """Sparse GF(2) matrix: a frozenset of (row, col) positions equal to 1."""
+    """GF(2) matrix stored as one bitmask per column.
+
+    Bit r of column mask c is the entry (r, c).  The masks are one
+    immutable tuple built at construction, and every operation reads it
+    directly.  `entries`, the frozenset of (row, col) positions equal to 1,
+    is derived from the masks on request and never stored.
+    """
 
     rows: int
     cols: int
-    entries: frozenset = frozenset()
+    _masks: tuple
 
-    def __post_init__(self):
-        if self.rows < 0 or self.cols < 0:
-            raise ValueError("negative matrix dimensions")
-        if not isinstance(self.entries, frozenset):
-            object.__setattr__(self, "entries", frozenset(self.entries))
-        for r, c in self.entries:
-            if not (0 <= r < self.rows and 0 <= c < self.cols):
-                raise ValueError(f"entry {(r, c)} outside {self.rows}x{self.cols} matrix")
+    def __init__(self, rows: int, cols: int, entries=frozenset()):
+        """Matrix with a 1 at each given (row, col) position; repeats are harmless."""
+        _check_shape(rows, cols)
+        masks = [0] * cols
+        for pos in entries:
+            c, bit = _cell(rows, cols, pos)
+            masks[c] |= bit
+        self._fill(rows, cols, tuple(masks))
+
+    def _fill(self, rows: int, cols: int, masks: tuple) -> None:
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "cols", cols)
+        object.__setattr__(self, "_masks", masks)
+
+    @classmethod
+    def _from_masks(cls, rows: int, cols: int, masks: tuple) -> "F2Matrix":
+        """Trusted constructor: masks is a tuple of cols ints below 2**rows."""
+        m = object.__new__(cls)
+        m._fill(rows, cols, masks)
+        return m
 
     @classmethod
     def from_entries(cls, rows: int, cols: int, positions) -> "F2Matrix":
         """Strict constructor: a repeated position is an error, not a cancellation."""
-        seen = set()
+        _check_shape(rows, cols)
+        masks = [0] * cols
         for pos in positions:
-            pos = (int(pos[0]), int(pos[1]))
-            if pos in seen:
-                raise ValueError(f"duplicate position {pos}")
-            seen.add(pos)
-        return cls(rows, cols, frozenset(seen))
+            c, bit = _cell(rows, cols, pos)
+            if masks[c] & bit:
+                raise ValueError(f"duplicate position {(bit.bit_length() - 1, c)}")
+            masks[c] |= bit
+        return cls._from_masks(rows, cols, tuple(masks))
 
     @classmethod
     def from_toggles(cls, rows: int, cols: int, positions) -> "F2Matrix":
         """XOR-accumulating constructor: repeated positions cancel mod 2."""
-        acc: set = set()
+        _check_shape(rows, cols)
+        masks = [0] * cols
         for pos in positions:
-            pos = (int(pos[0]), int(pos[1]))
-            if pos in acc:
-                acc.discard(pos)
-            else:
-                acc.add(pos)
-        return cls(rows, cols, frozenset(acc))
+            c, bit = _cell(rows, cols, pos)
+            masks[c] ^= bit
+        return cls._from_masks(rows, cols, tuple(masks))
 
     @classmethod
     def zero(cls, rows: int, cols: int) -> "F2Matrix":
-        return cls(rows, cols, frozenset())
+        _check_shape(rows, cols)
+        return cls._from_masks(rows, cols, (0,) * cols)
 
     @classmethod
     def identity(cls, n: int) -> "F2Matrix":
-        return cls(n, n, frozenset((i, i) for i in range(n)))
+        _check_shape(n, n)
+        return cls._from_masks(n, n, tuple(1 << i for i in range(n)))
+
+    @property
+    def entries(self) -> frozenset:
+        """The (row, col) positions equal to 1, derived from the column masks."""
+        return frozenset(
+            (r, c) for c, mask in enumerate(self._masks) for r in _mask_bits(mask))
 
     def entry(self, r: int, c: int) -> bool:
-        return (r, c) in self.entries
+        return 0 <= r < self.rows and 0 <= c < self.cols and bool(self._masks[c] >> r & 1)
 
     def is_zero(self) -> bool:
-        return not self.entries
+        return not any(self._masks)
 
-    def column_masks(self) -> list[int]:
-        out = [0] * self.cols
-        for r, c in self.entries:
-            out[c] |= 1 << r
-        return out
+    def column_masks(self) -> tuple:
+        return self._masks
 
     def row_masks(self) -> list[int]:
         out = [0] * self.rows
-        for r, c in self.entries:
-            out[r] |= 1 << c
+        for c, mask in enumerate(self._masks):
+            for r in _mask_bits(mask):
+                out[r] |= 1 << c
         return out
 
     def transpose(self) -> "F2Matrix":
-        return F2Matrix(self.cols, self.rows, frozenset((c, r) for r, c in self.entries))
+        return F2Matrix._from_masks(self.cols, self.rows, tuple(self.row_masks()))
 
     def add(self, other: "F2Matrix") -> "F2Matrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch in add")
-        return F2Matrix(self.rows, self.cols, self.entries ^ other.entries)
+        return F2Matrix._from_masks(
+            self.rows, self.cols, tuple(a ^ b for a, b in zip(self._masks, other._masks)))
 
     __add__ = add
 
@@ -174,37 +231,39 @@ class F2Matrix:
         """Matrix product self @ other over GF(2)."""
         if self.cols != other.rows:
             raise ValueError("shape mismatch in mul")
-        my_cols = self.column_masks()
-        positions = []
-        for j, om in enumerate(other.column_masks()):
-            acc = 0
-            for i in _mask_bits(om):
-                acc ^= my_cols[i]
-            for r in _mask_bits(acc):
-                positions.append((r, j))
-        return F2Matrix(self.rows, other.cols, frozenset(positions))
+        mine = self._masks
+        return F2Matrix._from_masks(
+            self.rows, other.cols, tuple(_combine(mine, om) for om in other._masks))
 
     __matmul__ = mul
 
     def apply(self, col_mask: int) -> int:
         """Image of a column vector given as a bitmask over column indices."""
-        cols = self.column_masks()
-        acc = 0
-        for i in _mask_bits(col_mask):
-            acc ^= cols[i]
-        return acc
+        return _combine(self._masks, col_mask)
 
 
 def submatrix(m: F2Matrix, row_indices, col_indices) -> F2Matrix:
-    """Restriction of m to the given rows and columns, reindexed from 0."""
-    rmap = {r: i for i, r in enumerate(row_indices)}
-    cmap = {c: i for i, c in enumerate(col_indices)}
-    ents = [(rmap[r], cmap[c]) for r, c in m.entries if r in rmap and c in cmap]
-    return F2Matrix(len(rmap), len(cmap), frozenset(ents))
+    """Restriction of m to the given rows and columns, reindexed from 0.
+
+    Indices are distinct; one outside the matrix gives a zero row or column.
+    """
+    masks = m._masks
+    cols = [masks[c] if 0 <= c < m.cols else 0 for c in col_indices]
+    if row_indices == range(m.rows):
+        return F2Matrix._from_masks(m.rows, len(cols), tuple(cols))
+    new_row = {r: i for i, r in enumerate(row_indices)}
+    keep = vector_mask(r for r in new_row if 0 <= r < m.rows)
+    out = []
+    for mask in cols:
+        acc = 0
+        for r in _mask_bits(mask & keep):
+            acc |= 1 << new_row[r]
+        out.append(acc)
+    return F2Matrix._from_masks(len(new_row), len(out), tuple(out))
 
 
 def rank_f2(m: F2Matrix) -> int:
-    return _mask_rank(m.column_masks())
+    return _mask_rank(m._masks)
 
 
 def rank_f2_span(masks) -> int:
@@ -232,7 +291,7 @@ def kernel_basis_f2(m: F2Matrix) -> list[frozenset]:
     """
     pivots: dict[int, tuple[int, int]] = {}
     basis: list[frozenset] = []
-    for j, col in enumerate(m.column_masks()):
+    for j, col in enumerate(m._masks):
         combo = 1 << j
         placed = False
         while col:

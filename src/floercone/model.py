@@ -21,6 +21,11 @@ from functools import lru_cache
 from floercone.linalg import F2Matrix, rank_f2
 
 
+# Entries kept by each of the validate and derive_flip caches; a long batch
+# evicts the least recently used complexes instead of growing.
+_CACHE_SIZE = 256
+
+
 class NoFlipFound(Exception):
     """No generator involution satisfies the flip constraints."""
 
@@ -208,7 +213,7 @@ def flip_map(c: KnotComplex) -> dict:
     return _term_map(c.flip or ())
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def validate(c: KnotComplex) -> ValidationReport:
     """Full structural check; returns every violation found, never raises."""
     bad: list[Violation] = []
@@ -316,7 +321,7 @@ def _sigma_is_chain_map(c: KnotComplex, sigma: dict) -> bool:
     return _maps_equal(_compose(phi, d), _compose(d, phi))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def derive_flip(c: KnotComplex) -> KnotComplex:
     """Search for an involution flip; returns a copy with flip populated.
 

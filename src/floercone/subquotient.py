@@ -25,6 +25,8 @@ from fractions import Fraction
 from floercone.linalg import (
     F2Matrix,
     F2Span,
+    InvariantViolated,
+    NotAChainMap,
     kernel_basis_f2,
     rank_f2,
     submatrix,
@@ -57,9 +59,14 @@ class SubquotientComplex:
             raise ValueError("differential shape does not match basis")
         if not d.mul(d).is_zero():
             raise ValueError("induced differential does not square to zero")
-        for r, c in d.entries:
-            if self.maslov[r] != self.maslov[c] - 1:
-                raise ValueError("differential entry does not drop Maslov by 1")
+        maslov = self.maslov
+        for m, col in zip(maslov, d.column_masks()):
+            below = m - 1 if col else None
+            while col:
+                low = col & -col
+                if maslov[low.bit_length() - 1] != below:
+                    raise ValueError("differential entry does not drop Maslov by 1")
+                col ^= low
 
     @property
     def dim(self) -> int:
@@ -82,11 +89,12 @@ class UAction:
 def _make_sub(c: KnotComplex, elements, region: RegionTag) -> SubquotientComplex:
     elements = tuple(sorted(elements, key=lambda e: (e.generator, e.i)))
     index = {(e.generator, e.i): k for k, e in enumerate(elements)}
+    heights: dict[str, list] = {}
+    for (g, i), col in index.items():
+        heights.setdefault(g, []).append((i, col))
     entries = []
     for t in c.differential:
-        for (g, i), col in index.items():
-            if g != t.source:
-                continue
+        for i, col in heights.get(t.source, ()):
             row = index.get((t.target, i - t.u_power))
             if row is not None:
                 entries.append((row, col))
@@ -140,12 +148,28 @@ def build_plus_truncated(c: KnotComplex, region: str, n: int, s: int | None = No
         if row is not None:
             entries.append((row, col))
     u = F2Matrix.from_entries(sub.dim, sub.dim, entries)
-    assert u.mul(sub.differential).entries == sub.differential.mul(u).entries
-    power = u
-    for _ in range(n):
-        power = power.mul(u)
-    assert power.is_zero()
+    if u.mul(sub.differential) != sub.differential.mul(u):
+        raise NotAChainMap("U does not commute with the differential")
+    _check_nilpotent(u, n)
     return sub, UAction(u, n)
+
+
+def _check_nilpotent(u: F2Matrix, n: int) -> None:
+    """Raise InvariantViolated unless U^(n+1) = 0.
+
+    The power is formed by repeated squaring: at most
+    ceil(log2(n + 1)) + popcount(n + 1) products instead of n.
+    """
+    e, square, power = n + 1, u, None
+    while True:
+        if e & 1:
+            power = square if power is None else power.mul(square)
+        e >>= 1
+        if not e:
+            break
+        square = square.mul(square)
+    if not power.is_zero():
+        raise InvariantViolated(f"U^{n + 1} is not zero on the truncation at height {n}")
 
 
 # ---------------------------------------------------------------------------
@@ -214,16 +238,14 @@ class GradedUModule:
         src = self.reps.get(d, [])
         tgt = self.reps.get(d - 2, [])
         span = self._spans.get(d - 2, F2Span())
-        entries = []
-        for j, mask in enumerate(src):
+        columns = []
+        for mask in src:
             image = self._u.apply(mask)
             combo = span.coords(image)
-            assert combo is not None, "U image of a cycle failed to reduce"
-            while combo:
-                low = combo & -combo
-                entries.append((low.bit_length() - 1, j))
-                combo ^= low
-        mat = F2Matrix(len(tgt), len(src), frozenset(entries))
+            if combo is None:
+                raise NotAChainMap("U image of a cycle is not a cycle")
+            columns.append(combo)
+        mat = F2Matrix._from_masks(len(tgt), len(src), tuple(columns))
         self._u_mats[d] = mat
         return mat
 

@@ -21,6 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from floercone.linalg import (
+    CompositionNonzero,
+    InvariantViolated,
     LaurentMatrix,
     LaurentPoly,
     kernel_basis_f2,
@@ -60,7 +62,8 @@ def build_twisted_cone(c: KnotComplex, s: int) -> TwistedCone:
     for (r, col), p in w.to_dict().items():
         total[(na + r, col)] = p
     cone = LaurentMatrix.from_dict(na + b.dim, na + b.dim, total)
-    assert cone.mul(cone).is_zero(), "twisted cone differential does not square to zero"
+    if not cone.mul(cone).is_zero():
+        raise CompositionNonzero("twisted cone differential does not square to zero")
     return TwistedCone(a, b, w, cone)
 
 
@@ -96,8 +99,8 @@ class TwistedConeResult:
     torsion_factors: tuple
 
     def __post_init__(self):
-        assert self.novikov_dim == self.laurent_free_rank, \
-            "Novikov dimension must match the Laurent free rank"
+        if self.novikov_dim != self.laurent_free_rank:
+            raise InvariantViolated("Novikov dimension must match the Laurent free rank")
 
 
 def twisted_homology_laurent(c: KnotComplex, s: int) -> TwistedConeResult:
