@@ -4,10 +4,12 @@ and over its fraction field.
 GF(2) matrices store one Python-int bitmask per column; products and
 elimination run on those masks, so every computation is exact, and the set
 of (row, col) positions equal to 1 is a view derived on request.  Laurent
-polynomials are frozen exponent-support sets (a set of exponents whose
-coefficient is 1).  The Laurent ring is Euclidean once unit powers of T
-are stripped, which is what the Smith reduction and the division steps
-rely on.
+polynomials are stored as (mask, low): bit k of the int mask is the
+coefficient of T^(low + k), with the mask odd (or both zero), so sums are
+shifted XORs, products are carry-less, and the set of exponents whose
+coefficient is 1 is again a view derived on request.  The Laurent ring is
+Euclidean once unit powers of T are stripped, which is what the Smith
+reduction and the division steps rely on.
 
 No floating point is used anywhere in this module.
 """
@@ -324,30 +326,49 @@ def homology_dim_f2(d_in: F2Matrix, d_out: F2Matrix) -> int:
 # Laurent polynomials over GF(2)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class LaurentPoly:
-    """Polynomial in T and T^-1 over GF(2), stored as its exponent support."""
+    """Polynomial in T and T^-1 over GF(2), stored as a bitmask and a shift.
 
-    support: frozenset = frozenset()
+    Bit k of `_mask` is the coefficient of T^(_low + k).  `_mask` is odd,
+    or (`_mask`, `_low`) is (0, 0) for the zero polynomial, so every
+    polynomial has one stored form.  `support`, the frozenset of exponents
+    whose coefficient is 1, is derived from the mask on request and never
+    stored.
+    """
 
-    def __post_init__(self):
-        if not isinstance(self.support, frozenset):
-            object.__setattr__(self, "support", frozenset(self.support))
-        for e in self.support:
-            if not isinstance(e, int):
+    _mask: int
+    _low: int
+
+    def __init__(self, support=frozenset()):
+        """Polynomial with coefficient 1 at each given exponent."""
+        exps = frozenset(support)
+        for e in exps:
+            if not isinstance(e, int) or isinstance(e, bool):
                 raise ValueError("exponents must be ints")
+        low = min(exps, default=0)
+        object.__setattr__(self, "_mask", vector_mask(e - low for e in exps))
+        object.__setattr__(self, "_low", low)
+
+    @classmethod
+    def _from_mask(cls, mask: int, low: int) -> "LaurentPoly":
+        """Trusted constructor: mask is odd, or (mask, low) is (0, 0)."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "_mask", mask)
+        object.__setattr__(p, "_low", low)
+        return p
 
     @classmethod
     def zero(cls) -> "LaurentPoly":
-        return cls(frozenset())
+        return cls._from_mask(0, 0)
 
     @classmethod
     def one(cls) -> "LaurentPoly":
-        return cls(frozenset({0}))
+        return cls._from_mask(1, 0)
 
     @classmethod
     def t(cls) -> "LaurentPoly":
-        return cls(frozenset({1}))
+        return cls._from_mask(1, 1)
 
     @classmethod
     def monomial(cls, k: int) -> "LaurentPoly":
@@ -365,61 +386,80 @@ class LaurentPoly:
         return cls(frozenset(acc))
 
     @property
+    def support(self) -> frozenset:
+        """The exponents whose coefficient is 1, derived from the mask."""
+        return frozenset(self._low + k for k in _mask_bits(self._mask))
+
+    @property
     def is_zero(self) -> bool:
-        return not self.support
+        return not self._mask
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
-        return LaurentPoly(self.support ^ other.support)
+        a, b = self._mask, other._mask
+        if not b:
+            return self
+        if not a:
+            return other
+        # unless the shifts are equal, the lower term of one operand survives
+        shift = other._low - self._low
+        if shift > 0:
+            return LaurentPoly._from_mask(a ^ (b << shift), self._low)
+        if shift < 0:
+            return LaurentPoly._from_mask(b ^ (a << -shift), other._low)
+        return _normalized(a ^ b, self._low)
 
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
-        if self.is_zero or other.is_zero:
-            return LaurentPoly.zero()
-        acc: set[int] = set()
-        for a in self.support:
-            for b in other.support:
-                e = a + b
-                if e in acc:
-                    acc.discard(e)
-                else:
-                    acc.add(e)
-        return LaurentPoly(frozenset(acc))
+        """Carry-less product, one shifted XOR per term of the sparser factor."""
+        a, b = self._mask, other._mask
+        if not a or not b:
+            return _ZERO
+        if a.bit_count() > b.bit_count():
+            a, b = b, a
+        acc = 0
+        while a:
+            bit = a & -a
+            acc ^= b * bit
+            a ^= bit
+        # both constant terms are 1, so the product's is too
+        return LaurentPoly._from_mask(acc, self._low + other._low)
 
     def shifted(self, k: int) -> "LaurentPoly":
         """Multiplication by the unit T^k."""
-        return LaurentPoly(frozenset(e + k for e in self.support))
+        if not self._mask:
+            return self
+        return LaurentPoly._from_mask(self._mask, self._low + k)
 
     @property
     def min_exp(self) -> int:
-        if self.is_zero:
+        if not self._mask:
             raise ValueError("zero polynomial has no exponents")
-        return min(self.support)
+        return self._low
 
     @property
     def max_exp(self) -> int:
-        if self.is_zero:
-            raise ValueError("zero polynomial has no exponents")
-        return max(self.support)
+        return self._low + self.span
 
     @property
     def span(self) -> int:
         """max_exp - min_exp; the Euclidean size up to units."""
-        return self.max_exp - self.min_exp
+        if not self._mask:
+            raise ValueError("zero polynomial has no exponents")
+        return self._mask.bit_length() - 1
 
     def unit_normalized(self) -> "LaurentPoly":
         """Strip the unit T^k so the constant term is nonzero."""
-        if self.is_zero:
-            return self
-        return self.shifted(-self.min_exp)
+        return self.shifted(-self._low)
 
     def at_one(self) -> int:
         """Value at T = 1 in GF(2)."""
-        return len(self.support) & 1
+        return self._mask.bit_count() & 1
 
     def __str__(self) -> str:
-        if self.is_zero:
+        if not self._mask:
             return "0"
         parts = []
-        for e in sorted(self.support):
+        for k in _mask_bits(self._mask):
+            e = self._low + k
             if e == 0:
                 parts.append("1")
             elif e == 1:
@@ -429,27 +469,33 @@ class LaurentPoly:
         return " + ".join(parts)
 
 
+_ZERO = LaurentPoly.zero()
+
+
+def _normalized(mask: int, low: int) -> LaurentPoly:
+    """The polynomial sum of T^(low + k) over the set bits k of any mask."""
+    if not mask:
+        return _ZERO
+    zeros = (mask & -mask).bit_length() - 1
+    return LaurentPoly._from_mask(mask >> zeros, low + zeros)
+
+
 def laurent_divmod(a: LaurentPoly, b: LaurentPoly) -> tuple[LaurentPoly, LaurentPoly]:
     """Division a = q*b + r with span(r) < span(b) (or r = 0).
 
-    Works by stripping units, dividing in GF(2)[T] on int bitmasks, then
-    restoring the unit shifts.
+    Long division in GF(2)[T] on the masks, which already have the unit
+    shifts stripped; the shifts are restored on the quotient and remainder.
     """
     if b.is_zero:
         raise ZeroDivisionError("division by zero polynomial")
-    if a.is_zero:
-        return LaurentPoly.zero(), LaurentPoly.zero()
-    sa, sb = a.min_exp, b.min_exp
-    abits = vector_mask(e - sa for e in a.support)
-    bbits = vector_mask(e - sb for e in b.support)
+    rem, divisor = a._mask, b._mask
+    width = divisor.bit_length()
     q = 0
-    while abits and abits.bit_length() >= bbits.bit_length():
-        shift = abits.bit_length() - bbits.bit_length()
+    while rem.bit_length() >= width:
+        shift = rem.bit_length() - width
         q ^= 1 << shift
-        abits ^= bbits << shift
-    quot = LaurentPoly(frozenset(e + sa - sb for e in _mask_bits(q)))
-    rem = LaurentPoly(frozenset(e + sa for e in _mask_bits(abits)))
-    return quot, rem
+        rem ^= divisor << shift
+    return _normalized(q, a._low - b._low), _normalized(rem, a._low)
 
 
 def laurent_divides(b: LaurentPoly, a: LaurentPoly) -> bool:
@@ -608,6 +654,8 @@ def smith_invariants_laurent(m: LaurentMatrix) -> list[LaurentPoly]:
         a[i], a[j] = a[j], a[i]
 
     def swap_cols(i, j):
+        if i == j:
+            return
         for row in a:
             vi, vj = row.pop(i, None), row.pop(j, None)
             if vj is not None:
@@ -652,6 +700,8 @@ def smith_invariants_laurent(m: LaurentMatrix) -> list[LaurentPoly]:
                 key = (v.span, r, c)
                 if best is None or key < best[0]:
                     best = (key, r, c)
+            if best is not None and best[0][0] == 0:
+                break  # a unit: no later row holds a smaller key
         if best is None:
             break
         swap_rows(best[1], k)
@@ -674,7 +724,6 @@ def smith_invariants_laurent(m: LaurentMatrix) -> list[LaurentPoly]:
             if touched:
                 continue
             # clear the pivot row
-            c = k + 1
             cleared = True
             for c in range(k + 1, m.cols):
                 v = a[k].get(c)
@@ -687,9 +736,12 @@ def smith_invariants_laurent(m: LaurentMatrix) -> list[LaurentPoly]:
                         break
             if not cleared:
                 continue
-            # pivot row and column below/right of (k,k) are now zero
-            offender = None
+            # pivot row and column below/right of (k,k) are now zero; a unit
+            # pivot divides every entry, so only a nonunit needs the sweep
             pivot = a[k][k]
+            if pivot.span == 0:
+                break
+            offender = None
             for r in range(k + 1, m.rows):
                 for c, v in a[r].items():
                     if c <= k:

@@ -68,14 +68,15 @@ def build_twisted_cone(c: KnotComplex, s: int) -> TwistedCone:
 
 
 def novikov_dim(c: KnotComplex, s: int) -> int:
-    """Dimension of the cone homology over the Novikov field.
+    """Dimension of the cone homology over the Novikov field."""
+    return _cone_novikov_dim(build_twisted_cone(ensure_flip(c), s))
 
-    Equals dim H(A_s) + dim H(B) - 2 rank of the induced map of W over
-    the fraction field; the two summand complexes have constant
-    differentials, so their homology is free and base changes cleanly.
+
+def _cone_novikov_dim(tc: TwistedCone) -> int:
+    """dim H(A_s) + dim H(B) - 2 rank of the induced map of W over the
+    fraction field; the two summand complexes have constant differentials,
+    so their homology is free and base changes cleanly.
     """
-    c = ensure_flip(c)
-    tc = build_twisted_cone(c, s)
     a, b = tc.a, tc.b
     cycles = kernel_basis_f2(a.differential)
     w = tc.map_matrix.to_dict()
@@ -113,7 +114,7 @@ def twisted_homology_laurent(c: KnotComplex, s: int) -> TwistedConeResult:
     torsion = [p for p in invariants if p != LaurentPoly.one()]
     torsion.sort(key=lambda p: (p.span, tuple(sorted(p.support))))
     return TwistedConeResult(
-        novikov_dim=novikov_dim(c, s),
+        novikov_dim=_cone_novikov_dim(tc),
         laurent_free_rank=free_rank,
         torsion_factors=tuple(torsion),
     )
