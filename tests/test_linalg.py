@@ -7,7 +7,6 @@ import pytest
 from floercone.linalg import (
     CompositionNonzero,
     F2Matrix,
-    F2Span,
     LaurentMatrix,
     LaurentPoly,
     homology_dim_f2,
@@ -23,7 +22,7 @@ from floercone.linalg import (
     vector_mask,
 )
 
-from oracles import dense_rank_f2, dense_rank_mod_p, minor_gcd_spans
+from oracles import TaggedSpan, dense_rank_f2, dense_rank_mod_p, minor_gcd_spans
 
 
 def dense(m: F2Matrix):
@@ -128,7 +127,7 @@ def test_rank_modulo():
 def test_span_coords_recover_combination():
     rng = random.Random(6)
     for _ in range(30):
-        span = F2Span()
+        span = TaggedSpan()
         tagged = []
         for _ in range(4):
             span.add(rng.getrandbits(6))  # untagged background

@@ -8,12 +8,10 @@ from floercone.fixtures import ALL_FIXTURES, FIGURE8, TREFOIL, TREFOIL_L, UNKNOT
 from floercone.linalg import F2Matrix, rank_f2
 from floercone.model import Generator, KnotComplex
 from floercone.subquotient import (
-    GradedUModule,
     TruncationUnstable,
     _reduced_part_at,
     build_A_hat,
     build_B_hat,
-    build_plus_truncated,
     default_truncation,
     graded_homology_dims,
     hf_red_graded,
@@ -21,7 +19,7 @@ from floercone.subquotient import (
     truncation_cap,
 )
 
-from oracles import dense_rank_f2
+from oracles import GradedUModule, build_plus_truncated, dense_rank_f2
 
 
 def names_i(sub):
