@@ -47,7 +47,6 @@ from floercone.cone import (
     ConeResult,
     FlipMissing,
     NotAChainMap,
-    build_h_hat,
     build_v_hat,
     cone_homology_hat,
     cone_homology_plus_truncated,
@@ -100,7 +99,6 @@ __all__ = [
     "alexander_polynomial",
     "build_A_hat",
     "build_B_hat",
-    "build_h_hat",
     "build_twisted_cone",
     "build_v_hat",
     "cone_homology_hat",

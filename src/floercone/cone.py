@@ -12,11 +12,14 @@ of the model.  Graded output is reported for s = 0 only, where v and h
 shift gradings equally; for s != 0 the two shifts differ and only the
 total dimension is well defined without extra normalization.
 
-In the hat flavor v and h are GF(2) matrices.  In the plus flavor they
-are F2[U] maps between the free models of A_s and B (see `subquotient`);
-A_s, B and the cones of v, h and v + h are each reduced once, every
-truncation height is read off the pivots, and the rank of f_* follows
-from dim H(cone f) = dim H(A) + dim H(B) - 2 rank f_*.
+Both flavors start from one construction: v and h are F2[U] maps
+between the free models of A_s and B (see `subquotient`), built and
+checked once modulo U^P, P the precision, so that no U^|s| is written
+out and every builder stays bounded in |s|.  The hat flavor (P = 1)
+reads them as GF(2) matrices.  In the plus flavor A_s, B and the cones
+of v, h and v + h are each reduced once, every truncation height is read
+off the pivots, and the rank of f_* follows from
+dim H(cone f) = dim H(A) + dim H(B) - 2 rank f_*.
 """
 
 from __future__ import annotations
@@ -39,8 +42,9 @@ from floercone.subquotient import (
     FreeUComplex,
     SubquotientComplex,
     _artifact_cutoff,
+    _hat_view,
+    _mod_u,
     build_A_hat,
-    build_B_hat,
     free_chain_map,
     free_plus_complex,
     graded_homology_dims,
@@ -112,34 +116,43 @@ def induces_iso(cm: ChainMapF2) -> bool:
     return r == cm.source.homology_dim() == cm.target.homology_dim()
 
 
-def build_v_hat(c: KnotComplex, s: int) -> ChainMapF2:
-    """Projection of A_s onto the i = 0 part of B."""
-    src = build_A_hat(c, s)
-    tgt = build_B_hat(c)
-    tindex = tgt.index()
-    entries = []
-    for col, e in enumerate(src.basis):
-        if e.i == 0:
-            entries.append((tindex[(e.generator, 0)], col))
-    return make_chain_map(src, tgt, F2Matrix.from_entries(tgt.dim, src.dim, entries))
+def _v_map(a: FreeUComplex, b: FreeUComplex, precision: int) -> tuple:
+    """v : A_s -> B sends y_g to U^(-lo(g)) x_g."""
+    return free_chain_map(a, b, [(k, k, -low) for k, low in enumerate(a.lo)], 0, precision)
 
 
-def build_h_hat(c: KnotComplex, s: int) -> ChainMapF2:
-    """Projection of A_s onto the j = s part, carried to B by U^s and the flip."""
-    require_valid(c)
+def _h_map(c: KnotComplex, s: int, a: FreeUComplex, b: FreeUComplex, precision: int) -> tuple:
+    """h : A_s -> B sends y_g to U^max(0, s - A(g)) x_t per flip target t;
+    it lowers gradings by 2s."""
+    index = {g.name: k for k, g in enumerate(c.generators)}
+    phi = flip_map(c)
+    terms = [(k, index[t], max(0, s - g.alexander))
+             for k, g in enumerate(c.generators) for t in phi.get(g.name, ())]
+    return free_chain_map(a, b, terms, -2 * s, precision)
+
+
+def _hat_map(a: SubquotientComplex, b: SubquotientComplex, f, degree: int) -> ChainMapF2:
+    """The F2[U] map f modulo U; a zero map has degree 0."""
+    matrix = _mod_u(f, b.dim)
+    return ChainMapF2(a, b, matrix, Fraction(0 if matrix.is_zero() else degree))
+
+
+def _hat_maps(c: KnotComplex, s: int) -> tuple:
+    """v and h on one build of A_s and B: v projects A_s onto the i = 0 part
+    of B, h projects it onto the j = s part and carries it to B by U^s and
+    the flip."""
+    a, b = free_plus_complex(c, s), free_plus_complex(c)
     if c.flip is None:
         raise FlipMissing("complex has no flip map; derive or supply one")
-    src = build_A_hat(c, s)
-    tgt = build_B_hat(c)
-    tindex = tgt.index()
-    phi = flip_map(c)
-    entries = []
-    for col, e in enumerate(src.basis):
-        if e.i + c.alexander(e.generator) != s:
-            continue
-        for target_name in phi.get(e.generator, ()):
-            entries.append((tindex[(target_name, 0)], col))
-    return make_chain_map(src, tgt, F2Matrix.from_entries(tgt.dim, src.dim, entries))
+    a_hat, b_hat = _hat_view(c, a), _hat_view(c, b)
+    return (_hat_map(a_hat, b_hat, _v_map(a, b, 1), 0),
+            _hat_map(a_hat, b_hat, _h_map(c, s, a, b, 1), -2 * s))
+
+
+def build_v_hat(c: KnotComplex, s: int) -> ChainMapF2:
+    """Projection of A_s onto the i = 0 part of B."""
+    a, b = free_plus_complex(c, s), free_plus_complex(c)
+    return _hat_map(_hat_view(c, a), _hat_view(c, b), _v_map(a, b, 1), 0)
 
 
 def project_A(c: KnotComplex, s: int, s_prime: int) -> ChainMapF2:
@@ -152,7 +165,7 @@ def project_A(c: KnotComplex, s: int, s_prime: int) -> ChainMapF2:
         raise ValueError("requires s <= s'")
     src = build_A_hat(c, s)
     tgt = build_A_hat(c, s_prime)
-    tindex = tgt.index()
+    tindex = {(e.generator, e.i): k for k, e in enumerate(tgt.basis)}
     entries = []
     for col, e in enumerate(src.basis):
         row = tindex.get((e.generator, e.i))
@@ -186,8 +199,7 @@ def _cone_parts(a: SubquotientComplex, b: SubquotientComplex, f: F2Matrix):
 def cone_homology_hat(c: KnotComplex, s: int) -> ConeResult:
     """Homology of the cone of v_s + h_s on the hat subquotients."""
     c = ensure_flip(c)
-    v = build_v_hat(c, s)
-    h = build_h_hat(c, s)
+    v, h = _hat_maps(c, s)
     a, b = v.source, v.target
     vh = make_chain_map(a, b, v.matrix.add(h.matrix))
     total, maslovs = _cone_parts(a, b, vh.matrix)
@@ -209,18 +221,10 @@ def _free_cone(a: FreeUComplex, b: FreeUComplex, f, precision: int, graded: bool
 
 
 def _plus_reductions(c: KnotComplex, s: int, precision: int):
-    """Reductions of A_s, B and the cones of v, h and v + h modulo U^precision.
-
-    v sends y_g to U^(-lo(g)) x_g and h sends it to U^max(0, s - A(g)) x_t
-    per flip target t; h lowers gradings by 2s: its cones are graded at s = 0.
-    """
+    """Reductions of A_s, B and the cones of v, h and v + h modulo U^precision;
+    h lowers gradings by 2s, so its cones are graded at s = 0 only."""
     a, b = free_plus_complex(c, s), free_plus_complex(c)
-    index = {g.name: k for k, g in enumerate(c.generators)}
-    phi = flip_map(c)
-    v = free_chain_map(a, b, [(k, k, -low) for k, low in enumerate(a.lo)], 0)
-    h_terms = [(k, index[t], max(0, s - g.alexander))
-               for k, g in enumerate(c.generators) for t in phi.get(g.name, ())]
-    h = free_chain_map(a, b, h_terms, -2 * s)
+    v, h = _v_map(a, b, precision), _h_map(c, s, a, b, precision)
     vh = [{r: x for r in cv.keys() | ch.keys() if (x := cv.get(r, 0) ^ ch.get(r, 0))}
           for cv, ch in zip(v, h)]
     return (reduce_free(a.gradings, a.columns, precision),

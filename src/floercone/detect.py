@@ -17,7 +17,7 @@ from typing import NamedTuple
 from floercone.linalg import F2Matrix, LaurentPoly, rank_f2
 from floercone.model import KnotComplex, require_valid
 from floercone.subquotient import build_A_hat, build_B_hat
-from floercone.cone import build_h_hat, build_v_hat, ensure_flip, induced_rank, make_chain_map
+from floercone.cone import _hat_maps, build_v_hat, ensure_flip, induced_rank, make_chain_map
 from floercone.twisted import novikov_dim
 
 
@@ -109,8 +109,7 @@ def sphere_necessary_conditions(complexes) -> Verdict:
                 )
         if s != 0:
             for c in complexes:
-                v = build_v_hat(c, s)
-                h = build_h_hat(c, s)
+                v, h = _hat_maps(c, s)
                 vh = make_chain_map(v.source, v.target, v.matrix.add(h.matrix))
                 rank = induced_rank(vh)
                 dim_a = v.source.homology_dim()

@@ -1,7 +1,7 @@
 """Line-oriented input format for knot complexes.
 
     complex <name> spinc=<label>
-    gen <name> A=<int> M=<int or p/q>
+    gen <name> A=<int> M=<int or p/q, q > 0>
     d <src> : U^<n> <dst>[, U^<n> <dst> ...]
     flip <src> : U^<n> <dst>[, ...]
     end
@@ -59,7 +59,7 @@ class InputDocument:
 
 
 _COMPLEX_RE = re.compile(r"^complex\s+(\S+)\s+spinc=(\S+)$")
-_GEN_RE = re.compile(r"^gen\s+(\S+)\s+A=(-?\d+)\s+M=(-?\d+(?:/\d+)?)$")
+_GEN_RE = re.compile(r"^gen\s+(\S+)\s+A=(-?\d+)\s+M=(-?\d+(?:/\d*[1-9]\d*)?)$")
 _LINE_RE = re.compile(r"^(d|flip)\s+(\S+)\s*:\s*(.+)$")
 _TERM_RE = re.compile(r"^U\^(-?\d+)\s+(\S+)$")
 
@@ -115,7 +115,7 @@ def parse(text: str) -> InputDocument:
         elif head == "gen":
             m = _GEN_RE.match(line)
             if not m:
-                raise ParseError(line_no, "expected: gen <name> A=<int> M=<int or p/q>")
+                raise ParseError(line_no, "expected: gen <name> A=<int> M=<int or p/q, q > 0>")
             gens.append(Generator(m.group(1), int(m.group(2)), Fraction(m.group(3))))
         elif head in ("d", "flip"):
             m = _LINE_RE.match(line)

@@ -434,8 +434,3 @@ def lattice_window(c: KnotComplex, i_min: int, i_max: int):
 def plane_position(c: KnotComplex, e: PlaneElement) -> tuple:
     g = c.generator(e.generator)
     return (e.i, e.i + g.alexander)
-
-
-def plane_maslov(c: KnotComplex, e: PlaneElement) -> Fraction:
-    g = c.generator(e.generator)
-    return g.maslov + 2 * e.i

@@ -1,4 +1,4 @@
-"""Finite subquotient complexes of a knot Floer model.
+"""Subquotient complexes of a knot Floer model, as free F2[U]-complexes.
 
 Regions of the (i, j) plane used here, with j = i + A(generator):
 
@@ -7,15 +7,13 @@ Regions of the (i, j) plane used here, with j = i + A(generator):
     B_plus   0 <= i <= N
     A_plus   0 <= max(i, j - s) <= N
 
-Terms of the differential whose image leaves the region are dropped
-(quotient first, then subobject); the regions are convex for the product
-order, so the result is again a complex.
-
-The hat regions are GF(2) complexes.  A plus region at height N is a free
-F2[U]-complex, one basis element per generator, tensored with
-F2[U]/U^(N+1); one Smith reduction modulo U^P (`reduce_free`) gives the
-Jordan blocks of U on its homology (`GradedUModule`) at every N < P, and
-the reduced part and the socle are read off those blocks.
+Each plus region is a free F2[U]-complex, one basis element per generator
+g at its lowest height lo(g) (0 in B, min(0, s - A(g)) in A_s), tensored
+with F2[U]/U^(N+1) (`free_plus_complex`).  A hat region is the same
+complex read modulo U: basis (g, lo(g)), the U^0 part of the differential,
+the same gradings.  One Smith reduction modulo U^P (`reduce_free`) gives
+the Jordan blocks of U on plus homology (`GradedUModule`) at every N < P,
+and the reduced part and the socle are read off those blocks.
 """
 
 from __future__ import annotations
@@ -34,7 +32,7 @@ from floercone.linalg import (
     smith_pivots_u,
     submatrix,
 )
-from floercone.model import KnotComplex, PlaneElement, plane_maslov, require_valid
+from floercone.model import KnotComplex, PlaneElement, require_valid
 
 
 class TruncationUnstable(Exception):
@@ -70,38 +68,26 @@ class SubquotientComplex:
         rk = rank_f2(self.differential)
         return (self.dim - rk) - rk
 
-    def index(self) -> dict:
-        return {(e.generator, e.i): k for k, e in enumerate(self.basis)}
+
+def _mod_u(columns, rows: int) -> F2Matrix:
+    """The U^0 part of an F2[U] map given by its columns {row: U-power bitmask}."""
+    return F2Matrix._from_masks(rows, len(columns), tuple(
+        sum(1 << row for row, e in col.items() if e & 1) for col in columns))
 
 
-def _make_sub(c: KnotComplex, elements) -> SubquotientComplex:
-    elements = tuple(sorted(elements, key=lambda e: (e.generator, e.i)))
-    index = {(e.generator, e.i): k for k, e in enumerate(elements)}
-    heights: dict[str, list] = {}
-    for (g, i), col in index.items():
-        heights.setdefault(g, []).append((i, col))
-    entries = []
-    for t in c.differential:
-        for i, col in heights.get(t.source, ()):
-            row = index.get((t.target, i - t.u_power))
-            if row is not None:
-                entries.append((row, col))
-    diff = F2Matrix.from_entries(len(elements), len(elements), entries)
-    maslov = tuple(plane_maslov(c, e) for e in elements)
-    return SubquotientComplex(elements, diff, maslov)
+def _hat_view(c: KnotComplex, free: FreeUComplex) -> SubquotientComplex:
+    """A free complex read modulo U."""
+    basis = tuple(PlaneElement(g.name, low) for g, low in zip(c.generators, free.lo))
+    return SubquotientComplex(basis, _mod_u(free.columns, len(basis)), free.gradings)
 
 
 def build_B_hat(c: KnotComplex) -> SubquotientComplex:
-    require_valid(c)
-    elements = [PlaneElement(g.name, 0) for g in c.generators]
-    return _make_sub(c, elements)
+    return _hat_view(c, free_plus_complex(c))
 
 
 def build_A_hat(c: KnotComplex, s: int) -> SubquotientComplex:
     """One element per generator: (g, min(0, s - A(g)))."""
-    require_valid(c)
-    elements = [PlaneElement(g.name, min(0, s - g.alexander)) for g in c.generators]
-    return _make_sub(c, elements)
+    return _hat_view(c, free_plus_complex(c, s))
 
 
 # ---------------------------------------------------------------------------
@@ -128,14 +114,18 @@ def graded_homology_dims(maslovs, differential: F2Matrix) -> dict:
 # Plus flavor: free complexes over F2[U]
 
 
-def _u_columns(size: int, terms, source_gradings, target_gradings, degree) -> tuple:
+def _u_columns(size: int, terms, source_gradings, target_gradings, degree,
+               precision=None) -> tuple:
     """Columns {row: U-power bitmask} of the F2[U] map whose terms (col, row, k)
     put U^k * row in the image of col; each k must be >= 0 and move gradings
-    by degree, target_gradings[row] - 2k = source_gradings[col] + degree."""
+    by degree, target_gradings[row] - source_gradings[col] = 2k + degree.
+    With a precision, terms with k >= precision are dropped after the check."""
     columns = [{} for _ in range(size)]
     for col, row, k in terms:
-        if k < 0 or target_gradings[row] - 2 * k != source_gradings[col] + degree:
+        if k < 0 or target_gradings[row] - source_gradings[col] != 2 * k + degree:
             raise InvariantViolated(f"U-power {k} is negative or breaks the gradings")
+        if precision is not None and k >= precision:
+            continue
         e = columns[col].pop(row, 0) ^ 1 << k
         if e:
             columns[col][row] = e
@@ -184,12 +174,17 @@ def free_plus_complex(c: KnotComplex, s: int | None = None) -> FreeUComplex:
     return FreeUComplex(lo, gradings, _u_columns(len(gens), terms, gradings, gradings, -1))
 
 
-def free_chain_map(source: FreeUComplex, target: FreeUComplex, terms, degree) -> tuple:
-    """Columns of the F2[U] map with terms (col, row, k), checked to move
-    gradings by degree and to commute with the differentials."""
-    f = _u_columns(len(source.gradings), terms, source.gradings, target.gradings, degree)
-    if _u_product(f, source.columns) != _u_product(target.columns, f):
-        raise NotAChainMap("F2[U] map does not commute with the differentials")
+def free_chain_map(source: FreeUComplex, target: FreeUComplex, terms, degree,
+                   precision: int) -> tuple:
+    """Columns of the F2[U] map with terms (col, row, k) modulo U^precision,
+    checked to move gradings by degree and, modulo U^precision, to commute
+    with the differentials; no U^k with k >= precision is written out."""
+    f = _u_columns(len(source.gradings), terms, source.gradings, target.gradings, degree,
+                   precision)
+    full = (1 << precision) - 1
+    for x, y in zip(_u_product(f, source.columns), _u_product(target.columns, f)):
+        if x != y and any((x.get(r, 0) ^ y.get(r, 0)) & full for r in x.keys() | y.keys()):
+            raise NotAChainMap("F2[U] map does not commute with the differentials")
     return f
 
 

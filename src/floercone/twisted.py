@@ -1,6 +1,7 @@
 """Twisted mapping cone over the Laurent ring GF(2)[T, T^-1].
 
-The twisted map is W = v + T h on the hat subquotients; the cone of W
+The twisted map is W = v + T h, with v and h the hat maps: the F2[U]
+maps of the free models read modulo U (see `cone`); the cone of W
 computes the surgery homology with coefficients twisted by the surgery
 circle class.  Dimensions over the Novikov field reduce to fraction-field
 ranks: the homology over the Laurent ring L is finitely generated over a
@@ -31,8 +32,8 @@ from floercone.linalg import (
     rank_fraction_field,
     smith_invariants_laurent,
 )
-from floercone.model import KnotComplex, require_valid
-from floercone.cone import FlipMissing, build_h_hat, build_v_hat, ensure_flip
+from floercone.model import KnotComplex
+from floercone.cone import _hat_maps, ensure_flip
 
 
 @dataclass(frozen=True)
@@ -45,11 +46,7 @@ class TwistedCone:
 
 def build_twisted_cone(c: KnotComplex, s: int) -> TwistedCone:
     """Block matrix [[dA, 0], [v + T h, dB]] on A_s (+) B."""
-    require_valid(c)
-    if c.flip is None:
-        raise FlipMissing("complex has no flip map; derive or supply one")
-    v = build_v_hat(c, s)
-    h = build_h_hat(c, s)
+    v, h = _hat_maps(c, s)
     a, b = v.source, v.target
     w = LaurentMatrix.from_f2(v.matrix).add(
         LaurentMatrix.from_f2(h.matrix, LaurentPoly.t()))

@@ -1,4 +1,5 @@
-"""Seeded random corpus of valid complexes shared by the property suites.
+"""Seeded random corpus of valid complexes shared by the property suites,
+and two deterministic families of larger ones.
 
 Generators come in mirrored pairs (A, M) / (-A, M - 2A) so that a flip is
 usually available; differentials pick a random subset of the grading-legal
@@ -14,6 +15,7 @@ from functools import lru_cache
 
 from floercone.model import (
     DiffTerm,
+    FlipTerm,
     Generator,
     KnotComplex,
     NoFlipFound,
@@ -91,3 +93,29 @@ def with_flip(seed: int = SEED, size: int = CORPUS_SIZE):
         except NoFlipFound:
             continue
     return tuple(out)
+
+
+def staircase(k: int) -> KnotComplex:
+    """T(2, 2k+1): x_j has A = k - j and M = -j; d x_odd = U x_prev + x_next."""
+    n = 2 * k + 1
+    name = [f"x{j:02d}" for j in range(n)]
+    gens = tuple(Generator(name[j], k - j, Fraction(-j)) for j in range(n))
+    diff = []
+    for j in range(1, n, 2):
+        diff += [DiffTerm(name[j], name[j - 1], 1), DiffTerm(name[j], name[j + 1], 0)]
+    flip = tuple(FlipTerm(name[j], name[n - 1 - j], j - k) for j in range(n))
+    return KnotComplex("0", gens, tuple(diff), flip)
+
+
+def tensor(x: KnotComplex, y: KnotComplex) -> KnotComplex:
+    """Connected sum: generators g.h with A and M added, d = d x 1 + 1 x d
+    and flip = flip x flip, U-powers added; both factors need a flip."""
+    gens = tuple(Generator(f"{g.name}.{h.name}", g.alexander + h.alexander, g.maslov + h.maslov)
+                 for g in x.generators for h in y.generators)
+    diff = [DiffTerm(f"{t.source}.{h.name}", f"{t.target}.{h.name}", t.u_power)
+            for t in x.differential for h in y.generators]
+    diff += [DiffTerm(f"{g.name}.{t.source}", f"{g.name}.{t.target}", t.u_power)
+             for g in x.generators for t in y.differential]
+    flip = tuple(FlipTerm(f"{p.source}.{q.source}", f"{p.target}.{q.target}", p.u_power + q.u_power)
+                 for p in x.flip for q in y.flip)
+    return KnotComplex("0", gens, tuple(diff), flip)

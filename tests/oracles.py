@@ -5,9 +5,11 @@ different machinery: dense list-of-list Gaussian elimination instead of
 bitmask sets, direct assembly of cone differentials from the plane-level
 definitions instead of the v/h chain-map objects, rank over the fraction
 field via evaluation at fixed points of GF(32003) instead of
-fraction-free elimination, and the plus flavor from truncated GF(2)
-complexes with an explicit U matrix, decomposed through cycle
-representatives, instead of the free F2[U] model's Smith pivots.
+fraction-free elimination, the hat complexes and maps from plane-element
+regions instead of the free F2[U] model read modulo U, and the plus flavor
+from truncated GF(2) complexes with an explicit U matrix, decomposed
+through cycle representatives, instead of the free F2[U] model's Smith
+pivots.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from floercone.linalg import (
     vector_mask,
 )
 from floercone.model import KnotComplex, PlaneElement, flip_map, require_valid
-from floercone.subquotient import _artifact_cutoff, _make_sub
+from floercone.subquotient import SubquotientComplex, _artifact_cutoff
 
 PRIME = 32003
 EVAL_POINTS = (2, 3, 5, 7, 11)
@@ -112,6 +114,34 @@ def brute_force_homology_dim(rows) -> int:
 # plane-level differential and flip, straight from the defining data
 
 
+def plane_maslov(c: KnotComplex, e: PlaneElement) -> Fraction:
+    g = c.generator(e.generator)
+    return g.maslov + 2 * e.i
+
+
+def _make_sub(c: KnotComplex, elements) -> SubquotientComplex:
+    """The region spanned by plane elements, terms leaving it dropped; the
+    checked SubquotientComplex constructor proves d^2 = 0 and the gradings."""
+    elements = tuple(sorted(elements, key=lambda e: (e.generator, e.i)))
+    index = {(e.generator, e.i): k for k, e in enumerate(elements)}
+    heights: dict[str, list] = {}
+    for (g, i), col in index.items():
+        heights.setdefault(g, []).append((i, col))
+    entries = []
+    for t in c.differential:
+        for i, col in heights.get(t.source, ()):
+            row = index.get((t.target, i - t.u_power))
+            if row is not None:
+                entries.append((row, col))
+    diff = F2Matrix.from_entries(len(elements), len(elements), entries)
+    maslov = tuple(plane_maslov(c, e) for e in elements)
+    return SubquotientComplex(elements, diff, maslov)
+
+
+def _basis_index(sub: SubquotientComplex) -> dict:
+    return {(e.generator, e.i): k for k, e in enumerate(sub.basis)}
+
+
 def plane_diff_targets(c: KnotComplex, name: str, i: int):
     """Differential of the plane element (name, i) as a set of elements."""
     out = set()
@@ -157,6 +187,26 @@ def a_hat_elements(c: KnotComplex, s: int):
 
 def b_hat_elements(c: KnotComplex):
     return [(g.name, 0) for g in sorted(c.generators, key=lambda g: g.name)]
+
+
+def oracle_hat_parts(c: KnotComplex, s: int):
+    """A_s, B and the chain maps v, h : A_s -> B of the hat flavor, from the
+    plane regions: v is the identity on the i = 0 slice, h takes the j = s
+    slice through the flip and U^s; c must carry a flip."""
+    assert c.flip is not None
+    a = _make_sub(c, [PlaneElement(g, i) for g, i in a_hat_elements(c, s)])
+    b = _make_sub(c, [PlaneElement(g, i) for g, i in b_hat_elements(c)])
+    bindex = _basis_index(b)
+    phi = flip_map(c)
+    v_entries, h_entries = [], []
+    for col, e in enumerate(a.basis):
+        if e.i == 0:
+            v_entries.append((bindex[(e.generator, 0)], col))
+        if e.i + c.alexander(e.generator) == s:
+            h_entries += [(bindex[(t, 0)], col) for t in phi.get(e.generator, ())]
+    v = make_chain_map(a, b, F2Matrix.from_entries(b.dim, a.dim, v_entries))
+    h = make_chain_map(a, b, F2Matrix.from_entries(b.dim, a.dim, h_entries))
+    return a, b, v, h
 
 
 def oracle_cone_hat(c: KnotComplex, s: int):
@@ -388,7 +438,7 @@ def build_plus_truncated(c: KnotComplex, region: str, n: int, s: int | None = No
     if n < 0:
         raise ValueError("truncation must be >= 0")
     sub = _make_sub(c, list(_plus_elements(c, region, n, s)))
-    index = sub.index()
+    index = _basis_index(sub)
     entries = []
     for (g, i), col in index.items():
         row = index.get((g, i - 1))
@@ -540,7 +590,7 @@ def oracle_cone_plus(c: KnotComplex, s: int, n: int) -> dict:
     """
     a, ua = build_plus_truncated(c, "A", n, s)
     b, ub = build_plus_truncated(c, "B", n)
-    bindex = b.index()
+    bindex = _basis_index(b)
     phi = flip_map(c)
     v_entries, h_entries = [], []
     for col, e in enumerate(a.basis):

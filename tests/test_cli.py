@@ -66,6 +66,14 @@ def test_parse_error_exit_2(tmp_path, capsys):
     assert code == 2 and "line 2" in err
 
 
+def test_zero_maslov_denominator_exit_2(tmp_path, capsys):
+    bad = tmp_path / "bad.cfk"
+    bad.write_text("complex K spinc=0\ngen a A=0 M=0\ngen b A=0 M=1/0\nend\n")
+    code, out, err = run(capsys, "check", str(bad))
+    assert code == 2 and out == ""
+    assert err == "error: line 3: expected: gen <name> A=<int> M=<int or p/q, q > 0>\n"
+
+
 # ---------------------------------------------------------------------------
 # cone
 

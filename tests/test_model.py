@@ -17,11 +17,12 @@ from floercone.model import (
     derive_flip,
     enumerate_flips,
     lattice_window,
-    plane_maslov,
     plane_position,
     require_valid,
     validate,
 )
+
+from oracles import plane_maslov
 
 
 def kinds(c) -> set:

@@ -23,7 +23,7 @@ from floercone.linalg import (
     NotAChainMap,
     smith_pivots_u,
 )
-from floercone.model import DiffTerm, FlipTerm, Generator, KnotComplex
+from floercone.model import KnotComplex
 from floercone.subquotient import (
     FreeReduction,
     FreeUComplex,
@@ -36,7 +36,7 @@ from floercone.subquotient import (
     stabilize,
 )
 
-from corpus import with_flip
+from corpus import staircase, with_flip
 from oracles import (
     GradedUModule,
     build_plus_truncated,
@@ -48,18 +48,6 @@ from oracles import (
 TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src"
 TREFOIL_F = str(Path(floercone.__file__).parent / "data" / "trefoil.cfk")
-
-
-def staircase(k: int) -> KnotComplex:
-    """T(2, 2k+1): x_j has A = k - j and M = -j; d x_odd = U x_prev + x_next."""
-    n = 2 * k + 1
-    name = [f"x{j:02d}" for j in range(n)]
-    gens = tuple(Generator(name[j], k - j, Fraction(-j)) for j in range(n))
-    diff = []
-    for j in range(1, n, 2):
-        diff += [DiffTerm(name[j], name[j - 1], 1), DiffTerm(name[j], name[j + 1], 0)]
-    flip = tuple(FlipTerm(name[j], name[n - 1 - j], j - k) for j in range(n))
-    return KnotComplex("0", gens, tuple(diff), flip)
 
 
 def assert_matches_oracle(c, s, n):
@@ -171,19 +159,19 @@ def trefoil_maps():
 
 def test_trefoil_h_is_a_chain_map_and_a_broken_one_raises():
     a, b, h = trefoil_maps()
-    assert free_chain_map(a, b, h, 0) == ({2: 1}, {1: 1}, {0: 2})
+    assert free_chain_map(a, b, h, 0, 4) == ({2: 1}, {1: 1}, {0: 2})
     with pytest.raises(NotAChainMap):
-        free_chain_map(a, b, h[:1] + h[2:], 0)  # drop y_b -> x_b
+        free_chain_map(a, b, h[:1] + h[2:], 0, 4)  # drop y_b -> x_b
 
 
 def test_wrong_grading_or_negative_power_raises():
     a, b, h = trefoil_maps()
     with pytest.raises(InvariantViolated):
-        free_chain_map(a, b, [(0, 2, 1)] + h[1:], 0)  # U^1 where the gradings ask U^0
+        free_chain_map(a, b, [(0, 2, 1)] + h[1:], 0, 4)  # U^1 where the gradings ask U^0
     with pytest.raises(InvariantViolated):
-        free_chain_map(a, b, h, 2)  # a degree the terms do not have
+        free_chain_map(a, b, h, 2, 4)  # a degree the terms do not have
     with pytest.raises(InvariantViolated):
-        free_chain_map(b, b, [(0, 0, -1)], 2)  # consistent gradings, negative power
+        free_chain_map(b, b, [(0, 0, -1)], 2, 4)  # consistent gradings, negative power
 
 
 def test_d_squared_nonzero_raises():

@@ -6,7 +6,7 @@ directly at the point of computation.
 """
 
 from floercone.cone import (
-    build_h_hat,
+    _hat_maps,
     build_v_hat,
     cone_homology_hat,
     induces_iso,
@@ -71,7 +71,7 @@ def test_twisted_map_at_one_is_untwisted_map():
         for s in (0, 1):
             cone = build_twisted_cone(c, s)
             v = build_v_hat(c, s)
-            h = build_h_hat(c, s)
+            h = _hat_maps(c, s)[1]
             assert cone.map_matrix.at_one() == v.matrix.add(h.matrix), (c, s)
 
 
