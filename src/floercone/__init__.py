@@ -18,7 +18,6 @@ from floercone.linalg import (
     homology_dim_f2,
     kernel_basis_f2,
     rank_f2,
-    rank_fraction_field,
     smith_invariants_laurent,
 )
 from floercone.model import (
@@ -114,7 +113,6 @@ __all__ = [
     "novikov_dim",
     "project_A",
     "rank_f2",
-    "rank_fraction_field",
     "smith_invariants_laurent",
     "sphere_necessary_conditions",
     "sphere_obstruction",

@@ -13,6 +13,7 @@ import json
 import re
 import sys
 from fractions import Fraction
+from functools import lru_cache
 
 from floercone.cone import cone_homology_hat, cone_homology_plus_truncated
 from floercone.detect import (
@@ -300,7 +301,9 @@ def _usage(message: str) -> int:
     return 2
 
 
+@lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="floercone",
         description="Floer homology of 0-surgery from finite knot complex models",

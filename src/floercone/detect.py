@@ -18,7 +18,7 @@ from floercone.linalg import F2Matrix, LaurentPoly, rank_f2
 from floercone.model import KnotComplex, require_valid
 from floercone.subquotient import build_A_hat, build_B_hat
 from floercone.cone import _hat_maps, build_v_hat, ensure_flip, induced_rank, make_chain_map
-from floercone.twisted import novikov_dim
+from floercone.twisted import _cone_novikov_dim, _twisted_cone, build_twisted_cone, novikov_dim
 
 
 class NotHomologySphere(Exception):
@@ -107,9 +107,11 @@ def sphere_necessary_conditions(complexes) -> Verdict:
                     {"clause": "c", "s": s, "spinc": c.spinc_label,
                      "dim_A": dim_a, "dim_B": dim_b},
                 )
+        hat = []  # clause (a)'s v and h, which clause (b) reuses
         if s != 0:
             for c in complexes:
                 v, h = _hat_maps(c, s)
+                hat.append((v, h))
                 vh = make_chain_map(v.source, v.target, v.matrix.add(h.matrix))
                 rank = induced_rank(vh)
                 dim_a = v.source.homology_dim()
@@ -121,8 +123,8 @@ def sphere_necessary_conditions(complexes) -> Verdict:
                         {"clause": "a", "s": s, "spinc": c.spinc_label,
                          "rank": rank, "dim_A": dim_a, "dim_B": dim_b},
                     )
-        for c in complexes:
-            dim = novikov_dim(c, s)
+        for k, c in enumerate(complexes):
+            dim = _cone_novikov_dim(_twisted_cone(*hat[k]) if hat else build_twisted_cone(c, s))
             if dim:
                 return Verdict(
                     VerdictKind.DOES_NOT_FIRE,

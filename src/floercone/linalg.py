@@ -1,5 +1,5 @@
-"""Exact linear algebra over GF(2), over GF(2)[U]/U^P, over the Laurent
-ring GF(2)[T, T^-1] and over its fraction field.
+"""Exact linear algebra over GF(2), over GF(2)[U]/U^P and over the Laurent
+ring GF(2)[T, T^-1].
 
 GF(2) matrices store one Python-int bitmask per column; products and
 elimination run on those masks, so every computation is exact, and the set
@@ -9,7 +9,9 @@ coefficient of T^(low + k), with the mask odd (or both zero), so sums are
 shifted XORs, products are carry-less, and the set of exponents whose
 coefficient is 1 is again a view derived on request.  The Laurent ring is
 Euclidean once unit powers of T are stripped, which is what the Smith
-reduction and the division steps rely on.
+reduction and the division steps rely on.  The one elimination kernel over
+GF(2)[U]/U^P, `smith_pivots_u`, serves any power series ring in one
+variable, so it also gives ranks over F2[[T]].
 
 No floating point is used anywhere in this module.
 """
@@ -17,6 +19,7 @@ No floating point is used anywhere in this module.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 
 
 class CompositionNonzero(Exception):
@@ -321,30 +324,47 @@ def _clmul(a: int, b: int) -> int:
     return acc
 
 
+def _valuation(e: int) -> int:
+    return (e & -e).bit_length() - 1
+
+
 def smith_pivots_u(columns, precision: int) -> list[tuple[int, int, int]]:
     """Smith reduction over GF(2)[U] / U^precision; returns (row, col, v) per
     pivot, the invariant factors being the U^v.
 
     columns[c] maps row r to the nonzero entry (r, c), whose bit k is the
-    coefficient of U^k.  Each step pivots on an entry u * U^v of least
-    valuation (u a unit), sets col' <- u * col' + (e >> v) * col for each
-    other column col' with entry e in the pivot row, and drops the pivot
-    row and column (row operations would only clear the dropped column).
+    coefficient of U^k.  Each step pivots on the live entry u * U^v (u a
+    unit) of least key (v, row, col), sets col' <- u * col' + (e >> v) * col
+    for each other column col' with entry e in the pivot row, and drops the
+    pivot row and column (row operations would only clear the dropped
+    column).  This is the column reduction of persistent homology: the keys
+    sit in a heap, where a key whose entry has since changed is skipped when
+    popped, and each row lists the columns that may hold it, so a pivot
+    touches only those columns.  Multiplying by the unit u keeps every
+    valuation, and each new entry gets a fresh key.
     """
     full = (1 << precision) - 1
-    cols = {c: {r: e & full for r, e in col.items() if e & full}
-            for c, col in enumerate(columns)}
+    cols: dict[int, dict[int, int]] = {}
+    holders: dict[int, set] = {}
+    heap = []
+    for c, col in enumerate(columns):
+        cols[c] = kept = {r: x for r, e in col.items() if (x := e & full)}
+        for r, x in kept.items():
+            holders.setdefault(r, set()).add(c)
+            heap.append((_valuation(x), r, c))
+    heapify(heap)
     pivots = []
-    while True:
-        best = min((((e & -e).bit_length() - 1, r, c)
-                    for c, col in cols.items() for r, e in col.items()), default=None)
-        if best is None:
-            return pivots
-        v, r, c = best
-        pivot_col = cols.pop(c)
+    while heap:
+        v, r, c = heappop(heap)
+        pivot_col = cols.get(c)
+        e = pivot_col and pivot_col.get(r)
+        if not e or _valuation(e) != v:
+            continue
+        del cols[c]
         unit = pivot_col.pop(r) >> v
-        for col in cols.values():
-            e = col.pop(r, 0)
+        for c2 in holders.pop(r):
+            col = cols.get(c2)
+            e = col and col.pop(r, 0)
             if not e:
                 continue
             if unit != 1:
@@ -352,10 +372,15 @@ def smith_pivots_u(columns, precision: int) -> list[tuple[int, int, int]]:
                     col[r2] = _clmul(x, unit) & full
             q = e >> v
             for r2, p in pivot_col.items():
-                x = col.pop(r2, 0) ^ _clmul(p, q) & full
+                old = col.pop(r2, 0)
+                x = old ^ _clmul(p, q) & full
                 if x:
                     col[r2] = x
+                    holders[r2].add(c2)
+                    if (vx := _valuation(x)) != _valuation(old):  # the zero old one is at -1
+                        heappush(heap, (vx, r2, c2))
         pivots.append((r, c, v))
+    return pivots
 
 
 # ---------------------------------------------------------------------------
@@ -626,53 +651,6 @@ class LaurentMatrix:
             self.cols,
             frozenset((r, c) for r, c, p in self.entries if p.at_one()),
         )
-
-
-def laurent_hstack(a: LaurentMatrix, b: LaurentMatrix) -> LaurentMatrix:
-    if a.rows != b.rows:
-        raise ValueError("row mismatch in hstack")
-    d = a.to_dict()
-    for (r, c), p in b.to_dict().items():
-        d[(r, c + a.cols)] = p
-    return LaurentMatrix.from_dict(a.rows, a.cols + b.cols, d)
-
-
-def rank_fraction_field(m: LaurentMatrix) -> int:
-    """Rank of m over the field of fractions of GF(2)[T, T^-1].
-
-    Fraction-free row elimination: rows are cross-multiplied by pivot
-    entries instead of divided, so all intermediate entries stay in the
-    Laurent ring.
-    """
-    rows: list[dict[int, LaurentPoly]] = [dict() for _ in range(m.rows)]
-    for r, c, p in m.entries:
-        rows[r][c] = p
-    free = list(range(m.rows))
-    rank = 0
-    for col in range(m.cols):
-        pivot_at = None
-        for idx in free:
-            if col in rows[idx]:
-                pivot_at = idx
-                break
-        if pivot_at is None:
-            continue
-        rank += 1
-        free.remove(pivot_at)
-        pivot = rows[pivot_at]
-        pv = pivot[col]
-        for idx in free:
-            row = rows[idx]
-            e = row.get(col)
-            if e is None:
-                continue
-            new: dict[int, LaurentPoly] = {}
-            for c2 in set(row) | set(pivot):
-                val = pv * row.get(c2, LaurentPoly.zero()) + e * pivot.get(c2, LaurentPoly.zero())
-                if not val.is_zero:
-                    new[c2] = val
-            rows[idx] = new
-    return rank
 
 
 def smith_invariants_laurent(m: LaurentMatrix) -> list[LaurentPoly]:

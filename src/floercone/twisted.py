@@ -3,10 +3,12 @@
 The twisted map is W = v + T h, with v and h the hat maps: the F2[U]
 maps of the free models read modulo U (see `cone`); the cone of W
 computes the surgery homology with coefficients twisted by the surgery
-circle class.  Dimensions over the Novikov field reduce to fraction-field
-ranks: the homology over the Laurent ring L is finitely generated over a
-PID, and extending scalars to any field containing Frac(L) kills exactly
-the torsion.
+circle class.  Every entry of the cone differential is 1, T or 1 + T, so
+it is a matrix over the discrete valuation ring F2[[T]], whose fraction
+field is the Novikov field F2((T)).  Its rank there is the number of
+invariant factors T^v of a Smith reduction over F2[[T]], and each of them
+survives modulo T^P for P above the largest v; dimensions over the
+Novikov field are read off those pivots (`_novikov_rank`).
 
 Torsion bookkeeping: for a square differential D over a PID with D^2 = 0,
 L^m / ker D embeds in L^m, so it is torsion free; the exact sequence
@@ -14,7 +16,8 @@ L^m / ker D embeds in L^m, so it is torsion free; the exact sequence
 torsion of the homology with the torsion of coker D, which is the direct
 sum of L/(d) over the nonunit invariant factors d of D.  So the torsion
 factors reported here are read off a Smith reduction of the full cone
-differential.
+differential over the Laurent ring L, and its count of nonzero factors,
+the free rank, is checked against the Novikov dimension.
 """
 
 from __future__ import annotations
@@ -26,14 +29,11 @@ from floercone.linalg import (
     InvariantViolated,
     LaurentMatrix,
     LaurentPoly,
-    kernel_basis_f2,
-    laurent_hstack,
-    rank_f2,
-    rank_fraction_field,
     smith_invariants_laurent,
+    smith_pivots_u,
 )
 from floercone.model import KnotComplex
-from floercone.cone import _hat_maps, ensure_flip
+from floercone.cone import ChainMapF2, _hat_maps, ensure_flip
 
 
 @dataclass(frozen=True)
@@ -46,7 +46,10 @@ class TwistedCone:
 
 def build_twisted_cone(c: KnotComplex, s: int) -> TwistedCone:
     """Block matrix [[dA, 0], [v + T h, dB]] on A_s (+) B."""
-    v, h = _hat_maps(c, s)
+    return _twisted_cone(*_hat_maps(c, s))
+
+
+def _twisted_cone(v: ChainMapF2, h: ChainMapF2) -> TwistedCone:
     a, b = v.source, v.target
     w = LaurentMatrix.from_f2(v.matrix).add(
         LaurentMatrix.from_f2(h.matrix, LaurentPoly.t()))
@@ -69,25 +72,28 @@ def novikov_dim(c: KnotComplex, s: int) -> int:
     return _cone_novikov_dim(build_twisted_cone(ensure_flip(c), s))
 
 
-def _cone_novikov_dim(tc: TwistedCone) -> int:
-    """dim H(A_s) + dim H(B) - 2 rank of the induced map of W over the
-    fraction field; the two summand complexes have constant differentials,
-    so their homology is free and base changes cleanly.
+def _novikov_rank(m: LaurentMatrix) -> int:
+    """Rank over the Novikov field of a matrix whose entries are 1, T or 1 + T.
+
+    It is the pivot count of a Smith reduction over F2[[T]] modulo T^P with
+    P = min(rows, cols) + 1.  That loses no invariant factor: if m has rank
+    r, some r x r minor is nonzero, and as a polynomial of degree at most r
+    (every entry has degree at most 1) its T-adic valuation is at most r.
+    Over a discrete valuation ring the valuations of the first r invariant
+    factors sum to the least valuation of an r x r minor, so each one is at
+    most r < P.
     """
-    a, b = tc.a, tc.b
-    cycles = kernel_basis_f2(a.differential)
-    w = tc.map_matrix.to_dict()
-    columns = {}
-    for j, z in enumerate(cycles):
-        for (r, col), p in w.items():
-            if col in z:
-                key = (r, j)
-                columns[key] = columns.get(key, LaurentPoly.zero()) + p
-    images = LaurentMatrix.from_dict(b.dim, len(cycles), columns)
-    boundaries = LaurentMatrix.from_f2(b.differential)
-    stacked = laurent_hstack(images, boundaries)
-    induced_rank = rank_fraction_field(stacked) - rank_f2(b.differential)
-    return a.homology_dim() + b.homology_dim() - 2 * induced_rank
+    columns = [{} for _ in range(m.cols)]
+    for r, col, p in m.entries:
+        if p.min_exp < 0 or p.max_exp > 1:
+            raise InvariantViolated(f"twisted cone entry {p} is not 1, T or 1 + T")
+        columns[col][r] = p._mask << p._low
+    return len(smith_pivots_u(columns, min(m.rows, m.cols) + 1))
+
+
+def _cone_novikov_dim(tc: TwistedCone) -> int:
+    """m - 2 rank D over the Novikov field, for the m x m cone differential D."""
+    return tc.cone_matrix.rows - 2 * _novikov_rank(tc.cone_matrix)
 
 
 @dataclass(frozen=True)

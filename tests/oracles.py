@@ -4,12 +4,12 @@ Everything here recomputes results from first principles with deliberately
 different machinery: dense list-of-list Gaussian elimination instead of
 bitmask sets, direct assembly of cone differentials from the plane-level
 definitions instead of the v/h chain-map objects, rank over the fraction
-field via evaluation at fixed points of GF(32003) instead of
-fraction-free elimination, the hat complexes and maps from plane-element
-regions instead of the free F2[U] model read modulo U, and the plus flavor
-from truncated GF(2) complexes with an explicit U matrix, decomposed
-through cycle representatives, instead of the free F2[U] model's Smith
-pivots.
+field via evaluation at fixed points of GF(32003) instead of Smith pivots
+over F2[[T]], the hat complexes and maps from plane-element regions
+instead of the free F2[U] model read modulo U, the plus flavor from
+truncated GF(2) complexes with an explicit U matrix, decomposed through
+cycle representatives, instead of the free F2[U] model's Smith pivots,
+and those pivots by a scan of every entry per pivot instead of a heap.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from floercone.linalg import (
     F2Matrix,
     InvariantViolated,
     NotAChainMap,
+    _clmul,
     kernel_basis_f2,
     rank_f2,
     submatrix,
@@ -90,6 +91,45 @@ def dense_rank_mod_p(rows, p=PRIME) -> int:
     return rank
 
 
+
+def _gf256_tables():
+    """Exponent and log tables of the unit group of GF(2^8) =
+    GF(2)[x] / (x^8 + x^4 + x^3 + x + 1), which x + 1 = 3 generates."""
+    exp, log, x = [0] * 510, [0] * 256, 1
+    for k in range(255):
+        exp[k] = exp[k + 255] = x
+        log[x] = k
+        x ^= (x << 1) ^ (0x11B if x & 0x80 else 0)
+    return exp, log
+
+
+GF256_EXP, GF256_LOG = _gf256_tables()
+
+
+def gf256_mul(a: int, b: int) -> int:
+    return GF256_EXP[GF256_LOG[a] + GF256_LOG[b]] if a and b else 0
+
+
+def dense_rank_gf256(rows) -> int:
+    """Row echelon over GF(2^8) on plain lists of field elements."""
+    mat = [list(r) for r in rows]
+    if not mat:
+        return 0
+    rank = 0
+    for col in range(len(mat[0])):
+        pivot = next((r for r in range(rank, len(mat)) if mat[r][col]), None)
+        if pivot is None:
+            continue
+        mat[rank], mat[pivot] = mat[pivot], mat[rank]
+        inv = GF256_EXP[255 - GF256_LOG[mat[rank][col]]]
+        mat[rank] = [gf256_mul(x, inv) for x in mat[rank]]
+        for r in range(len(mat)):
+            if r != rank and mat[r][col]:
+                f = mat[r][col]
+                mat[r] = [a ^ gf256_mul(f, b) for a, b in zip(mat[r], mat[rank])]
+        rank += 1
+    return rank
+
 def brute_force_homology_dim(rows) -> int:
     """dim ker - dim im of a square GF(2) matrix by enumerating all vectors.
 
@@ -108,6 +148,47 @@ def brute_force_homology_dim(rows) -> int:
     kernel_dim = kernel.bit_length() - 1
     image_dim = len(images).bit_length() - 1
     return kernel_dim - image_dim
+
+
+# ---------------------------------------------------------------------------
+# Smith reduction over GF(2)[U] / U^P by a scan of every entry per pivot
+
+
+def oracle_smith_pivots_u(columns, precision: int) -> list[tuple[int, int, int]]:
+    """Smith reduction over GF(2)[U] / U^precision; returns (row, col, v) per
+    pivot, the invariant factors being the U^v.
+
+    columns[c] maps row r to the nonzero entry (r, c), whose bit k is the
+    coefficient of U^k.  Each step pivots on an entry u * U^v of least
+    valuation (u a unit), sets col' <- u * col' + (e >> v) * col for each
+    other column col' with entry e in the pivot row, and drops the pivot
+    row and column (row operations would only clear the dropped column).
+    """
+    full = (1 << precision) - 1
+    cols = {c: {r: e & full for r, e in col.items() if e & full}
+            for c, col in enumerate(columns)}
+    pivots = []
+    while True:
+        best = min((((e & -e).bit_length() - 1, r, c)
+                    for c, col in cols.items() for r, e in col.items()), default=None)
+        if best is None:
+            return pivots
+        v, r, c = best
+        pivot_col = cols.pop(c)
+        unit = pivot_col.pop(r) >> v
+        for col in cols.values():
+            e = col.pop(r, 0)
+            if not e:
+                continue
+            if unit != 1:
+                for r2, x in col.items():
+                    col[r2] = _clmul(x, unit) & full
+            q = e >> v
+            for r2, p in pivot_col.items():
+                x = col.pop(r2, 0) ^ _clmul(p, q) & full
+                if x:
+                    col[r2] = x
+        pivots.append((r, c, v))
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import floercone
-from floercone.cli import main
+from floercone.cli import build_parser, main
 from floercone.cone import cone_homology_hat
 from floercone.fixtures import TREFOIL
 
@@ -271,6 +271,14 @@ def test_output_deterministic(capsys):
     _, first, _ = run(capsys, "cone", TREFOIL_F, "--s", "-2..2", "--machine")
     _, second, _ = run(capsys, "cone", TREFOIL_F, "--s", "-2..2", "--machine")
     assert first == second
+
+
+def test_parser_is_built_once_and_keeps_no_state(capsys):
+    assert build_parser() is build_parser()
+    run(capsys, "cone", TREFOIL_F, "--flavor", "plus", "--truncation", "2", "--s", "1", "--machine")
+    _, out, _ = run(capsys, "cone", TREFOIL_F, "--machine")
+    (rec,) = machine_records(out)
+    assert (rec["flavor"], rec["s"], rec["truncation"]) == ("hat", 0, None)
 
 
 def test_console_script_entry_point():

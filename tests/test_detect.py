@@ -1,9 +1,12 @@
 """Verdict-producing detectors: spheres, unknotting, genus, Alexander."""
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+import floercone.cone as cone_module
+import floercone.subquotient as subquotient
 from floercone.detect import (
     NotHomologySphere,
     Verdict,
@@ -18,6 +21,8 @@ from floercone.detect import (
 from floercone.fixtures import ALL_FIXTURES, FIGURE8, TREFOIL, TREFOIL_L, UNKNOT, Y1SIGMA
 from floercone.linalg import LaurentPoly
 from floercone.subquotient import hf_red_graded
+
+from corpus import with_flip
 
 NAMED = dict(zip(["UNKNOT", "TREFOIL", "TREFOIL_L", "Y1SIGMA", "FIGURE8"], ALL_FIXTURES))
 
@@ -97,6 +102,19 @@ def test_necessary_conditions_mirror_clause_c():
 def test_necessary_conditions_figure8_clause_c():
     v = sphere_necessary_conditions([FIGURE8])
     assert v.witness["clause"] == "c" and v.witness["s"] == 0
+
+
+def test_necessary_conditions_build_A_s_and_B_twice_per_s(monkeypatch):
+    """Clauses (c) and (a) each build A_s and B once; clause (b) reuses the
+    maps of clause (a), and builds its own only at s = 0, where (a) is skipped."""
+    c = next(f for _, f in with_flip() if f.a_bound() == 2
+             and sphere_necessary_conditions([f]).kind is VerdictKind.FIRES)
+    built = Counter()
+    for module in (subquotient, cone_module):
+        monkeypatch.setattr(module, "free_plus_complex", lambda c, s=None, _f=module.free_plus_complex:
+                            built.update([s]) or _f(c, s))
+    assert sphere_necessary_conditions([c]).kind is VerdictKind.FIRES
+    assert built == {None: 10, **{s: 2 for s in range(-2, 3)}}
 
 
 def test_obstruction_containment_on_fixtures():

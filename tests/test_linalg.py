@@ -7,22 +7,24 @@ import pytest
 from floercone.linalg import (
     CompositionNonzero,
     F2Matrix,
+    InvariantViolated,
     LaurentMatrix,
     LaurentPoly,
     homology_dim_f2,
     kernel_basis_f2,
     laurent_divides,
     laurent_divmod,
-    laurent_hstack,
     rank_f2,
     rank_f2_modulo,
-    rank_fraction_field,
     smith_invariants_laurent,
+    smith_pivots_u,
     submatrix,
     vector_mask,
 )
 
-from oracles import TaggedSpan, dense_rank_f2, dense_rank_mod_p, minor_gcd_spans
+from floercone.twisted import _novikov_rank
+
+from oracles import GF256_EXP, GF256_LOG, TaggedSpan, dense_rank_f2, dense_rank_gf256, minor_gcd_spans
 
 
 def dense(m: F2Matrix):
@@ -264,15 +266,6 @@ def test_at_one_specialization():
     assert m.at_one().entries == frozenset({(1, 1)})
 
 
-def test_hstack():
-    a = LaurentMatrix.from_dict(1, 1, {(0, 0): LaurentPoly.one()})
-    b = LaurentMatrix.from_dict(1, 2, {(0, 1): LaurentPoly.t()})
-    st = laurent_hstack(a, b)
-    assert st.cols == 3
-    assert st.entry(0, 0) == LaurentPoly.one()
-    assert st.entry(0, 2) == LaurentPoly.t()
-
-
 def _random_laurent(rng, rows, cols) -> LaurentMatrix:
     d = {}
     for r in range(rows):
@@ -286,16 +279,32 @@ def _random_laurent(rng, rows, cols) -> LaurentMatrix:
 
 
 def _eval_rank(m: LaurentMatrix) -> int:
+    """Rank over the fraction field of GF(2)[T, T^-1], by evaluating T at
+    nonzero points of GF(2^8).  No evaluation raises the rank.  With every
+    exponent in lo..lo + w, a nonzero r x r minor is T^(r lo) times a
+    polynomial of degree at most r w, so it vanishes at no more than r w
+    nonzero points, and r w + 1 of them find the rank."""
+    exps = [e for *_, p in m.entries for e in p.support]
+    count = min(m.rows, m.cols) * (max(exps, default=0) - min(exps, default=0)) + 1
+    assert count < 256
     best = 0
-    for point in (2, 3, 5, 7, 11):
+    for point in range(1, count + 1):
         rows = [[0] * m.cols for _ in range(m.rows)]
         for r, c, p in m.entries:
-            rows[r][c] = sum(pow(point, e, 32003) for e in p.support) % 32003
-        best = max(best, dense_rank_mod_p(rows))
+            for e in p.support:
+                rows[r][c] ^= GF256_EXP[GF256_LOG[point] * e % 255]
+        best = max(best, dense_rank_gf256(rows))
     return best
 
 
-def test_fraction_field_rank_trefoil_twisted():
+def _random_degree_one(rng, rows, cols) -> LaurentMatrix:
+    choices = (None, LaurentPoly.one(), LaurentPoly.t(), LaurentPoly.from_exponents([0, 1]))
+    return LaurentMatrix.from_dict(rows, cols, {
+        (r, c): p for r in range(rows) for c in range(cols)
+        if (p := rng.choice(choices)) is not None})
+
+
+def test_novikov_rank_trefoil_twisted():
     # v + T h of the right-handed trefoil at s = 0, basis (a, b, c)
     t = LaurentPoly.t()
     one = LaurentPoly.one()
@@ -304,14 +313,33 @@ def test_fraction_field_rank_trefoil_twisted():
         (1, 1): one + t,
         (2, 2): one,
     })
-    assert rank_fraction_field(m) == 2
+    assert _novikov_rank(m) == 2
 
 
-def test_fraction_field_rank_against_evaluation():
+def test_novikov_rank_against_evaluation():
     rng = random.Random(8)
-    for _ in range(25):
-        m = _random_laurent(rng, rng.randint(1, 5), rng.randint(1, 5))
-        assert rank_fraction_field(m) == _eval_rank(m)
+    for _ in range(200):
+        m = _random_degree_one(rng, rng.randint(1, 6), rng.randint(1, 6))
+        assert _novikov_rank(m) == _eval_rank(m)
+
+
+def test_novikov_rank_precision_bound_is_tight():
+    """T I_r + N, N the shift, has invariant factors 1, ..., 1, T^r: modulo
+    T^r the kernel loses the last one, at the precision r + 1 of the
+    Novikov rank it keeps them all."""
+    for r in range(1, 8):
+        m = LaurentMatrix.from_dict(r, r, {
+            **{(k, k): LaurentPoly.t() for k in range(r)},
+            **{(k, k + 1): LaurentPoly.one() for k in range(r - 1)}})
+        columns = [{k: 0b10, **({k - 1: 0b1} if k else {})} for k in range(r)]
+        assert _eval_rank(m) == _novikov_rank(m) == len(smith_pivots_u(columns, r + 1)) == r
+        assert len(smith_pivots_u(columns, r)) == r - 1
+
+
+def test_novikov_rank_rejects_entries_other_than_1_T_and_1_plus_T():
+    for p in (LaurentPoly.monomial(-1), LaurentPoly.monomial(2), LaurentPoly.from_exponents([-1, 0])):
+        with pytest.raises(InvariantViolated):
+            _novikov_rank(LaurentMatrix.from_dict(1, 1, {(0, 0): p}))
 
 
 def test_smith_diagonal_example():
@@ -332,7 +360,7 @@ def test_smith_count_equals_rank_and_divisibility():
     for _ in range(25):
         m = _random_laurent(rng, rng.randint(1, 4), rng.randint(1, 4))
         inv = smith_invariants_laurent(m)
-        assert len(inv) == rank_fraction_field(m)
+        assert len(inv) == _eval_rank(m)
         for p in inv:
             assert not p.is_zero and p.min_exp == 0
         for p, q in zip(inv, inv[1:]):

@@ -15,8 +15,9 @@ import pytest
 
 import floercone
 from floercone.cli import main
-from floercone.cone import _induced_rank, cone_homology_plus_truncated
-from floercone.fixtures import ALL_FIXTURES, TREFOIL
+import floercone.subquotient as subquotient
+from floercone.cone import _induced_rank, _plus_reductions, cone_homology_plus_truncated
+from floercone.fixtures import ALL_FIXTURES, FIGURE8, TREFOIL
 from floercone.linalg import (
     CompositionNonzero,
     InvariantViolated,
@@ -34,15 +35,17 @@ from floercone.subquotient import (
     hf_red_graded,
     reduce_free,
     stabilize,
+    truncation_cap,
 )
 
-from corpus import staircase, with_flip
+from corpus import staircase, tensor, with_flip
 from oracles import (
     GradedUModule,
     build_plus_truncated,
     minor_gcd_spans,
     oracle_cone_plus,
     oracle_reduced_part,
+    oracle_smith_pivots_u,
 )
 
 TESTS = Path(__file__).resolve().parent
@@ -145,6 +148,38 @@ def test_smith_valuations_match_the_minors():
                 assert not minors
             else:
                 assert sum(vals[:k]) == min(min(m) for m in minors)
+
+
+def test_heap_kernel_matches_the_scan_on_random_matrices():
+    """Pivot lists agree entry for entry, with non-unit pivots, units other
+    than 1 and entries cut off by the precision."""
+    rng = random.Random(11)
+    for _ in range(300):
+        rows, cols, precision = rng.randint(1, 8), rng.randint(1, 8), rng.randint(1, 6)
+        columns = [{r: mask for r in range(rows)
+                    if rng.random() < 0.5 and (mask := rng.getrandbits(5) << rng.randint(0, 3))}
+                   for _ in range(cols)]
+        assert smith_pivots_u(columns, precision) == oracle_smith_pivots_u(columns, precision)
+
+
+def test_heap_kernel_matches_the_scan_on_the_plus_reductions(monkeypatch):
+    """A_s, B and the cones of v, h and v + h (graded at s = 0, ungraded
+    elsewhere) of the flip-bearing corpus and sums of up to 75 generators."""
+    seen = []
+
+    def both(columns, precision):
+        got = smith_pivots_u(columns, precision)
+        assert got == oracle_smith_pivots_u(columns, precision)
+        seen.append(len(columns))
+        return got
+
+    monkeypatch.setattr(subquotient, "smith_pivots_u", both)
+    sums = [tensor(tensor(TREFOIL, FIGURE8), TREFOIL), tensor(staircase(2), staircase(7)),
+            tensor(FIGURE8, staircase(7))]
+    for c in [flipped for _, flipped in with_flip()] + sums:
+        for s in range(-2, 3):
+            _plus_reductions(c, s, truncation_cap(c) + 2)
+    assert max(seen) == 150
 
 
 # ---------------------------------------------------------------------------

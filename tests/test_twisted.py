@@ -1,6 +1,10 @@
 """Twisted coefficients: Novikov dimension and Laurent module structure."""
 
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +18,8 @@ from floercone.twisted import (
 )
 
 from oracles import oracle_novikov_dim
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 NAMED = dict(zip(["UNKNOT", "TREFOIL", "TREFOIL_L", "Y1SIGMA", "FIGURE8"], ALL_FIXTURES))
 
@@ -116,3 +122,34 @@ def test_torsion_vanishes_off_zero_for_fixtures():
     for c in ALL_FIXTURES:
         for s in (-2, -1, 1, 2):
             assert twisted_homology_laurent(c, s).torsion_factors == ()
+
+
+def test_twisted_checks_survive_python_O():
+    """A cone entry with a negative power of T is not read as an F2[T]
+    bitmask, and a Novikov dimension off the Laurent free rank is caught."""
+    code = (
+        "from dataclasses import replace\n"
+        "import floercone.twisted as twisted\n"
+        "from floercone.fixtures import TREFOIL\n"
+        "from floercone.linalg import InvariantViolated, LaurentMatrix\n"
+        "assert False, 'asserts are on'\n"
+        "tc = twisted.build_twisted_cone(TREFOIL, 0)\n"
+        "m = tc.cone_matrix\n"
+        "skewed = {rc: p.shifted(-1) for rc, p in m.to_dict().items()}\n"
+        "try:\n"
+        "    twisted._cone_novikov_dim(replace(tc, cone_matrix=LaurentMatrix.from_dict(m.rows, m.cols, skewed)))\n"
+        "except InvariantViolated:\n"
+        "    print('raised')\n"
+        "original = twisted._cone_novikov_dim\n"
+        "twisted._cone_novikov_dim = lambda tc: original(tc) + 2\n"
+        "try:\n"
+        "    twisted.twisted_homology_laurent(TREFOIL, 0)\n"
+        "except InvariantViolated:\n"
+        "    print('raised')\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["raised", "raised"]
