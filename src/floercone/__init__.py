@@ -36,7 +36,6 @@ from floercone.model import (
 )
 from floercone.subquotient import (
     SubquotientComplex,
-    TruncationUnstable,
     build_A_hat,
     build_B_hat,
     hf_red_graded,
@@ -89,7 +88,6 @@ __all__ = [
     "NotHomologySphere",
     "PlaneElement",
     "SubquotientComplex",
-    "TruncationUnstable",
     "TwistedConeResult",
     "ValidationError",
     "ValidationReport",

@@ -28,7 +28,7 @@ from floercone.detect import (
 from floercone.io_format import DuplicateName, ParseError, load_path
 from floercone.linalg import CompositionNonzero, InvariantViolated, NotAChainMap
 from floercone.model import NoFlipFound, ValidationError
-from floercone.subquotient import TruncationUnstable, hf_red_graded
+from floercone.subquotient import hf_red_graded
 from floercone.twisted import twisted_homology_laurent
 
 
@@ -48,18 +48,16 @@ def _s_range(text: str):
     raise argparse.ArgumentTypeError(f"bad s range {text!r}; use <n> or <a>..<b>")
 
 
-def _height(text: str, hint: str = "a count") -> int:
+def _truncation(text: str):
+    if text == "auto":
+        return text
     try:
         n = int(text)
         if n < 0:
             raise ValueError
         return n
     except ValueError:
-        raise argparse.ArgumentTypeError(f"bad truncation {text!r}; use {hint}")
-
-
-def _truncation(text: str):
-    return "auto" if text == "auto" else _height(text, "a count or 'auto'")
+        raise argparse.ArgumentTypeError(f"bad truncation {text!r}; use a count or 'auto'")
 
 
 def _red_dims(text: str):
@@ -266,7 +264,7 @@ def cmd_prop0check(args) -> int:
 def cmd_red(args) -> int:
     for path, entry in _load_entries(args.files):
         c = entry.complex
-        red = hf_red_graded(c, args.truncation)
+        red = hf_red_graded(c)
         _emit(args, {
             "command": "red",
             "file": path,
@@ -342,8 +340,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_detect_sphere)
 
     p = with_common(sub.add_parser("red", help="graded reduced plus-flavor homology"))
-    p.add_argument("--truncation", type=_height, default=None,
-                   help="starting truncation height (stabilization still applies)")
     p.set_defaults(handler=cmd_red)
 
     p = with_common(sub.add_parser("prop0check",
@@ -378,7 +374,7 @@ def main(argv=None) -> int:
     try:
         return args.handler(args)
     except (ParseError, DuplicateName, ValidationError, NoFlipFound,
-            NotHomologySphere, TruncationUnstable, CompositionNonzero, NotAChainMap,
+            NotHomologySphere, CompositionNonzero, NotAChainMap,
             InvariantViolated, OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -19,11 +19,15 @@ out and every builder stays bounded in |s|.  The hat flavor (P = 1)
 reads them as GF(2) matrices.  In the plus flavor A_s, B and the cones
 of v, h and v + h are each reduced once, every truncation height is read
 off the pivots, and the rank of f_* follows from
-dim H(cone f) = dim H(A) + dim H(B) - 2 rank f_*.
+dim H(cone f) = dim H(A) + dim H(B) - 2 rank f_*.  In auto mode the
+precision provably exceeds every pivot of the cone of v + h, so its towers
+and blocks U^v, and with them its homology at every height, are read off
+in closed form (`_plus_reductions`, `cone_homology_plus_truncated`).
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -31,9 +35,11 @@ from floercone.linalg import (
     F2Matrix,
     InvariantViolated,
     NotAChainMap,
+    _minor_degree_bound,
     kernel_basis_f2,
     rank_f2,
     rank_f2_modulo,
+    smith_pivots_u,
     vector_mask,
 )
 from floercone.model import KnotComplex, derive_flip, flip_map, require_valid
@@ -42,6 +48,7 @@ from floercone.subquotient import (
     FreeUComplex,
     SubquotientComplex,
     _artifact_cutoff,
+    _graded_precision,
     _hat_view,
     _mod_u,
     build_A_hat,
@@ -49,8 +56,6 @@ from floercone.subquotient import (
     free_plus_complex,
     graded_homology_dims,
     reduce_free,
-    stabilize,
-    truncation_cap,
 )
 
 
@@ -211,27 +216,48 @@ def cone_homology_hat(c: KnotComplex, s: int) -> ConeResult:
     return ConeResult(s, "hat", total_dim, induced_rank(v), induced_rank(h), rank_vh, graded)
 
 
-def _free_cone(a: FreeUComplex, b: FreeUComplex, f, precision: int, graded: bool) -> FreeReduction:
-    """Reduction of the cone of f : A -> B, with B one degree below A."""
+def _free_cone(a: FreeUComplex, b: FreeUComplex, f) -> tuple:
+    """Gradings and columns of the cone of f : A -> B, with B one degree below A."""
     na = len(a.gradings)
     columns = [{**da, **{na + r: e for r, e in fa.items()}} for da, fa in zip(a.columns, f)]
     columns += [{na + r: e for r, e in db.items()} for db in b.columns]
-    gradings = a.gradings + tuple(g - 1 for g in b.gradings)
-    return reduce_free(gradings, columns, precision, graded)
+    return a.gradings + tuple(g - 1 for g in b.gradings), columns
 
 
-def _plus_reductions(c: KnotComplex, s: int, precision: int):
+def _plus_reductions(c: KnotComplex, s: int, precision: int | None = None):
     """Reductions of A_s, B and the cones of v, h and v + h modulo U^precision;
-    h lowers gradings by 2s, so its cones are graded at s = 0 only."""
+    h lowers gradings by 2s, so its cones are graded at s = 0 only.
+
+    Without a precision, P is one above every pivot of the cone of v + h:
+    - s = 0: the cone is graded, and `_graded_precision` bounds its pivots.
+    - 0 < |s| <= a_bound: every U-power of v and h is at most 2 a_bound, so
+      the maps are built exactly, modulo U^(2 a_bound + 1).  The m x m cone
+      differential D has D^2 = 0, so it has at most m / 2 invariant factors;
+      a reduction that finds m / 2 pivots modulo U^P has found them all, each
+      below P.  So P is first the cheap grading bound plus |s|, and where that
+      finds fewer, the minor-degree bound of `linalg._minor_degree_bound`,
+      which is above every invariant factor (if it finds fewer too, the cone
+      has a U-tower).
+    - |s| > a_bound: v + h is the identity (s > 0) or the flip (s < 0)
+      modulo U, so the cone is acyclic modulo U and every pivot is a unit:
+      P = 1, and no U^|s| is written out.
+    """
     a, b = free_plus_complex(c, s), free_plus_complex(c)
-    v, h = _v_map(a, b, precision), _h_map(c, s, a, b, precision)
+    far = abs(s) > c.a_bound()
+    build = (1 if far else 2 * c.a_bound() + 1) if precision is None else precision
+    v, h = _v_map(a, b, build), _h_map(c, s, a, b, build)
     vh = [{r: x for r in cv.keys() | ch.keys() if (x := cv.get(r, 0) ^ ch.get(r, 0))}
           for cv, ch in zip(v, h)]
+    cones = [_free_cone(a, b, f) for f in (v, h, vh)]
+    if precision is None:
+        gradings, columns = cones[2]
+        precision = 1 if far else _graded_precision(gradings) + abs(s)
+        if s and not far and 2 * len(smith_pivots_u(columns, precision)) != len(columns):
+            precision = _minor_degree_bound(columns, len(columns) // 2)
     return (reduce_free(a.gradings, a.columns, precision),
             reduce_free(b.gradings, b.columns, precision),
-            _free_cone(a, b, v, precision, True),
-            _free_cone(a, b, h, precision, s == 0),
-            _free_cone(a, b, vh, precision, s == 0))
+            *(reduce_free(gr, cols, precision, graded) for (gr, cols), graded
+              in zip(cones, (True, s == 0, s == 0))))
 
 
 def _induced_rank(ra: FreeReduction, rb: FreeReduction, cone: FreeReduction, n: int) -> int:
@@ -244,33 +270,35 @@ def _induced_rank(ra: FreeReduction, rb: FreeReduction, cone: FreeReduction, n: 
 
 
 def cone_homology_plus_truncated(c: KnotComplex, s: int, truncation="auto") -> ConeResult:
-    """Cone of the truncated plus-flavor maps.
+    """Cone of the truncated plus-flavor maps at height n: total_dim counts
+    the homology of the complex truncated at U^(n + 1), and grows with n
+    whenever the cone carries U-towers.
 
-    With truncation "auto" the height is raised until the reported data
-    stabilizes: at s = 0 the graded U-torsion part (see ConeResult
-    graded_dims), otherwise the total dimension.  An explicit integer
-    truncation skips stabilization.  total_dim always refers to the
-    truncated complex at the reported height and grows with it whenever
-    the cone carries U-towers.  Every height is read off the same reductions.
+    An explicit integer truncation is the height n; at s = 0 graded_dims is
+    ker(U) below the line of `_artifact_cutoff`.  With "auto" the reductions
+    at a precision above every pivot of the cone of v + h
+    (`_plus_reductions`) give the answers in closed form:
+    - s = 0: graded_dims is ker(U) at every large height, one per tower at
+      its grading and one per pivot U^v, v >= 1, at its column's grading;
+    - s != 0: the cone has no towers, which is checked (InvariantViolated
+      otherwise), so total_dim is 2 sum(v), twice the HF^+ rank;
+    - the reported height is the least one at which every block U^v of the
+      cone of v + h is whole, max(1, largest v) - 1; total_dim at s = 0 and
+      the three ranks are read there.
     """
     c = ensure_flip(c)
     if truncation == "auto":
-        precision = truncation_cap(c) + 2
+        ra, rb, rv, rh, rvh = _plus_reductions(c, s)
+        n = max([1] + [v for *_, v in rvh.pairs]) - 1
+        if s != 0 and rvh.size != 2 * len(rvh.pairs):
+            raise InvariantViolated(f"the plus cone at s = {s} has a U-tower")
+        socle = Counter(rvh.towers + tuple(col for _, col, v in rvh.pairs if v))
+        graded = dict(sorted(socle.items())) if s == 0 else None
     else:
         n = int(truncation)
         if n < 0:
             raise ValueError("truncation must be >= 0")
-        precision = n + 2
-    ra, rb, rv, rh, rvh = _plus_reductions(c, s, precision)
-
-    def socle(k: int) -> dict:  # ker(U) below the line of chopped-off tower tops
-        return rvh.module(k).socle_dims(_artifact_cutoff(c, k))
-
-    if truncation != "auto":
-        graded = socle(n) if s == 0 else None
-    elif s == 0:
-        graded, n = stabilize(c, socle)
-    else:
-        graded, n = None, stabilize(c, rvh.homology_dim)[1]
+        ra, rb, rv, rh, rvh = _plus_reductions(c, s, n + 2)
+        graded = rvh.module(n).socle_dims(_artifact_cutoff(c, n)) if s == 0 else None
     return ConeResult(s, "plus", rvh.homology_dim(n), _induced_rank(ra, rb, rv, n),
                       _induced_rank(ra, rb, rh, n), _induced_rank(ra, rb, rvh, n), graded, n)

@@ -383,6 +383,24 @@ def smith_pivots_u(columns, precision: int) -> list[tuple[int, int, int]]:
     return pivots
 
 
+def _minor_degree_bound(columns, rank: int) -> int:
+    """A precision P above every invariant factor U^v of a matrix of rank at
+    most `rank` over F2[U], given by its columns {row: U-power bitmask}: one
+    more than the sum of the `rank` largest column degrees.
+
+    Proof: over the discrete valuation ring F2[[U]] the valuations of the
+    first r invariant factors sum to the least valuation of a nonzero r x r
+    minor.  A nonzero polynomial has valuation at most its degree, and an
+    r x r minor has degree at most the sum of the degrees of its r columns.
+    So even the sum of all the v is below P, and `smith_pivots_u` at P finds
+    every invariant factor.  A square differential (D^2 = 0) of size m has
+    rank at most m // 2; with entries of degree at most 1, P <= rank + 1.
+    """
+    degrees = sorted((max(col.values()).bit_length() - 1 for col in columns if col),
+                     reverse=True)
+    return 1 + sum(degrees[:rank])
+
+
 # ---------------------------------------------------------------------------
 # Laurent polynomials over GF(2)
 

@@ -159,14 +159,6 @@ class KnotComplex:
         """Largest |A| over the generators (0 for an empty complex)."""
         return max([0] + [abs(g.alexander) for g in self.generators])
 
-    def maslov_spread_ceil(self) -> int:
-        """max M - min M, rounded up to an integer; 0 when empty."""
-        if not self.generators:
-            return 0
-        ms = [g.maslov for g in self.generators]
-        spread = max(ms) - min(ms)
-        return -((-spread.numerator) // spread.denominator) if spread else 0
-
 
 def _term_map(terms) -> dict:
     """(source -> target -> frozenset of U-powers with odd multiplicity)."""

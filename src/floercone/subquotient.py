@@ -12,8 +12,11 @@ g at its lowest height lo(g) (0 in B, min(0, s - A(g)) in A_s), tensored
 with F2[U]/U^(N+1) (`free_plus_complex`).  A hat region is the same
 complex read modulo U: basis (g, lo(g)), the U^0 part of the differential,
 the same gradings.  One Smith reduction modulo U^P (`reduce_free`) gives
-the Jordan blocks of U on plus homology (`GradedUModule`) at every N < P,
-and the reduced part and the socle are read off those blocks.
+the Jordan blocks of U on plus homology (`GradedUModule`) at every N < P.
+A graded reduction has no pivot U^v with v >= P once P exceeds half the
+grading spread (`_graded_precision`); then its unpaired gradings are the
+towers, and the reduced part is read off the pivots in closed form
+(`hf_red_graded`).
 """
 
 from __future__ import annotations
@@ -33,10 +36,6 @@ from floercone.linalg import (
     submatrix,
 )
 from floercone.model import KnotComplex, PlaneElement, require_valid
-
-
-class TruncationUnstable(Exception):
-    """Truncated computation failed to stabilize below the height cap."""
 
 
 @dataclass(frozen=True)
@@ -217,26 +216,19 @@ class GradedUModule:
             bottoms[top - 2 * length + 2] += count
         return {d: bottoms[d] for d in self.gradings() if d <= cutoff and d in bottoms}
 
-    def block_multiplicities(self) -> dict:
-        """Jordan blocks of U: (top grading, length) -> multiplicity."""
-        return dict(self._blocks)
-
-    def reduced_dims(self, cutoff) -> dict:
-        """Graded dims of the blocks whose top grading is <= cutoff."""
-        return _spanned({block: count for block, count in self.block_multiplicities().items()
-                         if block[0] <= cutoff})
-
 
 @dataclass(frozen=True)
 class FreeReduction:
     """Smith pivots of a free F2[U]-complex, read at heights below precision:
     (row grading, column grading, v) per pivot U^v, and the gradings of the
-    towers; gradings mean something for a degree -1 differential only."""
+    towers.  Gradings mean something for a graded (degree -1) differential
+    only: an ungraded reduction records no towers and has no module."""
 
     size: int
     precision: int
     pairs: tuple
     towers: tuple
+    graded: bool = True
 
     def homology_dim(self, n: int) -> int:
         """Each pivot U^v leaves 2 min(v, n + 1) of its 2(n + 1) dimensions."""
@@ -247,6 +239,8 @@ class FreeReduction:
         """Per pivot two blocks of length min(v, n + 1), one from the top of its
         row, one down to the bottom of its column; per tower one of n + 1."""
         self._check_height(n)
+        if not self.graded:
+            raise ValueError("an ungraded reduction has no graded module")
         blocks = [(g + 2 * n, n + 1) for g in self.towers]
         for row, col, v in self.pairs:
             length = min(v, n + 1)
@@ -269,66 +263,38 @@ def reduce_free(gradings, columns, precision: int, graded: bool = True) -> FreeR
             raise InvariantViolated("Smith pivot of a graded complex breaks the grading")
         left.subtract((gradings[row], gradings[col]))
         pairs.append((gradings[row], gradings[col], v))
-    return FreeReduction(len(gradings), precision, tuple(pairs), tuple(sorted(left.elements())))
+    towers = tuple(sorted(left.elements())) if graded else ()
+    return FreeReduction(len(gradings), precision, tuple(pairs), towers, graded)
+
+
+def _graded_precision(gradings) -> int:
+    """A precision above every pivot of a graded reduction on these gradings:
+    a pivot U^v pairs gr[row] - 2v = gr[col] - 1, so 2v <= max - min + 1."""
+    return (max(gradings) - min(gradings) + 1) // 2 + 1 if gradings else 1
 
 
 # ---------------------------------------------------------------------------
-# Stabilized reduced homology
-
-
-def default_truncation(c: KnotComplex) -> int:
-    return 2 * len(c.generators) + c.maslov_spread_ceil()
-
-
-def truncation_cap(c: KnotComplex) -> int:
-    return 4 * len(c.generators) + c.maslov_spread_ceil()
-
-
-def stabilize(c: KnotComplex, compute, start_n: int | None = None):
-    """Run compute(n) at n and n + 1, doubling n until the results agree.
-
-    Returns (result, n).  Raises TruncationUnstable once n passes the cap,
-    and ValueError for a negative start.
-    """
-    n = default_truncation(c) if start_n is None else start_n
-    if n < 0:
-        raise ValueError("truncation must be >= 0")
-    cap = truncation_cap(c)
-    while n <= cap:
-        now, ahead = compute(n), compute(n + 1)
-        if now == ahead:
-            return now, n
-        n = max(n + 1, 2 * n)
-    raise TruncationUnstable(
-        f"no stabilization at or below truncation {cap} for complex {c.spinc_label!r}")
+# Reduced homology
 
 
 def _artifact_cutoff(c: KnotComplex, n: int) -> Fraction:
-    """Gradings above n + max Maslov belong to truncation artifacts.
+    """Gradings above n + max Maslov, where an explicit height n reports
+    nothing: the reporting convention of `--truncation N`.
 
-    Genuine finite U-blocks keep a fixed top grading as n grows, while
-    artifacts created by chopping towers sit at gradings that grow like 2n;
-    this line separates the two once n exceeds the Maslov spread, and the
-    stabilization comparison double-checks it.
+    A finite block of U keeps its top grading as n grows, while a block cut
+    from a tower or from a pivot longer than n + 1 has its top at a grading
+    that grows like 2n, so past the grading spread this line drops exactly
+    the latter.  Below that the cut is a convention, not a theorem.
     """
     top = max((g.maslov for g in c.generators), default=Fraction(0))
     return top + n
 
 
-def _reduced_part(c: KnotComplex, precision: int):
-    """Reduced part of B as a function of the height, from one reduction."""
-    b = free_plus_complex(c)
-    reduction = reduce_free(b.gradings, b.columns, precision)
-    return lambda n: reduction.module(n).reduced_dims(_artifact_cutoff(c, n))
-
-
-def _reduced_part_at(c: KnotComplex, n: int) -> dict:
-    return _reduced_part(c, n + 2)(n)
-
-
-def hf_red_graded(c: KnotComplex, start_n: int | None = None) -> dict:
-    """Graded dimensions of the finite (U-torsion) part of plus-flavor homology,
-    read off one reduction of B at heights N until two consecutive agree."""
+def hf_red_graded(c: KnotComplex) -> dict:
+    """Graded dimensions of the finite (U-torsion) part of plus-flavor homology:
+    per pivot U^v (v >= 1) of B, one block F2[U]/U^v from grading col + 2v - 2
+    down to col, read off one reduction at a precision above every pivot."""
     require_valid(c)
-    result, _ = stabilize(c, _reduced_part(c, truncation_cap(c) + 2), start_n)
-    return result
+    b = free_plus_complex(c)
+    reduction = reduce_free(b.gradings, b.columns, _graded_precision(b.gradings))
+    return _spanned(Counter((col + 2 * v - 2, v) for _, col, v in reduction.pairs if v))

@@ -7,8 +7,9 @@ circle class.  Every entry of the cone differential is 1, T or 1 + T, so
 it is a matrix over the discrete valuation ring F2[[T]], whose fraction
 field is the Novikov field F2((T)).  Its rank there is the number of
 invariant factors T^v of a Smith reduction over F2[[T]], and each of them
-survives modulo T^P for P above the largest v; dimensions over the
-Novikov field are read off those pivots (`_novikov_rank`).
+survives modulo T^P for P above the largest v, which the minor-degree
+bound of `linalg` gives; dimensions over the Novikov field are read off
+those pivots (`_novikov_rank`).
 
 Torsion bookkeeping: for a square differential D over a PID with D^2 = 0,
 L^m / ker D embeds in L^m, so it is torsion free; the exact sequence
@@ -29,6 +30,7 @@ from floercone.linalg import (
     InvariantViolated,
     LaurentMatrix,
     LaurentPoly,
+    _minor_degree_bound,
     smith_invariants_laurent,
     smith_pivots_u,
 )
@@ -72,28 +74,27 @@ def novikov_dim(c: KnotComplex, s: int) -> int:
     return _cone_novikov_dim(build_twisted_cone(ensure_flip(c), s))
 
 
-def _novikov_rank(m: LaurentMatrix) -> int:
-    """Rank over the Novikov field of a matrix whose entries are 1, T or 1 + T.
+def _novikov_rank(m: LaurentMatrix, rank: int) -> int:
+    """Rank over the Novikov field of a matrix whose entries are 1, T or 1 + T
+    and whose rank is at most `rank`.
 
-    It is the pivot count of a Smith reduction over F2[[T]] modulo T^P with
-    P = min(rows, cols) + 1.  That loses no invariant factor: if m has rank
-    r, some r x r minor is nonzero, and as a polynomial of degree at most r
-    (every entry has degree at most 1) its T-adic valuation is at most r.
-    Over a discrete valuation ring the valuations of the first r invariant
-    factors sum to the least valuation of an r x r minor, so each one is at
-    most r < P.
+    It is the pivot count of a Smith reduction over F2[[T]] modulo T^P, at
+    the precision P of `_minor_degree_bound`, which loses no invariant
+    factor; every entry has degree at most 1, so P <= rank + 1.
     """
     columns = [{} for _ in range(m.cols)]
     for r, col, p in m.entries:
         if p.min_exp < 0 or p.max_exp > 1:
             raise InvariantViolated(f"twisted cone entry {p} is not 1, T or 1 + T")
         columns[col][r] = p._mask << p._low
-    return len(smith_pivots_u(columns, min(m.rows, m.cols) + 1))
+    return len(smith_pivots_u(columns, _minor_degree_bound(columns, rank)))
 
 
 def _cone_novikov_dim(tc: TwistedCone) -> int:
-    """m - 2 rank D over the Novikov field, for the m x m cone differential D."""
-    return tc.cone_matrix.rows - 2 * _novikov_rank(tc.cone_matrix)
+    """m - 2 rank D over the Novikov field, for the m x m cone differential D;
+    D^2 = 0 bounds that rank by m // 2."""
+    m = tc.cone_matrix.rows
+    return m - 2 * _novikov_rank(tc.cone_matrix, m // 2)
 
 
 @dataclass(frozen=True)

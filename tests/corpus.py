@@ -1,5 +1,6 @@
 """Seeded random corpus of valid complexes shared by the property suites,
-and two deterministic families of larger ones.
+and deterministic families of larger ones: staircases of L-space knots,
+mirrors and connected sums.
 
 Generators come in mirrored pairs (A, M) / (-A, M - 2A) so that a flip is
 usually available; differentials pick a random subset of the grading-legal
@@ -105,6 +106,46 @@ def staircase(k: int) -> KnotComplex:
         diff += [DiffTerm(name[j], name[j - 1], 1), DiffTerm(name[j], name[j + 1], 0)]
     flip = tuple(FlipTerm(name[j], name[n - 1 - j], j - k) for j in range(n))
     return KnotComplex("0", gens, tuple(diff), flip)
+
+
+def torus_exponents(p: int, q: int) -> tuple:
+    """Exponents of the symmetrized Alexander polynomial of T(p, q), in
+    descending order; the coefficients alternate +1, -1, ..., +1."""
+    num = [0] * (p * q + 2)  # (t^pq - 1)(t - 1), low degree first
+    num[0], num[1], num[p * q], num[p * q + 1] = 1, -1, -1, 1
+    for d in (p, q):  # quotient by t^d - 1: quo[k] = quo[k - d] - num[k]
+        quo = []
+        for k in range(len(num) - d):
+            quo.append((quo[k - d] if k >= d else 0) - num[k])
+        num = quo
+    genus = (p - 1) * (q - 1) // 2
+    return tuple(k - genus for k in range(2 * genus, -1, -1) if num[k])
+
+
+def lspace_staircase(exponents) -> KnotComplex:
+    """The staircase of an L-space knot whose Alexander polynomial has the
+    descending exponents n_0 > ... > n_2m, symmetric about 0: x_k has A = n_k,
+    d x_odd = U^(n_prev - n_k) x_prev + x_next, and the flip sends x_k to
+    x_(2m-k).  T(2, 2k+1) is the case of unit steps."""
+    name = [f"x{k:02d}" for k in range(len(exponents))]
+    maslov, gens, diff = Fraction(0), [], []
+    for k, a in enumerate(exponents):
+        if k:
+            maslov += 1 - 2 * (exponents[k - 1] - a) if k % 2 else -1
+        gens.append(Generator(name[k], a, maslov))
+    for k in range(1, len(exponents), 2):
+        diff += [DiffTerm(name[k], name[k - 1], exponents[k - 1] - exponents[k]),
+                 DiffTerm(name[k], name[k + 1], 0)]
+    flip = tuple(FlipTerm(name[k], name[-1 - k], -a) for k, a in enumerate(exponents))
+    return KnotComplex("0", tuple(gens), tuple(diff), flip)
+
+
+def mirror(c: KnotComplex) -> KnotComplex:
+    """The dual complex: A and M negate, differential and flip terms reverse."""
+    gens = tuple(Generator(g.name, -g.alexander, -g.maslov) for g in c.generators)
+    diff = tuple(DiffTerm(t.target, t.source, t.u_power) for t in c.differential)
+    flip = tuple(FlipTerm(t.target, t.source, c.alexander(t.target)) for t in c.flip)
+    return KnotComplex(c.spinc_label, gens, diff, flip)
 
 
 def tensor(x: KnotComplex, y: KnotComplex) -> KnotComplex:

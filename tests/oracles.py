@@ -4,12 +4,14 @@ Everything here recomputes results from first principles with deliberately
 different machinery: dense list-of-list Gaussian elimination instead of
 bitmask sets, direct assembly of cone differentials from the plane-level
 definitions instead of the v/h chain-map objects, rank over the fraction
-field via evaluation at fixed points of GF(32003) instead of Smith pivots
-over F2[[T]], the hat complexes and maps from plane-element regions
+field via evaluation at points of GF(2^8) instead of Smith pivots over
+F2[[T]], the hat complexes and maps from plane-element regions
 instead of the free F2[U] model read modulo U, the plus flavor from
 truncated GF(2) complexes with an explicit U matrix, decomposed through
 cycle representatives, instead of the free F2[U] model's Smith pivots,
-and those pivots by a scan of every entry per pivot instead of a heap.
+those pivots by a scan of every entry per pivot instead of a heap, and
+plus-flavor auto mode by raising the height until two heights agree
+instead of reading every answer off the pivots at a proven precision.
 """
 
 from __future__ import annotations
@@ -17,7 +19,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from floercone.cone import _cone_parts, induced_rank, make_chain_map
+from floercone.cone import (
+    ConeResult,
+    _cone_parts,
+    _induced_rank,
+    _plus_reductions,
+    ensure_flip,
+    induced_rank,
+    make_chain_map,
+)
 from floercone.linalg import (
     F2Matrix,
     InvariantViolated,
@@ -29,11 +39,13 @@ from floercone.linalg import (
     vector_mask,
 )
 from floercone.model import KnotComplex, PlaneElement, flip_map, require_valid
-from floercone.subquotient import SubquotientComplex, _artifact_cutoff
-
-PRIME = 32003
-EVAL_POINTS = (2, 3, 5, 7, 11)
-
+from floercone.subquotient import (
+    SubquotientComplex,
+    _artifact_cutoff,
+    _spanned,
+    free_plus_complex,
+    reduce_free,
+)
 
 # ---------------------------------------------------------------------------
 # dense exact linear algebra, written without bitmasks on purpose
@@ -62,34 +74,6 @@ def dense_rank_f2(rows) -> int:
         row += 1
         rank += 1
     return rank
-
-
-def dense_rank_mod_p(rows, p=PRIME) -> int:
-    mat = [[x % p for x in r] for r in rows]
-    if not mat:
-        return 0
-    ncols = len(mat[0])
-    rank = 0
-    row = 0
-    for col in range(ncols):
-        pivot = None
-        for r in range(row, len(mat)):
-            if mat[r][col]:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        mat[row], mat[pivot] = mat[pivot], mat[row]
-        inv = pow(mat[row][col], p - 2, p)
-        mat[row] = [(x * inv) % p for x in mat[row]]
-        for r in range(len(mat)):
-            if r != row and mat[r][col]:
-                f = mat[r][col]
-                mat[r] = [(a - f * b) % p for a, b in zip(mat[r], mat[row])]
-        row += 1
-        rank += 1
-    return rank
-
 
 
 def _gf256_tables():
@@ -350,9 +334,11 @@ def oracle_cone_hat(c: KnotComplex, s: int):
 def oracle_novikov_dim(c: KnotComplex, s: int) -> int:
     """Twisted cone homology dim over the fraction field, by evaluation.
 
-    Builds the full twisted cone differential with the T-weight on the h
-    edges, evaluates T at fixed points of GF(32003), and takes the best
-    (largest) rank; generic evaluation attains the fraction-field rank.
+    Builds the full twisted cone differential D over GF(2)[T], with the
+    T-weight on the h edges and entries summed mod 2, evaluates T at points
+    of GF(2^8) outside GF(2), and takes the largest rank.  No evaluation
+    raises the rank; D^2 = 0 bounds it by n // 2, and a nonzero minor of that
+    size has degree at most n // 2 in T, so n // 2 + 1 points find it.
     """
     assert c.flip is not None
     a_elems = a_hat_elements(c, s)
@@ -360,24 +346,25 @@ def oracle_novikov_dim(c: KnotComplex, s: int) -> int:
     basis = [("A",) + e for e in a_elems] + [("B",) + e for e in b_elems]
     index = {e: k for k, e in enumerate(basis)}
     n = len(basis)
+    assert n // 2 + 1 <= 254, "more points than GF(2^8) has outside GF(2)"
 
     best = 0
-    for point in EVAL_POINTS:
+    for point in range(2, n // 2 + 3):
         rows = [[0] * n for _ in range(n)]
         for part, name, i in basis:
             col = index[(part, name, i)]
             for tname, ti in plane_diff_targets(c, name, i):
                 inside = in_A_hat(c, s, tname, ti) if part == "A" else in_B_hat(tname, ti)
                 if inside:
-                    rows[index[(part, tname, ti)]][col] += 1
+                    rows[index[(part, tname, ti)]][col] ^= 1
             if part != "A":
                 continue
             if i == 0:
-                rows[index[("B", name, 0)]][col] += 1
+                rows[index[("B", name, 0)]][col] ^= 1
             if i + c.alexander(name) == s:
                 for tname, ti in plane_flip_targets(c, name, i):
-                    rows[index[("B", tname, ti - s)]][col] += point
-        best = max(best, dense_rank_mod_p(rows))
+                    rows[index[("B", tname, ti - s)]][col] ^= point
+        best = max(best, dense_rank_gf256(rows))
     return n - 2 * best
 
 
@@ -698,3 +685,93 @@ def oracle_cone_plus(c: KnotComplex, s: int, n: int) -> dict:
         graded = module.socle_dims(_artifact_cutoff(c, n))
     return {"total_dim": total_dim, "rank_v": induced_rank(v), "rank_h": induced_rank(h),
             "rank_v_plus_h": rank_vh, "graded_dims": graded}
+
+
+# ---------------------------------------------------------------------------
+# auto mode by truncate-and-stabilize, as the plus flavor computed it before
+# reading the answers off the pivots at a proven precision: one reduction
+# modulo U^(truncation_cap + 2), then heights probed until two agree
+
+
+class TruncationUnstable(Exception):
+    """Truncated computation failed to stabilize below the height cap."""
+
+
+def maslov_spread_ceil(c: KnotComplex) -> int:
+    """max M - min M, rounded up to an integer; 0 when empty."""
+    if not c.generators:
+        return 0
+    ms = [g.maslov for g in c.generators]
+    spread = max(ms) - min(ms)
+    return -((-spread.numerator) // spread.denominator) if spread else 0
+
+
+def default_truncation(c: KnotComplex) -> int:
+    return 2 * len(c.generators) + maslov_spread_ceil(c)
+
+
+def truncation_cap(c: KnotComplex) -> int:
+    return 4 * len(c.generators) + maslov_spread_ceil(c)
+
+
+def stabilize(c: KnotComplex, compute, start_n: int | None = None):
+    """Run compute(n) at n and n + 1, doubling n until the results agree.
+
+    Returns (result, n).  Raises TruncationUnstable once n passes the cap,
+    and ValueError for a negative start.
+    """
+    n = default_truncation(c) if start_n is None else start_n
+    if n < 0:
+        raise ValueError("truncation must be >= 0")
+    cap = truncation_cap(c)
+    while n <= cap:
+        now, ahead = compute(n), compute(n + 1)
+        if now == ahead:
+            return now, n
+        n = max(n + 1, 2 * n)
+    raise TruncationUnstable(
+        f"no stabilization at or below truncation {cap} for complex {c.spinc_label!r}")
+
+
+def _reduced_dims(module, cutoff) -> dict:
+    """Graded dims of the blocks whose top grading is <= cutoff."""
+    return _spanned({block: count for block, count in module._blocks.items()
+                     if block[0] <= cutoff})
+
+
+def _reduced_part(c: KnotComplex, precision: int):
+    """Reduced part of B as a function of the height, from one reduction."""
+    b = free_plus_complex(c)
+    reduction = reduce_free(b.gradings, b.columns, precision)
+    return lambda n: _reduced_dims(reduction.module(n), _artifact_cutoff(c, n))
+
+
+def reduced_part_at(c: KnotComplex, n: int) -> dict:
+    return _reduced_part(c, n + 2)(n)
+
+
+def stabilized_hf_red_graded(c: KnotComplex, start_n: int | None = None) -> dict:
+    """Graded dimensions of the finite (U-torsion) part of plus-flavor homology,
+    read off one reduction of B at heights N until two consecutive agree."""
+    require_valid(c)
+    result, _ = stabilize(c, _reduced_part(c, truncation_cap(c) + 2), start_n)
+    return result
+
+
+def stabilized_cone_plus(c: KnotComplex, s: int) -> ConeResult:
+    """The plus cone with truncation "auto": the height is raised until the
+    reported data stabilizes, at s = 0 the socle below the artifact cutoff,
+    otherwise the total dimension."""
+    c = ensure_flip(c)
+    precision = truncation_cap(c) + 2
+    ra, rb, rv, rh, rvh = _plus_reductions(c, s, precision)
+
+    def socle(k: int) -> dict:  # ker(U) below the line of chopped-off tower tops
+        return rvh.module(k).socle_dims(_artifact_cutoff(c, k))
+
+    if s == 0:
+        graded, n = stabilize(c, socle)
+    else:
+        graded, n = None, stabilize(c, rvh.homology_dim)[1]
+    return ConeResult(s, "plus", rvh.homology_dim(n), _induced_rank(ra, rb, rv, n),
+                      _induced_rank(ra, rb, rh, n), _induced_rank(ra, rb, rvh, n), graded, n)

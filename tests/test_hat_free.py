@@ -23,7 +23,7 @@ from floercone.cone import (
 )
 from floercone.fixtures import ALL_FIXTURES, FIGURE8, TREFOIL
 from floercone.linalg import InvariantViolated, NotAChainMap
-from floercone.subquotient import build_A_hat, build_B_hat, truncation_cap
+from floercone.subquotient import build_A_hat, build_B_hat
 from floercone.twisted import build_twisted_cone
 
 from corpus import staircase, tensor, with_flip
@@ -120,11 +120,10 @@ def peak_bytes(run) -> int:
     ((), 1),
     (("--twisted",), 1),
     (("--flavor", "plus", "--truncation", "2"), 2 + 2),
-    (("--flavor", "plus", "--truncation", "auto"), None),
+    (("--flavor", "plus", "--truncation", "auto"), 1),  # v + h is I or the flip modulo U
 ])
 def test_cone_at_huge_s_equals_the_value_past_a_bound_plus_P(capsys, flags, precision):
     trefoil = str(DATA / "trefoil.cfk")
-    precision = precision or truncation_cap(TREFOIL) + 2
     for s in (HUGE_S, -HUGE_S):
         peak = peak_bytes(lambda: main(["cone", trefoil, "--machine", "--s", str(s), *flags]))
         assert peak < 2 ** 20  # U^|s| alone would take |s| / 8 bytes

@@ -240,7 +240,3 @@ def test_a_bounds_helpers():
     assert TREFOIL.a_max() == 1
     assert TREFOIL.a_bound() == 1
     assert UNKNOT.a_max() == 0
-    assert TREFOIL.maslov_spread_ceil() == 2
-    half = KnotComplex("0", (Generator("a", 0, Fraction(1, 2)),
-                             Generator("b", 0, Fraction(-3, 2))))
-    assert half.maslov_spread_ceil() == 2

@@ -1,5 +1,6 @@
 """The plus flavor from one F2[U] Smith reduction per map: cross-checked
-against the truncated GF(2) complexes of `oracles`, its checks under
+against the truncated GF(2) complexes of `oracles`, auto mode at its proven
+precision against the truncate-and-stabilize oracle, its checks under
 mutation (also under `python -O`), the negative-height guards, and the
 cached KnotComplex hash."""
 
@@ -8,44 +9,47 @@ import pickle
 import random
 import subprocess
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import floercone
+import floercone.cone as cone_module
 from floercone.cli import main
 import floercone.subquotient as subquotient
 from floercone.cone import _induced_rank, _plus_reductions, cone_homology_plus_truncated
-from floercone.fixtures import ALL_FIXTURES, FIGURE8, TREFOIL
+from floercone.fixtures import ALL_FIXTURES, FIGURE8, TREFOIL, Y1SIGMA
 from floercone.linalg import (
     CompositionNonzero,
     InvariantViolated,
     NotAChainMap,
+    _minor_degree_bound,
     smith_pivots_u,
 )
 from floercone.model import KnotComplex
 from floercone.subquotient import (
     FreeReduction,
     FreeUComplex,
-    _reduced_part_at,
-    default_truncation,
     free_chain_map,
     free_plus_complex,
     hf_red_graded,
     reduce_free,
-    stabilize,
-    truncation_cap,
 )
 
-from corpus import staircase, tensor, with_flip
+from corpus import lspace_staircase, mirror, staircase, tensor, torus_exponents, with_flip
 from oracles import (
     GradedUModule,
     build_plus_truncated,
+    default_truncation,
     minor_gcd_spans,
     oracle_cone_plus,
     oracle_reduced_part,
     oracle_smith_pivots_u,
+    reduced_part_at,
+    stabilized_cone_plus,
+    stabilized_hf_red_graded,
 )
 
 TESTS = Path(__file__).resolve().parent
@@ -71,7 +75,7 @@ def test_plus_cone_and_reduced_part_match_the_truncated_oracle():
         for n in (0, 1, 2, 5):
             for s in range(-2, 3):
                 assert_matches_oracle(c, s, n)
-            assert _reduced_part_at(c, n) == oracle_reduced_part(c, n)
+            assert reduced_part_at(c, n) == oracle_reduced_part(c, n)
 
 
 def test_jordan_blocks_of_B_match_the_oracle_module():
@@ -83,7 +87,7 @@ def test_jordan_blocks_of_B_match_the_oracle_module():
             sub, u = build_plus_truncated(c, "B", n)
             want = GradedUModule(sub.maslov, sub.differential, u.matrix)
             got = reduction.module(n)
-            assert got.block_multiplicities() == want.block_multiplicities()
+            assert dict(got._blocks) == want.block_multiplicities()
             assert (got.gradings(), got.dims()) == (want.gradings(), want.dims())
             assert got.socle_dims(Fraction(n)) == want.socle_dims(Fraction(n))
             assert reduction.homology_dim(n) == sub.homology_dim()
@@ -95,23 +99,104 @@ def test_t2_15_at_its_default_height_and_one_above():
     for k in (n, n + 1):
         for s in (0, 1):
             assert_matches_oracle(c, s, k)
-        assert _reduced_part_at(c, k) == oracle_reduced_part(c, k) == {}
+        assert reduced_part_at(c, k) == oracle_reduced_part(c, k) == {}
 
 
 def test_t2_41_completes_and_matches_the_oracle_at_height_2():
     c = staircase(20)
     zero = cone_homology_plus_truncated(c, 0)
     one = cone_homology_plus_truncated(c, 1)
-    # the values of the truncated GF(2) construction, about a second per call
     assert zero == cone_homology_plus_truncated(c, 0, zero.truncation)
-    assert (zero.total_dim, zero.rank_v, zero.rank_h, zero.rank_v_plus_h) == (246, 113, 113, 0)
+    assert (zero.total_dim, zero.rank_v, zero.rank_h, zero.rank_v_plus_h) == (2, 0, 0, 0)
     assert zero.graded_dims == {Fraction(-20): 1, Fraction(-1): 1}
-    assert (one.total_dim, one.rank_v, one.rank_h, one.rank_v_plus_h) == (20, 113, 112, 113)
-    assert zero.truncation == one.truncation == 122
+    # one block U^10 per pivot pair: 2 V_1 = 20, whole from height 9 on
+    assert (one.total_dim, one.rank_v, one.rank_h, one.rank_v_plus_h) == (20, 0, 0, 0)
+    assert (zero.truncation, one.truncation) == (0, 9)
+    # the stabilized values of the truncated GF(2) construction
+    old_zero, old_one = stabilized_cone_plus(c, 0), stabilized_cone_plus(c, 1)
+    assert (old_zero.total_dim, old_zero.rank_v, old_zero.rank_h, old_zero.rank_v_plus_h,
+            old_zero.graded_dims) == (246, 113, 113, 0, zero.graded_dims)
+    assert (old_one.total_dim, old_one.rank_v, old_one.rank_h, old_one.rank_v_plus_h) == (
+        20, 113, 112, 113)
+    assert old_zero.truncation == old_one.truncation == 122
     assert hf_red_graded(c) == {}
     for s in (0, 1):
         assert_matches_oracle(c, s, 2)
-    assert _reduced_part_at(c, 2) == oracle_reduced_part(c, 2)
+    assert reduced_part_at(c, 2) == oracle_reduced_part(c, 2)
+
+
+# ---------------------------------------------------------------------------
+# auto mode at its proven precision
+
+
+def auto_cases():
+    """The flip-bearing corpus, long-step staircases and their mirrors, and
+    four sums, with the figure-eight, Y1SIGMA and a mirror."""
+    stairs = [lspace_staircase(torus_exponents(p, q))
+              for p, q in ((3, 4), (3, 5), (4, 5), (5, 6), (3, 7))]
+    sums = [tensor(stairs[0], stairs[0]), tensor(FIGURE8, stairs[0]),
+            tensor(mirror(stairs[0]), Y1SIGMA), tensor(tensor(TREFOIL, FIGURE8), TREFOIL)]
+    return [flipped for _, flipped in with_flip()] + stairs + [mirror(c) for c in stairs] + sums
+
+
+def test_auto_mode_matches_the_stabilized_oracle():
+    """graded_dims at s = 0, total_dim at s != 0 and red, for |s| <= a_bound + 2;
+    the reported height gives the same numbers on the explicit path."""
+    fields = ("total_dim", "rank_v", "rank_h", "rank_v_plus_h")
+    for c in auto_cases():
+        assert hf_red_graded(c) == stabilized_hf_red_graded(c), c
+        for s in range(-c.a_bound() - 2, c.a_bound() + 3):
+            new, old = cone_homology_plus_truncated(c, s), stabilized_cone_plus(c, s)
+            field = "graded_dims" if s == 0 else "total_dim"
+            assert getattr(new, field) == getattr(old, field), (c, s)
+            explicit = cone_homology_plus_truncated(c, s, new.truncation)
+            assert [getattr(new, f) for f in fields] == [getattr(explicit, f) for f in fields]
+
+
+def test_auto_precision_is_above_every_pivot_of_the_cone():
+    """Past P, exact maps and a higher precision change no valuation."""
+    for c in auto_cases()[::3]:
+        for s in range(-c.a_bound() - 2, c.a_bound() + 3):
+            auto = _plus_reductions(c, s)[4]
+            high = _plus_reductions(c, s, auto.precision + 2 * c.a_bound() + 5)[4]
+            assert all(v < auto.precision for *_, v in auto.pairs)
+            assert sorted(v for *_, v in auto.pairs) == sorted(v for *_, v in high.pairs), (c, s)
+            assert auto.towers == high.towers
+
+
+def test_a_first_try_below_a_pivot_falls_back_to_the_minor_degree_bound(monkeypatch):
+    """T(5,6) has V_1 = 3, so its cone at s = 1 has a pivot U^3: a first try
+    at precision 1 + |s| finds too few pivots, and the proven bound takes over."""
+    c = lspace_staircase(torus_exponents(5, 6))
+    want = [cone_homology_plus_truncated(c, s) for s in (1, -2)]
+    bounds = []
+    monkeypatch.setattr(cone_module, "_graded_precision", lambda gradings: 1)
+    monkeypatch.setattr(cone_module, "_minor_degree_bound",
+                        lambda *args: bounds.append(_minor_degree_bound(*args)) or bounds[-1])
+    assert [cone_homology_plus_truncated(c, s) for s in (1, -2)] == want
+    assert len(bounds) == 2 and want[0].total_dim == 6
+
+
+def test_an_ungraded_reduction_records_no_towers():
+    """Away from s = 0 the cone of v + h is ungraded: its unpaired gradings
+    are no towers, and it has no graded module."""
+    rvh = _plus_reductions(TREFOIL, -1, 20)[4]
+    assert (rvh.size, len(rvh.pairs), rvh.towers) == (6, 3, ())
+    with pytest.raises(ValueError):
+        rvh.module(0)
+
+
+def test_a_tower_away_from_s_0_is_an_invariant_violation(monkeypatch):
+    real = cone_module._plus_reductions
+
+    def one_more_generator(c, s, precision=None):
+        *rest, rvh = real(c, s, precision)
+        return (*rest, replace(rvh, size=rvh.size + 1))
+
+    monkeypatch.setattr(cone_module, "_plus_reductions", one_more_generator)
+    with pytest.raises(InvariantViolated):
+        cone_homology_plus_truncated(TREFOIL, 1)
+    assert main(["cone", TREFOIL_F, "--flavor", "plus", "--s", "1"]) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -127,7 +212,8 @@ def test_smith_pivots_on_small_matrices():
 
 def test_smith_valuations_match_the_minors():
     """Over the local ring the first k invariant factors multiply to the
-    least valuation among the k x k minors."""
+    least valuation among the k x k minors; the minor-degree bound is a
+    precision that keeps them all."""
     rng = random.Random(4)
     for _ in range(60):
         rows, cols = rng.randint(1, 4), rng.randint(1, 4)
@@ -140,6 +226,8 @@ def test_smith_valuations_match_the_minors():
                         entries[(r, c)] = mask
         columns = [{r: e for (r, c), e in entries.items() if c == col} for col in range(cols)]
         vals = sorted(v for *_, v in smith_pivots_u(columns, 40))
+        bound = _minor_degree_bound(columns, min(rows, cols))
+        assert sorted(v for *_, v in smith_pivots_u(columns, bound)) == vals
         exps = {rc: {k: 1 for k in range(mask.bit_length()) if mask >> k & 1}
                 for rc, mask in entries.items()}
         for k in range(1, min(rows, cols) + 1):
@@ -178,7 +266,7 @@ def test_heap_kernel_matches_the_scan_on_the_plus_reductions(monkeypatch):
             tensor(FIGURE8, staircase(7))]
     for c in [flipped for _, flipped in with_flip()] + sums:
         for s in range(-2, 3):
-            _plus_reductions(c, s, truncation_cap(c) + 2)
+            _plus_reductions(c, s)
     assert max(seen) == 150
 
 
@@ -253,23 +341,15 @@ def test_free_model_checks_survive_python_O():
 
 
 # ---------------------------------------------------------------------------
-# negative heights stay errors
+# heights: red takes none
 
 
-def test_red_rejects_a_negative_truncation(capsys):
+def test_red_takes_no_truncation(capsys):
+    """red reads every pivot at a proven precision: there is no height to seed."""
     with pytest.raises(SystemExit) as exc:
-        main(["red", TREFOIL_F, "--truncation", "-1"])
+        main(["red", TREFOIL_F, "--truncation", "0"])
     assert exc.value.code == 2
-    assert "bad truncation '-1'" in capsys.readouterr().err
-    assert main(["red", TREFOIL_F, "--truncation", "0"]) == 0
-
-
-def test_stabilize_and_hf_red_reject_a_negative_start():
-    with pytest.raises(ValueError):
-        stabilize(TREFOIL, lambda n: 0, start_n=-1)
-    with pytest.raises(ValueError):
-        hf_red_graded(TREFOIL, -1)
-    assert hf_red_graded(TREFOIL, 0) == {}
+    assert "unrecognized arguments: --truncation 0" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

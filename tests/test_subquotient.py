@@ -1,4 +1,5 @@
-"""Subquotient complexes, U-module structure, stabilized reduced homology."""
+"""Subquotient complexes, U-module structure, reduced homology, and the
+truncate-and-stabilize oracle that reduced homology is checked against."""
 
 from fractions import Fraction
 
@@ -7,19 +8,18 @@ import pytest
 from floercone.fixtures import ALL_FIXTURES, FIGURE8, TREFOIL, TREFOIL_L, UNKNOT, Y1SIGMA
 from floercone.linalg import F2Matrix, rank_f2
 from floercone.model import Generator, KnotComplex
-from floercone.subquotient import (
+from floercone.subquotient import build_A_hat, build_B_hat, graded_homology_dims, hf_red_graded
+
+from oracles import (
+    GradedUModule,
     TruncationUnstable,
-    _reduced_part_at,
-    build_A_hat,
-    build_B_hat,
+    build_plus_truncated,
     default_truncation,
-    graded_homology_dims,
-    hf_red_graded,
+    dense_rank_f2,
+    reduced_part_at,
     stabilize,
     truncation_cap,
 )
-
-from oracles import GradedUModule, build_plus_truncated, dense_rank_f2
 
 
 def names_i(sub):
@@ -173,12 +173,15 @@ def test_u_matrix_composes_to_rank_powers():
 
 
 # ---------------------------------------------------------------------------
-# stabilization
+# the stabilization oracle, and reduced homology against it
 
 
 def test_default_and_cap():
     assert default_truncation(TREFOIL) == 2 * 3 + 2
     assert truncation_cap(TREFOIL) == 4 * 3 + 2
+    half = KnotComplex("0", (Generator("a", 0, Fraction(1, 2)),
+                             Generator("b", 0, Fraction(-3, 2))))
+    assert default_truncation(half) == 2 * 2 + 2  # Maslov spread 2
 
 
 def test_stabilize_returns_first_agreeing_height():
@@ -227,12 +230,8 @@ def test_hf_red_values():
 
 def test_hf_red_stable_two_past_the_stabilization_height():
     for c in ALL_FIXTURES:
-        result, n = stabilize(c, lambda k: _reduced_part_at(c, k))
-        assert _reduced_part_at(c, n + 2) == result
-
-
-def test_hf_red_explicit_start():
-    assert hf_red_graded(Y1SIGMA, 3) == {Fraction(-1): 1}
+        result, n = stabilize(c, lambda k: reduced_part_at(c, k))
+        assert reduced_part_at(c, n + 2) == result == hf_red_graded(c)
 
 
 def test_unstable_start_beyond_cap():
