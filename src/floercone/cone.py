@@ -10,7 +10,9 @@ Only relative gradings are exposed: the B summand of a cone sits one
 degree below the A summand, and the A summand keeps the Maslov grading
 of the model.  Graded output is reported for s = 0 only, where v and h
 shift gradings equally; for s != 0 the two shifts differ and only the
-total dimension is well defined without extra normalization.
+total dimension is well defined without extra normalization.  The cones
+run on the int gradings M - offset of `subquotient`, and a graded answer
+gets the offset back when it is reported.
 
 Both flavors start from one construction: v and h are F2[U] maps
 between the free models of A_s and B (see `subquotient`), built and
@@ -29,7 +31,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 
 from floercone.linalg import (
     F2Matrix,
@@ -39,7 +40,6 @@ from floercone.linalg import (
     kernel_basis_f2,
     rank_f2,
     rank_f2_modulo,
-    smith_pivots_u,
     vector_mask,
 )
 from floercone.model import KnotComplex, derive_flip, flip_map, require_valid
@@ -51,6 +51,7 @@ from floercone.subquotient import (
     _graded_precision,
     _hat_view,
     _mod_u,
+    _reported,
     build_A_hat,
     free_chain_map,
     free_plus_complex,
@@ -73,7 +74,7 @@ class ChainMapF2:
     source: SubquotientComplex
     target: SubquotientComplex
     matrix: F2Matrix
-    maslov_shift: Fraction | None
+    maslov_shift: int | None
 
 
 def make_chain_map(source: SubquotientComplex, target: SubquotientComplex,
@@ -87,7 +88,7 @@ def make_chain_map(source: SubquotientComplex, target: SubquotientComplex,
 
 
 def _maslov_shift(source: SubquotientComplex, target: SubquotientComplex,
-                  matrix: F2Matrix) -> Fraction | None:
+                  matrix: F2Matrix) -> int | None:
     """The grading change common to every entry of matrix: 0 when there are
     no entries, None when two entries disagree."""
     shift = None
@@ -102,7 +103,7 @@ def _maslov_shift(source: SubquotientComplex, target: SubquotientComplex,
             if target.maslov[low.bit_length() - 1] != image:
                 return None
             col ^= low
-    return Fraction(0) if shift is None else shift
+    return 0 if shift is None else shift
 
 
 def induced_rank(cm: ChainMapF2) -> int:
@@ -139,7 +140,7 @@ def _h_map(c: KnotComplex, s: int, a: FreeUComplex, b: FreeUComplex, precision: 
 def _hat_map(a: SubquotientComplex, b: SubquotientComplex, f, degree: int) -> ChainMapF2:
     """The F2[U] map f modulo U; a zero map has degree 0."""
     matrix = _mod_u(f, b.dim)
-    return ChainMapF2(a, b, matrix, Fraction(0 if matrix.is_zero() else degree))
+    return ChainMapF2(a, b, matrix, 0 if matrix.is_zero() else degree)
 
 
 def _hat_maps(c: KnotComplex, s: int) -> tuple:
@@ -212,7 +213,7 @@ def cone_homology_hat(c: KnotComplex, s: int) -> ConeResult:
     rank_vh = induced_rank(vh)
     if total_dim != a.homology_dim() + b.homology_dim() - 2 * rank_vh:
         raise InvariantViolated("rank-nullity identity violated")
-    graded = graded_homology_dims(maslovs, total) if s == 0 else None
+    graded = _reported(c, graded_homology_dims(maslovs, total)) if s == 0 else None
     return ConeResult(s, "hat", total_dim, induced_rank(v), induced_rank(h), rank_vh, graded)
 
 
@@ -228,7 +229,8 @@ def _plus_reductions(c: KnotComplex, s: int, precision: int | None = None):
     """Reductions of A_s, B and the cones of v, h and v + h modulo U^precision;
     h lowers gradings by 2s, so its cones are graded at s = 0 only.
 
-    Without a precision, P is one above every pivot of the cone of v + h:
+    Without a precision, the cone of v + h is reduced first, at a P one above
+    every one of its pivots:
     - s = 0: the cone is graded, and `_graded_precision` bounds its pivots.
     - 0 < |s| <= a_bound: every U-power of v and h is at most 2 a_bound, so
       the maps are built exactly, modulo U^(2 a_bound + 1).  The m x m cone
@@ -241,6 +243,9 @@ def _plus_reductions(c: KnotComplex, s: int, precision: int | None = None):
     - |s| > a_bound: v + h is the identity (s > 0) or the flip (s < 0)
       modulo U, so the cone is acyclic modulo U and every pivot is a unit:
       P = 1, and no U^|s| is written out.
+    The other four are then reduced modulo U^(n + 1), n + 1 = max(1, largest
+    v of that cone): they are read at height n only, where a pivot U^v counts
+    through min(v, n + 1) alone.
     """
     a, b = free_plus_complex(c, s), free_plus_complex(c)
     far = abs(s) > c.a_bound()
@@ -248,16 +253,17 @@ def _plus_reductions(c: KnotComplex, s: int, precision: int | None = None):
     v, h = _v_map(a, b, build), _h_map(c, s, a, b, build)
     vh = [{r: x for r in cv.keys() | ch.keys() if (x := cv.get(r, 0) ^ ch.get(r, 0))}
           for cv, ch in zip(v, h)]
-    cones = [_free_cone(a, b, f) for f in (v, h, vh)]
+    (gv, cv), (gh, ch), (gvh, cvh) = (_free_cone(a, b, f) for f in (v, h, vh))
     if precision is None:
-        gradings, columns = cones[2]
-        precision = 1 if far else _graded_precision(gradings) + abs(s)
-        if s and not far and 2 * len(smith_pivots_u(columns, precision)) != len(columns):
-            precision = _minor_degree_bound(columns, len(columns) // 2)
+        rvh = reduce_free(gvh, cvh, 1 if far else _graded_precision(gvh) + abs(s), s == 0)
+        if s and not far and 2 * len(rvh.pairs) != len(cvh):
+            rvh = reduce_free(gvh, cvh, _minor_degree_bound(cvh, len(cvh) // 2), False)
+        precision = max([1] + [p for *_, p in rvh.pairs])
+    else:
+        rvh = reduce_free(gvh, cvh, precision, s == 0)
     return (reduce_free(a.gradings, a.columns, precision),
             reduce_free(b.gradings, b.columns, precision),
-            *(reduce_free(gr, cols, precision, graded) for (gr, cols), graded
-              in zip(cones, (True, s == 0, s == 0))))
+            reduce_free(gv, cv, precision), reduce_free(gh, ch, precision, s == 0), rvh)
 
 
 def _induced_rank(ra: FreeReduction, rb: FreeReduction, cone: FreeReduction, n: int) -> int:
@@ -289,16 +295,16 @@ def cone_homology_plus_truncated(c: KnotComplex, s: int, truncation="auto") -> C
     c = ensure_flip(c)
     if truncation == "auto":
         ra, rb, rv, rh, rvh = _plus_reductions(c, s)
-        n = max([1] + [v for *_, v in rvh.pairs]) - 1
+        n = ra.precision - 1  # max(1, largest v) - 1: see `_plus_reductions`
         if s != 0 and rvh.size != 2 * len(rvh.pairs):
             raise InvariantViolated(f"the plus cone at s = {s} has a U-tower")
         socle = Counter(rvh.towers + tuple(col for _, col, v in rvh.pairs if v))
-        graded = dict(sorted(socle.items())) if s == 0 else None
+        graded = _reported(c, dict(sorted(socle.items()))) if s == 0 else None
     else:
         n = int(truncation)
         if n < 0:
             raise ValueError("truncation must be >= 0")
         ra, rb, rv, rh, rvh = _plus_reductions(c, s, n + 2)
-        graded = rvh.module(n).socle_dims(_artifact_cutoff(c, n)) if s == 0 else None
+        graded = _reported(c, rvh.module(n).socle_dims(_artifact_cutoff(c, n))) if s == 0 else None
     return ConeResult(s, "plus", rvh.homology_dim(n), _induced_rank(ra, rb, rv, n),
                       _induced_rank(ra, rb, rh, n), _induced_rank(ra, rb, rvh, n), graded, n)

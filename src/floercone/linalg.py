@@ -632,9 +632,6 @@ class LaurentMatrix:
                 return p
         return LaurentPoly.zero()
 
-    def is_zero(self) -> bool:
-        return not self.entries
-
     def add(self, other: "LaurentMatrix") -> "LaurentMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch in add")
@@ -645,7 +642,7 @@ class LaurentMatrix:
 
     __add__ = add
 
-    def mul(self, other: "LaurentMatrix") -> "LaurentMatrix":
+    def __matmul__(self, other: "LaurentMatrix") -> "LaurentMatrix":
         if self.cols != other.rows:
             raise ValueError("shape mismatch in mul")
         acc: dict = {}
@@ -659,8 +656,6 @@ class LaurentMatrix:
                 key = (r1, c2)
                 out[key] = out.get(key, LaurentPoly.zero()) + p * q
         return LaurentMatrix.from_dict(self.rows, other.cols, out)
-
-    __matmul__ = mul
 
     def at_one(self) -> F2Matrix:
         """Specialization T = 1: each entry becomes its coefficient parity."""

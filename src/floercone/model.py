@@ -3,7 +3,10 @@
 A model is a list of generators with an Alexander grading A (an integer)
 and a Maslov grading M (an exact rational), a differential given by terms
 U^n * target, and an optional flip map realizing the symmetry that
-exchanges the two lattice coordinates.
+exchanges the two lattice coordinates.  Within one Spin^c structure the
+gradings differ by integers: they all lie in offset + Z for one rational
+offset in [0, 1), and everything below the model runs on the integers
+M - offset (`KnotComplex._int_maslov`).
 
 The plane element (g, i) stands for U^{-i} * g.  It sits at lattice
 position (i, i + A(g)) and has Maslov grading M(g) + 2i.  The differential
@@ -136,6 +139,19 @@ class KnotComplex:
     def __getstate__(self) -> dict:  # no cached hash: str hashes differ between processes
         return {k: v for k, v in self.__dict__.items() if k != "_hash"}
 
+    @cached_property
+    def _int_maslov(self) -> tuple | None:
+        """(offset, gradings): the fractional part in [0, 1) shared by every
+        Maslov grading, and M - offset per generator, as ints; None when two
+        gradings do not differ by an integer.  Read off each M = p / q as
+        p // q and (p mod q) / q, in lowest terms, with no rational arithmetic."""
+        parts = {(g.maslov.numerator % g.maslov.denominator, g.maslov.denominator)
+                 for g in self.generators}
+        if len(parts) > 1:
+            return None
+        offset = Fraction(*parts.pop()) if parts else Fraction(0)
+        return offset, tuple(g.maslov.numerator // g.maslov.denominator for g in self.generators)
+
     def names(self) -> tuple:
         return tuple(g.name for g in self.generators)
 
@@ -229,6 +245,14 @@ def validate(c: KnotComplex) -> ValidationReport:
         # containers keyed by name are unreliable; stop before deriving more
         return ValidationReport(tuple(bad))
 
+    split = c._int_maslov
+    if split is None:
+        bad.append(Violation(
+            "maslov-offset", "gradings",
+            "Maslov gradings of one Spin^c structure must all differ by integers"))
+    # the int gradings M - offset; the Maslov checks need them
+    grade = dict(zip(names, split[1])) if split is not None else None
+
     def known(term, role) -> bool:
         ok = True
         for who in (term.source, term.target):
@@ -253,7 +277,7 @@ def validate(c: KnotComplex) -> ValidationReport:
             bad.append(Violation(
                 "filtration", label,
                 f"U-power {t.u_power} < A(target) - A(source) = {tgt.alexander - src.alexander}"))
-        if tgt.maslov - 2 * t.u_power != src.maslov - 1:
+        if grade is not None and grade[t.target] - 2 * t.u_power != grade[t.source] - 1:
             bad.append(Violation(
                 "maslov-drop", label,
                 f"M(target) - 2n = {tgt.maslov - 2 * t.u_power}, expected M(source) - 1 = {src.maslov - 1}"))
@@ -284,7 +308,7 @@ def validate(c: KnotComplex) -> ValidationReport:
                 bad.append(Violation(
                     "flip-term", label,
                     f"A(target) = {tgt.alexander}, expected -A(source) = {-src.alexander}"))
-            if tgt.maslov != src.maslov - 2 * src.alexander:
+            if grade is not None and grade[t.target] != grade[t.source] - 2 * src.alexander:
                 bad.append(Violation(
                     "flip-term", label,
                     f"M(target) = {tgt.maslov}, expected M(source) - 2A(source) = {src.maslov - 2 * src.alexander}"))
@@ -335,13 +359,14 @@ def derive_flip(c: KnotComplex) -> KnotComplex:
     require_valid(c)
     if c.flip is not None:
         raise ValueError("flip already present")
-    gens = sorted(c.generators, key=lambda g: g.name)
+    gens = c.generators  # in name order
     by_name = {g.name: g for g in gens}
+    grade = {g.name: m for g, m in zip(gens, c._int_maslov[1])}
 
     def candidates(g: Generator) -> list:
         out = []
         for h in gens:
-            if h.alexander == -g.alexander and h.maslov == g.maslov - 2 * g.alexander:
+            if h.alexander == -g.alexander and grade[h.name] == grade[g.name] - 2 * g.alexander:
                 out.append(h.name)
         return out
 
@@ -380,12 +405,13 @@ def enumerate_flips(c: KnotComplex) -> list:
     lexicographic in the assignment vector over name-sorted generators.
     """
     require_valid(c)
-    gens = sorted(c.generators, key=lambda g: g.name)
+    gens = c.generators  # in name order
+    grade = c._int_maslov[1]
     pools = []
-    for g in gens:
+    for g, m in zip(gens, grade):
         pool = [
-            h.name for h in gens
-            if h.alexander == -g.alexander and h.maslov == g.maslov - 2 * g.alexander
+            h.name for h, mh in zip(gens, grade)
+            if h.alexander == -g.alexander and mh == m - 2 * g.alexander
         ]
         pools.append(pool)
     found = []

@@ -17,13 +17,16 @@ A graded reduction has no pivot U^v with v >= P once P exceeds half the
 grading spread (`_graded_precision`); then its unpaired gradings are the
 towers, and the reduced part is read off the pivots in closed form
 (`hf_red_graded`).
+
+Every grading here is an int, M - offset with the offset shared by the
+Maslov gradings of the complex (`KnotComplex._int_maslov`); the offset is
+added back only where a grading is reported (`_reported`).
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 
 from floercone.linalg import (
     CompositionNonzero,
@@ -95,7 +98,7 @@ def build_A_hat(c: KnotComplex, s: int) -> SubquotientComplex:
 
 def graded_homology_dims(maslovs, differential: F2Matrix) -> dict:
     """Homology dimensions per grading for a grading-homogeneous differential."""
-    by_grading: dict[Fraction, list] = {}
+    by_grading: dict[int, list] = {}
     for k, m in enumerate(maslovs):
         by_grading.setdefault(m, []).append(k)
     # the rank on grading d counts non-cycles there and boundaries at d - 1
@@ -167,7 +170,7 @@ def free_plus_complex(c: KnotComplex, s: int | None = None) -> FreeUComplex:
     gens = c.generators
     index = {g.name: k for k, g in enumerate(gens)}
     lo = tuple(0 if s is None else min(0, s - g.alexander) for g in gens)
-    gradings = tuple(g.maslov + 2 * low for g, low in zip(gens, lo))
+    gradings = tuple(m + 2 * low for m, low in zip(c._int_maslov[1], lo))
     terms = [(index[t.source], index[t.target],
               t.u_power + lo[index[t.target]] - lo[index[t.source]]) for t in c.differential]
     return FreeUComplex(lo, gradings, _u_columns(len(gens), terms, gradings, gradings, -1))
@@ -277,17 +280,17 @@ def _graded_precision(gradings) -> int:
 # Reduced homology
 
 
-def _artifact_cutoff(c: KnotComplex, n: int) -> Fraction:
+def _artifact_cutoff(c: KnotComplex, n: int) -> int:
     """Gradings above n + max Maslov, where an explicit height n reports
-    nothing: the reporting convention of `--truncation N`.
+    nothing: the reporting convention of `--truncation N`, on the int
+    gradings M - offset.
 
     A finite block of U keeps its top grading as n grows, while a block cut
     from a tower or from a pivot longer than n + 1 has its top at a grading
     that grows like 2n, so past the grading spread this line drops exactly
     the latter.  Below that the cut is a convention, not a theorem.
     """
-    top = max((g.maslov for g in c.generators), default=Fraction(0))
-    return top + n
+    return max(c._int_maslov[1], default=0) + n
 
 
 def hf_red_graded(c: KnotComplex) -> dict:
@@ -297,4 +300,10 @@ def hf_red_graded(c: KnotComplex) -> dict:
     require_valid(c)
     b = free_plus_complex(c)
     reduction = reduce_free(b.gradings, b.columns, _graded_precision(b.gradings))
-    return _spanned(Counter((col + 2 * v - 2, v) for _, col, v in reduction.pairs if v))
+    return _reported(c, _spanned(Counter((col + 2 * v - 2, v) for _, col, v in reduction.pairs if v)))
+
+
+def _reported(c: KnotComplex, dims: dict) -> dict:
+    """Dimensions keyed by int gradings, keyed by the Maslov gradings they stand for."""
+    offset = c._int_maslov[0]
+    return {offset + d: n for d, n in dims.items()}

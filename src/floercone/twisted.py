@@ -53,6 +53,12 @@ def build_twisted_cone(c: KnotComplex, s: int) -> TwistedCone:
 
 def _twisted_cone(v: ChainMapF2, h: ChainMapF2) -> TwistedCone:
     a, b = v.source, v.target
+    # D = [[d_A, 0], [W, d_B]] has D^2 = [[d_A^2, 0], [W d_A + d_B W, d_B^2]]: d_A^2 and
+    # d_B^2 vanish (SubquotientComplex checks them), and W = v + T h, so D^2 = 0
+    # exactly when v and h, its T^0 and T^1 parts, each commute with the differentials
+    for f in (v.matrix, h.matrix):
+        if f.mul(a.differential) != b.differential.mul(f):
+            raise CompositionNonzero("twisted cone differential does not square to zero")
     w = LaurentMatrix.from_f2(v.matrix).add(
         LaurentMatrix.from_f2(h.matrix, LaurentPoly.t()))
     na = a.dim
@@ -64,8 +70,6 @@ def _twisted_cone(v: ChainMapF2, h: ChainMapF2) -> TwistedCone:
     for (r, col), p in w.to_dict().items():
         total[(na + r, col)] = p
     cone = LaurentMatrix.from_dict(na + b.dim, na + b.dim, total)
-    if not cone.mul(cone).is_zero():
-        raise CompositionNonzero("twisted cone differential does not square to zero")
     return TwistedCone(a, b, w, cone)
 
 

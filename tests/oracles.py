@@ -41,7 +41,6 @@ from floercone.linalg import (
 from floercone.model import KnotComplex, PlaneElement, flip_map, require_valid
 from floercone.subquotient import (
     SubquotientComplex,
-    _artifact_cutoff,
     _spanned,
     free_plus_complex,
     reduce_free,
@@ -177,6 +176,17 @@ def oracle_smith_pivots_u(columns, precision: int) -> list[tuple[int, int, int]]
 
 # ---------------------------------------------------------------------------
 # plane-level differential and flip, straight from the defining data
+
+
+def maslov_offset(c: KnotComplex) -> Fraction:
+    """The fractional part of the Maslov gradings, from the first generator."""
+    m = c.generators[0].maslov if c.generators else Fraction(0)
+    return m - m.numerator // m.denominator
+
+
+def maslov_cutoff(c: KnotComplex, n: int) -> Fraction:
+    """n + max Maslov: the reporting line of `--truncation N`, on Fractions."""
+    return max((g.maslov for g in c.generators), default=Fraction(0)) + n
 
 
 def plane_maslov(c: KnotComplex, e: PlaneElement) -> Fraction:
@@ -646,7 +656,7 @@ def oracle_reduced_part(c: KnotComplex, n: int) -> dict:
     """Reduced part of the truncated B at height n."""
     sub, u = build_plus_truncated(c, "B", n)
     module = GradedUModule(sub.maslov, sub.differential, u.matrix)
-    return module.reduced_dims(_artifact_cutoff(c, n))
+    return module.reduced_dims(maslov_cutoff(c, n))
 
 
 def oracle_cone_plus(c: KnotComplex, s: int, n: int) -> dict:
@@ -682,7 +692,7 @@ def oracle_cone_plus(c: KnotComplex, s: int, n: int) -> dict:
         u_total = F2Matrix._from_masks(total.rows, total.cols, u_columns)
         assert u_total.mul(total) == total.mul(u_total)
         module = GradedUModule(maslovs, total, u_total)
-        graded = module.socle_dims(_artifact_cutoff(c, n))
+        graded = module.socle_dims(maslov_cutoff(c, n))
     return {"total_dim": total_dim, "rank_v": induced_rank(v), "rank_h": induced_rank(h),
             "rank_v_plus_h": rank_vh, "graded_dims": graded}
 
@@ -740,10 +750,12 @@ def _reduced_dims(module, cutoff) -> dict:
 
 
 def _reduced_part(c: KnotComplex, precision: int):
-    """Reduced part of B as a function of the height, from one reduction."""
+    """Reduced part of B as a function of the height, from one reduction
+    on the Maslov gradings offset + (the library's int gradings)."""
     b = free_plus_complex(c)
-    reduction = reduce_free(b.gradings, b.columns, precision)
-    return lambda n: _reduced_dims(reduction.module(n), _artifact_cutoff(c, n))
+    offset = maslov_offset(c)
+    reduction = reduce_free(tuple(offset + g for g in b.gradings), b.columns, precision)
+    return lambda n: _reduced_dims(reduction.module(n), maslov_cutoff(c, n))
 
 
 def reduced_part_at(c: KnotComplex, n: int) -> dict:
@@ -766,8 +778,11 @@ def stabilized_cone_plus(c: KnotComplex, s: int) -> ConeResult:
     precision = truncation_cap(c) + 2
     ra, rb, rv, rh, rvh = _plus_reductions(c, s, precision)
 
+    offset = maslov_offset(c)
+
     def socle(k: int) -> dict:  # ker(U) below the line of chopped-off tower tops
-        return rvh.module(k).socle_dims(_artifact_cutoff(c, k))
+        dims = rvh.module(k).socle_dims(maslov_cutoff(c, k) - offset)
+        return {offset + d: count for d, count in dims.items()}
 
     if s == 0:
         graded, n = stabilize(c, socle)

@@ -27,7 +27,7 @@ from floercone.subquotient import build_A_hat, build_B_hat
 from floercone.twisted import build_twisted_cone
 
 from corpus import staircase, tensor, with_flip
-from oracles import oracle_hat_parts
+from oracles import maslov_offset, oracle_hat_parts
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 DATA = Path(floercone.__file__).parent / "data"
@@ -39,8 +39,10 @@ def cases():
             + [staircase(20), tensor(tensor(TREFOIL, FIGURE8), TREFOIL)])
 
 
-def complex_parts(sub):
-    return ([(e.generator, e.i) for e in sub.basis], sub.differential, sub.maslov)
+def complex_parts(sub, offset=0):
+    """Basis, differential and gradings, the library's int gradings moved by offset."""
+    return ([(e.generator, e.i) for e in sub.basis], sub.differential,
+            tuple(offset + m for m in sub.maslov))
 
 
 # ---------------------------------------------------------------------------
@@ -49,12 +51,12 @@ def complex_parts(sub):
 
 def test_hat_parts_match_the_region_oracle():
     for c in cases():
-        b = build_B_hat(c)
+        b, offset = build_B_hat(c), maslov_offset(c)
         for s in S_VALUES:
             want_a, want_b, want_v, want_h = oracle_hat_parts(c, s)
             v, h = _hat_maps(c, s)
-            assert complex_parts(build_A_hat(c, s)) == complex_parts(want_a), (c, s)
-            assert complex_parts(b) == complex_parts(want_b), c
+            assert complex_parts(build_A_hat(c, s), offset) == complex_parts(want_a), (c, s)
+            assert complex_parts(b, offset) == complex_parts(want_b), c
             assert v.source == h.source == build_A_hat(c, s) and v.target == h.target == b
             for got, want in ((v, want_v), (h, want_h), (build_v_hat(c, s), want_v)):
                 assert (got.matrix, got.maslov_shift) == (want.matrix, want.maslov_shift), (c, s)

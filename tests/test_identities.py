@@ -12,21 +12,40 @@ with:
   and knot complements");
 - the genus is additive, and max{|s| : hat total_dim(s) != 0} = g - 1
   (Ozsvath-Szabo, "Holomorphic disks and genus bounds");
-- the hat, plus and Novikov dimensions at s equal those at -s.
+- the hat, plus and Novikov dimensions at s equal those at -s;
+- shifting every Maslov grading by a rational q moves every reported grading
+  by q and changes no other answer: the relative grading is what the
+  complex determines (Ozsvath-Szabo, "Absolutely graded Floer homologies and
+  intersection forms for four-manifolds with boundary").
 
 The slow tier (`pytest -m slow`) runs the V_s rules and the plus cones at
 s = 0 and s = 1 on T(2,11)#T(2,11)#T(2,11), 1,331 generators.
 """
 
+from dataclasses import replace
+from fractions import Fraction
+
 import pytest
 
-from floercone.cone import cone_homology_hat, cone_homology_plus_truncated
-from floercone.detect import genus
+from floercone.cone import _plus_reductions, cone_homology_hat, cone_homology_plus_truncated
+from floercone.detect import (
+    genus,
+    hf_red_obstruction,
+    sphere_necessary_conditions,
+    sphere_obstruction,
+)
 from floercone.fixtures import FIGURE8, Y1SIGMA
-from floercone.subquotient import _graded_precision, free_plus_complex, reduce_free
-from floercone.twisted import novikov_dim
+from floercone.subquotient import (
+    _graded_precision,
+    build_A_hat,
+    build_B_hat,
+    free_plus_complex,
+    hf_red_graded,
+    reduce_free,
+)
+from floercone.twisted import novikov_dim, twisted_homology_laurent
 
-from corpus import lspace_staircase, mirror, staircase, tensor, torus_exponents
+from corpus import lspace_staircase, mirror, staircase, tensor, torus_exponents, with_flip
 
 TORUS = {pq: torus_exponents(*pq) for pq in ((3, 4), (3, 5), (4, 5), (5, 6), (3, 7))}
 
@@ -60,7 +79,7 @@ def tower(free) -> int:
 def big_v(c, s_values) -> dict:
     """V_s from the towers of B and A_s."""
     b = tower(free_plus_complex(c))
-    return {s: (b - tower(free_plus_complex(c, s))) / 2 for s in s_values}
+    return {s: Fraction(b - tower(free_plus_complex(c, s)), 2) for s in s_values}
 
 
 def assert_v_rules(v: dict) -> None:
@@ -112,6 +131,56 @@ def test_conjugation_symmetry_of_hat_plus_and_novikov_dims():
                         lambda t: cone_homology_plus_truncated(c, t).total_dim,
                         lambda t: novikov_dim(c, t)):
                 assert dim(s) == dim(-s), (name, s)
+
+
+def shifted(c, q):
+    return replace(c, generators=tuple(replace(g, maslov=g.maslov + q) for g in c.generators))
+
+
+def moved(dims, q):
+    return None if dims is None else {d + q: count for d, count in dims.items()}
+
+
+def answers(c, s_values) -> tuple:
+    """The library's answers on c: those that report gradings, and the rest."""
+    red = hf_red_graded(c)
+    graded = {"red": red}
+    other = {"genus": genus([c]), "red1": hf_red_obstruction(red, homology_sphere=True).kind,
+             "detect-sphere": sphere_obstruction([c]),
+             "prop0check": sphere_necessary_conditions([c])}
+    for s in s_values:
+        graded["hat", s] = cone_homology_hat(c, s)
+        graded["plus", s] = cone_homology_plus_truncated(c, s)
+        other["twisted", s] = twisted_homology_laurent(c, s)
+    return graded, other
+
+
+def test_a_rational_maslov_shift_moves_only_the_reported_gradings():
+    """On the flip-bearing corpus, two sums and a long-step staircase; below
+    the model every grading is an int, whatever the offset."""
+    cases = [flipped for _, flipped in with_flip()] + [c for _, c, _ in sums()[2:4]] + [torus(3, 5)]
+    s_values = range(-1, 2)
+    for c in cases:
+        graded, other = answers(c, s_values)
+        for q in (Fraction(1, 2), Fraction(1, 3), Fraction(-2, 3)):
+            cq = shifted(c, q)
+            graded_q, other_q = answers(cq, s_values)
+            assert other_q == other, (c, q)
+            assert graded_q["red"] == moved(graded["red"], q), (c, q)
+            for s in s_values:
+                for flavor in ("hat", "plus"):
+                    want = graded[flavor, s]
+                    assert (want.graded_dims is None) == (s != 0)
+                    assert graded_q[flavor, s] == replace(
+                        want, graded_dims=moved(want.graded_dims, q)), (c, q, s)
+            for s in (None,) + tuple(s_values):
+                assert all(type(m) is int for m in free_plus_complex(cq, s).gradings)
+                sub = build_B_hat(cq) if s is None else build_A_hat(cq, s)
+                assert all(type(m) is int for m in sub.maslov)
+            for s in s_values:
+                for r in _plus_reductions(cq, s):
+                    assert all(type(g) is int for row, col, _ in r.pairs for g in (row, col))
+                    assert all(type(g) is int for g in r.towers)
 
 
 @pytest.mark.slow

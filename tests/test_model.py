@@ -1,9 +1,15 @@
 """Model validation, flip search, and plane-element bookkeeping."""
 
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+
+from floercone.cli import main
 
 from floercone.fixtures import ALL_FIXTURES, FIGURE8, TREFOIL, UNKNOT, Y1SIGMA
 from floercone.model import (
@@ -22,7 +28,10 @@ from floercone.model import (
     validate,
 )
 
+from corpus import corpus
 from oracles import plane_maslov
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def kinds(c) -> set:
@@ -50,6 +59,42 @@ def test_unknown_generator():
     c = KnotComplex("0", (Generator("a", 0, 0),),
                     (DiffTerm("a", "ghost", 0),))
     assert "unknown-generator" in kinds(c)
+
+
+def test_gradings_off_by_a_non_integer_are_rejected(tmp_path, capsys):
+    c = KnotComplex("0", (Generator("a", 0, 0), Generator("b", 0, Fraction(1, 2))))
+    assert kinds(c) == {"maslov-offset"}
+    with pytest.raises(ValidationError):
+        require_valid(c)
+    bad = tmp_path / "bad.cfk"
+    bad.write_text("complex K spinc=0\ngen a A=0 M=0\ngen b A=0 M=1/2\nend\n")
+    assert main(["check", str(bad)]) == 2
+    assert "maslov-offset" in capsys.readouterr().err
+
+
+def test_half_shifted_corpus_complexes_validate():
+    shifted = [c for c in corpus() if c.generators[0].maslov.denominator == 2]
+    assert shifted and all(validate(c).ok for c in shifted)
+    assert {c._int_maslov[0] for c in shifted} == {Fraction(1, 2)}
+
+
+def test_maslov_offset_check_survives_python_O():
+    code = (
+        "from fractions import Fraction\n"
+        "from floercone.model import Generator, KnotComplex, ValidationError, require_valid\n"
+        "assert False, 'asserts are on'\n"
+        "c = KnotComplex('0', (Generator('a', 0, 0), Generator('b', 0, Fraction(1, 2))))\n"
+        "try:\n"
+        "    require_valid(c)\n"
+        "except ValidationError as e:\n"
+        "    print([v.kind for v in e.report.violations])\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "['maslov-offset']"
 
 
 def test_duplicate_term():

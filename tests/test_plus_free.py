@@ -43,6 +43,7 @@ from oracles import (
     GradedUModule,
     build_plus_truncated,
     default_truncation,
+    maslov_offset,
     minor_gcd_spans,
     oracle_cone_plus,
     oracle_reduced_part,
@@ -81,8 +82,8 @@ def test_plus_cone_and_reduced_part_match_the_truncated_oracle():
 def test_jordan_blocks_of_B_match_the_oracle_module():
     complexes = list(ALL_FIXTURES) + [c for c, _ in with_flip()[:40]]
     for c in complexes:
-        b = free_plus_complex(c)
-        reduction = reduce_free(b.gradings, b.columns, 7)
+        b, offset = free_plus_complex(c), maslov_offset(c)
+        reduction = reduce_free(tuple(offset + g for g in b.gradings), b.columns, 7)
         for n in range(6):
             sub, u = build_plus_truncated(c, "B", n)
             want = GradedUModule(sub.maslov, sub.differential, u.matrix)

@@ -42,7 +42,7 @@ def test_twisted_cone_differential_squares_to_zero():
     for c in ALL_FIXTURES:
         for s in (-1, 0, 1):
             cone = build_twisted_cone(ensure_flip(c), s)
-            assert cone.cone_matrix.mul(cone.cone_matrix).is_zero()
+            assert not (cone.cone_matrix @ cone.cone_matrix).entries
 
 
 def test_twisted_requires_flip():
@@ -126,13 +126,21 @@ def test_torsion_vanishes_off_zero_for_fixtures():
 
 def test_twisted_checks_survive_python_O():
     """A cone entry with a negative power of T is not read as an F2[T]
-    bitmask, and a Novikov dimension off the Laurent free rank is caught."""
+    bitmask, a Novikov dimension off the Laurent free rank is caught, and
+    so is an h that does not commute with the differentials."""
     code = (
         "from dataclasses import replace\n"
         "import floercone.twisted as twisted\n"
+        "from floercone.cone import _hat_maps\n"
         "from floercone.fixtures import TREFOIL\n"
-        "from floercone.linalg import InvariantViolated, LaurentMatrix\n"
+        "from floercone.linalg import CompositionNonzero, F2Matrix, InvariantViolated, LaurentMatrix\n"
         "assert False, 'asserts are on'\n"
+        "v, h = _hat_maps(TREFOIL, 0)\n"
+        "broken = replace(h, matrix=h.matrix.add(F2Matrix.from_entries(3, 3, [(0, 0)])))\n"
+        "try:\n"
+        "    twisted._twisted_cone(v, broken)\n"
+        "except CompositionNonzero:\n"
+        "    print('raised')\n"
         "tc = twisted.build_twisted_cone(TREFOIL, 0)\n"
         "m = tc.cone_matrix\n"
         "skewed = {rc: p.shifted(-1) for rc, p in m.to_dict().items()}\n"
@@ -152,4 +160,4 @@ def test_twisted_checks_survive_python_O():
     out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                          capture_output=True, text=True, timeout=60)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.split() == ["raised", "raised"]
+    assert out.stdout.split() == ["raised", "raised", "raised"]
