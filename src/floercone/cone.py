@@ -280,10 +280,12 @@ def cone_homology_plus_truncated(c: KnotComplex, s: int, truncation="auto") -> C
     the homology of the complex truncated at U^(n + 1), and grows with n
     whenever the cone carries U-towers.
 
-    An explicit integer truncation is the height n; at s = 0 graded_dims is
-    ker(U) below the line of `_artifact_cutoff`.  With "auto" the reductions
-    at a precision above every pivot of the cone of v + h
-    (`_plus_reductions`) give the answers in closed form:
+    An explicit integer truncation is the height n, read off reductions
+    modulo U^(n + 1), since height n sees a pivot U^v through min(v, n + 1)
+    alone; at s = 0 graded_dims is ker(U) below the line of
+    `_artifact_cutoff`.  With "auto" the reductions at a precision above
+    every pivot of the cone of v + h (`_plus_reductions`) give the answers
+    in closed form:
     - s = 0: graded_dims is ker(U) at every large height, one per tower at
       its grading and one per pivot U^v, v >= 1, at its column's grading;
     - s != 0: the cone has no towers, which is checked (InvariantViolated
@@ -304,7 +306,7 @@ def cone_homology_plus_truncated(c: KnotComplex, s: int, truncation="auto") -> C
         n = int(truncation)
         if n < 0:
             raise ValueError("truncation must be >= 0")
-        ra, rb, rv, rh, rvh = _plus_reductions(c, s, n + 2)
+        ra, rb, rv, rh, rvh = _plus_reductions(c, s, n + 1)
         graded = _reported(c, rvh.module(n).socle_dims(_artifact_cutoff(c, n))) if s == 0 else None
     return ConeResult(s, "plus", rvh.homology_dim(n), _induced_rank(ra, rb, rv, n),
                       _induced_rank(ra, rb, rh, n), _induced_rank(ra, rb, rvh, n), graded, n)

@@ -670,117 +670,78 @@ def smith_invariants_laurent(m: LaurentMatrix) -> list[LaurentPoly]:
     """Nonzero invariant factors of m over GF(2)[T, T^-1].
 
     Each factor is unit-normalized (a polynomial in T with nonzero constant
-    term); consecutive factors divide each other.  The number of factors
-    equals the fraction-field rank.  Zero invariant factors are omitted.
+    term), and each divides the next; their number is the fraction-field
+    rank.  The reduction follows `smith_pivots_u` with span for valuation:
+    it pops the live entry of least key (span, row, col) from a heap, where
+    a key whose entry has since changed is skipped, and each row lists the
+    columns that may hold it.  Column operations divide the rest of the
+    pivot row by the pivot.  A nonzero remainder has a smaller span, so it
+    goes on the heap and is popped before the pivot is tried again.  Once
+    the row is clear, a unit pivot leaves with its row and column (row
+    operations would only clear the dropped column).  A nonunit pivot first
+    clears its column by row operations, which touch that column alone
+    since the pivot row holds nothing else; remainders again go on the
+    heap.  Every pivot that leaves is a diagonal entry, and one pairwise
+    (gcd, lcm) pass turns the nonunit ones into a divisibility chain.
     """
-    a: list[dict[int, LaurentPoly]] = [dict() for _ in range(m.rows)]
+    cols: dict[int, dict[int, LaurentPoly]] = {}
+    holders: dict[int, set] = {}
+    heap = []
     for r, c, p in m.entries:
-        a[r][c] = p
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-
-    def swap_cols(i, j):
-        if i == j:
-            return
-        for row in a:
-            vi, vj = row.pop(i, None), row.pop(j, None)
-            if vj is not None:
-                row[i] = vj
-            if vi is not None:
-                row[j] = vi
-
-    def row_addmul(dst, src, q):
-        # row dst += q * row src   (GF(2): addition is subtraction)
-        if q.is_zero:
-            return
-        for c, v in list(a[src].items()):
-            nv = a[dst].get(c, LaurentPoly.zero()) + q * v
-            if nv.is_zero:
-                a[dst].pop(c, None)
-            else:
-                a[dst][c] = nv
-
-    def col_addmul(dst, src, q):
-        if q.is_zero:
-            return
-        for row in a:
-            v = row.get(src)
-            if v is None:
+        cols.setdefault(c, {})[r] = p
+        holders.setdefault(r, set()).add(c)
+        heap.append((p.span, r, c))
+    heapify(heap)
+    units, diagonal = [], []
+    while heap:
+        span, r, c = heappop(heap)
+        pivot_col = cols.get(c)
+        pivot = pivot_col and pivot_col.get(r)
+        if not pivot or pivot.span != span:
+            continue
+        settled = True
+        for c2 in holders[r]:
+            col = cols.get(c2)
+            e = c2 != c and col and col.get(r)
+            if not e:
                 continue
-            nv = row.get(dst, LaurentPoly.zero()) + q * v
-            if nv.is_zero:
-                row.pop(dst, None)
-            else:
-                row[dst] = nv
-
-    invariants: list[LaurentPoly] = []
-    n = min(m.rows, m.cols)
-    k = 0
-    while k < n:
-        # locate a pivot of minimal span in the trailing submatrix
-        best = None
-        for r in range(k, m.rows):
-            for c, v in a[r].items():
-                if c < k:
+            q, rem = laurent_divmod(e, pivot)
+            for r2, x in pivot_col.items():
+                old = col.get(r2)
+                if r2 == r:
+                    new = rem
+                else:
+                    new = x * q if old is None else old + x * q
+                if new.is_zero:
+                    del col[r2]
                     continue
-                key = (v.span, r, c)
-                if best is None or key < best[0]:
-                    best = (key, r, c)
-            if best is not None and best[0][0] == 0:
-                break  # a unit: no later row holds a smaller key
-        if best is None:
-            break
-        swap_rows(best[1], k)
-        swap_cols(best[2], k)
-
-        while True:
-            touched = False
-            # clear the pivot column
-            r = k + 1
-            while r < m.rows:
-                v = a[r].get(k)
-                if v is not None:
-                    q, rem = laurent_divmod(v, a[k][k])
-                    row_addmul(r, k, q)
-                    if not rem.is_zero:
-                        swap_rows(r, k)
-                        touched = True
-                        break
-                r += 1
-            if touched:
-                continue
-            # clear the pivot row
-            cleared = True
-            for c in range(k + 1, m.cols):
-                v = a[k].get(c)
-                if v is not None:
-                    q, rem = laurent_divmod(v, a[k][k])
-                    col_addmul(c, k, q)
-                    if not rem.is_zero:
-                        swap_cols(c, k)
-                        cleared = False
-                        break
-            if not cleared:
-                continue
-            # pivot row and column below/right of (k,k) are now zero; a unit
-            # pivot divides every entry, so only a nonunit needs the sweep
-            pivot = a[k][k]
-            if pivot.span == 0:
-                break
-            offender = None
-            for r in range(k + 1, m.rows):
-                for c, v in a[r].items():
-                    if c <= k:
-                        continue
-                    if not laurent_divides(pivot, v):
-                        offender = r
-                        break
-                if offender is not None:
-                    break
-            if offender is None:
-                break
-            row_addmul(k, offender, LaurentPoly.one())
-        invariants.append(a[k][k].unit_normalized())
-        k += 1
-    return invariants
+                col[r2] = new
+                holders[r2].add(c2)
+                if old is None or new.span != old.span:
+                    heappush(heap, (new.span, r2, c2))
+            settled = settled and rem.is_zero
+        if settled and span:
+            for r2, x in list(pivot_col.items()):
+                if r2 == r:
+                    continue
+                rem = laurent_divmod(x, pivot)[1]
+                if rem.is_zero:
+                    del pivot_col[r2]
+                else:
+                    pivot_col[r2] = rem
+                    heappush(heap, (rem.span, r2, c))
+                    settled = False
+        if not settled:
+            heappush(heap, (span, r, c))
+            continue
+        del cols[c], holders[r]
+        (diagonal if span else units).append(pivot)
+    for i, a in enumerate(diagonal):
+        for j in range(i + 1, len(diagonal)):
+            b = diagonal[j]
+            g = a
+            while not b.is_zero:
+                g, b = b, laurent_divmod(g, b)[1]
+            a, diagonal[j] = g, laurent_divmod(a * diagonal[j], g)[0]
+        diagonal[i] = a
+    return [p.unit_normalized() for p in units + diagonal]

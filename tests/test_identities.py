@@ -13,6 +13,10 @@ with:
 - the genus is additive, and max{|s| : hat total_dim(s) != 0} = g - 1
   (Ozsvath-Szabo, "Holomorphic disks and genus bounds");
 - the hat, plus and Novikov dimensions at s equal those at -s;
+- universal coefficients for T -> 1: the hat cone is the twisted cone
+  tensored with L / (1 + T), so its total_dim is the Laurent free rank plus
+  two per torsion factor p with p(1) = 0, and the Novikov dimension (the
+  free rank) is at most that;
 - shifting every Maslov grading by a rational q moves every reported grading
   by q and changes no other answer: the relative grading is what the
   complex determines (Ozsvath-Szabo, "Absolutely graded Floer homologies and
@@ -131,6 +135,20 @@ def test_conjugation_symmetry_of_hat_plus_and_novikov_dims():
                         lambda t: cone_homology_plus_truncated(c, t).total_dim,
                         lambda t: novikov_dim(c, t)):
                 assert dim(s) == dim(-s), (name, s)
+
+
+def test_universal_coefficients_tie_the_twisted_torsion_to_the_hat_cone():
+    knots = [torus(p, q) for p, q in TORUS] + [mirror(torus(3, 4)), mirror(torus(3, 5))]
+    cases = [flipped for _, flipped in with_flip()] + knots + [c for _, c, _ in sums()]
+    divisible = 0
+    for c in cases:
+        for s in range(-c.a_bound() - 1, c.a_bound() + 2):
+            twisted, hat = twisted_homology_laurent(c, s), cone_homology_hat(c, s)
+            vanishing = sum(1 for p in twisted.torsion_factors if not p.at_one())
+            assert hat.total_dim == twisted.laurent_free_rank + 2 * vanishing, (c, s)
+            assert twisted.novikov_dim <= hat.total_dim, (c, s)
+            divisible += bool(vanishing)
+    assert divisible  # some factor is divisible by 1 + T, so the torsion term is exercised
 
 
 def shifted(c, q):

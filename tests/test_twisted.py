@@ -10,14 +10,15 @@ import pytest
 
 from floercone.cone import FlipMissing, _hat_maps, build_v_hat, ensure_flip
 from floercone.fixtures import ALL_FIXTURES, FIGURE8, TREFOIL, TREFOIL_L, UNKNOT, Y1SIGMA
-from floercone.linalg import LaurentPoly, laurent_divides
+from floercone.linalg import F2Matrix, LaurentPoly, laurent_divides, rank_f2_modulo
 from floercone.twisted import (
     build_twisted_cone,
     novikov_dim,
     twisted_homology_laurent,
 )
 
-from oracles import oracle_novikov_dim
+from corpus import mirror, staircase, tensor, with_flip
+from oracles import oracle_novikov_dim, oracle_twisted_cone, oracle_twisted_homology
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -29,7 +30,7 @@ ONE_PLUS_T = ONE + T
 
 
 def test_trefoil_twisted_map_entries():
-    cone = build_twisted_cone(TREFOIL, 0)
+    cone = oracle_twisted_cone(TREFOIL, 0)
     # A_0 basis (a,-1), (b,0), (c,0); B basis (a,0), (b,0), (c,0)
     assert cone.map_matrix.to_dict() == {
         (2, 0): T,            # h: (a,-1) -> c
@@ -55,10 +56,58 @@ def test_specialization_at_one_recovers_untwisted():
     for c in ALL_FIXTURES:
         flipped = ensure_flip(c)
         for s in (-1, 0, 1, 2):
-            cone = build_twisted_cone(flipped, s)
+            cone = oracle_twisted_cone(flipped, s)
             v = build_v_hat(flipped, s)
             h = _hat_maps(flipped, s)[1]
             assert cone.map_matrix.at_one() == v.matrix.add(h.matrix), (c.spinc_label, s)
+
+
+def test_the_map_is_v_plus_T_h_on_cycles_lifting_a_homology_basis():
+    for c in ALL_FIXTURES + (staircase(3),):
+        flipped = ensure_flip(c)
+        for s in range(-c.a_bound() - 1, c.a_bound() + 2):
+            cone = build_twisted_cone(flipped, s)
+            v, h = _hat_maps(flipped, s)
+            a, cycles = cone.a, cone.cycles
+            assert not any(a.differential.apply(z) for z in cycles), (c, s)
+            assert len(cycles) == a.homology_dim() == rank_f2_modulo(
+                cycles, a.differential.column_masks()), (c, s)
+            lift = F2Matrix._from_masks(a.dim, len(cycles), cycles)
+            assert cone.map_matrix.at_one() == v.matrix.add(h.matrix).mul(lift), (c, s)
+
+
+def twisted_sum_inputs():
+    """The connected sums of T(2,3), T(2,5), the figure-eight and mirrors that
+    the benchmark's twisted workload runs (15-45 generators), and three sums
+    of 125 generators."""
+    part = {"T2_3": staircase(1), "T2_5": staircase(2), "F8": FIGURE8, "Y1": Y1SIGMA}
+    part.update({"m" + name: mirror(c) for name, c in part.items()})
+    names = ["T2_3+T2_5", "T2_3+F8", "mT2_3+T2_5", "T2_5+F8", "F8+F8", "T2_5+mT2_5",
+             "T2_3+T2_3+T2_3", "T2_3+T2_3+mT2_3", "T2_3+T2_3+F8", "mT2_3+F8+T2_3",
+             "T2_3+T2_3+T2_5"]
+    big = ["T2_5+T2_5+F8", "Y1+T2_5+F8", "T2_5+mT2_5+F8"]
+    out = []
+    for name in names + big:
+        first, *rest = (ensure_flip(part[n]) for n in name.split("+"))
+        for other in rest:
+            first = tensor(first, other)
+        out.append(pytest.param(first, id=name))
+    return out
+
+
+def assert_matches_the_cone_on_all_of_A_s(c):
+    for s in range(-c.a_bound() - 1, c.a_bound() + 2):
+        assert twisted_homology_laurent(c, s) == oracle_twisted_homology(c, s), (c, s)
+
+
+def test_cone_on_homology_matches_the_cone_on_all_of_A_s_on_the_corpus():
+    for c in [f for _, f in with_flip()] + [ensure_flip(c) for c in ALL_FIXTURES]:
+        assert_matches_the_cone_on_all_of_A_s(c)
+
+
+@pytest.mark.parametrize("c", twisted_sum_inputs())
+def test_cone_on_homology_matches_the_cone_on_all_of_A_s_on_sums(c):
+    assert_matches_the_cone_on_all_of_A_s(c)
 
 
 NOVIKOV = {
