@@ -15,6 +15,7 @@ from floercone.linalg import (
     InvariantViolated,
     LaurentMatrix,
     LaurentPoly,
+    NotAChainMap,
     homology_dim_f2,
     kernel_basis_f2,
     rank_f2,
@@ -34,17 +35,11 @@ from floercone.model import (
     lattice_window,
     validate,
 )
-from floercone.subquotient import (
-    SubquotientComplex,
-    build_A_hat,
-    build_B_hat,
-    hf_red_graded,
-)
+from floercone.subquotient import SubquotientComplex, hf_red_graded
 from floercone.cone import (
     ChainMapF2,
     ConeResult,
     FlipMissing,
-    NotAChainMap,
     build_v_hat,
     cone_homology_hat,
     cone_homology_plus_truncated,
@@ -94,8 +89,6 @@ __all__ = [
     "Verdict",
     "VerdictKind",
     "alexander_polynomial",
-    "build_A_hat",
-    "build_B_hat",
     "build_twisted_cone",
     "build_v_hat",
     "cone_homology_hat",

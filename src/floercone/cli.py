@@ -315,8 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="JSON-lines output instead of tables")
         return p
 
-    p = with_common(sub.add_parser("check", help="parse and validate input files"))
-    p.set_defaults(handler=cmd_check)
+    with_common(sub.add_parser("check", help="parse and validate input files"))
 
     p = with_common(sub.add_parser("cone", help="cone homology per Spin^c structure s"))
     # let "--s -2..2" pass: values like -2..2 start with '-' but are not flags
@@ -327,30 +326,19 @@ def build_parser() -> argparse.ArgumentParser:
                    help="plus-flavor height, or 'auto'")
     p.add_argument("--twisted", action="store_true",
                    help="twisted coefficients (hat flavor only)")
-    p.set_defaults(handler=cmd_cone)
 
-    p = with_common(sub.add_parser("genus", help="genus bound from the v maps"))
-    p.set_defaults(handler=cmd_genus)
-
-    p = with_common(sub.add_parser("alex", help="mod-2 Alexander polynomial"))
-    p.set_defaults(handler=cmd_alex)
-
-    p = with_common(sub.add_parser("detect-sphere",
-                                   help="twisted obstruction to a non-separating sphere"))
-    p.set_defaults(handler=cmd_detect_sphere)
-
-    p = with_common(sub.add_parser("red", help="graded reduced plus-flavor homology"))
-    p.set_defaults(handler=cmd_red)
-
-    p = with_common(sub.add_parser("prop0check",
-                                   help="necessary conditions for a non-separating sphere"))
-    p.set_defaults(handler=cmd_prop0check)
+    with_common(sub.add_parser("genus", help="genus bound from the v maps"))
+    with_common(sub.add_parser("alex", help="mod-2 Alexander polynomial"))
+    with_common(sub.add_parser("detect-sphere",
+                               help="twisted obstruction to a non-separating sphere"))
+    with_common(sub.add_parser("red", help="graded reduced plus-flavor homology"))
+    with_common(sub.add_parser("prop0check",
+                               help="necessary conditions for a non-separating sphere"))
 
     p = sub.add_parser("verdict", help="compare ambient and surgered Floer dimensions")
     p.add_argument("--dim-y", type=int, required=True)
     p.add_argument("--dim-n", type=int, required=True)
     p.add_argument("--machine", action="store_true")
-    p.set_defaults(handler=cmd_verdict)
 
     p = sub.add_parser("red1", help="reduced-homology obstruction for homology spheres")
     # let "--red -1:1" pass: negative gradings start with '-' but are not flags
@@ -363,16 +351,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--homology-sphere", action="store_true",
                    help="certify that the ambient manifold is a homology sphere")
     p.add_argument("--machine", action="store_true")
-    p.set_defaults(handler=cmd_red1)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    # looked up per call, so a rebinding of a cmd_* function takes effect
+    handler = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.handler(args)
+        return handler(args)
     except (ParseError, DuplicateName, ValidationError, NoFlipFound,
             NotHomologySphere, CompositionNonzero, NotAChainMap,
             InvariantViolated, OSError, ValueError) as e:

@@ -17,14 +17,18 @@ gets the offset back when it is reported.
 Both flavors start from one construction: v and h are F2[U] maps
 between the free models of A_s and B (see `subquotient`), built and
 checked once modulo U^P, P the precision, so that no U^|s| is written
-out and every builder stays bounded in |s|.  The hat flavor (P = 1)
-reads them as GF(2) matrices.  In the plus flavor A_s, B and the cones
-of v, h and v + h are each reduced once, every truncation height is read
-off the pivots, and the rank of f_* follows from
-dim H(cone f) = dim H(A) + dim H(B) - 2 rank f_*.  In auto mode the
-precision provably exceeds every pivot of the cone of v + h, so its towers
-and blocks U^v, and with them its homology at every height, are read off
-in closed form (`_plus_reductions`, `cone_homology_plus_truncated`).
+out and every builder stays bounded in |s|.  Both read the rank of each
+induced map f_* off the dimension of its cone, by rank-nullity on the
+long exact sequence (`_rank_nullity`):
+dim H(cone f) = dim H(A) + dim H(B) - 2 rank f_*, so f_* is an
+isomorphism exactly when its cone is acyclic.  The hat flavor (P = 1)
+reads v and h as GF(2) matrices and takes each dimension from one GF(2)
+rank (`_cone_dim`).  In the plus flavor A_s, B and the cones of v, h and
+v + h are each reduced once, and every truncation height is read off the
+pivots.  In auto mode the precision provably exceeds every pivot of the
+cone of v + h, so its towers and blocks U^v, and with them its homology
+at every height, are read off in closed form (`_plus_reductions`,
+`cone_homology_plus_truncated`).
 """
 
 from __future__ import annotations
@@ -32,16 +36,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from floercone.linalg import (
-    F2Matrix,
-    InvariantViolated,
-    NotAChainMap,
-    _minor_degree_bound,
-    kernel_basis_f2,
-    rank_f2,
-    rank_f2_modulo,
-    vector_mask,
-)
+from floercone.linalg import F2Matrix, InvariantViolated, _minor_degree_bound, rank_f2
 from floercone.model import KnotComplex, derive_flip, flip_map, require_valid
 from floercone.subquotient import (
     FreeReduction,
@@ -52,7 +47,6 @@ from floercone.subquotient import (
     _hat_view,
     _mod_u,
     _reported,
-    build_A_hat,
     free_chain_map,
     free_plus_complex,
     graded_homology_dims,
@@ -77,49 +71,8 @@ class ChainMapF2:
     maslov_shift: int | None
 
 
-def make_chain_map(source: SubquotientComplex, target: SubquotientComplex,
-                   matrix: F2Matrix) -> ChainMapF2:
-    """Wrap a matrix as a chain map, verifying commutation with differentials."""
-    if matrix.rows != target.dim or matrix.cols != source.dim:
-        raise ValueError("matrix shape does not match source/target")
-    if matrix.mul(source.differential) != target.differential.mul(matrix):
-        raise NotAChainMap("matrix does not commute with the differentials")
-    return ChainMapF2(source, target, matrix, _maslov_shift(source, target, matrix))
-
-
-def _maslov_shift(source: SubquotientComplex, target: SubquotientComplex,
-                  matrix: F2Matrix) -> int | None:
-    """The grading change common to every entry of matrix: 0 when there are
-    no entries, None when two entries disagree."""
-    shift = None
-    for m, col in zip(source.maslov, matrix.column_masks()):
-        if not col:
-            continue
-        if shift is None:
-            shift = target.maslov[col.bit_length() - 1] - m
-        image = m + shift
-        while col:
-            low = col & -col
-            if target.maslov[low.bit_length() - 1] != image:
-                return None
-            col ^= low
-    return 0 if shift is None else shift
-
-
-def induced_rank(cm: ChainMapF2) -> int:
-    """Rank of the induced map on homology.
-
-    Lifts a homology basis of the source to cycles, maps them, and counts
-    images that stay independent modulo boundaries of the target.
-    """
-    cycles = kernel_basis_f2(cm.source.differential)
-    images = [cm.matrix.apply(vector_mask(z)) for z in cycles]
-    return rank_f2_modulo(images, cm.target.differential.column_masks())
-
-
 def induces_iso(cm: ChainMapF2) -> bool:
-    r = induced_rank(cm)
-    return r == cm.source.homology_dim() == cm.target.homology_dim()
+    return _cone_dim(cm.source, cm.target, cm.matrix) == 0
 
 
 def _v_map(a: FreeUComplex, b: FreeUComplex, precision: int) -> tuple:
@@ -143,41 +96,42 @@ def _hat_map(a: SubquotientComplex, b: SubquotientComplex, f, degree: int) -> Ch
     return ChainMapF2(a, b, matrix, 0 if matrix.is_zero() else degree)
 
 
-def _hat_maps(c: KnotComplex, s: int) -> tuple:
-    """v and h on one build of A_s and B: v projects A_s onto the i = 0 part
-    of B, h projects it onto the j = s part and carries it to B by U^s and
-    the flip."""
+def _hat_complexes(c: KnotComplex, s: int) -> tuple:
+    """A_s and B as free F2[U]-complexes, and the same two read modulo U."""
     a, b = free_plus_complex(c, s), free_plus_complex(c)
+    return a, b, _hat_view(c, a), _hat_view(c, b)
+
+
+def _hat_maps(c: KnotComplex, s: int, complexes: tuple) -> tuple:
+    """v and h on the complexes of `_hat_complexes(c, s)`: v projects A_s onto
+    the i = 0 part of B, h projects it onto the j = s part and carries it to
+    B by U^s and the flip."""
     if c.flip is None:
         raise FlipMissing("complex has no flip map; derive or supply one")
-    a_hat, b_hat = _hat_view(c, a), _hat_view(c, b)
+    a, b, a_hat, b_hat = complexes
     return (_hat_map(a_hat, b_hat, _v_map(a, b, 1), 0),
             _hat_map(a_hat, b_hat, _h_map(c, s, a, b, 1), -2 * s))
 
 
 def build_v_hat(c: KnotComplex, s: int) -> ChainMapF2:
     """Projection of A_s onto the i = 0 part of B."""
-    a, b = free_plus_complex(c, s), free_plus_complex(c)
-    return _hat_map(_hat_view(c, a), _hat_view(c, b), _v_map(a, b, 1), 0)
+    a, b, a_hat, b_hat = _hat_complexes(c, s)
+    return _hat_map(a_hat, b_hat, _v_map(a, b, 1), 0)
 
 
 def project_A(c: KnotComplex, s: int, s_prime: int) -> ChainMapF2:
     """The projection A_s -> A_{s'} through which v_s factors, for s <= s'.
 
-    Identity on the plane elements the two bases share (the generators
-    with A <= s), zero on the rest; v_s = v_{s'} composed with this map.
+    The free inclusion y_g -> U^(lo'(g) - lo(g)) y'_g read modulo U: the
+    identity on the plane elements the two bases share (the generators with
+    A <= s), zero on the rest; v_s = v_{s'} composed with this map.
     """
     if s > s_prime:
         raise ValueError("requires s <= s'")
-    src = build_A_hat(c, s)
-    tgt = build_A_hat(c, s_prime)
-    tindex = {(e.generator, e.i): k for k, e in enumerate(tgt.basis)}
-    entries = []
-    for col, e in enumerate(src.basis):
-        row = tindex.get((e.generator, e.i))
-        if row is not None:
-            entries.append((row, col))
-    return make_chain_map(src, tgt, F2Matrix.from_entries(tgt.dim, src.dim, entries))
+    a, a_prime = free_plus_complex(c, s), free_plus_complex(c, s_prime)
+    terms = [(k, k, high - low) for k, (low, high) in enumerate(zip(a.lo, a_prime.lo))]
+    return _hat_map(_hat_view(c, a), _hat_view(c, a_prime),
+                    free_chain_map(a, a_prime, terms, 0, 1), 0)
 
 
 @dataclass(frozen=True)
@@ -192,6 +146,14 @@ class ConeResult:
     truncation: int | None = None
 
 
+def _rank_nullity(ha: int, hb: int, cone_dim: int) -> int:
+    """Rank of f_* : H(A) -> H(B), from dim H(cone f) = dim H(A) + dim H(B) - 2 rank."""
+    twice = ha + hb - cone_dim
+    if twice % 2 or not 0 <= twice <= 2 * min(ha, hb):
+        raise InvariantViolated("cone dimension gives no valid rank for the induced map")
+    return twice // 2
+
+
 def _cone_parts(a: SubquotientComplex, b: SubquotientComplex, f: F2Matrix):
     """Total differential and gradings of the cone of f : a -> b."""
     na, n = a.dim, a.dim + b.dim
@@ -202,19 +164,26 @@ def _cone_parts(a: SubquotientComplex, b: SubquotientComplex, f: F2Matrix):
     return total, maslovs
 
 
+def _cone_dim(a: SubquotientComplex, b: SubquotientComplex, f: F2Matrix) -> int:
+    """dim H(cone f) for f : a -> b; zero exactly when f_* is an isomorphism."""
+    return a.dim + b.dim - 2 * rank_f2(_cone_parts(a, b, f)[0])
+
+
 def cone_homology_hat(c: KnotComplex, s: int) -> ConeResult:
-    """Homology of the cone of v_s + h_s on the hat subquotients."""
+    """Homology of the cone of v_s + h_s on the hat subquotients; each rank
+    is read off the dimension of a cone."""
     c = ensure_flip(c)
-    v, h = _hat_maps(c, s)
+    v, h = _hat_maps(c, s, _hat_complexes(c, s))
     a, b = v.source, v.target
-    vh = make_chain_map(a, b, v.matrix.add(h.matrix))
-    total, maslovs = _cone_parts(a, b, vh.matrix)
-    total_dim = (a.dim + b.dim) - 2 * rank_f2(total)
-    rank_vh = induced_rank(vh)
-    if total_dim != a.homology_dim() + b.homology_dim() - 2 * rank_vh:
-        raise InvariantViolated("rank-nullity identity violated")
-    graded = _reported(c, graded_homology_dims(maslovs, total)) if s == 0 else None
-    return ConeResult(s, "hat", total_dim, induced_rank(v), induced_rank(h), rank_vh, graded)
+    ha, hb = a.homology_dim(), b.homology_dim()
+    vh = v.matrix.add(h.matrix)
+    dim_v, dim_h, total_dim = (_cone_dim(a, b, f) for f in (v.matrix, h.matrix, vh))
+    graded = None
+    if s == 0:
+        total, maslovs = _cone_parts(a, b, vh)
+        graded = _reported(c, graded_homology_dims(maslovs, total))
+    return ConeResult(s, "hat", total_dim, _rank_nullity(ha, hb, dim_v),
+                      _rank_nullity(ha, hb, dim_h), _rank_nullity(ha, hb, total_dim), graded)
 
 
 def _free_cone(a: FreeUComplex, b: FreeUComplex, f) -> tuple:
@@ -267,12 +236,8 @@ def _plus_reductions(c: KnotComplex, s: int, precision: int | None = None):
 
 
 def _induced_rank(ra: FreeReduction, rb: FreeReduction, cone: FreeReduction, n: int) -> int:
-    """Rank of f_* at height n, from dim H(cone f) = dim H(A) + dim H(B) - 2 rank."""
-    ha, hb = ra.homology_dim(n), rb.homology_dim(n)
-    twice = ha + hb - cone.homology_dim(n)
-    if twice % 2 or not 0 <= twice <= 2 * min(ha, hb):
-        raise InvariantViolated("cone dimension gives no valid rank for the induced map")
-    return twice // 2
+    """Rank of f_* at height n, by `_rank_nullity`."""
+    return _rank_nullity(ra.homology_dim(n), rb.homology_dim(n), cone.homology_dim(n))
 
 
 def cone_homology_plus_truncated(c: KnotComplex, s: int, truncation="auto") -> ConeResult:

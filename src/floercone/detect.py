@@ -16,9 +16,15 @@ from typing import NamedTuple
 
 from floercone.linalg import F2Matrix, LaurentPoly, rank_f2
 from floercone.model import KnotComplex, require_valid
-from floercone.subquotient import build_A_hat, build_B_hat
-from floercone.cone import _hat_maps, build_v_hat, ensure_flip, induced_rank, make_chain_map
-from floercone.twisted import _cone_novikov_dim, _twisted_cone, build_twisted_cone, novikov_dim
+from floercone.cone import (
+    _cone_dim,
+    _hat_complexes,
+    _hat_maps,
+    _rank_nullity,
+    build_v_hat,
+    ensure_flip,
+)
+from floercone.twisted import _cone_novikov_dim, _twisted_cone, novikov_dim
 
 
 class NotHomologySphere(Exception):
@@ -97,9 +103,10 @@ def sphere_necessary_conditions(complexes) -> Verdict:
     """
     complexes, bound = _prepare(complexes)
     for s in _s_scan(bound):
+        built = []  # A_s, B and dim H(A_s) per complex, for clauses (a) and (b)
         for c in complexes:
-            dim_a = build_A_hat(c, s).homology_dim()
-            dim_b = build_B_hat(c).homology_dim()
+            parts = _hat_complexes(c, s)
+            dim_a, dim_b = parts[2].homology_dim(), parts[3].homology_dim()
             if dim_a != dim_b:
                 return Verdict(
                     VerdictKind.DOES_NOT_FIRE,
@@ -107,24 +114,23 @@ def sphere_necessary_conditions(complexes) -> Verdict:
                     {"clause": "c", "s": s, "spinc": c.spinc_label,
                      "dim_A": dim_a, "dim_B": dim_b},
                 )
-        hat = []  # clause (a)'s v and h, which clause (b) reuses
-        if s != 0:
-            for c in complexes:
-                v, h = _hat_maps(c, s)
-                hat.append((v, h))
-                vh = make_chain_map(v.source, v.target, v.matrix.add(h.matrix))
-                rank = induced_rank(vh)
-                dim_a = v.source.homology_dim()
-                dim_b = v.target.homology_dim()
-                if not (rank == dim_a == dim_b):
-                    return Verdict(
-                        VerdictKind.DOES_NOT_FIRE,
-                        "0-surgery cannot contain a non-separating two-sphere",
-                        {"clause": "a", "s": s, "spinc": c.spinc_label,
-                         "rank": rank, "dim_A": dim_a, "dim_B": dim_b},
-                    )
-        for k, c in enumerate(complexes):
-            dim = _cone_novikov_dim(_twisted_cone(*hat[k]) if hat else build_twisted_cone(c, s))
+            built.append((parts, dim_a))
+        maps = []  # clause (a)'s v and h, which clause (b) reuses
+        for c, (parts, dim) in zip(complexes, built):
+            v, h = _hat_maps(c, s, parts)
+            maps.append((v, h))
+            if s == 0:
+                continue
+            rank = _rank_nullity(dim, dim, _cone_dim(v.source, v.target, v.matrix.add(h.matrix)))
+            if rank != dim:
+                return Verdict(
+                    VerdictKind.DOES_NOT_FIRE,
+                    "0-surgery cannot contain a non-separating two-sphere",
+                    {"clause": "a", "s": s, "spinc": c.spinc_label,
+                     "rank": rank, "dim_A": dim, "dim_B": dim},
+                )
+        for c, (v, h) in zip(complexes, maps):
+            dim = _cone_novikov_dim(_twisted_cone(v, h))
             if dim:
                 return Verdict(
                     VerdictKind.DOES_NOT_FIRE,
@@ -175,7 +181,7 @@ def genus(complexes) -> int:
     for i in range(0, top + 1):
         for c in complexes:
             v = build_v_hat(c, i)
-            if not (induced_rank(v) == v.source.homology_dim() == v.target.homology_dim()):
+            if _cone_dim(v.source, v.target, v.matrix):  # v_* is an isomorphism iff 0
                 worst = max(worst, i)
     return worst + 1
 

@@ -227,10 +227,6 @@ class F2Matrix:
 
     __matmul__ = mul
 
-    def apply(self, col_mask: int) -> int:
-        """Image of a column vector given as a bitmask over column indices."""
-        return _combine(self._masks, col_mask)
-
 
 def submatrix(m: F2Matrix, row_indices, col_indices) -> F2Matrix:
     """Restriction of m to the given rows and columns, reindexed from 0.
@@ -259,18 +255,6 @@ def rank_f2(m: F2Matrix) -> int:
 def rank_f2_span(masks) -> int:
     """Rank of the span of the given bitmask vectors."""
     return _mask_rank(masks)
-
-
-def rank_f2_modulo(masks, base_masks) -> int:
-    """dim(span(masks + base) / span(base))."""
-    span = F2Span()
-    for b in base_masks:
-        span.add(b)
-    count = 0
-    for v in masks:
-        if span.add(v):
-            count += 1
-    return count
 
 
 def kernel_basis_f2(m: F2Matrix) -> list[frozenset]:

@@ -83,15 +83,6 @@ def _hat_view(c: KnotComplex, free: FreeUComplex) -> SubquotientComplex:
     return SubquotientComplex(basis, _mod_u(free.columns, len(basis)), free.gradings)
 
 
-def build_B_hat(c: KnotComplex) -> SubquotientComplex:
-    return _hat_view(c, free_plus_complex(c))
-
-
-def build_A_hat(c: KnotComplex, s: int) -> SubquotientComplex:
-    """One element per generator: (g, min(0, s - A(g)))."""
-    return _hat_view(c, free_plus_complex(c, s))
-
-
 # ---------------------------------------------------------------------------
 # Graded homology
 

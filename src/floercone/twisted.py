@@ -55,7 +55,7 @@ from floercone.linalg import (
     vector_mask,
 )
 from floercone.model import KnotComplex
-from floercone.cone import ChainMapF2, _hat_maps, ensure_flip
+from floercone.cone import ChainMapF2, _hat_complexes, _hat_maps, ensure_flip
 
 
 @dataclass(frozen=True)
@@ -70,7 +70,7 @@ class TwistedCone:
 def build_twisted_cone(c: KnotComplex, s: int) -> TwistedCone:
     """Block matrix [[0, 0], [W i, dB]] on H(A_s) (+) B, for W = v + T h and
     i the lift of H(A_s) to the cycles `cycles` (bitmasks over A_s)."""
-    return _twisted_cone(*_hat_maps(c, s))
+    return _twisted_cone(*_hat_maps(c, s, _hat_complexes(c, s)))
 
 
 def _homology_cycles(a) -> tuple:

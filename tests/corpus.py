@@ -14,6 +14,7 @@ import random
 from fractions import Fraction
 from functools import lru_cache
 
+from floercone.fixtures import FIGURE8, Y1SIGMA
 from floercone.model import (
     DiffTerm,
     FlipTerm,
@@ -160,3 +161,22 @@ def tensor(x: KnotComplex, y: KnotComplex) -> KnotComplex:
     flip = tuple(FlipTerm(f"{p.source}.{q.source}", f"{p.target}.{q.target}", p.u_power + q.u_power)
                  for p in x.flip for q in y.flip)
     return KnotComplex("0", gens, tuple(diff), flip)
+
+
+# the connected sums the benchmark's twisted workload runs (15-45 generators),
+# and three of 125 generators
+TWISTED_SUMS = ("T2_3+T2_5", "T2_3+F8", "mT2_3+T2_5", "T2_5+F8", "F8+F8", "T2_5+mT2_5",
+                "T2_3+T2_3+T2_3", "T2_3+T2_3+mT2_3", "T2_3+T2_3+F8", "mT2_3+F8+T2_3",
+                "T2_3+T2_3+T2_5")
+BIG_SUMS = ("T2_5+T2_5+F8", "Y1+T2_5+F8", "T2_5+mT2_5+F8")
+
+
+def connected_sum(name: str) -> KnotComplex:
+    """The connected sum of the "+"-separated parts T2_3 and T2_5 (staircases),
+    F8 (the figure-eight) and Y1 (Y1SIGMA), each mirrored under an "m" prefix."""
+    part = {"T2_3": staircase(1), "T2_5": staircase(2), "F8": FIGURE8, "Y1": Y1SIGMA}
+    part.update({"m" + key: mirror(c) for key, c in part.items()})
+    first, *rest = (part[n] for n in name.split("+"))
+    for other in rest:
+        first = tensor(first, other)
+    return first

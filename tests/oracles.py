@@ -10,9 +10,12 @@ instead of the free F2[U] model read modulo U, the plus flavor from
 truncated GF(2) complexes with an explicit U matrix, decomposed through
 cycle representatives, instead of the free F2[U] model's Smith pivots,
 those pivots by a scan of every entry per pivot instead of a heap, the
-twisted cone on all of A_s instead of its retract onto H(A_s), and
+twisted cone on all of A_s instead of its retract onto H(A_s),
 plus-flavor auto mode by raising the height until two heights agree
-instead of reading every answer off the pivots at a proven precision.
+instead of reading every answer off the pivots at a proven precision, and
+hat-flavor induced ranks (and with them genus and the prop0check clauses)
+by lifting a homology basis to cycles and counting images modulo
+boundaries instead of reading them off cone dimensions by rank-nullity.
 """
 
 from __future__ import annotations
@@ -21,22 +24,24 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from floercone.cone import (
+    ChainMapF2,
     ConeResult,
     _cone_parts,
+    _hat_complexes,
     _hat_maps,
     _induced_rank,
     _plus_reductions,
     ensure_flip,
-    induced_rank,
-    make_chain_map,
 )
 from floercone.linalg import (
     F2Matrix,
+    F2Span,
     InvariantViolated,
     LaurentMatrix,
     LaurentPoly,
     NotAChainMap,
     _clmul,
+    _combine,
     kernel_basis_f2,
     rank_f2,
     smith_invariants_laurent,
@@ -46,11 +51,12 @@ from floercone.linalg import (
 from floercone.model import KnotComplex, PlaneElement, flip_map, require_valid
 from floercone.subquotient import (
     SubquotientComplex,
+    _hat_view,
     _spanned,
     free_plus_complex,
     reduce_free,
 )
-from floercone.twisted import TwistedConeResult, _novikov_rank
+from floercone.twisted import TwistedConeResult, _novikov_rank, novikov_dim
 
 # ---------------------------------------------------------------------------
 # dense exact linear algebra, written without bitmasks on purpose
@@ -178,6 +184,119 @@ def oracle_smith_pivots_u(columns, precision: int) -> list[tuple[int, int, int]]
                 if x:
                     col[r2] = x
         pivots.append((r, c, v))
+
+
+# ---------------------------------------------------------------------------
+# induced ranks by lifting cycles, as the hat flavor computed them before
+# reading every rank off the dimension of a cone
+
+
+def build_B_hat(c: KnotComplex) -> SubquotientComplex:
+    return _hat_view(c, free_plus_complex(c))
+
+
+def build_A_hat(c: KnotComplex, s: int) -> SubquotientComplex:
+    """One element per generator: (g, min(0, s - A(g)))."""
+    return _hat_view(c, free_plus_complex(c, s))
+
+
+def hat_maps(c: KnotComplex, s: int) -> tuple:
+    """The library's v and h on one build of A_s and B."""
+    return _hat_maps(c, s, _hat_complexes(c, s))
+
+
+def make_chain_map(source: SubquotientComplex, target: SubquotientComplex,
+                   matrix: F2Matrix) -> ChainMapF2:
+    """Wrap a matrix as a chain map, verifying commutation with differentials."""
+    if matrix.rows != target.dim or matrix.cols != source.dim:
+        raise ValueError("matrix shape does not match source/target")
+    if matrix.mul(source.differential) != target.differential.mul(matrix):
+        raise NotAChainMap("matrix does not commute with the differentials")
+    return ChainMapF2(source, target, matrix, _maslov_shift(source, target, matrix))
+
+
+def _maslov_shift(source: SubquotientComplex, target: SubquotientComplex,
+                  matrix: F2Matrix) -> int | None:
+    """The grading change common to every entry of matrix: 0 when there are
+    no entries, None when two entries disagree."""
+    shift = None
+    for m, col in zip(source.maslov, matrix.column_masks()):
+        if not col:
+            continue
+        if shift is None:
+            shift = target.maslov[col.bit_length() - 1] - m
+        image = m + shift
+        while col:
+            low = col & -col
+            if target.maslov[low.bit_length() - 1] != image:
+                return None
+            col ^= low
+    return 0 if shift is None else shift
+
+
+def rank_f2_modulo(masks, base_masks) -> int:
+    """dim(span(masks + base) / span(base))."""
+    span = F2Span()
+    for b in base_masks:
+        span.add(b)
+    count = 0
+    for v in masks:
+        if span.add(v):
+            count += 1
+    return count
+
+
+def induced_rank(cm: ChainMapF2) -> int:
+    """Rank of the induced map on homology.
+
+    Lifts a homology basis of the source to cycles, maps them, and counts
+    images that stay independent modulo boundaries of the target.
+    """
+    cycles = kernel_basis_f2(cm.source.differential)
+    images = [_combine(cm.matrix.column_masks(), vector_mask(z)) for z in cycles]
+    return rank_f2_modulo(images, cm.target.differential.column_masks())
+
+
+def oracle_hat_ranks(c: KnotComplex, s: int) -> tuple:
+    """rank v_*, rank h_* and rank (v + h)_* on the region-built hat maps of
+    `oracle_hat_parts`, by lifting cycles; c must carry a flip."""
+    a, b, v, h = oracle_hat_parts(c, s)
+    return induced_rank(v), induced_rank(h), induced_rank(make_chain_map(a, b, v.matrix + h.matrix))
+
+
+def oracle_genus(complexes) -> int:
+    """Smallest s >= 0 with every v_i, i >= s, an isomorphism on homology, by
+    lifting cycles through the region-built v; every complex carries a flip."""
+    worst = -1
+    for i in range(max(c.a_max() for c in complexes) + 1):
+        for c in complexes:
+            a, b, v, _ = oracle_hat_parts(c, i)
+            if not induced_rank(v) == a.homology_dim() == b.homology_dim():
+                worst = i
+    return worst + 1
+
+
+def oracle_necessary_conditions_witness(complexes) -> dict | None:
+    """The witness of the first failed clause of `sphere_necessary_conditions`,
+    None when all hold: clauses (c) and (a) on the region-built hat parts by
+    lifting cycles, clause (b) from the library's Novikov dimension; every
+    complex carries a flip."""
+    bound = max(c.a_bound() for c in complexes)
+    for s in [0] + [x for k in range(1, bound + 1) for x in (k, -k)]:
+        parts = [(c, *oracle_hat_parts(c, s)) for c in complexes]
+        for c, a, b, _, _ in parts:
+            if a.homology_dim() != b.homology_dim():
+                return {"clause": "c", "s": s, "spinc": c.spinc_label,
+                        "dim_A": a.homology_dim(), "dim_B": b.homology_dim()}
+        for c, a, b, v, h in parts if s else ():
+            rank = induced_rank(make_chain_map(a, b, v.matrix + h.matrix))
+            if not rank == a.homology_dim() == b.homology_dim():
+                return {"clause": "a", "s": s, "spinc": c.spinc_label, "rank": rank,
+                        "dim_A": a.homology_dim(), "dim_B": b.homology_dim()}
+        for c in complexes:
+            if dim := novikov_dim(c, s):
+                return {"clause": "b", "s": s, "spinc": c.spinc_label, "novikov_dim": dim}
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -393,7 +512,7 @@ class FullTwistedCone:
 def oracle_twisted_cone(c: KnotComplex, s: int) -> FullTwistedCone:
     """The twisted cone on all of A_s: the block matrix [[d_A, 0], [v + T h, d_B]]
     on A_s (+) B, which the library retracts onto the cone on H(A_s)."""
-    v, h = _hat_maps(ensure_flip(c), s)
+    v, h = hat_maps(ensure_flip(c), s)
     a, b = v.source, v.target
     w = LaurentMatrix.from_f2(v.matrix).add(LaurentMatrix.from_f2(h.matrix, LaurentPoly.t()))
     na = a.dim
@@ -630,7 +749,7 @@ class GradedUModule:
         span = self._spans.get(d - 2, TaggedSpan())
         columns = []
         for mask in src:
-            image = self._u.apply(mask)
+            image = _combine(self._u.column_masks(), mask)
             combo = span.coords(image)
             if combo is None:
                 raise NotAChainMap("U image of a cycle is not a cycle")

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import floercone
+import floercone.cli as cli
 from floercone.cli import build_parser, main
 from floercone.cone import cone_homology_hat
 from floercone.fixtures import TREFOIL
@@ -279,6 +280,14 @@ def test_parser_is_built_once_and_keeps_no_state(capsys):
     _, out, _ = run(capsys, "cone", TREFOIL_F, "--machine")
     (rec,) = machine_records(out)
     assert (rec["flavor"], rec["s"], rec["truncation"]) == ("hat", 0, None)
+
+
+def test_a_rebound_command_function_is_called_after_the_parser_is_built(capsys, monkeypatch):
+    run(capsys, "check", TREFOIL_F)
+    calls = []
+    monkeypatch.setattr(cli, "cmd_check", lambda args: calls.append(args.files) or 0)
+    assert run(capsys, "check", TREFOIL_F) == (0, "", "")
+    assert calls == [[TREFOIL_F]]
 
 
 def test_console_script_entry_point():

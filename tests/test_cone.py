@@ -6,23 +6,18 @@ from fractions import Fraction
 import pytest
 
 from floercone.cone import (
-    _hat_maps,
     FlipMissing,
-    NotAChainMap,
     build_v_hat,
     cone_homology_hat,
     cone_homology_plus_truncated,
     ensure_flip,
-    induced_rank,
     induces_iso,
-    make_chain_map,
     project_A,
 )
 from floercone.fixtures import ALL_FIXTURES, FIGURE8, TREFOIL, TREFOIL_L, UNKNOT, Y1SIGMA
-from floercone.linalg import F2Matrix, rank_f2
-from floercone.subquotient import build_A_hat, build_B_hat
+from floercone.linalg import F2Matrix, NotAChainMap, rank_f2
 
-from oracles import oracle_cone_hat
+from oracles import build_A_hat, build_B_hat, hat_maps, induced_rank, make_chain_map, oracle_cone_hat
 
 NAMED = dict(zip(["UNKNOT", "TREFOIL", "TREFOIL_L", "Y1SIGMA", "FIGURE8"], ALL_FIXTURES))
 
@@ -39,7 +34,7 @@ def test_trefoil_v0_matrix():
 
 
 def test_trefoil_h0_matrix():
-    h = _hat_maps(TREFOIL, 0)[1]
+    h = hat_maps(TREFOIL, 0)[1]
     # j = 0 elements are (a,-1) and (b,0); flip sends a to c, b to b
     assert h.matrix.entries == frozenset({(2, 0), (1, 1)})
     assert h.maslov_shift == Fraction(0)
@@ -47,7 +42,7 @@ def test_trefoil_h0_matrix():
 
 def test_trefoil_v_plus_h_matrix_rank():
     v = build_v_hat(TREFOIL, 0)
-    h = _hat_maps(TREFOIL, 0)[1]
+    h = hat_maps(TREFOIL, 0)[1]
     f = v.matrix.add(h.matrix)
     assert rank_f2(f) == 1          # matrix rank
     vh = make_chain_map(v.source, v.target, f)
@@ -57,7 +52,7 @@ def test_trefoil_v_plus_h_matrix_rank():
 def test_h_requires_flip():
     bare = replace(TREFOIL, flip=None)
     with pytest.raises(FlipMissing):
-        _hat_maps(bare, 0)[1]
+        hat_maps(bare, 0)[1]
 
 
 def test_ensure_flip_derives():
@@ -94,7 +89,7 @@ def test_zero_map_shift_zero_and_inhomogeneous_none():
 
 def test_mirror_v_h_are_rank_one_surjections():
     v = build_v_hat(TREFOIL_L, 0)
-    h = _hat_maps(TREFOIL_L, 0)[1]
+    h = hat_maps(TREFOIL_L, 0)[1]
     assert induced_rank(v) == 1
     assert induced_rank(h) == 1
     assert v.target.homology_dim() == 1

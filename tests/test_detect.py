@@ -104,17 +104,31 @@ def test_necessary_conditions_figure8_clause_c():
     assert v.witness["clause"] == "c" and v.witness["s"] == 0
 
 
-def test_necessary_conditions_build_A_s_and_B_twice_per_s(monkeypatch):
-    """Clauses (c) and (a) each build A_s and B once; clause (b) reuses the
-    maps of clause (a), and builds its own only at s = 0, where (a) is skipped."""
-    c = next(f for _, f in with_flip() if f.a_bound() == 2
-             and sphere_necessary_conditions([f]).kind is VerdictKind.FIRES)
+def count_builds(monkeypatch) -> Counter:
+    """Counts free_plus_complex calls by s (None for B) and free_chain_map calls."""
     built = Counter()
     for module in (subquotient, cone_module):
         monkeypatch.setattr(module, "free_plus_complex", lambda c, s=None, _f=module.free_plus_complex:
                             built.update([s]) or _f(c, s))
+    monkeypatch.setattr(cone_module, "free_chain_map", lambda *args, _f=cone_module.free_chain_map:
+                        built.update(["map"]) or _f(*args))
+    return built
+
+
+def test_necessary_conditions_build_A_s_and_B_once_per_s(monkeypatch):
+    """Clause (c) builds A_s and B once, and clauses (a) and (b) build v and h
+    on them once, s = 0 included."""
+    c = next(f for _, f in with_flip() if f.a_bound() == 2
+             and sphere_necessary_conditions([f]).kind is VerdictKind.FIRES)
+    built = count_builds(monkeypatch)
     assert sphere_necessary_conditions([c]).kind is VerdictKind.FIRES
-    assert built == {None: 10, **{s: 2 for s in range(-2, 3)}}
+    assert built == {None: 5, "map": 10, **{s: 1 for s in range(-2, 3)}}
+
+
+def test_necessary_conditions_build_no_map_where_clause_c_fails(monkeypatch):
+    built = count_builds(monkeypatch)
+    assert sphere_necessary_conditions([TREFOIL_L]).witness["clause"] == "c"
+    assert built == {None: 1, 0: 1}
 
 
 def test_obstruction_containment_on_fixtures():

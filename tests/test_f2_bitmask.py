@@ -18,6 +18,7 @@ from floercone.linalg import (
     F2Matrix,
     InvariantViolated,
     NotAChainMap,
+    _combine,
     kernel_basis_f2,
     rank_f2,
     submatrix,
@@ -96,7 +97,7 @@ def test_apply_matches_dense():
         for _ in range(5):
             x = [rng.randint(0, 1) for _ in range(cols)]
             image = [sum(dense[r][c] * x[c] for c in range(cols)) % 2 for r in range(rows)]
-            got = m.apply(vector_mask(c for c in range(cols) if x[c]))
+            got = _combine(m.column_masks(), vector_mask(c for c in range(cols) if x[c]))
             assert got == vector_mask(r for r in range(rows) if image[r])
 
 

@@ -15,19 +15,27 @@ import floercone
 import floercone.cone as cone_module
 from floercone.cli import main
 from floercone.cone import (
-    _hat_maps,
     _plus_reductions,
     build_v_hat,
     cone_homology_hat,
     cone_homology_plus_truncated,
 )
+from floercone.detect import VerdictKind, genus, sphere_necessary_conditions
 from floercone.fixtures import ALL_FIXTURES, FIGURE8, TREFOIL
 from floercone.linalg import InvariantViolated, NotAChainMap
-from floercone.subquotient import build_A_hat, build_B_hat
 from floercone.twisted import build_twisted_cone
 
-from corpus import staircase, tensor, with_flip
-from oracles import maslov_offset, oracle_hat_parts
+from corpus import TWISTED_SUMS, connected_sum, staircase, tensor, with_flip
+from oracles import (
+    build_A_hat,
+    build_B_hat,
+    hat_maps,
+    maslov_offset,
+    oracle_genus,
+    oracle_hat_parts,
+    oracle_hat_ranks,
+    oracle_necessary_conditions_witness,
+)
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 DATA = Path(floercone.__file__).parent / "data"
@@ -54,12 +62,28 @@ def test_hat_parts_match_the_region_oracle():
         b, offset = build_B_hat(c), maslov_offset(c)
         for s in S_VALUES:
             want_a, want_b, want_v, want_h = oracle_hat_parts(c, s)
-            v, h = _hat_maps(c, s)
+            v, h = hat_maps(c, s)
             assert complex_parts(build_A_hat(c, s), offset) == complex_parts(want_a), (c, s)
             assert complex_parts(b, offset) == complex_parts(want_b), c
             assert v.source == h.source == build_A_hat(c, s) and v.target == h.target == b
             for got, want in ((v, want_v), (h, want_h), (build_v_hat(c, s), want_v)):
                 assert (got.matrix, got.maslov_shift) == (want.matrix, want.maslov_shift), (c, s)
+
+
+def test_ranks_genus_and_verdict_match_lifting_cycles_through_the_region_maps():
+    """The ranks read off cone dimensions, genus and the prop0check verdict
+    against the oracle that lifts cycles through the region-built maps."""
+    sums = [connected_sum(name) for name in TWISTED_SUMS]
+    for c in [f for _, f in with_flip()] + sums:
+        for s in range(-c.a_bound() - 1, c.a_bound() + 2):
+            res = cone_homology_hat(c, s)
+            assert (res.rank_v, res.rank_h, res.rank_v_plus_h) == oracle_hat_ranks(c, s), (c, s)
+        assert genus([c]) == oracle_genus([c]), c
+        verdict, want = sphere_necessary_conditions([c]), oracle_necessary_conditions_witness([c])
+        if want is None:
+            assert verdict.kind is VerdictKind.FIRES, c
+        else:
+            assert (verdict.kind, verdict.witness) == (VerdictKind.DOES_NOT_FIRE, want), c
 
 
 def test_hat_cone_is_the_plus_cone_at_height_0():
@@ -91,11 +115,11 @@ def test_maps_modulo_U_to_the_P_stop_changing_beyond_a_bound_plus_P():
         for sign in (1, -1):
             edge = sign * (c.a_bound() + 1)
             hat = [(m.source.differential, m.target.differential, m.matrix)
-                   for m in _hat_maps(c, edge)]
+                   for m in hat_maps(c, edge)]
             for beyond in (1, 7, 40):
                 s = edge + sign * beyond
                 assert [(m.source.differential, m.target.differential, m.matrix)
-                        for m in _hat_maps(c, s)] == hat, (c, s)
+                        for m in hat_maps(c, s)] == hat, (c, s)
             for precision in (1, 3, 6):
                 edge = sign * (c.a_bound() + precision)
                 dims = [[r.homology_dim(n) for n in range(precision)]
@@ -137,7 +161,7 @@ def test_cone_at_huge_s_equals_the_value_past_a_bound_plus_P(capsys, flags, prec
 
 def test_public_builders_stay_bounded_at_huge_s():
     for s in (HUGE_S, -HUGE_S):
-        for build in (build_v_hat, _hat_maps, build_twisted_cone):
+        for build in (build_v_hat, hat_maps, build_twisted_cone):
             assert peak_bytes(lambda: build(TREFOIL, s)) < 2 ** 20, (build, s)
 
 

@@ -41,8 +41,6 @@ from floercone.detect import (
 from floercone.fixtures import FIGURE8, Y1SIGMA
 from floercone.subquotient import (
     _graded_precision,
-    build_A_hat,
-    build_B_hat,
     free_plus_complex,
     hf_red_graded,
     reduce_free,
@@ -50,6 +48,7 @@ from floercone.subquotient import (
 from floercone.twisted import novikov_dim, twisted_homology_laurent
 
 from corpus import lspace_staircase, mirror, staircase, tensor, torus_exponents, with_flip
+from oracles import build_A_hat, build_B_hat
 
 TORUS = {pq: torus_exponents(*pq) for pq in ((3, 4), (3, 5), (4, 5), (5, 6), (3, 7))}
 

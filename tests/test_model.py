@@ -29,7 +29,7 @@ from floercone.model import (
 )
 
 from corpus import corpus
-from oracles import plane_maslov
+from oracles import build_B_hat, plane_maslov
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -257,7 +257,6 @@ def test_plane_position_and_maslov():
 
 
 def test_lattice_window_zero_slice_matches_B_hat():
-    from floercone.subquotient import build_B_hat
     elements, mat = lattice_window(TREFOIL, 0, 0)
     b = build_B_hat(TREFOIL)
     assert tuple((e.generator, e.i) for e in elements) == \

@@ -19,8 +19,15 @@ import floercone
 import floercone.cone as cone_module
 from floercone.cli import main
 import floercone.subquotient as subquotient
-from floercone.cone import _induced_rank, _plus_reductions, cone_homology_plus_truncated
-from floercone.fixtures import ALL_FIXTURES, FIGURE8, TREFOIL, Y1SIGMA
+from floercone.cone import (
+    _cone_dim,
+    _induced_rank,
+    _plus_reductions,
+    _rank_nullity,
+    build_v_hat,
+    cone_homology_plus_truncated,
+)
+from floercone.fixtures import ALL_FIXTURES, FIGURE8, TREFOIL, TREFOIL_L, Y1SIGMA
 from floercone.linalg import (
     CompositionNonzero,
     InvariantViolated,
@@ -321,6 +328,14 @@ def test_rank_from_cone_dimensions_is_checked():
         _induced_rank(point, empty, empty, 1)   # rank (2 + 0 - 0) / 2 > min(2, 0)
     with pytest.raises(ValueError):
         point.homology_dim(5)                   # above the reduction's precision
+    # the hat flavor reads its ranks through the same check
+    v = build_v_hat(TREFOIL_L, 0)               # H(A_0) = 3, H(B) = 1, v_* onto H(B)
+    a, b = v.source, v.target
+    assert _rank_nullity(a.homology_dim(), b.homology_dim(), _cone_dim(a, b, v.matrix)) == 1
+    with pytest.raises(InvariantViolated):
+        _rank_nullity(3, 1, 1)                  # 3 + 1 - 1 is odd
+    with pytest.raises(InvariantViolated):
+        _rank_nullity(3, 1, 0)                  # rank (3 + 1 - 0) / 2 > min(3, 1)
 
 
 def test_free_model_checks_survive_python_O():

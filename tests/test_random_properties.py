@@ -6,7 +6,6 @@ directly at the point of computation.
 """
 
 from floercone.cone import (
-    _hat_maps,
     build_v_hat,
     cone_homology_hat,
     induces_iso,
@@ -20,11 +19,17 @@ from floercone.detect import (
     sphere_obstruction,
 )
 from floercone.io_format import DocumentEntry, InputDocument, parse, serialize
-from floercone.subquotient import build_A_hat, build_B_hat
 from floercone.twisted import twisted_homology_laurent
 
 from corpus import corpus, with_flip
-from oracles import oracle_cone_hat, oracle_novikov_dim, oracle_twisted_cone
+from oracles import (
+    build_A_hat,
+    build_B_hat,
+    hat_maps,
+    oracle_cone_hat,
+    oracle_novikov_dim,
+    oracle_twisted_cone,
+)
 
 FLIPPED = [f for _, f in with_flip()]
 
@@ -71,7 +76,7 @@ def test_twisted_map_at_one_is_untwisted_map():
         for s in (0, 1):
             cone = oracle_twisted_cone(c, s)
             v = build_v_hat(c, s)
-            h = _hat_maps(c, s)[1]
+            h = hat_maps(c, s)[1]
             assert cone.map_matrix.at_one() == v.matrix.add(h.matrix), (c, s)
 
 

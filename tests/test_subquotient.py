@@ -8,11 +8,13 @@ import pytest
 from floercone.fixtures import ALL_FIXTURES, FIGURE8, TREFOIL, TREFOIL_L, UNKNOT, Y1SIGMA
 from floercone.linalg import F2Matrix, rank_f2
 from floercone.model import Generator, KnotComplex
-from floercone.subquotient import build_A_hat, build_B_hat, graded_homology_dims, hf_red_graded
+from floercone.subquotient import graded_homology_dims, hf_red_graded
 
 from oracles import (
     GradedUModule,
     TruncationUnstable,
+    build_A_hat,
+    build_B_hat,
     build_plus_truncated,
     default_truncation,
     dense_rank_f2,

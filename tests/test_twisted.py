@@ -8,17 +8,23 @@ from pathlib import Path
 
 import pytest
 
-from floercone.cone import FlipMissing, _hat_maps, build_v_hat, ensure_flip
+from floercone.cone import FlipMissing, build_v_hat, ensure_flip
 from floercone.fixtures import ALL_FIXTURES, FIGURE8, TREFOIL, TREFOIL_L, UNKNOT, Y1SIGMA
-from floercone.linalg import F2Matrix, LaurentPoly, laurent_divides, rank_f2_modulo
+from floercone.linalg import F2Matrix, LaurentPoly, _combine, laurent_divides
 from floercone.twisted import (
     build_twisted_cone,
     novikov_dim,
     twisted_homology_laurent,
 )
 
-from corpus import mirror, staircase, tensor, with_flip
-from oracles import oracle_novikov_dim, oracle_twisted_cone, oracle_twisted_homology
+from corpus import BIG_SUMS, TWISTED_SUMS, connected_sum, staircase, with_flip
+from oracles import (
+    hat_maps,
+    oracle_novikov_dim,
+    oracle_twisted_cone,
+    oracle_twisted_homology,
+    rank_f2_modulo,
+)
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -58,7 +64,7 @@ def test_specialization_at_one_recovers_untwisted():
         for s in (-1, 0, 1, 2):
             cone = oracle_twisted_cone(flipped, s)
             v = build_v_hat(flipped, s)
-            h = _hat_maps(flipped, s)[1]
+            h = hat_maps(flipped, s)[1]
             assert cone.map_matrix.at_one() == v.matrix.add(h.matrix), (c.spinc_label, s)
 
 
@@ -67,9 +73,9 @@ def test_the_map_is_v_plus_T_h_on_cycles_lifting_a_homology_basis():
         flipped = ensure_flip(c)
         for s in range(-c.a_bound() - 1, c.a_bound() + 2):
             cone = build_twisted_cone(flipped, s)
-            v, h = _hat_maps(flipped, s)
+            v, h = hat_maps(flipped, s)
             a, cycles = cone.a, cone.cycles
-            assert not any(a.differential.apply(z) for z in cycles), (c, s)
+            assert not any(_combine(a.differential.column_masks(), z) for z in cycles), (c, s)
             assert len(cycles) == a.homology_dim() == rank_f2_modulo(
                 cycles, a.differential.column_masks()), (c, s)
             lift = F2Matrix._from_masks(a.dim, len(cycles), cycles)
@@ -77,22 +83,7 @@ def test_the_map_is_v_plus_T_h_on_cycles_lifting_a_homology_basis():
 
 
 def twisted_sum_inputs():
-    """The connected sums of T(2,3), T(2,5), the figure-eight and mirrors that
-    the benchmark's twisted workload runs (15-45 generators), and three sums
-    of 125 generators."""
-    part = {"T2_3": staircase(1), "T2_5": staircase(2), "F8": FIGURE8, "Y1": Y1SIGMA}
-    part.update({"m" + name: mirror(c) for name, c in part.items()})
-    names = ["T2_3+T2_5", "T2_3+F8", "mT2_3+T2_5", "T2_5+F8", "F8+F8", "T2_5+mT2_5",
-             "T2_3+T2_3+T2_3", "T2_3+T2_3+mT2_3", "T2_3+T2_3+F8", "mT2_3+F8+T2_3",
-             "T2_3+T2_3+T2_5"]
-    big = ["T2_5+T2_5+F8", "Y1+T2_5+F8", "T2_5+mT2_5+F8"]
-    out = []
-    for name in names + big:
-        first, *rest = (ensure_flip(part[n]) for n in name.split("+"))
-        for other in rest:
-            first = tensor(first, other)
-        out.append(pytest.param(first, id=name))
-    return out
+    return [pytest.param(connected_sum(name), id=name) for name in TWISTED_SUMS + BIG_SUMS]
 
 
 def assert_matches_the_cone_on_all_of_A_s(c):
@@ -180,11 +171,11 @@ def test_twisted_checks_survive_python_O():
     code = (
         "from dataclasses import replace\n"
         "import floercone.twisted as twisted\n"
-        "from floercone.cone import _hat_maps\n"
+        "from floercone.cone import _hat_complexes, _hat_maps\n"
         "from floercone.fixtures import TREFOIL\n"
         "from floercone.linalg import CompositionNonzero, F2Matrix, InvariantViolated, LaurentMatrix\n"
         "assert False, 'asserts are on'\n"
-        "v, h = _hat_maps(TREFOIL, 0)\n"
+        "v, h = _hat_maps(TREFOIL, 0, _hat_complexes(TREFOIL, 0))\n"
         "broken = replace(h, matrix=h.matrix.add(F2Matrix.from_entries(3, 3, [(0, 0)])))\n"
         "try:\n"
         "    twisted._twisted_cone(v, broken)\n"
