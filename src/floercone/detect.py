@@ -24,7 +24,7 @@ from floercone.cone import (
     build_v_hat,
     ensure_flip,
 )
-from floercone.twisted import _cone_novikov_dim, _twisted_cone, novikov_dim
+from floercone.twisted import _cone_homology, _twisted_cone, novikov_dim
 
 
 class NotHomologySphere(Exception):
@@ -130,7 +130,7 @@ def sphere_necessary_conditions(complexes) -> Verdict:
                      "rank": rank, "dim_A": dim, "dim_B": dim},
                 )
         for c, (v, h) in zip(complexes, maps):
-            dim = _cone_novikov_dim(_twisted_cone(v, h))
+            dim = _cone_homology(_twisted_cone(v, h)).novikov_dim
             if dim:
                 return Verdict(
                     VerdictKind.DOES_NOT_FIRE,

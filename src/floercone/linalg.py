@@ -10,8 +10,7 @@ shifted XORs, products are carry-less, and the set of exponents whose
 coefficient is 1 is again a view derived on request.  The Laurent ring is
 Euclidean once unit powers of T are stripped, which is what the Smith
 reduction and the division steps rely on.  The one elimination kernel over
-GF(2)[U]/U^P, `smith_pivots_u`, serves any power series ring in one
-variable, so it also gives ranks over F2[[T]].
+GF(2)[U]/U^P is `smith_pivots_u`.
 
 No floating point is used anywhere in this module.
 """
@@ -378,7 +377,7 @@ def _minor_degree_bound(columns, rank: int) -> int:
     r x r minor has degree at most the sum of the degrees of its r columns.
     So even the sum of all the v is below P, and `smith_pivots_u` at P finds
     every invariant factor.  A square differential (D^2 = 0) of size m has
-    rank at most m // 2; with entries of degree at most 1, P <= rank + 1.
+    rank at most m // 2.
     """
     degrees = sorted((max(col.values()).bit_length() - 1 for col in columns if col),
                      reverse=True)

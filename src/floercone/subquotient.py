@@ -197,18 +197,16 @@ class GradedUModule:
     def __init__(self, blocks):
         self._blocks = Counter(blocks)
 
-    def gradings(self):
-        return sorted({top - 2 * k for top, length in self._blocks for k in range(length)})
-
     def dims(self) -> dict:
         return _spanned(self._blocks)
 
     def socle_dims(self, cutoff) -> dict:
-        """Per-grading dimension of ker(U), at gradings <= cutoff."""
+        """Per-grading dimension of ker(U), at gradings <= cutoff: one per
+        block, at its bottom."""
         bottoms: Counter = Counter()
         for (top, length), count in self._blocks.items():
             bottoms[top - 2 * length + 2] += count
-        return {d: bottoms[d] for d in self.gradings() if d <= cutoff and d in bottoms}
+        return {d: bottoms[d] for d in sorted(bottoms) if d <= cutoff}
 
 
 @dataclass(frozen=True)

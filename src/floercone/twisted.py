@@ -19,13 +19,10 @@ rank and torsion) and over the Novikov field is the same.  The entries
 of W i are (v z)_r + T (h z)_r, still 1, T or 1 + T.  The cone on all of
 A_s lives on in `tests/oracles.py`.
 
-The Novikov dimension: every entry of the cone differential is 1, T or
-1 + T, so it is a matrix over the discrete valuation ring F2[[T]], whose
-fraction field is the Novikov field F2((T)).  Its rank there is the number
-of invariant factors T^v of a Smith reduction over F2[[T]], and each of
-them survives modulo T^P for P above the largest v, which the
-minor-degree bound of `linalg` gives; dimensions over the Novikov field
-are read off those pivots (`_novikov_rank`).
+The Novikov dimension: the Novikov field F2((T)) is a field extension of
+Frac(L), so it is flat over L, and tensoring the homology over L with it
+kills every torsion summand L/(p) and keeps every free one.  So the
+dimension over the Novikov field is the free rank over L.
 
 Torsion bookkeeping: for a square differential D over a PID with D^2 = 0,
 L^m / ker D embeds in L^m, so it is torsion free; the exact sequence
@@ -33,8 +30,8 @@ L^m / ker D embeds in L^m, so it is torsion free; the exact sequence
 torsion of the homology with the torsion of coker D, which is the direct
 sum of L/(d) over the nonunit invariant factors d of D.  So the torsion
 factors reported here are read off a Smith reduction of the cone
-differential over L, and its count of nonzero factors, the free rank, is
-checked against the Novikov dimension.
+differential over L, and its count of nonzero factors gives the free
+rank: m - 2 times that count for the m x m differential.
 """
 
 from __future__ import annotations
@@ -42,16 +39,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from floercone.linalg import (
-    CompositionNonzero,
     F2Matrix,
     F2Span,
-    InvariantViolated,
     LaurentMatrix,
     LaurentPoly,
-    _minor_degree_bound,
     kernel_basis_f2,
     smith_invariants_laurent,
-    smith_pivots_u,
     vector_mask,
 )
 from floercone.model import KnotComplex
@@ -83,13 +76,10 @@ def _homology_cycles(a) -> tuple:
 
 
 def _twisted_cone(v: ChainMapF2, h: ChainMapF2) -> TwistedCone:
+    """The cone of (v + T h) i, for v and h from `_hat_maps`: `free_chain_map`
+    has checked that they commute with the differentials, which makes the
+    cone on all of A_s a complex and the retract apply."""
     a, b = v.source, v.target
-    # the cone of W on all of A_s, [[d_A, 0], [W, d_B]], squares to [[0, 0], [W d_A + d_B W, 0]]
-    # (SubquotientComplex checks d_A^2 and d_B^2), and W = v + T h, so it is a complex,
-    # and the retract applies, exactly when v and h each commute with the differentials
-    for f in (v.matrix, h.matrix):
-        if f.mul(a.differential) != b.differential.mul(f):
-            raise CompositionNonzero("twisted cone differential does not square to zero")
     cycles = _homology_cycles(a)
     lift = F2Matrix._from_masks(a.dim, len(cycles), cycles)
     w = LaurentMatrix.from_f2(v.matrix.mul(lift)).add(
@@ -102,56 +92,33 @@ def _twisted_cone(v: ChainMapF2, h: ChainMapF2) -> TwistedCone:
     return TwistedCone(a, b, cycles, w, cone)
 
 
-def novikov_dim(c: KnotComplex, s: int) -> int:
-    """Dimension of the cone homology over the Novikov field."""
-    return _cone_novikov_dim(build_twisted_cone(ensure_flip(c), s))
-
-
-def _novikov_rank(m: LaurentMatrix, rank: int) -> int:
-    """Rank over the Novikov field of a matrix whose entries are 1, T or 1 + T
-    and whose rank is at most `rank`.
-
-    It is the pivot count of a Smith reduction over F2[[T]] modulo T^P, at
-    the precision P of `_minor_degree_bound`, which loses no invariant
-    factor; every entry has degree at most 1, so P <= rank + 1.
-    """
-    columns = [{} for _ in range(m.cols)]
-    for r, col, p in m.entries:
-        if p.min_exp < 0 or p.max_exp > 1:
-            raise InvariantViolated(f"twisted cone entry {p} is not 1, T or 1 + T")
-        columns[col][r] = p._mask << p._low
-    return len(smith_pivots_u(columns, _minor_degree_bound(columns, rank)))
-
-
-def _cone_novikov_dim(tc: TwistedCone) -> int:
-    """m - 2 rank D over the Novikov field, for the m x m cone differential D;
-    D^2 = 0 bounds that rank by m // 2."""
-    m = tc.cone_matrix.rows
-    return m - 2 * _novikov_rank(tc.cone_matrix, m // 2)
-
-
 @dataclass(frozen=True)
 class TwistedConeResult:
-    novikov_dim: int
     laurent_free_rank: int
     torsion_factors: tuple
 
-    def __post_init__(self):
-        if self.novikov_dim != self.laurent_free_rank:
-            raise InvariantViolated("Novikov dimension must match the Laurent free rank")
+    @property
+    def novikov_dim(self) -> int:
+        """Dimension over the Novikov field F2((T)): the free rank, since
+        F2((T)) is a field extension of Frac(L), hence flat over L, and so
+        kills the torsion L/(p) and keeps each free summand."""
+        return self.laurent_free_rank
+
+
+def _cone_homology(tc: TwistedCone) -> TwistedConeResult:
+    """The free rank and the sorted torsion invariant factors of the cone
+    homology over L, from one Smith reduction of the cone differential."""
+    invariants = smith_invariants_laurent(tc.cone_matrix)
+    torsion = sorted((p for p in invariants if p != LaurentPoly.one()),
+                     key=lambda p: (p.span, tuple(sorted(p.support))))
+    return TwistedConeResult(tc.cone_matrix.rows - 2 * len(invariants), tuple(torsion))
 
 
 def twisted_homology_laurent(c: KnotComplex, s: int) -> TwistedConeResult:
     """Free rank and torsion invariant factors of the twisted cone homology."""
-    c = ensure_flip(c)
-    tc = build_twisted_cone(c, s)
-    m = tc.cone_matrix.rows
-    invariants = smith_invariants_laurent(tc.cone_matrix)
-    free_rank = m - 2 * len(invariants)
-    torsion = [p for p in invariants if p != LaurentPoly.one()]
-    torsion.sort(key=lambda p: (p.span, tuple(sorted(p.support))))
-    return TwistedConeResult(
-        novikov_dim=_cone_novikov_dim(tc),
-        laurent_free_rank=free_rank,
-        torsion_factors=tuple(torsion),
-    )
+    return _cone_homology(build_twisted_cone(ensure_flip(c), s))
+
+
+def novikov_dim(c: KnotComplex, s: int) -> int:
+    """Dimension of the cone homology over the Novikov field."""
+    return twisted_homology_laurent(c, s).novikov_dim

@@ -3,9 +3,10 @@
 Everything here recomputes results from first principles with deliberately
 different machinery: dense list-of-list Gaussian elimination instead of
 bitmask sets, direct assembly of cone differentials from the plane-level
-definitions instead of the v/h chain-map objects, rank over the fraction
-field via evaluation at points of GF(2^8) instead of Smith pivots over
-F2[[T]], the hat complexes and maps from plane-element regions
+definitions instead of the v/h chain-map objects, the Novikov dimension
+via evaluation at points of GF(2^8) and via Smith pivots over F2[[T]]
+instead of the free rank of the Laurent Smith form, the hat complexes and
+maps from plane-element regions
 instead of the free F2[U] model read modulo U, the plus flavor from
 truncated GF(2) complexes with an explicit U matrix, decomposed through
 cycle representatives, instead of the free F2[U] model's Smith pivots,
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from floercone.cone import (
     ChainMapF2,
@@ -42,9 +44,11 @@ from floercone.linalg import (
     NotAChainMap,
     _clmul,
     _combine,
+    _minor_degree_bound,
     kernel_basis_f2,
     rank_f2,
     smith_invariants_laurent,
+    smith_pivots_u,
     submatrix,
     vector_mask,
 )
@@ -56,7 +60,6 @@ from floercone.subquotient import (
     free_plus_complex,
     reduce_free,
 )
-from floercone.twisted import TwistedConeResult, _novikov_rank, novikov_dim
 
 # ---------------------------------------------------------------------------
 # dense exact linear algebra, written without bitmasks on purpose
@@ -279,8 +282,8 @@ def oracle_genus(complexes) -> int:
 def oracle_necessary_conditions_witness(complexes) -> dict | None:
     """The witness of the first failed clause of `sphere_necessary_conditions`,
     None when all hold: clauses (c) and (a) on the region-built hat parts by
-    lifting cycles, clause (b) from the library's Novikov dimension; every
-    complex carries a flip."""
+    lifting cycles, clause (b) by counting F2[[T]] pivots of the twisted cone
+    on all of A_s; every complex carries a flip."""
     bound = max(c.a_bound() for c in complexes)
     for s in [0] + [x for k in range(1, bound + 1) for x in (k, -k)]:
         parts = [(c, *oracle_hat_parts(c, s)) for c in complexes]
@@ -294,7 +297,7 @@ def oracle_necessary_conditions_witness(complexes) -> dict | None:
                 return {"clause": "a", "s": s, "spinc": c.spinc_label, "rank": rank,
                         "dim_A": a.homology_dim(), "dim_B": b.homology_dim()}
         for c in complexes:
-            if dim := novikov_dim(c, s):
+            if dim := oracle_twisted_homology(c, s).novikov_dim:
                 return {"clause": "b", "s": s, "spinc": c.spinc_label, "novikov_dim": dim}
     return None
 
@@ -524,15 +527,39 @@ def oracle_twisted_cone(c: KnotComplex, s: int) -> FullTwistedCone:
     return FullTwistedCone(w, LaurentMatrix.from_dict(na + b.dim, na + b.dim, total))
 
 
-def oracle_twisted_homology(c: KnotComplex, s: int) -> TwistedConeResult:
-    """Novikov dimension, free rank and torsion factors of the cone on all of A_s."""
+def _novikov_rank(m: LaurentMatrix, rank: int) -> int:
+    """Rank over the Novikov field of a matrix whose entries are 1, T or 1 + T
+    and whose rank is at most `rank`.
+
+    It is the pivot count of a Smith reduction over F2[[T]] modulo T^P, at
+    the precision P of `_minor_degree_bound`, which loses no invariant
+    factor; every entry has degree at most 1, so P <= rank + 1.
+    """
+    columns = [{} for _ in range(m.cols)]
+    for r, col, p in m.entries:
+        if p.min_exp < 0 or p.max_exp > 1:
+            raise InvariantViolated(f"twisted cone entry {p} is not 1, T or 1 + T")
+        columns[col][r] = p._mask << p._low
+    return len(smith_pivots_u(columns, _minor_degree_bound(columns, rank)))
+
+
+class TwistedHomology(NamedTuple):
+    novikov_dim: int
+    laurent_free_rank: int
+    torsion_factors: tuple
+
+
+def oracle_twisted_homology(c: KnotComplex, s: int) -> TwistedHomology:
+    """Novikov dimension, by F2[[T]] pivots, and free rank and torsion
+    factors, by the Laurent Smith form, of the cone on all of A_s; the cone
+    differential D squares to 0, so its rank is at most m // 2."""
     cone = oracle_twisted_cone(c, s).cone_matrix
     m = cone.rows
     invariants = smith_invariants_laurent(cone)
     torsion = sorted((p for p in invariants if p != LaurentPoly.one()),
                      key=lambda p: (p.span, tuple(sorted(p.support))))
-    return TwistedConeResult(m - 2 * _novikov_rank(cone, m // 2),
-                             m - 2 * len(invariants), tuple(torsion))
+    return TwistedHomology(m - 2 * _novikov_rank(cone, m // 2),
+                           m - 2 * len(invariants), tuple(torsion))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Command-line behavior: outputs, exit codes, machine records."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -137,6 +138,30 @@ def test_cone_bad_truncation():
     with pytest.raises(SystemExit) as exc:
         main(["cone", TREFOIL_F, "--flavor", "plus", "--truncation", "-3"])
     assert exc.value.code == 2
+
+
+def test_an_explicit_truncation_costs_no_memory_linear_in_it():
+    """--truncation 10^8 runs under a 1 GiB address-space cap: no step
+    enumerates the N + 1 gradings of a tower."""
+    resource = pytest.importorskip("resource")
+    n = 10 ** 8
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(DATA.parents[1]), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "floercone.cli", "cone", FIGURE8_F, "--flavor", "plus",
+         "--truncation", str(n), "--s", "-1..1", "--machine"],
+        capture_output=True, text=True, env=env, preexec_fn=cap, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    fields = ("s", "truncation", "total_dim", "rank_v", "rank_h", "rank_v_plus_h", "graded_dims")
+    assert [tuple(r[f] for f in fields) for r in machine_records(proc.stdout)] == [
+        (-1, n, 0, n, n + 1, n + 1, None),
+        (0, n, 2 * n + 4, n + 1, n + 1, 0, [["-1", 2], ["0", 1]]),
+        (1, n, 0, n + 1, n, n + 1, None),
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """The (mask, shift) LaurentPoly against exponent-set arithmetic, the Smith
 reduction's nonunit path against determinantal divisors, and one twisted
-cone build per twisted homology computation."""
+cone build and one Laurent reduction per twisted homology computation."""
 
 import copy
 import pickle
@@ -8,6 +8,7 @@ import random
 
 import pytest
 
+import floercone.subquotient
 import floercone.twisted
 from floercone.cone import ensure_flip
 from floercone.fixtures import ALL_FIXTURES
@@ -17,7 +18,7 @@ from floercone.linalg import (
     laurent_divmod,
     smith_invariants_laurent,
 )
-from floercone.twisted import twisted_homology_laurent
+from floercone.twisted import novikov_dim, twisted_homology_laurent
 
 from oracles import _poly_add, _poly_mul, minor_gcd_spans
 
@@ -189,22 +190,37 @@ def test_smith_products_are_minor_gcds(min_span):
 
 
 # ---------------------------------------------------------------------------
-# one cone build per twisted homology computation
+# one cone build and one Laurent reduction per twisted homology computation
 
 
 def test_twisted_homology_builds_the_cone_once(monkeypatch):
+    """One cone build and one Laurent Smith reduction per (complex, s), and
+    no F2[[T]] reduction: the Novikov dimension is the Laurent free rank."""
     calls = []
     build = floercone.twisted.build_twisted_cone
+    smith = floercone.twisted.smith_invariants_laurent
 
     def counting(c, s):
-        calls.append(s)
+        calls.append(("build", s))
         return build(c, s)
 
+    def reducing(m):
+        calls.append(("smith", m.rows))
+        return smith(m)
+
+    def refused(*args):
+        raise AssertionError("F2[[T]] reduction on the twisted path")
+
     monkeypatch.setattr(floercone.twisted, "build_twisted_cone", counting)
+    monkeypatch.setattr(floercone.twisted, "smith_invariants_laurent", reducing)
+    for module in (floercone.subquotient, floercone.twisted):  # every binding of it
+        monkeypatch.setattr(module, "smith_pivots_u", refused, raising=False)
     for c in ALL_FIXTURES:
         c = ensure_flip(c)
         for s in (-1, 0, 1):
-            calls.clear()
-            res = twisted_homology_laurent(c, s)
-            assert calls == [s]
-            assert res.novikov_dim == res.laurent_free_rank
+            for run in (twisted_homology_laurent, novikov_dim):
+                calls.clear()
+                res = run(c, s)
+                m = build(c, s).cone_matrix.rows
+                assert calls == [("build", s), ("smith", m)], (c, s, run)
+            assert res == twisted_homology_laurent(c, s).novikov_dim

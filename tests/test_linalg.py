@@ -22,12 +22,11 @@ from floercone.linalg import (
     vector_mask,
 )
 
-from floercone.twisted import _novikov_rank
-
 from oracles import (
     GF256_EXP,
     GF256_LOG,
     TaggedSpan,
+    _novikov_rank,
     dense_rank_f2,
     dense_rank_gf256,
     minor_gcd_spans,

@@ -88,7 +88,9 @@ def twisted_sum_inputs():
 
 def assert_matches_the_cone_on_all_of_A_s(c):
     for s in range(-c.a_bound() - 1, c.a_bound() + 2):
-        assert twisted_homology_laurent(c, s) == oracle_twisted_homology(c, s), (c, s)
+        got = twisted_homology_laurent(c, s)
+        assert (got.novikov_dim, got.laurent_free_rank, got.torsion_factors) == \
+            oracle_twisted_homology(c, s), (c, s)
 
 
 def test_cone_on_homology_matches_the_cone_on_all_of_A_s_on_the_corpus():
@@ -165,39 +167,27 @@ def test_torsion_vanishes_off_zero_for_fixtures():
 
 
 def test_twisted_checks_survive_python_O():
-    """A cone entry with a negative power of T is not read as an F2[T]
-    bitmask, a Novikov dimension off the Laurent free rank is caught, and
-    so is an h that does not commute with the differentials."""
+    """A v that does not commute with the differentials is caught before the
+    twisted cone is built, on both paths that build it."""
     code = (
-        "from dataclasses import replace\n"
-        "import floercone.twisted as twisted\n"
-        "from floercone.cone import _hat_complexes, _hat_maps\n"
+        "import floercone.cone as cone\n"
+        "from floercone.detect import sphere_necessary_conditions\n"
         "from floercone.fixtures import TREFOIL\n"
-        "from floercone.linalg import CompositionNonzero, F2Matrix, InvariantViolated, LaurentMatrix\n"
+        "from floercone.linalg import NotAChainMap\n"
+        "from floercone.twisted import twisted_homology_laurent\n"
         "assert False, 'asserts are on'\n"
-        "v, h = _hat_maps(TREFOIL, 0, _hat_complexes(TREFOIL, 0))\n"
-        "broken = replace(h, matrix=h.matrix.add(F2Matrix.from_entries(3, 3, [(0, 0)])))\n"
-        "try:\n"
-        "    twisted._twisted_cone(v, broken)\n"
-        "except CompositionNonzero:\n"
-        "    print('raised')\n"
-        "tc = twisted.build_twisted_cone(TREFOIL, 0)\n"
-        "m = tc.cone_matrix\n"
-        "skewed = {rc: p.shifted(-1) for rc, p in m.to_dict().items()}\n"
-        "try:\n"
-        "    twisted._cone_novikov_dim(replace(tc, cone_matrix=LaurentMatrix.from_dict(m.rows, m.cols, skewed)))\n"
-        "except InvariantViolated:\n"
-        "    print('raised')\n"
-        "original = twisted._cone_novikov_dim\n"
-        "twisted._cone_novikov_dim = lambda tc: original(tc) + 2\n"
-        "try:\n"
-        "    twisted.twisted_homology_laurent(TREFOIL, 0)\n"
-        "except InvariantViolated:\n"
-        "    print('raised')\n"
+        "original = cone.free_chain_map\n"
+        "cone.free_chain_map = lambda a, b, terms, *rest: original(a, b, terms[1:], *rest)\n"
+        "for run in (lambda: twisted_homology_laurent(TREFOIL, 0),\n"
+        "            lambda: sphere_necessary_conditions([TREFOIL])):\n"
+        "    try:\n"
+        "        run()\n"
+        "    except NotAChainMap:\n"
+        "        print('raised')\n"
     )
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                          capture_output=True, text=True, timeout=60)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.split() == ["raised", "raised", "raised"]
+    assert out.stdout.split() == ["raised", "raised"]
