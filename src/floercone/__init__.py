@@ -23,6 +23,7 @@ from floercone.linalg import (
 )
 from floercone.model import (
     DiffTerm,
+    FlipSearchExhausted,
     FlipTerm,
     Generator,
     KnotComplex,
@@ -72,6 +73,7 @@ __all__ = [
     "DiffTerm",
     "F2Matrix",
     "FlipMissing",
+    "FlipSearchExhausted",
     "FlipTerm",
     "Generator",
     "InvariantViolated",

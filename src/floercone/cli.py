@@ -27,7 +27,7 @@ from floercone.detect import (
 )
 from floercone.io_format import DuplicateName, ParseError, load_path
 from floercone.linalg import CompositionNonzero, InvariantViolated, NotAChainMap
-from floercone.model import NoFlipFound, ValidationError
+from floercone.model import FlipSearchExhausted, NoFlipFound, ValidationError
 from floercone.subquotient import hf_red_graded
 from floercone.twisted import twisted_homology_laurent
 
@@ -362,8 +362,8 @@ def main(argv=None) -> int:
     try:
         return handler(args)
     except (ParseError, DuplicateName, ValidationError, NoFlipFound,
-            NotHomologySphere, CompositionNonzero, NotAChainMap,
-            InvariantViolated, OSError, ValueError) as e:
+            FlipSearchExhausted, NotHomologySphere, CompositionNonzero,
+            NotAChainMap, InvariantViolated, OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

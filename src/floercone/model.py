@@ -16,7 +16,6 @@ acts by translation: a term U^n * h in the differential of g contributes
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -28,9 +27,17 @@ from floercone.linalg import F2Matrix, rank_f2
 # evicts the least recently used complexes instead of growing.
 _CACHE_SIZE = 256
 
+# Assigned pairs that derive_flip tries before it gives up.
+_FLIP_SEARCH_NODES = 100_000
+
 
 class NoFlipFound(Exception):
     """No generator involution satisfies the flip constraints."""
+
+
+class FlipSearchExhausted(Exception):
+    """The flip search hit its node budget before it found a flip or ruled
+    every involution out; whether a flip exists is unknown."""
 
 
 class ValidationError(Exception):
@@ -341,10 +348,67 @@ def _flip_terms_of(c: KnotComplex, sigma: dict) -> tuple:
     )
 
 
-def _sigma_is_chain_map(c: KnotComplex, sigma: dict) -> bool:
-    phi = _term_map(_flip_terms_of(c, sigma))
-    d = differential_map(c)
-    return _maps_equal(_compose(phi, d), _compose(d, phi))
+def _named(c: KnotComplex, sigma: list) -> dict:
+    """sigma, a list of generator indices in name order, as names."""
+    gens = c.generators
+    return {g.name: gens[h].name for g, h in zip(gens, sigma)}
+
+
+def _flip_problem(c: KnotComplex) -> tuple:
+    """The flip search over generator indices in name order:
+    (alex, out, watch, cands).  out[x] maps each target y of d x to
+    its U-power; watch[g] lists g and the sources whose d holds g, that is
+    every x whose component of phi d = d phi reads sigma(g); cands[g] lists
+    the h with A(h) = -A(g) and M(h) = M(g) - 2 A(g), in name order."""
+    gens = c.generators
+    alex = [g.alexander for g in gens]
+    grade = c._int_maslov[1]
+    index = {g.name: k for k, g in enumerate(gens)}
+    out = [{} for _ in gens]
+    watch = [[k] for k in range(len(gens))]
+    for t in c.differential:
+        x, y = index[t.source], index[t.target]
+        out[x][y] = t.u_power
+        watch[y].append(x)
+    by_grading: dict[tuple, list] = {}
+    for k, (a, m) in enumerate(zip(alex, grade)):
+        by_grading.setdefault((a, m), []).append(k)
+    cands = [by_grading.get((-a, m - 2 * a), []) for a, m in zip(alex, grade)]
+    return alex, out, watch, cands
+
+
+def _can_hold(x: int, sigma: list, taken: list, alex, out) -> bool:
+    """False when no completion of sigma makes the component of
+    phi d = d phi at source x hold, phi(g) = U^(-A(g)) sigma(g).
+
+    That component reads sigma only on x and on the targets of d x:
+    d phi(x) has the terms U^(m - A(x)) t of d sigma(x), phi(d x) the terms
+    U^(n - A(y)) sigma(y) of d x.  sigma is injective, so both sides have
+    distinct terms and must agree term by term.  With sigma(x) set and every
+    target assigned, this is a full check.  With one target y free, the one
+    term of d sigma(x) left unmatched must be U^(n - A(y)) sigma(y), so
+    sigma(y) is forced: no generator may map to it yet (taken[t] < 0), and
+    its A must be -A(y); its M is then M(y) - 2 A(y), read off the
+    U-powers.  With two or more free, nothing is decided."""
+    image = out[sigma[x]]
+    targets = out[x]
+    if len(image) != len(targets):
+        return False
+    shift = alex[x]
+    free = -1
+    for y, n in targets.items():
+        sy = sigma[y]
+        if sy < 0:
+            if free >= 0:
+                return True
+            free, power = y, n - alex[y] + shift
+        elif image.get(sy) != n - alex[y] + shift:
+            return False
+    if free < 0:
+        return True
+    matched = {sigma[y] for y in targets if y != free}
+    t = next(t for t in image if t not in matched)
+    return image[t] == power and taken[t] < 0 and alex[t] == -alex[free]
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
@@ -354,46 +418,55 @@ def derive_flip(c: KnotComplex) -> KnotComplex:
     Pairing constraints: A(sigma g) = -A(g) and M(sigma g) = M(g) - 2 A(g).
     The constraints are symmetric in g and sigma g, so assignments are made
     in mutually consistent pairs.  Among valid involutions the
-    lexicographically first assignment (by generator name) is returned.
+    lexicographically first assignment (by generator name) is returned:
+    the search branches on the first unassigned generator by name and tries
+    its candidates in name order.
+
+    Pruning: after each assigned pair, every source whose component of
+    phi d = d phi reads one of the pair is re-checked (`_can_hold`), which
+    fails only when no completion of the partial assignment satisfies that
+    component.  A pruned subtree therefore holds no valid involution, and
+    the first valid leaf is the one an unpruned search finds.
+
+    Budget: the search tries at most _FLIP_SEARCH_NODES pairs.  Past that
+    it raises FlipSearchExhausted, which says nothing about whether a flip
+    exists; NoFlipFound means the whole tree was ruled out.
     """
     require_valid(c)
     if c.flip is not None:
         raise ValueError("flip already present")
-    gens = c.generators  # in name order
-    by_name = {g.name: g for g in gens}
-    grade = {g.name: m for g, m in zip(gens, c._int_maslov[1])}
+    alex, out, watch, cands = _flip_problem(c)
+    size = len(alex)
+    sigma = [-1] * size
+    nodes = 0
 
-    def candidates(g: Generator) -> list:
-        out = []
-        for h in gens:
-            if h.alexander == -g.alexander and grade[h.name] == grade[g.name] - 2 * g.alexander:
-                out.append(h.name)
-        return out
-
-    sigma: dict[str, str] = {}
-
-    def search() -> bool:
-        free = [g.name for g in gens if g.name not in sigma]
-        if not free:
-            return _sigma_is_chain_map(c, sigma)
-        g = by_name[free[0]]
-        for h in candidates(g):
-            if h != g.name and h in sigma:
+    def search(g: int) -> bool:
+        nonlocal nodes
+        while g < size and sigma[g] >= 0:
+            g += 1
+        if g == size:
+            return True
+        for h in cands[g]:
+            if sigma[h] >= 0:
                 continue
-            sigma[g.name] = h
-            sigma[h] = g.name
-            if search():
+            nodes += 1
+            if nodes > _FLIP_SEARCH_NODES:
+                raise FlipSearchExhausted(
+                    f"flip search for complex {c.spinc_label!r} gave up after "
+                    f"{_FLIP_SEARCH_NODES} assignments")
+            sigma[g], sigma[h] = h, g
+            touched = watch[g] if h == g else watch[g] + watch[h]
+            if all(sigma[x] < 0 or _can_hold(x, sigma, sigma, alex, out)
+                   for x in touched) and search(g + 1):
                 return True
-            del sigma[g.name]
-            if h != g.name:
-                del sigma[h]
+            sigma[g] = sigma[h] = -1
         return False
 
-    if not search():
+    if not search(0):
         raise NoFlipFound(f"no involution flip exists for complex {c.spinc_label!r}")
-    out = replace(c, flip=_flip_terms_of(c, sigma))
-    require_valid(out)
-    return out
+    flipped = replace(c, flip=_flip_terms_of(c, _named(c, sigma)))
+    require_valid(flipped)
+    return flipped
 
 
 def enumerate_flips(c: KnotComplex) -> list:
@@ -403,24 +476,31 @@ def enumerate_flips(c: KnotComplex) -> list:
     M(sigma g) = M(g) - 2 A(g) whose induced map commutes with the
     differential.  Involutions are not required here.  Deterministic order:
     lexicographic in the assignment vector over name-sorted generators.
+    The search assigns generators in name order, candidates in name order,
+    and drops a partial assignment as soon as the per-source check of
+    derive_flip rules it out.
     """
     require_valid(c)
-    gens = c.generators  # in name order
-    grade = c._int_maslov[1]
-    pools = []
-    for g, m in zip(gens, grade):
-        pool = [
-            h.name for h, mh in zip(gens, grade)
-            if h.alexander == -g.alexander and mh == m - 2 * g.alexander
-        ]
-        pools.append(pool)
+    alex, out, watch, cands = _flip_problem(c)
+    size = len(alex)
+    sigma = [-1] * size
+    taken = [-1] * size  # taken[h] = g when sigma(g) = h
     found = []
-    for choice in itertools.product(*pools):
-        if len(set(choice)) != len(choice):
-            continue
-        sigma = {g.name: h for g, h in zip(gens, choice)}
-        if _sigma_is_chain_map(c, sigma):
-            found.append(_flip_terms_of(c, sigma))
+
+    def search(g: int) -> None:
+        if g == size:
+            found.append(_flip_terms_of(c, _named(c, sigma)))
+            return
+        for h in cands[g]:
+            if taken[h] >= 0:
+                continue
+            sigma[g], taken[h] = h, g
+            if all(sigma[x] < 0 or _can_hold(x, sigma, taken, alex, out)
+                   for x in watch[g]):
+                search(g + 1)
+            sigma[g] = taken[h] = -1
+
+    search(0)
     return found
 
 

@@ -16,12 +16,16 @@ plus-flavor auto mode by raising the height until two heights agree
 instead of reading every answer off the pivots at a proven precision, and
 hat-flavor induced ranks (and with them genus and the prop0check clauses)
 by lifting a homology basis to cycles and counting images modulo
-boundaries instead of reading them off cone dimensions by rank-nullity.
+boundaries instead of reading them off cone dimensions by rank-nullity,
+and the flip (and every flip bijection) by a search that checks the
+chain-map condition only on full assignments instead of pruning each
+partial one.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import itertools
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -52,7 +56,19 @@ from floercone.linalg import (
     submatrix,
     vector_mask,
 )
-from floercone.model import KnotComplex, PlaneElement, flip_map, require_valid
+from floercone.model import (
+    Generator,
+    KnotComplex,
+    NoFlipFound,
+    PlaneElement,
+    _compose,
+    _flip_terms_of,
+    _maps_equal,
+    _term_map,
+    differential_map,
+    flip_map,
+    require_valid,
+)
 from floercone.subquotient import (
     SubquotientComplex,
     _hat_view,
@@ -974,3 +990,79 @@ def stabilized_cone_plus(c: KnotComplex, s: int) -> ConeResult:
         graded, n = None, stabilize(c, rvh.homology_dim)[1]
     return ConeResult(s, "plus", rvh.homology_dim(n), _induced_rank(ra, rb, rv, n),
                       _induced_rank(ra, rb, rh, n), _induced_rank(ra, rb, rvh, n), graded, n)
+
+
+# ---------------------------------------------------------------------------
+# flip search that checks only full assignments
+
+
+def _sigma_is_chain_map(c: KnotComplex, sigma: dict) -> bool:
+    phi = _term_map(_flip_terms_of(c, sigma))
+    d = differential_map(c)
+    return _maps_equal(_compose(phi, d), _compose(d, phi))
+
+
+def oracle_derive_flip(c: KnotComplex) -> KnotComplex:
+    """The lexicographically first involution flip, by a search that tests
+    phi d = d phi only at the leaves."""
+    require_valid(c)
+    if c.flip is not None:
+        raise ValueError("flip already present")
+    gens = c.generators  # in name order
+    by_name = {g.name: g for g in gens}
+    grade = {g.name: m for g, m in zip(gens, c._int_maslov[1])}
+
+    def candidates(g: Generator) -> list:
+        out = []
+        for h in gens:
+            if h.alexander == -g.alexander and grade[h.name] == grade[g.name] - 2 * g.alexander:
+                out.append(h.name)
+        return out
+
+    sigma: dict[str, str] = {}
+
+    def search() -> bool:
+        free = [g.name for g in gens if g.name not in sigma]
+        if not free:
+            return _sigma_is_chain_map(c, sigma)
+        g = by_name[free[0]]
+        for h in candidates(g):
+            if h != g.name and h in sigma:
+                continue
+            sigma[g.name] = h
+            sigma[h] = g.name
+            if search():
+                return True
+            del sigma[g.name]
+            if h != g.name:
+                del sigma[h]
+        return False
+
+    if not search():
+        raise NoFlipFound(f"no involution flip exists for complex {c.spinc_label!r}")
+    out = replace(c, flip=_flip_terms_of(c, sigma))
+    require_valid(out)
+    return out
+
+
+def oracle_enumerate_flips(c: KnotComplex) -> list:
+    """Every valid flip bijection, by testing each element of the product
+    of the grading candidate lists."""
+    require_valid(c)
+    gens = c.generators  # in name order
+    grade = c._int_maslov[1]
+    pools = []
+    for g, m in zip(gens, grade):
+        pool = [
+            h.name for h, mh in zip(gens, grade)
+            if h.alexander == -g.alexander and mh == m - 2 * g.alexander
+        ]
+        pools.append(pool)
+    found = []
+    for choice in itertools.product(*pools):
+        if len(set(choice)) != len(choice):
+            continue
+        sigma = {g.name: h for g, h in zip(gens, choice)}
+        if _sigma_is_chain_map(c, sigma):
+            found.append(_flip_terms_of(c, sigma))
+    return found
