@@ -36,8 +36,7 @@ def _s_range(text: str):
     parts = text.split("..")
     try:
         if len(parts) == 1:
-            v = int(parts[0])
-            return [v]
+            return [int(parts[0])]
         if len(parts) == 2:
             lo, hi = int(parts[0]), int(parts[1])
             if lo > hi:
@@ -68,7 +67,7 @@ def _red_dims(text: str):
         try:
             grading, count = chunk.strip().split(":")
             out[Fraction(grading)] = int(count)
-        except ValueError:
+        except (ValueError, ZeroDivisionError):
             raise argparse.ArgumentTypeError(
                 f"bad reduced-homology entry {chunk.strip()!r}; use <grading>:<count>")
     return out
@@ -125,12 +124,7 @@ def _print_verdict(args, command: str, verdict, extra: dict | None = None) -> No
 
 
 def _load_entries(paths):
-    out = []
-    for path in paths:
-        doc = load_path(path)
-        for entry in doc.entries:
-            out.append((path, entry))
-    return out
+    return [(path, entry) for path in paths for entry in load_path(path).entries]
 
 
 def cmd_check(args) -> int:
@@ -241,24 +235,22 @@ def cmd_alex(args) -> int:
     return 0
 
 
-def cmd_detect_sphere(args) -> int:
+def _verdict_per_file(args, command: str, obstruction) -> int:
+    """Print obstruction's verdict on the complexes of each file."""
     for path in args.files:
-        doc = load_path(path)
-        verdict = sphere_obstruction(list(doc.complexes))
+        verdict = obstruction(list(load_path(path).complexes))
         if not args.machine and len(args.files) > 1:
             print(f"== {path}")
-        _print_verdict(args, "detect-sphere", verdict, {"file": path})
+        _print_verdict(args, command, verdict, {"file": path})
     return 0
+
+
+def cmd_detect_sphere(args) -> int:
+    return _verdict_per_file(args, "detect-sphere", sphere_obstruction)
 
 
 def cmd_prop0check(args) -> int:
-    for path in args.files:
-        doc = load_path(path)
-        verdict = sphere_necessary_conditions(list(doc.complexes))
-        if not args.machine and len(args.files) > 1:
-            print(f"== {path}")
-        _print_verdict(args, "prop0check", verdict, {"file": path})
-    return 0
+    return _verdict_per_file(args, "prop0check", sphere_necessary_conditions)
 
 
 def cmd_red(args) -> int:

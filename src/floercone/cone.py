@@ -37,7 +37,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from floercone.linalg import F2Matrix, InvariantViolated, _minor_degree_bound, rank_f2
-from floercone.model import KnotComplex, derive_flip, flip_map, require_valid
+from floercone.model import KnotComplex, derive_flip, require_valid
 from floercone.subquotient import (
     FreeReduction,
     FreeUComplex,
@@ -83,10 +83,8 @@ def _v_map(a: FreeUComplex, b: FreeUComplex, precision: int) -> tuple:
 def _h_map(c: KnotComplex, s: int, a: FreeUComplex, b: FreeUComplex, precision: int) -> tuple:
     """h : A_s -> B sends y_g to U^max(0, s - A(g)) x_t per flip target t;
     it lowers gradings by 2s."""
-    index = {g.name: k for k, g in enumerate(c.generators)}
-    phi = flip_map(c)
-    terms = [(k, index[t], max(0, s - g.alexander))
-             for k, g in enumerate(c.generators) for t in phi.get(g.name, ())]
+    gens = c.generators
+    terms = [(x, y, max(0, s - gens[x].alexander)) for x, y, _ in c._index_form[1] or ()]
     return free_chain_map(a, b, terms, -2 * s, precision)
 
 

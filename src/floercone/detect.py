@@ -204,17 +204,11 @@ def alexander_polynomial(c: KnotComplex) -> AlexanderResult:
     by_a: dict[int, list] = {}
     for k, g in enumerate(c.generators):
         by_a.setdefault(g.alexander, []).append(k)
-    index = {g.name: k for k, g in enumerate(c.generators)}
     support = []
     for a_value, members in sorted(by_a.items()):
         local = {k: pos for pos, k in enumerate(members)}
-        entries = []
-        for t in c.differential:
-            if t.u_power != 0:
-                continue
-            src, tgt = index[t.source], index[t.target]
-            if src in local and tgt in local:
-                entries.append((local[tgt], local[src]))
+        entries = [(local[y], local[x]) for x, y, n in c._index_form[0]
+                   if n == 0 and x in local and y in local]
         d = F2Matrix.from_entries(len(members), len(members), entries)
         dim = len(members) - 2 * rank_f2(d)
         if dim % 2:

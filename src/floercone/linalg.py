@@ -307,6 +307,20 @@ def _clmul(a: int, b: int) -> int:
     return acc
 
 
+def _u_product(outer, inner) -> list:
+    """outer o inner, F2[U] maps given by their columns {row: U-power bitmask}."""
+    out = []
+    for col in inner:
+        acc: dict[int, int] = {}
+        for mid, e in col.items():
+            for row, e2 in outer[mid].items():
+                x = acc.pop(row, 0) ^ _clmul(e2, e)
+                if x:
+                    acc[row] = x
+        out.append(acc)
+    return out
+
+
 def _valuation(e: int) -> int:
     return (e & -e).bit_length() - 1
 

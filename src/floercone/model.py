@@ -8,6 +8,12 @@ gradings differ by integers: they all lie in offset + Z for one rational
 offset in [0, 1), and everything below the model runs on the integers
 M - offset (`KnotComplex._int_maslov`).
 
+Below the model, d and the flip are read in one index form
+(`KnotComplex._index_form`): each term a (source, target, U-power) triple
+of ints, generator k being the k-th in name order.  A name that a term uses
+but no generator declares is numbered after the generators, in sorted
+order, so a malformed complex still has an index form to validate.
+
 The plane element (g, i) stands for U^{-i} * g.  It sits at lattice
 position (i, i + A(g)) and has Maslov grading M(g) + 2i.  The differential
 acts by translation: a term U^n * h in the differential of g contributes
@@ -16,11 +22,12 @@ acts by translation: a term U^n * h in the differential of g contributes
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
-from floercone.linalg import F2Matrix, rank_f2
+from floercone.linalg import F2Matrix, _mask_bits, _u_product, rank_f2
 
 
 # Entries kept by each of the validate and derive_flip caches; a long batch
@@ -29,6 +36,10 @@ _CACHE_SIZE = 256
 
 # Assigned pairs that derive_flip tries before it gives up.
 _FLIP_SEARCH_NODES = 100_000
+
+# Conjugated by the gradings, a term of d is U^0 or U^1 and one of the flip
+# U^0; validate builds no U-power mask for a term past this bound.
+_GAUGED_POWER_BOUND = 1 << 12
 
 
 class NoFlipFound(Exception):
@@ -159,6 +170,24 @@ class KnotComplex:
         offset = Fraction(*parts.pop()) if parts else Fraction(0)
         return offset, tuple(g.maslov.numerator // g.maslov.denominator for g in self.generators)
 
+    @cached_property
+    def _index_names(self) -> tuple:
+        """Generator names, then the undeclared names that terms use, sorted."""
+        declared = [g.name for g in self.generators]
+        used = {name for t in self.differential + (self.flip or ()) for name in (t.source, t.target)}
+        return tuple(declared + sorted(used - set(declared)))
+
+    @cached_property
+    def _index_form(self) -> tuple:
+        """(d, flip) in the index form: each term, in term order, as a
+        (source, target, U-power) triple of ints; flip is None without a flip."""
+        index = {name: k for k, name in enumerate(self._index_names)}
+
+        def triples(terms) -> tuple:
+            return tuple((index[t.source], index[t.target], t.u_power) for t in terms)
+
+        return triples(self.differential), None if self.flip is None else triples(self.flip)
+
     def names(self) -> tuple:
         return tuple(g.name for g in self.generators)
 
@@ -183,72 +212,46 @@ class KnotComplex:
         return max([0] + [abs(g.alexander) for g in self.generators])
 
 
-def _term_map(terms) -> dict:
-    """(source -> target -> frozenset of U-powers with odd multiplicity)."""
-    acc: dict[str, dict[str, set]] = {}
-    for t in terms:
-        powers = acc.setdefault(t.source, {}).setdefault(t.target, set())
-        if t.u_power in powers:
-            powers.discard(t.u_power)
-        else:
-            powers.add(t.u_power)
-    return {
-        src: {tgt: frozenset(p) for tgt, p in tgts.items() if p}
-        for src, tgts in acc.items()
-    }
-
-
-def _compose(outer: dict, inner: dict) -> dict:
-    """Formal composition of U-power term maps over F2[U, U^-1]."""
-    acc: dict[str, dict[str, set]] = {}
-    for src, mids in inner.items():
-        for mid, inner_powers in mids.items():
-            for tgt, outer_powers in outer.get(mid, {}).items():
-                sink = acc.setdefault(src, {}).setdefault(tgt, set())
-                for p1 in inner_powers:
-                    for p2 in outer_powers:
-                        n = p1 + p2
-                        if n in sink:
-                            sink.discard(n)
-                        else:
-                            sink.add(n)
-    return {
-        src: {tgt: frozenset(p) for tgt, p in tgts.items() if p}
-        for src, tgts in acc.items()
-    }
-
-
-def _maps_equal(a: dict, b: dict) -> bool:
-    keys = set(a) | set(b)
-    for k in keys:
-        ta, tb = a.get(k, {}), b.get(k, {})
-        if set(ta) != set(tb):
-            return False
-        for t in ta:
-            if ta[t] != tb[t]:
-                return False
-    return True
-
-
-def differential_map(c: KnotComplex) -> dict:
-    return _term_map(c.differential)
-
-
-def flip_map(c: KnotComplex) -> dict:
-    return _term_map(c.flip or ())
+def _columns(terms, gauge) -> tuple:
+    """(columns, shift): the map whose terms (col, row, k) put U^k * row in
+    the image of col, conjugated by U^gauge, as columns {row: bitmask}: bit
+    k + gauge[col] - gauge[row] + shift stands for U^k, with the least shift
+    that makes every bit index >= 0.  columns is None when a conjugated
+    power exceeds _GAUGED_POWER_BOUND in size, so no mask gets that long."""
+    terms = [(x, y, k + gauge[x] - gauge[y]) for x, y, k in terms]
+    if any(abs(k) > _GAUGED_POWER_BOUND for _, _, k in terms):
+        return None, 0
+    shift = max([0] + [-k for _, _, k in terms])
+    columns = [{} for _ in gauge]
+    for x, y, k in terms:
+        e = columns[x].pop(y, 0) ^ 1 << k + shift
+        if e:
+            columns[x][y] = e
+    return columns, shift
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
 def validate(c: KnotComplex) -> ValidationReport:
-    """Full structural check; returns every violation found, never raises."""
+    """Full structural check; returns every violation found, never raises.
+
+    A term that names an undeclared generator is listed as
+    unknown-generator, once per undeclared end, and gets no further per-term
+    check.  It still counts in d o d and in phi d = d phi, where the
+    undeclared name acts as one more generator, so their odd terms and a
+    flip-chain-map failure are listed as for any term; flip-not-invertible
+    reads only the flip terms between declared generators.  A term whose
+    U-power, conjugated by the gradings (below), passes _GAUGED_POWER_BOUND
+    always breaks a listed rule; d o d, or phi d = d phi, is then not
+    checked where it reads that term."""
     bad: list[Violation] = []
-    names = [g.name for g in c.generators]
-    by_name = {}
-    for g in c.generators:
-        if g.name in by_name:
+    gens = c.generators
+    size = len(gens)
+    seen_names = set()
+    for g in gens:
+        if g.name in seen_names:
             bad.append(Violation("duplicate-name", g.name, "generator name reused"))
-        by_name[g.name] = g
-    if len(set(names)) != len(names):
+        seen_names.add(g.name)
+    if bad:
         # containers keyed by name are unreliable; stop before deriving more
         return ValidationReport(tuple(bad))
 
@@ -258,56 +261,54 @@ def validate(c: KnotComplex) -> ValidationReport:
             "maslov-offset", "gradings",
             "Maslov gradings of one Spin^c structure must all differ by integers"))
     # the int gradings M - offset; the Maslov checks need them
-    grade = dict(zip(names, split[1])) if split is not None else None
+    grade = split[1] if split is not None else None
+    d, phi = c._index_form
 
-    def known(term, role) -> bool:
-        ok = True
-        for who in (term.source, term.target):
-            if who not in by_name:
-                bad.append(Violation("unknown-generator", f"{role} {term.source}->{term.target}", f"no generator named {who!r}"))
-                ok = False
-        return ok
+    def declared(terms, triples, role):
+        """(label, source, target, x, y, n) per term whose ends are declared,
+        listing unknown ends and repeated terms on the way."""
+        seen = set()
+        for t, (x, y, n) in zip(terms, triples):
+            if x >= size or y >= size:
+                for who, k in ((t.source, x), (t.target, y)):
+                    if k >= size:
+                        bad.append(Violation("unknown-generator", f"{role} {t.source}->{t.target}",
+                                             f"no generator named {who!r}"))
+                continue
+            label = f"{role} {t.source} -> U^{n} {t.target}"
+            if (x, y, n) in seen:
+                bad.append(Violation("duplicate-term", label, "term listed twice"))
+            seen.add((x, y, n))
+            yield label, gens[x], gens[y], x, y, n
 
-    seen_terms = set()
-    for t in c.differential:
-        if not known(t, "d"):
-            continue
-        key = (t.source, t.target, t.u_power)
-        label = f"d {t.source} -> U^{t.u_power} {t.target}"
-        if key in seen_terms:
-            bad.append(Violation("duplicate-term", label, "term listed twice"))
-        seen_terms.add(key)
-        src, tgt = by_name[t.source], by_name[t.target]
-        if t.u_power < 0:
+    for label, src, tgt, x, y, n in declared(c.differential, d, "d"):
+        if n < 0:
             bad.append(Violation("negative-u-power", label, "differential U-powers must be >= 0"))
-        if t.u_power < tgt.alexander - src.alexander:
+        if n < tgt.alexander - src.alexander:
             bad.append(Violation(
                 "filtration", label,
-                f"U-power {t.u_power} < A(target) - A(source) = {tgt.alexander - src.alexander}"))
-        if grade is not None and grade[t.target] - 2 * t.u_power != grade[t.source] - 1:
+                f"U-power {n} < A(target) - A(source) = {tgt.alexander - src.alexander}"))
+        if grade is not None and grade[y] - 2 * n != grade[x] - 1:
             bad.append(Violation(
                 "maslov-drop", label,
-                f"M(target) - 2n = {tgt.maslov - 2 * t.u_power}, expected M(source) - 1 = {src.maslov - 1}"))
+                f"M(target) - 2n = {tgt.maslov - 2 * n}, expected M(source) - 1 = {src.maslov - 1}"))
 
-    d = differential_map(c)
-    dd = _compose(d, d)
-    for src in sorted(dd):
-        for tgt in sorted(dd[src]):
-            for n in sorted(dd[src][tgt]):
-                bad.append(Violation("d-squared", f"{src} -> U^{n} {tgt}", "d o d has this odd term"))
+    names = c._index_names
+    # conjugating by U^(M // 2) on each generator takes every graded term to
+    # U^0 or U^1, so no mask grows with the gradings; neither check changes,
+    # and a reported power is conjugated back
+    gauge = [m // 2 for m in grade] if grade is not None else [0] * size
+    gauge += [0] * (len(names) - size)
+    d_cols, d_shift = _columns(d, gauge)
+    d_squared = [] if d_cols is None else _u_product(d_cols, d_cols)
+    for src, tgt, n in sorted((names[x], names[y], k - 2 * d_shift - gauge[x] + gauge[y])
+                              for x, col in enumerate(d_squared)
+                              for y, e in col.items() for k in _mask_bits(e)):
+        bad.append(Violation("d-squared", f"{src} -> U^{n} {tgt}", "d o d has this odd term"))
 
-    if c.flip is not None:
-        seen_flip = set()
-        for t in c.flip:
-            if not known(t, "flip"):
-                continue
-            key = (t.source, t.target, t.u_power)
-            label = f"flip {t.source} -> U^{t.u_power} {t.target}"
-            if key in seen_flip:
-                bad.append(Violation("duplicate-term", label, "term listed twice"))
-            seen_flip.add(key)
-            src, tgt = by_name[t.source], by_name[t.target]
-            if t.u_power != -src.alexander:
+    if phi is not None:
+        for label, src, tgt, x, y, n in declared(c.flip, phi, "flip"):
+            if n != -src.alexander:
                 bad.append(Violation(
                     "flip-term", label,
                     f"U-power must be -A(source) = {-src.alexander} to exchange coordinates"))
@@ -315,21 +316,18 @@ def validate(c: KnotComplex) -> ValidationReport:
                 bad.append(Violation(
                     "flip-term", label,
                     f"A(target) = {tgt.alexander}, expected -A(source) = {-src.alexander}"))
-            if grade is not None and grade[t.target] != grade[t.source] - 2 * src.alexander:
+            if grade is not None and grade[y] != grade[x] - 2 * src.alexander:
                 bad.append(Violation(
                     "flip-term", label,
                     f"M(target) = {tgt.maslov}, expected M(source) - 2A(source) = {src.maslov - 2 * src.alexander}"))
 
-        phi = flip_map(c)
-        index = {n: k for k, n in enumerate(names)}
-        entries = []
-        for src, tgts in phi.items():
-            for tgt in tgts:
-                entries.append((index[tgt], index[src]))
-        mat = F2Matrix(len(names), len(names), frozenset(entries))
-        if rank_f2(mat) != len(names):
+        entries = [(y, x) for (x, y, _), n in Counter(phi).items()
+                   if n % 2 and x < size and y < size]
+        if rank_f2(F2Matrix(size, size, entries)) != size:
             bad.append(Violation("flip-not-invertible", "flip", "generator matrix of the flip is singular"))
-        if not _maps_equal(_compose(phi, d), _compose(d, phi)):
+        phi_cols, _ = _columns(phi, gauge)
+        if None not in (d_cols, phi_cols) and (
+                _u_product(phi_cols, d_cols) != _u_product(d_cols, phi_cols)):
             bad.append(Violation("flip-chain-map", "flip", "flip does not commute with the differential"))
 
     return ValidationReport(tuple(bad))
@@ -363,12 +361,10 @@ def _flip_problem(c: KnotComplex) -> tuple:
     gens = c.generators
     alex = [g.alexander for g in gens]
     grade = c._int_maslov[1]
-    index = {g.name: k for k, g in enumerate(gens)}
     out = [{} for _ in gens]
     watch = [[k] for k in range(len(gens))]
-    for t in c.differential:
-        x, y = index[t.source], index[t.target]
-        out[x][y] = t.u_power
+    for x, y, n in c._index_form[0]:
+        out[x][y] = n
         watch[y].append(x)
     by_grading: dict[tuple, list] = {}
     for k, (a, m) in enumerate(zip(alex, grade)):
@@ -514,18 +510,11 @@ def lattice_window(c: KnotComplex, i_min: int, i_max: int):
     require_valid(c)
     if i_min > i_max:
         raise ValueError("i_min must not exceed i_max")
-    elements = tuple(
-        PlaneElement(g.name, i)
-        for g in sorted(c.generators, key=lambda g: g.name)
-        for i in range(i_min, i_max + 1)
-    )
-    index = {(e.generator, e.i): k for k, e in enumerate(elements)}
-    entries = []
-    for t in c.differential:
-        for i in range(i_min, i_max + 1):
-            row = index.get((t.target, i - t.u_power))
-            if row is not None:
-                entries.append((row, index[(t.source, i)]))
+    window = range(i_min, i_max + 1)
+    elements = tuple(PlaneElement(g.name, i) for g in c.generators for i in window)
+    # (g_k, i) is elements[k * len(window) + i - i_min]
+    entries = [(y * len(window) + i - n - i_min, x * len(window) + i - i_min)
+               for x, y, n in c._index_form[0] for i in window if i - n in window]
     return elements, F2Matrix.from_entries(len(elements), len(elements), entries)
 
 

@@ -33,7 +33,7 @@ from floercone.linalg import (
     F2Matrix,
     InvariantViolated,
     NotAChainMap,
-    _clmul,
+    _u_product,
     rank_f2,
     smith_pivots_u,
     submatrix,
@@ -125,20 +125,6 @@ def _u_columns(size: int, terms, source_gradings, target_gradings, degree,
     return tuple(columns)
 
 
-def _u_product(outer, inner) -> list:
-    """Product of two F2[U] maps given by their columns."""
-    out = []
-    for col in inner:
-        acc: dict[int, int] = {}
-        for mid, e in col.items():
-            for row, e2 in outer[mid].items():
-                x = acc.pop(row, 0) ^ _clmul(e2, e)
-                if x:
-                    acc[row] = x
-        out.append(acc)
-    return out
-
-
 @dataclass(frozen=True)
 class FreeUComplex:
     """A plus region as a free F2[U]-complex: basis element k is the plane
@@ -158,13 +144,10 @@ def free_plus_complex(c: KnotComplex, s: int | None = None) -> FreeUComplex:
     """B (s None), the region 0 <= i, or A_s, the region 0 <= max(i, j - s):
     lo is 0 or min(0, s - A(g)), and U^n * t in d g is U^(n + lo(t) - lo(g))."""
     require_valid(c)
-    gens = c.generators
-    index = {g.name: k for k, g in enumerate(gens)}
-    lo = tuple(0 if s is None else min(0, s - g.alexander) for g in gens)
+    lo = tuple(0 if s is None else min(0, s - g.alexander) for g in c.generators)
     gradings = tuple(m + 2 * low for m, low in zip(c._int_maslov[1], lo))
-    terms = [(index[t.source], index[t.target],
-              t.u_power + lo[index[t.target]] - lo[index[t.source]]) for t in c.differential]
-    return FreeUComplex(lo, gradings, _u_columns(len(gens), terms, gradings, gradings, -1))
+    terms = [(x, y, n + lo[y] - lo[x]) for x, y, n in c._index_form[0]]
+    return FreeUComplex(lo, gradings, _u_columns(len(lo), terms, gradings, gradings, -1))
 
 
 def free_chain_map(source: FreeUComplex, target: FreeUComplex, terms, degree,

@@ -13,13 +13,14 @@ cycle representatives, instead of the free F2[U] model's Smith pivots,
 those pivots by a scan of every entry per pivot instead of a heap, the
 twisted cone on all of A_s instead of its retract onto H(A_s),
 plus-flavor auto mode by raising the height until two heights agree
-instead of reading every answer off the pivots at a proven precision, and
+instead of reading every answer off the pivots at a proven precision,
 hat-flavor induced ranks (and with them genus and the prop0check clauses)
 by lifting a homology basis to cycles and counting images modulo
 boundaries instead of reading them off cone dimensions by rank-nullity,
-and the flip (and every flip bijection) by a search that checks the
+the flip (and every flip bijection) by a search that checks the
 chain-map condition only on full assignments instead of pruning each
-partial one.
+partial one, and validation on name-keyed term maps composed as dicts of
+U-power sets instead of the index form and the F2[U] product of `linalg`.
 """
 
 from __future__ import annotations
@@ -61,12 +62,9 @@ from floercone.model import (
     KnotComplex,
     NoFlipFound,
     PlaneElement,
-    _compose,
+    ValidationReport,
+    Violation,
     _flip_terms_of,
-    _maps_equal,
-    _term_map,
-    differential_map,
-    flip_map,
     require_valid,
 )
 from floercone.subquotient import (
@@ -990,6 +988,163 @@ def stabilized_cone_plus(c: KnotComplex, s: int) -> ConeResult:
         graded, n = None, stabilize(c, rvh.homology_dim)[1]
     return ConeResult(s, "plus", rvh.homology_dim(n), _induced_rank(ra, rb, rv, n),
                       _induced_rank(ra, rb, rh, n), _induced_rank(ra, rb, rvh, n), graded, n)
+
+
+# ---------------------------------------------------------------------------
+# validation on name-keyed term maps
+
+
+def _term_map(terms) -> dict:
+    """(source -> target -> frozenset of U-powers with odd multiplicity)."""
+    acc: dict[str, dict[str, set]] = {}
+    for t in terms:
+        powers = acc.setdefault(t.source, {}).setdefault(t.target, set())
+        if t.u_power in powers:
+            powers.discard(t.u_power)
+        else:
+            powers.add(t.u_power)
+    return {
+        src: {tgt: frozenset(p) for tgt, p in tgts.items() if p}
+        for src, tgts in acc.items()
+    }
+
+
+def _compose(outer: dict, inner: dict) -> dict:
+    """Formal composition of U-power term maps over F2[U, U^-1]."""
+    acc: dict[str, dict[str, set]] = {}
+    for src, mids in inner.items():
+        for mid, inner_powers in mids.items():
+            for tgt, outer_powers in outer.get(mid, {}).items():
+                sink = acc.setdefault(src, {}).setdefault(tgt, set())
+                for p1 in inner_powers:
+                    for p2 in outer_powers:
+                        n = p1 + p2
+                        if n in sink:
+                            sink.discard(n)
+                        else:
+                            sink.add(n)
+    return {
+        src: {tgt: frozenset(p) for tgt, p in tgts.items() if p}
+        for src, tgts in acc.items()
+    }
+
+
+def _maps_equal(a: dict, b: dict) -> bool:
+    keys = set(a) | set(b)
+    for k in keys:
+        ta, tb = a.get(k, {}), b.get(k, {})
+        if set(ta) != set(tb):
+            return False
+        for t in ta:
+            if ta[t] != tb[t]:
+                return False
+    return True
+
+
+def differential_map(c: KnotComplex) -> dict:
+    return _term_map(c.differential)
+
+
+def flip_map(c: KnotComplex) -> dict:
+    return _term_map(c.flip or ())
+
+
+
+def oracle_validate(c: KnotComplex) -> ValidationReport:
+    """`validate` on name-keyed term maps; raises KeyError on a flip term
+    that names an undeclared generator."""
+    bad: list[Violation] = []
+    names = [g.name for g in c.generators]
+    by_name = {}
+    for g in c.generators:
+        if g.name in by_name:
+            bad.append(Violation("duplicate-name", g.name, "generator name reused"))
+        by_name[g.name] = g
+    if len(set(names)) != len(names):
+        # containers keyed by name are unreliable; stop before deriving more
+        return ValidationReport(tuple(bad))
+
+    split = c._int_maslov
+    if split is None:
+        bad.append(Violation(
+            "maslov-offset", "gradings",
+            "Maslov gradings of one Spin^c structure must all differ by integers"))
+    # the int gradings M - offset; the Maslov checks need them
+    grade = dict(zip(names, split[1])) if split is not None else None
+
+    def known(term, role) -> bool:
+        ok = True
+        for who in (term.source, term.target):
+            if who not in by_name:
+                bad.append(Violation("unknown-generator", f"{role} {term.source}->{term.target}", f"no generator named {who!r}"))
+                ok = False
+        return ok
+
+    seen_terms = set()
+    for t in c.differential:
+        if not known(t, "d"):
+            continue
+        key = (t.source, t.target, t.u_power)
+        label = f"d {t.source} -> U^{t.u_power} {t.target}"
+        if key in seen_terms:
+            bad.append(Violation("duplicate-term", label, "term listed twice"))
+        seen_terms.add(key)
+        src, tgt = by_name[t.source], by_name[t.target]
+        if t.u_power < 0:
+            bad.append(Violation("negative-u-power", label, "differential U-powers must be >= 0"))
+        if t.u_power < tgt.alexander - src.alexander:
+            bad.append(Violation(
+                "filtration", label,
+                f"U-power {t.u_power} < A(target) - A(source) = {tgt.alexander - src.alexander}"))
+        if grade is not None and grade[t.target] - 2 * t.u_power != grade[t.source] - 1:
+            bad.append(Violation(
+                "maslov-drop", label,
+                f"M(target) - 2n = {tgt.maslov - 2 * t.u_power}, expected M(source) - 1 = {src.maslov - 1}"))
+
+    d = differential_map(c)
+    dd = _compose(d, d)
+    for src in sorted(dd):
+        for tgt in sorted(dd[src]):
+            for n in sorted(dd[src][tgt]):
+                bad.append(Violation("d-squared", f"{src} -> U^{n} {tgt}", "d o d has this odd term"))
+
+    if c.flip is not None:
+        seen_flip = set()
+        for t in c.flip:
+            if not known(t, "flip"):
+                continue
+            key = (t.source, t.target, t.u_power)
+            label = f"flip {t.source} -> U^{t.u_power} {t.target}"
+            if key in seen_flip:
+                bad.append(Violation("duplicate-term", label, "term listed twice"))
+            seen_flip.add(key)
+            src, tgt = by_name[t.source], by_name[t.target]
+            if t.u_power != -src.alexander:
+                bad.append(Violation(
+                    "flip-term", label,
+                    f"U-power must be -A(source) = {-src.alexander} to exchange coordinates"))
+            if tgt.alexander != -src.alexander:
+                bad.append(Violation(
+                    "flip-term", label,
+                    f"A(target) = {tgt.alexander}, expected -A(source) = {-src.alexander}"))
+            if grade is not None and grade[t.target] != grade[t.source] - 2 * src.alexander:
+                bad.append(Violation(
+                    "flip-term", label,
+                    f"M(target) = {tgt.maslov}, expected M(source) - 2A(source) = {src.maslov - 2 * src.alexander}"))
+
+        phi = flip_map(c)
+        index = {n: k for k, n in enumerate(names)}
+        entries = []
+        for src, tgts in phi.items():
+            for tgt in tgts:
+                entries.append((index[tgt], index[src]))
+        mat = F2Matrix(len(names), len(names), frozenset(entries))
+        if rank_f2(mat) != len(names):
+            bad.append(Violation("flip-not-invertible", "flip", "generator matrix of the flip is singular"))
+        if not _maps_equal(_compose(phi, d), _compose(d, phi)):
+            bad.append(Violation("flip-chain-map", "flip", "flip does not commute with the differential"))
+
+    return ValidationReport(tuple(bad))
 
 
 # ---------------------------------------------------------------------------

@@ -61,6 +61,32 @@ def test_check_invalid_content(tmp_path, capsys):
     assert code == 2 and "invalid" in err
 
 
+@pytest.mark.parametrize("line", ["flip a : U^0 zz", "flip zz : U^0 a"])
+def test_check_flip_naming_an_undeclared_generator_exit_2(tmp_path, capsys, line):
+    bad = tmp_path / "bad.cfk"
+    bad.write_text(f"complex K spinc=0\ngen a A=0 M=0\n{line}\nend\n")
+    code, out, err = run(capsys, "check", str(bad))
+    assert code == 2 and out == ""
+    assert "[unknown-generator]" in err and "no generator named 'zz'" in err
+
+
+N = 10 ** 12  # a U^N mask would take 125 GB
+
+
+@pytest.mark.parametrize("body, kind", [
+    (f"gen a A=0 M=0\ngen b A=0 M=0\nd a : U^{N} b", "maslov-drop"),
+    (f"gen a A=0 M=0\nflip a : U^{N} a", "flip-term"),
+    (f"gen a A=0 M=0\ngen b A=0 M=0\nflip a : U^-{N} a\nflip b : U^0 b", "flip-term"),
+    (f"gen a A=0 M={2 * N}\nd a : U^0 zz", "unknown-generator"),
+    (f"gen a A=0 M=0\ngen b A=0 M=1/2\nd a : U^{N} b", "maslov-offset"),
+])
+def test_check_ungraded_large_u_power_exit_2(tmp_path, capsys, body, kind):
+    bad = tmp_path / "bad.cfk"
+    bad.write_text(f"complex K spinc=0\n{body}\nend\n")
+    code, out, err = run(capsys, "check", str(bad))
+    assert code == 2 and out == "" and f"[{kind}]" in err
+
+
 def test_parse_error_exit_2(tmp_path, capsys):
     bad = tmp_path / "bad.cfk"
     bad.write_text("complex K spinc=0\ngen a A=oops M=0\nend\n")
@@ -287,6 +313,13 @@ def test_red1_bad_red_argument():
     with pytest.raises(SystemExit) as exc:
         main(["red1", "--red", "nonsense", "--homology-sphere"])
     assert exc.value.code == 2
+
+
+def test_red1_zero_denominator_grading_exit_2(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["red1", "--red", "1/0:1", "--homology-sphere"])
+    assert exc.value.code == 2
+    assert "bad reduced-homology entry '1/0:1'" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,12 @@ with:
 - V_s = (tower grading of B - tower grading of A_s) / 2 satisfies
   V_s >= V_(s+1) >= V_s - 1 and V_(-s) = V_s + s (Rasmussen, "Floer homology
   and knot complements");
+- for a connected sum of L-space knots V_s is the infimal convolution
+  V_s(#K_i) = min over s_1 + ... + s_k = s of sum V_(s_i)(K_i)
+  (Borodzik-Livingston, "Heegaard Floer homology and rational cuspidal
+  curves"), a closed form that costs O(k g^2) however many generators the
+  sum has;
+- the mod-2 Alexander polynomial is multiplicative under connected sum;
 - the genus is additive, and max{|s| : hat total_dim(s) != 0} = g - 1
   (Ozsvath-Szabo, "Holomorphic disks and genus bounds");
 - the hat, plus and Novikov dimensions at s equal those at -s;
@@ -23,7 +29,8 @@ with:
   intersection forms for four-manifolds with boundary").
 
 The slow tier (`pytest -m slow`) runs the V_s rules and the plus cones at
-s = 0 and s = 1 on T(2,11)#T(2,11)#T(2,11), 1,331 generators.
+s = 0 and s = 1 on T(2,11)#T(2,11)#T(2,11), 1,331 generators, and the
+closed form for V_s on T(2,5)^#5 and T(2,7)^#4, 3,125 and 2,401 generators.
 """
 
 from dataclasses import replace
@@ -33,12 +40,14 @@ import pytest
 
 from floercone.cone import _plus_reductions, cone_homology_hat, cone_homology_plus_truncated
 from floercone.detect import (
+    alexander_polynomial,
     genus,
     hf_red_obstruction,
     sphere_necessary_conditions,
     sphere_obstruction,
 )
 from floercone.fixtures import FIGURE8, Y1SIGMA
+from floercone.linalg import LaurentPoly
 from floercone.subquotient import (
     _graded_precision,
     free_plus_complex,
@@ -85,6 +94,51 @@ def big_v(c, s_values) -> dict:
     return {s: Fraction(b - tower(free_plus_complex(c, s)), 2) for s in s_values}
 
 
+def v_of_lspace_sum(exponent_lists, s_values) -> dict:
+    """V_s of the connected sum of the L-space knots with these descending
+    Alexander exponents, by infimal convolution of V_t = t_t (t >= 0) and
+    V_(-t) = V_t + t.  An optimal split has |s_i| <= g_i + 1 for each
+    summand of genus g_i, so a window of one past the total genus is exact."""
+    reach = sum(exponents[0] for exponents in exponent_lists) + 1
+    window = range(-reach, reach + 1)
+
+    def v(exponents, t):
+        return torsion_coefficient(exponents, t) if t >= 0 else torsion_coefficient(exponents, -t) - t
+
+    total = {0: 0}
+    for exponents in exponent_lists:
+        total = {s: min(w + v(exponents, s - a) for a, w in total.items() if abs(s - a) <= reach)
+                 for s in window}
+    return {s: total[s] for s in s_values}
+
+
+def lspace_sum(pqs) -> tuple:
+    """(exponent lists, connected sum) of the torus knots T(p, q)."""
+    exponent_lists = [torus_exponents(*pq) for pq in pqs]
+    first, *rest = map(lspace_staircase, exponent_lists)
+    for other in rest:
+        first = tensor(first, other)
+    return exponent_lists, first
+
+
+def assert_v_is_the_convolution(pqs, generators: int) -> None:
+    exponent_lists, c = lspace_sum(pqs)
+    assert len(c.generators) == generators
+    s_values = range(-c.a_bound() - 1, c.a_bound() + 2)
+    v = big_v(c, s_values)
+    assert v == v_of_lspace_sum(exponent_lists, s_values), pqs
+    assert_v_rules(v)
+
+
+# sums of L-space knots, 125-343 generators
+LSPACE_SUMS = {((2, 5), (2, 5), (2, 5)): 125, ((3, 4), (2, 5), (2, 7)): 175,
+               ((3, 5), (4, 5), (2, 5)): 245, ((2, 7), (2, 7), (2, 7)): 343}
+
+
+def sum_id(pqs) -> str:
+    return "#".join(f"T{p}_{q}" for p, q in pqs)
+
+
 def assert_v_rules(v: dict) -> None:
     for s in v:
         if s + 1 in v:
@@ -111,6 +165,22 @@ def test_v_s_is_the_torsion_coefficient_and_the_plus_cone_is_twice_it():
             if s:
                 for sign in (1, -1):
                     assert cone_homology_plus_truncated(c, sign * s).total_dim == 2 * t, (p, q, s)
+
+
+@pytest.mark.parametrize("pqs", LSPACE_SUMS, ids=sum_id)
+def test_v_s_of_lspace_sums_is_the_infimal_convolution(pqs):
+    assert_v_is_the_convolution(pqs, LSPACE_SUMS[pqs])
+
+
+@pytest.mark.parametrize("pqs", LSPACE_SUMS, ids=sum_id)
+def test_the_alexander_polynomial_is_multiplicative(pqs):
+    exponent_lists, c = lspace_sum(pqs)
+    product = LaurentPoly.one()
+    for exponents in exponent_lists:
+        factor = alexander_polynomial(lspace_staircase(exponents)).polynomial
+        assert factor.support == set(exponents)
+        product = product * factor
+    assert alexander_polynomial(c).polynomial == product
 
 
 def test_v_s_rules_on_sums():
@@ -211,3 +281,10 @@ def test_v_s_rules_and_plus_cones_on_a_1331_generator_sum():
     zero, one = cone_homology_plus_truncated(c, 0), cone_homology_plus_truncated(c, 1)
     assert zero.graded_dims == {-16: 20, -1: 1}
     assert one.total_dim == 66
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("pqs, generators", [(((2, 5),) * 5, 3125), (((2, 7),) * 4, 2401)],
+                         ids=["T2_5^5", "T2_7^4"])
+def test_v_s_of_big_lspace_sums_is_the_infimal_convolution(pqs, generators):
+    assert_v_is_the_convolution(pqs, generators)

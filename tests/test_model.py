@@ -1,6 +1,7 @@
 """Model validation, flip search, and plane-element bookkeeping."""
 
 import os
+import random
 import subprocess
 import sys
 from dataclasses import replace
@@ -28,10 +29,11 @@ from floercone.model import (
     validate,
 )
 
-from corpus import corpus
-from oracles import build_B_hat, plane_maslov
+from corpus import corpus, with_flip
+from oracles import build_B_hat, oracle_validate, plane_maslov
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+BENCH = SRC.parent / "bench"
 
 
 def kinds(c) -> set:
@@ -244,6 +246,85 @@ def test_fuzz_single_field_mutations_caught():
             assert ok == benign, (
                 f"{fixture_name}: mutating {field} of {subject} "
                 f"{'passed' if ok else 'failed'} validation unexpectedly")
+
+
+# ---------------------------------------------------------------------------
+# validate on the index form against the name-keyed oracle
+
+
+def _bench_inputs() -> set:
+    if str(BENCH) not in sys.path:
+        sys.path.insert(0, str(BENCH))
+    import workloads
+
+    return {inp.complex for wl in workloads.every_input() for inp in wl.inputs.values()}
+
+
+def _single_field_mutant(c, rng):
+    """c with one field changed: a generator's A or M, or a term's U-power,
+    source or target, the last two possibly to an undeclared name."""
+    fields = ["gen"] + ["d"] * bool(c.differential) + ["flip"] * bool(c.flip)
+    field = rng.choice(fields)
+    if field == "gen":
+        gens = list(c.generators)
+        k = rng.randrange(len(gens))
+        attr = rng.choice(["alexander", "maslov"])
+        gens[k] = replace(gens[k], **{attr: getattr(gens[k], attr) + rng.choice([-2, -1, 1, 2])})
+        return replace(c, generators=tuple(gens))
+    terms = list(getattr(c, "differential" if field == "d" else "flip"))
+    k = rng.randrange(len(terms))
+    attr = rng.choice(["u_power", "source", "target"])
+    if attr == "u_power":
+        value = terms[k].u_power + rng.choice([-1, 1])
+    else:
+        value = rng.choice([g.name for g in c.generators] + ["zz", "_q", "g"])
+    terms[k] = replace(terms[k], **{attr: value})
+    return replace(c, **{"differential" if field == "d" else "flip": tuple(terms)})
+
+
+def test_validate_equals_the_name_keyed_oracle():
+    """The same violations, in the same order and with the same strings; a
+    flip term with an undeclared end, where the oracle raises, is listed."""
+    cases = set(ALL_FIXTURES) | _bench_inputs()
+    for seed in (1, 2, 3):
+        cases.update(corpus(seed))
+    for bare, flipped in with_flip():
+        cases.update((bare, flipped))
+    rng = random.Random(20261018)
+    ordered = sorted(cases, key=repr)
+    mutants = [_single_field_mutant(c, rng) for c in ordered for _ in range(3) if c.generators]
+    raised = invalid = 0
+    for c in ordered + mutants:
+        try:
+            want = oracle_validate(c)
+        except KeyError:
+            raised += 1
+            assert "unknown-generator" in kinds(c), c
+            continue
+        assert validate(c) == want, c
+        invalid += not want.ok
+    assert raised and invalid
+
+
+def test_validate_builds_no_mask_as_long_as_a_graded_u_power():
+    """U^N with N = 10^12 would be a 125 GB bitmask; the gauge by the
+    gradings keeps every mask a few bits long."""
+    n = 10 ** 12
+    gens = (Generator("a", 0, 0), Generator("b", 0, 2 * n - 1), Generator("c", 0, 4 * n - 2))
+    c = KnotComplex("0", gens, (DiffTerm("a", "b", n), DiffTerm("b", "c", n)))
+    assert [str(v) for v in validate(c).violations] == [
+        f"[d-squared] a -> U^{2 * n} c: d o d has this odd term"]
+    assert validate(c) == oracle_validate(c)
+
+
+def test_the_index_form_numbers_undeclared_names_after_the_generators():
+    c = KnotComplex("0", (Generator("b", 0, 0), Generator("d", 0, -1)),
+                    (DiffTerm("d", "c", 0), DiffTerm("a", "b", 0)),
+                    (FlipTerm("b", "e", 0), FlipTerm("d", "d", 0)))
+    # generators b, d are 0, 1; the undeclared a, c, e follow in sorted order
+    assert c._index_form == (((2, 0, 0), (1, 3, 0)), ((0, 4, 0), (1, 1, 0)))
+    assert [str(v) for v in validate(c).violations if v.kind == "d-squared"] == []
+    assert kinds(c) >= {"unknown-generator", "flip-not-invertible"}
 
 
 # ---------------------------------------------------------------------------
