@@ -22,12 +22,15 @@ induced map f_* off the dimension of its cone, by rank-nullity on the
 long exact sequence (`_rank_nullity`):
 dim H(cone f) = dim H(A) + dim H(B) - 2 rank f_*, so f_* is an
 isomorphism exactly when its cone is acyclic.  The hat flavor (P = 1)
-reads v and h as GF(2) matrices and takes each dimension from one GF(2)
-rank (`_cone_dim`).  In the plus flavor A_s, B and the cones of v, h and
-v + h are each reduced once, and every truncation height is read off the
-pivots.  In auto mode the precision provably exceeds every pivot of the
-cone of v + h, so its towers and blocks U^v, and with them its homology
-at every height, are read off in closed form (`_plus_reductions`,
+builds A_s and B modulo U, reads v and h as GF(2) matrices and takes each
+dimension from one GF(2) rank (`_cone_dim`).  The plus flavor first
+cancels every unit arrow of A_s and of B, which leaves reduced models A'
+and B', with differentials 0 modulo U, and carries v and h over to them
+as p_B f i_A; A', B' and the cones of the three maps on them are each
+reduced once, and every truncation height is read off the pivots.  In
+auto mode the precision provably exceeds every pivot of the cone of
+v + h, so its towers and blocks U^v, and with them its homology at every
+height, are read off in closed form (`_plus_reductions`,
 `cone_homology_plus_truncated`).
 """
 
@@ -43,6 +46,7 @@ from floercone.subquotient import (
     FreeUComplex,
     SubquotientComplex,
     _artifact_cutoff,
+    _check_commutes,
     _graded_precision,
     _hat_view,
     _mod_u,
@@ -51,6 +55,7 @@ from floercone.subquotient import (
     free_plus_complex,
     graded_homology_dims,
     reduce_free,
+    reduced_model,
 )
 
 
@@ -95,8 +100,9 @@ def _hat_map(a: SubquotientComplex, b: SubquotientComplex, f, degree: int) -> Ch
 
 
 def _hat_complexes(c: KnotComplex, s: int) -> tuple:
-    """A_s and B as free F2[U]-complexes, and the same two read modulo U."""
-    a, b = free_plus_complex(c, s), free_plus_complex(c)
+    """A_s and B as free F2[U]-complexes modulo U, and the same two as GF(2)
+    complexes."""
+    a, b = free_plus_complex(c, s, 1), free_plus_complex(c, precision=1)
     return a, b, _hat_view(c, a), _hat_view(c, b)
 
 
@@ -126,7 +132,7 @@ def project_A(c: KnotComplex, s: int, s_prime: int) -> ChainMapF2:
     """
     if s > s_prime:
         raise ValueError("requires s <= s'")
-    a, a_prime = free_plus_complex(c, s), free_plus_complex(c, s_prime)
+    a, a_prime = free_plus_complex(c, s, 1), free_plus_complex(c, s_prime, 1)
     terms = [(k, k, high - low) for k, (low, high) in enumerate(zip(a.lo, a_prime.lo))]
     return _hat_map(_hat_view(c, a), _hat_view(c, a_prime),
                     free_chain_map(a, a_prime, terms, 0, 1), 0)
@@ -193,20 +199,37 @@ def _free_cone(a: FreeUComplex, b: FreeUComplex, f) -> tuple:
 
 
 def _plus_reductions(c: KnotComplex, s: int, precision: int | None = None):
-    """Reductions of A_s, B and the cones of v, h and v + h modulo U^precision;
-    h lowers gradings by 2s, so its cones are graded at s = 0 only.
+    """Reductions of A_s, B and the cones of v, h and v + h modulo U^precision,
+    read off reduced models; h lowers gradings by 2s, so its cones are
+    graded at s = 0 only.
+
+    v and h are built and checked on the full A_s and B.  Then every unit
+    arrow of A_s is cancelled with v and h carried along, and every unit
+    arrow of B with v i_A and h i_A carried along (`reduced_model`).  That
+    leaves A' and B', homotopy equivalent to A_s and B by inclusions i and
+    projections p with p i = 1, and f' = p_B f i_A for f = v, h, checked
+    again to commute with the reduced differentials modulo U^P.  The
+    transfer is exact: i_B f' p_A is homotopic to f, so the cone of f is
+    homotopy equivalent to the cone of i_B f' p_A, and (p_A, p_B) maps that
+    cone to the cone of f' by a homotopy equivalence, p_B i_B being 1.
+    Over F2[U], and modulo any U^P, each reduction on a reduced model has
+    the same pivots U^v with v >= 1 and the same towers as on the full
+    complex, and a unit pivot it lacks would have taken 2(n + 1) from
+    size * (n + 1) in `FreeReduction.homology_dim`: every answer is the
+    same, on complexes of the size of the hat homology.
 
     Without a precision, the cone of v + h is reduced first, at a P one above
     every one of its pivots:
     - s = 0: the cone is graded, and `_graded_precision` bounds its pivots.
     - 0 < |s| <= a_bound: every U-power of v and h is at most 2 a_bound, so
-      the maps are built exactly, modulo U^(2 a_bound + 1).  The m x m cone
+      the maps are built exactly, modulo U^(2 a_bound + 1), and the
+      cancellations are exact, so v' and h' are too.  The m x m cone
       differential D has D^2 = 0, so it has at most m / 2 invariant factors;
       a reduction that finds m / 2 pivots modulo U^P has found them all, each
       below P.  So P is first the cheap grading bound plus |s|, and where that
       finds fewer, the minor-degree bound of `linalg._minor_degree_bound`,
       which is above every invariant factor (if it finds fewer too, the cone
-      has a U-tower).
+      has a U-tower).  Both bounds are taken on the reduced cone.
     - |s| > a_bound: v + h is the identity (s > 0) or the flip (s < 0)
       modulo U, so the cone is acyclic modulo U and every pivot is a unit:
       P = 1, and no U^|s| is written out.
@@ -217,7 +240,11 @@ def _plus_reductions(c: KnotComplex, s: int, precision: int | None = None):
     a, b = free_plus_complex(c, s), free_plus_complex(c)
     far = abs(s) > c.a_bound()
     build = (1 if far else 2 * c.a_bound() + 1) if precision is None else precision
-    v, h = _v_map(a, b, build), _h_map(c, s, a, b, build)
+    maps = _v_map(a, b, build), _h_map(c, s, a, b, build)
+    a, maps, _ = reduced_model(a, out=maps)          # A' and v i_A, h i_A
+    b, _, (v, h) = reduced_model(b, into=maps)       # B' and v', h'
+    for f in (v, h):
+        _check_commutes(f, a, b, build)
     vh = [{r: x for r in cv.keys() | ch.keys() if (x := cv.get(r, 0) ^ ch.get(r, 0))}
           for cv, ch in zip(v, h)]
     (gv, cv), (gh, ch), (gvh, cvh) = (_free_cone(a, b, f) for f in (v, h, vh))

@@ -10,13 +10,16 @@ shifted XORs, products are carry-less, and the set of exponents whose
 coefficient is 1 is again a view derived on request.  The Laurent ring is
 Euclidean once unit powers of T are stripped, which is what the Smith
 reduction and the division steps rely on.  The one elimination kernel over
-GF(2)[U]/U^P is `smith_pivots_u`.
+GF(2)[U]/U^P is `smith_pivots_u`; `cancel_units` runs its column step at
+the unit pivots alone, dropping both ends of each, which shrinks a free
+complex to a homotopy equivalent one with differential 0 modulo U.
 
 No floating point is used anywhere in this module.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 
@@ -325,6 +328,26 @@ def _valuation(e: int) -> int:
     return (e & -e).bit_length() - 1
 
 
+def _cut(x: int, precision: int | None) -> int:
+    """x modulo U^precision (x itself for None); no P-bit mask is built
+    unless x reaches U^P."""
+    return x if precision is None or not x >> precision else x & ((1 << precision) - 1)
+
+
+def _add_multiple(col: dict, pivot_col: dict, q: int, precision: int | None) -> list:
+    """col += q * pivot_col modulo U^precision (exactly for None), in place:
+    the one column step of `smith_pivots_u` and `cancel_units`.  Returns
+    (row, old, new) for each entry it leaves nonzero."""
+    changed = []
+    for r, p in pivot_col.items():
+        old = col.pop(r, 0)
+        x = _cut(old ^ _clmul(p, q), precision)
+        if x:
+            col[r] = x
+            changed.append((r, old, x))
+    return changed
+
+
 def smith_pivots_u(columns, precision: int) -> list[tuple[int, int, int]]:
     """Smith reduction over GF(2)[U] / U^precision; returns (row, col, v) per
     pivot, the invariant factors being the U^v.
@@ -340,12 +363,11 @@ def smith_pivots_u(columns, precision: int) -> list[tuple[int, int, int]]:
     touches only those columns.  Multiplying by the unit u keeps every
     valuation, and each new entry gets a fresh key.
     """
-    full = (1 << precision) - 1
     cols: dict[int, dict[int, int]] = {}
     holders: dict[int, set] = {}
     heap = []
     for c, col in enumerate(columns):
-        cols[c] = kept = {r: x for r, e in col.items() if (x := e & full)}
+        cols[c] = kept = {r: x for r, e in col.items() if (x := _cut(e, precision))}
         for r, x in kept.items():
             holders.setdefault(r, set()).add(c)
             heap.append((_valuation(x), r, c))
@@ -366,18 +388,73 @@ def smith_pivots_u(columns, precision: int) -> list[tuple[int, int, int]]:
                 continue
             if unit != 1:
                 for r2, x in col.items():
-                    col[r2] = _clmul(x, unit) & full
-            q = e >> v
-            for r2, p in pivot_col.items():
-                old = col.pop(r2, 0)
-                x = old ^ _clmul(p, q) & full
-                if x:
-                    col[r2] = x
-                    holders[r2].add(c2)
-                    if (vx := _valuation(x)) != _valuation(old):  # the zero old one is at -1
-                        heappush(heap, (vx, r2, c2))
+                    col[r2] = _cut(_clmul(x, unit), precision)
+            for r2, old, x in _add_multiple(col, pivot_col, e >> v, precision):
+                holders[r2].add(c2)
+                if (vx := _valuation(x)) != _valuation(old):  # the zero old one is at -1
+                    heappush(heap, (vx, r2, c2))
         pivots.append((r, c, v))
     return pivots
+
+
+def cancel_units(columns, size: int) -> tuple[list, list]:
+    """Cancel every unit arrow of a free F2[U]-complex, exactly.
+
+    columns[:size] are the differential of a complex on basis 0..size-1,
+    given as in `smith_pivots_u`.  For each entry 1 at (y, x), the
+    cancellation lemma (Gaussian elimination, Bar-Natan 2007) sets
+    d z += <d z, y> d x for every other column z, with `_add_multiple`, and
+    drops x and y from the basis; the result is homotopy equivalent to the
+    complex.  On a graded complex every entry is a monomial, so a unit is
+    exactly 1, and once none is left the differential is 0 modulo U.  The
+    equivalence is z -> z + <d z, y> x into the complex and
+    w -> w_Z + <w, y> (d x)_Z out of it, Z the basis left.  So
+    - rows at index >= size below the first size columns (a map out of the
+      complex) take the column steps and come out composed with the
+      inclusion, and
+    - the first size rows of columns[size:] (maps into the complex) take
+      them too, but never pivot, and come out composed with the projection.
+
+    Returns the kept basis indices in order, and the kept columns followed
+    by columns[size:], with each row below size renumbered to its place
+    among the kept; rows at index >= size keep their index.
+    """
+    cols: dict[int, dict[int, int]] = {}
+    holders: dict[int, set] = {}
+    units = deque()  # first in, first out: on the sums tried, a third of the steps of a stack
+    for c, col in enumerate(columns):
+        cols[c] = kept = dict(col)
+        for r, x in kept.items():
+            if r < size:
+                holders.setdefault(r, set()).add(c)
+                if x == 1 and c < size and r != c:
+                    units.append((r, c))
+    while units:
+        y, x = units.popleft()
+        pivot_col = cols.get(x)
+        if not pivot_col or pivot_col.get(y) != 1:
+            continue
+        del cols[x], pivot_col[y]
+        cols.pop(y, None)
+        for z in holders.pop(y):
+            col = cols.get(z)
+            e = col and col.pop(y, 0)
+            if not e:
+                continue
+            for r, _, new in _add_multiple(col, pivot_col, e, None):
+                if r < size:
+                    holders[r].add(z)
+                    if new == 1 and z < size and r != z:
+                        units.append((r, z))
+        for z in holders.pop(x, ()):
+            col = cols.get(z)
+            if col:
+                col.pop(x, None)
+    kept = [k for k in range(size) if k in cols]
+    place = {k: i for i, k in enumerate(kept)}
+    out = [{place.get(r, r): e for r, e in cols[c].items()}
+           for c in kept + list(range(size, len(columns)))]
+    return kept, out
 
 
 def _minor_degree_bound(columns, rank: int) -> int:

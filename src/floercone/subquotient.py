@@ -33,7 +33,9 @@ from floercone.linalg import (
     F2Matrix,
     InvariantViolated,
     NotAChainMap,
+    _cut,
     _u_product,
+    cancel_units,
     rank_f2,
     smith_pivots_u,
     submatrix,
@@ -129,25 +131,39 @@ def _u_columns(size: int, terms, source_gradings, target_gradings, degree,
 class FreeUComplex:
     """A plus region as a free F2[U]-complex: basis element k is the plane
     element (g_k, lo[k] + N) at height N, of grading gradings[k] + 2N, and
-    columns[k] maps each row to the U-power bitmask of the differential."""
+    columns[k] maps each row to the U-power bitmask of the differential,
+    exact or, with a precision P, modulo U^P."""
 
     lo: tuple
     gradings: tuple
     columns: tuple
+    precision: int | None = None
 
     def __post_init__(self):
-        if any(_u_product(self.columns, self.columns)):
+        if _nonzero(_u_product(self.columns, self.columns), self.precision):
             raise CompositionNonzero("F2[U] differential does not square to zero")
 
 
-def free_plus_complex(c: KnotComplex, s: int | None = None) -> FreeUComplex:
+def _nonzero(columns, precision: int | None) -> bool:
+    """Whether some column {row: nonzero U-power bitmask} is nonzero modulo
+    U^precision, or at all for None."""
+    if precision is None:
+        return any(columns)
+    return any(_cut(e, precision) for col in columns for e in col.values())
+
+
+def free_plus_complex(c: KnotComplex, s: int | None = None,
+                      precision: int | None = None) -> FreeUComplex:
     """B (s None), the region 0 <= i, or A_s, the region 0 <= max(i, j - s):
-    lo is 0 or min(0, s - A(g)), and U^n * t in d g is U^(n + lo(t) - lo(g))."""
+    lo is 0 or min(0, s - A(g)), and U^n * t in d g is U^(n + lo(t) - lo(g)).
+    With a precision the differential is built modulo U^precision, after
+    every term's grading is checked."""
     require_valid(c)
     lo = tuple(0 if s is None else min(0, s - g.alexander) for g in c.generators)
     gradings = tuple(m + 2 * low for m, low in zip(c._int_maslov[1], lo))
     terms = [(x, y, n + lo[y] - lo[x]) for x, y, n in c._index_form[0]]
-    return FreeUComplex(lo, gradings, _u_columns(len(lo), terms, gradings, gradings, -1))
+    return FreeUComplex(lo, gradings,
+                        _u_columns(len(lo), terms, gradings, gradings, -1, precision), precision)
 
 
 def free_chain_map(source: FreeUComplex, target: FreeUComplex, terms, degree,
@@ -157,11 +173,49 @@ def free_chain_map(source: FreeUComplex, target: FreeUComplex, terms, degree,
     with the differentials; no U^k with k >= precision is written out."""
     f = _u_columns(len(source.gradings), terms, source.gradings, target.gradings, degree,
                    precision)
-    full = (1 << precision) - 1
-    for x, y in zip(_u_product(f, source.columns), _u_product(target.columns, f)):
-        if x != y and any((x.get(r, 0) ^ y.get(r, 0)) & full for r in x.keys() | y.keys()):
-            raise NotAChainMap("F2[U] map does not commute with the differentials")
+    _check_commutes(f, source, target, precision)
     return f
+
+
+def _check_commutes(f, source: FreeUComplex, target: FreeUComplex, precision: int) -> None:
+    """Raise NotAChainMap unless f d = d f modulo U^precision."""
+    differences = [{r: e for r in x.keys() | y.keys() if (e := x.get(r, 0) ^ y.get(r, 0))}
+                   for x, y in zip(_u_product(f, source.columns), _u_product(target.columns, f))
+                   if x != y]
+    if _nonzero(differences, precision):
+        raise NotAChainMap("F2[U] map does not commute with the differentials")
+
+
+def reduced_model(free: FreeUComplex, out=(), into=()) -> tuple:
+    """The complex with every unit arrow cancelled (`linalg.cancel_units`),
+    which is homotopy equivalent to it by an inclusion i and a projection p,
+    with each map f out of it as f i and each map g into it as p g; maps
+    are given by their columns {row: U-power bitmask}, and are exact or
+    modulo a power of U as given."""
+    n = len(free.columns)
+    stride = 1 + max((r for f in out for col in f for r in col), default=-1)
+    # each map out rides below the columns, in rows n + k * stride + r
+    columns = [{**col, **{n + k * stride + r: e for k, fcol in enumerate(fcols)
+                          for r, e in fcol.items()}}
+               for col, *fcols in zip(free.columns, *out)]
+    kept, cols = cancel_units(columns + [col for g in into for col in g], n)
+    m = len(kept)
+    differential, outs = [], [[] for _ in out]
+    for col in cols[:m]:
+        parts = [{} for _ in range(len(out) + 1)]
+        for r, e in col.items():
+            k, row = divmod(r - n, stride) if r >= n else (-1, r)
+            parts[k + 1][row] = e
+        differential.append(parts[0])
+        for f, part in zip(outs, parts[1:]):
+            f.append(part)
+    intos, start = [], m
+    for g in into:  # rows at n and past are no part of p g
+        intos.append([{r: e for r, e in col.items() if r < n} for col in cols[start:start + len(g)]])
+        start += len(g)
+    reduced = FreeUComplex(tuple(free.lo[k] for k in kept), tuple(free.gradings[k] for k in kept),
+                           tuple(differential), free.precision)
+    return reduced, outs, intos
 
 
 def _spanned(blocks) -> dict:

@@ -19,8 +19,10 @@ by lifting a homology basis to cycles and counting images modulo
 boundaries instead of reading them off cone dimensions by rank-nullity,
 the flip (and every flip bijection) by a search that checks the
 chain-map condition only on full assignments instead of pruning each
-partial one, and validation on name-keyed term maps composed as dicts of
-U-power sets instead of the index form and the F2[U] product of `linalg`.
+partial one, validation on name-keyed term maps composed as dicts of
+U-power sets instead of the index form and the F2[U] product of `linalg`,
+and the plus flavor from Smith reductions of the full A_s, B and cones
+instead of the reduced models left once every unit arrow is cancelled.
 """
 
 from __future__ import annotations
@@ -34,10 +36,13 @@ from floercone.cone import (
     ChainMapF2,
     ConeResult,
     _cone_parts,
+    _free_cone,
+    _h_map,
     _hat_complexes,
     _hat_maps,
     _induced_rank,
     _plus_reductions,
+    _v_map,
     ensure_flip,
 )
 from floercone.linalg import (
@@ -69,6 +74,7 @@ from floercone.model import (
 )
 from floercone.subquotient import (
     SubquotientComplex,
+    _graded_precision,
     _hat_view,
     _spanned,
     free_plus_complex,
@@ -988,6 +994,33 @@ def stabilized_cone_plus(c: KnotComplex, s: int) -> ConeResult:
         graded, n = None, stabilize(c, rvh.homology_dim)[1]
     return ConeResult(s, "plus", rvh.homology_dim(n), _induced_rank(ra, rb, rv, n),
                       _induced_rank(ra, rb, rh, n), _induced_rank(ra, rb, rvh, n), graded, n)
+
+
+# ---------------------------------------------------------------------------
+# the plus flavor from five reductions of the full complexes
+
+
+def oracle_plus_reductions(c: KnotComplex, s: int, precision: int | None = None):
+    """Reductions of A_s, B and the cones of v, h and v + h modulo U^precision,
+    on the full complexes, with no unit arrow cancelled first; the precision
+    rules are those of `cone._plus_reductions`, applied to the full cones."""
+    a, b = free_plus_complex(c, s), free_plus_complex(c)
+    far = abs(s) > c.a_bound()
+    build = (1 if far else 2 * c.a_bound() + 1) if precision is None else precision
+    v, h = _v_map(a, b, build), _h_map(c, s, a, b, build)
+    vh = [{r: x for r in cv.keys() | ch.keys() if (x := cv.get(r, 0) ^ ch.get(r, 0))}
+          for cv, ch in zip(v, h)]
+    (gv, cv), (gh, ch), (gvh, cvh) = (_free_cone(a, b, f) for f in (v, h, vh))
+    if precision is None:
+        rvh = reduce_free(gvh, cvh, 1 if far else _graded_precision(gvh) + abs(s), s == 0)
+        if s and not far and 2 * len(rvh.pairs) != len(cvh):
+            rvh = reduce_free(gvh, cvh, _minor_degree_bound(cvh, len(cvh) // 2), False)
+        precision = max([1] + [p for *_, p in rvh.pairs])
+    else:
+        rvh = reduce_free(gvh, cvh, precision, s == 0)
+    return (reduce_free(a.gradings, a.columns, precision),
+            reduce_free(b.gradings, b.columns, precision),
+            reduce_free(gv, cv, precision), reduce_free(gh, ch, precision, s == 0), rvh)
 
 
 # ---------------------------------------------------------------------------

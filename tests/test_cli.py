@@ -190,6 +190,55 @@ def test_an_explicit_truncation_costs_no_memory_linear_in_it():
     ]
 
 
+def library_env() -> dict:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(DATA.parents[1]), env.get("PYTHONPATH")]))
+    return env
+
+
+def peak_rss(*argv) -> int:
+    """The peak resident set of a fresh process running `floercone argv`, as
+    that process reports it (kilobytes on Linux, bytes on macOS)."""
+    code = ("import resource, sys\n"
+            "from floercone.cli import main\n"
+            "status = main(sys.argv[1:])\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)\n"
+            "sys.exit(status)\n")
+    proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True,
+                          env=library_env(), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return int(proc.stderr.split()[-1])
+
+
+def test_an_explicit_truncation_peaks_no_higher_than_a_small_one():
+    """No P-bit mask is built at P = N + 1: --truncation 10^8 peaks within
+    20 % of --truncation 1000 (one int of 10^8 bits is 12.5 MB)."""
+    pytest.importorskip("resource")
+    small, big = (peak_rss("cone", FIGURE8_F, "--flavor", "plus", "--truncation", str(n),
+                           "--s", "-1..1", "--machine") for n in (1000, 10 ** 8))
+    assert big <= 1.2 * small, (small, big)
+
+
+def test_hat_commands_answer_on_a_valid_huge_u_power(tmp_path):
+    """d a : U^(10^12) b is graded, and the hat complexes are built modulo U,
+    so no 10^12-bit power is written out: every hat command answers under
+    a 1 GiB address-space cap."""
+    resource = pytest.importorskip("resource")
+    path = tmp_path / "huge.cfk"
+    path.write_text("complex K spinc=0\ngen a A=0 M=0\ngen b A=0 M=1999999999999\n"
+                    "d a : U^1000000000000 b\nflip a : U^0 a\nflip b : U^0 b\nend\n")
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    for argv, shows in ((["genus"], "genus 0"), (["cone", "--s", "0"], "flavor hat"),
+                        (["prop0check"], "Fires")):
+        proc = subprocess.run([sys.executable, "-m", "floercone.cli", *argv, str(path)],
+                              capture_output=True, text=True, env=library_env(),
+                              preexec_fn=cap, timeout=60)
+        assert proc.returncode == 0 and shows in proc.stdout, (argv, proc.stderr)
+
+
 # ---------------------------------------------------------------------------
 # detectors and reports
 

@@ -108,8 +108,9 @@ def count_builds(monkeypatch) -> Counter:
     """Counts free_plus_complex calls by s (None for B) and free_chain_map calls."""
     built = Counter()
     for module in (subquotient, cone_module):
-        monkeypatch.setattr(module, "free_plus_complex", lambda c, s=None, _f=module.free_plus_complex:
-                            built.update([s]) or _f(c, s))
+        monkeypatch.setattr(module, "free_plus_complex",
+                            lambda c, s=None, precision=None, _f=module.free_plus_complex:
+                            built.update([s]) or _f(c, s, precision))
     monkeypatch.setattr(cone_module, "free_chain_map", lambda *args, _f=cone_module.free_chain_map:
                         built.update(["map"]) or _f(*args))
     return built

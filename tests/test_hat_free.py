@@ -97,8 +97,8 @@ def test_hat_cone_is_the_plus_cone_at_height_0():
 def test_each_cone_builds_A_B_v_and_h_once(monkeypatch):
     calls = []
     for name in ("free_plus_complex", "free_chain_map"):
-        counted = (lambda *args, _f=getattr(cone_module, name), _name=name:
-                   calls.append(_name) or _f(*args))
+        counted = (lambda *args, _f=getattr(cone_module, name), _name=name, **kwargs:
+                   calls.append(_name) or _f(*args, **kwargs))
         monkeypatch.setattr(cone_module, name, counted)
     for build in (cone_homology_hat, build_twisted_cone):
         calls.clear()

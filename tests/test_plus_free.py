@@ -53,6 +53,7 @@ from oracles import (
     maslov_offset,
     minor_gcd_spans,
     oracle_cone_plus,
+    oracle_plus_reductions,
     oracle_reduced_part,
     oracle_smith_pivots_u,
     reduced_part_at,
@@ -187,11 +188,15 @@ def test_a_first_try_below_a_pivot_falls_back_to_the_minor_degree_bound(monkeypa
 
 def test_an_ungraded_reduction_records_no_towers():
     """Away from s = 0 the cone of v + h is ungraded: its unpaired gradings
-    are no towers, and it has no graded module."""
-    rvh = _plus_reductions(TREFOIL, -1, 20)[4]
-    assert (rvh.size, len(rvh.pairs), rvh.towers) == (6, 3, ())
-    with pytest.raises(ValueError):
-        rvh.module(0)
+    are no towers, and it has no graded module.  The full cone has 6
+    generators, the cone on the reduced models 2."""
+    full = oracle_plus_reductions(TREFOIL, -1, 20)[4]
+    reduced = _plus_reductions(TREFOIL, -1, 20)[4]
+    assert (full.size, len(full.pairs), full.towers) == (6, 3, ())
+    assert (reduced.size, len(reduced.pairs), reduced.towers) == (2, 1, ())
+    for rvh in (full, reduced):
+        with pytest.raises(ValueError):
+            rvh.module(0)
 
 
 def test_a_tower_away_from_s_0_is_an_invariant_violation(monkeypatch):
@@ -260,7 +265,9 @@ def test_heap_kernel_matches_the_scan_on_random_matrices():
 
 def test_heap_kernel_matches_the_scan_on_the_plus_reductions(monkeypatch):
     """A_s, B and the cones of v, h and v + h (graded at s = 0, ungraded
-    elsewhere) of the flip-bearing corpus and sums of up to 75 generators."""
+    elsewhere) of the flip-bearing corpus and sums of up to 75 generators,
+    both the full ones of the oracle, of up to 150 columns, and the reduced
+    ones of the library, of up to 12."""
     seen = []
 
     def both(columns, precision):
@@ -272,10 +279,14 @@ def test_heap_kernel_matches_the_scan_on_the_plus_reductions(monkeypatch):
     monkeypatch.setattr(subquotient, "smith_pivots_u", both)
     sums = [tensor(tensor(TREFOIL, FIGURE8), TREFOIL), tensor(staircase(2), staircase(7)),
             tensor(FIGURE8, staircase(7))]
-    for c in [flipped for _, flipped in with_flip()] + sums:
-        for s in range(-2, 3):
-            _plus_reductions(c, s)
-    assert max(seen) == 150
+    largest = []
+    for reductions in (oracle_plus_reductions, _plus_reductions):
+        seen.clear()
+        for c in [flipped for _, flipped in with_flip()] + sums:
+            for s in range(-2, 3):
+                reductions(c, s)
+        largest.append(max(seen))
+    assert largest == [150, 12]
 
 
 # ---------------------------------------------------------------------------
@@ -354,6 +365,37 @@ def test_free_model_checks_survive_python_O():
                          capture_output=True, text=True, timeout=60)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "raised"
+
+
+def test_reduced_model_check_survives_python_O():
+    """The reduced A'_0 of the figure-eight has d y1 = U y0; one more term
+    y0 -> x in v' = p v i breaks v' d = d v' modulo U^P, and the plus cone
+    raises NotAChainMap with the library's asserts stripped."""
+    code = (
+        "import floercone.cone as cone\n"
+        "from floercone.fixtures import FIGURE8\n"
+        "from floercone.linalg import NotAChainMap\n"
+        "assert False, 'asserts are on'\n"
+        "real = cone.reduced_model\n"
+        "def broken(free, out=(), into=()):\n"
+        "    reduced, outs, intos = real(free, out, into)\n"
+        "    if intos:\n"
+        "        v = intos[0]\n"
+        "        v[0] = {**v[0], 0: v[0].get(0, 0) ^ 1}\n"
+        "    return reduced, outs, intos\n"
+        "print(cone.cone_homology_plus_truncated(FIGURE8, 0).total_dim)\n"
+        "cone.reduced_model = broken\n"
+        "try:\n"
+        "    cone.cone_homology_plus_truncated(FIGURE8, 0)\n"
+        "except NotAChainMap:\n"
+        "    print('raised')\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["4", "raised"]
 
 
 # ---------------------------------------------------------------------------
