@@ -8,7 +8,8 @@ three in-process timings of `cone_homology_plus_truncated` in auto mode, after
 the flip is derived and the complex validated, with the answer it gave.
 `--baseline` reads an earlier output (say, of this script run on another
 checkout's `src`), puts its times beside each row as `baseline_s` and
-`speedup`, and exits 1 unless every answer agrees with it.  The JSON goes
+`speedup`, and exits 1 unless some row was run and every row run has an
+answer there that agrees with it.  The JSON goes
 to `--out`, or to standard output.
 """
 
@@ -72,13 +73,20 @@ def main(argv=None) -> int:
         baseline = {(r["input"], r["s"]): r for r in json.loads(args.baseline.read_text())["rows"]}
     out, agree = [], True
     for row in rows(args.max_generators):
-        before = baseline.get((row["input"], row["s"]))
-        if before:
-            row["baseline_s"] = before["seconds"]
-            row["speedup"] = round(before["seconds"] / row["seconds"], 1)
-            agree = agree and before["answer"] == row["answer"]
+        if args.baseline:
+            before = baseline.get((row["input"], row["s"]))
+            if before is None:
+                print(f"no baseline row for {row['input']} at s = {row['s']}", file=sys.stderr)
+                agree = False
+            else:
+                row["baseline_s"] = before["seconds"]
+                row["speedup"] = round(before["seconds"] / row["seconds"], 1)
+                agree = agree and before["answer"] == row["answer"]
         out.append(row)
         print(json.dumps(row, sort_keys=True), file=sys.stderr)
+    if args.baseline and not out:
+        print("no row was run to compare with the baseline", file=sys.stderr)
+        agree = False
     report = json.dumps({"python": platform.python_version(), "machine": platform.machine(),
                          "repeats": REPEATS, "rows": out}, indent=1, sort_keys=True)
     if args.out:
@@ -86,7 +94,7 @@ def main(argv=None) -> int:
     else:
         print(report)
     if not agree:
-        print("an answer differs from the baseline", file=sys.stderr)
+        print("the answers do not match the baseline", file=sys.stderr)
     return 0 if agree else 1
 
 

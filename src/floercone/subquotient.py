@@ -131,25 +131,15 @@ def _u_columns(size: int, terms, source_gradings, target_gradings, degree,
 class FreeUComplex:
     """A plus region as a free F2[U]-complex: basis element k is the plane
     element (g_k, lo[k] + N) at height N, of grading gradings[k] + 2N, and
-    columns[k] maps each row to the U-power bitmask of the differential,
-    exact or, with a precision P, modulo U^P."""
+    columns[k] maps each row to the U-power bitmask of the differential."""
 
     lo: tuple
     gradings: tuple
     columns: tuple
-    precision: int | None = None
 
     def __post_init__(self):
-        if _nonzero(_u_product(self.columns, self.columns), self.precision):
+        if any(_u_product(self.columns, self.columns)):
             raise CompositionNonzero("F2[U] differential does not square to zero")
-
-
-def _nonzero(columns, precision: int | None) -> bool:
-    """Whether some column {row: nonzero U-power bitmask} is nonzero modulo
-    U^precision, or at all for None."""
-    if precision is None:
-        return any(columns)
-    return any(_cut(e, precision) for col in columns for e in col.values())
 
 
 def free_plus_complex(c: KnotComplex, s: int | None = None,
@@ -163,7 +153,7 @@ def free_plus_complex(c: KnotComplex, s: int | None = None,
     gradings = tuple(m + 2 * low for m, low in zip(c._int_maslov[1], lo))
     terms = [(x, y, n + lo[y] - lo[x]) for x, y, n in c._index_form[0]]
     return FreeUComplex(lo, gradings,
-                        _u_columns(len(lo), terms, gradings, gradings, -1, precision), precision)
+                        _u_columns(len(lo), terms, gradings, gradings, -1, precision))
 
 
 def free_chain_map(source: FreeUComplex, target: FreeUComplex, terms, degree,
@@ -182,7 +172,7 @@ def _check_commutes(f, source: FreeUComplex, target: FreeUComplex, precision: in
     differences = [{r: e for r in x.keys() | y.keys() if (e := x.get(r, 0) ^ y.get(r, 0))}
                    for x, y in zip(_u_product(f, source.columns), _u_product(target.columns, f))
                    if x != y]
-    if _nonzero(differences, precision):
+    if any(_cut(e, precision) for col in differences for e in col.values()):
         raise NotAChainMap("F2[U] map does not commute with the differentials")
 
 
@@ -214,7 +204,7 @@ def reduced_model(free: FreeUComplex, out=(), into=()) -> tuple:
         intos.append([{r: e for r, e in col.items() if r < n} for col in cols[start:start + len(g)]])
         start += len(g)
     reduced = FreeUComplex(tuple(free.lo[k] for k in kept), tuple(free.gradings[k] for k in kept),
-                           tuple(differential), free.precision)
+                           tuple(differential))
     return reduced, outs, intos
 
 
