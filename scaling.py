@@ -1,11 +1,12 @@
-"""Time the plus cone at s = 0 and s = 1 on connected sums of torus knots.
+"""Time the plus and hat cones at s = 0 and s = 1 on connected sums of torus knots.
 
     PYTHONPATH=src python scaling.py [--max-generators N] [--baseline FILE] [--out FILE]
 
 The inputs are tensor powers of the staircases T(2, 2k+1) of
 `tests/corpus.py`, from 343 to 3,125 generators.  Each row is the best of
-three in-process timings of `cone_homology_plus_truncated` in auto mode, after
-the flip is derived and the complex validated, with the answer it gave.
+three in-process timings of `cone_homology_plus_truncated` in auto mode or of
+`cone_homology_hat`, after the flip is derived and the complex validated,
+with the answer it gave.
 `--baseline` reads an earlier output (say, of this script run on another
 checkout's `src`), puts its times beside each row as `baseline_s` and
 `speedup`, and exits 1 unless some row was run and every row run has an
@@ -25,12 +26,13 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent / "tests"))
 
 from corpus import staircase, tensor  # noqa: E402
-from floercone.cone import cone_homology_plus_truncated, ensure_flip  # noqa: E402
+from floercone.cone import cone_homology_hat, cone_homology_plus_truncated, ensure_flip  # noqa: E402
 
 REPEATS = 3
 # (name, k, summands): T(2, 2k+1) summed with itself
 INPUTS = (("T(2,7)^#3", 3, 3), ("T(2,11)^#3", 5, 3), ("T(2,13)^#3", 6, 3),
           ("T(2,7)^#4", 3, 4), ("T(2,5)^#5", 2, 5))
+CONES = (("plus", cone_homology_plus_truncated), ("hat", cone_homology_hat))
 
 
 def tensor_power(k: int, summands: int):
@@ -53,13 +55,14 @@ def rows(max_generators: int):
             continue
         c = ensure_flip(tensor_power(k, summands))
         for s in (0, 1):
-            times = []
-            for _ in range(REPEATS):
-                start = time.perf_counter()
-                result = cone_homology_plus_truncated(c, s)
-                times.append(time.perf_counter() - start)
-            yield {"input": name, "generators": len(c.generators), "s": s,
-                   "seconds": round(min(times), 4), "answer": answer(result)}
+            for flavor, cone in CONES:
+                times = []
+                for _ in range(REPEATS):
+                    start = time.perf_counter()
+                    result = cone(c, s)
+                    times.append(time.perf_counter() - start)
+                yield {"input": name, "generators": len(c.generators), "flavor": flavor, "s": s,
+                       "seconds": round(min(times), 4), "answer": answer(result)}
 
 
 def main(argv=None) -> int:
@@ -70,13 +73,16 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     baseline = {}
     if args.baseline:
-        baseline = {(r["input"], r["s"]): r for r in json.loads(args.baseline.read_text())["rows"]}
+        # a row with no flavor comes from a run that timed the plus cone alone
+        baseline = {(r["input"], r.get("flavor", "plus"), r["s"]): r
+                    for r in json.loads(args.baseline.read_text())["rows"]}
     out, agree = [], True
     for row in rows(args.max_generators):
         if args.baseline:
-            before = baseline.get((row["input"], row["s"]))
+            before = baseline.get((row["input"], row["flavor"], row["s"]))
             if before is None:
-                print(f"no baseline row for {row['input']} at s = {row['s']}", file=sys.stderr)
+                print(f"no baseline row for the {row['flavor']} cone on {row['input']} "
+                      f"at s = {row['s']}", file=sys.stderr)
                 agree = False
             else:
                 row["baseline_s"] = before["seconds"]

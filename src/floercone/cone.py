@@ -14,24 +14,24 @@ total dimension is well defined without extra normalization.  The cones
 run on the int gradings M - offset of `subquotient`, and a graded answer
 gets the offset back when it is reported.
 
-Both flavors start from one construction: v and h are F2[U] maps
-between the free models of A_s and B (see `subquotient`), built and
-checked once modulo U^P, P the precision, so that no U^|s| is written
-out and every builder stays bounded in |s|.  Both read the rank of each
-induced map f_* off the dimension of its cone, by rank-nullity on the
-long exact sequence (`_rank_nullity`):
-dim H(cone f) = dim H(A) + dim H(B) - 2 rank f_*, so f_* is an
-isomorphism exactly when its cone is acyclic.  The hat flavor (P = 1)
-builds A_s and B modulo U, reads v and h as GF(2) matrices and takes each
-dimension from one GF(2) rank (`_cone_dim`).  The plus flavor first
-cancels every unit arrow of A_s and of B, which leaves reduced models A'
-and B', with differentials 0 modulo U, and carries v and h over to them
-as p_B f i_A; A', B' and the cones of the three maps on them are each
-reduced once, and every truncation height is read off the pivots.  In
-auto mode the precision provably exceeds every pivot of the cone of
-v + h, so its towers and blocks U^v, and with them its homology at every
-height, are read off in closed form (`_plus_reductions`,
-`cone_homology_plus_truncated`).
+Both flavors start from one construction (`_reduced_maps`): v and h are
+F2[U] maps between the free models of A_s and B (see `subquotient`),
+built and checked once modulo U^P, P the precision, so that no U^|s| is
+written out and every builder stays bounded in |s|.  Then every unit
+arrow of A_s and of B is cancelled, which leaves reduced models A' and
+B', with differentials 0 modulo U, and v and h are carried over to them
+as f' = p_B f i_A.  The hat flavor (P = 1, A_s and B built modulo U)
+reads its answers off A', B' and f' modulo U: dim H(A_s) = |A'|,
+dim H(B) = |B'|, and rank f_* is the GF(2) rank of f' modulo U, so the
+cone of v + h has dimension |A'| + |B'| - 2 rank (v + h)_*, taken per
+grading at s = 0.  The plus flavor reduces A', B' and the cones of the
+three maps on them once each, reads the rank of each induced map off the
+dimension of its cone by rank-nullity on the long exact sequence
+(`_rank_nullity`), dim H(cone f) = dim H(A) + dim H(B) - 2 rank f_*, and
+reads every truncation height off the pivots.  In auto mode the precision
+provably exceeds every pivot of the cone of v + h, so its towers and
+blocks U^v, and with them its homology at every height, are read off in
+closed form (`_plus_reductions`, `cone_homology_plus_truncated`).
 """
 
 from __future__ import annotations
@@ -53,7 +53,6 @@ from floercone.subquotient import (
     _reported,
     free_chain_map,
     free_plus_complex,
-    graded_homology_dims,
     reduce_free,
     reduced_model,
 )
@@ -158,36 +157,67 @@ def _rank_nullity(ha: int, hb: int, cone_dim: int) -> int:
     return twice // 2
 
 
-def _cone_parts(a: SubquotientComplex, b: SubquotientComplex, f: F2Matrix):
-    """Total differential and gradings of the cone of f : a -> b."""
+def _cone_dim(a: SubquotientComplex, b: SubquotientComplex, f: F2Matrix) -> int:
+    """dim H(cone f) for f : a -> b; zero exactly when f_* is an isomorphism."""
     na, n = a.dim, a.dim + b.dim
     columns = [da | fm << na for da, fm in zip(a.differential.column_masks(), f.column_masks())]
     columns += [db << na for db in b.differential.column_masks()]
-    total = F2Matrix._from_masks(n, n, tuple(columns))
-    maslovs = list(a.maslov) + [m - 1 for m in b.maslov]
-    return total, maslovs
+    return n - 2 * rank_f2(F2Matrix._from_masks(n, n, tuple(columns)))
 
 
-def _cone_dim(a: SubquotientComplex, b: SubquotientComplex, f: F2Matrix) -> int:
-    """dim H(cone f) for f : a -> b; zero exactly when f_* is an isomorphism."""
-    return a.dim + b.dim - 2 * rank_f2(_cone_parts(a, b, f)[0])
+def _reduced_maps(c: KnotComplex, s: int, precision: int, modulo_u: bool) -> tuple:
+    """A' and B', the reduced models of A_s and B, and the columns of v'
+    and h' between them, modulo U^precision.
+
+    v and h are built and checked on the full A_s and B.  Then every unit
+    arrow of A_s is cancelled with v and h carried along, and every unit
+    arrow of B with v i_A and h i_A carried along (`reduced_model`).  That
+    leaves A' and B', homotopy equivalent to A_s and B by inclusions i and
+    projections p with p i = 1, and f' = p_B f i_A for f = v, h, checked
+    again to commute with the reduced differentials modulo U^precision.
+    With modulo_u, for a caller that reads U^0 alone (precision 1), A_s and
+    B are built modulo U too, so no U-power of their differentials is
+    written out; every differential left is then 0, which is checked.
+    """
+    built = 1 if modulo_u else None
+    a, b = free_plus_complex(c, s, built), free_plus_complex(c, precision=built)
+    maps = _v_map(a, b, precision), _h_map(c, s, a, b, precision)
+    a, maps, _ = reduced_model(a, out=maps)          # A' and v i_A, h i_A
+    b, _, (v, h) = reduced_model(b, into=maps)       # B' and v', h'
+    for f in (v, h):
+        _check_commutes(f, a, b, precision)
+    if modulo_u and (any(a.columns) or any(b.columns)):
+        raise InvariantViolated("a reduced model modulo U keeps a differential")
+    return a, b, v, h
 
 
 def cone_homology_hat(c: KnotComplex, s: int) -> ConeResult:
-    """Homology of the cone of v_s + h_s on the hat subquotients; each rank
-    is read off the dimension of a cone."""
+    """Homology of the cone of v_s + h_s on the hat subquotients, read off
+    the reduced models modulo U (`_reduced_maps`), whose differentials are
+    0: dim H(A_s) = |A'|, dim H(B) = |B'|, rank f_* = rank f' modulo U.
+    At s = 0 the cone holds A'_g and B'_(g+1) at grading g, and the columns
+    of v' + h' at grading g, of rank r_g, land in B'_g, so its homology
+    there has dimension |A'_g| - r_g + |B'_(g+1)| - r_(g+1)."""
     c = ensure_flip(c)
-    v, h = _hat_maps(c, s, _hat_complexes(c, s))
-    a, b = v.source, v.target
-    ha, hb = a.homology_dim(), b.homology_dim()
-    vh = v.matrix.add(h.matrix)
-    dim_v, dim_h, total_dim = (_cone_dim(a, b, f) for f in (v.matrix, h.matrix, vh))
+    a, b, v, h = _reduced_maps(c, s, 1, True)
+    rows = len(b.gradings)
+    v, h = _mod_u(v, rows), _mod_u(h, rows)
+    vh = F2Matrix._from_masks(rows, v.cols, tuple(
+        x ^ y for x, y in zip(v.column_masks(), h.column_masks())))
+    rank_vh = rank_f2(vh)
     graded = None
     if s == 0:
-        total, maslovs = _cone_parts(a, b, vh)
-        graded = _reported(c, graded_homology_dims(maslovs, total))
-    return ConeResult(s, "hat", total_dim, _rank_nullity(ha, hb, dim_v),
-                      _rank_nullity(ha, hb, dim_h), _rank_nullity(ha, hb, total_dim), graded)
+        by_grading: dict = {}
+        for g, mask in zip(a.gradings, vh.column_masks()):
+            by_grading.setdefault(g, []).append(mask)
+        ranks = {g: rank_f2(F2Matrix._from_masks(rows, len(m), tuple(m)))
+                 for g, m in by_grading.items()}
+        dims = Counter(a.gradings) + Counter(g - 1 for g in b.gradings)
+        dims.subtract(ranks)
+        dims.subtract({g - 1: r for g, r in ranks.items()})
+        graded = _reported(c, {g: n for g, n in sorted(dims.items()) if n})
+    return ConeResult(s, "hat", len(a.gradings) + rows - 2 * rank_vh, rank_f2(v), rank_f2(h),
+                      rank_vh, graded)
 
 
 def _free_cone(a: FreeUComplex, b: FreeUComplex, f) -> tuple:
@@ -200,18 +230,13 @@ def _free_cone(a: FreeUComplex, b: FreeUComplex, f) -> tuple:
 
 def _plus_reductions(c: KnotComplex, s: int, precision: int | None = None):
     """Reductions of A_s, B and the cones of v, h and v + h modulo U^precision,
-    read off reduced models; h lowers gradings by 2s, so its cones are
-    graded at s = 0 only.
+    read off reduced models (`_reduced_maps`); h lowers gradings by 2s, so
+    its cones are graded at s = 0 only.
 
-    v and h are built and checked on the full A_s and B.  Then every unit
-    arrow of A_s is cancelled with v and h carried along, and every unit
-    arrow of B with v i_A and h i_A carried along (`reduced_model`).  That
-    leaves A' and B', homotopy equivalent to A_s and B by inclusions i and
-    projections p with p i = 1, and f' = p_B f i_A for f = v, h, checked
-    again to commute with the reduced differentials modulo U^P.  The
-    transfer is exact: i_B f' p_A is homotopic to f, so the cone of f is
-    homotopy equivalent to the cone of i_B f' p_A, and (p_A, p_B) maps that
-    cone to the cone of f' by a homotopy equivalence, p_B i_B being 1.
+    The transfer to A' and B' is exact: i_B f' p_A is homotopic to f, so
+    the cone of f is homotopy equivalent to the cone of i_B f' p_A, and
+    (p_A, p_B) maps that cone to the cone of f' by a homotopy equivalence,
+    p_B i_B being 1.
     Over F2[U], and modulo any U^P, each reduction on a reduced model has
     the same pivots U^v with v >= 1 and the same towers as on the full
     complex, and a unit pivot it lacks would have taken 2(n + 1) from
@@ -235,16 +260,12 @@ def _plus_reductions(c: KnotComplex, s: int, precision: int | None = None):
       P = 1, and no U^|s| is written out.
     The other four are then reduced modulo U^(n + 1), n + 1 = max(1, largest
     v of that cone): they are read at height n only, where a pivot U^v counts
-    through min(v, n + 1) alone.
+    through min(v, n + 1) alone.  Where every pivot read is a unit, past
+    a_bound in auto mode and at precision 1, A_s and B are built modulo U.
     """
-    a, b = free_plus_complex(c, s), free_plus_complex(c)
     far = abs(s) > c.a_bound()
     build = (1 if far else 2 * c.a_bound() + 1) if precision is None else precision
-    maps = _v_map(a, b, build), _h_map(c, s, a, b, build)
-    a, maps, _ = reduced_model(a, out=maps)          # A' and v i_A, h i_A
-    b, _, (v, h) = reduced_model(b, into=maps)       # B' and v', h'
-    for f in (v, h):
-        _check_commutes(f, a, b, build)
+    a, b, v, h = _reduced_maps(c, s, build, far if precision is None else precision == 1)
     vh = [{r: x for r in cv.keys() | ch.keys() if (x := cv.get(r, 0) ^ ch.get(r, 0))}
           for cv, ch in zip(v, h)]
     (gv, cv), (gh, ch), (gvh, cvh) = (_free_cone(a, b, f) for f in (v, h, vh))

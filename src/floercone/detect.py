@@ -121,7 +121,7 @@ def sphere_necessary_conditions(complexes) -> Verdict:
             maps.append((v, h))
             if s == 0:
                 continue
-            rank = _rank_nullity(dim, dim, _cone_dim(v.source, v.target, v.matrix.add(h.matrix)))
+            rank = _rank_nullity(dim, dim, _cone_dim(v.source, v.target, v.matrix + h.matrix))
             if rank != dim:
                 return Verdict(
                     VerdictKind.DOES_NOT_FIRE,

@@ -211,13 +211,11 @@ class F2Matrix:
     def transpose(self) -> "F2Matrix":
         return F2Matrix._from_masks(self.cols, self.rows, tuple(self.row_masks()))
 
-    def add(self, other: "F2Matrix") -> "F2Matrix":
+    def __add__(self, other: "F2Matrix") -> "F2Matrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch in add")
         return F2Matrix._from_masks(
             self.rows, self.cols, tuple(a ^ b for a, b in zip(self._masks, other._masks)))
-
-    __add__ = add
 
     def mul(self, other: "F2Matrix") -> "F2Matrix":
         """Matrix product self @ other over GF(2)."""
@@ -228,26 +226,6 @@ class F2Matrix:
             self.rows, other.cols, tuple(_combine(mine, om) for om in other._masks))
 
     __matmul__ = mul
-
-
-def submatrix(m: F2Matrix, row_indices, col_indices) -> F2Matrix:
-    """Restriction of m to the given rows and columns, reindexed from 0.
-
-    Indices are distinct; one outside the matrix gives a zero row or column.
-    """
-    masks = m._masks
-    cols = [masks[c] if 0 <= c < m.cols else 0 for c in col_indices]
-    if row_indices == range(m.rows):
-        return F2Matrix._from_masks(m.rows, len(cols), tuple(cols))
-    new_row = {r: i for i, r in enumerate(row_indices)}
-    keep = vector_mask(r for r in new_row if 0 <= r < m.rows)
-    out = []
-    for mask in cols:
-        acc = 0
-        for r in _mask_bits(mask & keep):
-            acc |= 1 << new_row[r]
-        out.append(acc)
-    return F2Matrix._from_masks(len(new_row), len(out), tuple(out))
 
 
 def rank_f2(m: F2Matrix) -> int:

@@ -38,7 +38,6 @@ from floercone.linalg import (
     cancel_units,
     rank_f2,
     smith_pivots_u,
-    submatrix,
 )
 from floercone.model import KnotComplex, PlaneElement, require_valid
 
@@ -75,34 +74,20 @@ class SubquotientComplex:
 
 def _mod_u(columns, rows: int) -> F2Matrix:
     """The U^0 part of an F2[U] map given by its columns {row: U-power bitmask}."""
-    return F2Matrix._from_masks(rows, len(columns), tuple(
-        sum(1 << row for row, e in col.items() if e & 1) for col in columns))
+    masks = []
+    for col in columns:
+        mask = 0
+        for row, e in col.items():
+            if e & 1:
+                mask |= 1 << row
+        masks.append(mask)
+    return F2Matrix._from_masks(rows, len(columns), tuple(masks))
 
 
 def _hat_view(c: KnotComplex, free: FreeUComplex) -> SubquotientComplex:
     """A free complex read modulo U."""
     basis = tuple(PlaneElement(g.name, low) for g, low in zip(c.generators, free.lo))
     return SubquotientComplex(basis, _mod_u(free.columns, len(basis)), free.gradings)
-
-
-# ---------------------------------------------------------------------------
-# Graded homology
-
-
-def graded_homology_dims(maslovs, differential: F2Matrix) -> dict:
-    """Homology dimensions per grading for a grading-homogeneous differential."""
-    by_grading: dict[int, list] = {}
-    for k, m in enumerate(maslovs):
-        by_grading.setdefault(m, []).append(k)
-    # the rank on grading d counts non-cycles there and boundaries at d - 1
-    rows = range(differential.rows)
-    ranks = {d: rank_f2(submatrix(differential, rows, idx)) for d, idx in by_grading.items()}
-    out = {}
-    for d in sorted(by_grading):
-        dim = len(by_grading[d]) - ranks[d] - ranks.get(d + 1, 0)
-        if dim:
-            out[d] = dim
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -182,29 +167,37 @@ def reduced_model(free: FreeUComplex, out=(), into=()) -> tuple:
     with each map f out of it as f i and each map g into it as p g; maps
     are given by their columns {row: U-power bitmask}, and are exact or
     modulo a power of U as given."""
-    n = len(free.columns)
-    stride = 1 + max((r for f in out for col in f for r in col), default=-1)
-    # each map out rides below the columns, in rows n + k * stride + r
-    columns = [{**col, **{n + k * stride + r: e for k, fcol in enumerate(fcols)
-                          for r, e in fcol.items()}}
-               for col, *fcols in zip(free.columns, *out)]
+    n, width = len(free.columns), len(out)
+    columns = list(free.columns)
+    if out:
+        columns = [dict(col) for col in columns]
+        for k, f in enumerate(out):  # map k rides below the columns: row r in row n + r * width + k
+            for col, fcol in zip(columns, f):
+                for r, e in fcol.items():
+                    col[n + r * width + k] = e
     kept, cols = cancel_units(columns + [col for g in into for col in g], n)
     m = len(kept)
-    differential, outs = [], [[] for _ in out]
-    for col in cols[:m]:
-        parts = [{} for _ in range(len(out) + 1)]
-        for r, e in col.items():
-            k, row = divmod(r - n, stride) if r >= n else (-1, r)
-            parts[k + 1][row] = e
-        differential.append(parts[0])
-        for f, part in zip(outs, parts[1:]):
-            f.append(part)
+    differential, outs = cols[:m], [[] for _ in out]
+    if out:  # rows at n and past are the maps out, and no part of p g
+        differential = []
+        for col in cols[:m]:
+            d, parts = {}, [{} for _ in out]
+            for r, e in col.items():
+                if r < n:
+                    d[r] = e
+                else:
+                    row, k = divmod(r - n, width)
+                    parts[k][row] = e
+            differential.append(d)
+            for f, part in zip(outs, parts):
+                f.append(part)
+        cols[m:] = [{r: e for r, e in col.items() if r < n} for col in cols[m:]]
     intos, start = [], m
-    for g in into:  # rows at n and past are no part of p g
-        intos.append([{r: e for r, e in col.items() if r < n} for col in cols[start:start + len(g)]])
+    for g in into:
+        intos.append(cols[start:start + len(g)])
         start += len(g)
-    reduced = FreeUComplex(tuple(free.lo[k] for k in kept), tuple(free.gradings[k] for k in kept),
-                           tuple(differential))
+    reduced = FreeUComplex(tuple([free.lo[k] for k in kept]),
+                           tuple([free.gradings[k] for k in kept]), tuple(differential))
     return reduced, outs, intos
 
 

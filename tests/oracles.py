@@ -17,6 +17,8 @@ instead of reading every answer off the pivots at a proven precision,
 hat-flavor induced ranks (and with them genus and the prop0check clauses)
 by lifting a homology basis to cycles and counting images modulo
 boundaries instead of reading them off cone dimensions by rank-nullity,
+the hat cone from cone dimensions and per-grading ranks on the full A_s
+and B instead of the reduced models,
 the flip (and every flip bijection) by a search that checks the
 chain-map condition only on full assignments instead of pruning each
 partial one, validation on name-keyed term maps composed as dicts of
@@ -35,13 +37,14 @@ from typing import NamedTuple
 from floercone.cone import (
     ChainMapF2,
     ConeResult,
-    _cone_parts,
+    _cone_dim,
     _free_cone,
     _h_map,
     _hat_complexes,
     _hat_maps,
     _induced_rank,
     _plus_reductions,
+    _rank_nullity,
     _v_map,
     ensure_flip,
 )
@@ -54,12 +57,12 @@ from floercone.linalg import (
     NotAChainMap,
     _clmul,
     _combine,
+    _mask_bits,
     _minor_degree_bound,
     kernel_basis_f2,
     rank_f2,
     smith_invariants_laurent,
     smith_pivots_u,
-    submatrix,
     vector_mask,
 )
 from floercone.model import (
@@ -76,6 +79,7 @@ from floercone.subquotient import (
     SubquotientComplex,
     _graded_precision,
     _hat_view,
+    _reported,
     _spanned,
     free_plus_complex,
     reduce_free,
@@ -320,6 +324,73 @@ def oracle_necessary_conditions_witness(complexes) -> dict | None:
             if dim := oracle_twisted_homology(c, s).novikov_dim:
                 return {"clause": "b", "s": s, "spinc": c.spinc_label, "novikov_dim": dim}
     return None
+
+
+# ---------------------------------------------------------------------------
+# the hat cone on the full hat complexes, as `cone_homology_hat` computed it
+# before reading its answers off the reduced models: three cone dimensions
+# by rank-nullity, and per-grading ranks of the cone of v + h at s = 0
+
+
+def submatrix(m: F2Matrix, row_indices, col_indices) -> F2Matrix:
+    """Restriction of m to the given rows and columns, reindexed from 0.
+
+    Indices are distinct; one outside the matrix gives a zero row or column.
+    """
+    masks = m.column_masks()
+    cols = [masks[c] if 0 <= c < m.cols else 0 for c in col_indices]
+    if row_indices == range(m.rows):
+        return F2Matrix._from_masks(m.rows, len(cols), tuple(cols))
+    new_row = {r: i for i, r in enumerate(row_indices)}
+    keep = vector_mask(r for r in new_row if 0 <= r < m.rows)
+    out = []
+    for mask in cols:
+        acc = 0
+        for r in _mask_bits(mask & keep):
+            acc |= 1 << new_row[r]
+        out.append(acc)
+    return F2Matrix._from_masks(len(new_row), len(out), tuple(out))
+
+
+def graded_homology_dims(maslovs, differential: F2Matrix) -> dict:
+    """Homology dimensions per grading for a grading-homogeneous differential."""
+    by_grading: dict = {}
+    for k, m in enumerate(maslovs):
+        by_grading.setdefault(m, []).append(k)
+    # the rank on grading d counts non-cycles there and boundaries at d - 1
+    rows = range(differential.rows)
+    ranks = {d: rank_f2(submatrix(differential, rows, idx)) for d, idx in by_grading.items()}
+    out = {}
+    for d in sorted(by_grading):
+        dim = len(by_grading[d]) - ranks[d] - ranks.get(d + 1, 0)
+        if dim:
+            out[d] = dim
+    return out
+
+
+def cone_parts(a: SubquotientComplex, b: SubquotientComplex, f: F2Matrix):
+    """Total differential and gradings of the cone of f : a -> b."""
+    na, n = a.dim, a.dim + b.dim
+    columns = [da | fm << na for da, fm in zip(a.differential.column_masks(), f.column_masks())]
+    columns += [db << na for db in b.differential.column_masks()]
+    return F2Matrix._from_masks(n, n, tuple(columns)), list(a.maslov) + [m - 1 for m in b.maslov]
+
+
+def oracle_cone_homology_hat(c: KnotComplex, s: int) -> ConeResult:
+    """The hat cone on the full A_s and B modulo U: each rank read off the
+    dimension of a cone, the graded dimensions off per-grading ranks."""
+    c = ensure_flip(c)
+    v, h = hat_maps(c, s)
+    a, b = v.source, v.target
+    ha, hb = a.homology_dim(), b.homology_dim()
+    vh = v.matrix + h.matrix
+    dim_v, dim_h, total_dim = (_cone_dim(a, b, f) for f in (v.matrix, h.matrix, vh))
+    graded = None
+    if s == 0:
+        total, maslovs = cone_parts(a, b, vh)
+        graded = _reported(c, graded_homology_dims(maslovs, total))
+    return ConeResult(s, "hat", total_dim, _rank_nullity(ha, hb, dim_v),
+                      _rank_nullity(ha, hb, dim_h), _rank_nullity(ha, hb, total_dim), graded)
 
 
 # ---------------------------------------------------------------------------
@@ -884,8 +955,8 @@ def oracle_cone_plus(c: KnotComplex, s: int, n: int) -> dict:
                 h_entries.append((bindex[(target, j - s)], col))
     v = make_chain_map(a, b, F2Matrix.from_entries(b.dim, a.dim, v_entries))
     h = make_chain_map(a, b, F2Matrix.from_entries(b.dim, a.dim, h_entries))
-    vh = make_chain_map(a, b, v.matrix.add(h.matrix))
-    total, maslovs = _cone_parts(a, b, vh.matrix)
+    vh = make_chain_map(a, b, v.matrix + h.matrix)
+    total, maslovs = cone_parts(a, b, vh.matrix)
     total_dim = a.dim + b.dim - 2 * rank_f2(total)
     rank_vh = induced_rank(vh)
     assert total_dim == a.homology_dim() + b.homology_dim() - 2 * rank_vh

@@ -109,7 +109,7 @@ def test_criterion_6_random_property_suite():
             tw = twisted_homology_laurent(c, s)
             assert tw.laurent_free_rank == oracle_twisted_homology(c, s).novikov_dim, (c, s)
             cone = oracle_twisted_cone(c, s)
-            untwisted = build_v_hat(c, s).matrix.add(hat_maps(c, s)[1].matrix)
+            untwisted = build_v_hat(c, s).matrix + hat_maps(c, s)[1].matrix
             assert cone.map_matrix.at_one() == untwisted, (c, s)
         for s in range(0, c.a_max() + 1):
             for sp in range(s, c.a_max() + 1):

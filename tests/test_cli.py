@@ -219,24 +219,43 @@ def test_an_explicit_truncation_peaks_no_higher_than_a_small_one():
     assert big <= 1.2 * small, (small, big)
 
 
-def test_hat_commands_answer_on_a_valid_huge_u_power(tmp_path):
-    """d a : U^(10^12) b is graded, and the hat complexes are built modulo U,
-    so no 10^12-bit power is written out: every hat command answers under
-    a 1 GiB address-space cap."""
+HUGE_U_POWER = ("complex K spinc=0\ngen a A=0 M=0\ngen b A=0 M=1999999999999\n"
+                "d a : U^1000000000000 b\nflip a : U^0 a\nflip b : U^0 b\nend\n")
+
+
+def run_capped(argv, path):
+    """The CLI in a child process under a 1 GiB address-space cap."""
     resource = pytest.importorskip("resource")
-    path = tmp_path / "huge.cfk"
-    path.write_text("complex K spinc=0\ngen a A=0 M=0\ngen b A=0 M=1999999999999\n"
-                    "d a : U^1000000000000 b\nflip a : U^0 a\nflip b : U^0 b\nend\n")
 
     def cap():
         resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
+    return subprocess.run([sys.executable, "-m", "floercone.cli", *argv, str(path)],
+                          capture_output=True, text=True, env=library_env(),
+                          preexec_fn=cap, timeout=60)
+
+
+def test_hat_commands_answer_on_a_valid_huge_u_power(tmp_path):
+    """d a : U^(10^12) b is graded, and the hat complexes are built modulo U,
+    so no 10^12-bit power is written out: every hat command answers under
+    a 1 GiB address-space cap."""
+    path = tmp_path / "huge.cfk"
+    path.write_text(HUGE_U_POWER)
     for argv, shows in ((["genus"], "genus 0"), (["cone", "--s", "0"], "flavor hat"),
                         (["prop0check"], "Fires")):
-        proc = subprocess.run([sys.executable, "-m", "floercone.cli", *argv, str(path)],
-                              capture_output=True, text=True, env=library_env(),
-                              preexec_fn=cap, timeout=60)
+        proc = run_capped(argv, path)
         assert proc.returncode == 0 and shows in proc.stdout, (argv, proc.stderr)
+
+
+def test_plus_commands_reading_U0_alone_answer_on_a_valid_huge_u_power(tmp_path):
+    """Height 0, and auto mode past a_bound (P = 1), read only U^0, so the
+    plus flavor builds A_s and B modulo U too and answers under the cap."""
+    path = tmp_path / "huge.cfk"
+    path.write_text(HUGE_U_POWER)
+    for argv in (["cone", "--flavor", "plus", "--truncation", "0", "--s", "0"],
+                 ["cone", "--flavor", "plus", "--s", "1"]):
+        proc = run_capped(argv, path)
+        assert proc.returncode == 0 and "flavor plus" in proc.stdout, (argv, proc.stderr)
 
 
 # ---------------------------------------------------------------------------

@@ -43,7 +43,7 @@ def test_trefoil_h0_matrix():
 def test_trefoil_v_plus_h_matrix_rank():
     v = build_v_hat(TREFOIL, 0)
     h = hat_maps(TREFOIL, 0)[1]
-    f = v.matrix.add(h.matrix)
+    f = v.matrix + h.matrix
     assert rank_f2(f) == 1          # matrix rank
     vh = make_chain_map(v.source, v.target, f)
     assert induced_rank(vh) == 0    # induced rank on homology
@@ -82,8 +82,8 @@ def test_zero_map_shift_zero_and_inhomogeneous_none():
     b = build_B_hat(TREFOIL)
     zero = make_chain_map(a, b, F2Matrix.zero(b.dim, a.dim))
     assert zero.maslov_shift == Fraction(0)
-    mixed = make_chain_map(a, a, F2Matrix.identity(a.dim).add(
-        F2Matrix.zero(a.dim, a.dim)))
+    mixed = make_chain_map(a, a, F2Matrix.identity(a.dim)
+                           + F2Matrix.zero(a.dim, a.dim))
     assert mixed.maslov_shift == Fraction(0)  # identity is homogeneous
 
 

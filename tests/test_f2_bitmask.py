@@ -21,10 +21,9 @@ from floercone.linalg import (
     _combine,
     kernel_basis_f2,
     rank_f2,
-    submatrix,
     vector_mask,
 )
-from oracles import _check_nilpotent, dense_rank_f2
+from oracles import _check_nilpotent, dense_rank_f2, submatrix
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -85,10 +84,10 @@ def test_mul_matches_dense():
 def test_add_matches_dense():
     for rng, rows, cols, a in cases(3):
         b = random_dense(rng, rows, cols)
-        total = as_matrix(a, cols).add(as_matrix(b, cols))
+        total = as_matrix(a, cols) + as_matrix(b, cols)
         assert total.entries == frozenset(positions(a) ^ positions(b))
     with pytest.raises(ValueError):
-        F2Matrix.zero(2, 3).add(F2Matrix.zero(3, 2))
+        F2Matrix.zero(2, 3) + F2Matrix.zero(3, 2)
 
 
 def test_apply_matches_dense():
@@ -143,7 +142,7 @@ def test_equality_and_hash_follow_shape_and_masks():
         assert copy.copy(m) == m and pickle.loads(pickle.dumps(m)) == m
         if positions(dense):
             r, c = next(iter(positions(dense)))
-            other = m.add(F2Matrix(rows, cols, {(r, c)}))
+            other = m + F2Matrix(rows, cols, {(r, c)})
             assert other != m
     # same (empty) entries, different shapes
     assert F2Matrix.zero(0, 3) != F2Matrix.zero(3, 0)

@@ -1,7 +1,8 @@
 """The hat flavor as the free F2[U] model read modulo U: its complexes and
-maps against the plane-region oracle, the hat cone as the plus cone at
-height 0, one build of A_s, B, v and h per cone, bounded memory at huge
-|s|, and the checks of the hat path under mutation (also under `python -O`)."""
+maps against the plane-region oracle, every hat answer against the cone on
+the full hat complexes, the hat cone as the plus cone at height 0, one
+build of A_s, B, v and h per cone, bounded memory at huge |s|, and the
+checks of the hat path under mutation (also under `python -O`)."""
 
 import os
 import subprocess
@@ -25,12 +26,13 @@ from floercone.fixtures import ALL_FIXTURES, FIGURE8, TREFOIL
 from floercone.linalg import InvariantViolated, NotAChainMap
 from floercone.twisted import build_twisted_cone
 
-from corpus import TWISTED_SUMS, connected_sum, staircase, tensor, with_flip
+from corpus import BIG_SUMS, TWISTED_SUMS, connected_sum, staircase, tensor, with_flip
 from oracles import (
     build_A_hat,
     build_B_hat,
     hat_maps,
     maslov_offset,
+    oracle_cone_homology_hat,
     oracle_genus,
     oracle_hat_parts,
     oracle_hat_ranks,
@@ -84,6 +86,32 @@ def test_ranks_genus_and_verdict_match_lifting_cycles_through_the_region_maps():
             assert verdict.kind is VerdictKind.FIRES, c
         else:
             assert (verdict.kind, verdict.witness) == (VerdictKind.DOES_NOT_FIRE, want), c
+
+
+def assert_hat_equals_the_oracle(c, s_values):
+    for s in s_values:
+        assert cone_homology_hat(c, s) == oracle_cone_homology_hat(c, s), (c.spinc_label, s)
+
+
+def every_s(c) -> range:
+    return range(-c.a_bound() - 1, c.a_bound() + 2)
+
+
+def test_hat_answers_equal_the_full_cone_on_the_fixtures_and_the_corpus():
+    for c in list(ALL_FIXTURES) + [flipped for _, flipped in with_flip()]:
+        assert_hat_equals_the_oracle(c, every_s(c))
+
+
+@pytest.mark.parametrize("name", TWISTED_SUMS + BIG_SUMS)
+def test_hat_answers_equal_the_full_cone_on_the_sums(name):
+    c = connected_sum(name)
+    assert_hat_equals_the_oracle(c, every_s(c))
+
+
+@pytest.mark.slow
+def test_hat_answers_equal_the_full_cone_on_a_1331_generator_sum():
+    k = staircase(5)
+    assert_hat_equals_the_oracle(tensor(tensor(k, k), k), (-1, 0, 1, 5))
 
 
 def test_hat_cone_is_the_plus_cone_at_height_0():

@@ -18,7 +18,6 @@ from floercone.linalg import (
     rank_f2,
     smith_invariants_laurent,
     smith_pivots_u,
-    submatrix,
     vector_mask,
 )
 
@@ -31,6 +30,7 @@ from oracles import (
     dense_rank_gf256,
     minor_gcd_spans,
     rank_f2_modulo,
+    submatrix,
 )
 
 

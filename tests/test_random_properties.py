@@ -78,7 +78,7 @@ def test_twisted_map_at_one_is_untwisted_map():
             cone = oracle_twisted_cone(c, s)
             v = build_v_hat(c, s)
             h = hat_maps(c, s)[1]
-            assert cone.map_matrix.at_one() == v.matrix.add(h.matrix), (c, s)
+            assert cone.map_matrix.at_one() == v.matrix + h.matrix, (c, s)
 
 
 def test_projection_factors_v_maps():

@@ -8,7 +8,7 @@ import pytest
 from floercone.fixtures import ALL_FIXTURES, FIGURE8, TREFOIL, TREFOIL_L, UNKNOT, Y1SIGMA
 from floercone.linalg import F2Matrix, rank_f2
 from floercone.model import Generator, KnotComplex
-from floercone.subquotient import graded_homology_dims, hf_red_graded
+from floercone.subquotient import hf_red_graded
 
 from oracles import (
     GradedUModule,
@@ -18,6 +18,7 @@ from oracles import (
     build_plus_truncated,
     default_truncation,
     dense_rank_f2,
+    graded_homology_dims,
     reduced_part_at,
     stabilize,
     truncation_cap,

@@ -65,7 +65,7 @@ def test_specialization_at_one_recovers_untwisted():
             cone = oracle_twisted_cone(flipped, s)
             v = build_v_hat(flipped, s)
             h = hat_maps(flipped, s)[1]
-            assert cone.map_matrix.at_one() == v.matrix.add(h.matrix), (c.spinc_label, s)
+            assert cone.map_matrix.at_one() == v.matrix + h.matrix, (c.spinc_label, s)
 
 
 def test_the_map_is_v_plus_T_h_on_cycles_lifting_a_homology_basis():
@@ -79,7 +79,7 @@ def test_the_map_is_v_plus_T_h_on_cycles_lifting_a_homology_basis():
             assert len(cycles) == a.homology_dim() == rank_f2_modulo(
                 cycles, a.differential.column_masks()), (c, s)
             lift = F2Matrix._from_masks(a.dim, len(cycles), cycles)
-            assert cone.map_matrix.at_one() == v.matrix.add(h.matrix).mul(lift), (c, s)
+            assert cone.map_matrix.at_one() == (v.matrix + h.matrix).mul(lift), (c, s)
 
 
 def twisted_sum_inputs():
