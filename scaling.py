@@ -1,12 +1,12 @@
-"""Time the plus and hat cones at s = 0 and s = 1 on connected sums of torus knots.
+"""Time the plus, hat and twisted cones at s = 0 and s = 1 on connected sums of torus knots.
 
     PYTHONPATH=src python scaling.py [--max-generators N] [--baseline FILE] [--out FILE]
 
 The inputs are tensor powers of the staircases T(2, 2k+1) of
 `tests/corpus.py`, from 343 to 3,125 generators.  Each row is the best of
-three in-process timings of `cone_homology_plus_truncated` in auto mode or of
-`cone_homology_hat`, after the flip is derived and the complex validated,
-with the answer it gave.
+three in-process timings of `cone_homology_plus_truncated` in auto mode, of
+`cone_homology_hat` or of `twisted_homology_laurent`, after the flip is
+derived and the complex validated, with the answer it gave.
 `--baseline` reads an earlier output (say, of this script run on another
 checkout's `src`), puts its times beside each row as `baseline_s` and
 `speedup`, and exits 1 unless some row was run and every row run has an
@@ -27,12 +27,14 @@ sys.path.insert(0, str(Path(__file__).resolve().parent / "tests"))
 
 from corpus import staircase, tensor  # noqa: E402
 from floercone.cone import cone_homology_hat, cone_homology_plus_truncated, ensure_flip  # noqa: E402
+from floercone.twisted import TwistedConeResult, twisted_homology_laurent  # noqa: E402
 
 REPEATS = 3
 # (name, k, summands): T(2, 2k+1) summed with itself
 INPUTS = (("T(2,7)^#3", 3, 3), ("T(2,11)^#3", 5, 3), ("T(2,13)^#3", 6, 3),
           ("T(2,7)^#4", 3, 4), ("T(2,5)^#5", 2, 5))
-CONES = (("plus", cone_homology_plus_truncated), ("hat", cone_homology_hat))
+CONES = (("plus", cone_homology_plus_truncated), ("hat", cone_homology_hat),
+         ("twisted", twisted_homology_laurent))
 
 
 def tensor_power(k: int, summands: int):
@@ -43,6 +45,9 @@ def tensor_power(k: int, summands: int):
 
 
 def answer(result) -> dict:
+    if isinstance(result, TwistedConeResult):
+        return {"laurent_free_rank": result.laurent_free_rank,
+                "torsion_factors": [str(p) for p in result.torsion_factors]}
     graded = result.graded_dims
     return {"total_dim": result.total_dim, "rank_v": result.rank_v, "rank_h": result.rank_h,
             "rank_v_plus_h": result.rank_v_plus_h, "truncation": result.truncation,

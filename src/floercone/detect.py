@@ -99,7 +99,11 @@ def sphere_necessary_conditions(complexes) -> Verdict:
 
     Fires when all hold over every supplied complex; the witness of a
     failure is the first violated clause in the scan (cheapest first
-    within each s).
+    within each s).  Clause (b) is evaluated at s = 0 alone: for s != 0
+    the Novikov dimension is the dimension of the hat cone of v + h (see
+    `twisted`), which, given (c), is 2 (dim H(A_s) - rank (v + h)_*), and
+    is 0 exactly when (a) holds; (a) runs first, so (b) could never decide
+    a verdict there.
     """
     complexes, bound = _prepare(complexes)
     for s in _s_scan(bound):
@@ -115,11 +119,17 @@ def sphere_necessary_conditions(complexes) -> Verdict:
                      "dim_A": dim_a, "dim_B": dim_b},
                 )
             built.append((parts, dim_a))
-        maps = []  # clause (a)'s v and h, which clause (b) reuses
         for c, (parts, dim) in zip(complexes, built):
             v, h = _hat_maps(c, s, parts)
-            maps.append((v, h))
             if s == 0:
+                novikov = _cone_homology(_twisted_cone(v, h)).novikov_dim
+                if novikov:
+                    return Verdict(
+                        VerdictKind.DOES_NOT_FIRE,
+                        "0-surgery cannot contain a non-separating two-sphere",
+                        {"clause": "b", "s": s, "spinc": c.spinc_label,
+                         "novikov_dim": novikov},
+                    )
                 continue
             rank = _rank_nullity(dim, dim, _cone_dim(v.source, v.target, v.matrix + h.matrix))
             if rank != dim:
@@ -128,15 +138,6 @@ def sphere_necessary_conditions(complexes) -> Verdict:
                     "0-surgery cannot contain a non-separating two-sphere",
                     {"clause": "a", "s": s, "spinc": c.spinc_label,
                      "rank": rank, "dim_A": dim, "dim_B": dim},
-                )
-        for c, (v, h) in zip(complexes, maps):
-            dim = _cone_homology(_twisted_cone(v, h)).novikov_dim
-            if dim:
-                return Verdict(
-                    VerdictKind.DOES_NOT_FIRE,
-                    "0-surgery cannot contain a non-separating two-sphere",
-                    {"clause": "b", "s": s, "spinc": c.spinc_label,
-                     "novikov_dim": dim},
                 )
     return Verdict(
         VerdictKind.FIRES,

@@ -539,21 +539,6 @@ class LaurentPoly:
             return LaurentPoly._from_mask(b ^ (a << -shift), other._low)
         return _normalized(a ^ b, self._low)
 
-    def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
-        """Carry-less product, one shifted XOR per term of the sparser factor."""
-        a, b = self._mask, other._mask
-        if not a or not b:
-            return _ZERO
-        if a.bit_count() > b.bit_count():
-            a, b = b, a
-        acc = 0
-        while a:
-            bit = a & -a
-            acc ^= b * bit
-            a ^= bit
-        # both constant terms are 1, so the product's is too
-        return LaurentPoly._from_mask(acc, self._low + other._low)
-
     def shifted(self, k: int) -> "LaurentPoly":
         """Multiplication by the unit T^k."""
         if not self._mask:
@@ -609,6 +594,17 @@ def _normalized(mask: int, low: int) -> LaurentPoly:
         return _ZERO
     zeros = (mask & -mask).bit_length() - 1
     return LaurentPoly._from_mask(mask >> zeros, low + zeros)
+
+
+def _laurent_product(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
+    """p q: one carry-less product of the masks, stepping through the sparser;
+    both constant terms are 1, so the product's is too."""
+    a, b = p._mask, q._mask
+    if not a or not b:
+        return _ZERO
+    if a.bit_count() < b.bit_count():
+        a, b = b, a
+    return LaurentPoly._from_mask(_clmul(a, b), p._low + q._low)
 
 
 def laurent_divmod(a: LaurentPoly, b: LaurentPoly) -> tuple[LaurentPoly, LaurentPoly]:
@@ -706,7 +702,7 @@ class LaurentMatrix:
         for (r2, c2), q in other.to_dict().items():
             for r1, p in by_col.get(r2, ()):
                 key = (r1, c2)
-                out[key] = out.get(key, LaurentPoly.zero()) + p * q
+                out[key] = out.get(key, LaurentPoly.zero()) + _laurent_product(p, q)
         return LaurentMatrix.from_dict(self.rows, other.cols, out)
 
     def at_one(self) -> F2Matrix:
@@ -763,7 +759,7 @@ def smith_invariants_laurent(m: LaurentMatrix) -> list[LaurentPoly]:
                 if r2 == r:
                     new = rem
                 else:
-                    new = x * q if old is None else old + x * q
+                    new = _laurent_product(x, q) if old is None else old + _laurent_product(x, q)
                 if new.is_zero:
                     del col[r2]
                     continue
@@ -794,6 +790,6 @@ def smith_invariants_laurent(m: LaurentMatrix) -> list[LaurentPoly]:
             g = a
             while not b.is_zero:
                 g, b = b, laurent_divmod(g, b)[1]
-            a, diagonal[j] = g, laurent_divmod(a * diagonal[j], g)[0]
+            a, diagonal[j] = g, laurent_divmod(_laurent_product(a, diagonal[j]), g)[0]
         diagonal[i] = a
     return [p.unit_normalized() for p in units + diagonal]

@@ -5,7 +5,19 @@ maps of the free models read modulo U (see `cone`); the cone of W
 computes the surgery homology with coefficients twisted by the surgery
 circle class.
 
-The cone is built on the homology of A_s.  A_s has a constant (F2)
+Off s = 0 the twisted cone is the hat cone, and no Laurent cone is built.
+v keeps the grading and h lowers it by 2s; give T degree 2s, and W is
+homogeneous of degree 0, so the cone is a graded complex of free
+L-modules.  For s != 0 every nonzero homogeneous element of L is a
+monomial, hence a unit: L is a graded field, over which every graded
+module is free, so the cone homology has no torsion.  Its free rank is
+then its dimension after T = 1, by universal coefficients with no Tor
+term, and the cone at T = 1 is the hat cone of v + h.  So for s != 0 the
+answer is (`cone_homology_hat(c, s).total_dim`, ()).  At s = 0, T has
+degree 0, the argument says nothing, and torsion occurs: the cone below
+is built and reduced over L there alone.
+
+At s = 0 the cone is built on the homology of A_s.  A_s has a constant (F2)
 differential, so it has a strong deformation retract (i, p, k) onto
 H(A_s), i lifting a basis to cycles (`_homology_cycles`); with the
 identity and k = 0 on B it retracts d_A (+) d_B over L onto H(A_s) (+) B.
@@ -17,7 +29,7 @@ perturbation lemma, and deformations", 2004) transfers it to exactly
 equivalent over L to the cone on all of A_s: the homology over L (free
 rank and torsion) and over the Novikov field is the same.  The entries
 of W i are (v z)_r + T (h z)_r, still 1, T or 1 + T.  The cone on all of
-A_s lives on in `tests/oracles.py`.
+A_s, at every s, lives on in `tests/oracles.py`.
 
 The Novikov dimension: the Novikov field F2((T)) is a field extension of
 Frac(L), so it is flat over L, and tensoring the homology over L with it
@@ -48,7 +60,7 @@ from floercone.linalg import (
     vector_mask,
 )
 from floercone.model import KnotComplex
-from floercone.cone import ChainMapF2, _hat_complexes, _hat_maps, ensure_flip
+from floercone.cone import ChainMapF2, _hat_complexes, _hat_maps, cone_homology_hat, ensure_flip
 
 
 @dataclass(frozen=True)
@@ -115,8 +127,12 @@ def _cone_homology(tc: TwistedCone) -> TwistedConeResult:
 
 
 def twisted_homology_laurent(c: KnotComplex, s: int) -> TwistedConeResult:
-    """Free rank and torsion invariant factors of the twisted cone homology."""
-    return _cone_homology(build_twisted_cone(ensure_flip(c), s))
+    """Free rank and torsion invariant factors of the twisted cone homology:
+    for s != 0 the hat cone's dimension and no torsion (module docstring)."""
+    c = ensure_flip(c)
+    if s:
+        return TwistedConeResult(cone_homology_hat(c, s).total_dim, ())
+    return _cone_homology(build_twisted_cone(c, s))
 
 
 def novikov_dim(c: KnotComplex, s: int) -> int:

@@ -679,6 +679,12 @@ def _poly_add(a: dict, b: dict) -> dict:
     return out
 
 
+def laurent_product(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
+    """p q from the exponent sets, one term per pair of exponents, where the
+    library multiplies the masks."""
+    return LaurentPoly.from_exponents(a + b for a in p.support for b in q.support)
+
+
 def laurent_det(entries: dict, idx_rows, idx_cols) -> dict:
     """Determinant over GF(2)[T, T^-1] by Laplace expansion on the first row.
 

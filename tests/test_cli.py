@@ -237,12 +237,16 @@ def run_capped(argv, path):
 
 def test_hat_commands_answer_on_a_valid_huge_u_power(tmp_path):
     """d a : U^(10^12) b is graded, and the hat complexes are built modulo U,
-    so no 10^12-bit power is written out: every hat command answers under
-    a 1 GiB address-space cap."""
+    so no 10^12-bit power is written out: every hat command, and every
+    twisted one, which reads the hat cone off s = 0, answers under a 1 GiB
+    address-space cap."""
     path = tmp_path / "huge.cfk"
     path.write_text(HUGE_U_POWER)
     for argv, shows in ((["genus"], "genus 0"), (["cone", "--s", "0"], "flavor hat"),
-                        (["prop0check"], "Fires")):
+                        (["prop0check"], "Fires"),
+                        (["cone", "--twisted", "--s", "-1..1"],
+                         "1 + T; 1 + T\n    1        0          0  -"),
+                        (["detect-sphere"], "DoesNotFire")):
         proc = run_capped(argv, path)
         assert proc.returncode == 0 and shows in proc.stdout, (argv, proc.stderr)
 

@@ -234,3 +234,40 @@ def test_hat_path_checks_survive_python_O():
                          capture_output=True, text=True, timeout=60)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "raised"
+
+
+def test_reduced_differential_check_survives_python_O():
+    """Reading U^0 alone, `_reduced_maps` checks that no differential is left
+    on A' and B' and then needs no chain-map check on v' and h'.  A unit
+    arrow left on the reduced A'_1 of Y1SIGMA is still caught, with the
+    library's asserts stripped, by the hat cone and by the twisted group off
+    s = 0, which is read off it."""
+    code = (
+        "import floercone.cone as cone\n"
+        "from floercone.fixtures import Y1SIGMA\n"
+        "from floercone.linalg import InvariantViolated\n"
+        "from floercone.subquotient import FreeUComplex\n"
+        "from floercone.twisted import twisted_homology_laurent\n"
+        "assert False, 'asserts are on'\n"
+        "real = cone.reduced_model\n"
+        "def broken(free, out=(), into=()):\n"
+        "    reduced, outs, intos = real(free, out, into)\n"
+        "    if out:\n"
+        "        columns = (reduced.columns[0], {0: 1}) + reduced.columns[2:]\n"
+        "        reduced = FreeUComplex(reduced.lo, reduced.gradings, columns)\n"
+        "    return reduced, outs, intos\n"
+        "print(cone.cone_homology_hat(Y1SIGMA, 1).total_dim)\n"
+        "cone.reduced_model = broken\n"
+        "for run in (lambda: cone.cone_homology_hat(Y1SIGMA, 1),\n"
+        "            lambda: twisted_homology_laurent(Y1SIGMA, 1)):\n"
+        "    try:\n"
+        "        run()\n"
+        "    except InvariantViolated:\n"
+        "        print('raised')\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["0", "raised", "raised"]

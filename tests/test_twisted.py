@@ -12,12 +12,13 @@ from floercone.cone import FlipMissing, build_v_hat, ensure_flip
 from floercone.fixtures import ALL_FIXTURES, FIGURE8, TREFOIL, TREFOIL_L, UNKNOT, Y1SIGMA
 from floercone.linalg import F2Matrix, LaurentPoly, _combine, laurent_divides
 from floercone.twisted import (
+    TwistedConeResult,
     build_twisted_cone,
     novikov_dim,
     twisted_homology_laurent,
 )
 
-from corpus import BIG_SUMS, TWISTED_SUMS, connected_sum, staircase, with_flip
+from corpus import BIG_SUMS, TWISTED_SUMS, connected_sum, staircase, tensor, with_flip
 from oracles import (
     hat_maps,
     oracle_novikov_dim,
@@ -101,6 +102,34 @@ def test_cone_on_homology_matches_the_cone_on_all_of_A_s_on_the_corpus():
 @pytest.mark.parametrize("c", twisted_sum_inputs())
 def test_cone_on_homology_matches_the_cone_on_all_of_A_s_on_sums(c):
     assert_matches_the_cone_on_all_of_A_s(c)
+
+
+def assert_off_zero_the_twisted_group_is_the_hat_cone(c):
+    """For s != 0, T of degree 2s makes L a graded field, so the cone on all
+    of A_s has no torsion and its free rank is what the library returns."""
+    for s in range(-c.a_bound() - 1, c.a_bound() + 2):
+        if s:
+            want = TwistedConeResult(oracle_twisted_homology(c, s).laurent_free_rank, ())
+            assert twisted_homology_laurent(c, s) == want, (c, s)
+
+
+@pytest.mark.parametrize("seed", range(1, 9))
+def test_off_zero_the_twisted_group_is_the_hat_cone_on_the_corpus(seed):
+    for _, c in with_flip(seed):
+        assert_off_zero_the_twisted_group_is_the_hat_cone(c)
+
+
+@pytest.mark.parametrize("c", twisted_sum_inputs())
+def test_off_zero_the_twisted_group_is_the_hat_cone_on_sums(c):
+    assert_off_zero_the_twisted_group_is_the_hat_cone(ensure_flip(c))
+
+
+@pytest.mark.slow
+def test_off_zero_the_twisted_group_is_the_hat_cone_on_a_1331_generator_sum():
+    k = staircase(5)
+    c = ensure_flip(tensor(tensor(k, k), k))
+    assert len(c.generators) == 1331
+    assert_off_zero_the_twisted_group_is_the_hat_cone(c)
 
 
 NOVIKOV = {
