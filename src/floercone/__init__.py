@@ -17,7 +17,6 @@ from floercone.linalg import (
     LaurentPoly,
     NotAChainMap,
     homology_dim_f2,
-    kernel_basis_f2,
     rank_f2,
     smith_invariants_laurent,
 )
@@ -48,7 +47,6 @@ from floercone.cone import (
 )
 from floercone.twisted import (
     TwistedConeResult,
-    build_twisted_cone,
     novikov_dim,
     twisted_homology_laurent,
 )
@@ -91,7 +89,6 @@ __all__ = [
     "Verdict",
     "VerdictKind",
     "alexander_polynomial",
-    "build_twisted_cone",
     "build_v_hat",
     "cone_homology_hat",
     "cone_homology_plus_truncated",
@@ -101,7 +98,6 @@ __all__ = [
     "hf_red_graded",
     "hf_red_obstruction",
     "homology_dim_f2",
-    "kernel_basis_f2",
     "lattice_window",
     "novikov_dim",
     "project_A",

@@ -31,7 +31,9 @@ dimension of its cone by rank-nullity on the long exact sequence
 reads every truncation height off the pivots.  In auto mode the precision
 provably exceeds every pivot of the cone of v + h, so its towers and
 blocks U^v, and with them its homology at every height, are read off in
-closed form (`_plus_reductions`, `cone_homology_plus_truncated`).
+closed form (`_plus_reductions`, `cone_homology_plus_truncated`).  The
+twisted cone at s = 0 is read off the same A', B', v' and h' modulo U
+(see `twisted`).
 """
 
 from __future__ import annotations
@@ -87,8 +89,10 @@ def _v_map(a: FreeUComplex, b: FreeUComplex, precision: int) -> tuple:
 def _h_map(c: KnotComplex, s: int, a: FreeUComplex, b: FreeUComplex, precision: int) -> tuple:
     """h : A_s -> B sends y_g to U^max(0, s - A(g)) x_t per flip target t;
     it lowers gradings by 2s."""
+    if c.flip is None:
+        raise FlipMissing("complex has no flip map; derive or supply one")
     gens = c.generators
-    terms = [(x, y, max(0, s - gens[x].alexander)) for x, y, _ in c._index_form[1] or ()]
+    terms = [(x, y, max(0, s - gens[x].alexander)) for x, y, _ in c._index_form[1]]
     return free_chain_map(a, b, terms, -2 * s, precision)
 
 
@@ -109,8 +113,6 @@ def _hat_maps(c: KnotComplex, s: int, complexes: tuple) -> tuple:
     """v and h on the complexes of `_hat_complexes(c, s)`: v projects A_s onto
     the i = 0 part of B, h projects it onto the j = s part and carries it to
     B by U^s and the flip."""
-    if c.flip is None:
-        raise FlipMissing("complex has no flip map; derive or supply one")
     a, b, a_hat, b_hat = complexes
     return (_hat_map(a_hat, b_hat, _v_map(a, b, 1), 0),
             _hat_map(a_hat, b_hat, _h_map(c, s, a, b, 1), -2 * s))
@@ -181,7 +183,14 @@ def _reduced_maps(c: KnotComplex, s: int, precision: int, modulo_u: bool) -> tup
     f' d = 0 = d f' holds with no further check.
     """
     built = 1 if modulo_u else None
-    a, b = free_plus_complex(c, s, built), free_plus_complex(c, precision=built)
+    return _reduce_maps(c, s, free_plus_complex(c, s, built),
+                        free_plus_complex(c, precision=built), precision, modulo_u)
+
+
+def _reduce_maps(c: KnotComplex, s: int, a: FreeUComplex, b: FreeUComplex, precision: int,
+                 modulo_u: bool) -> tuple:
+    """The reduce half of `_reduced_maps`, on A_s and B already built (modulo
+    U with modulo_u)."""
     maps = _v_map(a, b, precision), _h_map(c, s, a, b, precision)
     a, maps, _ = reduced_model(a, out=maps)          # A' and v i_A, h i_A
     b, _, (v, h) = reduced_model(b, into=maps)       # B' and v', h'

@@ -21,10 +21,11 @@ from floercone.cone import (
     _hat_complexes,
     _hat_maps,
     _rank_nullity,
+    _reduce_maps,
     build_v_hat,
     ensure_flip,
 )
-from floercone.twisted import _cone_homology, _twisted_cone, novikov_dim
+from floercone.twisted import _pencil_homology, novikov_dim
 
 
 class NotHomologySphere(Exception):
@@ -120,9 +121,8 @@ def sphere_necessary_conditions(complexes) -> Verdict:
                 )
             built.append((parts, dim_a))
         for c, (parts, dim) in zip(complexes, built):
-            v, h = _hat_maps(c, s, parts)
             if s == 0:
-                novikov = _cone_homology(_twisted_cone(v, h)).novikov_dim
+                novikov = _pencil_homology(*_reduce_maps(c, s, *parts[:2], 1, True)).novikov_dim
                 if novikov:
                     return Verdict(
                         VerdictKind.DOES_NOT_FIRE,
@@ -131,6 +131,7 @@ def sphere_necessary_conditions(complexes) -> Verdict:
                          "novikov_dim": novikov},
                     )
                 continue
+            v, h = _hat_maps(c, s, parts)
             rank = _rank_nullity(dim, dim, _cone_dim(v.source, v.target, v.matrix + h.matrix))
             if rank != dim:
                 return Verdict(

@@ -43,29 +43,6 @@ def _mask_bits(mask: int):
         mask ^= low
 
 
-def vector_mask(vec) -> int:
-    """Pack an index set (or iterable of indices) into a bitmask."""
-    out = 0
-    for i in vec:
-        out |= 1 << i
-    return out
-
-
-def _mask_rank(masks) -> int:
-    pivots: dict[int, int] = {}
-    rank = 0
-    for m in masks:
-        while m:
-            lead = m.bit_length() - 1
-            p = pivots.get(lead)
-            if p is None:
-                pivots[lead] = m
-                rank += 1
-                break
-            m ^= p
-    return rank
-
-
 class F2Span:
     """Incremental GF(2) span of bitmask vectors, one stored vector per
     leading bit."""
@@ -229,37 +206,15 @@ class F2Matrix:
 
 
 def rank_f2(m: F2Matrix) -> int:
-    return _mask_rank(m._masks)
+    return rank_f2_span(m._masks)
 
 
 def rank_f2_span(masks) -> int:
     """Rank of the span of the given bitmask vectors."""
-    return _mask_rank(masks)
-
-
-def kernel_basis_f2(m: F2Matrix) -> list[frozenset]:
-    """Basis of ker(m); each vector is the frozenset of coordinates equal to 1.
-
-    Deterministic: columns are processed left to right, so the basis is
-    ordered by the leading (rightmost new) column index.
-    """
-    pivots: dict[int, tuple[int, int]] = {}
-    basis: list[frozenset] = []
-    for j, col in enumerate(m._masks):
-        combo = 1 << j
-        placed = False
-        while col:
-            lead = col.bit_length() - 1
-            hit = pivots.get(lead)
-            if hit is None:
-                pivots[lead] = (col, combo)
-                placed = True
-                break
-            col ^= hit[0]
-            combo ^= hit[1]
-        if not placed:
-            basis.append(frozenset(_mask_bits(combo)))
-    return basis
+    span = F2Span()
+    for mask in filter(None, masks):  # a zero vector adds nothing to the span
+        span.add(mask)
+    return span.size
 
 
 def homology_dim_f2(d_in: F2Matrix, d_out: F2Matrix) -> int:
@@ -478,7 +433,7 @@ class LaurentPoly:
             if not isinstance(e, int) or isinstance(e, bool):
                 raise ValueError("exponents must be ints")
         low = min(exps, default=0)
-        object.__setattr__(self, "_mask", vector_mask(e - low for e in exps))
+        object.__setattr__(self, "_mask", sum(1 << (e - low) for e in exps))
         object.__setattr__(self, "_low", low)
 
     @classmethod
@@ -490,16 +445,8 @@ class LaurentPoly:
         return p
 
     @classmethod
-    def zero(cls) -> "LaurentPoly":
-        return cls._from_mask(0, 0)
-
-    @classmethod
     def one(cls) -> "LaurentPoly":
         return cls._from_mask(1, 0)
-
-    @classmethod
-    def t(cls) -> "LaurentPoly":
-        return cls._from_mask(1, 1)
 
     @classmethod
     def monomial(cls, k: int) -> "LaurentPoly":
@@ -524,20 +471,6 @@ class LaurentPoly:
     @property
     def is_zero(self) -> bool:
         return not self._mask
-
-    def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
-        a, b = self._mask, other._mask
-        if not b:
-            return self
-        if not a:
-            return other
-        # unless the shifts are equal, the lower term of one operand survives
-        shift = other._low - self._low
-        if shift > 0:
-            return LaurentPoly._from_mask(a ^ (b << shift), self._low)
-        if shift < 0:
-            return LaurentPoly._from_mask(b ^ (a << -shift), other._low)
-        return _normalized(a ^ b, self._low)
 
     def shifted(self, k: int) -> "LaurentPoly":
         """Multiplication by the unit T^k."""
@@ -585,7 +518,7 @@ class LaurentPoly:
         return " + ".join(parts)
 
 
-_ZERO = LaurentPoly.zero()
+_ZERO = LaurentPoly()
 
 
 def _normalized(mask: int, low: int) -> LaurentPoly:
@@ -594,6 +527,22 @@ def _normalized(mask: int, low: int) -> LaurentPoly:
         return _ZERO
     zeros = (mask & -mask).bit_length() - 1
     return LaurentPoly._from_mask(mask >> zeros, low + zeros)
+
+
+def _laurent_sum(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
+    """p + q: one XOR of the masks, the one with the higher shift moved up."""
+    a, b = p._mask, q._mask
+    if not b:
+        return p
+    if not a:
+        return q
+    # unless the shifts are equal, the lower term of one operand survives
+    shift = q._low - p._low
+    if shift > 0:
+        return LaurentPoly._from_mask(a ^ (b << shift), p._low)
+    if shift < 0:
+        return LaurentPoly._from_mask(b ^ (a << -shift), q._low)
+    return _normalized(a ^ b, p._low)
 
 
 def _laurent_product(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
@@ -662,47 +611,30 @@ class LaurentMatrix:
         )
         return cls(rows, cols, ents)
 
-    @classmethod
-    def from_f2(cls, m: F2Matrix, scale: LaurentPoly | None = None) -> "LaurentMatrix":
-        """Lift a GF(2) matrix, optionally scaling every entry by one polynomial."""
-        if scale is None:
-            scale = LaurentPoly.one()
-        if scale.is_zero:
-            return cls(m.rows, m.cols, ())
-        return cls.from_dict(m.rows, m.cols, {(r, c): scale for r, c in m.entries})
-
-    def to_dict(self) -> dict:
-        return {(r, c): p for r, c, p in self.entries}
-
     def entry(self, r: int, c: int) -> LaurentPoly:
         for rr, cc, p in self.entries:
             if (rr, cc) == (r, c):
                 return p
-        return LaurentPoly.zero()
+        return _ZERO
 
-    def add(self, other: "LaurentMatrix") -> "LaurentMatrix":
+    def __add__(self, other: "LaurentMatrix") -> "LaurentMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch in add")
-        d = self.to_dict()
-        for (r, c), p in other.to_dict().items():
-            d[(r, c)] = d.get((r, c), LaurentPoly.zero()) + p
+        d = {(r, c): p for r, c, p in self.entries}
+        for r, c, p in other.entries:
+            d[(r, c)] = _laurent_sum(d.get((r, c), _ZERO), p)
         return LaurentMatrix.from_dict(self.rows, self.cols, d)
-
-    __add__ = add
 
     def __matmul__(self, other: "LaurentMatrix") -> "LaurentMatrix":
         if self.cols != other.rows:
             raise ValueError("shape mismatch in mul")
-        acc: dict = {}
-        mine = self.to_dict()
         by_col: dict[int, list] = {}
-        for (r, c), p in mine.items():
+        for r, c, p in self.entries:
             by_col.setdefault(c, []).append((r, p))
         out: dict = {}
-        for (r2, c2), q in other.to_dict().items():
+        for r2, c2, q in other.entries:
             for r1, p in by_col.get(r2, ()):
-                key = (r1, c2)
-                out[key] = out.get(key, LaurentPoly.zero()) + _laurent_product(p, q)
+                out[(r1, c2)] = _laurent_sum(out.get((r1, c2), _ZERO), _laurent_product(p, q))
         return LaurentMatrix.from_dict(self.rows, other.cols, out)
 
     def at_one(self) -> F2Matrix:
@@ -755,17 +687,14 @@ def smith_invariants_laurent(m: LaurentMatrix) -> list[LaurentPoly]:
                 continue
             q, rem = laurent_divmod(e, pivot)
             for r2, x in pivot_col.items():
-                old = col.get(r2)
-                if r2 == r:
-                    new = rem
-                else:
-                    new = _laurent_product(x, q) if old is None else old + _laurent_product(x, q)
+                old = col.get(r2, _ZERO)
+                new = rem if r2 == r else _laurent_sum(old, _laurent_product(x, q))
                 if new.is_zero:
                     del col[r2]
                     continue
                 col[r2] = new
                 holders[r2].add(c2)
-                if old is None or new.span != old.span:
+                if old.is_zero or new.span != old.span:
                     heappush(heap, (new.span, r2, c2))
             settled = settled and rem.is_zero
         if settled and span:

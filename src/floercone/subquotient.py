@@ -305,9 +305,12 @@ def _artifact_cutoff(c: KnotComplex, n: int) -> int:
 def hf_red_graded(c: KnotComplex) -> dict:
     """Graded dimensions of the finite (U-torsion) part of plus-flavor homology:
     per pivot U^v (v >= 1) of B, one block F2[U]/U^v from grading col + 2v - 2
-    down to col, read off one reduction at a precision above every pivot."""
+    down to col, read off one reduction at a precision above every pivot.
+    The reduction runs on the reduced model B' (`reduced_model`), which has
+    the pivots of B with v >= 1 and the same towers, and lacks only the
+    unit pivots, which add no block."""
     require_valid(c)
-    b = free_plus_complex(c)
+    b = reduced_model(free_plus_complex(c))[0]
     reduction = reduce_free(b.gradings, b.columns, _graded_precision(b.gradings))
     return _reported(c, _spanned(Counter((col + 2 * v - 2, v) for _, col, v in reduction.pairs if v)))
 

@@ -14,94 +14,45 @@ module is free, so the cone homology has no torsion.  Its free rank is
 then its dimension after T = 1, by universal coefficients with no Tor
 term, and the cone at T = 1 is the hat cone of v + h.  So for s != 0 the
 answer is (`cone_homology_hat(c, s).total_dim`, ()).  At s = 0, T has
-degree 0, the argument says nothing, and torsion occurs: the cone below
-is built and reduced over L there alone.
+degree 0, the argument says nothing, and torsion occurs.
 
-At s = 0 the cone is built on the homology of A_s.  A_s has a constant (F2)
-differential, so it has a strong deformation retract (i, p, k) onto
-H(A_s), i lifting a basis to cycles (`_homology_cycles`); with the
-identity and k = 0 on B it retracts d_A (+) d_B over L onto H(A_s) (+) B.
-The cone of W on all of A_s, [[d_A, 0], [W, d_B]], perturbs d_A (+) d_B by
-delta = [[0, 0], [W, 0]], and k delta = 0, since delta lands in B, where k
-vanishes.  So the homological perturbation lemma (Crainic, "On the
-perturbation lemma, and deformations", 2004) transfers it to exactly
-[[0, 0], [W i, d_B]], the cone of W i : H(A_s) -> B, which is homotopy
-equivalent over L to the cone on all of A_s: the homology over L (free
-rank and torsion) and over the Novikov field is the same.  The entries
-of W i are (v z)_r + T (h z)_r, still 1, T or 1 + T.  The cone on all of
-A_s, at every s, lives on in `tests/oracles.py`.
+At s = 0 the cone is read off the reduced models, as the hat cone is.
+Modulo U, A_s and B have strong deformation retracts (i, p, k) onto A'
+and B', whose differentials are 0 (`cone._reduced_maps`); their sum
+retracts d_A (+) d_B over L onto A' (+) B' with the zero differential.
+The cone of W, [[d_A, 0], [W, d_B]], perturbs d_A (+) d_B by
+delta = [[0, 0], [W, 0]], and delta k delta = 0: delta lands in B, k keeps
+B in B, and delta vanishes on B.  So the homological perturbation lemma
+(Crainic, "On the perturbation lemma, and deformations", 2004) transfers
+it to exactly p delta i = [[0, 0], [W', 0]], with the pencil
+W' = p_B W i_A = v' + T h' modulo U, and the cone of W' is homotopy
+equivalent over L to the cone of W: the homology over L (free rank and
+torsion) and over the Novikov field is the same.  The entries of W' are
+1, T or 1 + T.  The cone on all of A_s, at every s, lives on in
+`tests/oracles.py`.
 
 The Novikov dimension: the Novikov field F2((T)) is a field extension of
 Frac(L), so it is flat over L, and tensoring the homology over L with it
 kills every torsion summand L/(p) and keeps every free one.  So the
 dimension over the Novikov field is the free rank over L.
 
-Torsion bookkeeping: for a square differential D over a PID with D^2 = 0,
-L^m / ker D embeds in L^m, so it is torsion free; the exact sequence
-0 -> ker D / im D -> L^m / im D -> L^m / ker D -> 0 then identifies the
-torsion of the homology with the torsion of coker D, which is the direct
-sum of L/(d) over the nonunit invariant factors d of D.  So the torsion
-factors reported here are read off a Smith reduction of the cone
-differential over L, and its count of nonzero factors gives the free
-rank: m - 2 times that count for the m x m differential.
+Free rank and torsion: the cone of W' : L^|A'| -> L^|B'| has no other
+differential, so its homology is ker W' (+) coker W'.  ker W' is free of
+rank |A'| - r and coker W' is L^(|B'| - r) plus the sum of L/(d) over the
+nonunit invariant factors d of W', r their number.  So one Smith
+reduction of W' gives the free rank |A'| + |B'| - 2r and the torsion.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from floercone.linalg import (
-    F2Matrix,
-    F2Span,
-    LaurentMatrix,
-    LaurentPoly,
-    kernel_basis_f2,
-    smith_invariants_laurent,
-    vector_mask,
-)
+from floercone.linalg import LaurentMatrix, LaurentPoly, smith_invariants_laurent
 from floercone.model import KnotComplex
-from floercone.cone import ChainMapF2, _hat_complexes, _hat_maps, cone_homology_hat, ensure_flip
+from floercone.cone import _reduced_maps, cone_homology_hat, ensure_flip
 
-
-@dataclass(frozen=True)
-class TwistedCone:
-    a: object
-    b: object
-    cycles: tuple
-    map_matrix: LaurentMatrix
-    cone_matrix: LaurentMatrix
-
-
-def build_twisted_cone(c: KnotComplex, s: int) -> TwistedCone:
-    """Block matrix [[0, 0], [W i, dB]] on H(A_s) (+) B, for W = v + T h and
-    i the lift of H(A_s) to the cycles `cycles` (bitmasks over A_s)."""
-    return _twisted_cone(*_hat_maps(c, s, _hat_complexes(c, s)))
-
-
-def _homology_cycles(a) -> tuple:
-    """Cycles of a, as bitmasks, whose classes form a basis of its homology:
-    the kernel vectors that stay independent modulo the boundaries."""
-    span = F2Span()
-    for boundary in a.differential.column_masks():
-        span.add(boundary)
-    return tuple(z for z in map(vector_mask, kernel_basis_f2(a.differential)) if span.add(z))
-
-
-def _twisted_cone(v: ChainMapF2, h: ChainMapF2) -> TwistedCone:
-    """The cone of (v + T h) i, for v and h from `_hat_maps`: `free_chain_map`
-    has checked that they commute with the differentials, which makes the
-    cone on all of A_s a complex and the retract apply."""
-    a, b = v.source, v.target
-    cycles = _homology_cycles(a)
-    lift = F2Matrix._from_masks(a.dim, len(cycles), cycles)
-    w = LaurentMatrix.from_f2(v.matrix.mul(lift)).add(
-        LaurentMatrix.from_f2(h.matrix.mul(lift), LaurentPoly.t()))
-    n = len(cycles)
-    total = {(n + r, n + col): LaurentPoly.one() for r, col in b.differential.entries}
-    for (r, col), p in w.to_dict().items():
-        total[(n + r, col)] = p
-    cone = LaurentMatrix.from_dict(n + b.dim, n + b.dim, total)
-    return TwistedCone(a, b, cycles, w, cone)
+# 1, T and 1 + T, by the U^0 bits of v' (bit 0) and h' (bit 1)
+_PENCIL = (None, LaurentPoly({0}), LaurentPoly({1}), LaurentPoly({0, 1}))
 
 
 @dataclass(frozen=True)
@@ -117,22 +68,30 @@ class TwistedConeResult:
         return self.laurent_free_rank
 
 
-def _cone_homology(tc: TwistedCone) -> TwistedConeResult:
-    """The free rank and the sorted torsion invariant factors of the cone
-    homology over L, from one Smith reduction of the cone differential."""
-    invariants = smith_invariants_laurent(tc.cone_matrix)
+def _pencil_homology(a, b, v, h) -> TwistedConeResult:
+    """The free rank and the sorted torsion invariant factors over L of the
+    cone of W' = v' + T h' modulo U : L^|A'| -> L^|B'|, for the reduced models
+    and maps of `_reduced_maps` (module docstring), from one Smith reduction."""
+    entries = {}
+    for col, (cv, ch) in enumerate(zip(v, h)):
+        for r in cv.keys() | ch.keys():
+            if code := cv.get(r, 0) & 1 | (ch.get(r, 0) & 1) << 1:
+                entries[(r, col)] = _PENCIL[code]
+    pencil = LaurentMatrix.from_dict(len(b.gradings), len(a.gradings), entries)
+    invariants = smith_invariants_laurent(pencil)
     torsion = sorted((p for p in invariants if p != LaurentPoly.one()),
                      key=lambda p: (p.span, tuple(sorted(p.support))))
-    return TwistedConeResult(tc.cone_matrix.rows - 2 * len(invariants), tuple(torsion))
+    return TwistedConeResult(pencil.rows + pencil.cols - 2 * len(invariants), tuple(torsion))
 
 
 def twisted_homology_laurent(c: KnotComplex, s: int) -> TwistedConeResult:
     """Free rank and torsion invariant factors of the twisted cone homology:
-    for s != 0 the hat cone's dimension and no torsion (module docstring)."""
+    for s != 0 the hat cone's dimension and no torsion, at s = 0 read off
+    the pencil on the reduced models (module docstring)."""
     c = ensure_flip(c)
     if s:
         return TwistedConeResult(cone_homology_hat(c, s).total_dim, ())
-    return _cone_homology(build_twisted_cone(c, s))
+    return _pencil_homology(*_reduced_maps(c, 0, 1, True))
 
 
 def novikov_dim(c: KnotComplex, s: int) -> int:

@@ -11,7 +11,8 @@ instead of the free F2[U] model read modulo U, the plus flavor from
 truncated GF(2) complexes with an explicit U matrix, decomposed through
 cycle representatives, instead of the free F2[U] model's Smith pivots,
 those pivots by a scan of every entry per pivot instead of a heap, the
-twisted cone on all of A_s instead of its retract onto H(A_s),
+twisted cone on all of A_s, and on its retract onto H(A_s) through
+lifted cycles, instead of the pencil on the reduced models,
 plus-flavor auto mode by raising the height until two heights agree
 instead of reading every answer off the pivots at a proven precision,
 hat-flavor induced ranks (and with them genus and the prop0check clauses)
@@ -23,13 +24,15 @@ the flip (and every flip bijection) by a search that checks the
 chain-map condition only on full assignments instead of pruning each
 partial one, validation on name-keyed term maps composed as dicts of
 U-power sets instead of the index form and the F2[U] product of `linalg`,
-and the plus flavor from Smith reductions of the full A_s, B and cones
-instead of the reduced models left once every unit arrow is cancelled.
+and the plus flavor and reduced homology from Smith reductions of the
+full A_s, B and cones instead of the reduced models left once every unit
+arrow is cancelled.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import NamedTuple
@@ -59,11 +62,9 @@ from floercone.linalg import (
     _combine,
     _mask_bits,
     _minor_degree_bound,
-    kernel_basis_f2,
     rank_f2,
     smith_invariants_laurent,
     smith_pivots_u,
-    vector_mask,
 )
 from floercone.model import (
     Generator,
@@ -151,6 +152,40 @@ def dense_rank_gf256(rows) -> int:
                 mat[r] = [a ^ gf256_mul(f, b) for a, b in zip(mat[r], mat[rank])]
         rank += 1
     return rank
+
+
+def vector_mask(vec) -> int:
+    """Pack an index set (or iterable of indices) into a bitmask."""
+    out = 0
+    for i in vec:
+        out |= 1 << i
+    return out
+
+
+def kernel_basis_f2(m: F2Matrix) -> list[frozenset]:
+    """Basis of ker(m); each vector is the frozenset of coordinates equal to 1.
+
+    Deterministic: columns are processed left to right, so the basis is
+    ordered by the leading (rightmost new) column index.
+    """
+    pivots: dict[int, tuple[int, int]] = {}
+    basis: list[frozenset] = []
+    for j, col in enumerate(m.column_masks()):
+        combo = 1 << j
+        placed = False
+        while col:
+            lead = col.bit_length() - 1
+            hit = pivots.get(lead)
+            if hit is None:
+                pivots[lead] = (col, combo)
+                placed = True
+                break
+            col ^= hit[0]
+            combo ^= hit[1]
+        if not placed:
+            basis.append(frozenset(_mask_bits(combo)))
+    return basis
+
 
 def brute_force_homology_dim(rows) -> int:
     """dim ker - dim im of a square GF(2) matrix by enumerating all vectors.
@@ -597,6 +632,14 @@ def oracle_novikov_dim(c: KnotComplex, s: int) -> int:
     return n - 2 * best
 
 
+T = LaurentPoly.monomial(1)
+
+
+def laurent_from_f2(m: F2Matrix, scale: LaurentPoly = LaurentPoly.one()) -> LaurentMatrix:
+    """A GF(2) matrix lifted to L, every entry scaled by one polynomial."""
+    return LaurentMatrix.from_dict(m.rows, m.cols, {(r, c): scale for r, c in m.entries})
+
+
 @dataclass(frozen=True)
 class FullTwistedCone:
     map_matrix: LaurentMatrix
@@ -605,17 +648,53 @@ class FullTwistedCone:
 
 def oracle_twisted_cone(c: KnotComplex, s: int) -> FullTwistedCone:
     """The twisted cone on all of A_s: the block matrix [[d_A, 0], [v + T h, d_B]]
-    on A_s (+) B, which the library retracts onto the cone on H(A_s)."""
+    on A_s (+) B, which the library transfers to the pencil on A' (+) B'."""
     v, h = hat_maps(ensure_flip(c), s)
     a, b = v.source, v.target
-    w = LaurentMatrix.from_f2(v.matrix).add(LaurentMatrix.from_f2(h.matrix, LaurentPoly.t()))
+    w = laurent_from_f2(v.matrix) + laurent_from_f2(h.matrix, T)
     na = a.dim
     total = {(r, col): LaurentPoly.one() for r, col in a.differential.entries}
     for r, col in b.differential.entries:
         total[(na + r, na + col)] = LaurentPoly.one()
-    for (r, col), p in w.to_dict().items():
+    for r, col, p in w.entries:
         total[(na + r, col)] = p
     return FullTwistedCone(w, LaurentMatrix.from_dict(na + b.dim, na + b.dim, total))
+
+
+@dataclass(frozen=True)
+class RetractTwistedCone:
+    a: SubquotientComplex
+    b: SubquotientComplex
+    cycles: tuple
+    map_matrix: LaurentMatrix
+    cone_matrix: LaurentMatrix
+
+
+def homology_cycles(a: SubquotientComplex) -> tuple:
+    """Cycles of a, as bitmasks, whose classes form a basis of its homology:
+    the kernel vectors that stay independent modulo the boundaries."""
+    span = F2Span()
+    for boundary in a.differential.column_masks():
+        span.add(boundary)
+    return tuple(z for z in map(vector_mask, kernel_basis_f2(a.differential)) if span.add(z))
+
+
+def retract_twisted_cone(c: KnotComplex, s: int) -> RetractTwistedCone:
+    """The twisted cone on H(A_s) (+) B: the block matrix [[0, 0], [W i, d_B]],
+    for W = v + T h and i the lift of H(A_s) to the cycles `homology_cycles`;
+    the perturbation lemma makes it homotopy equivalent to the cone on all of
+    A_s, since k delta = 0 for a retract with k = 0 on B."""
+    v, h = hat_maps(ensure_flip(c), s)
+    a, b = v.source, v.target
+    cycles = homology_cycles(a)
+    lift = F2Matrix._from_masks(a.dim, len(cycles), cycles)
+    w = laurent_from_f2(v.matrix.mul(lift)) + laurent_from_f2(h.matrix.mul(lift), T)
+    n = len(cycles)
+    total = {(n + r, n + col): LaurentPoly.one() for r, col in b.differential.entries}
+    for r, col, p in w.entries:
+        total[(n + r, col)] = p
+    return RetractTwistedCone(a, b, cycles, w,
+                              LaurentMatrix.from_dict(n + b.dim, n + b.dim, total))
 
 
 def _novikov_rank(m: LaurentMatrix, rank: int) -> int:
@@ -1041,6 +1120,16 @@ def _reduced_part(c: KnotComplex, precision: int):
 
 def reduced_part_at(c: KnotComplex, n: int) -> dict:
     return _reduced_part(c, n + 2)(n)
+
+
+def oracle_hf_red_graded(c: KnotComplex) -> dict:
+    """`hf_red_graded` on the full B, with no unit arrow cancelled first: one
+    block per pivot U^v, v >= 1, of one reduction at a precision above every
+    pivot."""
+    require_valid(c)
+    b = free_plus_complex(c)
+    reduction = reduce_free(b.gradings, b.columns, _graded_precision(b.gradings))
+    return _reported(c, _spanned(Counter((col + 2 * v - 2, v) for _, col, v in reduction.pairs if v)))
 
 
 def stabilized_hf_red_graded(c: KnotComplex, start_n: int | None = None) -> dict:

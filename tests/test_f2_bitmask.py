@@ -19,11 +19,9 @@ from floercone.linalg import (
     InvariantViolated,
     NotAChainMap,
     _combine,
-    kernel_basis_f2,
     rank_f2,
-    vector_mask,
 )
-from oracles import _check_nilpotent, dense_rank_f2, submatrix
+from oracles import _check_nilpotent, dense_rank_f2, kernel_basis_f2, submatrix, vector_mask
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 

@@ -24,7 +24,7 @@ from floercone.cone import (
 from floercone.detect import VerdictKind, genus, sphere_necessary_conditions
 from floercone.fixtures import ALL_FIXTURES, FIGURE8, TREFOIL
 from floercone.linalg import InvariantViolated, NotAChainMap
-from floercone.twisted import build_twisted_cone
+from floercone.twisted import twisted_homology_laurent
 
 from corpus import BIG_SUMS, TWISTED_SUMS, connected_sum, staircase, tensor, with_flip
 from oracles import (
@@ -128,9 +128,9 @@ def test_each_cone_builds_A_B_v_and_h_once(monkeypatch):
         counted = (lambda *args, _f=getattr(cone_module, name), _name=name, **kwargs:
                    calls.append(_name) or _f(*args, **kwargs))
         monkeypatch.setattr(cone_module, name, counted)
-    for build in (cone_homology_hat, build_twisted_cone):
+    for build, s in ((cone_homology_hat, 1), (twisted_homology_laurent, 0)):
         calls.clear()
-        build(FIGURE8, 1)
+        build(FIGURE8, s)
         assert sorted(calls) == ["free_chain_map"] * 2 + ["free_plus_complex"] * 2, build
 
 
@@ -189,7 +189,7 @@ def test_cone_at_huge_s_equals_the_value_past_a_bound_plus_P(capsys, flags, prec
 
 def test_public_builders_stay_bounded_at_huge_s():
     for s in (HUGE_S, -HUGE_S):
-        for build in (build_v_hat, hat_maps, build_twisted_cone):
+        for build in (build_v_hat, hat_maps, twisted_homology_laurent):
             assert peak_bytes(lambda: build(TREFOIL, s)) < 2 ** 20, (build, s)
 
 

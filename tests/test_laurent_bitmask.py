@@ -1,7 +1,7 @@
 """The (mask, shift) LaurentPoly against exponent-set arithmetic, the Smith
-reduction's nonunit path against determinantal divisors, and one twisted
-cone build and one Laurent reduction per twisted homology computation at
-s = 0, none elsewhere."""
+reduction's nonunit path against determinantal divisors, and one Laurent
+reduction of the pencil per twisted homology computation at s = 0, none
+elsewhere."""
 
 import copy
 import pickle
@@ -11,12 +11,13 @@ import pytest
 
 import floercone.subquotient
 import floercone.twisted
-from floercone.cone import ensure_flip
+from floercone.cone import _reduced_maps, ensure_flip
 from floercone.fixtures import ALL_FIXTURES
 from floercone.linalg import (
     LaurentMatrix,
     LaurentPoly,
     _laurent_product,
+    _laurent_sum,
     laurent_divmod,
     smith_invariants_laurent,
 )
@@ -47,10 +48,10 @@ def canonical(p: LaurentPoly) -> LaurentPoly:
 @pytest.mark.parametrize("ea,eb", PAIRS)
 def test_add_and_mul_match_exponent_sets(ea, eb):
     a, b = LaurentPoly(frozenset(ea)), LaurentPoly(frozenset(eb))
-    total, product = a + b, _laurent_product(a, b)
+    total, product = _laurent_sum(a, b), _laurent_product(a, b)
     assert total.support == set(_poly_add(as_dict(ea), as_dict(eb)))
     assert product == laurent_product(a, b)
-    assert product == _laurent_product(b, a) and total == b + a
+    assert product == _laurent_product(b, a) and total == _laurent_sum(b, a)
     assert canonical(total) == total and canonical(product) == product
 
 
@@ -87,12 +88,12 @@ def test_str_support_equality_hash_and_pickle(exps):
     # the same polynomial reached three ways is one value
     doubled = sorted(exps) + [7, 7]
     for other in (LaurentPoly.from_exponents(doubled), p.shifted(4).shifted(-4),
-                  p + LaurentPoly.one() + LaurentPoly.one()):
+                  _laurent_sum(_laurent_sum(p, LaurentPoly.one()), LaurentPoly.one())):
         assert other == p and hash(other) == hash(p)
     for copied in (pickle.loads(pickle.dumps(p)), copy.deepcopy(p)):
         assert copied == p and hash(copied) == hash(p) and str(copied) == str(p)
     if exps:
-        assert p != p.shifted(1) and p != p + LaurentPoly.monomial(9)
+        assert p != p.shifted(1) and p != _laurent_sum(p, LaurentPoly.monomial(9))
 
 
 @pytest.mark.parametrize("bad", [True, False, 1.5, "1"])
@@ -192,39 +193,34 @@ def test_smith_products_are_minor_gcds(min_span):
 
 
 # ---------------------------------------------------------------------------
-# one cone build and one Laurent reduction per twisted homology computation
-# at s = 0, and none at s != 0
+# one Laurent reduction per twisted homology computation at s = 0, on the
+# pencil between the reduced models, and none at s != 0
 
 
 def test_twisted_homology_builds_the_cone_once(monkeypatch):
-    """One cone build and one Laurent Smith reduction per complex at s = 0,
-    none at s = +-1, where the answer is the hat cone's, and no F2[[T]]
-    reduction: the Novikov dimension is the Laurent free rank."""
+    """One Laurent Smith reduction per complex at s = 0, on the |B'| x |A'|
+    pencil v' + T h', none at s = +-1, where the answer is the hat cone's,
+    and no F2[[T]] reduction: the Novikov dimension is the Laurent free rank."""
     calls = []
-    build = floercone.twisted.build_twisted_cone
     smith = floercone.twisted.smith_invariants_laurent
 
-    def counting(c, s):
-        calls.append(("build", s))
-        return build(c, s)
-
     def reducing(m):
-        calls.append(("smith", m.rows))
+        calls.append((m.rows, m.cols))
         return smith(m)
 
     def refused(*args):
         raise AssertionError("F2[[T]] reduction on the twisted path")
 
-    monkeypatch.setattr(floercone.twisted, "build_twisted_cone", counting)
     monkeypatch.setattr(floercone.twisted, "smith_invariants_laurent", reducing)
     for module in (floercone.subquotient, floercone.twisted):  # every binding of it
         monkeypatch.setattr(module, "smith_pivots_u", refused, raising=False)
     for c in ALL_FIXTURES:
         c = ensure_flip(c)
+        a, b, _, _ = _reduced_maps(c, 0, 1, True)
         for s in (-1, 0, 1):
             for run in (twisted_homology_laurent, novikov_dim):
                 calls.clear()
                 res = run(c, s)
-                want = [("build", s), ("smith", build(c, s).cone_matrix.rows)] if s == 0 else []
+                want = [(len(b.gradings), len(a.gradings))] if s == 0 else []
                 assert calls == want, (c, s, run)
             assert res == twisted_homology_laurent(c, s).novikov_dim

@@ -1,7 +1,8 @@
 """The plus flavor on reduced models: `linalg.cancel_units` and
 `subquotient.reduced_model` against the homotopy equivalence they claim,
-the reduced sizes against the hat homology, and every plus answer against
-the five reductions of the full complexes (`oracles.oracle_plus_reductions`)."""
+the reduced sizes against the hat homology, every plus answer against
+the five reductions of the full complexes (`oracles.oracle_plus_reductions`),
+and the reduced homology of B' against that of all of B."""
 
 import random
 
@@ -15,12 +16,13 @@ from floercone.subquotient import (
     _hat_view,
     _mod_u,
     free_plus_complex,
+    hf_red_graded,
     reduce_free,
     reduced_model,
 )
 
-from corpus import BIG_SUMS, TWISTED_SUMS, connected_sum, staircase, tensor, with_flip
-from oracles import oracle_plus_reductions
+from corpus import BIG_SUMS, TWISTED_SUMS, connected_sum, corpus, staircase, tensor, with_flip
+from oracles import oracle_hf_red_graded, oracle_plus_reductions
 
 TRUNCATIONS = ("auto", 0, 1, 2, 5)
 
@@ -133,6 +135,17 @@ def test_plus_answers_equal_the_oracle_on_the_fixtures_and_the_corpus(monkeypatc
 def test_plus_answers_equal_the_oracle_on_the_sums(monkeypatch, name):
     c = connected_sum(name)
     assert_equals_the_oracle(monkeypatch, c, every_s(c))
+
+
+@pytest.mark.parametrize("seed", range(1, 9))
+def test_reduced_homology_of_B_prime_equals_that_of_B_on_the_corpus(seed):
+    for c in corpus(seed):
+        assert hf_red_graded(c) == oracle_hf_red_graded(c), c
+
+
+def test_reduced_homology_of_B_prime_equals_that_of_B_on_the_fixtures_and_sums():
+    for c in list(ALL_FIXTURES) + [connected_sum(name) for name in TWISTED_SUMS + BIG_SUMS]:
+        assert hf_red_graded(c) == oracle_hf_red_graded(c), c.spinc_label
 
 
 def t2_11_cubed():

@@ -8,15 +8,10 @@ from pathlib import Path
 
 import pytest
 
-from floercone.cone import FlipMissing, build_v_hat, ensure_flip
+from floercone.cone import FlipMissing, _reduced_maps, build_v_hat, ensure_flip
 from floercone.fixtures import ALL_FIXTURES, FIGURE8, TREFOIL, TREFOIL_L, UNKNOT, Y1SIGMA
 from floercone.linalg import F2Matrix, LaurentPoly, _combine, laurent_divides
-from floercone.twisted import (
-    TwistedConeResult,
-    build_twisted_cone,
-    novikov_dim,
-    twisted_homology_laurent,
-)
+from floercone.twisted import TwistedConeResult, novikov_dim, twisted_homology_laurent
 
 from corpus import BIG_SUMS, TWISTED_SUMS, connected_sum, staircase, tensor, with_flip
 from oracles import (
@@ -25,6 +20,7 @@ from oracles import (
     oracle_twisted_cone,
     oracle_twisted_homology,
     rank_f2_modulo,
+    retract_twisted_cone,
 )
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -32,14 +28,14 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 NAMED = dict(zip(["UNKNOT", "TREFOIL", "TREFOIL_L", "Y1SIGMA", "FIGURE8"], ALL_FIXTURES))
 
 ONE = LaurentPoly.one()
-T = LaurentPoly.t()
-ONE_PLUS_T = ONE + T
+T = LaurentPoly.monomial(1)
+ONE_PLUS_T = LaurentPoly.from_exponents([0, 1])
 
 
 def test_trefoil_twisted_map_entries():
     cone = oracle_twisted_cone(TREFOIL, 0)
     # A_0 basis (a,-1), (b,0), (c,0); B basis (a,0), (b,0), (c,0)
-    assert cone.map_matrix.to_dict() == {
+    assert {(r, c): p for r, c, p in cone.map_matrix.entries} == {
         (2, 0): T,            # h: (a,-1) -> c
         (1, 1): ONE_PLUS_T,   # v + h both hit b
         (2, 2): ONE,          # v: (c,0) -> c
@@ -49,14 +45,17 @@ def test_trefoil_twisted_map_entries():
 def test_twisted_cone_differential_squares_to_zero():
     for c in ALL_FIXTURES:
         for s in (-1, 0, 1):
-            cone = build_twisted_cone(ensure_flip(c), s)
-            assert not (cone.cone_matrix @ cone.cone_matrix).entries
+            for build in (oracle_twisted_cone, retract_twisted_cone):
+                cone = build(ensure_flip(c), s)
+                assert not (cone.cone_matrix @ cone.cone_matrix).entries, (c, s, build)
 
 
 def test_twisted_requires_flip():
+    """The pencil is read off `_reduced_maps`, which needs h, so a flipless
+    complex is refused there rather than read as h = 0."""
     bare = replace(TREFOIL, flip=None)
     with pytest.raises(FlipMissing):
-        build_twisted_cone(bare, 0)
+        _reduced_maps(bare, 0, 1, True)
 
 
 def test_specialization_at_one_recovers_untwisted():
@@ -73,7 +72,7 @@ def test_the_map_is_v_plus_T_h_on_cycles_lifting_a_homology_basis():
     for c in ALL_FIXTURES + (staircase(3),):
         flipped = ensure_flip(c)
         for s in range(-c.a_bound() - 1, c.a_bound() + 2):
-            cone = build_twisted_cone(flipped, s)
+            cone = retract_twisted_cone(flipped, s)
             v, h = hat_maps(flipped, s)
             a, cycles = cone.a, cone.cycles
             assert not any(_combine(a.differential.column_masks(), z) for z in cycles), (c, s)
@@ -102,6 +101,26 @@ def test_cone_on_homology_matches_the_cone_on_all_of_A_s_on_the_corpus():
 @pytest.mark.parametrize("c", twisted_sum_inputs())
 def test_cone_on_homology_matches_the_cone_on_all_of_A_s_on_sums(c):
     assert_matches_the_cone_on_all_of_A_s(c)
+
+
+def assert_the_pencil_matches_the_cone_on_all_of_A_s_at_zero(c):
+    got = twisted_homology_laurent(c, 0)
+    assert (got.novikov_dim, got.laurent_free_rank, got.torsion_factors) == \
+        oracle_twisted_homology(c, 0), c
+
+
+@pytest.mark.parametrize("seed", range(1, 9))
+def test_the_pencil_matches_the_cone_on_all_of_A_s_at_zero_on_the_corpus(seed):
+    for _, c in with_flip(seed):
+        assert_the_pencil_matches_the_cone_on_all_of_A_s_at_zero(c)
+
+
+@pytest.mark.slow
+def test_the_pencil_matches_the_cone_on_all_of_A_s_at_zero_on_a_1331_generator_sum():
+    k = staircase(5)
+    c = ensure_flip(tensor(tensor(k, k), k))
+    assert len(c.generators) == 1331
+    assert_the_pencil_matches_the_cone_on_all_of_A_s_at_zero(c)
 
 
 def assert_off_zero_the_twisted_group_is_the_hat_cone(c):
