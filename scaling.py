@@ -1,4 +1,4 @@
-"""Time the plus, hat and twisted cones at s = 0 and s = 1 on connected sums of torus knots.
+"""Time the plus, hat and twisted cones at s = 0 and 1, and red, on connected sums of torus knots.
 
     PYTHONPATH=src python scaling.py [--max-generators N] [--baseline FILE] [--out FILE]
 
@@ -6,7 +6,8 @@ The inputs are tensor powers of the staircases T(2, 2k+1) of
 `tests/corpus.py`, from 343 to 3,125 generators.  Each row is the best of
 three in-process timings of `cone_homology_plus_truncated` in auto mode, of
 `cone_homology_hat` or of `twisted_homology_laurent`, after the flip is
-derived and the complex validated, with the answer it gave.
+derived and the complex validated, with the answer it gave; the reduced
+homology `hf_red_graded` gets one row per input, keyed as s = 0.
 `--baseline` reads an earlier output (say, of this script run on another
 checkout's `src`), puts its times beside each row as `baseline_s` and
 `speedup`, and exits 1 unless some row was run and every row run has an
@@ -27,6 +28,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent / "tests"))
 
 from corpus import staircase, tensor  # noqa: E402
 from floercone.cone import cone_homology_hat, cone_homology_plus_truncated, ensure_flip  # noqa: E402
+from floercone.subquotient import hf_red_graded  # noqa: E402
 from floercone.twisted import TwistedConeResult, twisted_homology_laurent  # noqa: E402
 
 REPEATS = 3
@@ -45,6 +47,8 @@ def tensor_power(k: int, summands: int):
 
 
 def answer(result) -> dict:
+    if isinstance(result, dict):  # hf_red_graded
+        return {"reduced": {str(m): n for m, n in result.items()}}
     if isinstance(result, TwistedConeResult):
         return {"laurent_free_rank": result.laurent_free_rank,
                 "torsion_factors": [str(p) for p in result.torsion_factors]}
@@ -59,15 +63,16 @@ def rows(max_generators: int):
         if (2 * k + 1) ** summands > max_generators:
             continue
         c = ensure_flip(tensor_power(k, summands))
-        for s in (0, 1):
-            for flavor, cone in CONES:
-                times = []
-                for _ in range(REPEATS):
-                    start = time.perf_counter()
-                    result = cone(c, s)
-                    times.append(time.perf_counter() - start)
-                yield {"input": name, "generators": len(c.generators), "flavor": flavor, "s": s,
-                       "seconds": round(min(times), 4), "answer": answer(result)}
+        runs = [(flavor, s, lambda s=s, cone=cone: cone(c, s)) for s in (0, 1)
+                for flavor, cone in CONES]
+        for flavor, s, run in runs + [("red", 0, lambda: hf_red_graded(c))]:
+            times = []
+            for _ in range(REPEATS):
+                start = time.perf_counter()
+                result = run()
+                times.append(time.perf_counter() - start)
+            yield {"input": name, "generators": len(c.generators), "flavor": flavor, "s": s,
+                   "seconds": round(min(times), 4), "answer": answer(result)}
 
 
 def main(argv=None) -> int:

@@ -35,7 +35,7 @@ from floercone.model import (
     lattice_window,
     validate,
 )
-from floercone.subquotient import SubquotientComplex, hf_red_graded
+from floercone.subquotient import ReducedHomologyTooLarge, SubquotientComplex, hf_red_graded
 from floercone.cone import (
     ChainMapF2,
     ConeResult,
@@ -82,6 +82,7 @@ __all__ = [
     "NotAChainMap",
     "NotHomologySphere",
     "PlaneElement",
+    "ReducedHomologyTooLarge",
     "SubquotientComplex",
     "TwistedConeResult",
     "ValidationError",

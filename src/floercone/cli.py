@@ -28,7 +28,7 @@ from floercone.detect import (
 from floercone.io_format import DuplicateName, ParseError, load_path
 from floercone.linalg import CompositionNonzero, InvariantViolated, NotAChainMap
 from floercone.model import FlipSearchExhausted, NoFlipFound, ValidationError
-from floercone.subquotient import hf_red_graded
+from floercone.subquotient import ReducedHomologyTooLarge, hf_red_graded
 from floercone.twisted import twisted_homology_laurent
 
 
@@ -355,7 +355,8 @@ def main(argv=None) -> int:
         return handler(args)
     except (ParseError, DuplicateName, ValidationError, NoFlipFound,
             FlipSearchExhausted, NotHomologySphere, CompositionNonzero,
-            NotAChainMap, InvariantViolated, OSError, ValueError) as e:
+            NotAChainMap, InvariantViolated, ReducedHomologyTooLarge, OSError,
+            ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -15,25 +15,24 @@ run on the int gradings M - offset of `subquotient`, and a graded answer
 gets the offset back when it is reported.
 
 Both flavors start from one construction (`_reduced_maps`): v and h are
-F2[U] maps between the free models of A_s and B (see `subquotient`),
-built and checked once modulo U^P, P the precision, so that no U^|s| is
-written out and every builder stays bounded in |s|.  Then every unit
-arrow of A_s and of B is cancelled, which leaves reduced models A' and
-B', with differentials 0 modulo U, and v and h are carried over to them
-as f' = p_B f i_A.  The hat flavor (P = 1, A_s and B built modulo U)
-reads its answers off A', B' and f' modulo U: dim H(A_s) = |A'|,
-dim H(B) = |B'|, and rank f_* is the GF(2) rank of f' modulo U, so the
-cone of v + h has dimension |A'| + |B'| - 2 rank (v + h)_*, taken per
-grading at s = 0.  The plus flavor reduces A', B' and the cones of the
-three maps on them once each, reads the rank of each induced map off the
-dimension of its cone by rank-nullity on the long exact sequence
+graded F2[U] maps between the free models of A_s and B (see
+`subquotient`), column masks whose U-powers the gradings fix, so no
+U^|s| is written out.  Every unit arrow of A_s and of B is cancelled,
+which leaves reduced models A' and B', with differentials 0 modulo U,
+and v and h are carried over as f' = p_B f i_A.  The hat flavor reads
+U^0 alone: it cancels the power-0 parts of A_s, B, v and h (a grading
+filter) and reads dim H(A_s) = |A'|, dim H(B) = |B'| and rank f_* as the
+GF(2) rank of f', so the cone of v + h has dimension
+|A'| + |B'| - 2 rank (v + h)_*, taken per grading at s = 0.  The plus
+flavor reduces A', B' and the cones of the three maps on them once each,
+reads each induced rank off the dimension of its cone by rank-nullity
 (`_rank_nullity`), dim H(cone f) = dim H(A) + dim H(B) - 2 rank f_*, and
-reads every truncation height off the pivots.  In auto mode the precision
-provably exceeds every pivot of the cone of v + h, so its towers and
-blocks U^v, and with them its homology at every height, are read off in
-closed form (`_plus_reductions`, `cone_homology_plus_truncated`).  The
-twisted cone at s = 0 is read off the same A', B', v' and h' modulo U
-(see `twisted`).
+every truncation height off the pivots.  Every cone is graded, with B
+shifted by the degree of the map, and reduced exactly, but the cone of
+v + h at s != 0: v keeps the gradings and h lowers them by 2s, so it
+alone writes its U-powers out, for `smith_pivots_u` modulo a precision,
+the one place precision rules remain (`_plus_reductions`).  The twisted
+cone at s = 0 is read off the same A', B', v' and h' (see `twisted`).
 """
 
 from __future__ import annotations
@@ -41,7 +40,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from floercone.linalg import F2Matrix, InvariantViolated, _minor_degree_bound, rank_f2
+from floercone.linalg import F2Matrix, InvariantViolated, _mask_bits, _minor_degree_bound, rank_f2
 from floercone.model import KnotComplex, derive_flip, require_valid
 from floercone.subquotient import (
     FreeReduction,
@@ -49,10 +48,11 @@ from floercone.subquotient import (
     SubquotientComplex,
     _artifact_cutoff,
     _check_commutes,
-    _graded_precision,
     _hat_view,
-    _mod_u,
+    _modulo_u,
+    _reduce_ungraded,
     _reported,
+    _u0,
     free_chain_map,
     free_plus_complex,
     reduce_free,
@@ -81,31 +81,31 @@ def induces_iso(cm: ChainMapF2) -> bool:
     return _cone_dim(cm.source, cm.target, cm.matrix) == 0
 
 
-def _v_map(a: FreeUComplex, b: FreeUComplex, precision: int) -> tuple:
+def _v_map(a: FreeUComplex, b: FreeUComplex) -> tuple:
     """v : A_s -> B sends y_g to U^(-lo(g)) x_g."""
-    return free_chain_map(a, b, [(k, k, -low) for k, low in enumerate(a.lo)], 0, precision)
+    return free_chain_map(a, b, [(k, k, -low) for k, low in enumerate(a.lo)], 0)
 
 
-def _h_map(c: KnotComplex, s: int, a: FreeUComplex, b: FreeUComplex, precision: int) -> tuple:
+def _h_map(c: KnotComplex, s: int, a: FreeUComplex, b: FreeUComplex) -> tuple:
     """h : A_s -> B sends y_g to U^max(0, s - A(g)) x_t per flip target t;
     it lowers gradings by 2s."""
     if c.flip is None:
         raise FlipMissing("complex has no flip map; derive or supply one")
     gens = c.generators
     terms = [(x, y, max(0, s - gens[x].alexander)) for x, y, _ in c._index_form[1]]
-    return free_chain_map(a, b, terms, -2 * s, precision)
+    return free_chain_map(a, b, terms, -2 * s)
 
 
 def _hat_map(a: SubquotientComplex, b: SubquotientComplex, f, degree: int) -> ChainMapF2:
-    """The F2[U] map f modulo U; a zero map has degree 0."""
-    matrix = _mod_u(f, b.dim)
+    """The F2[U] map f of this degree modulo U; a zero map has degree 0."""
+    matrix = F2Matrix._from_masks(b.dim, a.dim, _u0(f, a.maslov, b.maslov, degree))
     return ChainMapF2(a, b, matrix, 0 if matrix.is_zero() else degree)
 
 
 def _hat_complexes(c: KnotComplex, s: int) -> tuple:
-    """A_s and B as free F2[U]-complexes modulo U, and the same two as GF(2)
+    """A_s and B as free F2[U]-complexes, and the same two modulo U as GF(2)
     complexes."""
-    a, b = free_plus_complex(c, s, 1), free_plus_complex(c, precision=1)
+    a, b = free_plus_complex(c, s), free_plus_complex(c)
     return a, b, _hat_view(c, a), _hat_view(c, b)
 
 
@@ -114,14 +114,14 @@ def _hat_maps(c: KnotComplex, s: int, complexes: tuple) -> tuple:
     the i = 0 part of B, h projects it onto the j = s part and carries it to
     B by U^s and the flip."""
     a, b, a_hat, b_hat = complexes
-    return (_hat_map(a_hat, b_hat, _v_map(a, b, 1), 0),
-            _hat_map(a_hat, b_hat, _h_map(c, s, a, b, 1), -2 * s))
+    return (_hat_map(a_hat, b_hat, _v_map(a, b), 0),
+            _hat_map(a_hat, b_hat, _h_map(c, s, a, b), -2 * s))
 
 
 def build_v_hat(c: KnotComplex, s: int) -> ChainMapF2:
     """Projection of A_s onto the i = 0 part of B."""
     a, b, a_hat, b_hat = _hat_complexes(c, s)
-    return _hat_map(a_hat, b_hat, _v_map(a, b, 1), 0)
+    return _hat_map(a_hat, b_hat, _v_map(a, b), 0)
 
 
 def project_A(c: KnotComplex, s: int, s_prime: int) -> ChainMapF2:
@@ -133,10 +133,10 @@ def project_A(c: KnotComplex, s: int, s_prime: int) -> ChainMapF2:
     """
     if s > s_prime:
         raise ValueError("requires s <= s'")
-    a, a_prime = free_plus_complex(c, s, 1), free_plus_complex(c, s_prime, 1)
+    a, a_prime = free_plus_complex(c, s), free_plus_complex(c, s_prime)
     terms = [(k, k, high - low) for k, (low, high) in enumerate(zip(a.lo, a_prime.lo))]
     return _hat_map(_hat_view(c, a), _hat_view(c, a_prime),
-                    free_chain_map(a, a_prime, terms, 0, 1), 0)
+                    free_chain_map(a, a_prime, terms, 0), 0)
 
 
 @dataclass(frozen=True)
@@ -167,37 +167,35 @@ def _cone_dim(a: SubquotientComplex, b: SubquotientComplex, f: F2Matrix) -> int:
     return n - 2 * rank_f2(F2Matrix._from_masks(n, n, tuple(columns)))
 
 
-def _reduced_maps(c: KnotComplex, s: int, precision: int, modulo_u: bool) -> tuple:
-    """A' and B', the reduced models of A_s and B, and the columns of v'
-    and h' between them, modulo U^precision.
+def _reduced_maps(c: KnotComplex, s: int, u0_only: bool) -> tuple:
+    """A' and B', the reduced models of A_s and B, and the column masks of
+    v' and h' between them.
 
     v and h are built and checked on the full A_s and B.  Then every unit
     arrow of A_s is cancelled with v and h carried along, and every unit
     arrow of B with v i_A and h i_A carried along (`reduced_model`).  That
     leaves A' and B', homotopy equivalent to A_s and B by inclusions i and
-    projections p with p i = 1, and f' = p_B f i_A for f = v, h, checked
-    again to commute with the reduced differentials modulo U^precision.
-    With modulo_u, for a caller that reads U^0 alone (precision 1), A_s and
-    B are built modulo U too, so no U-power of their differentials is
-    written out; every differential left is then 0, which is checked, and
-    f' d = 0 = d f' holds with no further check.
+    projections p with p i = 1, and f' = p_B f i_A, checked again to be
+    chain maps.  With u0_only, for a caller that reads U^0 alone, the
+    power-0 parts are cancelled instead; every differential left is then
+    0, which is checked, and f' d = 0 = d f' needs no check.
     """
-    built = 1 if modulo_u else None
-    return _reduce_maps(c, s, free_plus_complex(c, s, built),
-                        free_plus_complex(c, precision=built), precision, modulo_u)
+    return _reduce_maps(c, s, free_plus_complex(c, s), free_plus_complex(c), u0_only)
 
 
-def _reduce_maps(c: KnotComplex, s: int, a: FreeUComplex, b: FreeUComplex, precision: int,
-                 modulo_u: bool) -> tuple:
-    """The reduce half of `_reduced_maps`, on A_s and B already built (modulo
-    U with modulo_u)."""
-    maps = _v_map(a, b, precision), _h_map(c, s, a, b, precision)
+def _reduce_maps(c: KnotComplex, s: int, a: FreeUComplex, b: FreeUComplex,
+                 u0_only: bool) -> tuple:
+    """The reduce half of `_reduced_maps`, on A_s and B already built."""
+    maps = _v_map(a, b), _h_map(c, s, a, b)
+    if u0_only:
+        maps = _u0(maps[0], a.gradings, b.gradings, 0), _u0(maps[1], a.gradings, b.gradings, -2 * s)
+        a, b = _modulo_u(a), _modulo_u(b)
     a, maps, _ = reduced_model(a, out=maps)          # A' and v i_A, h i_A
     b, _, (v, h) = reduced_model(b, into=maps)       # B' and v', h'
-    if modulo_u and (any(a.columns) or any(b.columns)):
+    if u0_only and (any(a.columns) or any(b.columns)):
         raise InvariantViolated("a reduced model modulo U keeps a differential")
-    for f in () if modulo_u else (v, h):  # with modulo_u, f' d = 0 = d f'
-        _check_commutes(f, a, b, precision)
+    for f in () if u0_only else (v, h):  # with u0_only, f' d = 0 = d f'
+        _check_commutes(f, a, b)
     return a, b, v, h
 
 
@@ -209,11 +207,9 @@ def cone_homology_hat(c: KnotComplex, s: int) -> ConeResult:
     of v' + h' at grading g, of rank r_g, land in B'_g, so its homology
     there has dimension |A'_g| - r_g + |B'_(g+1)| - r_(g+1)."""
     c = ensure_flip(c)
-    a, b, v, h = _reduced_maps(c, s, 1, True)
-    rows = len(b.gradings)
-    v, h = _mod_u(v, rows), _mod_u(h, rows)
-    vh = F2Matrix._from_masks(rows, v.cols, tuple(
-        x ^ y for x, y in zip(v.column_masks(), h.column_masks())))
+    a, b, v, h = _reduced_maps(c, s, True)
+    rows, cols = len(b.gradings), len(a.gradings)
+    v, h, vh = (F2Matrix._from_masks(rows, cols, tuple(f)) for f in (v, h, map(int.__xor__, v, h)))
     rank_vh = rank_f2(vh)
     graded = None
     if s == 0:
@@ -226,69 +222,76 @@ def cone_homology_hat(c: KnotComplex, s: int) -> ConeResult:
         dims.subtract(ranks)
         dims.subtract({g - 1: r for g, r in ranks.items()})
         graded = _reported(c, {g: n for g, n in sorted(dims.items()) if n})
-    return ConeResult(s, "hat", len(a.gradings) + rows - 2 * rank_vh, rank_f2(v), rank_f2(h),
-                      rank_vh, graded)
+    return ConeResult(s, "hat", cols + rows - 2 * rank_vh, rank_f2(v), rank_f2(h), rank_vh, graded)
 
 
-def _free_cone(a: FreeUComplex, b: FreeUComplex, f) -> tuple:
-    """Gradings and columns of the cone of f : A -> B, with B one degree below A."""
+def _free_cone(a: FreeUComplex, b: FreeUComplex, f, degree: int = 0) -> tuple:
+    """Gradings and column masks of the cone of f : A -> B of this degree,
+    graded: B sits degree + 1 below A."""
     na = len(a.gradings)
-    columns = [{**da, **{na + r: e for r, e in fa.items()}} for da, fa in zip(a.columns, f)]
-    columns += [{na + r: e for r, e in db.items()} for db in b.columns]
-    return a.gradings + tuple(g - 1 for g in b.gradings), columns
+    return (a.gradings + tuple(g - degree - 1 for g in b.gradings),
+            [da | fa << na for da, fa in zip(a.columns, f)] + [db << na for db in b.columns])
+
+
+def _powers(col: dict, mask: int, gradings, top: int, precision) -> dict:
+    """col plus U^k * r for each row r of mask, k the power that takes grading
+    top to gradings[r] = top + 2k, where k is below precision (None: every k)."""
+    for r in _mask_bits(mask):
+        k = (gradings[r] - top) // 2
+        if (precision is None or k < precision) and (x := col.pop(r, 0) ^ 1 << k):
+            col[r] = x
+    return col
+
+
+def _ungraded_cone(a: FreeUComplex, b: FreeUComplex, v, h, s: int, precision) -> tuple:
+    """Gradings and columns {row: U-power bitmask} of the cone of v + h at
+    s != 0, powers below precision: the cone of v, with h 2s gradings lower."""
+    gradings, columns = _free_cone(a, b, v)
+    cone = [_powers({}, col, gradings, g - 1, precision) for g, col in zip(gradings, columns)]
+    for col, g, fh in zip(cone, a.gradings, h):
+        _powers(col, fh << len(a.gradings), gradings, g - 1 - 2 * s, precision)
+    return gradings, cone
 
 
 def _plus_reductions(c: KnotComplex, s: int, precision: int | None = None):
-    """Reductions of A_s, B and the cones of v, h and v + h modulo U^precision,
-    read off reduced models (`_reduced_maps`); h lowers gradings by 2s, so
-    its cones are graded at s = 0 only.
+    """Reductions of A_s, B and the cones of v, h and v + h, read off reduced
+    models (`_reduced_maps`) at heights below precision.
 
-    The transfer to A' and B' is exact: i_B f' p_A is homotopic to f, so
-    the cone of f is homotopy equivalent to the cone of i_B f' p_A, and
-    (p_A, p_B) maps that cone to the cone of f' by a homotopy equivalence,
-    p_B i_B being 1.
-    Over F2[U], and modulo any U^P, each reduction on a reduced model has
-    the same pivots U^v with v >= 1 and the same towers as on the full
-    complex, and a unit pivot it lacks would have taken 2(n + 1) from
-    size * (n + 1) in `FreeReduction.homology_dim`: every answer is the
-    same, on complexes of the size of the hat homology.
+    The transfer to A' and B' is exact: i_B f' p_A is homotopic to f, so the
+    cone of f is homotopy equivalent to the cone of i_B f' p_A, which
+    (p_A, p_B) carries to the cone of f' by a homotopy equivalence, p_B i_B
+    being 1.  So each reduction on a reduced model has the pivots U^v with
+    v >= 1 and the towers of the full one, and lacks only unit pivots,
+    which take 2(n + 1) from size * (n + 1) in `FreeReduction.homology_dim`.
 
-    Without a precision, the cone of v + h is reduced first, at a P one above
-    every one of its pivots:
-    - s = 0: the cone is graded, and `_graded_precision` bounds its pivots.
-    - 0 < |s| <= a_bound: every U-power of v and h is at most 2 a_bound, so
-      the maps are built exactly, modulo U^(2 a_bound + 1), and the
-      cancellations are exact, so v' and h' are too.  The m x m cone
-      differential D has D^2 = 0, so it has at most m / 2 invariant factors;
-      a reduction that finds m / 2 pivots modulo U^P has found them all, each
-      below P.  So P is first the cheap grading bound plus |s|, and where that
-      finds fewer, the minor-degree bound of `linalg._minor_degree_bound`,
-      which is above every invariant factor (if it finds fewer too, the cone
-      has a U-tower).  Both bounds are taken on the reduced cone.
-    - |s| > a_bound: v + h is the identity (s > 0) or the flip (s < 0)
-      modulo U, so the cone is acyclic modulo U and every pivot is a unit:
-      P = 1, and no U^|s| is written out.
-    The other four are then reduced modulo U^(n + 1), n + 1 = max(1, largest
-    v of that cone): they are read at height n only, where a pivot U^v counts
-    through min(v, n + 1) alone.  Where every pivot read is a unit, past
-    a_bound in auto mode and at precision 1, A_s and B are built modulo U.
+    The graded reductions are exact, good at every height; at precision 1,
+    and in auto mode past a_bound, the power-0 parts alone are reduced, for
+    height 0.  The cone of v + h at s != 0 is not graded, and is reduced
+    modulo U^precision; in auto mode at a P above every one of its pivots:
+    - 0 < |s| <= a_bound: its m x m differential D has D^2 = 0, so at most
+      m / 2 invariant factors, and a reduction that finds m / 2 pivots
+      modulo U^P has them all.  So P is first half the grading spread of the
+      cone, plus one, plus |s|, and where that finds fewer the minor-degree
+      bound (`linalg._minor_degree_bound`), above every invariant factor (if
+      it finds fewer too, the cone has a U-tower).
+    - |s| > a_bound: v + h is the identity or the flip modulo U, so every
+      pivot is a unit: P = 1.
     """
     far = abs(s) > c.a_bound()
-    build = (1 if far else 2 * c.a_bound() + 1) if precision is None else precision
-    a, b, v, h = _reduced_maps(c, s, build, far if precision is None else precision == 1)
-    vh = [{r: x for r in cv.keys() | ch.keys() if (x := cv.get(r, 0) ^ ch.get(r, 0))}
-          for cv, ch in zip(v, h)]
-    (gv, cv), (gh, ch), (gvh, cvh) = (_free_cone(a, b, f) for f in (v, h, vh))
-    if precision is None:
-        rvh = reduce_free(gvh, cvh, 1 if far else _graded_precision(gvh) + abs(s), s == 0)
-        if s and not far and 2 * len(rvh.pairs) != len(cvh):
-            rvh = reduce_free(gvh, cvh, _minor_degree_bound(cvh, len(cvh) // 2), False)
-        precision = max([1] + [p for *_, p in rvh.pairs])
+    u0 = 1 if (far if precision is None else precision == 1) else None
+    a, b, v, h = _reduced_maps(c, s, u0 == 1)
+    if s == 0:
+        rvh = reduce_free(*_free_cone(a, b, [x ^ y for x, y in zip(v, h)]), u0)
     else:
-        rvh = reduce_free(gvh, cvh, precision, s == 0)
-    return (reduce_free(a.gradings, a.columns, precision),
-            reduce_free(b.gradings, b.columns, precision),
-            reduce_free(gv, cv, precision), reduce_free(gh, ch, precision, s == 0), rvh)
+        (gvh, cvh), auto = _ungraded_cone(a, b, v, h, s, precision), precision is None
+        if auto:
+            precision = 1 if far or not gvh else (max(gvh) - min(gvh) + 1) // 2 + 1 + abs(s)
+        rvh = _reduce_ungraded(gvh, cvh, precision)
+        if auto and not far and 2 * len(rvh.pairs) != rvh.size:
+            rvh = _reduce_ungraded(gvh, cvh, _minor_degree_bound(cvh, len(cvh) // 2))
+    return (reduce_free(a.gradings, a.columns, u0), reduce_free(b.gradings, b.columns, u0),
+            reduce_free(*_free_cone(a, b, v), u0), reduce_free(*_free_cone(a, b, h, -2 * s), u0),
+            rvh)
 
 
 def _induced_rank(ra: FreeReduction, rb: FreeReduction, cone: FreeReduction, n: int) -> int:
@@ -301,12 +304,10 @@ def cone_homology_plus_truncated(c: KnotComplex, s: int, truncation="auto") -> C
     the homology of the complex truncated at U^(n + 1), and grows with n
     whenever the cone carries U-towers.
 
-    An explicit integer truncation is the height n, read off reductions
-    modulo U^(n + 1), since height n sees a pivot U^v through min(v, n + 1)
-    alone; at s = 0 graded_dims is ker(U) below the line of
-    `_artifact_cutoff`.  With "auto" the reductions at a precision above
-    every pivot of the cone of v + h (`_plus_reductions`) give the answers
-    in closed form:
+    An explicit integer truncation is the height n, which sees a pivot U^v
+    through min(v, n + 1) alone; at s = 0 graded_dims is ker(U) below the
+    line of `_artifact_cutoff`.  With "auto" the pivots, every one of them
+    off s = 0 too (`_plus_reductions`), give the answers in closed form:
     - s = 0: graded_dims is ker(U) at every large height, one per tower at
       its grading and one per pivot U^v, v >= 1, at its column's grading;
     - s != 0: the cone has no towers, which is checked (InvariantViolated
@@ -318,7 +319,7 @@ def cone_homology_plus_truncated(c: KnotComplex, s: int, truncation="auto") -> C
     c = ensure_flip(c)
     if truncation == "auto":
         ra, rb, rv, rh, rvh = _plus_reductions(c, s)
-        n = ra.precision - 1  # max(1, largest v) - 1: see `_plus_reductions`
+        n = max([1] + [v for *_, v in rvh.pairs]) - 1
         if s != 0 and rvh.size != 2 * len(rvh.pairs):
             raise InvariantViolated(f"the plus cone at s = {s} has a U-tower")
         socle = Counter(rvh.towers + tuple(col for _, col, v in rvh.pairs if v))

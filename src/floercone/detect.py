@@ -122,7 +122,7 @@ def sphere_necessary_conditions(complexes) -> Verdict:
             built.append((parts, dim_a))
         for c, (parts, dim) in zip(complexes, built):
             if s == 0:
-                novikov = _pencil_homology(*_reduce_maps(c, s, *parts[:2], 1, True)).novikov_dim
+                novikov = _pencil_homology(*_reduce_maps(c, s, *parts[:2], True)).novikov_dim
                 if novikov:
                     return Verdict(
                         VerdictKind.DOES_NOT_FIRE,

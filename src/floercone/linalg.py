@@ -3,16 +3,21 @@ ring GF(2)[T, T^-1].
 
 GF(2) matrices store one Python-int bitmask per column; products and
 elimination run on those masks, so every computation is exact, and the set
-of (row, col) positions equal to 1 is a view derived on request.  Laurent
-polynomials are stored as (mask, low): bit k of the int mask is the
-coefficient of T^(low + k), with the mask odd (or both zero), so sums are
-shifted XORs, products are carry-less, and the set of exponents whose
-coefficient is 1 is again a view derived on request.  The Laurent ring is
-Euclidean once unit powers of T are stripped, which is what the Smith
-reduction and the division steps rely on.  The one elimination kernel over
-GF(2)[U]/U^P is `smith_pivots_u`; `cancel_units` runs its column step at
-the unit pivots alone, dropping both ends of each, which shrinks a free
-complex to a homotopy equivalent one with differential 0 modulo U.
+of (row, col) positions equal to 1 is a view derived on request.  A graded
+F2[U]-complex or map is stored the same way, since the gradings of its row
+and column fix the U-power of an entry: graded maps compose as masks,
+`cancel_units` cancels the entries of power 0 by XORs of masks, and
+`F2Span`, the one GF(2) echelon loop, is the graded Smith reduction over
+F2[U] once rows and columns follow the gradings (`subquotient.reduce_free`).
+Only an ungraded F2[U] matrix writes its powers out, as columns
+{row: bitmask of U-powers} modulo U^P, for `smith_pivots_u`, its Smith
+reduction, and `_u_product`.  Laurent polynomials are stored as
+(mask, low): bit k of the int mask is the coefficient of T^(low + k), with
+the mask odd (or both zero), so sums are shifted XORs, products are
+carry-less, and the set of exponents whose coefficient is 1 is again a
+view derived on request.  The Laurent ring is Euclidean once unit powers
+of T are stripped, which is what the Smith reduction and the division
+steps rely on.
 
 No floating point is used anywhere in this module.
 """
@@ -45,32 +50,27 @@ def _mask_bits(mask: int):
 
 class F2Span:
     """Incremental GF(2) span of bitmask vectors, one stored vector per
-    leading bit."""
+    leading bit: the one GF(2) echelon loop (see `subquotient.reduce_free`)."""
 
     def __init__(self):
         self._pivots: dict[int, int] = {}
         self.size = 0
 
-    def reduce(self, vec: int) -> int:
-        """The residue of vec modulo the span; 0 when vec lies in it."""
-        while vec:
-            hit = self._pivots.get(vec.bit_length() - 1)
-            if hit is None:
-                return vec
+    def add(self, vec: int) -> int:
+        """Add vec to the span; returns its residue, 0 when it lay in the span."""
+        pivots = self._pivots
+        while vec and (hit := pivots.get(vec.bit_length() - 1)):
             vec ^= hit
-        return 0
-
-    def add(self, vec: int) -> bool:
-        """Add vec to the span; returns True if it was independent."""
-        residue = self.reduce(vec)
-        if residue == 0:
-            return False
-        self._pivots[residue.bit_length() - 1] = residue
-        self.size += 1
-        return True
+        if vec:
+            pivots[vec.bit_length() - 1] = vec
+            self.size += 1
+        return vec
 
     def contains(self, vec: int) -> bool:
-        return self.reduce(vec) == 0
+        pivots = self._pivots
+        while vec and (hit := pivots.get(vec.bit_length() - 1)):
+            vec ^= hit
+        return not vec
 
 
 def _combine(masks, select: int) -> int:
@@ -261,24 +261,9 @@ def _valuation(e: int) -> int:
     return (e & -e).bit_length() - 1
 
 
-def _cut(x: int, precision: int | None) -> int:
-    """x modulo U^precision (x itself for None); no P-bit mask is built
-    unless x reaches U^P."""
-    return x if precision is None or not x >> precision else x & ((1 << precision) - 1)
-
-
-def _add_multiple(col: dict, pivot_col: dict, q: int, precision: int | None) -> list:
-    """col += q * pivot_col modulo U^precision (exactly for None), in place:
-    the one column step of `smith_pivots_u` and `cancel_units`.  Returns
-    (row, old, new) for each entry it leaves nonzero."""
-    changed = []
-    for r, p in pivot_col.items():
-        old = col.pop(r, 0)
-        x = _cut(old ^ _clmul(p, q), precision)
-        if x:
-            col[r] = x
-            changed.append((r, old, x))
-    return changed
+def _cut(x: int, precision: int) -> int:
+    """x modulo U^precision; no P-bit mask is built unless x reaches U^P."""
+    return x if not x >> precision else x & ((1 << precision) - 1)
 
 
 def smith_pivots_u(columns, precision: int) -> list[tuple[int, int, int]]:
@@ -294,7 +279,8 @@ def smith_pivots_u(columns, precision: int) -> list[tuple[int, int, int]]:
     sit in a heap, where a key whose entry has since changed is skipped when
     popped, and each row lists the columns that may hold it, so a pivot
     touches only those columns.  Multiplying by the unit u keeps every
-    valuation, and each new entry gets a fresh key.
+    valuation, and each new entry gets a fresh key.  Entries are cut modulo
+    U^P only where they reach U^P, so no P-bit mask is built.
     """
     cols: dict[int, dict[int, int]] = {}
     holders: dict[int, set] = {}
@@ -322,24 +308,29 @@ def smith_pivots_u(columns, precision: int) -> list[tuple[int, int, int]]:
             if unit != 1:
                 for r2, x in col.items():
                     col[r2] = _cut(_clmul(x, unit), precision)
-            for r2, old, x in _add_multiple(col, pivot_col, e >> v, precision):
-                holders[r2].add(c2)
-                if (vx := _valuation(x)) != _valuation(old):  # the zero old one is at -1
-                    heappush(heap, (vx, r2, c2))
+            q = e >> v
+            for r2, p in pivot_col.items():
+                old = col.pop(r2, 0)
+                if x := _cut(old ^ _clmul(p, q), precision):
+                    col[r2] = x
+                    holders[r2].add(c2)
+                    if (vx := _valuation(x)) != _valuation(old):  # the zero old one is at -1
+                        heappush(heap, (vx, r2, c2))
         pivots.append((r, c, v))
     return pivots
 
 
-def cancel_units(columns, size: int) -> tuple[list, list]:
-    """Cancel every unit arrow of a free F2[U]-complex, exactly.
+def cancel_units(columns, gradings) -> tuple[list, list]:
+    """Cancel every unit arrow of a graded free F2[U]-complex, exactly.
 
-    columns[:size] are the differential of a complex on basis 0..size-1,
-    given as in `smith_pivots_u`.  For each entry 1 at (y, x), the
-    cancellation lemma (Gaussian elimination, Bar-Natan 2007) sets
-    d z += <d z, y> d x for every other column z, with `_add_multiple`, and
-    drops x and y from the basis; the result is homotopy equivalent to the
-    complex.  On a graded complex every entry is a monomial, so a unit is
-    exactly 1, and once none is left the differential is 0 modulo U.  The
+    columns[:size], size = len(gradings), are the differential of a complex
+    on basis 0..size-1 as column masks, entry (r, c) of U-power
+    (gradings[r] - gradings[c] + 1) / 2: a unit has gradings[r] =
+    gradings[c] - 1.  For each unit at (y, x), the cancellation lemma
+    (Gaussian elimination, Bar-Natan 2007) sets d z += <d z, y> d x for
+    every other column z, one XOR of masks whose powers the gradings fix
+    again, and drops x and y: the result is homotopy equivalent to the
+    complex, with differential 0 modulo U once no unit is left.  The
     equivalence is z -> z + <d z, y> x into the complex and
     w -> w_Z + <w, y> (d x)_Z out of it, Z the basis left.  So
     - rows at index >= size below the first size columns (a map out of the
@@ -350,43 +341,47 @@ def cancel_units(columns, size: int) -> tuple[list, list]:
 
     Returns the kept basis indices in order, and the kept columns followed
     by columns[size:], with each row below size renumbered to its place
-    among the kept; rows at index >= size keep their index.
+    among the kept and the rows from size on moved down to follow them.
     """
-    cols: dict[int, dict[int, int]] = {}
+    size = len(gradings)
+    low = (1 << size) - 1
+    cols = dict(enumerate(columns))
     holders: dict[int, set] = {}
     units = deque()  # first in, first out: on the sums tried, a third of the steps of a stack
-    for c, col in enumerate(columns):
-        cols[c] = kept = dict(col)
-        for r, x in kept.items():
-            if r < size:
-                holders.setdefault(r, set()).add(c)
-                if x == 1 and c < size and r != c:
-                    units.append((r, c))
+
+    def hold(z: int, rows: int) -> None:
+        """Index the rows of z below size, and queue its units among them."""
+        for r in _mask_bits(rows & low):
+            holders.setdefault(r, set()).add(z)
+            if z < size and gradings[r] == gradings[z] - 1:
+                units.append((r, z))
+
+    for c, col in cols.items():
+        hold(c, col)
     while units:
         y, x = units.popleft()
-        pivot_col = cols.get(x)
-        if not pivot_col or pivot_col.get(y) != 1:
+        pivot = cols.get(x)
+        if pivot is None or not pivot >> y & 1:
             continue
-        del cols[x], pivot_col[y]
+        del cols[x]
         cols.pop(y, None)
         for z in holders.pop(y):
             col = cols.get(z)
-            e = col and col.pop(y, 0)
-            if not e:
-                continue
-            for r, _, new in _add_multiple(col, pivot_col, e, None):
-                if r < size:
-                    holders[r].add(z)
-                    if new == 1 and z < size and r != z:
-                        units.append((r, z))
+            if col is not None and col >> y & 1:
+                cols[z] = col ^ pivot
+                hold(z, pivot & ~col)
         for z in holders.pop(x, ()):
-            col = cols.get(z)
-            if col:
-                col.pop(x, None)
+            if z in cols:
+                cols[z] &= ~(1 << x)
     kept = [k for k in range(size) if k in cols]
     place = {k: i for i, k in enumerate(kept)}
-    out = [{place.get(r, r): e for r, e in cols[c].items()}
-           for c in kept + list(range(size, len(columns)))]
+    out = []
+    for c in kept + list(range(size, len(columns))):
+        col = cols[c]
+        mask = col >> size << len(kept)
+        for r in _mask_bits(col & low):
+            mask |= 1 << place[r]
+        out.append(mask)
     return kept, out
 
 

@@ -9,14 +9,23 @@ Regions of the (i, j) plane used here, with j = i + A(generator):
 
 Each plus region is a free F2[U]-complex, one basis element per generator
 g at its lowest height lo(g) (0 in B, min(0, s - A(g)) in A_s), tensored
-with F2[U]/U^(N+1) (`free_plus_complex`).  A hat region is the same
-complex read modulo U: basis (g, lo(g)), the U^0 part of the differential,
-the same gradings.  One Smith reduction modulo U^P (`reduce_free`) gives
-the Jordan blocks of U on plus homology (`GradedUModule`) at every N < P.
-A graded reduction has no pivot U^v with v >= P once P exceeds half the
-grading spread (`_graded_precision`); then its unpaired gradings are the
-towers, and the reduced part is read off the pivots in closed form
-(`hf_red_graded`).
+with F2[U]/U^(N+1) (`free_plus_complex`).  Every complex and map here is
+graded, so the gradings fix the U-power of each entry: a differential or
+map is one GF(2) column mask per basis element, as in `F2Matrix`, with
+no power written out, and its F2[U] products are mask products, exact
+since every path between two basis elements has the same power.  A hat
+region is the same complex read modulo U: the entries of power 0 (`_u0`).
+
+The graded Smith form over F2[U] is a GF(2) column reduction
+(Zomorodian-Carlsson, "Computing persistent homology", 2005): with rows
+and columns in descending grading order, each column reduced on one
+`F2Span` pairs with its leading row, the lowest grading and so the least
+power left in it, in a block U^v read off the gradings (`reduce_free`).
+It is exact and needs no precision: a pivot U^v with v >= N + 1 gives
+the Jordan blocks of U at height N (`GradedUModule`) that two towers at
+its gradings give.  Its unpaired gradings are the towers, and the reduced
+part is read off its pivots (`hf_red_graded`).  Precision rules remain
+for the one ungraded cone alone (`cone._plus_reductions`).
 
 Every grading here is an int, M - offset with the offset shared by the
 Maslov gradings of the complex (`KnotComplex._int_maslov`); the offset is
@@ -27,19 +36,29 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import accumulate, islice
 
 from floercone.linalg import (
     CompositionNonzero,
     F2Matrix,
+    F2Span,
     InvariantViolated,
     NotAChainMap,
-    _cut,
-    _u_product,
+    _combine,
+    _mask_bits,
     cancel_units,
     rank_f2,
     smith_pivots_u,
 )
 from floercone.model import KnotComplex, PlaneElement, require_valid
+
+# Total dimension of HF_red past which `hf_red_graded` refuses to list it
+# grading by grading; the shipped inputs and test corpora stay far below.
+_RED_DIM_LIMIT = 10 ** 6
+
+
+class ReducedHomologyTooLarge(Exception):
+    """HF_red is too large to list grading by grading."""
 
 
 @dataclass(frozen=True)
@@ -72,43 +91,35 @@ class SubquotientComplex:
         return (self.dim - rk) - rk
 
 
-def _mod_u(columns, rows: int) -> F2Matrix:
-    """The U^0 part of an F2[U] map given by its columns {row: U-power bitmask}."""
-    masks = []
-    for col in columns:
-        mask = 0
-        for row, e in col.items():
-            if e & 1:
-                mask |= 1 << row
-        masks.append(mask)
-    return F2Matrix._from_masks(rows, len(columns), tuple(masks))
+def _u0(columns, source_gradings, target_gradings, degree: int) -> tuple:
+    """The power-0 part of a graded map of this degree, by column masks."""
+    level: dict = {}  # the rows at each grading
+    for r, g in enumerate(target_gradings):
+        level[g] = level.get(g, 0) | 1 << r
+    return tuple([col & level.get(g + degree, 0) for g, col in zip(source_gradings, columns)])
 
 
 def _hat_view(c: KnotComplex, free: FreeUComplex) -> SubquotientComplex:
     """A free complex read modulo U."""
     basis = tuple(PlaneElement(g.name, low) for g, low in zip(c.generators, free.lo))
-    return SubquotientComplex(basis, _mod_u(free.columns, len(basis)), free.gradings)
+    matrix = F2Matrix._from_masks(len(basis), len(basis), _modulo_u(free).columns)
+    return SubquotientComplex(basis, matrix, free.gradings)
 
 
 # ---------------------------------------------------------------------------
 # Plus flavor: free complexes over F2[U]
 
 
-def _u_columns(size: int, terms, source_gradings, target_gradings, degree,
-               precision=None) -> tuple:
-    """Columns {row: U-power bitmask} of the F2[U] map whose terms (col, row, k)
-    put U^k * row in the image of col; each k must be >= 0 and move gradings
-    by degree, target_gradings[row] - source_gradings[col] = 2k + degree.
-    With a precision, terms with k >= precision are dropped after the check."""
-    columns = [{} for _ in range(size)]
+def _u_columns(size: int, terms, source_gradings, target_gradings, degree) -> tuple:
+    """Column masks of the F2[U] map whose terms (col, row, k) put U^k * row
+    in the image of col; each k must be >= 0 and move gradings by degree,
+    target_gradings[row] - source_gradings[col] = 2k + degree, so that the
+    gradings give it back."""
+    columns = [0] * size
     for col, row, k in terms:
         if k < 0 or target_gradings[row] - source_gradings[col] != 2 * k + degree:
             raise InvariantViolated(f"U-power {k} is negative or breaks the gradings")
-        if precision is not None and k >= precision:
-            continue
-        e = columns[col].pop(row, 0) ^ 1 << k
-        if e:
-            columns[col][row] = e
+        columns[col] ^= 1 << row
     return tuple(columns)
 
 
@@ -116,48 +127,48 @@ def _u_columns(size: int, terms, source_gradings, target_gradings, degree,
 class FreeUComplex:
     """A plus region as a free F2[U]-complex: basis element k is the plane
     element (g_k, lo[k] + N) at height N, of grading gradings[k] + 2N, and
-    columns[k] maps each row to the U-power bitmask of the differential."""
+    columns[k] is the mask of the rows r in its differential, each with the
+    power (gradings[r] - gradings[k] + 1) / 2."""
 
     lo: tuple
     gradings: tuple
     columns: tuple
 
     def __post_init__(self):
-        if any(_u_product(self.columns, self.columns)):
+        if any(_combine(self.columns, col) for col in self.columns):
             raise CompositionNonzero("F2[U] differential does not square to zero")
 
 
-def free_plus_complex(c: KnotComplex, s: int | None = None,
-                      precision: int | None = None) -> FreeUComplex:
+def _modulo_u(free: FreeUComplex) -> FreeUComplex:
+    """The power-0 part of a checked free complex, whose d^2 needs no check."""
+    part = object.__new__(FreeUComplex)
+    part.__dict__.update(lo=free.lo, gradings=free.gradings,
+                         columns=_u0(free.columns, free.gradings, free.gradings, -1))
+    return part
+
+
+def free_plus_complex(c: KnotComplex, s: int | None = None) -> FreeUComplex:
     """B (s None), the region 0 <= i, or A_s, the region 0 <= max(i, j - s):
-    lo is 0 or min(0, s - A(g)), and U^n * t in d g is U^(n + lo(t) - lo(g)).
-    With a precision the differential is built modulo U^precision, after
-    every term's grading is checked."""
+    lo is 0 or min(0, s - A(g)), and U^n * t in d g is U^(n + lo(t) - lo(g))."""
     require_valid(c)
     lo = tuple(0 if s is None else min(0, s - g.alexander) for g in c.generators)
     gradings = tuple(m + 2 * low for m, low in zip(c._int_maslov[1], lo))
     terms = [(x, y, n + lo[y] - lo[x]) for x, y, n in c._index_form[0]]
-    return FreeUComplex(lo, gradings,
-                        _u_columns(len(lo), terms, gradings, gradings, -1, precision))
+    return FreeUComplex(lo, gradings, _u_columns(len(lo), terms, gradings, gradings, -1))
 
 
-def free_chain_map(source: FreeUComplex, target: FreeUComplex, terms, degree,
-                   precision: int) -> tuple:
-    """Columns of the F2[U] map with terms (col, row, k) modulo U^precision,
-    checked to move gradings by degree and, modulo U^precision, to commute
-    with the differentials; no U^k with k >= precision is written out."""
-    f = _u_columns(len(source.gradings), terms, source.gradings, target.gradings, degree,
-                   precision)
-    _check_commutes(f, source, target, precision)
+def free_chain_map(source: FreeUComplex, target: FreeUComplex, terms, degree) -> tuple:
+    """Column masks of the F2[U] map with terms (col, row, k), checked to
+    move gradings by degree and to commute with the differentials."""
+    f = _u_columns(len(source.gradings), terms, source.gradings, target.gradings, degree)
+    _check_commutes(f, source, target)
     return f
 
 
-def _check_commutes(f, source: FreeUComplex, target: FreeUComplex, precision: int) -> None:
-    """Raise NotAChainMap unless f d = d f modulo U^precision."""
-    differences = [{r: e for r in x.keys() | y.keys() if (e := x.get(r, 0) ^ y.get(r, 0))}
-                   for x, y in zip(_u_product(f, source.columns), _u_product(target.columns, f))
-                   if x != y]
-    if any(_cut(e, precision) for col in differences for e in col.values()):
+def _check_commutes(f, source: FreeUComplex, target: FreeUComplex) -> None:
+    """Raise NotAChainMap unless f d = d f: both sides are graded alike, so
+    their mask products decide it."""
+    if any(_combine(f, d) != _combine(target.columns, fc) for d, fc in zip(source.columns, f)):
         raise NotAChainMap("F2[U] map does not commute with the differentials")
 
 
@@ -165,39 +176,21 @@ def reduced_model(free: FreeUComplex, out=(), into=()) -> tuple:
     """The complex with every unit arrow cancelled (`linalg.cancel_units`),
     which is homotopy equivalent to it by an inclusion i and a projection p,
     with each map f out of it as f i and each map g into it as p g; maps
-    are given by their columns {row: U-power bitmask}, and are exact or
-    modulo a power of U as given."""
-    n, width = len(free.columns), len(out)
-    columns = list(free.columns)
-    if out:
-        columns = [dict(col) for col in columns]
-        for k, f in enumerate(out):  # map k rides below the columns: row r in row n + r * width + k
-            for col, fcol in zip(columns, f):
-                for r, e in fcol.items():
-                    col[n + r * width + k] = e
-    kept, cols = cancel_units(columns + [col for g in into for col in g], n)
-    m = len(kept)
-    differential, outs = cols[:m], [[] for _ in out]
-    if out:  # rows at n and past are the maps out, and no part of p g
-        differential = []
-        for col in cols[:m]:
-            d, parts = {}, [{} for _ in out]
-            for r, e in col.items():
-                if r < n:
-                    d[r] = e
-                else:
-                    row, k = divmod(r - n, width)
-                    parts[k][row] = e
-            differential.append(d)
-            for f, part in zip(outs, parts):
-                f.append(part)
-        cols[m:] = [{r: e for r, e in col.items() if r < n} for col in cols[m:]]
-    intos, start = [], m
-    for g in into:
-        intos.append(cols[start:start + len(g)])
-        start += len(g)
+    are graded and given by their column masks."""
+    columns, n = list(free.columns), len(free.columns)
+    widths = [max((fcol.bit_length() for fcol in f), default=0) for f in out]
+    starts = list(accumulate(widths, initial=0))  # map k's rows ride below the columns
+    for f, start in zip(out, starts):
+        columns = [col | fcol << n + start for col, fcol in zip(columns, f)]
+    kept, cols = cancel_units(columns + [col for g in into for col in g], free.gradings)
+    m, low = len(kept), (1 << len(kept)) - 1
+    outs = [tuple(col >> m + start & (1 << width) - 1 for col in cols[:m])
+            for start, width in zip(starts, widths)]
+    rest = iter([col & low for col in cols[m:]])
+    intos = [tuple(islice(rest, len(g))) for g in into]
     reduced = FreeUComplex(tuple([free.lo[k] for k in kept]),
-                           tuple([free.gradings[k] for k in kept]), tuple(differential))
+                           tuple([free.gradings[k] for k in kept]),
+                           tuple(col & low for col in cols[:m]))
     return reduced, outs, intos
 
 
@@ -231,15 +224,15 @@ class GradedUModule:
 
 @dataclass(frozen=True)
 class FreeReduction:
-    """Smith pivots of a free F2[U]-complex, read at heights below precision:
-    (row grading, column grading, v) per pivot U^v, and the gradings of the
-    towers.  Gradings mean something for a graded (degree -1) differential
-    only: an ungraded reduction records no towers and has no module."""
+    """Smith pivots of a free F2[U]-complex, read at heights below precision
+    (at every height for None): (row grading, column grading, v) per pivot
+    U^v, and the gradings of the towers.  An ungraded reduction records no
+    towers and has no module."""
 
     size: int
-    precision: int
     pairs: tuple
     towers: tuple
+    precision: int | None = None
     graded: bool = True
 
     def homology_dim(self, n: int) -> int:
@@ -261,28 +254,34 @@ class FreeReduction:
         return GradedUModule(blocks)
 
     def _check_height(self, n: int) -> None:
-        if not 0 <= n < self.precision:
-            raise ValueError(f"height {n} outside 0..{self.precision - 1}")
+        if n < 0 or self.precision is not None and n >= self.precision:
+            raise ValueError(f"height {n} is negative or not below precision {self.precision}")
 
 
-def reduce_free(gradings, columns, precision: int, graded: bool = True) -> FreeReduction:
-    """One Smith reduction of a free F2[U]-complex modulo U^precision.  With
-    graded, each pivot U^v must pair gradings gr[row] - 2v = gr[col] - 1."""
-    left = Counter(gradings)
-    pairs = []
-    for row, col, v in smith_pivots_u(columns, precision):
-        if graded and gradings[row] - 2 * v != gradings[col] - 1:
-            raise InvariantViolated("Smith pivot of a graded complex breaks the grading")
-        left.subtract((gradings[row], gradings[col]))
-        pairs.append((gradings[row], gradings[col], v))
-    towers = tuple(sorted(left.elements())) if graded else ()
-    return FreeReduction(len(gradings), precision, tuple(pairs), towers, graded)
+def reduce_free(gradings, columns, precision: int | None = None) -> FreeReduction:
+    """The exact Smith reduction of a graded free F2[U]-complex by column
+    masks (module docstring), or of its power-0 part, read at height 0,
+    with precision 1: each pivot U^v pairs gr[row] - 2v = gr[col] - 1."""
+    order = sorted(range(len(gradings)), key=gradings.__getitem__, reverse=True)
+    place = {k: p for p, k in enumerate(order)}
+    span, left, pairs = F2Span(), Counter(gradings), []
+    for col in order:
+        mask = sum(1 << place[r] for r in _mask_bits(columns[col]))
+        if mask and (residue := span.add(mask)):
+            row = order[residue.bit_length() - 1]
+            twice = gradings[row] - gradings[col] + 1
+            if twice < 0 or twice % 2:
+                raise InvariantViolated("Smith pivot of a graded complex breaks the grading")
+            left.subtract((gradings[row], gradings[col]))
+            pairs.append((gradings[row], gradings[col], twice // 2))
+    return FreeReduction(len(gradings), tuple(pairs), tuple(sorted(left.elements())), precision)
 
 
-def _graded_precision(gradings) -> int:
-    """A precision above every pivot of a graded reduction on these gradings:
-    a pivot U^v pairs gr[row] - 2v = gr[col] - 1, so 2v <= max - min + 1."""
-    return (max(gradings) - min(gradings) + 1) // 2 + 1 if gradings else 1
+def _reduce_ungraded(gradings, columns, precision: int) -> FreeReduction:
+    """The Smith reduction modulo U^precision of a free F2[U]-complex that is
+    not graded, given by columns {row: U-power bitmask} (`smith_pivots_u`)."""
+    pairs = [(gradings[r], gradings[c], v) for r, c, v in smith_pivots_u(columns, precision)]
+    return FreeReduction(len(gradings), tuple(pairs), (), precision, False)
 
 
 # ---------------------------------------------------------------------------
@@ -305,14 +304,17 @@ def _artifact_cutoff(c: KnotComplex, n: int) -> int:
 def hf_red_graded(c: KnotComplex) -> dict:
     """Graded dimensions of the finite (U-torsion) part of plus-flavor homology:
     per pivot U^v (v >= 1) of B, one block F2[U]/U^v from grading col + 2v - 2
-    down to col, read off one reduction at a precision above every pivot.
-    The reduction runs on the reduced model B' (`reduced_model`), which has
-    the pivots of B with v >= 1 and the same towers, and lacks only the
-    unit pivots, which add no block."""
+    down to col, read off the reduced model B' (`reduced_model`), which has
+    the pivots of B with v >= 1 and lacks only unit pivots, which add no
+    block.  Past _RED_DIM_LIMIT dimensions in all, ReducedHomologyTooLarge."""
     require_valid(c)
     b = reduced_model(free_plus_complex(c))[0]
-    reduction = reduce_free(b.gradings, b.columns, _graded_precision(b.gradings))
-    return _reported(c, _spanned(Counter((col + 2 * v - 2, v) for _, col, v in reduction.pairs if v)))
+    pairs = reduce_free(b.gradings, b.columns).pairs
+    blocks = Counter((col + 2 * v - 2, v) for _, col, v in pairs if v)
+    if (total := sum(v for *_, v in pairs)) > _RED_DIM_LIMIT:
+        raise ReducedHomologyTooLarge(f"HF_red of complex {c.spinc_label!r} has dimension "
+                                      f"{total}, past the {_RED_DIM_LIMIT} listed by grading")
+    return _reported(c, _spanned(blocks))
 
 
 def _reported(c: KnotComplex, dims: dict) -> dict:

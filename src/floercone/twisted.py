@@ -47,11 +47,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from floercone.linalg import LaurentMatrix, LaurentPoly, smith_invariants_laurent
+from floercone.linalg import LaurentMatrix, LaurentPoly, _mask_bits, smith_invariants_laurent
 from floercone.model import KnotComplex
 from floercone.cone import _reduced_maps, cone_homology_hat, ensure_flip
 
-# 1, T and 1 + T, by the U^0 bits of v' (bit 0) and h' (bit 1)
+# 1, T and 1 + T, by the bits of v' (bit 0) and h' (bit 1)
 _PENCIL = (None, LaurentPoly({0}), LaurentPoly({1}), LaurentPoly({0, 1}))
 
 
@@ -74,9 +74,8 @@ def _pencil_homology(a, b, v, h) -> TwistedConeResult:
     and maps of `_reduced_maps` (module docstring), from one Smith reduction."""
     entries = {}
     for col, (cv, ch) in enumerate(zip(v, h)):
-        for r in cv.keys() | ch.keys():
-            if code := cv.get(r, 0) & 1 | (ch.get(r, 0) & 1) << 1:
-                entries[(r, col)] = _PENCIL[code]
+        for r in _mask_bits(cv | ch):
+            entries[(r, col)] = _PENCIL[cv >> r & 1 | (ch >> r & 1) << 1]
     pencil = LaurentMatrix.from_dict(len(b.gradings), len(a.gradings), entries)
     invariants = smith_invariants_laurent(pencil)
     torsion = sorted((p for p in invariants if p != LaurentPoly.one()),
@@ -91,7 +90,7 @@ def twisted_homology_laurent(c: KnotComplex, s: int) -> TwistedConeResult:
     c = ensure_flip(c)
     if s:
         return TwistedConeResult(cone_homology_hat(c, s).total_dim, ())
-    return _pencil_homology(*_reduced_maps(c, 0, 1, True))
+    return _pencil_homology(*_reduced_maps(c, 0, True))
 
 
 def novikov_dim(c: KnotComplex, s: int) -> int:

@@ -26,7 +26,9 @@ partial one, validation on name-keyed term maps composed as dicts of
 U-power sets instead of the index form and the F2[U] product of `linalg`,
 and the plus flavor and reduced homology from Smith reductions of the
 full A_s, B and cones instead of the reduced models left once every unit
-arrow is cancelled.
+arrow is cancelled, each with every U-power written out and reduced by
+`smith_pivots_u` at a precision above every graded pivot instead of
+stored as GF(2) masks and reduced on `F2Span` in grading order.
 """
 
 from __future__ import annotations
@@ -41,14 +43,11 @@ from floercone.cone import (
     ChainMapF2,
     ConeResult,
     _cone_dim,
-    _free_cone,
-    _h_map,
     _hat_complexes,
     _hat_maps,
     _induced_rank,
     _plus_reductions,
     _rank_nullity,
-    _v_map,
     ensure_flip,
 )
 from floercone.linalg import (
@@ -77,8 +76,8 @@ from floercone.model import (
     require_valid,
 )
 from floercone.subquotient import (
+    FreeReduction,
     SubquotientComplex,
-    _graded_precision,
     _hat_view,
     _reported,
     _spanned,
@@ -1109,26 +1108,26 @@ def _reduced_dims(module, cutoff) -> dict:
                      if block[0] <= cutoff})
 
 
-def _reduced_part(c: KnotComplex, precision: int):
+def _reduced_part(c: KnotComplex):
     """Reduced part of B as a function of the height, from one reduction
     on the Maslov gradings offset + (the library's int gradings)."""
     b = free_plus_complex(c)
     offset = maslov_offset(c)
-    reduction = reduce_free(tuple(offset + g for g in b.gradings), b.columns, precision)
+    reduction = reduce_free(tuple(offset + g for g in b.gradings), b.columns)
     return lambda n: _reduced_dims(reduction.module(n), maslov_cutoff(c, n))
 
 
 def reduced_part_at(c: KnotComplex, n: int) -> dict:
-    return _reduced_part(c, n + 2)(n)
+    return _reduced_part(c)(n)
 
 
 def oracle_hf_red_graded(c: KnotComplex) -> dict:
-    """`hf_red_graded` on the full B, with no unit arrow cancelled first: one
-    block per pivot U^v, v >= 1, of one reduction at a precision above every
-    pivot."""
+    """`hf_red_graded` on the full B with its U-powers written out, with no
+    unit arrow cancelled first: one block per pivot U^v, v >= 1, of one
+    `smith_pivots_u` reduction at a precision above every pivot."""
     require_valid(c)
-    b = free_plus_complex(c)
-    reduction = reduce_free(b.gradings, b.columns, _graded_precision(b.gradings))
+    b = power_plus_complex(c)
+    reduction = power_reduction(b.gradings, b.columns, graded_precision(b.gradings))
     return _reported(c, _spanned(Counter((col + 2 * v - 2, v) for _, col, v in reduction.pairs if v)))
 
 
@@ -1136,7 +1135,7 @@ def stabilized_hf_red_graded(c: KnotComplex, start_n: int | None = None) -> dict
     """Graded dimensions of the finite (U-torsion) part of plus-flavor homology,
     read off one reduction of B at heights N until two consecutive agree."""
     require_valid(c)
-    result, _ = stabilize(c, _reduced_part(c, truncation_cap(c) + 2), start_n)
+    result, _ = stabilize(c, _reduced_part(c), start_n)
     return result
 
 
@@ -1163,30 +1162,120 @@ def stabilized_cone_plus(c: KnotComplex, s: int) -> ConeResult:
 
 
 # ---------------------------------------------------------------------------
-# the plus flavor from five reductions of the full complexes
+# the free F2[U] model with every U-power written out, as columns
+# {row: U-power bitmask}, reduced by `smith_pivots_u` at a precision above
+# every graded pivot: the library's graded complexes before they became
+# GF(2) masks whose powers the gradings fix
+
+
+class PowerComplex(NamedTuple):
+    lo: tuple
+    gradings: tuple
+    columns: tuple
+
+
+def power_columns(size: int, terms, source_gradings, target_gradings, degree,
+                  precision=None) -> tuple:
+    """Columns {row: U-power bitmask} of the F2[U] map whose terms (col, row, k)
+    put U^k * row in the image of col; each k must be >= 0 and move gradings
+    by degree.  With a precision, terms with k >= precision are dropped after
+    the check."""
+    columns = [{} for _ in range(size)]
+    for col, row, k in terms:
+        if k < 0 or target_gradings[row] - source_gradings[col] != 2 * k + degree:
+            raise InvariantViolated(f"U-power {k} is negative or breaks the gradings")
+        if precision is not None and k >= precision:
+            continue
+        e = columns[col].pop(row, 0) ^ 1 << k
+        if e:
+            columns[col][row] = e
+    return tuple(columns)
+
+
+def power_plus_complex(c: KnotComplex, s: int | None = None,
+                       precision: int | None = None) -> PowerComplex:
+    """B (s None) or A_s: lo is 0 or min(0, s - A(g)), and U^n * t in d g is
+    U^(n + lo(t) - lo(g)), modulo U^precision."""
+    require_valid(c)
+    lo = tuple(0 if s is None else min(0, s - g.alexander) for g in c.generators)
+    gradings = tuple(m + 2 * low for m, low in zip(c._int_maslov[1], lo))
+    terms = [(x, y, n + lo[y] - lo[x]) for x, y, n in c._index_form[0]]
+    return PowerComplex(lo, gradings, power_columns(len(lo), terms, gradings, gradings, -1,
+                                                    precision))
+
+
+def power_maps(c: KnotComplex, s: int, a: PowerComplex, b: PowerComplex, precision) -> tuple:
+    """v and h : A_s -> B modulo U^precision, y_g to U^(-lo(g)) x_g and to
+    U^max(0, s - A(g)) x_t per flip target t."""
+    size, gens = len(a.lo), c.generators
+    v = power_columns(size, [(k, k, -low) for k, low in enumerate(a.lo)],
+                      a.gradings, b.gradings, 0, precision)
+    h = power_columns(size, [(x, y, max(0, s - gens[x].alexander)) for x, y, _ in c._index_form[1]],
+                      a.gradings, b.gradings, -2 * s, precision)
+    return v, h
+
+
+def power_cone(a: PowerComplex, b: PowerComplex, f) -> tuple:
+    """Gradings and columns of the cone of f : A -> B, with B one degree below A."""
+    na = len(a.gradings)
+    columns = [{**da, **{na + r: e for r, e in fa.items()}} for da, fa in zip(a.columns, f)]
+    columns += [{na + r: e for r, e in db.items()} for db in b.columns]
+    return a.gradings + tuple(g - 1 for g in b.gradings), columns
+
+
+def powers_of(gradings, columns, source_gradings=None, degree: int = -1) -> list:
+    """The graded map given by column masks with its U-powers written out,
+    each read off the gradings."""
+    source_gradings = gradings if source_gradings is None else source_gradings
+    return [{r: 1 << (gradings[r] - g - degree) // 2 for r in _mask_bits(col)}
+            for g, col in zip(source_gradings, columns)]
+
+
+def graded_precision(gradings) -> int:
+    """A precision above every pivot of a graded reduction on these gradings:
+    a pivot U^v pairs gr[row] - 2v = gr[col] - 1, so 2v <= max - min + 1."""
+    return (max(gradings) - min(gradings) + 1) // 2 + 1 if gradings else 1
+
+
+def power_reduction(gradings, columns, precision: int, graded: bool = True) -> FreeReduction:
+    """One Smith reduction of a free F2[U]-complex modulo U^precision by
+    `smith_pivots_u`.  With graded, each pivot U^v must pair gradings
+    gr[row] - 2v = gr[col] - 1."""
+    left = Counter(gradings)
+    pairs = []
+    for row, col, v in smith_pivots_u(columns, precision):
+        if graded and gradings[row] - 2 * v != gradings[col] - 1:
+            raise InvariantViolated("Smith pivot of a graded complex breaks the grading")
+        left.subtract((gradings[row], gradings[col]))
+        pairs.append((gradings[row], gradings[col], v))
+    towers = tuple(sorted(left.elements())) if graded else ()
+    return FreeReduction(len(gradings), tuple(pairs), towers, precision, graded)
 
 
 def oracle_plus_reductions(c: KnotComplex, s: int, precision: int | None = None):
     """Reductions of A_s, B and the cones of v, h and v + h modulo U^precision,
-    on the full complexes, with no unit arrow cancelled first; the precision
-    rules are those of `cone._plus_reductions`, applied to the full cones."""
-    a, b = free_plus_complex(c, s), free_plus_complex(c)
+    on the full complexes with every U-power written out, with no unit arrow
+    cancelled first; in auto mode the cone of v + h is reduced at a precision
+    above every one of its pivots (at s = 0 half its grading spread, off s = 0
+    that plus |s| or the minor-degree bound, past a_bound 1) and the other
+    four at one above the largest of them."""
     far = abs(s) > c.a_bound()
     build = (1 if far else 2 * c.a_bound() + 1) if precision is None else precision
-    v, h = _v_map(a, b, build), _h_map(c, s, a, b, build)
+    a, b = power_plus_complex(c, s), power_plus_complex(c)
+    v, h = power_maps(c, s, a, b, build)
     vh = [{r: x for r in cv.keys() | ch.keys() if (x := cv.get(r, 0) ^ ch.get(r, 0))}
           for cv, ch in zip(v, h)]
-    (gv, cv), (gh, ch), (gvh, cvh) = (_free_cone(a, b, f) for f in (v, h, vh))
+    (gv, cv), (gh, ch), (gvh, cvh) = (power_cone(a, b, f) for f in (v, h, vh))
     if precision is None:
-        rvh = reduce_free(gvh, cvh, 1 if far else _graded_precision(gvh) + abs(s), s == 0)
+        rvh = power_reduction(gvh, cvh, 1 if far else graded_precision(gvh) + abs(s), s == 0)
         if s and not far and 2 * len(rvh.pairs) != len(cvh):
-            rvh = reduce_free(gvh, cvh, _minor_degree_bound(cvh, len(cvh) // 2), False)
+            rvh = power_reduction(gvh, cvh, _minor_degree_bound(cvh, len(cvh) // 2), False)
         precision = max([1] + [p for *_, p in rvh.pairs])
     else:
-        rvh = reduce_free(gvh, cvh, precision, s == 0)
-    return (reduce_free(a.gradings, a.columns, precision),
-            reduce_free(b.gradings, b.columns, precision),
-            reduce_free(gv, cv, precision), reduce_free(gh, ch, precision, s == 0), rvh)
+        rvh = power_reduction(gvh, cvh, precision, s == 0)
+    return (power_reduction(a.gradings, a.columns, precision),
+            power_reduction(b.gradings, b.columns, precision),
+            power_reduction(gv, cv, precision), power_reduction(gh, ch, precision, s == 0), rvh)
 
 
 # ---------------------------------------------------------------------------

@@ -262,6 +262,29 @@ def test_plus_commands_reading_U0_alone_answer_on_a_valid_huge_u_power(tmp_path)
         assert proc.returncode == 0 and "flavor plus" in proc.stdout, (argv, proc.stderr)
 
 
+def test_plus_cone_at_s_0_answers_on_a_valid_huge_u_power(tmp_path):
+    """Auto mode at s = 0 reads the exact pivot U^(10^12) of each summand of
+    the cone off the gradings, with no power written out, and reports the
+    height 10^12 - 1 at which both blocks are whole."""
+    path = tmp_path / "huge.cfk"
+    path.write_text(HUGE_U_POWER)
+    proc = run_capped(["cone", "--flavor", "plus", "--s", "0", "--machine"], path)
+    assert proc.returncode == 0, proc.stderr
+    rec = json.loads(proc.stdout)
+    assert (rec["truncation"], rec["total_dim"], rec["rank_v"]) == (
+        10 ** 12 - 1, 4 * 10 ** 12, 2 * 10 ** 12)
+
+
+def test_red_refuses_a_huge_reduced_homology(tmp_path):
+    """HF_red of d a = U^(10^12) b is one block F2[U]/U^(10^12), which no
+    list of graded dimensions can hold: red exits 2 with a named error
+    before it lists any, and does not hang."""
+    path = tmp_path / "huge.cfk"
+    path.write_text(HUGE_U_POWER)
+    proc = run_capped(["red"], path)
+    assert proc.returncode == 2 and "dimension 1000000000000" in proc.stderr, proc.stderr
+
+
 # ---------------------------------------------------------------------------
 # detectors and reports
 

@@ -109,8 +109,8 @@ def count_builds(monkeypatch) -> Counter:
     built = Counter()
     for module in (subquotient, cone_module):
         monkeypatch.setattr(module, "free_plus_complex",
-                            lambda c, s=None, precision=None, _f=module.free_plus_complex:
-                            built.update([s]) or _f(c, s, precision))
+                            lambda c, s=None, _f=module.free_plus_complex:
+                            built.update([s]) or _f(c, s))
     monkeypatch.setattr(cone_module, "free_chain_map", lambda *args, _f=cone_module.free_chain_map:
                         built.update(["map"]) or _f(*args))
     return built

@@ -200,12 +200,12 @@ def test_public_builders_stay_bounded_at_huge_s():
 def test_corrupted_hat_map_terms_raise(monkeypatch):
     original = cone_module.free_chain_map
 
-    def shifted(a, b, terms, degree, precision):  # one U-power off by one: gradings break
+    def shifted(a, b, terms, degree):  # one U-power off by one: gradings break
         col, row, k = terms[0]
-        return original(a, b, [(col, row, k + 1)] + list(terms[1:]), degree, precision)
+        return original(a, b, [(col, row, k + 1)] + list(terms[1:]), degree)
 
-    def dropped(a, b, terms, degree, precision):  # v or h loses a term: not a chain map
-        return original(a, b, list(terms[1:]), degree, precision)
+    def dropped(a, b, terms, degree):  # v or h loses a term: not a chain map
+        return original(a, b, list(terms[1:]), degree)
 
     monkeypatch.setattr(cone_module, "free_chain_map", shifted)
     with pytest.raises(InvariantViolated):
@@ -253,7 +253,7 @@ def test_reduced_differential_check_survives_python_O():
         "def broken(free, out=(), into=()):\n"
         "    reduced, outs, intos = real(free, out, into)\n"
         "    if out:\n"
-        "        columns = (reduced.columns[0], {0: 1}) + reduced.columns[2:]\n"
+        "        columns = (reduced.columns[0], 0b1) + reduced.columns[2:]\n"
         "        reduced = FreeUComplex(reduced.lo, reduced.gradings, columns)\n"
         "    return reduced, outs, intos\n"
         "print(cone.cone_homology_hat(Y1SIGMA, 1).total_dim)\n"

@@ -49,7 +49,6 @@ from floercone.detect import (
 from floercone.fixtures import FIGURE8, Y1SIGMA
 from floercone.linalg import LaurentPoly
 from floercone.subquotient import (
-    _graded_precision,
     free_plus_complex,
     hf_red_graded,
     reduce_free,
@@ -84,7 +83,7 @@ def torsion_coefficient(exponents, s: int) -> int:
 
 
 def tower(free) -> int:
-    (grading,) = reduce_free(free.gradings, free.columns, _graded_precision(free.gradings)).towers
+    (grading,) = reduce_free(free.gradings, free.columns).towers
     return grading
 
 

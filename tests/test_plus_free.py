@@ -39,12 +39,14 @@ from floercone.model import KnotComplex
 from floercone.subquotient import (
     FreeReduction,
     FreeUComplex,
+    _reduce_ungraded,
     free_chain_map,
     free_plus_complex,
     hf_red_graded,
     reduce_free,
 )
 
+import oracles
 from corpus import lspace_staircase, mirror, staircase, tensor, torus_exponents, with_flip
 from oracles import (
     GradedUModule,
@@ -91,7 +93,7 @@ def test_jordan_blocks_of_B_match_the_oracle_module():
     complexes = list(ALL_FIXTURES) + [c for c, _ in with_flip()[:40]]
     for c in complexes:
         b, offset = free_plus_complex(c), maslov_offset(c)
-        reduction = reduce_free(tuple(offset + g for g in b.gradings), b.columns, 7)
+        reduction = reduce_free(tuple(offset + g for g in b.gradings), b.columns)
         for n in range(6):
             sub, u = build_plus_truncated(c, "B", n)
             want = GradedUModule(sub.maslov, sub.differential, u.matrix)
@@ -163,27 +165,35 @@ def test_auto_mode_matches_the_stabilized_oracle():
 
 
 def test_auto_precision_is_above_every_pivot_of_the_cone():
-    """Past P, exact maps and a higher precision change no valuation."""
+    """Off s = 0, a higher precision than auto mode's changes no valuation of
+    the cone of v + h; at s = 0 that cone is reduced exactly, with no
+    precision, and reading it at a height changes nothing either."""
     for c in auto_cases()[::3]:
         for s in range(-c.a_bound() - 2, c.a_bound() + 3):
             auto = _plus_reductions(c, s)[4]
-            high = _plus_reductions(c, s, auto.precision + 2 * c.a_bound() + 5)[4]
-            assert all(v < auto.precision for *_, v in auto.pairs)
+            assert (auto.precision is None) == (s == 0 and c.a_bound() >= 0)
+            high = _plus_reductions(c, s, (auto.precision or 1) + 2 * c.a_bound() + 5)[4]
+            assert all(v < (auto.precision or v + 1) for *_, v in auto.pairs)
             assert sorted(v for *_, v in auto.pairs) == sorted(v for *_, v in high.pairs), (c, s)
             assert auto.towers == high.towers
 
 
 def test_a_first_try_below_a_pivot_falls_back_to_the_minor_degree_bound(monkeypatch):
     """T(5,6) has V_1 = 3, so its cone at s = 1 has a pivot U^3: a first try
-    at precision 1 + |s| finds too few pivots, and the proven bound takes over."""
+    at precision 2 finds too few pivots, and the proven bound takes over."""
     c = lspace_staircase(torus_exponents(5, 6))
     want = [cone_homology_plus_truncated(c, s) for s in (1, -2)]
-    bounds = []
-    monkeypatch.setattr(cone_module, "_graded_precision", lambda gradings: 1)
+    bounds, tries, real = [], [], cone_module._reduce_ungraded
+
+    def low_first_try(gradings, columns, precision):  # calls 1 and 3 are the first tries
+        tries.append(precision)
+        return real(gradings, columns, 2 if len(tries) % 2 else precision)
+
+    monkeypatch.setattr(cone_module, "_reduce_ungraded", low_first_try)
     monkeypatch.setattr(cone_module, "_minor_degree_bound",
                         lambda *args: bounds.append(_minor_degree_bound(*args)) or bounds[-1])
     assert [cone_homology_plus_truncated(c, s) for s in (1, -2)] == want
-    assert len(bounds) == 2 and want[0].total_dim == 6
+    assert len(bounds) == 2 and len(tries) == 4 and want[0].total_dim == 6
 
 
 def test_an_ungraded_reduction_records_no_towers():
@@ -276,7 +286,8 @@ def test_heap_kernel_matches_the_scan_on_the_plus_reductions(monkeypatch):
         seen.append(len(columns))
         return got
 
-    monkeypatch.setattr(subquotient, "smith_pivots_u", both)
+    for module in (subquotient, oracles):
+        monkeypatch.setattr(module, "smith_pivots_u", both)
     sums = [tensor(tensor(TREFOIL, FIGURE8), TREFOIL), tensor(staircase(2), staircase(7)),
             tensor(FIGURE8, staircase(7))]
     largest = []
@@ -301,38 +312,39 @@ def trefoil_maps():
 
 def test_trefoil_h_is_a_chain_map_and_a_broken_one_raises():
     a, b, h = trefoil_maps()
-    assert free_chain_map(a, b, h, 0, 4) == ({2: 1}, {1: 1}, {0: 2})
+    assert free_chain_map(a, b, h, 0) == (0b100, 0b010, 0b001)  # U x_a read off the gradings
     with pytest.raises(NotAChainMap):
-        free_chain_map(a, b, h[:1] + h[2:], 0, 4)  # drop y_b -> x_b
+        free_chain_map(a, b, h[:1] + h[2:], 0)  # drop y_b -> x_b
 
 
 def test_wrong_grading_or_negative_power_raises():
     a, b, h = trefoil_maps()
     with pytest.raises(InvariantViolated):
-        free_chain_map(a, b, [(0, 2, 1)] + h[1:], 0, 4)  # U^1 where the gradings ask U^0
+        free_chain_map(a, b, [(0, 2, 1)] + h[1:], 0)  # U^1 where the gradings ask U^0
     with pytest.raises(InvariantViolated):
-        free_chain_map(a, b, h, 2, 4)  # a degree the terms do not have
+        free_chain_map(a, b, h, 2)  # a degree the terms do not have
     with pytest.raises(InvariantViolated):
-        free_chain_map(b, b, [(0, 0, -1)], 2, 4)  # consistent gradings, negative power
+        free_chain_map(b, b, [(0, 0, -1)], 2)  # consistent gradings, negative power
 
 
 def test_d_squared_nonzero_raises():
     with pytest.raises(CompositionNonzero):
-        FreeUComplex((0, 0, 0), (2, 1, 0), ({}, {0: 1}, {1: 1}))
+        FreeUComplex((0, 0, 0), (2, 1, 0), (0, 0b1, 0b10))
 
 
 def test_graded_pivot_off_its_grading_raises():
-    columns = ({}, {0: 1})
-    assert reduce_free((0, 1), columns, 3).pairs == ((0, 1, 0),)
+    columns = (0, 0b1)
+    assert reduce_free((0, 1), columns).pairs == ((0, 1, 0),)
+    assert reduce_free((2, 1), columns).pairs == ((2, 1, 1),)  # U^1, read off the gradings
     with pytest.raises(InvariantViolated):
-        reduce_free((0, 0), columns, 3)
-    assert reduce_free((0, 0), columns, 3, graded=False).pairs == ((0, 0, 0),)
+        reduce_free((0, 0), columns)
+    assert _reduce_ungraded((0, 0), ({}, {0: 1}), 3).pairs == ((0, 0, 0),)
 
 
 def test_rank_from_cone_dimensions_is_checked():
-    point = FreeReduction(1, 5, (), (0,))       # F2[U]/U^(n+1): dim n + 1
-    empty = FreeReduction(0, 5, (), ())
-    assert _induced_rank(point, point, FreeReduction(2, 5, ((0, 1, 0),), ()), 3) == 4
+    point = FreeReduction(1, (), (0,), 5)       # F2[U]/U^(n+1): dim n + 1
+    empty = FreeReduction(0, (), (), 5)
+    assert _induced_rank(point, point, FreeReduction(2, ((0, 1, 0),), (), 5), 3) == 4
     with pytest.raises(InvariantViolated):
         _induced_rank(point, point, point, 0)   # 1 + 1 - 1 is odd
     with pytest.raises(InvariantViolated):
@@ -355,7 +367,7 @@ def test_free_model_checks_survive_python_O():
         "from floercone.subquotient import FreeUComplex\n"
         "assert False, 'asserts are on'\n"
         "try:\n"
-        "    FreeUComplex((0, 0, 0), (2, 1, 0), ({}, {0: 1}, {1: 1}))\n"
+        "    FreeUComplex((0, 0, 0), (2, 1, 0), (0, 0b1, 0b10))\n"
         "except CompositionNonzero:\n"
         "    print('raised')\n"
     )
@@ -380,8 +392,7 @@ def test_reduced_model_check_survives_python_O():
         "def broken(free, out=(), into=()):\n"
         "    reduced, outs, intos = real(free, out, into)\n"
         "    if intos:\n"
-        "        v = intos[0]\n"
-        "        v[0] = {**v[0], 0: v[0].get(0, 0) ^ 1}\n"
+        "        intos = [(intos[0][0] ^ 1,) + intos[0][1:]] + intos[1:]\n"
         "    return reduced, outs, intos\n"
         "print(cone.cone_homology_plus_truncated(FIGURE8, 0).total_dim)\n"
         "cone.reduced_model = broken\n"

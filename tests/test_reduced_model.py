@@ -9,12 +9,26 @@ import random
 import pytest
 
 import floercone.cone as cone_module
-from floercone.cone import _plus_reductions, cone_homology_plus_truncated
+from floercone.cone import (
+    _free_cone,
+    _plus_reductions,
+    _reduced_maps,
+    _reduce_ungraded,
+    cone_homology_plus_truncated,
+    ensure_flip,
+)
 from floercone.fixtures import ALL_FIXTURES, TREFOIL
-from floercone.linalg import _minor_degree_bound, _u_product, cancel_units, rank_f2
+from floercone.linalg import (
+    F2Matrix,
+    _combine,
+    _minor_degree_bound,
+    cancel_units,
+    rank_f2,
+    smith_pivots_u,
+)
 from floercone.subquotient import (
     _hat_view,
-    _mod_u,
+    _u0,
     free_plus_complex,
     hf_red_graded,
     reduce_free,
@@ -22,13 +36,27 @@ from floercone.subquotient import (
 )
 
 from corpus import BIG_SUMS, TWISTED_SUMS, connected_sum, corpus, staircase, tensor, with_flip
-from oracles import oracle_hf_red_graded, oracle_plus_reductions
+from oracles import (
+    graded_precision,
+    oracle_hf_red_graded,
+    oracle_plus_reductions,
+    power_cone,
+    power_maps,
+    power_plus_complex,
+    power_reduction,
+    powers_of,
+)
 
 TRUNCATIONS = ("auto", 0, 1, 2, 5)
 
 
-def identity(n: int) -> list:
-    return [{k: 1} for k in range(n)]
+def identity(n: int) -> tuple:
+    return tuple(1 << k for k in range(n))
+
+
+def compose(outer, inner) -> tuple:
+    """outer o inner on column masks: the F2[U] product of graded maps."""
+    return tuple(_combine(outer, col) for col in inner)
 
 
 def plus_answers(c, s_values, truncations=TRUNCATIONS) -> dict:
@@ -56,12 +84,13 @@ def test_cancelling_the_trefoil_keeps_one_generator_of_B():
     """d b = U a + c on B: the unit arrow b -> c goes, a is left with d = 0;
     the inclusion sends a to a, the projection sends c to U a."""
     b = free_plus_complex(TREFOIL)
-    assert b.columns == ({}, {0: 2, 2: 1}, {})
-    assert cancel_units(b.columns, 3) == ([0], [{}])
+    assert b.columns == (0, 0b101, 0)
+    assert b.gradings[0] - b.gradings[1] == 1 and b.gradings[2] - b.gradings[1] == -1
+    assert cancel_units(b.columns, b.gradings) == ([0], [0])
     reduced, (inclusion,), (projection,) = reduced_model(b, out=[identity(3)], into=[identity(3)])
-    assert (reduced.gradings, reduced.columns) == ((b.gradings[0],), ({},))
-    assert inclusion == [{0: 1}]
-    assert projection == [{0: 1}, {}, {0: 2}]
+    assert (reduced.gradings, reduced.columns) == ((b.gradings[0],), (0,))
+    assert inclusion == (0b001,)
+    assert projection == (1, 0, 1)  # c -> U a: the power is read off the gradings
 
 
 def reduced_cases():
@@ -72,32 +101,32 @@ def reduced_cases():
 
 
 def test_reduced_models_are_homotopy_equivalent_and_minimal():
-    """p i = 1, i and p are chain maps, the reduced differential is 0 modulo
-    U, the size is the hat homology, and the Smith pivots U^v with v >= 1 and
-    the towers are those of the full complex."""
+    """p i = 1, i and p are chain maps, the reduced differential has no
+    entry of power 0, the size is the hat homology, and the Smith pivots U^v
+    with v >= 1 and the towers are those of the full complex."""
     for free in reduced_cases():
-        n = len(free.columns)
+        n, gradings = len(free.columns), free.gradings
         reduced, (i,), (p,) = reduced_model(free, out=[identity(n)], into=[identity(n)])
         m = len(reduced.columns)
-        assert _u_product(p, i) == identity(m)
-        assert _u_product(free.columns, i) == _u_product(i, reduced.columns)
-        assert _u_product(p, free.columns) == _u_product(reduced.columns, p)
-        assert not any(e & 1 for col in reduced.columns for e in col.values())
-        assert m == n - 2 * rank_f2(_mod_u(free.columns, n))
-        full = reduce_free(free.gradings, free.columns, 40)
-        small = reduce_free(reduced.gradings, reduced.columns, 40)
+        assert compose(p, i) == identity(m)
+        assert compose(free.columns, i) == compose(i, reduced.columns)
+        assert compose(p, free.columns) == compose(reduced.columns, p)
+        assert not any(_u0(reduced.columns, reduced.gradings, reduced.gradings, -1))
+        hat = _u0(free.columns, gradings, gradings, -1)
+        assert m == n - 2 * rank_f2(F2Matrix._from_masks(n, n, hat))
+        full, small = reduce_free(gradings, free.columns), reduce_free(reduced.gradings,
+                                                                       reduced.columns)
         assert sorted(pair for pair in full.pairs if pair[2]) == sorted(small.pairs)
         assert full.towers == small.towers
 
 
-def random_map(rng, rows: int, cols: int) -> list:
-    return [{r: e for r in range(rows) if rng.random() < 0.3 and (e := rng.getrandbits(3))}
-            for _ in range(cols)]
+def random_map(rng, rows: int, cols: int) -> tuple:
+    return tuple(sum(1 << r for r in range(rows) if rng.random() < 0.3) for _ in range(cols))
 
 
 def test_carried_maps_come_out_composed_with_the_inclusion_and_projection():
     """For any f out of A and g into A, carried alongside the identity, the
-    carried columns are f i and p g."""
+    carried columns are f i and p g, as GF(2) products of their masks."""
     rng = random.Random(5)
     frees = reduced_cases()
     for _ in range(40):
@@ -105,8 +134,8 @@ def test_carried_maps_come_out_composed_with_the_inclusion_and_projection():
         na, other = len(a.columns), rng.randint(1, 6)
         f, g = random_map(rng, other, na), random_map(rng, na, other)
         _, (fi, i), (pg, p) = reduced_model(a, out=[f, identity(na)], into=[g, identity(na)])
-        assert fi == _u_product(f, i)
-        assert pg == _u_product(p, g)
+        assert fi == compose(f, i)
+        assert pg == compose(p, g)
 
 
 def test_the_reduced_sizes_are_the_hat_homology():
@@ -120,6 +149,67 @@ def test_the_reduced_sizes_are_the_hat_homology():
         assert (ra.size, rb.size) == (hat_a, _hat_view(c, free_plus_complex(c)).homology_dim())
         sizes[s] = ra.size
     assert (sizes[0], sizes[1], sizes[2], rb.size) == (11, 13, 7, 1)
+
+
+# ---------------------------------------------------------------------------
+# every graded reduction against `smith_pivots_u` on the powers written out
+
+
+def graded_cases(c):
+    """(label, gradings, column masks, the same with its powers written out by
+    the oracle) for every graded reduction of the plus flavor on c: B, and
+    at each s in [-a_bound - 1, a_bound + 1] A', the cone of v' and, at
+    s = 0, the cones of h' and v' + h'; then the full A_s, B and cones of v,
+    h and v + h at s = 0 as the oracle builds them."""
+    c = ensure_flip(c)
+    b = free_plus_complex(c)
+    yield "B", b.gradings, b.columns, powers_of(b.gradings, b.columns)
+    for s in every_s(c):
+        a, b, v, h = _reduced_maps(c, s, False)
+        cones = [("A'", a.gradings, a.columns), ("cone v'", *_free_cone(a, b, v))]
+        if s == 0:
+            cones += [("cone h'", *_free_cone(a, b, h)),
+                      ("cone v'+h'", *_free_cone(a, b, [x ^ y for x, y in zip(v, h)]))]
+        for label, gradings, columns in cones:
+            yield (label, s), gradings, columns, powers_of(gradings, columns)
+    a, b = free_plus_complex(c, 0), free_plus_complex(c)
+    pa, pb = power_plus_complex(c, 0), power_plus_complex(c)
+    maps = cone_module._v_map(a, b), cone_module._h_map(c, 0, a, b)
+    power = power_maps(c, 0, pa, pb, None)
+    power += ([{r: x for r in cv.keys() | ch.keys() if (x := cv.get(r, 0) ^ ch.get(r, 0))}
+               for cv, ch in zip(*power)],)
+    yield "A_0", a.gradings, a.columns, pa.columns
+    for label, f, pf in zip(("cone v", "cone h", "cone v+h"),
+                            maps + ([x ^ y for x, y in zip(*maps)],), power):
+        yield label, *_free_cone(a, b, f), power_cone(pa, pb, pf)[1]
+
+
+def assert_graded_reductions_equal_the_oracle(c):
+    for label, gradings, columns, powers in graded_cases(c):
+        got = reduce_free(gradings, columns)
+        want = power_reduction(gradings, powers, graded_precision(gradings))
+        assert (sorted(got.pairs), got.towers) == (sorted(want.pairs), want.towers), (c, label)
+
+
+def test_graded_reductions_equal_the_oracle_on_the_fixtures():
+    for c in ALL_FIXTURES:
+        assert_graded_reductions_equal_the_oracle(c)
+
+
+@pytest.mark.parametrize("seed", range(1, 9))
+def test_graded_reductions_equal_the_oracle_on_the_corpus(seed):
+    for _, c in with_flip(seed):
+        assert_graded_reductions_equal_the_oracle(c)
+
+
+@pytest.mark.parametrize("name", TWISTED_SUMS + BIG_SUMS)
+def test_graded_reductions_equal_the_oracle_on_the_sums(name):
+    assert_graded_reductions_equal_the_oracle(connected_sum(name))
+
+
+@pytest.mark.slow
+def test_graded_reductions_equal_the_oracle_on_a_1331_generator_sum():
+    assert_graded_reductions_equal_the_oracle(t2_11_cubed())
 
 
 # ---------------------------------------------------------------------------
@@ -166,18 +256,18 @@ def test_plus_answers_equal_the_oracle_on_a_1331_generator_sum(monkeypatch):
 def test_the_minor_degree_fallback_is_small_on_the_reduced_cones(monkeypatch):
     """On the full cones of T(2,11)^#3 the bound is 6,092, 8,152 and 19,967
     at s = 1, 5 and 15; on the reduced ones it is in the hundreds, and
-    reducing at it finds the same pivots."""
+    reducing at it finds the pivots of the first try."""
     c = t2_11_cubed()
     calls = []
-    monkeypatch.setattr(cone_module, "reduce_free",
-                        lambda *args: calls.append(args) or reduce_free(*args))
+    monkeypatch.setattr(cone_module, "_reduce_ungraded",
+                        lambda *args: calls.append(args) or _reduce_ungraded(*args))
     bounds = []
     for s in (1, 5, 15):
         calls.clear()
         _plus_reductions(c, s)
-        gradings, columns, precision, graded = calls[0]  # the cone of v + h comes first
+        _, columns, precision = calls[0]  # the exact cone at the cheap first try
         bound = _minor_degree_bound(columns, len(columns) // 2)
-        pivots = sorted(v for *_, v in reduce_free(gradings, columns, precision, graded).pairs)
-        assert sorted(v for *_, v in reduce_free(gradings, columns, bound, graded).pairs) == pivots
+        pivots = sorted(v for *_, v in smith_pivots_u(columns, precision))
+        assert sorted(v for *_, v in smith_pivots_u(columns, bound)) == pivots
         bounds.append(bound)
     assert bounds == [217, 211, 16]

@@ -55,7 +55,7 @@ def test_twisted_requires_flip():
     complex is refused there rather than read as h = 0."""
     bare = replace(TREFOIL, flip=None)
     with pytest.raises(FlipMissing):
-        _reduced_maps(bare, 0, 1, True)
+        _reduced_maps(bare, 0, True)
 
 
 def test_specialization_at_one_recovers_untwisted():
