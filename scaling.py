@@ -1,4 +1,4 @@
-"""Time the plus, hat and twisted cones at s = 0 and 1, and red, on connected sums of torus knots.
+"""Time loading, the plus, hat and twisted cones at s = 0 and 1, and red, on connected sums of torus knots.
 
     PYTHONPATH=src python scaling.py [--max-generators N] [--baseline FILE] [--out FILE]
 
@@ -7,7 +7,10 @@ The inputs are tensor powers of the staircases T(2, 2k+1) of
 three in-process timings of `cone_homology_plus_truncated` in auto mode, of
 `cone_homology_hat` or of `twisted_homology_laurent`, after the flip is
 derived and the complex validated, with the answer it gave; the reduced
-homology `hf_red_graded` gets one row per input, keyed as s = 0.
+homology `hf_red_graded` gets one row per input, keyed as s = 0, and so
+does loading: `io_format.parse` of the input's canonical text, flip lines
+included, with the `validate` it runs (its cache cleared before each
+timing), answered by the generator and term counts.
 `--baseline` reads an earlier output (say, of this script run on another
 checkout's `src`), puts its times beside each row as `baseline_s` and
 `speedup`, and exits 1 unless some row was run and every row run has an
@@ -28,6 +31,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parent / "tests"))
 
 from corpus import staircase, tensor  # noqa: E402
 from floercone.cone import cone_homology_hat, cone_homology_plus_truncated, ensure_flip  # noqa: E402
+from floercone.io_format import DocumentEntry, InputDocument, parse, serialize  # noqa: E402
+from floercone.model import validate  # noqa: E402
 from floercone.subquotient import hf_red_graded  # noqa: E402
 from floercone.twisted import TwistedConeResult, twisted_homology_laurent  # noqa: E402
 
@@ -46,7 +51,15 @@ def tensor_power(k: int, summands: int):
     return out
 
 
+def load(text: str) -> InputDocument:
+    validate.cache_clear()  # an equal complex validated before would be a cache hit
+    return parse(text)
+
+
 def answer(result) -> dict:
+    if isinstance(result, InputDocument):  # load
+        c = result.entries[0].complex
+        return {"generators": len(c.generators), "terms": len(c.differential) + len(c.flip)}
     if isinstance(result, dict):  # hf_red_graded
         return {"reduced": {str(m): n for m, n in result.items()}}
     if isinstance(result, TwistedConeResult):
@@ -63,9 +76,11 @@ def rows(max_generators: int):
         if (2 * k + 1) ** summands > max_generators:
             continue
         c = ensure_flip(tensor_power(k, summands))
+        text = serialize(InputDocument((DocumentEntry("K", c),)))
         runs = [(flavor, s, lambda s=s, cone=cone: cone(c, s)) for s in (0, 1)
                 for flavor, cone in CONES]
-        for flavor, s, run in runs + [("red", 0, lambda: hf_red_graded(c))]:
+        runs += [("red", 0, lambda: hf_red_graded(c)), ("load", 0, lambda: load(text))]
+        for flavor, s, run in runs:
             times = []
             for _ in range(REPEATS):
                 start = time.perf_counter()

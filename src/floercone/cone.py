@@ -52,8 +52,8 @@ from floercone.subquotient import (
     _modulo_u,
     _reduce_ungraded,
     _reported,
+    _term_masks,
     _u0,
-    free_chain_map,
     free_plus_complex,
     reduce_free,
     reduced_model,
@@ -81,19 +81,20 @@ def induces_iso(cm: ChainMapF2) -> bool:
     return _cone_dim(cm.source, cm.target, cm.matrix) == 0
 
 
-def _v_map(a: FreeUComplex, b: FreeUComplex) -> tuple:
-    """v : A_s -> B sends y_g to U^(-lo(g)) x_g."""
-    return free_chain_map(a, b, [(k, k, -low) for k, low in enumerate(a.lo)], 0)
+def _v_map(a: FreeUComplex) -> tuple:
+    """v : A_s -> B sends y_g to U^(-lo(g)) x_g: the identity on masks, and a
+    chain map, since A_s is d conjugated by the diagonal U^lo (`subquotient`)."""
+    return tuple([1 << k for k in range(len(a.lo))])
 
 
-def _h_map(c: KnotComplex, s: int, a: FreeUComplex, b: FreeUComplex) -> tuple:
-    """h : A_s -> B sends y_g to U^max(0, s - A(g)) x_t per flip target t;
-    it lowers gradings by 2s."""
+def _h_map(c: KnotComplex) -> tuple:
+    """h : A_s -> B sends y_g to U^max(0, s - A(g)) x_t per flip target t; it
+    lowers gradings by 2s, and its masks, the flip's, are the same at every
+    s.  A chain map (`subquotient`): the projection onto C{j >= s}, then U^s
+    and the flip."""
     if c.flip is None:
         raise FlipMissing("complex has no flip map; derive or supply one")
-    gens = c.generators
-    terms = [(x, y, max(0, s - gens[x].alexander)) for x, y, _ in c._index_form[1]]
-    return free_chain_map(a, b, terms, -2 * s)
+    return _term_masks(len(c.generators), c._index_form[1])
 
 
 def _hat_map(a: SubquotientComplex, b: SubquotientComplex, f, degree: int) -> ChainMapF2:
@@ -114,14 +115,14 @@ def _hat_maps(c: KnotComplex, s: int, complexes: tuple) -> tuple:
     the i = 0 part of B, h projects it onto the j = s part and carries it to
     B by U^s and the flip."""
     a, b, a_hat, b_hat = complexes
-    return (_hat_map(a_hat, b_hat, _v_map(a, b), 0),
-            _hat_map(a_hat, b_hat, _h_map(c, s, a, b), -2 * s))
+    return (_hat_map(a_hat, b_hat, _v_map(a), 0),
+            _hat_map(a_hat, b_hat, _h_map(c), -2 * s))
 
 
 def build_v_hat(c: KnotComplex, s: int) -> ChainMapF2:
     """Projection of A_s onto the i = 0 part of B."""
     a, b, a_hat, b_hat = _hat_complexes(c, s)
-    return _hat_map(a_hat, b_hat, _v_map(a, b), 0)
+    return _hat_map(a_hat, b_hat, _v_map(a), 0)
 
 
 def project_A(c: KnotComplex, s: int, s_prime: int) -> ChainMapF2:
@@ -129,14 +130,13 @@ def project_A(c: KnotComplex, s: int, s_prime: int) -> ChainMapF2:
 
     The free inclusion y_g -> U^(lo'(g) - lo(g)) y'_g read modulo U: the
     identity on the plane elements the two bases share (the generators with
-    A <= s), zero on the rest; v_s = v_{s'} composed with this map.
+    A <= s), zero on the rest; v_s = v_{s'} composed with this map.  On
+    masks it is the identity, a chain map as v is (`_v_map`): lo <= lo'.
     """
     if s > s_prime:
         raise ValueError("requires s <= s'")
     a, a_prime = free_plus_complex(c, s), free_plus_complex(c, s_prime)
-    terms = [(k, k, high - low) for k, (low, high) in enumerate(zip(a.lo, a_prime.lo))]
-    return _hat_map(_hat_view(c, a), _hat_view(c, a_prime),
-                    free_chain_map(a, a_prime, terms, 0), 0)
+    return _hat_map(_hat_view(c, a), _hat_view(c, a_prime), _v_map(a), 0)
 
 
 @dataclass(frozen=True)
@@ -171,11 +171,12 @@ def _reduced_maps(c: KnotComplex, s: int, u0_only: bool) -> tuple:
     """A' and B', the reduced models of A_s and B, and the column masks of
     v' and h' between them.
 
-    v and h are built and checked on the full A_s and B.  Then every unit
+    v and h are built on the full A_s and B, chain maps of the right
+    gradings by what `validate` proves (`subquotient`).  Then every unit
     arrow of A_s is cancelled with v and h carried along, and every unit
     arrow of B with v i_A and h i_A carried along (`reduced_model`).  That
     leaves A' and B', homotopy equivalent to A_s and B by inclusions i and
-    projections p with p i = 1, and f' = p_B f i_A, checked again to be
+    projections p with p i = 1, and f' = p_B f i_A, checked to be
     chain maps.  With u0_only, for a caller that reads U^0 alone, the
     power-0 parts are cancelled instead; every differential left is then
     0, which is checked, and f' d = 0 = d f' needs no check.
@@ -186,7 +187,7 @@ def _reduced_maps(c: KnotComplex, s: int, u0_only: bool) -> tuple:
 def _reduce_maps(c: KnotComplex, s: int, a: FreeUComplex, b: FreeUComplex,
                  u0_only: bool) -> tuple:
     """The reduce half of `_reduced_maps`, on A_s and B already built."""
-    maps = _v_map(a, b), _h_map(c, s, a, b)
+    maps = _v_map(a), _h_map(c)
     if u0_only:
         maps = _u0(maps[0], a.gradings, b.gradings, 0), _u0(maps[1], a.gradings, b.gradings, -2 * s)
         a, b = _modulo_u(a), _modulo_u(b)

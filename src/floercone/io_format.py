@@ -73,6 +73,7 @@ def parse(text: str) -> InputDocument:
     diffs: list[DiffTerm] = []
     flips: list[FlipTerm] = []
     has_flip = False
+    gradings: dict[str, Fraction] = {}  # one Fraction per distinct M= text
 
     def finish(line_no: int):
         nonlocal name, spinc, gens, diffs, flips, has_flip
@@ -116,24 +117,26 @@ def parse(text: str) -> InputDocument:
             m = _GEN_RE.match(line)
             if not m:
                 raise ParseError(line_no, "expected: gen <name> A=<int> M=<int or p/q, q > 0>")
-            gens.append(Generator(m.group(1), int(m.group(2)), Fraction(m.group(3))))
+            gen, a, m_text = m.groups()
+            if (maslov := gradings.get(m_text)) is None:
+                maslov = gradings[m_text] = Fraction(m_text)
+            gens.append(Generator(gen, int(a), maslov))
         elif head in ("d", "flip"):
             m = _LINE_RE.match(line)
             if not m:
                 raise ParseError(line_no, f"expected: {head} <src> : U^<n> <dst>[, ...]")
-            src, rest = m.group(2), m.group(3)
+            _, src, rest = m.groups()
+            term, out = (DiffTerm, diffs) if head == "d" else (FlipTerm, flips)
+            has_flip = has_flip or head == "flip"
             for chunk in rest.split(","):
                 t = _TERM_RE.match(chunk.strip())
                 if not t:
                     raise ParseError(line_no, f"bad term {chunk.strip()!r}; expected U^<n> <dst>")
-                power = int(t.group(1))
-                if head == "d":
-                    if power < 0:
-                        raise ParseError(line_no, "differential U-powers must be >= 0")
-                    diffs.append(DiffTerm(src, t.group(2), power))
-                else:
-                    has_flip = True
-                    flips.append(FlipTerm(src, t.group(2), power))
+                power, dst = t.groups()
+                power = int(power)
+                if power < 0 and head == "d":
+                    raise ParseError(line_no, "differential U-powers must be >= 0")
+                out.append(term(src, dst, power))
         else:
             raise ParseError(line_no, f"unrecognized directive {head!r}")
     if name is not None:

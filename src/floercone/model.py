@@ -14,6 +14,19 @@ of ints, generator k being the k-th in name order.  A name that a term uses
 but no generator declares is numbered after the generators, in sorted
 order, so a malformed complex still has an index form to validate.
 
+What `validate` proves of a valid complex, which the free models of
+`subquotient` and the maps v and h of `cone` rely on instead of checking
+it again:
+- every term names declared generators and is listed once;
+- each term U^n t in d g has n >= 0 (negative-u-power), n >= A(t) - A(g)
+  (filtration) and M(t) - 2n = M(g) - 1 (maslov-drop), so d holds at most
+  one term per (g, t);
+- d o d = 0 over F2[U] (d-squared);
+- each term U^n t in the flip image of g has n = -A(g), A(t) = -A(g) and
+  M(t) = M(g) - 2A(g) (flip-term), so the flip too holds at most one
+  term per (g, t);
+- phi d = d phi over F2[U] (flip-chain-map).
+
 The plane element (g, i) stands for U^{-i} * g.  It sits at lattice
 position (i, i + A(g)) and has Maslov grading M(g) + 2i.  The differential
 acts by translation: a term U^n * h in the differential of g contributes
@@ -26,6 +39,7 @@ from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 from floercone.linalg import F2Matrix, _mask_bits, _u_product, rank_f2
 
@@ -72,8 +86,7 @@ class Generator:
             object.__setattr__(self, "maslov", Fraction(self.maslov))
 
 
-@dataclass(frozen=True)
-class DiffTerm:
+class DiffTerm(NamedTuple):
     """The term U^{u_power} * target inside the differential of source."""
 
     source: str
@@ -81,8 +94,7 @@ class DiffTerm:
     u_power: int
 
 
-@dataclass(frozen=True)
-class FlipTerm:
+class FlipTerm(NamedTuple):
     """The term U^{u_power} * target inside the flip image of source."""
 
     source: str
@@ -96,10 +108,6 @@ class PlaneElement:
 
     generator: str
     i: int
-
-
-def _term_order(t):
-    return (t.source, t.target, t.u_power)
 
 
 @dataclass(frozen=True)
@@ -129,8 +137,8 @@ class ValidationReport:
 @dataclass(frozen=True)
 class KnotComplex:
     """A complex in canonical order: generators sorted by name, terms by
-    (source, target, U-power).  Equality is therefore order-insensitive in
-    the inputs."""
+    (source, target, U-power), their tuple order.  Equality is therefore
+    order-insensitive in the inputs."""
 
     spinc_label: str
     generators: tuple = ()
@@ -141,17 +149,18 @@ class KnotComplex:
         object.__setattr__(
             self, "generators",
             tuple(sorted(self.generators, key=lambda g: g.name)))
-        object.__setattr__(
-            self, "differential", tuple(sorted(self.differential, key=_term_order)))
+        object.__setattr__(self, "differential", tuple(sorted(self.differential)))
         if self.flip is not None:
-            object.__setattr__(
-                self, "flip", tuple(sorted(self.flip, key=_term_order)))
+            object.__setattr__(self, "flip", tuple(sorted(self.flip)))
 
     @cached_property
     def _hash(self) -> int:
-        return hash((self.spinc_label, self.generators, self.differential, self.flip))
+        """The hash of the label, the generator names and the terms; equality
+        also compares the gradings, which the hash leaves out."""
+        names = tuple([g.name for g in self.generators])
+        return hash((self.spinc_label, names, self.differential, self.flip))
 
-    def __hash__(self) -> int:  # cached: it walks every generator, term and Fraction
+    def __hash__(self) -> int:  # cached: it walks every name and term
         return self._hash
 
     def __getstate__(self) -> dict:  # no cached hash: str hashes differ between processes
@@ -174,8 +183,8 @@ class KnotComplex:
     def _index_names(self) -> tuple:
         """Generator names, then the undeclared names that terms use, sorted."""
         declared = [g.name for g in self.generators]
-        used = {name for t in self.differential + (self.flip or ()) for name in (t.source, t.target)}
-        return tuple(declared + sorted(used - set(declared)))
+        used = {name for x, y, _ in self.differential + (self.flip or ()) for name in (x, y)}
+        return tuple(declared + sorted(used.difference(declared)))
 
     @cached_property
     def _index_form(self) -> tuple:
@@ -184,7 +193,7 @@ class KnotComplex:
         index = {name: k for k, name in enumerate(self._index_names)}
 
         def triples(terms) -> tuple:
-            return tuple((index[t.source], index[t.target], t.u_power) for t in terms)
+            return tuple([(index[x], index[y], n) for x, y, n in terms])
 
         return triples(self.differential), None if self.flip is None else triples(self.flip)
 
@@ -264,9 +273,13 @@ def validate(c: KnotComplex) -> ValidationReport:
     grade = split[1] if split is not None else None
     d, phi = c._index_form
 
-    def declared(terms, triples, role):
-        """(label, source, target, x, y, n) per term whose ends are declared,
-        listing unknown ends and repeated terms on the way."""
+    alex = [g.alexander for g in gens]
+
+    def listed(terms, triples, role, broken) -> None:
+        """Lists each term's violations, in term order: its undeclared ends,
+        or else a repeat and the (kind, detail) pairs of broken(x, y, n),
+        checked on the int gradings; a label is built only for a term with
+        a violation."""
         seen = set()
         for t, (x, y, n) in zip(terms, triples):
             if x >= size or y >= size:
@@ -275,23 +288,38 @@ def validate(c: KnotComplex) -> ValidationReport:
                         bad.append(Violation("unknown-generator", f"{role} {t.source}->{t.target}",
                                              f"no generator named {who!r}"))
                 continue
-            label = f"{role} {t.source} -> U^{n} {t.target}"
-            if (x, y, n) in seen:
-                bad.append(Violation("duplicate-term", label, "term listed twice"))
+            count = len(seen)
             seen.add((x, y, n))
-            yield label, gens[x], gens[y], x, y, n
+            found = broken(x, y, n)
+            if found or len(seen) == count:
+                label = f"{role} {t.source} -> U^{n} {t.target}"
+                if len(seen) == count:
+                    bad.append(Violation("duplicate-term", label, "term listed twice"))
+                bad.extend(Violation(kind, label, detail) for kind, detail in found)
 
-    for label, src, tgt, x, y, n in declared(c.differential, d, "d"):
+    def d_rules(x: int, y: int, n: int) -> list:
+        found, lift = [], alex[y] - alex[x]
         if n < 0:
-            bad.append(Violation("negative-u-power", label, "differential U-powers must be >= 0"))
-        if n < tgt.alexander - src.alexander:
-            bad.append(Violation(
-                "filtration", label,
-                f"U-power {n} < A(target) - A(source) = {tgt.alexander - src.alexander}"))
+            found.append(("negative-u-power", "differential U-powers must be >= 0"))
+        if n < lift:
+            found.append(("filtration", f"U-power {n} < A(target) - A(source) = {lift}"))
         if grade is not None and grade[y] - 2 * n != grade[x] - 1:
-            bad.append(Violation(
-                "maslov-drop", label,
-                f"M(target) - 2n = {tgt.maslov - 2 * n}, expected M(source) - 1 = {src.maslov - 1}"))
+            found.append(("maslov-drop", f"M(target) - 2n = {gens[y].maslov - 2 * n}, "
+                                         f"expected M(source) - 1 = {gens[x].maslov - 1}"))
+        return found
+
+    def flip_rules(x: int, y: int, n: int) -> list:
+        found, a = [], alex[x]
+        if n != -a:
+            found.append(("flip-term", f"U-power must be -A(source) = {-a} to exchange coordinates"))
+        if alex[y] != -a:
+            found.append(("flip-term", f"A(target) = {alex[y]}, expected -A(source) = {-a}"))
+        if grade is not None and grade[y] != grade[x] - 2 * a:
+            found.append(("flip-term", f"M(target) = {gens[y].maslov}, expected M(source) - 2A(source) "
+                                       f"= {gens[x].maslov - 2 * a}"))
+        return found
+
+    listed(c.differential, d, "d", d_rules)
 
     names = c._index_names
     # conjugating by U^(M // 2) on each generator takes every graded term to
@@ -307,19 +335,7 @@ def validate(c: KnotComplex) -> ValidationReport:
         bad.append(Violation("d-squared", f"{src} -> U^{n} {tgt}", "d o d has this odd term"))
 
     if phi is not None:
-        for label, src, tgt, x, y, n in declared(c.flip, phi, "flip"):
-            if n != -src.alexander:
-                bad.append(Violation(
-                    "flip-term", label,
-                    f"U-power must be -A(source) = {-src.alexander} to exchange coordinates"))
-            if tgt.alexander != -src.alexander:
-                bad.append(Violation(
-                    "flip-term", label,
-                    f"A(target) = {tgt.alexander}, expected -A(source) = {-src.alexander}"))
-            if grade is not None and grade[y] != grade[x] - 2 * src.alexander:
-                bad.append(Violation(
-                    "flip-term", label,
-                    f"M(target) = {tgt.maslov}, expected M(source) - 2A(source) = {src.maslov - 2 * src.alexander}"))
+        listed(c.flip, phi, "flip", flip_rules)
 
         entries = [(y, x) for (x, y, _), n in Counter(phi).items()
                    if n % 2 and x < size and y < size]

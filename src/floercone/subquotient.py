@@ -27,6 +27,30 @@ its gradings give.  Its unpaired gradings are the towers, and the reduced
 part is read off its pivots (`hf_red_graded`).  Precision rules remain
 for the one ungraded cone alone (`cone._plus_reductions`).
 
+The free models are built from a validated complex and not checked
+again.  `validate` proves (the `model` docstring):
+- every term names declared generators and is listed once;
+- each term U^n t in d g has n >= 0 (negative-u-power), n >= A(t) - A(g)
+  (filtration) and M(t) - 2n = M(g) - 1 (maslov-drop), so d holds at most
+  one term per (g, t);
+- d o d = 0 over F2[U] (d-squared);
+- each term U^n t in the flip image of g has n = -A(g), A(t) = -A(g) and
+  M(t) = M(g) - 2A(g) (flip-term), so the flip too holds at most one
+  term per (g, t);
+- phi d = d phi over F2[U] (flip-chain-map).
+A_s and B are d conjugated by the diagonal U^lo, so d^2 = 0 carries over;
+each power n + lo(t) - lo(g) is >= 0, since min(0, s - A) drops from g to
+t by at most max(0, A(t) - A(g)) <= n, and by maslov-drop it has the
+grading its mask bit stands for.  v : A_s -> B is that conjugation, the
+identity on masks, so it commutes with d identically.  h : A_s -> B is the
+projection onto C{j >= s}, a chain map since d never raises j
+(filtration), then U^s and the flip, a chain map; by flip-term its
+powers max(0, s - A(g)) have the gradings its masks stand for, and it
+lowers them by 2s.  So `free_plus_complex` and `cone._v_map` and
+`cone._h_map` build masks alone; the checks they made live on in
+`tests/oracles.py` (`checked_free_model`).  The reduced models and the
+maps carried onto them are checked (`reduced_model`, `cone._reduce_maps`).
+
 Every grading here is an int, M - offset with the offset shared by the
 Maslov gradings of the complex (`KnotComplex._int_maslov`); the offset is
 added back only where a grading is reported (`_reported`).
@@ -110,19 +134,6 @@ def _hat_view(c: KnotComplex, free: FreeUComplex) -> SubquotientComplex:
 # Plus flavor: free complexes over F2[U]
 
 
-def _u_columns(size: int, terms, source_gradings, target_gradings, degree) -> tuple:
-    """Column masks of the F2[U] map whose terms (col, row, k) put U^k * row
-    in the image of col; each k must be >= 0 and move gradings by degree,
-    target_gradings[row] - source_gradings[col] = 2k + degree, so that the
-    gradings give it back."""
-    columns = [0] * size
-    for col, row, k in terms:
-        if k < 0 or target_gradings[row] - source_gradings[col] != 2 * k + degree:
-            raise InvariantViolated(f"U-power {k} is negative or breaks the gradings")
-        columns[col] ^= 1 << row
-    return tuple(columns)
-
-
 @dataclass(frozen=True)
 class FreeUComplex:
     """A plus region as a free F2[U]-complex: basis element k is the plane
@@ -138,31 +149,37 @@ class FreeUComplex:
         if any(_combine(self.columns, col) for col in self.columns):
             raise CompositionNonzero("F2[U] differential does not square to zero")
 
+    @classmethod
+    def _trusted(cls, lo: tuple, gradings: tuple, columns: tuple) -> FreeUComplex:
+        """Trusted constructor, for a complex whose d^2 = 0 a check already made implies."""
+        free = object.__new__(cls)
+        free.__dict__.update(lo=lo, gradings=gradings, columns=columns)
+        return free
+
 
 def _modulo_u(free: FreeUComplex) -> FreeUComplex:
     """The power-0 part of a checked free complex, whose d^2 needs no check."""
-    part = object.__new__(FreeUComplex)
-    part.__dict__.update(lo=free.lo, gradings=free.gradings,
-                         columns=_u0(free.columns, free.gradings, free.gradings, -1))
-    return part
+    return FreeUComplex._trusted(free.lo, free.gradings,
+                                 _u0(free.columns, free.gradings, free.gradings, -1))
 
 
 def free_plus_complex(c: KnotComplex, s: int | None = None) -> FreeUComplex:
     """B (s None), the region 0 <= i, or A_s, the region 0 <= max(i, j - s):
-    lo is 0 or min(0, s - A(g)), and U^n * t in d g is U^(n + lo(t) - lo(g))."""
+    lo is 0 or min(0, s - A(g)), and U^n * t in d g is U^(n + lo(t) - lo(g)).
+    Checked by `validate` alone (module docstring)."""
     require_valid(c)
     lo = tuple(0 if s is None else min(0, s - g.alexander) for g in c.generators)
     gradings = tuple(m + 2 * low for m, low in zip(c._int_maslov[1], lo))
-    terms = [(x, y, n + lo[y] - lo[x]) for x, y, n in c._index_form[0]]
-    return FreeUComplex(lo, gradings, _u_columns(len(lo), terms, gradings, gradings, -1))
+    return FreeUComplex._trusted(lo, gradings, _term_masks(len(lo), c._index_form[0]))
 
 
-def free_chain_map(source: FreeUComplex, target: FreeUComplex, terms, degree) -> tuple:
-    """Column masks of the F2[U] map with terms (col, row, k), checked to
-    move gradings by degree and to commute with the differentials."""
-    f = _u_columns(len(source.gradings), terms, source.gradings, target.gradings, degree)
-    _check_commutes(f, source, target)
-    return f
+def _term_masks(size: int, terms) -> tuple:
+    """Column masks of the terms (col, row, power), the powers left to the
+    gradings; a validated complex has one term per (col, row)."""
+    columns = [0] * size
+    for col, row, _ in terms:
+        columns[col] |= 1 << row
+    return tuple(columns)
 
 
 def _check_commutes(f, source: FreeUComplex, target: FreeUComplex) -> None:

@@ -1,6 +1,8 @@
 """Seeded random corpus of valid complexes shared by the property suites,
 and deterministic families of larger ones: staircases of L-space knots,
-mirrors and connected sums.
+mirrors and connected sums; and the shipped trefoil with one input fault,
+which the tests of the input checks feed to the library and the CLI, also
+under `python -O`.
 
 Generators come in mirrored pairs (A, M) / (-A, M - 2A) so that a flip is
 usually available; differentials pick a random subset of the grading-legal
@@ -10,11 +12,17 @@ deterministic for a fixed seed.
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
+from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
+from pathlib import Path
 
-from floercone.fixtures import FIGURE8, Y1SIGMA
+import floercone
+from floercone.fixtures import FIGURE8, TREFOIL, Y1SIGMA
 from floercone.model import (
     DiffTerm,
     FlipTerm,
@@ -180,3 +188,34 @@ def connected_sum(name: str) -> KnotComplex:
     for other in rest:
         first = tensor(first, other)
     return first
+
+
+# the shipped trefoil's flip lines, each with one input fault: the term at a
+# with its U-power shifted by one, and the term at b dropped
+TREFOIL_FLIP_FAULTS = (("flip a : U^-1 c\n", "flip a : U^0 c\n"), ("flip b : U^0 b\n", ""))
+
+
+def broken_trefoils() -> list:
+    """(complex, .cfk text) per fault of TREFOIL_FLIP_FAULTS; `validate`
+    refuses each, the shifted term as a flip-term violation and the dropped
+    one as a singular flip that does not commute with d."""
+    text = (Path(floercone.__file__).parent / "data" / "trefoil.cfk").read_text()
+    shifted = tuple(t._replace(u_power=t.u_power + 1) if t.source == "a" else t for t in TREFOIL.flip)
+    dropped = tuple(t for t in TREFOIL.flip if t.source != "b")
+    texts = [text.replace(old, new, 1) for old, new in TREFOIL_FLIP_FAULTS]
+    assert text not in texts, "the shipped trefoil no longer has the flip lines to break"
+    return [(replace(TREFOIL, flip=flip), broken) for flip, broken in zip((shifted, dropped), texts)]
+
+
+def run_on_broken_trefoils_under_python_O(code: str, tmp_path) -> subprocess.CompletedProcess:
+    """Runs code under python -O, with the library and this module importable
+    and the path of a file holding each text of `broken_trefoils` in argv."""
+    paths = [tmp_path / f"broken{k}.cfk" for k in range(len(TREFOIL_FLIP_FAULTS))]
+    for path, (_, text) in zip(paths, broken_trefoils()):
+        path.write_text(text)
+    here = Path(__file__).resolve().parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(here.parent / "src"), str(here),
+                                                      env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-O", "-c", code, *map(str, paths)], env=env,
+                          capture_output=True, text=True, timeout=60)

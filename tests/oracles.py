@@ -28,12 +28,17 @@ and the plus flavor and reduced homology from Smith reductions of the
 full A_s, B and cones instead of the reduced models left once every unit
 arrow is cancelled, each with every U-power written out and reduced by
 `smith_pivots_u` at a precision above every graded pivot instead of
-stored as GF(2) masks and reduced on `F2Span` in grading order.
+stored as GF(2) masks and reduced on `F2Span` in grading order,
+A_s, B, v and h with every U-power written out and checked on each build
+(powers against the gradings, d^2 = 0, chain maps, over F2[U]) instead of
+built as masks from what `validate` proves, and the parser with a
+`Fraction` per generator instead of one per distinct M= text.
 """
 
 from __future__ import annotations
 
 import itertools
+import re
 from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -50,7 +55,9 @@ from floercone.cone import (
     _rank_nullity,
     ensure_flip,
 )
+from floercone.io_format import DocumentEntry, DuplicateName, InputDocument, ParseError
 from floercone.linalg import (
+    CompositionNonzero,
     F2Matrix,
     F2Span,
     InvariantViolated,
@@ -61,11 +68,14 @@ from floercone.linalg import (
     _combine,
     _mask_bits,
     _minor_degree_bound,
+    _u_product,
     rank_f2,
     smith_invariants_laurent,
     smith_pivots_u,
 )
 from floercone.model import (
+    DiffTerm,
+    FlipTerm,
     Generator,
     KnotComplex,
     NoFlipFound,
@@ -1276,6 +1286,120 @@ def oracle_plus_reductions(c: KnotComplex, s: int, precision: int | None = None)
     return (power_reduction(a.gradings, a.columns, precision),
             power_reduction(b.gradings, b.columns, precision),
             power_reduction(gv, cv, precision), power_reduction(gh, ch, precision, s == 0), rvh)
+
+
+# ---------------------------------------------------------------------------
+# the checks of A_s, B, v and h that `validate` implies, which the library
+# made on every build before it relied on the implication (`subquotient`)
+
+
+def checked_free_model(c: KnotComplex, s: int) -> tuple:
+    """The gradings of A_s and B and the column masks of d_A, d_B, v and h,
+    built from the terms with every U-power written out and checked: each
+    power >= 0 and of the grading its mask stands for (`power_columns`,
+    InvariantViolated), d^2 = 0 (CompositionNonzero), and v and h chain
+    maps (NotAChainMap), both over F2[U] by `_u_product`."""
+    a, b = power_plus_complex(c, s), power_plus_complex(c)
+    for free in (a, b):
+        if any(_u_product(free.columns, free.columns)):
+            raise CompositionNonzero("F2[U] differential does not square to zero")
+    maps = power_maps(c, s, a, b, None)
+    for f in maps:
+        if _u_product(f, a.columns) != _u_product(b.columns, f):
+            raise NotAChainMap("F2[U] map does not commute with the differentials")
+    masks = (tuple(sum(1 << r for r in col) for col in f) for f in (a.columns, b.columns, *maps))
+    return (a.gradings, b.gradings, *masks)
+
+
+# ---------------------------------------------------------------------------
+# the parser, with a Fraction per generator
+
+
+_ORACLE_COMPLEX_RE = re.compile(r"^complex\s+(\S+)\s+spinc=(\S+)$")
+_ORACLE_GEN_RE = re.compile(r"^gen\s+(\S+)\s+A=(-?\d+)\s+M=(-?\d+(?:/\d*[1-9]\d*)?)$")
+_ORACLE_LINE_RE = re.compile(r"^(d|flip)\s+(\S+)\s*:\s*(.+)$")
+_ORACLE_TERM_RE = re.compile(r"^U\^(-?\d+)\s+(\S+)$")
+
+
+def oracle_parse(text: str) -> InputDocument:
+    """`io_format.parse` as it read each input before it made one Fraction
+    per distinct M= text: a Fraction per generator, a group call per field."""
+    entries: list[DocumentEntry] = []
+    seen_spinc: set[str] = set()
+    seen_names: set[str] = set()
+    name = spinc = None
+    gens: list[Generator] = []
+    diffs: list[DiffTerm] = []
+    flips: list[FlipTerm] = []
+    has_flip = False
+
+    def finish(line_no: int):
+        nonlocal name, spinc, gens, diffs, flips, has_flip
+        c = KnotComplex(
+            spinc_label=spinc,
+            generators=tuple(gens),
+            differential=tuple(diffs),
+            flip=tuple(flips) if has_flip else None,
+        )
+        require_valid(c)
+        entries.append(DocumentEntry(name, c))
+        name = spinc = None
+        gens, diffs, flips, has_flip = [], [], [], False
+
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        head = line.split(None, 1)[0]
+        if head == "complex":
+            if name is not None:
+                raise ParseError(line_no, "previous complex block not closed with 'end'")
+            m = _ORACLE_COMPLEX_RE.match(line)
+            if not m:
+                raise ParseError(line_no, "expected: complex <name> spinc=<label>")
+            name, spinc = m.group(1), m.group(2)
+            if name in seen_names:
+                raise DuplicateName(f"line {line_no}: complex name {name!r} reused")
+            if spinc in seen_spinc:
+                raise DuplicateName(f"line {line_no}: spinc label {spinc!r} reused")
+            seen_names.add(name)
+            seen_spinc.add(spinc)
+            continue
+        if name is None:
+            raise ParseError(line_no, f"{head!r} outside a complex block")
+        if head == "end":
+            if line != "end":
+                raise ParseError(line_no, "expected bare 'end'")
+            finish(line_no)
+        elif head == "gen":
+            m = _ORACLE_GEN_RE.match(line)
+            if not m:
+                raise ParseError(line_no, "expected: gen <name> A=<int> M=<int or p/q, q > 0>")
+            gens.append(Generator(m.group(1), int(m.group(2)), Fraction(m.group(3))))
+        elif head in ("d", "flip"):
+            m = _ORACLE_LINE_RE.match(line)
+            if not m:
+                raise ParseError(line_no, f"expected: {head} <src> : U^<n> <dst>[, ...]")
+            src, rest = m.group(2), m.group(3)
+            for chunk in rest.split(","):
+                t = _ORACLE_TERM_RE.match(chunk.strip())
+                if not t:
+                    raise ParseError(line_no, f"bad term {chunk.strip()!r}; expected U^<n> <dst>")
+                power = int(t.group(1))
+                if head == "d":
+                    if power < 0:
+                        raise ParseError(line_no, "differential U-powers must be >= 0")
+                    diffs.append(DiffTerm(src, t.group(2), power))
+                else:
+                    has_flip = True
+                    flips.append(FlipTerm(src, t.group(2), power))
+        else:
+            raise ParseError(line_no, f"unrecognized directive {head!r}")
+    if name is not None:
+        raise ParseError(len(text.splitlines()), "unterminated complex block")
+    if not entries:
+        raise ParseError(0, "document contains no complexes")
+    return InputDocument(tuple(entries))
 
 
 # ---------------------------------------------------------------------------

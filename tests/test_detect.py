@@ -105,14 +105,15 @@ def test_necessary_conditions_figure8_clause_c():
 
 
 def count_builds(monkeypatch) -> Counter:
-    """Counts free_plus_complex calls by s (None for B) and free_chain_map calls."""
+    """Counts free_plus_complex calls by s (None for B) and v and h builds."""
     built = Counter()
     for module in (subquotient, cone_module):
         monkeypatch.setattr(module, "free_plus_complex",
                             lambda c, s=None, _f=module.free_plus_complex:
                             built.update([s]) or _f(c, s))
-    monkeypatch.setattr(cone_module, "free_chain_map", lambda *args, _f=cone_module.free_chain_map:
-                        built.update(["map"]) or _f(*args))
+    for name in ("_v_map", "_h_map"):
+        monkeypatch.setattr(cone_module, name, lambda *args, _f=getattr(cone_module, name):
+                            built.update(["map"]) or _f(*args))
     return built
 
 

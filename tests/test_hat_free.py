@@ -23,10 +23,19 @@ from floercone.cone import (
 )
 from floercone.detect import VerdictKind, genus, sphere_necessary_conditions
 from floercone.fixtures import ALL_FIXTURES, FIGURE8, TREFOIL
-from floercone.linalg import InvariantViolated, NotAChainMap
+from floercone.model import ValidationError
 from floercone.twisted import twisted_homology_laurent
 
-from corpus import BIG_SUMS, TWISTED_SUMS, connected_sum, staircase, tensor, with_flip
+from corpus import (
+    BIG_SUMS,
+    TWISTED_SUMS,
+    broken_trefoils,
+    connected_sum,
+    run_on_broken_trefoils_under_python_O,
+    staircase,
+    tensor,
+    with_flip,
+)
 from oracles import (
     build_A_hat,
     build_B_hat,
@@ -124,14 +133,14 @@ def test_hat_cone_is_the_plus_cone_at_height_0():
 
 def test_each_cone_builds_A_B_v_and_h_once(monkeypatch):
     calls = []
-    for name in ("free_plus_complex", "free_chain_map"):
+    for name in ("free_plus_complex", "_v_map", "_h_map"):
         counted = (lambda *args, _f=getattr(cone_module, name), _name=name, **kwargs:
                    calls.append(_name) or _f(*args, **kwargs))
         monkeypatch.setattr(cone_module, name, counted)
     for build, s in ((cone_homology_hat, 1), (twisted_homology_laurent, 0)):
         calls.clear()
         build(FIGURE8, s)
-        assert sorted(calls) == ["free_chain_map"] * 2 + ["free_plus_complex"] * 2, build
+        assert sorted(calls) == ["_h_map", "_v_map"] + ["free_plus_complex"] * 2, build
 
 
 # ---------------------------------------------------------------------------
@@ -197,43 +206,38 @@ def test_public_builders_stay_bounded_at_huge_s():
 # the hat path's checks
 
 
-def test_corrupted_hat_map_terms_raise(monkeypatch):
-    original = cone_module.free_chain_map
-
-    def shifted(a, b, terms, degree):  # one U-power off by one: gradings break
-        col, row, k = terms[0]
-        return original(a, b, [(col, row, k + 1)] + list(terms[1:]), degree)
-
-    def dropped(a, b, terms, degree):  # v or h loses a term: not a chain map
-        return original(a, b, list(terms[1:]), degree)
-
-    monkeypatch.setattr(cone_module, "free_chain_map", shifted)
-    with pytest.raises(InvariantViolated):
-        cone_homology_hat(TREFOIL, 0)
-    monkeypatch.setattr(cone_module, "free_chain_map", dropped)
-    with pytest.raises(NotAChainMap):
-        cone_homology_hat(TREFOIL, 0)
+def test_corrupted_hat_map_terms_raise(tmp_path):
+    """v and h are read off the input's terms, so a corrupted term is caught
+    where the input is checked: ValidationError from the library, exit 2
+    from the CLI."""
+    path = tmp_path / "broken.cfk"
+    for c, text in broken_trefoils():
+        with pytest.raises(ValidationError):
+            cone_homology_hat(c, 0)
+        path.write_text(text)
+        assert main(["cone", str(path), "--s", "0"]) == 2
 
 
-def test_hat_path_checks_survive_python_O():
+def test_hat_path_checks_survive_python_O(tmp_path):
     code = (
+        "import contextlib, io, sys\n"
         "import floercone.cone as cone\n"
-        "from floercone.fixtures import TREFOIL\n"
-        "from floercone.linalg import InvariantViolated, NotAChainMap\n"
+        "from floercone.cli import main\n"
+        "from floercone.model import ValidationError\n"
+        "from corpus import broken_trefoils\n"
         "assert False, 'asserts are on'\n"
-        "original = cone.free_chain_map\n"
-        "cone.free_chain_map = lambda a, b, terms, *rest: original(a, b, terms[1:], *rest)\n"
-        "try:\n"
-        "    cone.cone_homology_hat(TREFOIL, 0)\n"
-        "except (NotAChainMap, InvariantViolated):\n"
-        "    print('raised')\n"
+        "for c, _ in broken_trefoils():\n"
+        "    try:\n"
+        "        cone.cone_homology_hat(c, 0)\n"
+        "    except ValidationError:\n"
+        "        print('raised')\n"
+        "for path in sys.argv[1:]:\n"
+        "    with contextlib.redirect_stderr(io.StringIO()):\n"
+        "        print(main(['cone', path, '--s', '0']))\n"
     )
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
-                         capture_output=True, text=True, timeout=60)
+    out = run_on_broken_trefoils_under_python_O(code, tmp_path)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "raised"
+    assert out.stdout.split() == ["raised", "raised", "2", "2"]
 
 
 def test_reduced_differential_check_survives_python_O():

@@ -1,5 +1,7 @@
 """Text format: parsing, validation wiring, canonical serialization."""
 
+import random
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -17,6 +19,9 @@ from floercone.io_format import (
     serialize,
 )
 from floercone.model import ValidationError
+
+from oracles import oracle_parse
+from test_malformed_input import MUTANTS_PER_FILE, mutants
 
 DATA = Path(floercone.__file__).parent / "data"
 FILES = {
@@ -154,3 +159,71 @@ def test_document_entry_structure():
     doc = InputDocument((DocumentEntry("X", TREFOIL),))
     assert doc.complexes == (TREFOIL,)
     assert serialize(parse(serialize(doc))) == serialize(doc)
+
+
+# ---------------------------------------------------------------------------
+# the parser against the one that made a Fraction per generator
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+M_TEXTS = ("1/2", "-3/4", "2/4", "0/7")
+EDGE_CASES = (
+    "gen a A=0 M=0\n",
+    "complex K spinc=0\ngen a A=0 M=0\n",
+    "complex K spinc=0\ncomplex L spinc=1\n",
+    "complex K\ngen a A=0 M=0\nend\n",
+    "complex K spinc=0\ngen a A=0 M=1/0\nend\n",
+    "complex K spinc=0\ngen a A=0 M=0\nd a: U^0\nend\n",
+    "complex K spinc=0\ngen a A=0 M=0\nflip a :U^0 a ,  U^0  a\nend\n",
+    "complex K spinc=0\ngen a A=0 M=0\nd a : U^1 a, V b\nend\n",
+    "complex K spinc=0\ngen a A=0 M=0\nd a : U^-1 a\nend\n",
+    "complex K spinc=0\ngen a A=0 M=0\nflip a : U^-1 a\nend\n",
+    "complex K spinc=0\ngen a A=0 M=0\nmap a : U^0 a\nend\n",
+    "complex K spinc=0\ngen a A=0 M=0\nend now\n",
+    "complex K spinc=0\ngen a A=0 M=0\nend\ncomplex K spinc=1\nend\n",
+    "# nothing\n",
+)
+
+
+def bench_texts() -> list:
+    """Every benchmark input's template, instantiated."""
+    if str(BENCH) not in sys.path:
+        sys.path.insert(0, str(BENCH))
+    import families
+    import workloads
+
+    return [families.instantiate(families.cfk_template(label, inp.complex), "p0_")
+            for wl in workloads.every_input() for label, inp in sorted(wl.inputs.items())]
+
+
+def m_text_documents() -> list:
+    """One document per M= text, beside a generator whose M is written another way."""
+    return [f"complex K spinc=0\ngen a A=0 M={m}\ngen b A=0 M={Fraction(m)}\n"
+            f"flip a : U^0 a\nflip b : U^0 b\nend\n" for m in M_TEXTS]
+
+
+def outcome(read, text):
+    """What read(text) gives: the document, or the error's type, message and line."""
+    try:
+        return read(text)
+    except (ParseError, DuplicateName, ValidationError) as e:
+        return type(e), str(e), getattr(e, "line", None)
+
+
+def test_parse_equals_the_oracle_parser():
+    shipped = [p.read_text() for p in sorted(DATA.glob("*.cfk"))]
+    malformed = [text for p in sorted(DATA.glob("*.cfk"))
+                 for text in mutants(p.read_text(), random.Random(f"malformed {p.name}"),
+                                     MUTANTS_PER_FILE)]
+    errors = 0
+    for text in shipped + bench_texts() + m_text_documents() + malformed + list(EDGE_CASES):
+        got = outcome(parse, text)
+        assert got == outcome(oracle_parse, text), text
+        errors += isinstance(got, tuple)
+    assert errors > len(EDGE_CASES)
+
+
+def test_each_distinct_m_text_is_one_fraction():
+    doc = parse("complex K spinc=0\ngen a A=0 M=2/4\ngen b A=0 M=1/2\ngen c A=0 M=2/4\n"
+                "flip a : U^0 a\nflip b : U^0 b\nflip c : U^0 c\nend\n")
+    a, b, c = (g.maslov for g in doc.entries[0].complex.generators)
+    assert a == b == c == Fraction(1, 2) and a is c and a is not b

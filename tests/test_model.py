@@ -234,7 +234,7 @@ def _mutants(c):
     for k, t in enumerate(c.differential):
         for dn in (-1, 1):
             diff = list(c.differential)
-            diff[k] = replace(t, u_power=t.u_power + dn)
+            diff[k] = t._replace(u_power=t.u_power + dn)
             yield ("n", t.source), replace(c, differential=tuple(diff))
 
 
@@ -278,13 +278,41 @@ def _single_field_mutant(c, rng):
         value = terms[k].u_power + rng.choice([-1, 1])
     else:
         value = rng.choice([g.name for g in c.generators] + ["zz", "_q", "g"])
-    terms[k] = replace(terms[k], **{attr: value})
+    terms[k] = terms[k]._replace(**{attr: value})
     return replace(c, **{"differential" if field == "d" else "flip": tuple(terms)})
+
+
+def _repeated_term_mutant(c, rng):
+    """c with one of its d or flip terms listed twice."""
+    field = rng.choice(["differential"] * bool(c.differential) + ["flip"] * bool(c.flip))
+    terms = getattr(c, field)
+    return replace(c, **{field: terms + (rng.choice(terms),)})
+
+
+def _mutant(c, rng, count: int):
+    """c with count mutations, each one field changed or one term repeated."""
+    for _ in range(count):
+        if (c.differential or c.flip) and rng.random() < 0.25:
+            c = _repeated_term_mutant(c, rng)
+        else:
+            c = _single_field_mutant(c, rng)
+    return c
+
+
+def _four_kinds_trefoil():
+    """The trefoil with three mutations, whose report holds four per-term
+    kinds: a d term to an undeclared name (unknown-generator), d b -> c
+    repeated (duplicate-term), and M(a) shifted by one, which breaks
+    d b -> U a (maslov-drop) and the flip terms at a and c (flip-term)."""
+    gens = tuple(replace(g, maslov=g.maslov + 1) if g.name == "a" else g for g in TREFOIL.generators)
+    diff = TREFOIL.differential + (DiffTerm("a", "zz", 0), DiffTerm("b", "c", 0))
+    return replace(TREFOIL, generators=gens, differential=diff)
 
 
 def test_validate_equals_the_name_keyed_oracle():
     """The same violations, in the same order and with the same strings; a
-    flip term with an undeclared end, where the oracle raises, is listed."""
+    flip term with an undeclared end, where the oracle raises, is listed.
+    Mutants with two and three mutations hold several kinds in one report."""
     cases = set(ALL_FIXTURES) | _bench_inputs()
     for seed in (1, 2, 3):
         cases.update(corpus(seed))
@@ -293,7 +321,11 @@ def test_validate_equals_the_name_keyed_oracle():
     rng = random.Random(20261018)
     ordered = sorted(cases, key=repr)
     mutants = [_single_field_mutant(c, rng) for c in ordered for _ in range(3) if c.generators]
+    several = random.Random(20261019)
+    mutants += [_mutant(c, several, count) for c in ordered for count in (2, 3) if c.generators]
+    mutants.append(_four_kinds_trefoil())
     raised = invalid = 0
+    mixed = set()
     for c in ordered + mutants:
         try:
             want = oracle_validate(c)
@@ -303,7 +335,25 @@ def test_validate_equals_the_name_keyed_oracle():
             continue
         assert validate(c) == want, c
         invalid += not want.ok
+        mixed.add(frozenset(v.kind for v in want.violations))
     assert raised and invalid
+    assert any({"unknown-generator", "duplicate-term", "maslov-drop", "flip-term"} <= k for k in mixed)
+
+
+def test_hash_and_equality_agree():
+    """Terms hash and sort as tuples and the hash covers names and terms
+    alone: reordered terms give an equal complex with an equal hash, and a
+    complex that differs in one Maslov grading is unequal, hashes alike,
+    and gets its own report from the validate cache."""
+    for c in ALL_FIXTURES:
+        flip = None if c.flip is None else c.flip[::-1]
+        shuffled = KnotComplex(c.spinc_label, c.generators[::-1], c.differential[::-1], flip)
+        assert shuffled == c and hash(shuffled) == hash(c)
+        g = c.generators[0]
+        shifted = replace(c, generators=(replace(g, maslov=g.maslov + 2),) + c.generators[1:])
+        assert shifted != c and hash(shifted) == hash(c)
+        assert validate(c).ok and validate(shifted) == oracle_validate(shifted)
+    assert DiffTerm("a", "b", 0) == FlipTerm("a", "b", 0)  # equal fields, equal tuples
 
 
 def test_validate_builds_no_mask_as_long_as_a_graded_u_power():

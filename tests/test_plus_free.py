@@ -31,26 +31,36 @@ from floercone.fixtures import ALL_FIXTURES, FIGURE8, TREFOIL, TREFOIL_L, Y1SIGM
 from floercone.linalg import (
     CompositionNonzero,
     InvariantViolated,
-    NotAChainMap,
     _minor_degree_bound,
     smith_pivots_u,
 )
-from floercone.model import KnotComplex
+from floercone.model import KnotComplex, ValidationError
 from floercone.subquotient import (
     FreeReduction,
     FreeUComplex,
     _reduce_ungraded,
-    free_chain_map,
     free_plus_complex,
     hf_red_graded,
     reduce_free,
 )
 
 import oracles
-from corpus import lspace_staircase, mirror, staircase, tensor, torus_exponents, with_flip
+from corpus import (
+    BIG_SUMS,
+    TWISTED_SUMS,
+    broken_trefoils,
+    connected_sum,
+    lspace_staircase,
+    mirror,
+    staircase,
+    tensor,
+    torus_exponents,
+    with_flip,
+)
 from oracles import (
     GradedUModule,
     build_plus_truncated,
+    checked_free_model,
     default_truncation,
     maslov_offset,
     minor_gcd_spans,
@@ -58,6 +68,7 @@ from oracles import (
     oracle_plus_reductions,
     oracle_reduced_part,
     oracle_smith_pivots_u,
+    power_columns,
     reduced_part_at,
     stabilized_cone_plus,
     stabilized_hf_red_graded,
@@ -310,21 +321,52 @@ def trefoil_maps():
     return a, b, [(0, 2, 0), (1, 1, 0), (2, 0, 1)]
 
 
-def test_trefoil_h_is_a_chain_map_and_a_broken_one_raises():
-    a, b, h = trefoil_maps()
-    assert free_chain_map(a, b, h, 0) == (0b100, 0b010, 0b001)  # U x_a read off the gradings
-    with pytest.raises(NotAChainMap):
-        free_chain_map(a, b, h[:1] + h[2:], 0)  # drop y_b -> x_b
+def test_trefoil_h_is_a_chain_map_and_a_broken_one_raises(tmp_path):
+    """h is the flip's masks, a chain map by validate's flip-chain-map check;
+    an input that drops the flip term y_b -> x_b is refused before h is built,
+    by the library and by the CLI."""
+    assert cone_module._h_map(TREFOIL) == (0b100, 0b010, 0b001)  # U x_a read off the gradings
+    assert checked_free_model(TREFOIL, 0)[5] == cone_module._h_map(TREFOIL)
+    dropped, text = broken_trefoils()[1]
+    with pytest.raises(ValidationError):
+        cone_homology_plus_truncated(dropped, 0)
+    path = tmp_path / "broken.cfk"
+    path.write_text(text)
+    assert main(["cone", str(path), "--flavor", "plus", "--s", "0"]) == 2
 
 
 def test_wrong_grading_or_negative_power_raises():
     a, b, h = trefoil_maps()
     with pytest.raises(InvariantViolated):
-        free_chain_map(a, b, [(0, 2, 1)] + h[1:], 0)  # U^1 where the gradings ask U^0
+        power_columns(3, [(0, 2, 1)] + h[1:], a.gradings, b.gradings, 0)  # U^1 where U^0 is due
     with pytest.raises(InvariantViolated):
-        free_chain_map(a, b, h, 2)  # a degree the terms do not have
+        power_columns(3, h, a.gradings, b.gradings, 2)  # a degree the terms do not have
     with pytest.raises(InvariantViolated):
-        free_chain_map(b, b, [(0, 0, -1)], 2)  # consistent gradings, negative power
+        power_columns(3, [(0, 0, -1)], b.gradings, b.gradings, 2)  # right gradings, negative power
+
+
+def assert_checks_that_validate_implies_hold(c):
+    for s in range(-c.a_bound() - 1, c.a_bound() + 2):
+        a, b = free_plus_complex(c, s), free_plus_complex(c)
+        built = (a.gradings, b.gradings, a.columns, b.columns,
+                 cone_module._v_map(a), cone_module._h_map(c))
+        assert checked_free_model(c, s) == built, (c, s)
+
+
+def test_checks_that_validate_implies_hold_on_the_fixtures():
+    for c in ALL_FIXTURES:
+        assert_checks_that_validate_implies_hold(c)
+
+
+@pytest.mark.parametrize("seed", range(1, 9))
+def test_checks_that_validate_implies_hold_on_the_corpus(seed):
+    for _, c in with_flip(seed):
+        assert_checks_that_validate_implies_hold(c)
+
+
+@pytest.mark.parametrize("name", TWISTED_SUMS + BIG_SUMS)
+def test_checks_that_validate_implies_hold_on_the_sums(name):
+    assert_checks_that_validate_implies_hold(connected_sum(name))
 
 
 def test_d_squared_nonzero_raises():
@@ -431,7 +473,8 @@ def test_complex_hash_is_cached_and_order_insensitive():
     assert shuffled == c and shuffled is not c
     assert hash(shuffled) == hash(c)
     assert vars(c)["_hash"] == hash(c)
-    assert hash((c.spinc_label, c.generators, c.differential, c.flip)) == hash(c)
+    names = tuple(g.name for g in c.generators)
+    assert hash((c.spinc_label, names, c.differential, c.flip)) == hash(c)
     assert c != KnotComplex("1", c.generators, c.differential, c.flip)
 
 

@@ -174,7 +174,7 @@ def graded_cases(c):
             yield (label, s), gradings, columns, powers_of(gradings, columns)
     a, b = free_plus_complex(c, 0), free_plus_complex(c)
     pa, pb = power_plus_complex(c, 0), power_plus_complex(c)
-    maps = cone_module._v_map(a, b), cone_module._h_map(c, 0, a, b)
+    maps = cone_module._v_map(a), cone_module._h_map(c)
     power = power_maps(c, 0, pa, pb, None)
     power += ([{r: x for r in cv.keys() | ch.keys() if (x := cv.get(r, 0) ^ ch.get(r, 0))}
                for cv, ch in zip(*power)],)

@@ -1,10 +1,6 @@
 """Twisted coefficients: Novikov dimension and Laurent module structure."""
 
-import os
-import subprocess
-import sys
 from dataclasses import replace
-from pathlib import Path
 
 import pytest
 
@@ -13,7 +9,15 @@ from floercone.fixtures import ALL_FIXTURES, FIGURE8, TREFOIL, TREFOIL_L, UNKNOT
 from floercone.linalg import F2Matrix, LaurentPoly, _combine, laurent_divides
 from floercone.twisted import TwistedConeResult, novikov_dim, twisted_homology_laurent
 
-from corpus import BIG_SUMS, TWISTED_SUMS, connected_sum, staircase, tensor, with_flip
+from corpus import (
+    BIG_SUMS,
+    TWISTED_SUMS,
+    connected_sum,
+    run_on_broken_trefoils_under_python_O,
+    staircase,
+    tensor,
+    with_flip,
+)
 from oracles import (
     hat_maps,
     oracle_novikov_dim,
@@ -23,7 +27,6 @@ from oracles import (
     retract_twisted_cone,
 )
 
-SRC = Path(__file__).resolve().parents[1] / "src"
 
 NAMED = dict(zip(["UNKNOT", "TREFOIL", "TREFOIL_L", "Y1SIGMA", "FIGURE8"], ALL_FIXTURES))
 
@@ -214,28 +217,29 @@ def test_torsion_vanishes_off_zero_for_fixtures():
             assert twisted_homology_laurent(c, s).torsion_factors == ()
 
 
-def test_twisted_checks_survive_python_O():
-    """A v that does not commute with the differentials is caught before the
-    twisted cone is built, on both paths that build it."""
+def test_twisted_checks_survive_python_O(tmp_path):
+    """An input whose v or h would not be a chain map is refused before the
+    twisted cone is built, on both paths that build it, and by the CLI."""
     code = (
-        "import floercone.cone as cone\n"
+        "import contextlib, io, sys\n"
+        "from floercone.cli import main\n"
         "from floercone.detect import sphere_necessary_conditions\n"
-        "from floercone.fixtures import TREFOIL\n"
-        "from floercone.linalg import NotAChainMap\n"
+        "from floercone.model import ValidationError\n"
         "from floercone.twisted import twisted_homology_laurent\n"
+        "from corpus import broken_trefoils\n"
         "assert False, 'asserts are on'\n"
-        "original = cone.free_chain_map\n"
-        "cone.free_chain_map = lambda a, b, terms, *rest: original(a, b, terms[1:], *rest)\n"
-        "for run in (lambda: twisted_homology_laurent(TREFOIL, 0),\n"
-        "            lambda: sphere_necessary_conditions([TREFOIL])):\n"
-        "    try:\n"
-        "        run()\n"
-        "    except NotAChainMap:\n"
-        "        print('raised')\n"
+        "for c, _ in broken_trefoils():\n"
+        "    for run in (lambda: twisted_homology_laurent(c, 0),\n"
+        "                lambda: sphere_necessary_conditions([c])):\n"
+        "        try:\n"
+        "            run()\n"
+        "        except ValidationError:\n"
+        "            print('raised')\n"
+        "for path in sys.argv[1:]:\n"
+        "    for command in (['cone', path, '--twisted', '--s', '0'], ['detect-sphere', path]):\n"
+        "        with contextlib.redirect_stderr(io.StringIO()):\n"
+        "            print(main(command))\n"
     )
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
-                         capture_output=True, text=True, timeout=60)
+    out = run_on_broken_trefoils_under_python_O(code, tmp_path)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.split() == ["raised", "raised"]
+    assert out.stdout.split() == ["raised"] * 4 + ["2"] * 4
