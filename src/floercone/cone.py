@@ -32,7 +32,10 @@ shifted by the degree of the map, and reduced exactly, but the cone of
 v + h at s != 0: v keeps the gradings and h lowers them by 2s, so it
 alone writes its U-powers out, for `smith_pivots_u` modulo a precision,
 the one place precision rules remain (`_plus_reductions`).  The twisted
-cone at s = 0 is read off the same A', B', v' and h' (see `twisted`).
+cone at s = 0 is read off the same A', B', v' and h' (see `twisted`), and
+so are prop0check's clauses (a) and (b) (`detect`).  The hat views, A_s
+and B modulo U as `SubquotientComplex`es and v as a `ChainMapF2`, serve
+only `genus` (`build_v_hat`), `project_A` and `induces_iso`.
 """
 
 from __future__ import annotations
@@ -97,32 +100,15 @@ def _h_map(c: KnotComplex) -> tuple:
     return _term_masks(len(c.generators), c._index_form[1])
 
 
-def _hat_map(a: SubquotientComplex, b: SubquotientComplex, f, degree: int) -> ChainMapF2:
-    """The F2[U] map f of this degree modulo U; a zero map has degree 0."""
-    matrix = F2Matrix._from_masks(b.dim, a.dim, _u0(f, a.maslov, b.maslov, degree))
-    return ChainMapF2(a, b, matrix, 0 if matrix.is_zero() else degree)
-
-
-def _hat_complexes(c: KnotComplex, s: int) -> tuple:
-    """A_s and B as free F2[U]-complexes, and the same two modulo U as GF(2)
-    complexes."""
-    a, b = free_plus_complex(c, s), free_plus_complex(c)
-    return a, b, _hat_view(c, a), _hat_view(c, b)
-
-
-def _hat_maps(c: KnotComplex, s: int, complexes: tuple) -> tuple:
-    """v and h on the complexes of `_hat_complexes(c, s)`: v projects A_s onto
-    the i = 0 part of B, h projects it onto the j = s part and carries it to
-    B by U^s and the flip."""
-    a, b, a_hat, b_hat = complexes
-    return (_hat_map(a_hat, b_hat, _v_map(a), 0),
-            _hat_map(a_hat, b_hat, _h_map(c), -2 * s))
+def _hat_map(a: SubquotientComplex, b: SubquotientComplex, f) -> ChainMapF2:
+    """The F2[U] map f of degree 0 modulo U."""
+    return ChainMapF2(a, b, F2Matrix._from_masks(b.dim, a.dim, _u0(f, a.maslov, b.maslov, 0)), 0)
 
 
 def build_v_hat(c: KnotComplex, s: int) -> ChainMapF2:
     """Projection of A_s onto the i = 0 part of B."""
-    a, b, a_hat, b_hat = _hat_complexes(c, s)
-    return _hat_map(a_hat, b_hat, _v_map(a), 0)
+    a = free_plus_complex(c, s)
+    return _hat_map(_hat_view(c, a), _hat_view(c, free_plus_complex(c)), _v_map(a))
 
 
 def project_A(c: KnotComplex, s: int, s_prime: int) -> ChainMapF2:
@@ -136,7 +122,7 @@ def project_A(c: KnotComplex, s: int, s_prime: int) -> ChainMapF2:
     if s > s_prime:
         raise ValueError("requires s <= s'")
     a, a_prime = free_plus_complex(c, s), free_plus_complex(c, s_prime)
-    return _hat_map(_hat_view(c, a), _hat_view(c, a_prime), _v_map(a), 0)
+    return _hat_map(_hat_view(c, a), _hat_view(c, a_prime), _v_map(a))
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,8 @@ beyond that range, and unit-plus-T-times-nilpotent matrices are
 invertible over the Novikov field).  The bound is recorded in each
 verdict witness.  Scans go s = 0, 1, -1, 2, -2, ... so reported
 witnesses are the ones closest to the torsion Spin^c structure.
+`sphere_necessary_conditions` reads the free and reduced models of
+`cone`; `genus` alone reads the hat views (`cone.build_v_hat`).
 """
 
 from __future__ import annotations
@@ -16,15 +18,8 @@ from typing import NamedTuple
 
 from floercone.linalg import F2Matrix, LaurentPoly, rank_f2
 from floercone.model import KnotComplex, require_valid
-from floercone.cone import (
-    _cone_dim,
-    _hat_complexes,
-    _hat_maps,
-    _rank_nullity,
-    _reduce_maps,
-    build_v_hat,
-    ensure_flip,
-)
+from floercone.cone import _cone_dim, _reduce_maps, build_v_hat, ensure_flip
+from floercone.subquotient import _hat_dim, free_plus_complex
 from floercone.twisted import _pencil_homology, novikov_dim
 
 
@@ -90,6 +85,11 @@ def sphere_obstruction(complexes) -> Verdict:
     )
 
 
+def _violated(clause: str, s: int, c: KnotComplex, **numbers) -> Verdict:
+    return Verdict(VerdictKind.DOES_NOT_FIRE, "0-surgery cannot contain a non-separating two-sphere",
+                   {"clause": clause, "s": s, "spinc": c.spinc_label, **numbers})
+
+
 def sphere_necessary_conditions(complexes) -> Verdict:
     """Checks the three conditions a 0-surgery with a non-separating sphere
     must satisfy, per Spin^c structure s:
@@ -99,47 +99,36 @@ def sphere_necessary_conditions(complexes) -> Verdict:
       (b) the twisted cone is acyclic (Novikov dimension 0).
 
     Fires when all hold over every supplied complex; the witness of a
-    failure is the first violated clause in the scan (cheapest first
-    within each s).  Clause (b) is evaluated at s = 0 alone: for s != 0
-    the Novikov dimension is the dimension of the hat cone of v + h (see
-    `twisted`), which, given (c), is 2 (dim H(A_s) - rank (v + h)_*), and
-    is 0 exactly when (a) holds; (a) runs first, so (b) could never decide
-    a verdict there.
+    failure is the first violated clause in the scan, (c) over every
+    complex before (a) or (b) within each s.  A_s and B are built once per
+    (complex, s); (c) reads n - 2 rank(d modulo U) off each, and (a) and
+    (b) the reduced models modulo U (`cone._reduce_maps`): (a) compares
+    rank(v' + h') with |A'| = dim H(A_s), as `cone_homology_hat` reads it,
+    and (b) the pencil v' + T h' (`twisted`).  Clause (b) is evaluated at
+    s = 0 alone: for s != 0 the Novikov dimension is the dimension of the
+    hat cone of v + h (see `twisted`), which, given (c), is
+    2 (dim H(A_s) - rank (v + h)_*), and is 0 exactly when (a) holds; (a)
+    runs first, so (b) could never decide a verdict there.
     """
     complexes, bound = _prepare(complexes)
     for s in _s_scan(bound):
-        built = []  # A_s, B and dim H(A_s) per complex, for clauses (a) and (b)
+        built = []  # A_s and B per complex, for clauses (a) and (b)
         for c in complexes:
-            parts = _hat_complexes(c, s)
-            dim_a, dim_b = parts[2].homology_dim(), parts[3].homology_dim()
+            a, b = free_plus_complex(c, s), free_plus_complex(c)
+            dim_a, dim_b = _hat_dim(a), _hat_dim(b)
             if dim_a != dim_b:
-                return Verdict(
-                    VerdictKind.DOES_NOT_FIRE,
-                    "0-surgery cannot contain a non-separating two-sphere",
-                    {"clause": "c", "s": s, "spinc": c.spinc_label,
-                     "dim_A": dim_a, "dim_B": dim_b},
-                )
-            built.append((parts, dim_a))
-        for c, (parts, dim) in zip(complexes, built):
+                return _violated("c", s, c, dim_A=dim_a, dim_B=dim_b)
+            built.append((a, b))
+        for c, (a, b) in zip(complexes, built):
+            a, b, v, h = reduced = _reduce_maps(c, s, a, b, True)
             if s == 0:
-                novikov = _pencil_homology(*_reduce_maps(c, s, *parts[:2], True)).novikov_dim
-                if novikov:
-                    return Verdict(
-                        VerdictKind.DOES_NOT_FIRE,
-                        "0-surgery cannot contain a non-separating two-sphere",
-                        {"clause": "b", "s": s, "spinc": c.spinc_label,
-                         "novikov_dim": novikov},
-                    )
+                if novikov := _pencil_homology(*reduced).novikov_dim:
+                    return _violated("b", s, c, novikov_dim=novikov)
                 continue
-            v, h = _hat_maps(c, s, parts)
-            rank = _rank_nullity(dim, dim, _cone_dim(v.source, v.target, v.matrix + h.matrix))
+            dim = len(a.gradings)  # = |B'|, by clause (c)
+            rank = rank_f2(F2Matrix._from_masks(dim, dim, tuple(map(int.__xor__, v, h))))
             if rank != dim:
-                return Verdict(
-                    VerdictKind.DOES_NOT_FIRE,
-                    "0-surgery cannot contain a non-separating two-sphere",
-                    {"clause": "a", "s": s, "spinc": c.spinc_label,
-                     "rank": rank, "dim_A": dim, "dim_B": dim},
-                )
+                return _violated("a", s, c, rank=rank, dim_A=dim, dim_B=dim)
     return Verdict(
         VerdictKind.FIRES,
         "all necessary conditions for a non-separating sphere hold",
@@ -175,9 +164,7 @@ def genus(complexes) -> int:
     Scanning stops at the largest Alexander grading present, beyond which
     v_i is a chain isomorphism.
     """
-    complexes = [ensure_flip(c) for c in complexes]
-    if not complexes:
-        raise ValueError("at least one complex is required")
+    complexes = _prepare(complexes)[0]
     top = max(c.a_max() for c in complexes)
     worst = -1
     for i in range(0, top + 1):

@@ -110,10 +110,6 @@ class SubquotientComplex:
     def dim(self) -> int:
         return len(self.basis)
 
-    def homology_dim(self) -> int:
-        rk = rank_f2(self.differential)
-        return (self.dim - rk) - rk
-
 
 def _u0(columns, source_gradings, target_gradings, degree: int) -> tuple:
     """The power-0 part of a graded map of this degree, by column masks."""
@@ -121,6 +117,12 @@ def _u0(columns, source_gradings, target_gradings, degree: int) -> tuple:
     for r, g in enumerate(target_gradings):
         level[g] = level.get(g, 0) | 1 << r
     return tuple([col & level.get(g + degree, 0) for g, col in zip(source_gradings, columns)])
+
+
+def _hat_dim(free: FreeUComplex) -> int:
+    """dim H of a free complex read modulo U: n - 2 rank(d modulo U)."""
+    n = len(free.columns)
+    return n - 2 * rank_f2(F2Matrix._from_masks(n, n, _modulo_u(free).columns))
 
 
 def _hat_view(c: KnotComplex, free: FreeUComplex) -> SubquotientComplex:

@@ -48,11 +48,11 @@ from floercone.cone import (
     ChainMapF2,
     ConeResult,
     _cone_dim,
-    _hat_complexes,
-    _hat_maps,
+    _h_map,
     _induced_rank,
     _plus_reductions,
     _rank_nullity,
+    _v_map,
     ensure_flip,
 )
 from floercone.io_format import DocumentEntry, DuplicateName, InputDocument, ParseError
@@ -91,6 +91,7 @@ from floercone.subquotient import (
     _hat_view,
     _reported,
     _spanned,
+    _u0,
     free_plus_complex,
     reduce_free,
 )
@@ -271,9 +272,21 @@ def build_A_hat(c: KnotComplex, s: int) -> SubquotientComplex:
     return _hat_view(c, free_plus_complex(c, s))
 
 
+def hat_homology_dim(sub: SubquotientComplex) -> int:
+    """dim H of a hat complex: its dimension less twice the rank of d."""
+    return sub.dim - 2 * rank_f2(sub.differential)
+
+
 def hat_maps(c: KnotComplex, s: int) -> tuple:
-    """The library's v and h on one build of A_s and B."""
-    return _hat_maps(c, s, _hat_complexes(c, s))
+    """The library's v and h on one build of A_s and B, read modulo U: v of
+    degree 0, h of degree -2s, a zero map of degree 0."""
+    a, b = free_plus_complex(c, s), free_plus_complex(c)
+    a_hat, b_hat = _hat_view(c, a), _hat_view(c, b)
+    maps = []
+    for f, degree in ((_v_map(a), 0), (_h_map(c), -2 * s)):
+        matrix = F2Matrix._from_masks(b_hat.dim, a_hat.dim, _u0(f, a.gradings, b.gradings, degree))
+        maps.append(ChainMapF2(a_hat, b_hat, matrix, 0 if matrix.is_zero() else degree))
+    return tuple(maps)
 
 
 def make_chain_map(source: SubquotientComplex, target: SubquotientComplex,
@@ -342,7 +355,7 @@ def oracle_genus(complexes) -> int:
     for i in range(max(c.a_max() for c in complexes) + 1):
         for c in complexes:
             a, b, v, _ = oracle_hat_parts(c, i)
-            if not induced_rank(v) == a.homology_dim() == b.homology_dim():
+            if not induced_rank(v) == hat_homology_dim(a) == hat_homology_dim(b):
                 worst = i
     return worst + 1
 
@@ -356,14 +369,14 @@ def oracle_necessary_conditions_witness(complexes) -> dict | None:
     for s in [0] + [x for k in range(1, bound + 1) for x in (k, -k)]:
         parts = [(c, *oracle_hat_parts(c, s)) for c in complexes]
         for c, a, b, _, _ in parts:
-            if a.homology_dim() != b.homology_dim():
+            if hat_homology_dim(a) != hat_homology_dim(b):
                 return {"clause": "c", "s": s, "spinc": c.spinc_label,
-                        "dim_A": a.homology_dim(), "dim_B": b.homology_dim()}
+                        "dim_A": hat_homology_dim(a), "dim_B": hat_homology_dim(b)}
         for c, a, b, v, h in parts if s else ():
             rank = induced_rank(make_chain_map(a, b, v.matrix + h.matrix))
-            if not rank == a.homology_dim() == b.homology_dim():
+            if not rank == hat_homology_dim(a) == hat_homology_dim(b):
                 return {"clause": "a", "s": s, "spinc": c.spinc_label, "rank": rank,
-                        "dim_A": a.homology_dim(), "dim_B": b.homology_dim()}
+                        "dim_A": hat_homology_dim(a), "dim_B": hat_homology_dim(b)}
         for c in complexes:
             if dim := oracle_twisted_homology(c, s).novikov_dim:
                 return {"clause": "b", "s": s, "spinc": c.spinc_label, "novikov_dim": dim}
@@ -426,7 +439,7 @@ def oracle_cone_homology_hat(c: KnotComplex, s: int) -> ConeResult:
     c = ensure_flip(c)
     v, h = hat_maps(c, s)
     a, b = v.source, v.target
-    ha, hb = a.homology_dim(), b.homology_dim()
+    ha, hb = hat_homology_dim(a), hat_homology_dim(b)
     vh = v.matrix + h.matrix
     dim_v, dim_h, total_dim = (_cone_dim(a, b, f) for f in (v.matrix, h.matrix, vh))
     graded = None
@@ -1053,7 +1066,7 @@ def oracle_cone_plus(c: KnotComplex, s: int, n: int) -> dict:
     total, maslovs = cone_parts(a, b, vh.matrix)
     total_dim = a.dim + b.dim - 2 * rank_f2(total)
     rank_vh = induced_rank(vh)
-    assert total_dim == a.homology_dim() + b.homology_dim() - 2 * rank_vh
+    assert total_dim == hat_homology_dim(a) + hat_homology_dim(b) - 2 * rank_vh
     graded = None
     if s == 0:
         na = a.dim

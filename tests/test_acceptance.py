@@ -26,6 +26,7 @@ from corpus import corpus, with_flip
 from oracles import (
     build_A_hat,
     build_B_hat,
+    hat_homology_dim,
     hat_maps,
     induced_rank,
     oracle_cone_hat,
@@ -67,8 +68,8 @@ def test_criterion_2_trefoil_pipeline():
 
 def test_criterion_3_mirror_rank_nullity():
     assert genus([TREFOIL_L]) == 1
-    dim_a = build_A_hat(TREFOIL_L, 0).homology_dim()
-    dim_b = build_B_hat(TREFOIL_L).homology_dim()
+    dim_a = hat_homology_dim(build_A_hat(TREFOIL_L, 0))
+    dim_b = hat_homology_dim(build_B_hat(TREFOIL_L))
     assert dim_a == 3 and dim_b == 1
     rank_v = induced_rank(build_v_hat(TREFOIL_L, 0))
     rank_h = induced_rank(hat_maps(TREFOIL_L, 0)[1])
@@ -103,8 +104,8 @@ def test_criterion_6_random_property_suite():
     for c in flipped:
         for s in (-1, 0, 1):
             res = cone_homology_hat(c, s)
-            h_a = build_A_hat(c, s).homology_dim()
-            h_b = build_B_hat(c).homology_dim()
+            h_a = hat_homology_dim(build_A_hat(c, s))
+            h_b = hat_homology_dim(build_B_hat(c))
             assert res.total_dim == h_a + h_b - 2 * res.rank_v_plus_h, (c, s)
             tw = twisted_homology_laurent(c, s)
             assert tw.laurent_free_rank == oracle_twisted_homology(c, s).novikov_dim, (c, s)

@@ -1,11 +1,19 @@
 """Verdict-producing detectors: spheres, unknotting, genus, Alexander."""
 
+import os
+import random
+import subprocess
+import sys
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import floercone
 import floercone.cone as cone_module
+import floercone.detect as detect_module
 import floercone.subquotient as subquotient
 from floercone.detect import (
     NotHomologySphere,
@@ -22,7 +30,11 @@ from floercone.fixtures import ALL_FIXTURES, FIGURE8, TREFOIL, TREFOIL_L, UNKNOT
 from floercone.linalg import LaurentPoly
 from floercone.subquotient import hf_red_graded
 
-from corpus import with_flip
+from corpus import TWISTED_SUMS, connected_sum, with_flip
+from oracles import oracle_necessary_conditions_witness
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+DATA = Path(floercone.__file__).parent / "data"
 
 NAMED = dict(zip(["UNKNOT", "TREFOIL", "TREFOIL_L", "Y1SIGMA", "FIGURE8"], ALL_FIXTURES))
 
@@ -107,7 +119,7 @@ def test_necessary_conditions_figure8_clause_c():
 def count_builds(monkeypatch) -> Counter:
     """Counts free_plus_complex calls by s (None for B) and v and h builds."""
     built = Counter()
-    for module in (subquotient, cone_module):
+    for module in (subquotient, cone_module, detect_module):
         monkeypatch.setattr(module, "free_plus_complex",
                             lambda c, s=None, _f=module.free_plus_complex:
                             built.update([s]) or _f(c, s))
@@ -117,11 +129,16 @@ def count_builds(monkeypatch) -> Counter:
     return built
 
 
+def passes_every_clause_up_to_2():
+    """A corpus complex that passes every clause for |s| <= 2."""
+    return next(f for _, f in with_flip() if f.a_bound() == 2
+                and sphere_necessary_conditions([f]).kind is VerdictKind.FIRES)
+
+
 def test_necessary_conditions_build_A_s_and_B_once_per_s(monkeypatch):
     """Clause (c) builds A_s and B once, and clauses (a) and (b) build v and h
     on them once, s = 0 included."""
-    c = next(f for _, f in with_flip() if f.a_bound() == 2
-             and sphere_necessary_conditions([f]).kind is VerdictKind.FIRES)
+    c = passes_every_clause_up_to_2()
     built = count_builds(monkeypatch)
     assert sphere_necessary_conditions([c]).kind is VerdictKind.FIRES
     assert built == {None: 5, "map": 10, **{s: 1 for s in range(-2, 3)}}
@@ -131,6 +148,92 @@ def test_necessary_conditions_build_no_map_where_clause_c_fails(monkeypatch):
     built = count_builds(monkeypatch)
     assert sphere_necessary_conditions([TREFOIL_L]).witness["clause"] == "c"
     assert built == {None: 1, 0: 1}
+
+
+def test_necessary_conditions_read_no_hat_view(monkeypatch):
+    """Clause (c) reads the free models modulo U, and (a) and (b) the reduced
+    models: no A_s or B is wrapped as a hat complex."""
+    def refuse(*args):
+        raise AssertionError("sphere_necessary_conditions built a hat view")
+    for module in (subquotient, cone_module):
+        monkeypatch.setattr(module, "_hat_view", refuse)
+    c = passes_every_clause_up_to_2()
+    for complexes in ([c], [TREFOIL], [TREFOIL_L], [c, connected_sum("T2_5+mT2_5")]):
+        sphere_necessary_conditions(complexes)
+
+
+def labelled(complexes) -> list:
+    """The complexes with distinct Spin^c labels, "0", "1", ..."""
+    return [replace(c, spinc_label=str(k)) for k, c in enumerate(complexes)]
+
+
+def assert_necessary_conditions_match_the_oracle(complexes):
+    verdict, want = sphere_necessary_conditions(complexes), oracle_necessary_conditions_witness(complexes)
+    if want is None:
+        assert verdict.kind is VerdictKind.FIRES, complexes
+    else:
+        assert (verdict.kind, verdict.witness) == (VerdictKind.DOES_NOT_FIRE, want), complexes
+    return want
+
+
+def test_necessary_conditions_on_several_complexes_match_the_oracle():
+    """Clause (c) runs over every complex at s before (a) or (b) runs on any,
+    and the scan goes s = 0, 1, -1, ... over all of them."""
+    sums = {name: connected_sum(name) for name in TWISTED_SUMS}
+    # TREFOIL fails (b) at s = 0, but TREFOIL_L fails (c) there, which runs first
+    want = assert_necessary_conditions_match_the_oracle(labelled([TREFOIL, TREFOIL_L]))
+    assert (want["clause"], want["s"], want["spinc"]) == ("c", 0, "1")
+    # T2_5+mT2_5 passes every clause at s = 0 and fails (c) at s = 1
+    want = assert_necessary_conditions_match_the_oracle(
+        labelled([UNKNOT, sums["T2_5+mT2_5"], Y1SIGMA]))
+    assert (want["clause"], want["s"], want["spinc"]) == ("c", 1, "1")
+    pool = (list(ALL_FIXTURES) + list(sums.values())
+            + [f for seed in range(1, 9) for _, f in with_flip(seed)[::12]])
+    rng, seen = random.Random(20), set()
+    for _ in range(60):
+        want = assert_necessary_conditions_match_the_oracle(
+            labelled(rng.sample(pool, rng.choice((2, 3)))))
+        seen.add(want and (want["clause"], want["spinc"]))
+    assert {None, ("b", "1"), ("c", "1"), ("c", "2")} <= seen
+
+
+def test_necessary_conditions_refuse_broken_inputs_under_python_O(tmp_path):
+    """With the library's asserts stripped, a fault that breaks d-squared (d a
+    dropped from FIGURE8) and one that breaks maslov-drop alone (d y raised
+    to U^2 in Y1SIGMA) are still refused, by the library and by the CLI
+    (exit 2): A_s and B are built unchecked from what `validate` proves."""
+    faults = (("figure8.cfk", "d a : U^0 b\n", ""), ("y1sigma.cfk", "d y : U^1 z", "d y : U^2 z"))
+    paths = [tmp_path / name for name, *_ in faults]
+    for path, (name, old, new) in zip(paths, faults):
+        text = (DATA / name).read_text()
+        assert old in text, name
+        path.write_text(text.replace(old, new, 1))
+    code = (
+        "import contextlib, io, sys\n"
+        "from dataclasses import replace\n"
+        "from floercone.cli import main\n"
+        "from floercone.detect import sphere_necessary_conditions\n"
+        "from floercone.fixtures import FIGURE8, Y1SIGMA\n"
+        "from floercone.model import ValidationError\n"
+        "assert False, 'asserts are on'\n"
+        "broken = (\n"
+        "    replace(FIGURE8, differential=[t for t in FIGURE8.differential if t.source != 'a']),\n"
+        "    replace(Y1SIGMA, differential=[t._replace(u_power=2) for t in Y1SIGMA.differential]))\n"
+        "for c in broken:\n"
+        "    try:\n"
+        "        sphere_necessary_conditions([c])\n"
+        "    except ValidationError as e:\n"
+        "        print(','.join(sorted({v.kind for v in e.report.violations})))\n"
+        "for path in sys.argv[1:]:\n"
+        "    with contextlib.redirect_stderr(io.StringIO()):\n"
+        "        print(main(['prop0check', path]))\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-O", "-c", code, *map(str, paths)], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["d-squared,flip-chain-map", "maslov-drop", "2", "2"]
 
 
 def test_obstruction_containment_on_fixtures():

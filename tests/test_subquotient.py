@@ -8,7 +8,7 @@ import pytest
 from floercone.fixtures import ALL_FIXTURES, FIGURE8, TREFOIL, TREFOIL_L, UNKNOT, Y1SIGMA
 from floercone.linalg import F2Matrix, rank_f2
 from floercone.model import Generator, KnotComplex
-from floercone.subquotient import hf_red_graded
+from floercone.subquotient import _hat_dim, free_plus_complex, hf_red_graded
 
 from oracles import (
     GradedUModule,
@@ -19,6 +19,7 @@ from oracles import (
     default_truncation,
     dense_rank_f2,
     graded_homology_dims,
+    hat_homology_dim,
     reduced_part_at,
     stabilize,
     truncation_cap,
@@ -42,7 +43,7 @@ def test_trefoil_B_hat():
     assert names_i(b) == [("a", 0), ("b", 0), ("c", 0)]
     # d b = U^1 a + U^0 c; the U^1 a term leaves the i = 0 slice
     assert b.differential.entries == frozenset({(2, 1)})
-    assert b.homology_dim() == 1
+    assert hat_homology_dim(b) == 1
 
 
 def test_trefoil_A_hat_0():
@@ -50,7 +51,7 @@ def test_trefoil_A_hat_0():
     assert names_i(a) == [("a", -1), ("b", 0), ("c", 0)]
     # both terms of d b stay inside the region here
     assert a.differential.entries == frozenset({(0, 1), (2, 1)})
-    assert a.homology_dim() == 1
+    assert hat_homology_dim(a) == 1
 
 
 def test_trefoil_A_hat_equals_B_hat_at_large_s():
@@ -67,13 +68,13 @@ def test_mirror_A_hat_0_has_zero_differential():
     assert names_i(a) == [("x", -1), ("y", 0), ("z", 0)]
     # d x = U^0 y drops (target at i = -1); d z = U^1 y drops too
     assert a.differential.is_zero()
-    assert a.homology_dim() == 3
+    assert hat_homology_dim(a) == 3
 
 
 def test_figure8_A_hat_0():
     a = build_A_hat(FIGURE8, 0)
     assert names_i(a) == [("a", -1), ("b", 0), ("c", 0), ("d", 0), ("e", 0)]
-    assert a.homology_dim() == 3
+    assert hat_homology_dim(a) == 3
 
 
 def test_maslov_values_follow_plane_rule():
@@ -82,11 +83,13 @@ def test_maslov_values_follow_plane_rule():
 
 
 def test_homology_against_dense_oracle():
+    # the hat dimension prop0check's clause (c) reads off the free models, too
     for c in ALL_FIXTURES:
-        for s in range(-2, 3):
-            sub = build_A_hat(c, s)
+        for s in (None, -2, -1, 0, 1, 2):
+            sub = build_B_hat(c) if s is None else build_A_hat(c, s)
             rank = dense_rank_f2(dense(sub.differential))
-            assert sub.homology_dim() == sub.dim - 2 * rank
+            assert hat_homology_dim(sub) == sub.dim - 2 * rank
+            assert _hat_dim(free_plus_complex(c, s)) == sub.dim - 2 * rank, (c.spinc_label, s)
 
 
 # ---------------------------------------------------------------------------
@@ -123,7 +126,7 @@ def test_plus_region_argument_errors():
 def test_y1sigma_B_plus_homology_dim():
     sub, _ = build_plus_truncated(Y1SIGMA, "B", 3)
     assert sub.dim == 12
-    assert sub.homology_dim() == 6
+    assert hat_homology_dim(sub) == 6
     assert dense_rank_f2(dense(sub.differential)) == 3
 
 
@@ -135,7 +138,7 @@ def test_graded_dims_sum_to_total():
     for c in ALL_FIXTURES:
         sub = build_B_hat(c)
         graded = graded_homology_dims(sub.maslov, sub.differential)
-        assert sum(graded.values()) == sub.homology_dim()
+        assert sum(graded.values()) == hat_homology_dim(sub)
 
 
 def test_graded_dims_trefoil_B_hat():
