@@ -1,4 +1,4 @@
-"""Time loading, the plus, hat and twisted cones at s = 0 and 1, and red, on connected sums of torus knots.
+"""Time loading, the plus, hat and twisted cones at s = 0 and 1, red and genus, on connected sums of torus knots.
 
     PYTHONPATH=src python scaling.py [--max-generators N] [--baseline FILE] [--out FILE]
 
@@ -8,7 +8,7 @@ three in-process timings of `cone_homology_plus_truncated` in auto mode, of
 `cone_homology_hat` or of `twisted_homology_laurent`, after the flip is
 derived and the complex validated, with the answer it gave; the reduced
 homology `hf_red_graded` gets one row per input, keyed as s = 0, and so
-does loading: `io_format.parse` of the input's canonical text, flip lines
+do `genus`, answered by the genus, and loading: `io_format.parse` of the input's canonical text, flip lines
 included, with the `validate` it runs (its cache cleared before each
 timing), answered by the generator and term counts.
 `--baseline` reads an earlier output (say, of this script run on another
@@ -31,6 +31,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent / "tests"))
 
 from corpus import staircase, tensor  # noqa: E402
 from floercone.cone import cone_homology_hat, cone_homology_plus_truncated, ensure_flip  # noqa: E402
+from floercone.detect import genus  # noqa: E402
 from floercone.io_format import DocumentEntry, InputDocument, parse, serialize  # noqa: E402
 from floercone.model import validate  # noqa: E402
 from floercone.subquotient import hf_red_graded  # noqa: E402
@@ -60,6 +61,8 @@ def answer(result) -> dict:
     if isinstance(result, InputDocument):  # load
         c = result.entries[0].complex
         return {"generators": len(c.generators), "terms": len(c.differential) + len(c.flip)}
+    if isinstance(result, int):  # genus
+        return {"genus": result}
     if isinstance(result, dict):  # hf_red_graded
         return {"reduced": {str(m): n for m, n in result.items()}}
     if isinstance(result, TwistedConeResult):
@@ -79,7 +82,8 @@ def rows(max_generators: int):
         text = serialize(InputDocument((DocumentEntry("K", c),)))
         runs = [(flavor, s, lambda s=s, cone=cone: cone(c, s)) for s in (0, 1)
                 for flavor, cone in CONES]
-        runs += [("red", 0, lambda: hf_red_graded(c)), ("load", 0, lambda: load(text))]
+        runs += [("red", 0, lambda: hf_red_graded(c)), ("genus", 0, lambda: genus([c])),
+                 ("load", 0, lambda: load(text))]
         for flavor, s, run in runs:
             times = []
             for _ in range(REPEATS):

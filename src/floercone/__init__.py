@@ -35,12 +35,11 @@ from floercone.model import (
     lattice_window,
     validate,
 )
-from floercone.subquotient import ReducedHomologyTooLarge, SubquotientComplex, hf_red_graded
+from floercone.subquotient import ReducedHomologyTooLarge, hf_red_graded
 from floercone.cone import (
     ChainMapF2,
     ConeResult,
     FlipMissing,
-    build_v_hat,
     cone_homology_hat,
     cone_homology_plus_truncated,
     project_A,
@@ -83,14 +82,12 @@ __all__ = [
     "NotHomologySphere",
     "PlaneElement",
     "ReducedHomologyTooLarge",
-    "SubquotientComplex",
     "TwistedConeResult",
     "ValidationError",
     "ValidationReport",
     "Verdict",
     "VerdictKind",
     "alexander_polynomial",
-    "build_v_hat",
     "cone_homology_hat",
     "cone_homology_plus_truncated",
     "derive_flip",

@@ -33,25 +33,25 @@ v + h at s != 0: v keeps the gradings and h lowers them by 2s, so it
 alone writes its U-powers out, for `smith_pivots_u` modulo a precision,
 the one place precision rules remain (`_plus_reductions`).  The twisted
 cone at s = 0 is read off the same A', B', v' and h' (see `twisted`), and
-so are prop0check's clauses (a) and (b) (`detect`).  The hat views, A_s
-and B modulo U as `SubquotientComplex`es and v as a `ChainMapF2`, serve
-only `genus` (`build_v_hat`), `project_A` and `induces_iso`.
+so are prop0check's clauses (a) and (b) (`detect`).  `genus` and
+`induces_iso` read v_* as an isomorphism modulo U where the cone of v on
+the free models has no homology modulo U (`subquotient._hat_dim`).
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from floercone.linalg import F2Matrix, InvariantViolated, _mask_bits, _minor_degree_bound, rank_f2
 from floercone.model import KnotComplex, derive_flip, require_valid
 from floercone.subquotient import (
     FreeReduction,
     FreeUComplex,
-    SubquotientComplex,
     _artifact_cutoff,
     _check_commutes,
-    _hat_view,
+    _hat_dim,
     _modulo_u,
     _reduce_ungraded,
     _reported,
@@ -72,16 +72,16 @@ def ensure_flip(c: KnotComplex) -> KnotComplex:
     return c if c.flip is not None else derive_flip(c)
 
 
-@dataclass(frozen=True)
-class ChainMapF2:
-    source: SubquotientComplex
-    target: SubquotientComplex
+class ChainMapF2(NamedTuple):
+    """A graded map of degree 0 between free complexes read modulo U."""
+
+    source: FreeUComplex
+    target: FreeUComplex
     matrix: F2Matrix
-    maslov_shift: int | None
 
 
 def induces_iso(cm: ChainMapF2) -> bool:
-    return _cone_dim(cm.source, cm.target, cm.matrix) == 0
+    return _hat_dim(*_free_cone(cm.source, cm.target, cm.matrix.column_masks())) == 0
 
 
 def _v_map(a: FreeUComplex) -> tuple:
@@ -100,17 +100,6 @@ def _h_map(c: KnotComplex) -> tuple:
     return _term_masks(len(c.generators), c._index_form[1])
 
 
-def _hat_map(a: SubquotientComplex, b: SubquotientComplex, f) -> ChainMapF2:
-    """The F2[U] map f of degree 0 modulo U."""
-    return ChainMapF2(a, b, F2Matrix._from_masks(b.dim, a.dim, _u0(f, a.maslov, b.maslov, 0)), 0)
-
-
-def build_v_hat(c: KnotComplex, s: int) -> ChainMapF2:
-    """Projection of A_s onto the i = 0 part of B."""
-    a = free_plus_complex(c, s)
-    return _hat_map(_hat_view(c, a), _hat_view(c, free_plus_complex(c)), _v_map(a))
-
-
 def project_A(c: KnotComplex, s: int, s_prime: int) -> ChainMapF2:
     """The projection A_s -> A_{s'} through which v_s factors, for s <= s'.
 
@@ -122,7 +111,8 @@ def project_A(c: KnotComplex, s: int, s_prime: int) -> ChainMapF2:
     if s > s_prime:
         raise ValueError("requires s <= s'")
     a, a_prime = free_plus_complex(c, s), free_plus_complex(c, s_prime)
-    return _hat_map(_hat_view(c, a), _hat_view(c, a_prime), _v_map(a))
+    n, matrix = len(a.lo), _u0(_v_map(a), a.gradings, a_prime.gradings, 0)
+    return ChainMapF2(_modulo_u(a), _modulo_u(a_prime), F2Matrix._from_masks(n, n, matrix))
 
 
 @dataclass(frozen=True)
@@ -143,14 +133,6 @@ def _rank_nullity(ha: int, hb: int, cone_dim: int) -> int:
     if twice % 2 or not 0 <= twice <= 2 * min(ha, hb):
         raise InvariantViolated("cone dimension gives no valid rank for the induced map")
     return twice // 2
-
-
-def _cone_dim(a: SubquotientComplex, b: SubquotientComplex, f: F2Matrix) -> int:
-    """dim H(cone f) for f : a -> b; zero exactly when f_* is an isomorphism."""
-    na, n = a.dim, a.dim + b.dim
-    columns = [da | fm << na for da, fm in zip(a.differential.column_masks(), f.column_masks())]
-    columns += [db << na for db in b.differential.column_masks()]
-    return n - 2 * rank_f2(F2Matrix._from_masks(n, n, tuple(columns)))
 
 
 def _reduced_maps(c: KnotComplex, s: int, u0_only: bool) -> tuple:

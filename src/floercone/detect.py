@@ -6,8 +6,8 @@ beyond that range, and unit-plus-T-times-nilpotent matrices are
 invertible over the Novikov field).  The bound is recorded in each
 verdict witness.  Scans go s = 0, 1, -1, 2, -2, ... so reported
 witnesses are the ones closest to the torsion Spin^c structure.
-`sphere_necessary_conditions` reads the free and reduced models of
-`cone`; `genus` alone reads the hat views (`cone.build_v_hat`).
+`sphere_necessary_conditions` and `genus` read the free and reduced
+models of `cone`, and homology modulo U off their masks (`_hat_dim`).
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 from floercone.linalg import F2Matrix, LaurentPoly, rank_f2
 from floercone.model import KnotComplex, require_valid
-from floercone.cone import _cone_dim, _reduce_maps, build_v_hat, ensure_flip
+from floercone.cone import _free_cone, _reduce_maps, _v_map, ensure_flip
 from floercone.subquotient import _hat_dim, free_plus_complex
 from floercone.twisted import _pencil_homology, novikov_dim
 
@@ -100,8 +100,9 @@ def sphere_necessary_conditions(complexes) -> Verdict:
 
     Fires when all hold over every supplied complex; the witness of a
     failure is the first violated clause in the scan, (c) over every
-    complex before (a) or (b) within each s.  A_s and B are built once per
-    (complex, s); (c) reads n - 2 rank(d modulo U) off each, and (a) and
+    complex before (a) or (b) within each s.  B is built once per complex
+    and A_s once per (complex, s); (c) reads n - 2 rank(d modulo U) off
+    each, and (a) and
     (b) the reduced models modulo U (`cone._reduce_maps`): (a) compares
     rank(v' + h') with |A'| = dim H(A_s), as `cone_homology_hat` reads it,
     and (b) the pencil v' + T h' (`twisted`).  Clause (b) is evaluated at
@@ -111,15 +112,15 @@ def sphere_necessary_conditions(complexes) -> Verdict:
     runs first, so (b) could never decide a verdict there.
     """
     complexes, bound = _prepare(complexes)
+    bs = [free_plus_complex(c) for c in complexes]  # B does not depend on s
+    dims_b = [_hat_dim(b.gradings, b.columns) for b in bs]
     for s in _s_scan(bound):
-        built = []  # A_s and B per complex, for clauses (a) and (b)
-        for c in complexes:
-            a, b = free_plus_complex(c, s), free_plus_complex(c)
-            dim_a, dim_b = _hat_dim(a), _hat_dim(b)
-            if dim_a != dim_b:
+        built = []  # A_s per complex, for clauses (a) and (b)
+        for c, dim_b in zip(complexes, dims_b):
+            built.append(a := free_plus_complex(c, s))
+            if (dim_a := _hat_dim(a.gradings, a.columns)) != dim_b:
                 return _violated("c", s, c, dim_A=dim_a, dim_B=dim_b)
-            built.append((a, b))
-        for c, (a, b) in zip(complexes, built):
+        for c, a, b in zip(complexes, built, bs):
             a, b, v, h = reduced = _reduce_maps(c, s, a, b, True)
             if s == 0:
                 if novikov := _pencil_homology(*reduced).novikov_dim:
@@ -161,17 +162,20 @@ def unknotting_verdict(dim_y: int, dim_n: int) -> Verdict:
 def genus(complexes) -> int:
     """Smallest s >= 0 with v_i inducing isomorphisms for all i >= s, all Spin^c.
 
-    Scanning stops at the largest Alexander grading present, beyond which
-    v_i is a chain isomorphism.
+    v_i induces an isomorphism modulo U exactly when its cone on the free
+    models has no homology modulo U.  A_i = B for i >= a_max, so per complex
+    the scan runs down from a_max - 1 to the first failure, or to the largest
+    one already found.  B is built once per complex, A_i at most once.
     """
     complexes = _prepare(complexes)[0]
-    top = max(c.a_max() for c in complexes)
     worst = -1
-    for i in range(0, top + 1):
-        for c in complexes:
-            v = build_v_hat(c, i)
-            if _cone_dim(v.source, v.target, v.matrix):  # v_* is an isomorphism iff 0
-                worst = max(worst, i)
+    for c in complexes:
+        b = free_plus_complex(c)
+        for i in range(c.a_max() - 1, worst, -1):
+            a = free_plus_complex(c, i)
+            if _hat_dim(*_free_cone(a, b, _v_map(a))):
+                worst = i
+                break
     return worst + 1
 
 

@@ -102,8 +102,7 @@ class FlipTerm(NamedTuple):
     u_power: int
 
 
-@dataclass(frozen=True)
-class PlaneElement:
+class PlaneElement(NamedTuple):
     """U^{-i} * generator, at lattice position (i, i + A), Maslov M + 2i."""
 
     generator: str

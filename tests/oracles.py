@@ -31,8 +31,11 @@ arrow is cancelled, each with every U-power written out and reduced by
 stored as GF(2) masks and reduced on `F2Span` in grading order,
 A_s, B, v and h with every U-power written out and checked on each build
 (powers against the gradings, d^2 = 0, chain maps, over F2[U]) instead of
-built as masks from what `validate` proves, and the parser with a
-`Fraction` per generator instead of one per distinct M= text.
+built as masks from what `validate` proves, the hat complexes as
+plane-element bases with a differential checked on each build
+(`SubquotientComplex`, `hat_view`) instead of homology modulo U read off
+the masks of a free model or a cone (`subquotient._hat_dim`), and the
+parser with a `Fraction` per generator instead of one per distinct M= text.
 """
 
 from __future__ import annotations
@@ -47,7 +50,6 @@ from typing import NamedTuple
 from floercone.cone import (
     ChainMapF2,
     ConeResult,
-    _cone_dim,
     _h_map,
     _induced_rank,
     _plus_reductions,
@@ -87,8 +89,8 @@ from floercone.model import (
 )
 from floercone.subquotient import (
     FreeReduction,
-    SubquotientComplex,
-    _hat_view,
+    FreeUComplex,
+    _modulo_u,
     _reported,
     _spanned,
     _u0,
@@ -259,17 +261,86 @@ def oracle_smith_pivots_u(columns, precision: int) -> list[tuple[int, int, int]]
 
 
 # ---------------------------------------------------------------------------
-# induced ranks by lifting cycles, as the hat flavor computed them before
-# reading every rank off the dimension of a cone
+# hat complexes as plane-element bases with a checked differential, the
+# representation the library used before it read every hat homology off
+# the masks of its free models
+
+
+@dataclass(frozen=True)
+class SubquotientComplex:
+    """A hat complex: plane elements, the differential modulo U among them,
+    and their int gradings; the constructor checks d^2 = 0 and that every
+    entry drops the grading by one."""
+
+    basis: tuple
+    differential: F2Matrix
+    maslov: tuple
+
+    def __post_init__(self):
+        d = self.differential
+        if d.rows != len(self.basis) or d.cols != len(self.basis):
+            raise ValueError("differential shape does not match basis")
+        if not d.mul(d).is_zero():
+            raise ValueError("induced differential does not square to zero")
+        for m, col in zip(self.maslov, d.column_masks()):
+            if any(self.maslov[r] != m - 1 for r in _mask_bits(col)):
+                raise ValueError("differential entry does not drop Maslov by 1")
+
+    @property
+    def dim(self) -> int:
+        return len(self.basis)
+
+
+@dataclass(frozen=True)
+class HatMap:
+    """A map of hat complexes with the grading change common to its entries
+    (None when two disagree)."""
+
+    source: SubquotientComplex
+    target: SubquotientComplex
+    matrix: F2Matrix
+    maslov_shift: int | None
+
+
+def hat_view(c: KnotComplex, free: FreeUComplex) -> SubquotientComplex:
+    """A free complex read modulo U, on its plane elements (g, lo(g))."""
+    basis = tuple(PlaneElement(g.name, low) for g, low in zip(c.generators, free.lo))
+    matrix = F2Matrix._from_masks(len(basis), len(basis), _modulo_u(free).columns)
+    return SubquotientComplex(basis, matrix, free.gradings)
 
 
 def build_B_hat(c: KnotComplex) -> SubquotientComplex:
-    return _hat_view(c, free_plus_complex(c))
+    return hat_view(c, free_plus_complex(c))
 
 
 def build_A_hat(c: KnotComplex, s: int) -> SubquotientComplex:
     """One element per generator: (g, min(0, s - A(g)))."""
-    return _hat_view(c, free_plus_complex(c, s))
+    return hat_view(c, free_plus_complex(c, s))
+
+
+def build_v_hat(c: KnotComplex, s: int) -> HatMap:
+    """The library's v : A_s -> B, the projection onto the i = 0 part of B,
+    read modulo U on the hat views."""
+    a, b = free_plus_complex(c, s), free_plus_complex(c)
+    matrix = _u0(_v_map(a), a.gradings, b.gradings, 0)
+    return HatMap(hat_view(c, a), hat_view(c, b), F2Matrix._from_masks(len(b.lo), len(a.lo), matrix), 0)
+
+
+def v_modulo_u(c: KnotComplex, s: int) -> ChainMapF2:
+    """The library's v : A_s -> B read modulo U, as the pinned `induces_iso` takes it."""
+    a, b = free_plus_complex(c, s), free_plus_complex(c)
+    return ChainMapF2(_modulo_u(a), _modulo_u(b), build_v_hat(c, s).matrix)
+
+
+def cone_dim(a: SubquotientComplex, b: SubquotientComplex, f: F2Matrix) -> int:
+    """dim H(cone f) for f : a -> b; zero exactly when f_* is an isomorphism."""
+    total, _ = cone_parts(a, b, f)
+    return total.cols - 2 * rank_f2(total)
+
+
+# ---------------------------------------------------------------------------
+# induced ranks by lifting cycles, as the hat flavor computed them before
+# reading every rank off the dimension of a cone
 
 
 def hat_homology_dim(sub: SubquotientComplex) -> int:
@@ -280,23 +351,20 @@ def hat_homology_dim(sub: SubquotientComplex) -> int:
 def hat_maps(c: KnotComplex, s: int) -> tuple:
     """The library's v and h on one build of A_s and B, read modulo U: v of
     degree 0, h of degree -2s, a zero map of degree 0."""
-    a, b = free_plus_complex(c, s), free_plus_complex(c)
-    a_hat, b_hat = _hat_view(c, a), _hat_view(c, b)
-    maps = []
-    for f, degree in ((_v_map(a), 0), (_h_map(c), -2 * s)):
-        matrix = F2Matrix._from_masks(b_hat.dim, a_hat.dim, _u0(f, a.gradings, b.gradings, degree))
-        maps.append(ChainMapF2(a_hat, b_hat, matrix, 0 if matrix.is_zero() else degree))
-    return tuple(maps)
+    v = build_v_hat(c, s)
+    a, b = v.source, v.target
+    matrix = F2Matrix._from_masks(b.dim, a.dim, _u0(_h_map(c), a.maslov, b.maslov, -2 * s))
+    return v, HatMap(a, b, matrix, 0 if matrix.is_zero() else -2 * s)
 
 
 def make_chain_map(source: SubquotientComplex, target: SubquotientComplex,
-                   matrix: F2Matrix) -> ChainMapF2:
+                   matrix: F2Matrix) -> HatMap:
     """Wrap a matrix as a chain map, verifying commutation with differentials."""
     if matrix.rows != target.dim or matrix.cols != source.dim:
         raise ValueError("matrix shape does not match source/target")
     if matrix.mul(source.differential) != target.differential.mul(matrix):
         raise NotAChainMap("matrix does not commute with the differentials")
-    return ChainMapF2(source, target, matrix, _maslov_shift(source, target, matrix))
+    return HatMap(source, target, matrix, _maslov_shift(source, target, matrix))
 
 
 def _maslov_shift(source: SubquotientComplex, target: SubquotientComplex,
@@ -330,7 +398,7 @@ def rank_f2_modulo(masks, base_masks) -> int:
     return count
 
 
-def induced_rank(cm: ChainMapF2) -> int:
+def induced_rank(cm: HatMap) -> int:
     """Rank of the induced map on homology.
 
     Lifts a homology basis of the source to cycles, maps them, and counts
@@ -441,7 +509,7 @@ def oracle_cone_homology_hat(c: KnotComplex, s: int) -> ConeResult:
     a, b = v.source, v.target
     ha, hb = hat_homology_dim(a), hat_homology_dim(b)
     vh = v.matrix + h.matrix
-    dim_v, dim_h, total_dim = (_cone_dim(a, b, f) for f in (v.matrix, h.matrix, vh))
+    dim_v, dim_h, total_dim = (cone_dim(a, b, f) for f in (v.matrix, h.matrix, vh))
     graded = None
     if s == 0:
         total, maslovs = cone_parts(a, b, vh)

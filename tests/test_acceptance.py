@@ -7,7 +7,7 @@ verbose run shows one pass/fail line per criterion.
 from dataclasses import replace
 from fractions import Fraction
 
-from floercone.cone import build_v_hat, cone_homology_hat, project_A
+from floercone.cone import cone_homology_hat, project_A
 from floercone.detect import (
     VerdictKind,
     alexander_polynomial,
@@ -26,6 +26,7 @@ from corpus import corpus, with_flip
 from oracles import (
     build_A_hat,
     build_B_hat,
+    build_v_hat,
     hat_homology_dim,
     hat_maps,
     induced_rank,

@@ -7,7 +7,6 @@ import pytest
 
 from floercone.cone import (
     FlipMissing,
-    build_v_hat,
     cone_homology_hat,
     cone_homology_plus_truncated,
     ensure_flip,
@@ -20,11 +19,13 @@ from floercone.linalg import F2Matrix, NotAChainMap, rank_f2
 from oracles import (
     build_A_hat,
     build_B_hat,
+    build_v_hat,
     hat_homology_dim,
     hat_maps,
     induced_rank,
     make_chain_map,
     oracle_cone_hat,
+    v_modulo_u,
 )
 
 NAMED = dict(zip(["UNKNOT", "TREFOIL", "TREFOIL_L", "Y1SIGMA", "FIGURE8"], ALL_FIXTURES))
@@ -105,8 +106,21 @@ def test_mirror_v_h_are_rank_one_surjections():
 
 def test_v_iso_at_and_beyond_genus():
     for c, g in [(UNKNOT, 0), (TREFOIL, 1), (TREFOIL_L, 1), (Y1SIGMA, 0), (FIGURE8, 1)]:
-        for s in range(g, g + 3):
-            assert induces_iso(build_v_hat(c, s)), (c.spinc_label, s)
+        for s in range(0, g + 3):
+            assert induces_iso(v_modulo_u(c, s)) == (s >= g), (c.spinc_label, s)
+
+
+def test_project_A_onto_a_max_is_v():
+    """A_s is B for s >= a_max, so the projection onto it is v, and
+    `induces_iso` reads both alike, as the lifted-cycle rank does."""
+    for c in ALL_FIXTURES:
+        for s in range(0, c.a_max() + 1):
+            proj, v = project_A(c, s, c.a_max()), v_modulo_u(c, s)
+            assert (proj.target.gradings, proj.target.columns) == (v.target.gradings, v.target.columns)
+            assert proj.matrix == v.matrix == build_v_hat(c, s).matrix, (c.spinc_label, s)
+            want = induced_rank(build_v_hat(c, s)) == hat_homology_dim(build_B_hat(c)) \
+                == hat_homology_dim(build_A_hat(c, s))
+            assert induces_iso(proj) == induces_iso(v) == want, (c.spinc_label, s)
 
 
 def test_project_A_factoring():

@@ -30,8 +30,8 @@ from floercone.fixtures import ALL_FIXTURES, FIGURE8, TREFOIL, TREFOIL_L, UNKNOT
 from floercone.linalg import LaurentPoly
 from floercone.subquotient import hf_red_graded
 
-from corpus import TWISTED_SUMS, connected_sum, with_flip
-from oracles import oracle_necessary_conditions_witness
+from corpus import BIG_SUMS, TWISTED_SUMS, connected_sum, mirror, staircase, tensor, with_flip
+from oracles import oracle_genus, oracle_necessary_conditions_witness
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 DATA = Path(floercone.__file__).parent / "data"
@@ -123,9 +123,11 @@ def count_builds(monkeypatch) -> Counter:
         monkeypatch.setattr(module, "free_plus_complex",
                             lambda c, s=None, _f=module.free_plus_complex:
                             built.update([s]) or _f(c, s))
-    for name in ("_v_map", "_h_map"):
-        monkeypatch.setattr(cone_module, name, lambda *args, _f=getattr(cone_module, name):
-                            built.update(["map"]) or _f(*args))
+    for module in (cone_module, detect_module):  # genus calls _v_map from detect
+        for name in ("_v_map", "_h_map"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, lambda *args, _f=getattr(module, name):
+                                    built.update(["map"]) or _f(*args))
     return built
 
 
@@ -135,31 +137,19 @@ def passes_every_clause_up_to_2():
                 and sphere_necessary_conditions([f]).kind is VerdictKind.FIRES)
 
 
-def test_necessary_conditions_build_A_s_and_B_once_per_s(monkeypatch):
-    """Clause (c) builds A_s and B once, and clauses (a) and (b) build v and h
-    on them once, s = 0 included."""
+def test_necessary_conditions_build_B_once_and_A_s_once_per_s(monkeypatch):
+    """B is built once per complex and A_s once per s, and clauses (a) and (b)
+    build v and h on them once, s = 0 included."""
     c = passes_every_clause_up_to_2()
     built = count_builds(monkeypatch)
     assert sphere_necessary_conditions([c]).kind is VerdictKind.FIRES
-    assert built == {None: 5, "map": 10, **{s: 1 for s in range(-2, 3)}}
+    assert built == {None: 1, "map": 10, **{s: 1 for s in range(-2, 3)}}
 
 
 def test_necessary_conditions_build_no_map_where_clause_c_fails(monkeypatch):
     built = count_builds(monkeypatch)
     assert sphere_necessary_conditions([TREFOIL_L]).witness["clause"] == "c"
     assert built == {None: 1, 0: 1}
-
-
-def test_necessary_conditions_read_no_hat_view(monkeypatch):
-    """Clause (c) reads the free models modulo U, and (a) and (b) the reduced
-    models: no A_s or B is wrapped as a hat complex."""
-    def refuse(*args):
-        raise AssertionError("sphere_necessary_conditions built a hat view")
-    for module in (subquotient, cone_module):
-        monkeypatch.setattr(module, "_hat_view", refuse)
-    c = passes_every_clause_up_to_2()
-    for complexes in ([c], [TREFOIL], [TREFOIL_L], [c, connected_sum("T2_5+mT2_5")]):
-        sphere_necessary_conditions(complexes)
 
 
 def labelled(complexes) -> list:
@@ -200,8 +190,9 @@ def test_necessary_conditions_on_several_complexes_match_the_oracle():
 def test_necessary_conditions_refuse_broken_inputs_under_python_O(tmp_path):
     """With the library's asserts stripped, a fault that breaks d-squared (d a
     dropped from FIGURE8) and one that breaks maslov-drop alone (d y raised
-    to U^2 in Y1SIGMA) are still refused, by the library and by the CLI
-    (exit 2): A_s and B are built unchecked from what `validate` proves."""
+    to U^2 in Y1SIGMA) are still refused by prop0check and genus, in the
+    library and in the CLI (exit 2): A_s and B are built unchecked from what
+    `validate` proves."""
     faults = (("figure8.cfk", "d a : U^0 b\n", ""), ("y1sigma.cfk", "d y : U^1 z", "d y : U^2 z"))
     paths = [tmp_path / name for name, *_ in faults]
     for path, (name, old, new) in zip(paths, faults):
@@ -212,28 +203,30 @@ def test_necessary_conditions_refuse_broken_inputs_under_python_O(tmp_path):
         "import contextlib, io, sys\n"
         "from dataclasses import replace\n"
         "from floercone.cli import main\n"
-        "from floercone.detect import sphere_necessary_conditions\n"
+        "from floercone.detect import genus, sphere_necessary_conditions\n"
         "from floercone.fixtures import FIGURE8, Y1SIGMA\n"
         "from floercone.model import ValidationError\n"
         "assert False, 'asserts are on'\n"
         "broken = (\n"
         "    replace(FIGURE8, differential=[t for t in FIGURE8.differential if t.source != 'a']),\n"
         "    replace(Y1SIGMA, differential=[t._replace(u_power=2) for t in Y1SIGMA.differential]))\n"
-        "for c in broken:\n"
-        "    try:\n"
-        "        sphere_necessary_conditions([c])\n"
-        "    except ValidationError as e:\n"
-        "        print(','.join(sorted({v.kind for v in e.report.violations})))\n"
-        "for path in sys.argv[1:]:\n"
-        "    with contextlib.redirect_stderr(io.StringIO()):\n"
-        "        print(main(['prop0check', path]))\n"
+        "for detector in (sphere_necessary_conditions, genus):\n"
+        "    for c in broken:\n"
+        "        try:\n"
+        "            detector([c])\n"
+        "        except ValidationError as e:\n"
+        "            print(','.join(sorted({v.kind for v in e.report.violations})))\n"
+        "for command in ('prop0check', 'genus'):\n"
+        "    for path in sys.argv[1:]:\n"
+        "        with contextlib.redirect_stderr(io.StringIO()):\n"
+        "            print(main([command, path]))\n"
     )
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     out = subprocess.run([sys.executable, "-O", "-c", code, *map(str, paths)], env=env,
                          capture_output=True, text=True, timeout=60)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.split() == ["d-squared,flip-chain-map", "maslov-drop", "2", "2"]
+    assert out.stdout.split() == ["d-squared,flip-chain-map", "maslov-drop"] * 2 + ["2"] * 4
 
 
 def test_obstruction_containment_on_fixtures():
@@ -286,6 +279,49 @@ def test_genus_over_several_spinc_takes_worst():
 def test_genus_bounded_by_a_max():
     for c in ALL_FIXTURES:
         assert 0 <= genus([c]) <= c.a_max()
+
+
+def test_genus_equals_lifting_cycles_on_the_corpus_and_the_sums():
+    """Seeds 1-8 and the connected sums, one complex at a time and in lists."""
+    pool = ([f for seed in range(1, 9) for _, f in with_flip(seed)]
+            + [connected_sum(name) for name in TWISTED_SUMS + BIG_SUMS])
+    for c in pool:
+        assert genus([c]) == oracle_genus([c]), c
+    rng = random.Random(21)
+    for _ in range(40):
+        complexes = labelled(rng.sample(pool, rng.choice((2, 3))))
+        assert genus(complexes) == oracle_genus(complexes), complexes
+
+
+def test_genus_builds_B_once_and_each_A_i_at_most_once(monkeypatch):
+    """The scan runs down from a_max - 1 to the first i where v_i fails, and
+    builds B once and A_i and v_i once for each i it reaches."""
+    acyclic = next(f for _, f in with_flip() if genus([f]) == 0 and f.a_max() == 2)
+    cases = [(acyclic, 0), (staircase(3), 3), (tensor(staircase(1), acyclic), 1)]
+    built = count_builds(monkeypatch)
+    for c, g in cases:
+        built.clear()
+        assert genus([c]) == g
+        scanned = range(max(g - 1, 0), c.a_max())
+        assert built == {None: 1, "map": len(scanned), **{i: 1 for i in scanned}}, g
+
+
+@pytest.mark.slow
+def test_genus_of_t2_7_cubed_equals_lifting_cycles():
+    k = staircase(3)
+    c = tensor(tensor(k, k), k)
+    assert genus([c]) == oracle_genus([c]) == 9
+
+
+@pytest.mark.slow
+def test_genus_is_additive_on_big_sums():
+    k = staircase(2)
+    c = tensor(tensor(tensor(tensor(k, k), k), k), k)
+    assert len(c.generators) == 3125 and genus([c]) == 10
+    k = staircase(5)
+    c = tensor(tensor(k, k), k)
+    for complexes in ([c, mirror(c)], [mirror(c), c]):
+        assert genus(complexes) == 15
 
 
 ALEX = {

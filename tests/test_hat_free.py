@@ -17,9 +17,9 @@ import floercone.cone as cone_module
 from floercone.cli import main
 from floercone.cone import (
     _plus_reductions,
-    build_v_hat,
     cone_homology_hat,
     cone_homology_plus_truncated,
+    project_A,
 )
 from floercone.detect import VerdictKind, genus, sphere_necessary_conditions
 from floercone.fixtures import ALL_FIXTURES, FIGURE8, TREFOIL
@@ -77,8 +77,10 @@ def test_hat_parts_match_the_region_oracle():
             assert complex_parts(build_A_hat(c, s), offset) == complex_parts(want_a), (c, s)
             assert complex_parts(b, offset) == complex_parts(want_b), c
             assert v.source == h.source == build_A_hat(c, s) and v.target == h.target == b
-            for got, want in ((v, want_v), (h, want_h), (build_v_hat(c, s), want_v)):
+            for got, want in ((v, want_v), (h, want_h)):
                 assert (got.matrix, got.maslov_shift) == (want.matrix, want.maslov_shift), (c, s)
+            # A_s' is B for s' >= a_max, so the projection onto it is v
+            assert project_A(c, s, max(s, c.a_max())).matrix == want_v.matrix, (c, s)
 
 
 def test_ranks_genus_and_verdict_match_lifting_cycles_through_the_region_maps():
@@ -198,7 +200,7 @@ def test_cone_at_huge_s_equals_the_value_past_a_bound_plus_P(capsys, flags, prec
 
 def test_public_builders_stay_bounded_at_huge_s():
     for s in (HUGE_S, -HUGE_S):
-        for build in (build_v_hat, hat_maps, twisted_homology_laurent):
+        for build in (lambda c, s: project_A(c, s, s), hat_maps, twisted_homology_laurent):
             assert peak_bytes(lambda: build(TREFOIL, s)) < 2 ** 20, (build, s)
 
 

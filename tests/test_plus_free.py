@@ -20,11 +20,11 @@ import floercone.cone as cone_module
 from floercone.cli import main
 import floercone.subquotient as subquotient
 from floercone.cone import (
-    _cone_dim,
+    _free_cone,
     _induced_rank,
     _plus_reductions,
     _rank_nullity,
-    build_v_hat,
+    _v_map,
     cone_homology_plus_truncated,
 )
 from floercone.fixtures import ALL_FIXTURES, FIGURE8, TREFOIL, TREFOIL_L, Y1SIGMA
@@ -38,6 +38,7 @@ from floercone.model import KnotComplex, ValidationError
 from floercone.subquotient import (
     FreeReduction,
     FreeUComplex,
+    _hat_dim,
     _reduce_ungraded,
     free_plus_complex,
     hf_red_graded,
@@ -394,10 +395,12 @@ def test_rank_from_cone_dimensions_is_checked():
         _induced_rank(point, empty, empty, 1)   # rank (2 + 0 - 0) / 2 > min(2, 0)
     with pytest.raises(ValueError):
         point.homology_dim(5)                   # above the reduction's precision
-    # the hat flavor reads its ranks through the same check
-    v = build_v_hat(TREFOIL_L, 0)               # H(A_0) = 3, H(B) = 1, v_* onto H(B)
-    a, b = v.source, v.target
-    assert _rank_nullity(hat_homology_dim(a), hat_homology_dim(b), _cone_dim(a, b, v.matrix)) == 1
+    # a rank read off dimensions modulo U passes the same check
+    a, b = free_plus_complex(TREFOIL_L, 0), free_plus_complex(TREFOIL_L)
+    dims = [_hat_dim(*free) for free in ((a.gradings, a.columns), (b.gradings, b.columns),
+                                         _free_cone(a, b, _v_map(a)))]
+    assert dims[:2] == [3, 1]                   # H(A_0) = 3, H(B) = 1, v_* onto H(B)
+    assert _rank_nullity(*dims) == 1
     with pytest.raises(InvariantViolated):
         _rank_nullity(3, 1, 1)                  # 3 + 1 - 1 is odd
     with pytest.raises(InvariantViolated):

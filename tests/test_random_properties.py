@@ -6,7 +6,6 @@ directly at the point of computation.
 """
 
 from floercone.cone import (
-    build_v_hat,
     cone_homology_hat,
     induces_iso,
     project_A,
@@ -25,12 +24,14 @@ from corpus import corpus, with_flip
 from oracles import (
     build_A_hat,
     build_B_hat,
+    build_v_hat,
     hat_homology_dim,
     hat_maps,
     oracle_cone_hat,
     oracle_novikov_dim,
     oracle_twisted_cone,
     oracle_twisted_homology,
+    v_modulo_u,
 )
 
 FLIPPED = [f for _, f in with_flip()]
@@ -103,10 +104,10 @@ def test_genus_bounds_and_iso_beyond():
     for c in FLIPPED:
         g = genus([c])
         assert 0 <= g <= c.a_max(), c
-        assert induces_iso(build_v_hat(c, g))
-        assert induces_iso(build_v_hat(c, g + 1))
+        assert induces_iso(v_modulo_u(c, g))
+        assert induces_iso(v_modulo_u(c, g + 1))
         if g > 0:
-            assert not induces_iso(build_v_hat(c, g - 1)), c
+            assert not induces_iso(v_modulo_u(c, g - 1)), c
 
 
 def test_necessary_conditions_imply_trivial_alexander():

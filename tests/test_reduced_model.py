@@ -27,7 +27,6 @@ from floercone.linalg import (
     smith_pivots_u,
 )
 from floercone.subquotient import (
-    _hat_view,
     _u0,
     free_plus_complex,
     hf_red_graded,
@@ -37,6 +36,8 @@ from floercone.subquotient import (
 
 from corpus import BIG_SUMS, TWISTED_SUMS, connected_sum, corpus, staircase, tensor, with_flip
 from oracles import (
+    build_A_hat,
+    build_B_hat,
     graded_precision,
     hat_homology_dim,
     oracle_hf_red_graded,
@@ -146,8 +147,8 @@ def test_the_reduced_sizes_are_the_hat_homology():
     sizes = {}
     for s in range(-c.a_bound() - 1, c.a_bound() + 2):
         ra, rb, *_ = _plus_reductions(c, s)
-        hat_a = hat_homology_dim(_hat_view(c, free_plus_complex(c, s)))
-        assert (ra.size, rb.size) == (hat_a, hat_homology_dim(_hat_view(c, free_plus_complex(c))))
+        hat_a = hat_homology_dim(build_A_hat(c, s))
+        assert (ra.size, rb.size) == (hat_a, hat_homology_dim(build_B_hat(c)))
         sizes[s] = ra.size
     assert (sizes[0], sizes[1], sizes[2], rb.size) == (11, 13, 7, 1)
 

@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import pytest
 
-from floercone.cone import FlipMissing, _reduced_maps, build_v_hat, ensure_flip
+from floercone.cone import FlipMissing, _reduced_maps, ensure_flip
 from floercone.fixtures import ALL_FIXTURES, FIGURE8, TREFOIL, TREFOIL_L, UNKNOT, Y1SIGMA
 from floercone.linalg import F2Matrix, LaurentPoly, _combine, laurent_divides
 from floercone.twisted import TwistedConeResult, novikov_dim, twisted_homology_laurent
@@ -19,6 +19,7 @@ from corpus import (
     with_flip,
 )
 from oracles import (
+    build_v_hat,
     hat_homology_dim,
     hat_maps,
     oracle_novikov_dim,
