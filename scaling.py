@@ -1,9 +1,11 @@
 """Time loading, the plus, hat and twisted cones at s = 0 and 1, red and genus, on connected sums of torus knots.
 
     PYTHONPATH=src python scaling.py [--max-generators N] [--baseline FILE] [--out FILE]
+    PYTHONPATH=src python scaling.py --parent DIR [--runs N] [--max-generators N] [--out FILE]
 
 The inputs are tensor powers of the staircases T(2, 2k+1) of
-`tests/corpus.py`, from 343 to 3,125 generators.  Each row is the best of
+`tests/corpus.py`, from 343 to 16,807 generators; those past
+`--max-generators` (default 3,125) are skipped.  Each row is the best of
 three in-process timings of `cone_homology_plus_truncated` in auto mode, of
 `cone_homology_hat` or of `twisted_homology_laurent`, after the flip is
 derived and the complex validated, with the answer it gave; the reduced
@@ -14,7 +16,14 @@ timing), answered by the generator and term counts.
 `--baseline` reads an earlier output (say, of this script run on another
 checkout's `src`), puts its times beside each row as `baseline_s` and
 `speedup`, and exits 1 unless some row was run and every row run has an
-answer there that agrees with it.  The JSON goes
+answer there that agrees with it.
+`--parent` names the `src` directory of another checkout.  The script
+then runs itself `--runs` times (default 5) in a subprocess per side, on
+this checkout's `src` and on DIR, alternating which side goes first, and
+gives each row its times as `runs_s` and `baseline_runs_s`, their medians
+as `seconds` and `baseline_s`, their quartiles as `quartiles_s` and
+`baseline_quartiles_s`, and `speedup`; it exits 1 unless every answer
+agrees across all runs of both sides.  The JSON goes
 to `--out`, or to standard output.
 """
 
@@ -22,7 +31,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import platform
+import statistics
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -40,7 +52,7 @@ from floercone.twisted import TwistedConeResult, twisted_homology_laurent  # noq
 REPEATS = 3
 # (name, k, summands): T(2, 2k+1) summed with itself
 INPUTS = (("T(2,7)^#3", 3, 3), ("T(2,11)^#3", 5, 3), ("T(2,13)^#3", 6, 3),
-          ("T(2,7)^#4", 3, 4), ("T(2,5)^#5", 2, 5))
+          ("T(2,7)^#4", 3, 4), ("T(2,5)^#5", 2, 5), ("T(2,5)^#6", 2, 6), ("T(2,7)^#5", 3, 5))
 CONES = (("plus", cone_homology_plus_truncated), ("hat", cone_homology_hat),
          ("twisted", twisted_homology_laurent))
 
@@ -94,20 +106,66 @@ def rows(max_generators: int):
                    "seconds": round(min(times), 4), "answer": answer(result)}
 
 
+def alternated(parent: Path, runs: int, max_generators: int) -> tuple:
+    """(mine, theirs): the rows of each of runs subprocess runs of this
+    script on this checkout's src and on parent, alternating which side
+    goes first."""
+    sides = ((Path(__file__).resolve().parent / "src", []), (parent, []))
+    for k in range(runs):
+        for src, out in sides[::-1] if k % 2 else sides:
+            done = subprocess.run(
+                [sys.executable, __file__, "--max-generators", str(max_generators)],
+                env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True)
+            if done.returncode:
+                sys.exit(f"the run on {src} failed:\n{done.stderr}")
+            out.append(json.loads(done.stdout)["rows"])
+    return tuple(out for _, out in sides)
+
+
+def summary(runs: list) -> tuple:
+    """({(input, flavor, s): row}, agree) over the rows of several runs of one
+    side: each first row with every run's time as runs_s, their median as
+    seconds and their quartiles as quartiles_s; agree is False when two runs
+    answer a row differently."""
+    out, agree = {}, True
+    for rows_run in runs:
+        for row in rows_run:
+            first = out.setdefault((row["input"], row["flavor"], row["s"]), dict(row, runs_s=[]))
+            first["runs_s"].append(row["seconds"])
+            agree = agree and first["answer"] == row["answer"]
+    for row in out.values():
+        q1, _, q3 = statistics.quantiles(row["runs_s"], n=4, method="inclusive")
+        row["seconds"] = round(statistics.median(row["runs_s"]), 4)
+        row["quartiles_s"] = [round(q1, 4), round(q3, 4)]
+    return out, agree
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--max-generators", type=int, default=3125)
     parser.add_argument("--baseline", type=Path)
+    parser.add_argument("--parent", type=Path)
+    parser.add_argument("--runs", type=int, default=5)
     parser.add_argument("--out", type=Path)
     args = parser.parse_args(argv)
-    baseline = {}
+    if args.baseline and args.parent:
+        parser.error("--baseline and --parent exclude each other")
+    if args.runs < 2:
+        parser.error("--runs must be at least 2, to give quartiles")
+    baseline, agree = {}, True
+    if args.parent:
+        sides = alternated(args.parent, args.runs, args.max_generators)
+        (mine, agree_mine), (baseline, agree) = map(summary, sides)
+        current, agree = mine.values(), agree_mine and agree
+    else:
+        current = rows(args.max_generators)
     if args.baseline:
         # a row with no flavor comes from a run that timed the plus cone alone
         baseline = {(r["input"], r.get("flavor", "plus"), r["s"]): r
                     for r in json.loads(args.baseline.read_text())["rows"]}
-    out, agree = [], True
-    for row in rows(args.max_generators):
-        if args.baseline:
+    out = []
+    for row in current:
+        if args.baseline or args.parent:
             before = baseline.get((row["input"], row["flavor"], row["s"]))
             if before is None:
                 print(f"no baseline row for the {row['flavor']} cone on {row['input']} "
@@ -115,15 +173,21 @@ def main(argv=None) -> int:
                 agree = False
             else:
                 row["baseline_s"] = before["seconds"]
-                row["speedup"] = round(before["seconds"] / row["seconds"], 1)
+                if args.parent:
+                    row["baseline_runs_s"] = before["runs_s"]
+                    row["baseline_quartiles_s"] = before["quartiles_s"]
+                row["speedup"] = round(before["seconds"] / row["seconds"], 2)
                 agree = agree and before["answer"] == row["answer"]
         out.append(row)
         print(json.dumps(row, sort_keys=True), file=sys.stderr)
-    if args.baseline and not out:
+    if (args.baseline or args.parent) and not out:
         print("no row was run to compare with the baseline", file=sys.stderr)
         agree = False
-    report = json.dumps({"python": platform.python_version(), "machine": platform.machine(),
-                         "repeats": REPEATS, "rows": out}, indent=1, sort_keys=True)
+    report = {"python": platform.python_version(), "machine": platform.machine(),
+              "repeats": REPEATS, "rows": out}
+    if args.parent:
+        report["runs_per_side"] = args.runs
+    report = json.dumps(report, indent=1, sort_keys=True)
     if args.out:
         args.out.write_text(report + "\n")
     else:

@@ -11,7 +11,7 @@ and column fix the U-power of an entry: graded maps compose as masks,
 F2[U] once rows and columns follow the gradings (`subquotient.reduce_free`).
 Only an ungraded F2[U] matrix writes its powers out, as columns
 {row: bitmask of U-powers} modulo U^P, for `smith_pivots_u`, its Smith
-reduction, and `_u_product`.  Laurent polynomials are stored as
+reduction.  Laurent polynomials are stored as
 (mask, low): bit k of the int mask is the coefficient of T^(low + k), with
 the mask odd (or both zero), so sums are shifted XORs, products are
 carry-less, and the set of exponents whose coefficient is 1 is again a
@@ -241,20 +241,6 @@ def _clmul(a: int, b: int) -> int:
         acc ^= a * bit
         b ^= bit
     return acc
-
-
-def _u_product(outer, inner) -> list:
-    """outer o inner, F2[U] maps given by their columns {row: U-power bitmask}."""
-    out = []
-    for col in inner:
-        acc: dict[int, int] = {}
-        for mid, e in col.items():
-            for row, e2 in outer[mid].items():
-                x = acc.pop(row, 0) ^ _clmul(e2, e)
-                if x:
-                    acc[row] = x
-        out.append(acc)
-    return out
 
 
 def _valuation(e: int) -> int:

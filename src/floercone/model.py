@@ -13,6 +13,9 @@ Below the model, d and the flip are read in one index form
 of ints, generator k being the k-th in name order.  A name that a term uses
 but no generator declares is numbered after the generators, in sorted
 order, so a malformed complex still has an index form to validate.
+`validate` reads d o d and phi d + d phi off these triples as the terms
+that an odd number of paths reach (`_odd_paths`), so both checks are exact
+whatever the U-powers, and nothing is sized by a power.
 
 What `validate` proves of a valid complex, which the free models of
 `subquotient` and the maps v and h of `cone` rely on instead of checking
@@ -39,9 +42,10 @@ from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from operator import itemgetter
 from typing import NamedTuple
 
-from floercone.linalg import F2Matrix, _mask_bits, _u_product, rank_f2
+from floercone.linalg import F2Matrix, rank_f2
 
 
 # Entries kept by each of the validate and derive_flip caches; a long batch
@@ -50,10 +54,6 @@ _CACHE_SIZE = 256
 
 # Assigned pairs that derive_flip tries before it gives up.
 _FLIP_SEARCH_NODES = 100_000
-
-# Conjugated by the gradings, a term of d is U^0 or U^1 and one of the flip
-# U^0; validate builds no U-power mask for a term past this bound.
-_GAUGED_POWER_BOUND = 1 << 12
 
 
 class NoFlipFound(Exception):
@@ -182,7 +182,9 @@ class KnotComplex:
     def _index_names(self) -> tuple:
         """Generator names, then the undeclared names that terms use, sorted."""
         declared = [g.name for g in self.generators]
-        used = {name for x, y, _ in self.differential + (self.flip or ()) for name in (x, y)}
+        terms = self.differential + (self.flip or ())
+        used = set(map(itemgetter(0), terms))
+        used.update(map(itemgetter(1), terms))
         return tuple(declared + sorted(used.difference(declared)))
 
     @cached_property
@@ -220,22 +222,30 @@ class KnotComplex:
         return max([0] + [abs(g.alexander) for g in self.generators])
 
 
-def _columns(terms, gauge) -> tuple:
-    """(columns, shift): the map whose terms (col, row, k) put U^k * row in
-    the image of col, conjugated by U^gauge, as columns {row: bitmask}: bit
-    k + gauge[col] - gauge[row] + shift stands for U^k, with the least shift
-    that makes every bit index >= 0.  columns is None when a conjugated
-    power exceeds _GAUGED_POWER_BOUND in size, so no mask gets that long."""
-    terms = [(x, y, k + gauge[x] - gauge[y]) for x, y, k in terms]
-    if any(abs(k) > _GAUGED_POWER_BOUND for _, _, k in terms):
-        return None, 0
-    shift = max([0] + [-k for _, _, k in terms])
-    columns = [{} for _ in gauge]
-    for x, y, k in terms:
-        e = columns[x].pop(y, 0) ^ 1 << k + shift
-        if e:
-            columns[x][y] = e
-    return columns, shift
+def _targets(terms, size: int) -> list:
+    """Per source index, the (target, U-power) pairs of its terms."""
+    out = [[] for _ in range(size)]
+    for x, y, n in terms:
+        out[x].append((y, n))
+    return out
+
+
+def _odd_paths(*compositions) -> set:
+    """The (source, target, U-power) triples that an odd number of paths
+    reach, over the pairs (outer, inner) of `_targets` lists and index
+    triples: a path is a term (x, m, k) of inner followed by a pair (y, j)
+    of outer[m], and it reaches (x, y, k + j).  Over one pair these are the
+    terms of outer o inner over F2[U, U^-1]; over two, of their sum."""
+    odd = set()
+    for outer, inner in compositions:
+        for x, m, k in inner:
+            for y, j in outer[m]:
+                t = (x, y, k + j)
+                if t in odd:
+                    odd.remove(t)
+                else:
+                    odd.add(t)
+    return odd
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
@@ -247,10 +257,9 @@ def validate(c: KnotComplex) -> ValidationReport:
     check.  It still counts in d o d and in phi d = d phi, where the
     undeclared name acts as one more generator, so their odd terms and a
     flip-chain-map failure are listed as for any term; flip-not-invertible
-    reads only the flip terms between declared generators.  A term whose
-    U-power, conjugated by the gradings (below), passes _GAUGED_POWER_BOUND
-    always breaks a listed rule; d o d, or phi d = d phi, is then not
-    checked where it reads that term."""
+    reads only the flip terms between declared generators.  Both composites
+    are read off the index triples (`_odd_paths`), so they are exact on
+    every input, whatever its U-powers."""
     bad: list[Violation] = []
     gens = c.generators
     size = len(gens)
@@ -274,27 +283,30 @@ def validate(c: KnotComplex) -> ValidationReport:
 
     alex = [g.alexander for g in gens]
 
-    def listed(terms, triples, role, broken) -> None:
+    def listed(terms, triples, role, holds, broken) -> None:
         """Lists each term's violations, in term order: its undeclared ends,
         or else a repeat and the (kind, detail) pairs of broken(x, y, n),
-        checked on the int gradings; a label is built only for a term with
-        a violation."""
+        checked on the int gradings; broken runs, and a label is built,
+        only for a repeat or a term that fails holds(x, y, n)."""
         seen = set()
-        for t, (x, y, n) in zip(terms, triples):
+        for t, term in zip(terms, triples):
+            x, y, n = term
             if x >= size or y >= size:
                 for who, k in ((t.source, x), (t.target, y)):
                     if k >= size:
                         bad.append(Violation("unknown-generator", f"{role} {t.source}->{t.target}",
                                              f"no generator named {who!r}"))
                 continue
-            count = len(seen)
-            seen.add((x, y, n))
-            found = broken(x, y, n)
-            if found or len(seen) == count:
+            repeat = term in seen
+            seen.add(term)
+            if repeat or not holds(x, y, n):
                 label = f"{role} {t.source} -> U^{n} {t.target}"
-                if len(seen) == count:
+                if repeat:
                     bad.append(Violation("duplicate-term", label, "term listed twice"))
-                bad.extend(Violation(kind, label, detail) for kind, detail in found)
+                bad.extend(Violation(kind, label, detail) for kind, detail in broken(x, y, n))
+
+    def d_holds(x: int, y: int, n: int) -> bool:
+        return n >= 0 and n >= alex[y] - alex[x] and (grade is None or grade[y] - 2 * n == grade[x] - 1)
 
     def d_rules(x: int, y: int, n: int) -> list:
         found, lift = [], alex[y] - alex[x]
@@ -307,6 +319,10 @@ def validate(c: KnotComplex) -> ValidationReport:
                                          f"expected M(source) - 1 = {gens[x].maslov - 1}"))
         return found
 
+    def flip_holds(x: int, y: int, n: int) -> bool:
+        a = alex[x]
+        return n == alex[y] == -a and (grade is None or grade[y] == grade[x] - 2 * a)
+
     def flip_rules(x: int, y: int, n: int) -> list:
         found, a = [], alex[x]
         if n != -a:
@@ -318,31 +334,21 @@ def validate(c: KnotComplex) -> ValidationReport:
                                        f"= {gens[x].maslov - 2 * a}"))
         return found
 
-    listed(c.differential, d, "d", d_rules)
+    listed(c.differential, d, "d", d_holds, d_rules)
 
     names = c._index_names
-    # conjugating by U^(M // 2) on each generator takes every graded term to
-    # U^0 or U^1, so no mask grows with the gradings; neither check changes,
-    # and a reported power is conjugated back
-    gauge = [m // 2 for m in grade] if grade is not None else [0] * size
-    gauge += [0] * (len(names) - size)
-    d_cols, d_shift = _columns(d, gauge)
-    d_squared = [] if d_cols is None else _u_product(d_cols, d_cols)
-    for src, tgt, n in sorted((names[x], names[y], k - 2 * d_shift - gauge[x] + gauge[y])
-                              for x, col in enumerate(d_squared)
-                              for y, e in col.items() for k in _mask_bits(e)):
+    d_out = _targets(d, len(names))
+    for src, tgt, n in sorted((names[x], names[y], n) for x, y, n in _odd_paths((d_out, d))):
         bad.append(Violation("d-squared", f"{src} -> U^{n} {tgt}", "d o d has this odd term"))
 
     if phi is not None:
-        listed(c.flip, phi, "flip", flip_rules)
+        listed(c.flip, phi, "flip", flip_holds, flip_rules)
 
         entries = [(y, x) for (x, y, _), n in Counter(phi).items()
                    if n % 2 and x < size and y < size]
         if rank_f2(F2Matrix(size, size, entries)) != size:
             bad.append(Violation("flip-not-invertible", "flip", "generator matrix of the flip is singular"))
-        phi_cols, _ = _columns(phi, gauge)
-        if None not in (d_cols, phi_cols) and (
-                _u_product(phi_cols, d_cols) != _u_product(d_cols, phi_cols)):
+        if _odd_paths((_targets(phi, len(names)), d), (d_out, phi)):
             bad.append(Violation("flip-chain-map", "flip", "flip does not commute with the differential"))
 
     return ValidationReport(tuple(bad))

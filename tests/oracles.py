@@ -70,7 +70,6 @@ from floercone.linalg import (
     _combine,
     _mask_bits,
     _minor_degree_bound,
-    _u_product,
     rank_f2,
     smith_invariants_laurent,
     smith_pivots_u,
@@ -1372,6 +1371,20 @@ def oracle_plus_reductions(c: KnotComplex, s: int, precision: int | None = None)
 # ---------------------------------------------------------------------------
 # the checks of A_s, B, v and h that `validate` implies, which the library
 # made on every build before it relied on the implication (`subquotient`)
+
+
+def _u_product(outer, inner) -> list:
+    """outer o inner, F2[U] maps given by their columns {row: U-power bitmask}."""
+    out = []
+    for col in inner:
+        acc: dict[int, int] = {}
+        for mid, e in col.items():
+            for row, e2 in outer[mid].items():
+                x = acc.pop(row, 0) ^ _clmul(e2, e)
+                if x:
+                    acc[row] = x
+        out.append(acc)
+    return out
 
 
 def checked_free_model(c: KnotComplex, s: int) -> tuple:

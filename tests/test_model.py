@@ -29,7 +29,7 @@ from floercone.model import (
     validate,
 )
 
-from corpus import corpus, with_flip
+from corpus import corpus, staircase, tensor, with_flip
 from oracles import build_B_hat, oracle_validate, plane_maslov
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -357,14 +357,40 @@ def test_hash_and_equality_agree():
 
 
 def test_validate_builds_no_mask_as_long_as_a_graded_u_power():
-    """U^N with N = 10^12 would be a 125 GB bitmask; the gauge by the
-    gradings keeps every mask a few bits long."""
+    """U^N with N = 10^12 would be a 125 GB bitmask; d o d is read off the
+    terms, so validate builds none."""
     n = 10 ** 12
     gens = (Generator("a", 0, 0), Generator("b", 0, 2 * n - 1), Generator("c", 0, 4 * n - 2))
     c = KnotComplex("0", gens, (DiffTerm("a", "b", n), DiffTerm("b", "c", n)))
     assert [str(v) for v in validate(c).violations] == [
         f"[d-squared] a -> U^{2 * n} c: d o d has this odd term"]
     assert validate(c) == oracle_validate(c)
+
+
+@pytest.mark.parametrize("power", [5000, 10 ** 12])
+def test_validate_reads_d_squared_past_any_u_power(power):
+    """d b -> U^power c breaks maslov-drop, and d o d is still read through
+    it: a -> U^power c is listed, as by the oracle.  Nothing is sized by the
+    power, so U^(10^12) costs what U^5000 does."""
+    gens = (Generator("a", 0, 0), Generator("b", 0, -1), Generator("c", 0, -2))
+    c = KnotComplex("0", gens, (DiffTerm("a", "b", 0), DiffTerm("b", "c", power)))
+    assert f"[d-squared] a -> U^{power} c: d o d has this odd term" in map(str, validate(c).violations)
+    assert validate(c) == oracle_validate(c)
+
+
+@pytest.mark.slow
+def test_validate_equals_the_oracle_at_15625_generators():
+    """T(2,5)^#6, and the same with its first d term dropped, which breaks
+    d o d = 0 and phi d = d phi."""
+    k = staircase(2)
+    c = k
+    for _ in range(5):
+        c = tensor(c, k)
+    assert len(c.generators) == 15625
+    mutant = replace(c, differential=c.differential[1:])
+    assert validate(c).ok and validate(c) == oracle_validate(c)
+    assert {"d-squared", "flip-chain-map"} <= kinds(mutant)
+    assert validate(mutant) == oracle_validate(mutant)
 
 
 def test_the_index_form_numbers_undeclared_names_after_the_generators():
