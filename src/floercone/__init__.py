@@ -40,6 +40,7 @@ from floercone.cone import (
     ChainMapF2,
     ConeResult,
     FlipMissing,
+    UPowerTooLarge,
     cone_homology_hat,
     cone_homology_plus_truncated,
     project_A,
@@ -83,6 +84,7 @@ __all__ = [
     "PlaneElement",
     "ReducedHomologyTooLarge",
     "TwistedConeResult",
+    "UPowerTooLarge",
     "ValidationError",
     "ValidationReport",
     "Verdict",

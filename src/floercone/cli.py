@@ -15,7 +15,7 @@ import sys
 from fractions import Fraction
 from functools import lru_cache
 
-from floercone.cone import cone_homology_hat, cone_homology_plus_truncated
+from floercone.cone import UPowerTooLarge, cone_homology_hat, cone_homology_plus_truncated
 from floercone.detect import (
     NotHomologySphere,
     alexander_polynomial,
@@ -355,8 +355,8 @@ def main(argv=None) -> int:
         return handler(args)
     except (ParseError, DuplicateName, ValidationError, NoFlipFound,
             FlipSearchExhausted, NotHomologySphere, CompositionNonzero,
-            NotAChainMap, InvariantViolated, ReducedHomologyTooLarge, OSError,
-            ValueError) as e:
+            NotAChainMap, InvariantViolated, ReducedHomologyTooLarge, UPowerTooLarge,
+            OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

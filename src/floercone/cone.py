@@ -23,30 +23,31 @@ and v and h are carried over as f' = p_B f i_A.  The hat flavor reads
 U^0 alone: it cancels the power-0 parts of A_s, B, v and h (a grading
 filter) and reads dim H(A_s) = |A'|, dim H(B) = |B'| and rank f_* as the
 GF(2) rank of f', so the cone of v + h has dimension
-|A'| + |B'| - 2 rank (v + h)_*, taken per grading at s = 0.  The plus
-flavor reduces A', B' and the cones of the three maps on them once each,
-reads each induced rank off the dimension of its cone by rank-nullity
-(`_rank_nullity`), dim H(cone f) = dim H(A) + dim H(B) - 2 rank f_*, and
-every truncation height off the pivots.  Every cone is graded, with B
-shifted by the degree of the map, and reduced exactly, but the cone of
-v + h at s != 0: v keeps the gradings and h lowers them by 2s, so it
-alone writes its U-powers out, for `smith_pivots_u` modulo a precision,
-the one place precision rules remain (`_plus_reductions`).  The twisted
-cone at s = 0 is read off the same A', B', v' and h' (see `twisted`), and
-so are prop0check's clauses (a) and (b) (`detect`).  `genus` and
-`induces_iso` read v_* as an isomorphism modulo U where the cone of v on
-the free models has no homology modulo U (`subquotient._hat_dim`).
+|A'| + |B'| - 2 rank (v + h)_*, taken per grading at s = 0: the plus
+flavor at height 0.  Above it the plus flavor reduces A', B' and the
+cones of the three maps on them once each, reads each induced rank off
+its cone's dimension by rank-nullity (`_rank_nullity`),
+dim H(cone f) = dim H(A) + dim H(B) - 2 rank f_*, and every height off
+the pivots.  Every cone is graded, with B shifted by the degree of the
+map, and reduced exactly, but the cone of v + h at s != 0: v keeps the
+gradings and h lowers them by 2s, so it alone writes its U-powers out,
+for `smith_pivots_u` modulo one proven precision (`_plus_reductions`).
+The twisted cone at s = 0 is read off the same A', B', v' and h' (see
+`twisted`), and so are prop0check's clauses (a) and (b) (`detect`).
+`genus` and `induces_iso` read v_* as an isomorphism modulo U where the
+cone of v on the free models is acyclic modulo U (`subquotient._hat_dim`).
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 from floercone.linalg import F2Matrix, InvariantViolated, _mask_bits, _minor_degree_bound, rank_f2
 from floercone.model import KnotComplex, derive_flip, require_valid
 from floercone.subquotient import (
+    _RED_DIM_LIMIT,
     FreeReduction,
     FreeUComplex,
     _artifact_cutoff,
@@ -65,6 +66,10 @@ from floercone.subquotient import (
 
 class FlipMissing(Exception):
     """The operation needs a flip map and the complex has none."""
+
+
+class UPowerTooLarge(Exception):
+    """The plus cone at s != 0 needs a U-power too large to write out."""
 
 
 def ensure_flip(c: KnotComplex) -> KnotComplex:
@@ -204,11 +209,15 @@ def _free_cone(a: FreeUComplex, b: FreeUComplex, f, degree: int = 0) -> tuple:
 
 def _powers(col: dict, mask: int, gradings, top: int, precision) -> dict:
     """col plus U^k * r for each row r of mask, k the power that takes grading
-    top to gradings[r] = top + 2k, where k is below precision (None: every k)."""
+    top to gradings[r] = top + 2k, where k is below precision (None: every k).
+    A k past _RED_DIM_LIMIT would be a bitmask that long: UPowerTooLarge."""
     for r in _mask_bits(mask):
         k = (gradings[r] - top) // 2
-        if (precision is None or k < precision) and (x := col.pop(r, 0) ^ 1 << k):
-            col[r] = x
+        if precision is None or k < precision:
+            if k > _RED_DIM_LIMIT:
+                raise UPowerTooLarge(f"the cone of v + h needs U^{k} written out, past U^{_RED_DIM_LIMIT}")
+            if x := col.pop(r, 0) ^ 1 << k:
+                col[r] = x
     return col
 
 
@@ -224,7 +233,7 @@ def _ungraded_cone(a: FreeUComplex, b: FreeUComplex, v, h, s: int, precision) ->
 
 def _plus_reductions(c: KnotComplex, s: int, precision: int | None = None):
     """Reductions of A_s, B and the cones of v, h and v + h, read off reduced
-    models (`_reduced_maps`) at heights below precision.
+    models (`_reduced_maps`).
 
     The transfer to A' and B' is exact: i_B f' p_A is homotopic to f, so the
     cone of f is homotopy equivalent to the cone of i_B f' p_A, which
@@ -233,34 +242,19 @@ def _plus_reductions(c: KnotComplex, s: int, precision: int | None = None):
     v >= 1 and the towers of the full one, and lacks only unit pivots,
     which take 2(n + 1) from size * (n + 1) in `FreeReduction.homology_dim`.
 
-    The graded reductions are exact, good at every height; at precision 1,
-    and in auto mode past a_bound, the power-0 parts alone are reduced, for
-    height 0.  The cone of v + h at s != 0 is not graded, and is reduced
-    modulo U^precision; in auto mode at a P above every one of its pivots:
-    - 0 < |s| <= a_bound: its m x m differential D has D^2 = 0, so at most
-      m / 2 invariant factors, and a reduction that finds m / 2 pivots
-      modulo U^P has them all.  So P is first half the grading spread of the
-      cone, plus one, plus |s|, and where that finds fewer the minor-degree
-      bound (`linalg._minor_degree_bound`), above every invariant factor (if
-      it finds fewer too, the cone has a U-tower).
-    - |s| > a_bound: v + h is the identity or the flip modulo U, so every
-      pivot is a unit: P = 1.
+    The graded reductions are exact at every height.  The cone of v + h at
+    s != 0 is not graded, and is reduced modulo U^precision, in auto mode
+    (None) at its minor-degree bound (`linalg._minor_degree_bound`), above
+    every pivot since its differential squares to 0.
     """
-    far = abs(s) > c.a_bound()
-    u0 = 1 if (far if precision is None else precision == 1) else None
-    a, b, v, h = _reduced_maps(c, s, u0 == 1)
+    a, b, v, h = _reduced_maps(c, s, False)
     if s == 0:
-        rvh = reduce_free(*_free_cone(a, b, [x ^ y for x, y in zip(v, h)]), u0)
+        rvh = reduce_free(*_free_cone(a, b, [x ^ y for x, y in zip(v, h)]))
     else:
-        (gvh, cvh), auto = _ungraded_cone(a, b, v, h, s, precision), precision is None
-        if auto:
-            precision = 1 if far or not gvh else (max(gvh) - min(gvh) + 1) // 2 + 1 + abs(s)
-        rvh = _reduce_ungraded(gvh, cvh, precision)
-        if auto and not far and 2 * len(rvh.pairs) != rvh.size:
-            rvh = _reduce_ungraded(gvh, cvh, _minor_degree_bound(cvh, len(cvh) // 2))
-    return (reduce_free(a.gradings, a.columns, u0), reduce_free(b.gradings, b.columns, u0),
-            reduce_free(*_free_cone(a, b, v), u0), reduce_free(*_free_cone(a, b, h, -2 * s), u0),
-            rvh)
+        gvh, cvh = _ungraded_cone(a, b, v, h, s, precision)
+        rvh = _reduce_ungraded(gvh, cvh, precision or _minor_degree_bound(cvh, len(cvh) // 2))
+    return (reduce_free(a.gradings, a.columns), reduce_free(b.gradings, b.columns),
+            reduce_free(*_free_cone(a, b, v)), reduce_free(*_free_cone(a, b, h, -2 * s)), rvh)
 
 
 def _induced_rank(ra: FreeReduction, rb: FreeReduction, cone: FreeReduction, n: int) -> int:
@@ -275,8 +269,10 @@ def cone_homology_plus_truncated(c: KnotComplex, s: int, truncation="auto") -> C
 
     An explicit integer truncation is the height n, which sees a pivot U^v
     through min(v, n + 1) alone; at s = 0 graded_dims is ker(U) below the
-    line of `_artifact_cutoff`.  With "auto" the pivots, every one of them
-    off s = 0 too (`_plus_reductions`), give the answers in closed form:
+    line of `_artifact_cutoff`.  Height 0 is the cone modulo U, the hat
+    cone (`cone_homology_hat`), and so is auto mode at |s| > a_bound, where
+    v + h is the identity or the flip modulo U.  Elsewhere auto mode reads
+    the answers off every pivot (`_plus_reductions`), in closed form:
     - s = 0: graded_dims is ker(U) at every large height, one per tower at
       its grading and one per pivot U^v, v >= 1, at its column's grading;
     - s != 0: the cone has no towers, which is checked (InvariantViolated
@@ -286,18 +282,19 @@ def cone_homology_plus_truncated(c: KnotComplex, s: int, truncation="auto") -> C
       the three ranks are read there.
     """
     c = ensure_flip(c)
-    if truncation == "auto":
-        ra, rb, rv, rh, rvh = _plus_reductions(c, s)
+    n = None if truncation == "auto" else int(truncation)
+    if n is not None and n < 0:
+        raise ValueError("truncation must be >= 0")
+    if n == 0 or n is None and abs(s) > c.a_bound():
+        return replace(cone_homology_hat(c, s), flavor="plus", truncation=0)
+    ra, rb, rv, rh, rvh = _plus_reductions(c, s, None if n is None else n + 1)
+    if n is None:
         n = max([1] + [v for *_, v in rvh.pairs]) - 1
         if s != 0 and rvh.size != 2 * len(rvh.pairs):
             raise InvariantViolated(f"the plus cone at s = {s} has a U-tower")
         socle = Counter(rvh.towers + tuple(col for _, col, v in rvh.pairs if v))
         graded = _reported(c, dict(sorted(socle.items()))) if s == 0 else None
     else:
-        n = int(truncation)
-        if n < 0:
-            raise ValueError("truncation must be >= 0")
-        ra, rb, rv, rh, rvh = _plus_reductions(c, s, n + 1)
         graded = _reported(c, rvh.module(n).socle_dims(_artifact_cutoff(c, n))) if s == 0 else None
     return ConeResult(s, "plus", rvh.homology_dim(n), _induced_rank(ra, rb, rv, n),
                       _induced_rank(ra, rb, rh, n), _induced_rank(ra, rb, rvh, n), graded, n)

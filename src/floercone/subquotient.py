@@ -25,8 +25,8 @@ power left in it, in a block U^v read off the gradings (`reduce_free`).
 It is exact and needs no precision: a pivot U^v with v >= N + 1 gives
 the Jordan blocks of U at height N (`GradedUModule`) that two towers at
 its gradings give.  Its unpaired gradings are the towers, and the reduced
-part is read off its pivots (`hf_red_graded`).  Precision rules remain
-for the one ungraded cone alone (`cone._plus_reductions`).
+part is read off its pivots (`hf_red_graded`).  A precision remains for
+the one ungraded cone alone, one proven rule (`cone._plus_reductions`).
 
 The free models are built from a validated complex and not checked
 again.  `validate` proves (the `model` docstring):
@@ -77,8 +77,8 @@ from floercone.linalg import (
 )
 from floercone.model import KnotComplex, require_valid
 
-# Total dimension of HF_red past which `hf_red_graded` refuses to list it
-# grading by grading; the shipped inputs and test corpora stay far below.
+# The most dimensions of HF_red that `hf_red_graded` lists grading by grading,
+# and the largest U-power the ungraded plus cone writes out (`cone._powers`).
 _RED_DIM_LIMIT = 10 ** 6
 
 
@@ -246,10 +246,10 @@ class FreeReduction:
             raise ValueError(f"height {n} is negative or not below precision {self.precision}")
 
 
-def reduce_free(gradings, columns, precision: int | None = None) -> FreeReduction:
+def reduce_free(gradings, columns) -> FreeReduction:
     """The exact Smith reduction of a graded free F2[U]-complex by column
-    masks (module docstring), or of its power-0 part, read at height 0,
-    with precision 1: each pivot U^v pairs gr[row] - 2v = gr[col] - 1."""
+    masks (module docstring), good at every height: each pivot U^v pairs
+    gr[row] - 2v = gr[col] - 1."""
     order = sorted(range(len(gradings)), key=gradings.__getitem__, reverse=True)
     place = {k: p for p, k in enumerate(order)}
     span, left, pairs = F2Span(), Counter(gradings), []
@@ -262,7 +262,7 @@ def reduce_free(gradings, columns, precision: int | None = None) -> FreeReductio
                 raise InvariantViolated("Smith pivot of a graded complex breaks the grading")
             left.subtract((gradings[row], gradings[col]))
             pairs.append((gradings[row], gradings[col], twice // 2))
-    return FreeReduction(len(gradings), tuple(pairs), tuple(sorted(left.elements())), precision)
+    return FreeReduction(len(gradings), tuple(pairs), tuple(sorted(left.elements())))
 
 
 def _reduce_ungraded(gradings, columns, precision: int) -> FreeReduction:

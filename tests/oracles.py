@@ -1251,6 +1251,19 @@ def stabilized_cone_plus(c: KnotComplex, s: int) -> ConeResult:
                       _induced_rank(ra, rb, rh, n), _induced_rank(ra, rb, rvh, n), graded, n)
 
 
+def plus_at_height_0(c: KnotComplex, s: int, reductions) -> ConeResult:
+    """The plus answer at height 0, the cone read modulo U, off reductions of
+    A_s, B and the cones of v, h and v + h at any precision."""
+    ra, rb, rv, rh, rvh = reductions
+    graded = None
+    if s == 0:
+        offset = maslov_offset(c)
+        dims = rvh.module(0).socle_dims(maslov_cutoff(c, 0) - offset)
+        graded = {offset + d: count for d, count in dims.items()}
+    return ConeResult(s, "plus", rvh.homology_dim(0), _induced_rank(ra, rb, rv, 0),
+                      _induced_rank(ra, rb, rh, 0), _induced_rank(ra, rb, rvh, 0), graded, 0)
+
+
 # ---------------------------------------------------------------------------
 # the free F2[U] model with every U-power written out, as columns
 # {row: U-power bitmask}, reduced by `smith_pivots_u` at a precision above

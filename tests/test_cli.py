@@ -13,6 +13,9 @@ import floercone.cli as cli
 from floercone.cli import build_parser, main
 from floercone.cone import cone_homology_hat
 from floercone.fixtures import TREFOIL
+from floercone.io_format import DocumentEntry, InputDocument, parse, serialize
+
+from corpus import tensor
 
 DATA = Path(floercone.__file__).parent / "data"
 UNKNOT_F = str(DATA / "unknot.cfk")
@@ -223,14 +226,14 @@ HUGE_U_POWER = ("complex K spinc=0\ngen a A=0 M=0\ngen b A=0 M=1999999999999\n"
                 "d a : U^1000000000000 b\nflip a : U^0 a\nflip b : U^0 b\nend\n")
 
 
-def run_capped(argv, path):
+def run_capped(argv, path, python_flags=()):
     """The CLI in a child process under a 1 GiB address-space cap."""
     resource = pytest.importorskip("resource")
 
     def cap():
         resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
-    return subprocess.run([sys.executable, "-m", "floercone.cli", *argv, str(path)],
+    return subprocess.run([sys.executable, *python_flags, "-m", "floercone.cli", *argv, str(path)],
                           capture_output=True, text=True, env=library_env(),
                           preexec_fn=cap, timeout=60)
 
@@ -252,14 +255,34 @@ def test_hat_commands_answer_on_a_valid_huge_u_power(tmp_path):
 
 
 def test_plus_commands_reading_U0_alone_answer_on_a_valid_huge_u_power(tmp_path):
-    """Height 0, and auto mode past a_bound (P = 1), read only U^0, so the
-    plus flavor builds A_s and B modulo U too and answers under the cap."""
+    """Height 0, and auto mode past a_bound, read only U^0: their answer is
+    the hat cone's, built modulo U, and comes under the cap."""
     path = tmp_path / "huge.cfk"
     path.write_text(HUGE_U_POWER)
     for argv in (["cone", "--flavor", "plus", "--truncation", "0", "--s", "0"],
                  ["cone", "--flavor", "plus", "--s", "1"]):
         proc = run_capped(argv, path)
         assert proc.returncode == 0 and "flavor plus" in proc.stdout, (argv, proc.stderr)
+
+
+@pytest.mark.parametrize("python_flags", [(), ("-O",)], ids=["python", "python_O"])
+def test_plus_cone_refuses_a_huge_u_power_it_must_write_out(tmp_path, python_flags):
+    """The trefoil summed with d a = U^(10^12) b: at s = 1 its cone of v + h
+    is not graded and holds U^(10^12), which auto mode and --truncation
+    10^12 would write out as a 10^12-bit mask.  Both exit 2 with a named
+    error that gives the power, also under python -O; --truncation 2 drops
+    that power and answers.  All under the 1 GiB cap."""
+    path = tmp_path / "huge_sum.cfk"
+    k = parse(HUGE_U_POWER).entries[0].complex
+    path.write_text(serialize(InputDocument((DocumentEntry("TK", tensor(TREFOIL, k)),))))
+    for flags in ((), ("--truncation", str(10 ** 12))):
+        proc = run_capped(["cone", "--flavor", "plus", *flags, "--s", "1"], path, python_flags)
+        assert proc.returncode == 2, (flags, proc.stderr)
+        assert proc.stderr == "error: the cone of v + h needs U^1000000000000 written out, " \
+                              "past U^1000000\n", (flags, proc.stderr)
+    proc = run_capped(["cone", "--flavor", "plus", "--truncation", "2", "--s", "1", "--machine"],
+                      path, python_flags)
+    assert proc.returncode == 0 and json.loads(proc.stdout)["total_dim"] == 0, proc.stderr
 
 
 def test_plus_cone_at_s_0_answers_on_a_valid_huge_u_power(tmp_path):

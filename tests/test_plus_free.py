@@ -184,29 +184,24 @@ def test_auto_precision_is_above_every_pivot_of_the_cone():
     for c in auto_cases()[::3]:
         for s in range(-c.a_bound() - 2, c.a_bound() + 3):
             auto = _plus_reductions(c, s)[4]
-            assert (auto.precision is None) == (s == 0 and c.a_bound() >= 0)
+            assert (auto.precision is None) == (s == 0)
             high = _plus_reductions(c, s, (auto.precision or 1) + 2 * c.a_bound() + 5)[4]
             assert all(v < (auto.precision or v + 1) for *_, v in auto.pairs)
             assert sorted(v for *_, v in auto.pairs) == sorted(v for *_, v in high.pairs), (c, s)
             assert auto.towers == high.towers
 
 
-def test_a_first_try_below_a_pivot_falls_back_to_the_minor_degree_bound(monkeypatch):
-    """T(5,6) has V_1 = 3, so its cone at s = 1 has a pivot U^3: a first try
-    at precision 2 finds too few pivots, and the proven bound takes over."""
+def test_auto_mode_reduces_the_cone_once_at_the_minor_degree_bound(monkeypatch):
+    """T(5,6) has V_1 = 3, so its cone at s = 1 has a pivot U^3: auto mode
+    reduces that cone once, at its minor-degree bound, which lies above it."""
     c = lspace_staircase(torus_exponents(5, 6))
-    want = [cone_homology_plus_truncated(c, s) for s in (1, -2)]
-    bounds, tries, real = [], [], cone_module._reduce_ungraded
-
-    def low_first_try(gradings, columns, precision):  # calls 1 and 3 are the first tries
-        tries.append(precision)
-        return real(gradings, columns, 2 if len(tries) % 2 else precision)
-
-    monkeypatch.setattr(cone_module, "_reduce_ungraded", low_first_try)
-    monkeypatch.setattr(cone_module, "_minor_degree_bound",
-                        lambda *args: bounds.append(_minor_degree_bound(*args)) or bounds[-1])
-    assert [cone_homology_plus_truncated(c, s) for s in (1, -2)] == want
-    assert len(bounds) == 2 and len(tries) == 4 and want[0].total_dim == 6
+    calls, real = [], cone_module._reduce_ungraded
+    monkeypatch.setattr(cone_module, "_reduce_ungraded",
+                        lambda *args: calls.append(args) or real(*args))
+    assert cone_homology_plus_truncated(c, 1).total_dim == 6
+    ((gradings, columns, precision),) = calls
+    assert precision == _minor_degree_bound(columns, len(columns) // 2)
+    assert max(v for *_, v in real(gradings, columns, precision).pairs) == 3 < precision
 
 
 def test_an_ungraded_reduction_records_no_towers():

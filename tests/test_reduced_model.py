@@ -42,6 +42,7 @@ from oracles import (
     hat_homology_dim,
     oracle_hf_red_graded,
     oracle_plus_reductions,
+    plus_at_height_0,
     power_cone,
     power_maps,
     power_plus_complex,
@@ -66,12 +67,17 @@ def plus_answers(c, s_values, truncations=TRUNCATIONS) -> dict:
 
 
 def assert_equals_the_oracle(monkeypatch, c, s_values, truncations=TRUNCATIONS):
+    """Every plus answer against the one read off the oracle's reductions;
+    height 0, which the library answers with the hat cone, against the
+    oracle's reductions at precision 1 read at height 0."""
     got = plus_answers(c, s_values, truncations)
     with monkeypatch.context() as m:
         m.setattr(cone_module, "_plus_reductions", oracle_plus_reductions)
         want = plus_answers(c, s_values, truncations)
-    for key, result in got.items():
-        assert result == want[key], (c.spinc_label, len(c.generators), key)
+    for (s, n), result in got.items():
+        if n == 0:
+            want[s, n] = plus_at_height_0(c, s, oracle_plus_reductions(c, s, 1))
+        assert result == want[s, n], (c.spinc_label, len(c.generators), (s, n))
 
 
 def every_s(c) -> range:
@@ -255,10 +261,11 @@ def test_plus_answers_equal_the_oracle_on_a_1331_generator_sum(monkeypatch):
 
 
 @pytest.mark.slow
-def test_the_minor_degree_fallback_is_small_on_the_reduced_cones(monkeypatch):
+def test_the_minor_degree_bound_is_small_on_the_reduced_cones(monkeypatch):
     """On the full cones of T(2,11)^#3 the bound is 6,092, 8,152 and 19,967
-    at s = 1, 5 and 15; on the reduced ones it is in the hundreds, and
-    reducing at it finds the pivots of the first try."""
+    at s = 1, 5 and 15; on the reduced ones it is in the hundreds.  Auto
+    mode reduces each cone once, at it, and finds every pivot: m / 2 of
+    them, as many as half the grading spread plus one plus |s| finds."""
     c = t2_11_cubed()
     calls = []
     monkeypatch.setattr(cone_module, "_reduce_ungraded",
@@ -267,9 +274,11 @@ def test_the_minor_degree_fallback_is_small_on_the_reduced_cones(monkeypatch):
     for s in (1, 5, 15):
         calls.clear()
         _plus_reductions(c, s)
-        _, columns, precision = calls[0]  # the exact cone at the cheap first try
-        bound = _minor_degree_bound(columns, len(columns) // 2)
-        pivots = sorted(v for *_, v in smith_pivots_u(columns, precision))
-        assert sorted(v for *_, v in smith_pivots_u(columns, bound)) == pivots
+        ((gradings, columns, bound),) = calls
+        assert bound == _minor_degree_bound(columns, len(columns) // 2)
+        pivots = sorted(v for *_, v in smith_pivots_u(columns, bound))
+        spread = (max(gradings) - min(gradings) + 1) // 2 + 1 + s
+        assert sorted(v for *_, v in smith_pivots_u(columns, spread)) == pivots
+        assert 2 * len(pivots) == len(columns)
         bounds.append(bound)
     assert bounds == [217, 211, 16]
