@@ -14,28 +14,27 @@ total dimension is well defined without extra normalization.  The cones
 run on the int gradings M - offset of `subquotient`, and a graded answer
 gets the offset back when it is reported.
 
-Both flavors start from one construction (`_reduced_maps`): v and h are
-graded F2[U] maps between the free models of A_s and B (see
+v and h are graded F2[U] maps between the free models of A_s and B (see
 `subquotient`), column masks whose U-powers the gradings fix, so no
-U^|s| is written out.  Every unit arrow of A_s and of B is cancelled,
-which leaves reduced models A' and B', with differentials 0 modulo U,
-and v and h are carried over as f' = p_B f i_A.  The hat flavor reads
-U^0 alone: it cancels the power-0 parts of A_s, B, v and h (a grading
-filter) and reads dim H(A_s) = |A'|, dim H(B) = |B'| and rank f_* as the
-GF(2) rank of f', so the cone of v + h has dimension
-|A'| + |B'| - 2 rank (v + h)_*, taken per grading at s = 0: the plus
-flavor at height 0.  Above it the plus flavor reduces A', B' and the
-cones of the three maps on them once each, reads each induced rank off
-its cone's dimension by rank-nullity (`_rank_nullity`),
-dim H(cone f) = dim H(A) + dim H(B) - 2 rank f_*, and every height off
-the pivots.  Every cone is graded, with B shifted by the degree of the
-map, and reduced exactly, but the cone of v + h at s != 0: v keeps the
-gradings and h lowers them by 2s, so it alone writes its U-powers out,
-for `smith_pivots_u` modulo one proven precision (`_plus_reductions`).
-The twisted cone at s = 0 is read off the same A', B', v' and h' (see
-`twisted`), and so are prop0check's clauses (a) and (b) (`detect`).
-`genus` and `induces_iso` read v_* as an isomorphism modulo U where the
-cone of v on the free models is acyclic modulo U (`subquotient._hat_dim`).
+U^|s| is written out.  The hat flavor reads U^0 alone, with no
+cancellation: A_s, B and the cones of v, h and v + h read modulo U (their
+power-0 masks, a grading filter; d^2 = 0 and f d = d f there follow from
+what `validate` proves) have homology of dimension n - 2 rank, and
+dim H(cone f) = dim H(A) + dim H(B) - 2 rank f_* gives each rank
+(`_rank_nullity`), per grading at s = 0.  The twisted group off s = 0
+and prop0check's clause (a) read the same cone of v + h; `genus` and
+`induces_iso` read v_* as an isomorphism modulo U where the cone of v on
+the free models is acyclic modulo U (`subquotient._hat_dim`).  The plus
+flavor cancels every unit arrow of A_s and of B, which leaves reduced
+models A' and B' with differentials 0 modulo U, carries v and h over as
+f' = p_B f i_A (`_reduced_maps`), reduces A', B' and the cones of the
+three maps on them once each, reads each induced rank off its cone's
+dimension by rank-nullity, and every height off the pivots.  Every cone
+is graded, with B shifted by the degree of the map, and reduced exactly,
+but the cone of v + h at s != 0: v keeps the gradings and h lowers them
+by 2s, so it alone writes its U-powers out, for `smith_pivots_u` modulo
+one proven precision (`_plus_reductions`).  The twisted cone at s = 0 and
+prop0check's clause (b) read the pencil on A', B', v' and h' modulo U.
 """
 
 from __future__ import annotations
@@ -44,7 +43,7 @@ from collections import Counter
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
-from floercone.linalg import F2Matrix, InvariantViolated, _mask_bits, _minor_degree_bound, rank_f2
+from floercone.linalg import F2Matrix, F2Span, InvariantViolated, _mask_bits, _minor_degree_bound, rank_f2
 from floercone.model import KnotComplex, derive_flip, require_valid
 from floercone.subquotient import (
     _RED_DIM_LIMIT,
@@ -150,9 +149,10 @@ def _reduced_maps(c: KnotComplex, s: int, u0_only: bool) -> tuple:
     arrow of B with v i_A and h i_A carried along (`reduced_model`).  That
     leaves A' and B', homotopy equivalent to A_s and B by inclusions i and
     projections p with p i = 1, and f' = p_B f i_A, checked to be
-    chain maps.  With u0_only, for a caller that reads U^0 alone, the
-    power-0 parts are cancelled instead; every differential left is then
-    0, which is checked, and f' d = 0 = d f' needs no check.
+    chain maps.  With u0_only, for the pencil at s = 0 (`twisted`), the
+    power-0 parts are cancelled instead (`_modulo_u_maps`); every
+    differential left is then 0, which is checked, and f' d = 0 = d f'
+    needs no check.
     """
     return _reduce_maps(c, s, free_plus_complex(c, s), free_plus_complex(c), u0_only)
 
@@ -160,10 +160,7 @@ def _reduced_maps(c: KnotComplex, s: int, u0_only: bool) -> tuple:
 def _reduce_maps(c: KnotComplex, s: int, a: FreeUComplex, b: FreeUComplex,
                  u0_only: bool) -> tuple:
     """The reduce half of `_reduced_maps`, on A_s and B already built."""
-    maps = _v_map(a), _h_map(c)
-    if u0_only:
-        maps = _u0(maps[0], a.gradings, b.gradings, 0), _u0(maps[1], a.gradings, b.gradings, -2 * s)
-        a, b = _modulo_u(a), _modulo_u(b)
+    a, b, *maps = _modulo_u_maps(c, s, a, b) if u0_only else (a, b, _v_map(a), _h_map(c))
     a, maps, _ = reduced_model(a, out=maps)          # A' and v i_A, h i_A
     b, _, (v, h) = reduced_model(b, into=maps)       # B' and v', h'
     if u0_only and (any(a.columns) or any(b.columns)):
@@ -173,30 +170,52 @@ def _reduce_maps(c: KnotComplex, s: int, a: FreeUComplex, b: FreeUComplex,
     return a, b, v, h
 
 
+def _modulo_u_maps(c: KnotComplex, s: int, a: FreeUComplex, b: FreeUComplex) -> tuple:
+    """A_s and B read modulo U, and the power-0 masks of v and h between them."""
+    return (_modulo_u(a), _modulo_u(b), _u0(_v_map(a), a.gradings, b.gradings, 0),
+            _u0(_h_map(c), a.gradings, b.gradings, -2 * s))
+
+
+def _hat_cone(rows: int, b_columns, a_high, f) -> F2Matrix:
+    """The cone of f : A -> B modulo U, B's rows and columns first: b_columns
+    (B's, or an echelon basis of their span, of the same rank), then
+    f | d_A per column of A, with d_A shifted past B's rows (a_high)."""
+    columns = tuple(b_columns) + tuple(map(int.__or__, a_high, f))
+    return F2Matrix._from_masks(rows, len(columns), columns)
+
+
+def _hat_total(c: KnotComplex, s: int, a: FreeUComplex, b: FreeUComplex) -> int:
+    """The hat cone's total_dim, n - 2 rank, on A_s and B already built."""
+    a, b, v, h = _modulo_u_maps(c, s, a, b)
+    n, nb = len(a.columns) + len(b.columns), len(b.columns)
+    return n - 2 * rank_f2(_hat_cone(n, b.columns, [da << nb for da in a.columns], map(int.__xor__, v, h)))
+
+
 def cone_homology_hat(c: KnotComplex, s: int) -> ConeResult:
-    """Homology of the cone of v_s + h_s on the hat subquotients, read off
-    the reduced models modulo U (`_reduced_maps`), whose differentials are
-    0: dim H(A_s) = |A'|, dim H(B) = |B'|, rank f_* = rank f' modulo U.
-    At s = 0 the cone holds A'_g and B'_(g+1) at grading g, and the columns
-    of v' + h' at grading g, of rank r_g, land in B'_g, so its homology
-    there has dimension |A'_g| - r_g + |B'_(g+1)| - r_(g+1)."""
+    """Homology of the cone of v_s + h_s on the hat subquotients, with no
+    cancellation: A_s, B and the cones of v, h and v + h read modulo U have
+    homology of dimension n - 2 rank of their power-0 masks (`_hat_cone`),
+    and the three ranks follow by `_rank_nullity`.  The cones share one
+    echelon basis of B's columns, but at s = 0 the cone of v + h, which is
+    graded there: its homology at grading g has dimension
+    n_g - r_g - r_(g+1), r_g the rank of its columns at grading g."""
     c = ensure_flip(c)
-    a, b, v, h = _reduced_maps(c, s, True)
-    rows, cols = len(b.gradings), len(a.gradings)
-    v, h, vh = (F2Matrix._from_masks(rows, cols, tuple(f)) for f in (v, h, map(int.__xor__, v, h)))
-    rank_vh = rank_f2(vh)
+    a, b, v, h = _modulo_u_maps(c, s, free_plus_complex(c, s), free_plus_complex(c))
+    na, nb = len(a.columns), len(b.columns)
+    n, basis = na + nb, tuple(filter(None, map(F2Span().add, b.columns)))
+    high, vh = [da << nb for da in a.columns], tuple(map(int.__xor__, v, h))
+    ha, hb = na - 2 * rank_f2(F2Matrix._from_masks(na, na, a.columns)), nb - 2 * len(basis)
+    dims = [n - 2 * rank_f2(_hat_cone(n, basis, high, f)) for f in ((v, h, vh) if s else (v, h))]
     graded = None
     if s == 0:
-        by_grading: dict = {}
-        for g, mask in zip(a.gradings, vh.column_masks()):
+        gradings, by_grading = tuple(g - 1 for g in b.gradings) + a.gradings, {}
+        for g, mask in zip(gradings, _hat_cone(n, b.columns, high, vh).column_masks()):
             by_grading.setdefault(g, []).append(mask)
-        ranks = {g: rank_f2(F2Matrix._from_masks(rows, len(m), tuple(m)))
-                 for g, m in by_grading.items()}
-        dims = Counter(a.gradings) + Counter(g - 1 for g in b.gradings)
-        dims.subtract(ranks)
-        dims.subtract({g - 1: r for g, r in ranks.items()})
-        graded = _reported(c, {g: n for g, n in sorted(dims.items()) if n})
-    return ConeResult(s, "hat", cols + rows - 2 * rank_vh, rank_f2(v), rank_f2(h), rank_vh, graded)
+        r = {g: rank_f2(F2Matrix._from_masks(n, len(m), tuple(m))) for g, m in by_grading.items()}
+        n_g = Counter(gradings)
+        graded = _reported(c, {g: k for g in sorted(n_g) if (k := n_g[g] - r.get(g, 0) - r.get(g + 1, 0))})
+        dims.append(n - 2 * sum(r.values()))
+    return ConeResult(s, "hat", dims[2], *(_rank_nullity(ha, hb, d) for d in dims), graded)
 
 
 def _free_cone(a: FreeUComplex, b: FreeUComplex, f, degree: int = 0) -> tuple:

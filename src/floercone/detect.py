@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 from floercone.linalg import F2Matrix, LaurentPoly, rank_f2
 from floercone.model import KnotComplex, require_valid
-from floercone.cone import _free_cone, _reduce_maps, _v_map, ensure_flip
+from floercone.cone import _free_cone, _hat_total, _rank_nullity, _reduce_maps, _v_map, ensure_flip
 from floercone.subquotient import _hat_dim, free_plus_complex
 from floercone.twisted import _pencil_homology, novikov_dim
 
@@ -102,14 +102,15 @@ def sphere_necessary_conditions(complexes) -> Verdict:
     failure is the first violated clause in the scan, (c) over every
     complex before (a) or (b) within each s.  B is built once per complex
     and A_s once per (complex, s); (c) reads n - 2 rank(d modulo U) off
-    each, and (a) and
-    (b) the reduced models modulo U (`cone._reduce_maps`): (a) compares
-    rank(v' + h') with |A'| = dim H(A_s), as `cone_homology_hat` reads it,
-    and (b) the pencil v' + T h' (`twisted`).  Clause (b) is evaluated at
-    s = 0 alone: for s != 0 the Novikov dimension is the dimension of the
-    hat cone of v + h (see `twisted`), which, given (c), is
-    2 (dim H(A_s) - rank (v + h)_*), and is 0 exactly when (a) holds; (a)
-    runs first, so (b) could never decide a verdict there.
+    each.  (a) reads the hat cone of v + h the same way, n - 2 rank of its
+    power-0 masks (`cone._hat_total`), with no cancellation, and its rank
+    (dim H(A_s) + dim H(B) - dim H(cone)) / 2 by `cone._rank_nullity`.
+    (b) reads the pencil v' + T h' on the reduced models modulo U at s = 0
+    (`cone._reduce_maps`, `twisted`), and only there: for s != 0 the
+    Novikov dimension is the dimension of the hat cone of v + h (see
+    `twisted`), which, given (c), is 2 (dim H(A_s) - rank (v + h)_*), and
+    is 0 exactly when (a) holds; (a) runs first, so (b) could never decide
+    a verdict there.
     """
     complexes, bound = _prepare(complexes)
     bs = [free_plus_complex(c) for c in complexes]  # B does not depend on s
@@ -120,16 +121,12 @@ def sphere_necessary_conditions(complexes) -> Verdict:
             built.append(a := free_plus_complex(c, s))
             if (dim_a := _hat_dim(a.gradings, a.columns)) != dim_b:
                 return _violated("c", s, c, dim_A=dim_a, dim_B=dim_b)
-        for c, a, b in zip(complexes, built, bs):
-            a, b, v, h = reduced = _reduce_maps(c, s, a, b, True)
+        for c, a, b, dim in zip(complexes, built, bs, dims_b):
             if s == 0:
-                if novikov := _pencil_homology(*reduced).novikov_dim:
+                if novikov := _pencil_homology(*_reduce_maps(c, s, a, b, True)).novikov_dim:
                     return _violated("b", s, c, novikov_dim=novikov)
-                continue
-            dim = len(a.gradings)  # = |B'|, by clause (c)
-            rank = rank_f2(F2Matrix._from_masks(dim, dim, tuple(map(int.__xor__, v, h))))
-            if rank != dim:
-                return _violated("a", s, c, rank=rank, dim_A=dim, dim_B=dim)
+            elif (rank := _rank_nullity(dim, dim, _hat_total(c, s, a, b))) != dim:
+                return _violated("a", s, c, rank=rank, dim_A=dim, dim_B=dim)  # dim_A = dim_B by (c)
     return Verdict(
         VerdictKind.FIRES,
         "all necessary conditions for a non-separating sphere hold",

@@ -15,7 +15,8 @@ map is one GF(2) column mask per basis element, as in `F2Matrix`, with
 no power written out, and its F2[U] products are mask products, exact
 since every path between two basis elements has the same power.  A hat
 region is the same complex read modulo U: the entries of power 0 (`_u0`),
-and its homology has dimension n - 2 rank(d modulo U) (`_hat_dim`).
+and its homology has dimension n - 2 rank(d modulo U) (`_hat_dim`), the
+one rule for homology modulo U, on the cones of `cone` too.
 
 The graded Smith form over F2[U] is a GF(2) column reduction
 (Zomorodian-Carlsson, "Computing persistent homology", 2005): with rows

@@ -13,12 +13,13 @@ monomial, hence a unit: L is a graded field, over which every graded
 module is free, so the cone homology has no torsion.  Its free rank is
 then its dimension after T = 1, by universal coefficients with no Tor
 term, and the cone at T = 1 is the hat cone of v + h.  So for s != 0 the
-answer is (`cone_homology_hat(c, s).total_dim`, ()).  At s = 0, T has
-degree 0, the argument says nothing, and torsion occurs.
+answer is (the hat cone's total_dim, ()), read off ranks modulo U with no
+cancellation (`cone._hat_total`).  At s = 0, T has degree 0, the
+argument says nothing, and torsion occurs.
 
-At s = 0 the cone is read off the reduced models, as the hat cone is.
-Modulo U, A_s and B have strong deformation retracts (i, p, k) onto A'
-and B', whose differentials are 0 (`cone._reduced_maps`); their sum
+At s = 0 alone the cone is read off reduced models.  Modulo U, A_s and
+B have strong deformation retracts (i, p, k) onto A' and B', whose
+differentials are 0 (`cone._reduced_maps`); their sum
 retracts d_A (+) d_B over L onto A' (+) B' with the zero differential.
 The cone of W, [[d_A, 0], [W, d_B]], perturbs d_A (+) d_B by
 delta = [[0, 0], [W, 0]], and delta k delta = 0: delta lands in B, k keeps
@@ -49,7 +50,8 @@ from dataclasses import dataclass
 
 from floercone.linalg import LaurentMatrix, LaurentPoly, _mask_bits, smith_invariants_laurent
 from floercone.model import KnotComplex
-from floercone.cone import _reduced_maps, cone_homology_hat, ensure_flip
+from floercone.subquotient import free_plus_complex
+from floercone.cone import _hat_total, _reduced_maps, ensure_flip
 
 # 1, T and 1 + T, by the bits of v' (bit 0) and h' (bit 1)
 _PENCIL = (None, LaurentPoly({0}), LaurentPoly({1}), LaurentPoly({0, 1}))
@@ -89,7 +91,7 @@ def twisted_homology_laurent(c: KnotComplex, s: int) -> TwistedConeResult:
     the pencil on the reduced models (module docstring)."""
     c = ensure_flip(c)
     if s:
-        return TwistedConeResult(cone_homology_hat(c, s).total_dim, ())
+        return TwistedConeResult(_hat_total(c, s, free_plus_complex(c, s), free_plus_complex(c)), ())
     return _pencil_homology(*_reduced_maps(c, 0, True))
 
 

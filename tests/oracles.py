@@ -19,7 +19,8 @@ hat-flavor induced ranks (and with them genus and the prop0check clauses)
 by lifting a homology basis to cycles and counting images modulo
 boundaries instead of reading them off cone dimensions by rank-nullity,
 the hat cone from cone dimensions and per-grading ranks on the full A_s
-and B instead of the reduced models,
+and B, or off the reduced models modulo U left once every unit arrow is
+cancelled, instead of ranks of the power-0 masks of the free models,
 the flip (and every flip bijection) by a search that checks the
 chain-map condition only on full assignments instead of pruning each
 partial one, validation on name-keyed term maps composed as dicts of
@@ -54,6 +55,7 @@ from floercone.cone import (
     _induced_rank,
     _plus_reductions,
     _rank_nullity,
+    _reduced_maps,
     _v_map,
     ensure_flip,
 )
@@ -515,6 +517,32 @@ def oracle_cone_homology_hat(c: KnotComplex, s: int) -> ConeResult:
         graded = _reported(c, graded_homology_dims(maslovs, total))
     return ConeResult(s, "hat", total_dim, _rank_nullity(ha, hb, dim_v),
                       _rank_nullity(ha, hb, dim_h), _rank_nullity(ha, hb, total_dim), graded)
+
+
+def oracle_hat_from_reduced_models(c: KnotComplex, s: int) -> ConeResult:
+    """The hat cone read off the reduced models modulo U (`_reduced_maps`),
+    whose differentials are 0: dim H(A_s) = |A'|, dim H(B) = |B'| and
+    rank f_* = rank f' modulo U.  At s = 0 the cone holds A'_g and
+    B'_(g+1) at grading g, and the columns of v' + h' at grading g, of rank
+    r_g, land in B'_g, so its homology there has dimension
+    |A'_g| - r_g + |B'_(g+1)| - r_(g+1)."""
+    c = ensure_flip(c)
+    a, b, v, h = _reduced_maps(c, s, True)
+    rows, cols = len(b.gradings), len(a.gradings)
+    v, h, vh = (F2Matrix._from_masks(rows, cols, tuple(f)) for f in (v, h, map(int.__xor__, v, h)))
+    rank_vh = rank_f2(vh)
+    graded = None
+    if s == 0:
+        by_grading: dict = {}
+        for g, mask in zip(a.gradings, vh.column_masks()):
+            by_grading.setdefault(g, []).append(mask)
+        ranks = {g: rank_f2(F2Matrix._from_masks(rows, len(m), tuple(m)))
+                 for g, m in by_grading.items()}
+        dims = Counter(a.gradings) + Counter(g - 1 for g in b.gradings)
+        dims.subtract(ranks)
+        dims.subtract({g - 1: r for g, r in ranks.items()})
+        graded = _reported(c, {g: n for g, n in sorted(dims.items()) if n})
+    return ConeResult(s, "hat", cols + rows - 2 * rank_vh, rank_f2(v), rank_f2(h), rank_vh, graded)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,10 @@
 """The hat flavor as the free F2[U] model read modulo U: its complexes and
 maps against the plane-region oracle, every hat answer against the cone on
-the full hat complexes, the hat cone as the plus cone at height 0, one
-build of A_s, B, v and h per cone, bounded memory at huge |s|, and the
-checks of the hat path under mutation (also under `python -O`)."""
+the full hat complexes and against the reduced models modulo U, no
+cancellation off the pencil at s = 0, the hat cone as the plus cone at
+height 0, one build of A_s, B, v and h per cone, bounded memory at huge
+|s|, and the checks of the hat path under mutation (also under
+`python -O`)."""
 
 import os
 import subprocess
@@ -32,9 +34,12 @@ from corpus import (
     TWISTED_SUMS,
     broken_trefoils,
     connected_sum,
+    lspace_staircase,
+    mirror,
     run_on_broken_trefoils_under_python_O,
     staircase,
     tensor,
+    torus_exponents,
     with_flip,
 )
 from oracles import (
@@ -44,6 +49,7 @@ from oracles import (
     maslov_offset,
     oracle_cone_homology_hat,
     oracle_genus,
+    oracle_hat_from_reduced_models,
     oracle_hat_parts,
     oracle_hat_ranks,
     oracle_necessary_conditions_witness,
@@ -126,6 +132,87 @@ def test_hat_answers_equal_the_full_cone_on_the_sums(name):
 def test_hat_answers_equal_the_full_cone_on_a_1331_generator_sum():
     k = staircase(5)
     assert_hat_equals_the_oracle(tensor(tensor(k, k), k), (-1, 0, 1, 5))
+
+
+def assert_hat_equals_the_reduced_models(c, s_values):
+    for s in s_values:
+        assert cone_homology_hat(c, s) == oracle_hat_from_reduced_models(c, s), (c.spinc_label, s)
+
+
+@pytest.mark.parametrize("seed", range(1, 9))
+def test_hat_equals_the_reduced_models_on_the_corpus_and_its_mirrors(seed):
+    """The ranks of the cones modulo U against the reduced models modulo U,
+    every field, graded_dims included."""
+    for _, c in with_flip(seed):
+        for k in (c, mirror(c)):
+            assert_hat_equals_the_reduced_models(k, every_s(k))
+
+
+@pytest.mark.parametrize("name", TWISTED_SUMS + BIG_SUMS)
+def test_hat_equals_the_reduced_models_on_the_sums_and_their_mirrors(name):
+    c = connected_sum(name)
+    for k in (c, mirror(c)):
+        assert_hat_equals_the_reduced_models(k, every_s(k))
+
+
+def sum_with_mirror(c):
+    return tensor(c, mirror(c))
+
+
+# (input, generators, {s: (total_dim, rank_v, rank_h, rank_v_plus_h)})
+HAT_AT_SCALE = (
+    ("T(2,5)^#3 # mirror", lambda: sum_with_mirror(tensor(tensor(staircase(2), staircase(2)), staircase(2))),
+     15625, {0: (890, 1, 1, 0), 1: (862, 1, 0, 1)}),
+    ("F8#T(4,5) # mirror", lambda: sum_with_mirror(tensor(FIGURE8, lspace_staircase(torus_exponents(4, 5)))),
+     1225, {0: (66, 1, 1, 0), 1: (40, 1, 0, 1)}),
+)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("name, build, generators, want", HAT_AT_SCALE, ids=[h[0] for h in HAT_AT_SCALE])
+def test_hat_equals_the_reduced_models_at_scale(name, build, generators, want):
+    c = build()
+    assert len(c.generators) == generators
+    for s, numbers in want.items():
+        got = cone_homology_hat(c, s)
+        assert got == oracle_hat_from_reduced_models(c, s), (name, s)
+        assert (got.total_dim, got.rank_v, got.rank_h, got.rank_v_plus_h) == numbers, (name, s)
+
+
+def test_hat_twisted_off_0_and_clause_a_cancel_nothing(monkeypatch):
+    """Off the pencil at s = 0 nothing is cancelled: with `cancel_units`
+    raising, the hat cone, the twisted group at s != 0 and prop0check's
+    clause (a) give the answers they give with it.  The pencil at s = 0 is
+    stubbed to pass clause (b) in both runs, so that prop0check reaches
+    clause (a)."""
+    import floercone.detect as detect_module
+    import floercone.linalg as linalg_module
+    import floercone.subquotient as subquotient_module
+    from floercone.twisted import TwistedConeResult
+
+    monkeypatch.setattr(detect_module, "_reduce_maps", lambda *args: ())
+    monkeypatch.setattr(detect_module, "_pencil_homology", lambda *args: TwistedConeResult(0, ()))
+    reached = []
+    real_total = detect_module._hat_total
+    monkeypatch.setattr(detect_module, "_hat_total",
+                        lambda c, s, a, b: reached.append(s) or real_total(c, s, a, b))
+    pool = list(ALL_FIXTURES) + [f for _, f in with_flip()[:40]] + [connected_sum(n) for n in TWISTED_SUMS]
+
+    def answers():
+        return [([cone_homology_hat(c, s) for s in every_s(c)],
+                 [twisted_homology_laurent(c, s) for s in every_s(c) if s],
+                 sphere_necessary_conditions([c])) for c in pool]
+
+    want = answers()
+
+    def refuse(*args):
+        raise AssertionError("cancel_units was called")
+
+    for module in (linalg_module, subquotient_module):
+        monkeypatch.setattr(module, "cancel_units", refuse)
+    reached.clear()
+    assert answers() == want
+    assert 1 in reached and -1 in reached  # clause (a) ran
 
 
 def test_hat_cone_is_the_plus_cone_at_height_0():
@@ -251,14 +338,26 @@ def test_hat_path_checks_survive_python_O(tmp_path):
     assert out.stdout.split() == ["raised", "raised", "2", "2"]
 
 
+def run_under_python_O(code: str) -> subprocess.CompletedProcess:
+    """Runs code under python -O, with the library and the test helpers importable."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), str(Path(__file__).parent),
+                                                      env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+
+
 def test_reduced_differential_check_survives_python_O():
     """Reading U^0 alone, `_reduced_maps` checks that no differential is left
-    on A' and B' and then needs no chain-map check on v' and h'.  A unit
-    arrow left on the reduced A'_1 of Y1SIGMA is still caught, with the
-    library's asserts stripped, by the hat cone and by the twisted group off
-    s = 0, which is read off it."""
+    on A' and B' and then needs no chain-map check on v' and h'.  Only the
+    pencil at s = 0 reads those models: a unit arrow left on the reduced
+    A'_0 is still caught there, with the library's asserts stripped, by the
+    twisted group of Y1SIGMA at s = 0 and by prop0check's clause (b) on
+    Y1SIGMA # T(2,3)."""
     code = (
         "import floercone.cone as cone\n"
+        "from corpus import connected_sum\n"
+        "from floercone.detect import sphere_necessary_conditions\n"
         "from floercone.fixtures import Y1SIGMA\n"
         "from floercone.linalg import InvariantViolated\n"
         "from floercone.subquotient import FreeUComplex\n"
@@ -271,18 +370,40 @@ def test_reduced_differential_check_survives_python_O():
         "        columns = (reduced.columns[0], 0b1) + reduced.columns[2:]\n"
         "        reduced = FreeUComplex(reduced.lo, reduced.gradings, columns)\n"
         "    return reduced, outs, intos\n"
-        "print(cone.cone_homology_hat(Y1SIGMA, 1).total_dim)\n"
+        "sum_ = connected_sum('Y1+T2_3')\n"
+        "print(twisted_homology_laurent(Y1SIGMA, 0).laurent_free_rank)\n"
+        "print(sphere_necessary_conditions([sum_]).witness['clause'])\n"
         "cone.reduced_model = broken\n"
-        "for run in (lambda: cone.cone_homology_hat(Y1SIGMA, 1),\n"
-        "            lambda: twisted_homology_laurent(Y1SIGMA, 1)):\n"
+        "for run in (lambda: twisted_homology_laurent(Y1SIGMA, 0),\n"
+        "            lambda: sphere_necessary_conditions([sum_])):\n"
         "    try:\n"
         "        run()\n"
         "    except InvariantViolated:\n"
         "        print('raised')\n"
     )
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
-                         capture_output=True, text=True, timeout=60)
+    out = run_under_python_O(code)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.split() == ["0", "raised", "raised"]
+    assert out.stdout.split() == ["0", "b", "raised", "raised"]
+
+
+def test_hat_cone_rank_check_survives_python_O():
+    """The hat cone reads each induced rank off a cone's rank by
+    `_rank_nullity`, which checks it.  A cone rank one too high is still
+    caught, with the library's asserts stripped, at s = 0 and s = 1."""
+    code = (
+        "import floercone.cone as cone\n"
+        "from floercone.fixtures import Y1SIGMA\n"
+        "from floercone.linalg import InvariantViolated\n"
+        "assert False, 'asserts are on'\n"
+        "real = cone.rank_f2\n"
+        "print(cone.cone_homology_hat(Y1SIGMA, 1).rank_v_plus_h)\n"
+        "cone.rank_f2 = lambda m: real(m) + (m.rows != m.cols)  # the cones, not A_s\n"
+        "for s in (0, 1):\n"
+        "    try:\n"
+        "        cone.cone_homology_hat(Y1SIGMA, s)\n"
+        "    except InvariantViolated as e:\n"
+        "        print('raised' if 'no valid rank' in str(e) else e)\n"
+    )
+    out = run_under_python_O(code)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["3", "raised", "raised"]
