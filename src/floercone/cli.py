@@ -99,7 +99,7 @@ def _graded_str(d: dict | None) -> str:
 
 def _emit(args, record: dict, human: str | None):
     if args.machine:
-        print(json.dumps(_jsonable(record), sort_keys=True))
+        print(json.dumps(record, sort_keys=True))
     elif human is not None:
         print(human)
 

@@ -24,17 +24,19 @@ dim H(cone f) = dim H(A) + dim H(B) - 2 rank f_* gives each rank
 (`_rank_nullity`), per grading at s = 0.  The twisted group off s = 0
 and prop0check's clause (a) read the same cone of v + h; `genus` and
 `induces_iso` read v_* as an isomorphism modulo U where the cone of v on
-the free models is acyclic modulo U (`subquotient._hat_dim`).  The plus
-flavor cancels every unit arrow of A_s and of B, which leaves reduced
-models A' and B' with differentials 0 modulo U, carries v and h over as
-f' = p_B f i_A (`_reduced_maps`), reduces A', B' and the cones of the
-three maps on them once each, reads each induced rank off its cone's
-dimension by rank-nullity, and every height off the pivots.  Every cone
+the free models is acyclic modulo U (`subquotient._hat_dim`).  The
+twisted cone at s = 0 and prop0check's clause (b) read the pencil
+v' + T h' on homology bases of A_0 and B modulo U, from one clearing pass
+per model (`_pencil_maps`).  The plus flavor cancels every unit arrow of
+A_s and of B, which leaves reduced models A' and B' with differentials 0
+modulo U, carries v and h over as f' = p_B f i_A (`_reduced_maps`),
+reduces A', B' and the cones of the three maps on them once each, reads
+each induced rank off its cone's dimension by rank-nullity, and every
+height off the pivots.  Every cone
 is graded, with B shifted by the degree of the map, and reduced exactly,
 but the cone of v + h at s != 0: v keeps the gradings and h lowers them
 by 2s, so it alone writes its U-powers out, for `smith_pivots_u` modulo
-one proven precision (`_plus_reductions`).  The twisted cone at s = 0 and
-prop0check's clause (b) read the pencil on A', B', v' and h' modulo U.
+one proven precision (`_plus_reductions`).
 """
 
 from __future__ import annotations
@@ -43,7 +45,15 @@ from collections import Counter
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
-from floercone.linalg import F2Matrix, F2Span, InvariantViolated, _mask_bits, _minor_degree_bound, rank_f2
+from floercone.linalg import (
+    F2Matrix,
+    F2Span,
+    InvariantViolated,
+    _combine,
+    _mask_bits,
+    _minor_degree_bound,
+    rank_f2,
+)
 from floercone.model import KnotComplex, derive_flip, require_valid
 from floercone.subquotient import (
     _RED_DIM_LIMIT,
@@ -52,10 +62,10 @@ from floercone.subquotient import (
     _artifact_cutoff,
     _check_commutes,
     _hat_dim,
+    _hat_homology,
     _modulo_u,
     _reduce_ungraded,
     _reported,
-    _term_masks,
     _u0,
     free_plus_complex,
     reduce_free,
@@ -101,7 +111,7 @@ def _h_map(c: KnotComplex) -> tuple:
     and the flip."""
     if c.flip is None:
         raise FlipMissing("complex has no flip map; derive or supply one")
-    return _term_masks(len(c.generators), c._index_form[1])
+    return c._masks[1]
 
 
 def project_A(c: KnotComplex, s: int, s_prime: int) -> ChainMapF2:
@@ -139,35 +149,61 @@ def _rank_nullity(ha: int, hb: int, cone_dim: int) -> int:
     return twice // 2
 
 
-def _reduced_maps(c: KnotComplex, s: int, u0_only: bool) -> tuple:
+def _reduced_maps(c: KnotComplex, s: int) -> tuple:
     """A' and B', the reduced models of A_s and B, and the column masks of
-    v' and h' between them.
+    v' and h' between them, for the plus flavor.
 
     v and h are built on the full A_s and B, chain maps of the right
     gradings by what `validate` proves (`subquotient`).  Then every unit
     arrow of A_s is cancelled with v and h carried along, and every unit
     arrow of B with v i_A and h i_A carried along (`reduced_model`).  That
     leaves A' and B', homotopy equivalent to A_s and B by inclusions i and
-    projections p with p i = 1, and f' = p_B f i_A, checked to be
-    chain maps.  With u0_only, for the pencil at s = 0 (`twisted`), the
-    power-0 parts are cancelled instead (`_modulo_u_maps`); every
-    differential left is then 0, which is checked, and f' d = 0 = d f'
-    needs no check.
+    projections p with p i = 1, and f' = p_B f i_A, checked to be chain maps.
     """
-    return _reduce_maps(c, s, free_plus_complex(c, s), free_plus_complex(c), u0_only)
-
-
-def _reduce_maps(c: KnotComplex, s: int, a: FreeUComplex, b: FreeUComplex,
-                 u0_only: bool) -> tuple:
-    """The reduce half of `_reduced_maps`, on A_s and B already built."""
-    a, b, *maps = _modulo_u_maps(c, s, a, b) if u0_only else (a, b, _v_map(a), _h_map(c))
-    a, maps, _ = reduced_model(a, out=maps)          # A' and v i_A, h i_A
-    b, _, (v, h) = reduced_model(b, into=maps)       # B' and v', h'
-    if u0_only and (any(a.columns) or any(b.columns)):
-        raise InvariantViolated("a reduced model modulo U keeps a differential")
-    for f in () if u0_only else (v, h):  # with u0_only, f' d = 0 = d f'
+    a, b = free_plus_complex(c, s), free_plus_complex(c)
+    a, maps, _ = reduced_model(a, out=(_v_map(a), _h_map(c)))  # A' and v i_A, h i_A
+    b, _, (v, h) = reduced_model(b, into=maps)                  # B' and v', h'
+    for f in (v, h):
         _check_commutes(f, a, b)
     return a, b, v, h
+
+
+def _pencil_maps(c: KnotComplex, a: FreeUComplex, b: FreeUComplex) -> tuple:
+    """A' and B', homology bases of A_0 and B modulo U with differential 0,
+    and the column masks of v' and h' : A' -> B' (`twisted`), on A_0 and B
+    already built, with no cancellation.
+
+    One clearing pass per model (`subquotient._hat_homology`) gives cycles
+    z_i of A_0 and, of B, cycles and boundaries with distinct top bits.  So
+    B's cycles, each tagged with its coordinate below its bits, and its
+    boundaries are an echelon basis, on which a cycle w of B reduces to its
+    coordinates p_B w; v'_i = p_B(v z_i) and h'_i = p_B(h z_i).  A map image
+    that does not reduce to 0 outside the tags is no cycle: InvariantViolated.
+    """
+    a, b, *maps = _modulo_u_maps(c, 0, a, b)
+    cycles_a = _hat_homology(a.gradings, a.columns)[0]
+    cycles_b, boundaries = _hat_homology(b.gradings, b.columns)
+    m = len(cycles_b)
+    echelon = {x.bit_length() - 1: x for x in
+               [bd << m for bd in boundaries] + [z << m | 1 << i for i, z in enumerate(cycles_b)]}
+
+    def coordinates(w: int) -> int:
+        w <<= m
+        while w >> m and (hit := echelon.get(w.bit_length() - 1)):
+            w ^= hit
+        if w >> m:
+            raise InvariantViolated("a map of the pencil sends a cycle off the cycles")
+        return w
+
+    v, h = (tuple([coordinates(_combine(f, z)) for z in cycles_a]) for f in maps)
+    return _homology_model(a, cycles_a), _homology_model(b, cycles_b), v, h
+
+
+def _homology_model(free: FreeUComplex, cycles) -> FreeUComplex:
+    """The basis elements that are the cycles' top bits, with differential 0."""
+    kept = [z.bit_length() - 1 for z in cycles]
+    return FreeUComplex._trusted(tuple([free.lo[k] for k in kept]),
+                                 tuple([free.gradings[k] for k in kept]), (0,) * len(kept))
 
 
 def _modulo_u_maps(c: KnotComplex, s: int, a: FreeUComplex, b: FreeUComplex) -> tuple:
@@ -266,7 +302,7 @@ def _plus_reductions(c: KnotComplex, s: int, precision: int | None = None):
     (None) at its minor-degree bound (`linalg._minor_degree_bound`), above
     every pivot since its differential squares to 0.
     """
-    a, b, v, h = _reduced_maps(c, s, False)
+    a, b, v, h = _reduced_maps(c, s)
     if s == 0:
         rvh = reduce_free(*_free_cone(a, b, [x ^ y for x, y in zip(v, h)]))
     else:

@@ -6,8 +6,9 @@ beyond that range, and unit-plus-T-times-nilpotent matrices are
 invertible over the Novikov field).  The bound is recorded in each
 verdict witness.  Scans go s = 0, 1, -1, 2, -2, ... so reported
 witnesses are the ones closest to the torsion Spin^c structure.
-`sphere_necessary_conditions` and `genus` read the free and reduced
-models of `cone`, and homology modulo U off their masks (`_hat_dim`).
+`sphere_necessary_conditions` and `genus` read the free models of
+`cone`, homology modulo U off their masks (`_hat_dim`), and the pencil at
+s = 0 off homology bases modulo U (`cone._pencil_maps`).
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import NamedTuple
 
 from floercone.linalg import F2Matrix, LaurentPoly, rank_f2
 from floercone.model import KnotComplex, require_valid
-from floercone.cone import _free_cone, _hat_total, _rank_nullity, _reduce_maps, _v_map, ensure_flip
+from floercone.cone import _free_cone, _hat_total, _pencil_maps, _rank_nullity, _v_map, ensure_flip
 from floercone.subquotient import _hat_dim, free_plus_complex
 from floercone.twisted import _pencil_homology, novikov_dim
 
@@ -105,12 +106,12 @@ def sphere_necessary_conditions(complexes) -> Verdict:
     each.  (a) reads the hat cone of v + h the same way, n - 2 rank of its
     power-0 masks (`cone._hat_total`), with no cancellation, and its rank
     (dim H(A_s) + dim H(B) - dim H(cone)) / 2 by `cone._rank_nullity`.
-    (b) reads the pencil v' + T h' on the reduced models modulo U at s = 0
-    (`cone._reduce_maps`, `twisted`), and only there: for s != 0 the
-    Novikov dimension is the dimension of the hat cone of v + h (see
-    `twisted`), which, given (c), is 2 (dim H(A_s) - rank (v + h)_*), and
-    is 0 exactly when (a) holds; (a) runs first, so (b) could never decide
-    a verdict there.
+    (b) reads the pencil v' + T h' on homology bases of A_0 and B modulo U
+    at s = 0 (`cone._pencil_maps`, `twisted`), with no cancellation, and
+    only there: for s != 0 the Novikov dimension is the dimension of the
+    hat cone of v + h (see `twisted`), which, given (c), is
+    2 (dim H(A_s) - rank (v + h)_*), and is 0 exactly when (a) holds; (a)
+    runs first, so (b) could never decide a verdict there.
     """
     complexes, bound = _prepare(complexes)
     bs = [free_plus_complex(c) for c in complexes]  # B does not depend on s
@@ -123,7 +124,7 @@ def sphere_necessary_conditions(complexes) -> Verdict:
                 return _violated("c", s, c, dim_A=dim_a, dim_B=dim_b)
         for c, a, b, dim in zip(complexes, built, bs, dims_b):
             if s == 0:
-                if novikov := _pencil_homology(*_reduce_maps(c, s, a, b, True)).novikov_dim:
+                if novikov := _pencil_homology(*_pencil_maps(c, a, b)).novikov_dim:
                     return _violated("b", s, c, novikov_dim=novikov)
             elif (rank := _rank_nullity(dim, dim, _hat_total(c, s, a, b))) != dim:
                 return _violated("a", s, c, rank=rank, dim_A=dim, dim_B=dim)  # dim_A = dim_B by (c)

@@ -198,6 +198,23 @@ class KnotComplex:
 
         return triples(self.differential), None if self.flip is None else triples(self.flip)
 
+    @cached_property
+    def _masks(self) -> tuple:
+        """(d, flip) as one column mask per generator, the rows its terms reach,
+        the powers left to the gradings (a valid complex has one term per
+        (source, target)); flip is None without a flip.  The free models of
+        `subquotient` and the map h of `cone` share them at every s."""
+        size = len(self.generators)
+
+        def masks(terms) -> tuple:
+            columns = [0] * size
+            for col, row, _ in terms:
+                columns[col] |= 1 << row
+            return tuple(columns)
+
+        d, flip = self._index_form
+        return masks(d), None if flip is None else masks(flip)
+
     def names(self) -> tuple:
         return tuple(g.name for g in self.generators)
 

@@ -16,7 +16,10 @@ no power written out, and its F2[U] products are mask products, exact
 since every path between two basis elements has the same power.  A hat
 region is the same complex read modulo U: the entries of power 0 (`_u0`),
 and its homology has dimension n - 2 rank(d modulo U) (`_hat_dim`), the
-one rule for homology modulo U, on the cones of `cone` too.
+one rule for homology modulo U, on the cones of `cone` too; a basis of it,
+for the pencil of `twisted`, comes from one clearing pass
+(`_hat_homology`), the echelon loop of `reduce_free` with the column of
+each pivot row skipped.
 
 The graded Smith form over F2[U] is a GF(2) column reduction
 (Zomorodian-Carlsson, "Computing persistent homology", 2005): with rows
@@ -51,7 +54,8 @@ powers max(0, s - A(g)) have the gradings its masks stand for, and it
 lowers them by 2s.  So `free_plus_complex` and `cone._v_map` and
 `cone._h_map` build masks alone; the checks they made live on in
 `tests/oracles.py` (`checked_free_model`).  The reduced models and the
-maps carried onto them are checked (`reduced_model`, `cone._reduce_maps`).
+maps carried onto them are checked (`reduced_model`, `cone._reduced_maps`),
+and so is the pencil read off homology bases (`cone._pencil_maps`).
 
 Every grading here is an int, M - offset with the offset shared by the
 Maslov gradings of the complex (`KnotComplex._int_maslov`); the offset is
@@ -101,6 +105,38 @@ def _hat_dim(gradings, columns) -> int:
     return n - 2 * rank_f2(F2Matrix._from_masks(n, n, _u0(columns, gradings, gradings, -1)))
 
 
+def _hat_homology(gradings, columns) -> tuple:
+    """Cycles whose classes are a basis of H, and a basis of the boundaries,
+    of a graded free complex read modulo U (columns: its power-0 masks), by
+    one clearing pass (Chen-Kerber, "Persistent homology computation with a
+    twist", 2011).
+
+    Column j is packed as d e_j << n | e_j and reduced on one `F2Span`, in
+    descending grading with ties in index order, so that every row of a
+    residue's d part, all of one grading, comes before its top row.  A column
+    whose d part reduces to 0 leaves a cycle with top bit j; any other leaves
+    a boundary, the d part d c, whose top row r is a pivot row.  Column r is
+    skipped (clearing): d^2 = 0 makes e_r plus the other rows of d c a cycle,
+    the boundary d c itself, with no new class.  So the boundaries have
+    distinct top bits, the cycles too, no cycle's that of a boundary, and
+    together they are a basis of the cycles, n - 2 rank + rank of them."""
+    n = len(columns)
+    span, cycles, boundaries, pivot_rows = F2Span(), [], [], set()
+    order = sorted(range(n), key=gradings.__getitem__, reverse=True)  # stable: ties by index
+    for j in order:
+        if j in pivot_rows:
+            continue
+        residue = span.add(columns[j] << n | 1 << j)
+        if residue >> n:
+            boundaries.append(residue >> n)
+            pivot_rows.add(boundaries[-1].bit_length() - 1)
+        else:
+            cycles.append(residue)
+    if len(cycles) + 2 * len(boundaries) != n:
+        raise InvariantViolated("a clearing pass skipped a column that is no pivot row")
+    return cycles, boundaries
+
+
 # ---------------------------------------------------------------------------
 # Plus flavor: free complexes over F2[U]
 
@@ -142,16 +178,7 @@ def free_plus_complex(c: KnotComplex, s: int | None = None) -> FreeUComplex:
     require_valid(c)
     lo = tuple(0 if s is None else min(0, s - g.alexander) for g in c.generators)
     gradings = tuple(m + 2 * low for m, low in zip(c._int_maslov[1], lo))
-    return FreeUComplex._trusted(lo, gradings, _term_masks(len(lo), c._index_form[0]))
-
-
-def _term_masks(size: int, terms) -> tuple:
-    """Column masks of the terms (col, row, power), the powers left to the
-    gradings; a validated complex has one term per (col, row)."""
-    columns = [0] * size
-    for col, row, _ in terms:
-        columns[col] |= 1 << row
-    return tuple(columns)
+    return FreeUComplex._trusted(lo, gradings, c._masks[0])
 
 
 def _check_commutes(f, source: FreeUComplex, target: FreeUComplex) -> None:

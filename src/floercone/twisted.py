@@ -17,9 +17,11 @@ answer is (the hat cone's total_dim, ()), read off ranks modulo U with no
 cancellation (`cone._hat_total`).  At s = 0, T has degree 0, the
 argument says nothing, and torsion occurs.
 
-At s = 0 alone the cone is read off reduced models.  Modulo U, A_s and
-B have strong deformation retracts (i, p, k) onto A' and B', whose
-differentials are 0 (`cone._reduced_maps`); their sum
+At s = 0 alone the cone is read off homology bases.  Modulo U, A_0 and B
+have strong deformation retracts (i, p, k) onto their homology A' and B',
+with differential 0: i sends a basis to cycles, p sends each cycle to the
+coordinates of its class, and one clearing pass per model gives both
+(`cone._pencil_maps`), with no cancellation; their sum
 retracts d_A (+) d_B over L onto A' (+) B' with the zero differential.
 The cone of W, [[d_A, 0], [W, d_B]], perturbs d_A (+) d_B by
 delta = [[0, 0], [W, 0]], and delta k delta = 0: delta lands in B, k keeps
@@ -51,7 +53,7 @@ from dataclasses import dataclass
 from floercone.linalg import LaurentMatrix, LaurentPoly, _mask_bits, smith_invariants_laurent
 from floercone.model import KnotComplex
 from floercone.subquotient import free_plus_complex
-from floercone.cone import _hat_total, _reduced_maps, ensure_flip
+from floercone.cone import _hat_total, _pencil_maps, ensure_flip
 
 # 1, T and 1 + T, by the bits of v' (bit 0) and h' (bit 1)
 _PENCIL = (None, LaurentPoly({0}), LaurentPoly({1}), LaurentPoly({0, 1}))
@@ -72,8 +74,9 @@ class TwistedConeResult:
 
 def _pencil_homology(a, b, v, h) -> TwistedConeResult:
     """The free rank and the sorted torsion invariant factors over L of the
-    cone of W' = v' + T h' modulo U : L^|A'| -> L^|B'|, for the reduced models
-    and maps of `_reduced_maps` (module docstring), from one Smith reduction."""
+    cone of W' = v' + T h' modulo U : L^|A'| -> L^|B'|, for the homology
+    bases and maps of `cone._pencil_maps` (module docstring), from one Smith
+    reduction; its invariants do not depend on the bases."""
     entries = {}
     for col, (cv, ch) in enumerate(zip(v, h)):
         for r in _mask_bits(cv | ch):
@@ -88,11 +91,11 @@ def _pencil_homology(a, b, v, h) -> TwistedConeResult:
 def twisted_homology_laurent(c: KnotComplex, s: int) -> TwistedConeResult:
     """Free rank and torsion invariant factors of the twisted cone homology:
     for s != 0 the hat cone's dimension and no torsion, at s = 0 read off
-    the pencil on the reduced models (module docstring)."""
+    the pencil on homology bases modulo U (module docstring)."""
     c = ensure_flip(c)
     if s:
         return TwistedConeResult(_hat_total(c, s, free_plus_complex(c, s), free_plus_complex(c)), ())
-    return _pencil_homology(*_reduced_maps(c, 0, True))
+    return _pencil_homology(*_pencil_maps(c, free_plus_complex(c, 0), free_plus_complex(c)))
 
 
 def novikov_dim(c: KnotComplex, s: int) -> int:

@@ -12,7 +12,9 @@ truncated GF(2) complexes with an explicit U matrix, decomposed through
 cycle representatives, instead of the free F2[U] model's Smith pivots,
 those pivots by a scan of every entry per pivot instead of a heap, the
 twisted cone on all of A_s, and on its retract onto H(A_s) through
-lifted cycles, instead of the pencil on the reduced models,
+lifted cycles, instead of the pencil on homology bases modulo U, and that
+pencil off the reduced models modulo U left once every unit arrow is
+cancelled instead of off one clearing pass per model,
 plus-flavor auto mode by raising the height until two heights agree
 instead of reading every answer off the pivots at a proven precision,
 hat-flavor induced ranks (and with them genus and the prop0check clauses)
@@ -53,9 +55,9 @@ from floercone.cone import (
     ConeResult,
     _h_map,
     _induced_rank,
+    _modulo_u_maps,
     _plus_reductions,
     _rank_nullity,
-    _reduced_maps,
     _v_map,
     ensure_flip,
 )
@@ -97,6 +99,7 @@ from floercone.subquotient import (
     _u0,
     free_plus_complex,
     reduce_free,
+    reduced_model,
 )
 
 # ---------------------------------------------------------------------------
@@ -519,15 +522,29 @@ def oracle_cone_homology_hat(c: KnotComplex, s: int) -> ConeResult:
                       _rank_nullity(ha, hb, dim_h), _rank_nullity(ha, hb, total_dim), graded)
 
 
+def cancelled_maps_modulo_u(c: KnotComplex, s: int) -> tuple:
+    """A' and B', the reduced models of A_s and B read modulo U, and the
+    power-0 masks of v' and h' between them: every unit arrow of A_s modulo U
+    cancelled with v and h carried below it, then every one of B with v i_A
+    and h i_A carried into it (`reduced_model`).  Every differential left is
+    0, which is checked, so f' d = 0 = d f' needs no check."""
+    a, b, *maps = _modulo_u_maps(c, s, free_plus_complex(c, s), free_plus_complex(c))
+    a, maps, _ = reduced_model(a, out=maps)          # A' and v i_A, h i_A
+    b, _, (v, h) = reduced_model(b, into=maps)       # B' and v', h'
+    if any(a.columns) or any(b.columns):
+        raise InvariantViolated("a reduced model modulo U keeps a differential")
+    return a, b, v, h
+
+
 def oracle_hat_from_reduced_models(c: KnotComplex, s: int) -> ConeResult:
-    """The hat cone read off the reduced models modulo U (`_reduced_maps`),
-    whose differentials are 0: dim H(A_s) = |A'|, dim H(B) = |B'| and
-    rank f_* = rank f' modulo U.  At s = 0 the cone holds A'_g and
-    B'_(g+1) at grading g, and the columns of v' + h' at grading g, of rank
-    r_g, land in B'_g, so its homology there has dimension
+    """The hat cone read off the reduced models modulo U
+    (`cancelled_maps_modulo_u`), whose differentials are 0: dim H(A_s) =
+    |A'|, dim H(B) = |B'| and rank f_* = rank f' modulo U.  At s = 0 the
+    cone holds A'_g and B'_(g+1) at grading g, and the columns of v' + h' at
+    grading g, of rank r_g, land in B'_g, so its homology there has dimension
     |A'_g| - r_g + |B'_(g+1)| - r_(g+1)."""
     c = ensure_flip(c)
-    a, b, v, h = _reduced_maps(c, s, True)
+    a, b, v, h = cancelled_maps_modulo_u(c, s)
     rows, cols = len(b.gradings), len(a.gradings)
     v, h, vh = (F2Matrix._from_masks(rows, cols, tuple(f)) for f in (v, h, map(int.__xor__, v, h)))
     rank_vh = rank_f2(vh)
@@ -1386,21 +1403,16 @@ def power_reduction(gradings, columns, precision: int, graded: bool = True) -> F
 def oracle_plus_reductions(c: KnotComplex, s: int, precision: int | None = None):
     """Reductions of A_s, B and the cones of v, h and v + h modulo U^precision,
     on the full complexes with every U-power written out, with no unit arrow
-    cancelled first; in auto mode the cone of v + h is reduced at a precision
-    above every one of its pivots (at s = 0 half its grading spread, off s = 0
-    that plus |s| or the minor-degree bound, past a_bound 1) and the other
-    four at one above the largest of them."""
-    far = abs(s) > c.a_bound()
-    build = (1 if far else 2 * c.a_bound() + 1) if precision is None else precision
+    cancelled first; in auto mode the cone of v + h is reduced once at its
+    minor-degree bound (`linalg._minor_degree_bound`), above every one of its
+    pivots, and the other four at one above the largest of them."""
     a, b = power_plus_complex(c, s), power_plus_complex(c)
-    v, h = power_maps(c, s, a, b, build)
+    v, h = power_maps(c, s, a, b, precision)
     vh = [{r: x for r in cv.keys() | ch.keys() if (x := cv.get(r, 0) ^ ch.get(r, 0))}
           for cv, ch in zip(v, h)]
     (gv, cv), (gh, ch), (gvh, cvh) = (power_cone(a, b, f) for f in (v, h, vh))
     if precision is None:
-        rvh = power_reduction(gvh, cvh, 1 if far else graded_precision(gvh) + abs(s), s == 0)
-        if s and not far and 2 * len(rvh.pairs) != len(cvh):
-            rvh = power_reduction(gvh, cvh, _minor_degree_bound(cvh, len(cvh) // 2), False)
+        rvh = power_reduction(gvh, cvh, _minor_degree_bound(cvh, len(cvh) // 2), s == 0)
         precision = max([1] + [p for *_, p in rvh.pairs])
     else:
         rvh = power_reduction(gvh, cvh, precision, s == 0)

@@ -1,7 +1,8 @@
 """The hat flavor as the free F2[U] model read modulo U: its complexes and
 maps against the plane-region oracle, every hat answer against the cone on
-the full hat complexes and against the reduced models modulo U, no
-cancellation off the pencil at s = 0, the hat cone as the plus cone at
+the full hat complexes and against the reduced models modulo U, the
+clearing pass's homology bases against dense ranks, no cancellation on the
+hat, twisted or prop0check paths, the hat cone as the plus cone at
 height 0, one build of A_s, B, v and h per cone, bounded memory at huge
 |s|, and the checks of the hat path under mutation (also under
 `python -O`)."""
@@ -26,7 +27,9 @@ from floercone.cone import (
 )
 from floercone.detect import VerdictKind, genus, sphere_necessary_conditions
 from floercone.fixtures import ALL_FIXTURES, FIGURE8, TREFOIL
+from floercone.linalg import _combine
 from floercone.model import ValidationError
+from floercone.subquotient import _hat_homology, _modulo_u, free_plus_complex
 from floercone.twisted import twisted_homology_laurent
 
 from corpus import (
@@ -45,6 +48,7 @@ from corpus import (
 from oracles import (
     build_A_hat,
     build_B_hat,
+    dense_rank_f2,
     hat_maps,
     maslov_offset,
     oracle_cone_homology_hat,
@@ -55,6 +59,7 @@ from oracles import (
     oracle_necessary_conditions_witness,
     oracle_plus_reductions,
     plus_at_height_0,
+    rank_f2_modulo,
 )
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -155,6 +160,36 @@ def test_hat_equals_the_reduced_models_on_the_sums_and_their_mirrors(name):
         assert_hat_equals_the_reduced_models(k, every_s(k))
 
 
+def assert_clearing_gives_a_homology_basis(gradings, columns):
+    """The cycles and boundaries of `_hat_homology` against dense ranks: the
+    cycles are cycles, independent modulo the boundaries and n - 2 rank of
+    them, and the boundaries are rank many, in the image of d."""
+    n = len(columns)
+    cycles, boundaries = _hat_homology(gradings, columns)
+    rank = dense_rank_f2([[col >> r & 1 for col in columns] for r in range(n)])
+    assert not any(_combine(columns, z) for z in cycles)
+    assert (len(cycles), len(boundaries)) == (n - 2 * rank, rank)
+    assert rank_f2_modulo(boundaries, columns) == 0
+    assert rank_f2_modulo(cycles, boundaries) == len(cycles)
+
+
+def assert_clearing_gives_homology_bases(c):
+    """On B and on A_s at every s, read modulo U."""
+    for free in [free_plus_complex(c)] + [free_plus_complex(c, s) for s in every_s(c)]:
+        hat = _modulo_u(free)
+        assert_clearing_gives_a_homology_basis(hat.gradings, hat.columns)
+
+
+def test_clearing_gives_homology_bases_on_the_fixtures_and_the_corpus():
+    for c in list(ALL_FIXTURES) + [flipped for _, flipped in with_flip()]:
+        assert_clearing_gives_homology_bases(c)
+
+
+@pytest.mark.parametrize("name", TWISTED_SUMS + BIG_SUMS)
+def test_clearing_gives_homology_bases_on_the_sums(name):
+    assert_clearing_gives_homology_bases(connected_sum(name))
+
+
 def sum_with_mirror(c):
     return tensor(c, mirror(c))
 
@@ -179,19 +214,17 @@ def test_hat_equals_the_reduced_models_at_scale(name, build, generators, want):
         assert (got.total_dim, got.rank_v, got.rank_h, got.rank_v_plus_h) == numbers, (name, s)
 
 
-def test_hat_twisted_off_0_and_clause_a_cancel_nothing(monkeypatch):
-    """Off the pencil at s = 0 nothing is cancelled: with `cancel_units`
-    raising, the hat cone, the twisted group at s != 0 and prop0check's
-    clause (a) give the answers they give with it.  The pencil at s = 0 is
-    stubbed to pass clause (b) in both runs, so that prop0check reaches
+def test_hat_twisted_and_prop0check_cancel_nothing(monkeypatch):
+    """Nothing but the plus flavor and `red` cancels: with `cancel_units`
+    raising, the hat cone, the twisted group at every s and prop0check give
+    the answers they give with it.  prop0check runs twice: as it is, and
+    with the pencil at s = 0 stubbed to pass clause (b), so that it reaches
     clause (a)."""
     import floercone.detect as detect_module
     import floercone.linalg as linalg_module
     import floercone.subquotient as subquotient_module
     from floercone.twisted import TwistedConeResult
 
-    monkeypatch.setattr(detect_module, "_reduce_maps", lambda *args: ())
-    monkeypatch.setattr(detect_module, "_pencil_homology", lambda *args: TwistedConeResult(0, ()))
     reached = []
     real_total = detect_module._hat_total
     monkeypatch.setattr(detect_module, "_hat_total",
@@ -199,9 +232,13 @@ def test_hat_twisted_off_0_and_clause_a_cancel_nothing(monkeypatch):
     pool = list(ALL_FIXTURES) + [f for _, f in with_flip()[:40]] + [connected_sum(n) for n in TWISTED_SUMS]
 
     def answers():
-        return [([cone_homology_hat(c, s) for s in every_s(c)],
-                 [twisted_homology_laurent(c, s) for s in every_s(c) if s],
-                 sphere_necessary_conditions([c])) for c in pool]
+        out = [([cone_homology_hat(c, s) for s in every_s(c)],
+                [twisted_homology_laurent(c, s) for s in every_s(c)],
+                sphere_necessary_conditions([c])) for c in pool]
+        with monkeypatch.context() as m:
+            m.setattr(detect_module, "_pencil_maps", lambda *args: ())
+            m.setattr(detect_module, "_pencil_homology", lambda *args: TwistedConeResult(0, ()))
+            return out + [sphere_necessary_conditions([c]) for c in pool]
 
     want = answers()
 
@@ -230,11 +267,14 @@ def test_hat_cone_is_the_plus_cone_at_height_0():
 
 
 def test_each_cone_builds_A_B_v_and_h_once(monkeypatch):
+    import floercone.twisted as twisted_module
+
     calls = []
-    for name in ("free_plus_complex", "_v_map", "_h_map"):
-        counted = (lambda *args, _f=getattr(cone_module, name), _name=name, **kwargs:
+    for module, name in ((cone_module, "free_plus_complex"), (twisted_module, "free_plus_complex"),
+                         (cone_module, "_v_map"), (cone_module, "_h_map")):
+        counted = (lambda *args, _f=getattr(module, name), _name=name, **kwargs:
                    calls.append(_name) or _f(*args, **kwargs))
-        monkeypatch.setattr(cone_module, name, counted)
+        monkeypatch.setattr(module, name, counted)
     for build, s in ((cone_homology_hat, 1), (twisted_homology_laurent, 0)):
         calls.clear()
         build(FIGURE8, s)
@@ -347,43 +387,75 @@ def run_under_python_O(code: str) -> subprocess.CompletedProcess:
                           capture_output=True, text=True, timeout=60)
 
 
-def test_reduced_differential_check_survives_python_O():
-    """Reading U^0 alone, `_reduced_maps` checks that no differential is left
-    on A' and B' and then needs no chain-map check on v' and h'.  Only the
-    pencil at s = 0 reads those models: a unit arrow left on the reduced
-    A'_0 is still caught there, with the library's asserts stripped, by the
+def test_pencil_cycle_check_survives_python_O():
+    """The pencil at s = 0 reduces the image of each cycle of A_0 to its
+    coordinates on the cycles of B, and a map that sends a cycle off the
+    cycles is caught there, with the library's asserts stripped: by the
     twisted group of Y1SIGMA at s = 0 and by prop0check's clause (b) on
-    Y1SIGMA # T(2,3)."""
+    Y1SIGMA # T(2,3).  Every column of h gains the first basis element of B
+    that is no cycle modulo U, or one past B's basis where every one is a
+    cycle, as it is on Y1SIGMA."""
     code = (
         "import floercone.cone as cone\n"
         "from corpus import connected_sum\n"
         "from floercone.detect import sphere_necessary_conditions\n"
         "from floercone.fixtures import Y1SIGMA\n"
         "from floercone.linalg import InvariantViolated\n"
-        "from floercone.subquotient import FreeUComplex\n"
         "from floercone.twisted import twisted_homology_laurent\n"
         "assert False, 'asserts are on'\n"
-        "real = cone.reduced_model\n"
-        "def broken(free, out=(), into=()):\n"
-        "    reduced, outs, intos = real(free, out, into)\n"
-        "    if out:\n"
-        "        columns = (reduced.columns[0], 0b1) + reduced.columns[2:]\n"
-        "        reduced = FreeUComplex(reduced.lo, reduced.gradings, columns)\n"
-        "    return reduced, outs, intos\n"
+        "real = cone._modulo_u_maps\n"
+        "def broken(c, s, a, b):\n"
+        "    a, b, v, h = real(c, s, a, b)\n"
+        "    r = next((r for r, col in enumerate(b.columns) if col), len(b.columns))\n"
+        "    return a, b, v, tuple(col | 1 << r for col in h)\n"
         "sum_ = connected_sum('Y1+T2_3')\n"
         "print(twisted_homology_laurent(Y1SIGMA, 0).laurent_free_rank)\n"
         "print(sphere_necessary_conditions([sum_]).witness['clause'])\n"
-        "cone.reduced_model = broken\n"
+        "cone._modulo_u_maps = broken\n"
         "for run in (lambda: twisted_homology_laurent(Y1SIGMA, 0),\n"
         "            lambda: sphere_necessary_conditions([sum_])):\n"
         "    try:\n"
         "        run()\n"
-        "    except InvariantViolated:\n"
-        "        print('raised')\n"
+        "    except InvariantViolated as e:\n"
+        "        print('raised' if 'off the cycles' in str(e) else e)\n"
     )
     out = run_under_python_O(code)
     assert out.returncode == 0, out.stderr
     assert out.stdout.split() == ["0", "b", "raised", "raised"]
+
+
+def test_clearing_check_survives_python_O():
+    """A clearing pass that skips a column which is no pivot row, here the
+    first column it meets, is caught by its count of cycles and boundaries,
+    with the library's asserts stripped, on the twisted group of Y1SIGMA at
+    s = 0 and on prop0check over Y1SIGMA # T(2,3).  The fault is made in a
+    copy of `_hat_homology` compiled from its source."""
+    code = (
+        "import inspect, textwrap\n"
+        "import floercone.cone as cone\n"
+        "import floercone.subquotient as subquotient\n"
+        "from corpus import connected_sum\n"
+        "from floercone.detect import sphere_necessary_conditions\n"
+        "from floercone.fixtures import Y1SIGMA\n"
+        "from floercone.linalg import InvariantViolated\n"
+        "from floercone.twisted import twisted_homology_laurent\n"
+        "assert False, 'asserts are on'\n"
+        "source = textwrap.dedent(inspect.getsource(subquotient._hat_homology))\n"
+        "clearing = 'if j in pivot_rows:'\n"
+        "print(source.count(clearing))\n"
+        "namespace = dict(vars(subquotient))\n"
+        "exec(source.replace(clearing, 'if j in pivot_rows or j == order[0]:'), namespace)\n"
+        "cone._hat_homology = namespace['_hat_homology']\n"
+        "for run in (lambda: twisted_homology_laurent(Y1SIGMA, 0),\n"
+        "            lambda: sphere_necessary_conditions([connected_sum('Y1+T2_3')])):\n"
+        "    try:\n"
+        "        run()\n"
+        "    except InvariantViolated as e:\n"
+        "        print('raised' if 'no pivot row' in str(e) else e)\n"
+    )
+    out = run_under_python_O(code)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["1", "raised", "raised"]
 
 
 def test_hat_cone_rank_check_survives_python_O():

@@ -173,7 +173,7 @@ def graded_cases(c):
     b = free_plus_complex(c)
     yield "B", b.gradings, b.columns, powers_of(b.gradings, b.columns)
     for s in every_s(c):
-        a, b, v, h = _reduced_maps(c, s, False)
+        a, b, v, h = _reduced_maps(c, s)
         cones = [("A'", a.gradings, a.columns), ("cone v'", *_free_cone(a, b, v))]
         if s == 0:
             cones += [("cone h'", *_free_cone(a, b, h)),

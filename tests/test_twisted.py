@@ -4,15 +4,19 @@ from dataclasses import replace
 
 import pytest
 
-from floercone.cone import FlipMissing, _reduced_maps, ensure_flip
+import floercone.detect as detect_module
+from floercone.cone import FlipMissing, _pencil_maps, ensure_flip
+from floercone.detect import sphere_necessary_conditions
 from floercone.fixtures import ALL_FIXTURES, FIGURE8, TREFOIL, TREFOIL_L, UNKNOT, Y1SIGMA
 from floercone.linalg import F2Matrix, LaurentPoly, _combine, laurent_divides
-from floercone.twisted import TwistedConeResult, novikov_dim, twisted_homology_laurent
+from floercone.subquotient import free_plus_complex
+from floercone.twisted import TwistedConeResult, _pencil_homology, novikov_dim, twisted_homology_laurent
 
 from corpus import (
     BIG_SUMS,
     TWISTED_SUMS,
     connected_sum,
+    mirror,
     run_on_broken_trefoils_under_python_O,
     staircase,
     tensor,
@@ -20,6 +24,7 @@ from corpus import (
 )
 from oracles import (
     build_v_hat,
+    cancelled_maps_modulo_u,
     hat_homology_dim,
     hat_maps,
     oracle_novikov_dim,
@@ -56,11 +61,11 @@ def test_twisted_cone_differential_squares_to_zero():
 
 
 def test_twisted_requires_flip():
-    """The pencil is read off `_reduced_maps`, which needs h, so a flipless
+    """The pencil is read off `_pencil_maps`, which needs h, so a flipless
     complex is refused there rather than read as h = 0."""
     bare = replace(TREFOIL, flip=None)
     with pytest.raises(FlipMissing):
-        _reduced_maps(bare, 0, True)
+        _pencil_maps(bare, free_plus_complex(bare, 0), free_plus_complex(bare))
 
 
 def test_specialization_at_one_recovers_untwisted():
@@ -126,6 +131,32 @@ def test_the_pencil_matches_the_cone_on_all_of_A_s_at_zero_on_a_1331_generator_s
     c = ensure_flip(tensor(tensor(k, k), k))
     assert len(c.generators) == 1331
     assert_the_pencil_matches_the_cone_on_all_of_A_s_at_zero(c)
+
+
+def assert_the_pencil_equals_the_cancellation_pencil(monkeypatch, c):
+    """The pencil at s = 0 on the homology bases of one clearing pass per
+    model against the pencil on the reduced models modulo U left by
+    cancelling every unit arrow: free rank, torsion factors and the
+    prop0check verdict, whose clause (b) reads the pencil."""
+    got = twisted_homology_laurent(c, 0), sphere_necessary_conditions([c])
+    with monkeypatch.context() as m:
+        m.setattr(detect_module, "_pencil_maps", lambda c, a, b: cancelled_maps_modulo_u(c, 0))
+        want = _pencil_homology(*cancelled_maps_modulo_u(c, 0)), sphere_necessary_conditions([c])
+    assert got == want, c
+
+
+@pytest.mark.parametrize("seed", range(1, 9))
+def test_the_pencil_equals_the_cancellation_pencil_on_the_corpus_and_its_mirrors(monkeypatch, seed):
+    for _, c in with_flip(seed):
+        for k in (c, mirror(c)):
+            assert_the_pencil_equals_the_cancellation_pencil(monkeypatch, k)
+
+
+@pytest.mark.parametrize("name", TWISTED_SUMS + BIG_SUMS)
+def test_the_pencil_equals_the_cancellation_pencil_on_the_sums_and_their_mirrors(monkeypatch, name):
+    c = ensure_flip(connected_sum(name))
+    for k in (c, mirror(c)):
+        assert_the_pencil_equals_the_cancellation_pencil(monkeypatch, k)
 
 
 def assert_off_zero_the_twisted_group_is_the_hat_cone(c):
