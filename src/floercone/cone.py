@@ -16,8 +16,8 @@ gets the offset back when it is reported.
 
 v and h are graded F2[U] maps between the free models of A_s and B (see
 `subquotient`), column masks whose U-powers the gradings fix, so no
-U^|s| is written out.  The hat flavor reads U^0 alone, with no
-cancellation: A_s, B and the cones of v, h and v + h read modulo U (their
+U^|s| is written out.  The hat flavor reads U^0 alone: A_s, B and the
+cones of v, h and v + h read modulo U (their
 power-0 masks, a grading filter; d^2 = 0 and f d = d f there follow from
 what `validate` proves) have homology of dimension n - 2 rank, and
 dim H(cone f) = dim H(A) + dim H(B) - 2 rank f_* gives each rank
@@ -27,12 +27,12 @@ and prop0check's clause (a) read the same cone of v + h; `genus` and
 the free models is acyclic modulo U (`subquotient._hat_dim`).  The
 twisted cone at s = 0 and prop0check's clause (b) read the pencil
 v' + T h' on homology bases of A_0 and B modulo U, from one clearing pass
-per model (`_pencil_maps`).  The plus flavor cancels every unit arrow of
-A_s and of B, which leaves reduced models A' and B' with differentials 0
-modulo U, carries v and h over as f' = p_B f i_A (`_reduced_maps`),
-reduces A', B' and the cones of the three maps on them once each, reads
-each induced rank off its cone's dimension by rank-nullity, and every
-height off the pivots.  Every cone
+per model (`_pencil_maps`).  The plus flavor reads the least models A' and
+B' of A_s and B, with differentials 0 modulo U, off the same pass on
+each, carries v and h over as f' = p_B f i_A (`_reduced_maps`), reduces
+A', B' and the cones of the three maps on them once each, reads each
+induced rank off its cone's dimension by rank-nullity, and every height
+off the pivots.  Every cone
 is graded, with B shifted by the degree of the map, and reduced exactly,
 but the cone of v + h at s != 0: v keeps the gradings and h lowers them
 by 2s, so it alone writes its U-powers out, for `smith_pivots_u` modulo
@@ -61,15 +61,17 @@ from floercone.subquotient import (
     FreeUComplex,
     _artifact_cutoff,
     _check_commutes,
+    _descending,
     _hat_dim,
-    _hat_homology,
+    _in_grading_order,
     _modulo_u,
+    _moved,
     _reduce_ungraded,
     _reported,
+    _smith_model,
     _u0,
     free_plus_complex,
     reduce_free,
-    reduced_model,
 )
 
 
@@ -150,19 +152,18 @@ def _rank_nullity(ha: int, hb: int, cone_dim: int) -> int:
 
 
 def _reduced_maps(c: KnotComplex, s: int) -> tuple:
-    """A' and B', the reduced models of A_s and B, and the column masks of
-    v' and h' between them, for the plus flavor.
-
-    v and h are built on the full A_s and B, chain maps of the right
-    gradings by what `validate` proves (`subquotient`).  Then every unit
-    arrow of A_s is cancelled with v and h carried along, and every unit
-    arrow of B with v i_A and h i_A carried along (`reduced_model`).  That
-    leaves A' and B', homotopy equivalent to A_s and B by inclusions i and
-    projections p with p i = 1, and f' = p_B f i_A, checked to be chain maps.
-    """
+    """A' and B', the least models of A_s and B moved into descending
+    grading (`subquotient._smith_model`), and the column masks of
+    v' = p_B v i_A and h' = p_B h i_A between them, for the plus flavor,
+    checked to be chain maps; v and h on the full A_s and B are chain maps
+    of the right gradings by what `validate` proves (`subquotient`)."""
     a, b = free_plus_complex(c, s), free_plus_complex(c)
-    a, maps, _ = reduced_model(a, out=(_v_map(a), _h_map(c)))  # A' and v i_A, h i_A
-    b, _, (v, h) = reduced_model(b, into=maps)                  # B' and v', h'
+    maps = _v_map(a), _h_map(c)
+    (a, order_a, _), (b, _, place_b) = _in_grading_order(a), _in_grading_order(b)
+    a, inclusion, _ = _smith_model(a, range(len(order_a)))
+    b, _, project = _smith_model(b, range(len(place_b)))
+    v, h = (tuple([project(_moved(place_b, _combine(f, _moved(order_a, x))))[0] for x in inclusion])
+            for f in maps)
     for f in (v, h):
         _check_commutes(f, a, b)
     return a, b, v, h
@@ -171,39 +172,21 @@ def _reduced_maps(c: KnotComplex, s: int) -> tuple:
 def _pencil_maps(c: KnotComplex, a: FreeUComplex, b: FreeUComplex) -> tuple:
     """A' and B', homology bases of A_0 and B modulo U with differential 0,
     and the column masks of v' and h' : A' -> B' (`twisted`), on A_0 and B
-    already built, with no cancellation.
+    already built.
 
-    One clearing pass per model (`subquotient._hat_homology`) gives cycles
-    z_i of A_0 and, of B, cycles and boundaries with distinct top bits.  So
-    B's cycles, each tagged with its coordinate below its bits, and its
-    boundaries are an echelon basis, on which a cycle w of B reduces to its
-    coordinates p_B w; v'_i = p_B(v z_i) and h'_i = p_B(h z_i).  A map image
-    that does not reduce to 0 outside the tags is no cycle: InvariantViolated.
-    """
+    Modulo U every row of a column sits one grading below it, so the pass
+    runs in index order, columns in descending grading
+    (`subquotient._smith_model`): every pair is a unit, A' and B' are the
+    towers, cycles z_i of A_0, and v'_i = p_B(v z_i), h'_i = p_B(h z_i).
+    An image with a coordinate on a pair's column end is no cycle:
+    InvariantViolated."""
     a, b, *maps = _modulo_u_maps(c, 0, a, b)
-    cycles_a = _hat_homology(a.gradings, a.columns)[0]
-    cycles_b, boundaries = _hat_homology(b.gradings, b.columns)
-    m = len(cycles_b)
-    echelon = {x.bit_length() - 1: x for x in
-               [bd << m for bd in boundaries] + [z << m | 1 << i for i, z in enumerate(cycles_b)]}
-
-    def coordinates(w: int) -> int:
-        w <<= m
-        while w >> m and (hit := echelon.get(w.bit_length() - 1)):
-            w ^= hit
-        if w >> m:
-            raise InvariantViolated("a map of the pencil sends a cycle off the cycles")
-        return w
-
-    v, h = (tuple([coordinates(_combine(f, z)) for z in cycles_a]) for f in maps)
-    return _homology_model(a, cycles_a), _homology_model(b, cycles_b), v, h
-
-
-def _homology_model(free: FreeUComplex, cycles) -> FreeUComplex:
-    """The basis elements that are the cycles' top bits, with differential 0."""
-    kept = [z.bit_length() - 1 for z in cycles]
-    return FreeUComplex._trusted(tuple([free.lo[k] for k in kept]),
-                                 tuple([free.gradings[k] for k in kept]), (0,) * len(kept))
+    a, inclusion, _ = _smith_model(a, _descending(a.gradings))
+    b, _, project = _smith_model(b, _descending(b.gradings))
+    images = [[project(_combine(f, z)) for z in inclusion] for f in maps]
+    if any(off for image in images for _, off in image):
+        raise InvariantViolated("a map of the pencil sends a cycle off the cycles")
+    return (a, b, *(tuple([x for x, _ in image]) for image in images))
 
 
 def _modulo_u_maps(c: KnotComplex, s: int, a: FreeUComplex, b: FreeUComplex) -> tuple:

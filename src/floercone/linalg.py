@@ -5,10 +5,10 @@ GF(2) matrices store one Python-int bitmask per column; products and
 elimination run on those masks, so every computation is exact, and the set
 of (row, col) positions equal to 1 is a view derived on request.  A graded
 F2[U]-complex or map is stored the same way, since the gradings of its row
-and column fix the U-power of an entry: graded maps compose as masks,
-`cancel_units` cancels the entries of power 0 by XORs of masks, and
+and column fix the U-power of an entry: graded maps compose as masks, and
 `F2Span`, the one GF(2) echelon loop, is the graded Smith reduction over
-F2[U] once rows and columns follow the gradings (`subquotient.reduce_free`).
+F2[U], and gives every reduced model, in one clearing pass once rows and
+columns follow the gradings (`subquotient._clearing`).
 Only an ungraded F2[U] matrix writes its powers out, as columns
 {row: bitmask of U-powers} modulo U^P, for `smith_pivots_u`, its Smith
 reduction.  Laurent polynomials are stored as
@@ -24,7 +24,6 @@ No floating point is used anywhere in this module.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 
@@ -50,7 +49,7 @@ def _mask_bits(mask: int):
 
 class F2Span:
     """Incremental GF(2) span of bitmask vectors, one stored vector per
-    leading bit: the one GF(2) echelon loop (see `subquotient.reduce_free`)."""
+    leading bit: the one GF(2) echelon loop (see `subquotient._clearing`)."""
 
     def __init__(self):
         self._pivots: dict[int, int] = {}
@@ -304,71 +303,6 @@ def smith_pivots_u(columns, precision: int) -> list[tuple[int, int, int]]:
                         heappush(heap, (vx, r2, c2))
         pivots.append((r, c, v))
     return pivots
-
-
-def cancel_units(columns, gradings) -> tuple[list, list]:
-    """Cancel every unit arrow of a graded free F2[U]-complex, exactly.
-
-    columns[:size], size = len(gradings), are the differential of a complex
-    on basis 0..size-1 as column masks, entry (r, c) of U-power
-    (gradings[r] - gradings[c] + 1) / 2: a unit has gradings[r] =
-    gradings[c] - 1.  For each unit at (y, x), the cancellation lemma
-    (Gaussian elimination, Bar-Natan 2007) sets d z += <d z, y> d x for
-    every other column z, one XOR of masks whose powers the gradings fix
-    again, and drops x and y: the result is homotopy equivalent to the
-    complex, with differential 0 modulo U once no unit is left.  The
-    equivalence is z -> z + <d z, y> x into the complex and
-    w -> w_Z + <w, y> (d x)_Z out of it, Z the basis left.  So
-    - rows at index >= size below the first size columns (a map out of the
-      complex) take the column steps and come out composed with the
-      inclusion, and
-    - the first size rows of columns[size:] (maps into the complex) take
-      them too, but never pivot, and come out composed with the projection.
-
-    Returns the kept basis indices in order, and the kept columns followed
-    by columns[size:], with each row below size renumbered to its place
-    among the kept and the rows from size on moved down to follow them.
-    """
-    size = len(gradings)
-    low = (1 << size) - 1
-    cols = dict(enumerate(columns))
-    holders: dict[int, set] = {}
-    units = deque()  # first in, first out: on the sums tried, a third of the steps of a stack
-
-    def hold(z: int, rows: int) -> None:
-        """Index the rows of z below size, and queue its units among them."""
-        for r in _mask_bits(rows & low):
-            holders.setdefault(r, set()).add(z)
-            if z < size and gradings[r] == gradings[z] - 1:
-                units.append((r, z))
-
-    for c, col in cols.items():
-        hold(c, col)
-    while units:
-        y, x = units.popleft()
-        pivot = cols.get(x)
-        if pivot is None or not pivot >> y & 1:
-            continue
-        del cols[x]
-        cols.pop(y, None)
-        for z in holders.pop(y):
-            col = cols.get(z)
-            if col is not None and col >> y & 1:
-                cols[z] = col ^ pivot
-                hold(z, pivot & ~col)
-        for z in holders.pop(x, ()):
-            if z in cols:
-                cols[z] &= ~(1 << x)
-    kept = [k for k in range(size) if k in cols]
-    place = {k: i for i, k in enumerate(kept)}
-    out = []
-    for c in kept + list(range(size, len(columns))):
-        col = cols[c]
-        mask = col >> size << len(kept)
-        for r in _mask_bits(col & low):
-            mask |= 1 << place[r]
-        out.append(mask)
-    return kept, out
 
 
 def _minor_degree_bound(columns, rank: int) -> int:

@@ -16,21 +16,22 @@ no power written out, and its F2[U] products are mask products, exact
 since every path between two basis elements has the same power.  A hat
 region is the same complex read modulo U: the entries of power 0 (`_u0`),
 and its homology has dimension n - 2 rank(d modulo U) (`_hat_dim`), the
-one rule for homology modulo U, on the cones of `cone` too; a basis of it,
-for the pencil of `twisted`, comes from one clearing pass
-(`_hat_homology`), the echelon loop of `reduce_free` with the column of
-each pivot row skipped.
+one rule for homology modulo U, on the cones of `cone` too.
 
 The graded Smith form over F2[U] is a GF(2) column reduction
 (Zomorodian-Carlsson, "Computing persistent homology", 2005): with rows
 and columns in descending grading order, each column reduced on one
 `F2Span` pairs with its leading row, the lowest grading and so the least
-power left in it, in a block U^v read off the gradings (`reduce_free`).
+power left in it, in a block U^v read off the gradings (`reduce_free`),
+in one clearing pass that skips the column of each pivot row (`_clearing`).
 It is exact and needs no precision: a pivot U^v with v >= N + 1 gives
 the Jordan blocks of U at height N (`GradedUModule`) that two towers at
 its gradings give.  Its unpaired gradings are the towers, and the reduced
-part is read off its pivots (`hf_red_graded`).  A precision remains for
-the one ungraded cone alone, one proven rule (`cone._plus_reductions`).
+part is read off its pivots (`hf_red_graded`).  The same pass gives every
+least model with its inclusion and projection (`_smith_model`): of A_s
+and B, and of A_0 and B modulo U for the pencil of `twisted`.  A precision
+remains for the one ungraded cone alone, one proven rule
+(`cone._plus_reductions`).
 
 The free models are built from a validated complex and not checked
 again.  `validate` proves (the `model` docstring):
@@ -54,7 +55,7 @@ powers max(0, s - A(g)) have the gradings its masks stand for, and it
 lowers them by 2s.  So `free_plus_complex` and `cone._v_map` and
 `cone._h_map` build masks alone; the checks they made live on in
 `tests/oracles.py` (`checked_free_model`).  The reduced models and the
-maps carried onto them are checked (`reduced_model`, `cone._reduced_maps`),
+maps carried onto them are checked (`_smith_model`, `cone._reduced_maps`),
 and so is the pencil read off homology bases (`cone._pencil_maps`).
 
 Every grading here is an int, M - offset with the offset shared by the
@@ -66,7 +67,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import accumulate, islice
 
 from floercone.linalg import (
     CompositionNonzero,
@@ -76,7 +76,6 @@ from floercone.linalg import (
     NotAChainMap,
     _combine,
     _mask_bits,
-    cancel_units,
     rank_f2,
     smith_pivots_u,
 )
@@ -103,38 +102,6 @@ def _hat_dim(gradings, columns) -> int:
     """dim H of a graded free complex read modulo U: n - 2 rank(d modulo U)."""
     n = len(columns)
     return n - 2 * rank_f2(F2Matrix._from_masks(n, n, _u0(columns, gradings, gradings, -1)))
-
-
-def _hat_homology(gradings, columns) -> tuple:
-    """Cycles whose classes are a basis of H, and a basis of the boundaries,
-    of a graded free complex read modulo U (columns: its power-0 masks), by
-    one clearing pass (Chen-Kerber, "Persistent homology computation with a
-    twist", 2011).
-
-    Column j is packed as d e_j << n | e_j and reduced on one `F2Span`, in
-    descending grading with ties in index order, so that every row of a
-    residue's d part, all of one grading, comes before its top row.  A column
-    whose d part reduces to 0 leaves a cycle with top bit j; any other leaves
-    a boundary, the d part d c, whose top row r is a pivot row.  Column r is
-    skipped (clearing): d^2 = 0 makes e_r plus the other rows of d c a cycle,
-    the boundary d c itself, with no new class.  So the boundaries have
-    distinct top bits, the cycles too, no cycle's that of a boundary, and
-    together they are a basis of the cycles, n - 2 rank + rank of them."""
-    n = len(columns)
-    span, cycles, boundaries, pivot_rows = F2Span(), [], [], set()
-    order = sorted(range(n), key=gradings.__getitem__, reverse=True)  # stable: ties by index
-    for j in order:
-        if j in pivot_rows:
-            continue
-        residue = span.add(columns[j] << n | 1 << j)
-        if residue >> n:
-            boundaries.append(residue >> n)
-            pivot_rows.add(boundaries[-1].bit_length() - 1)
-        else:
-            cycles.append(residue)
-    if len(cycles) + 2 * len(boundaries) != n:
-        raise InvariantViolated("a clearing pass skipped a column that is no pivot row")
-    return cycles, boundaries
 
 
 # ---------------------------------------------------------------------------
@@ -186,28 +153,6 @@ def _check_commutes(f, source: FreeUComplex, target: FreeUComplex) -> None:
     their mask products decide it."""
     if any(_combine(f, d) != _combine(target.columns, fc) for d, fc in zip(source.columns, f)):
         raise NotAChainMap("F2[U] map does not commute with the differentials")
-
-
-def reduced_model(free: FreeUComplex, out=(), into=()) -> tuple:
-    """The complex with every unit arrow cancelled (`linalg.cancel_units`),
-    which is homotopy equivalent to it by an inclusion i and a projection p,
-    with each map f out of it as f i and each map g into it as p g; maps
-    are graded and given by their column masks."""
-    columns, n = list(free.columns), len(free.columns)
-    widths = [max((fcol.bit_length() for fcol in f), default=0) for f in out]
-    starts = list(accumulate(widths, initial=0))  # map k's rows ride below the columns
-    for f, start in zip(out, starts):
-        columns = [col | fcol << n + start for col, fcol in zip(columns, f)]
-    kept, cols = cancel_units(columns + [col for g in into for col in g], free.gradings)
-    m, low = len(kept), (1 << len(kept)) - 1
-    outs = [tuple(col >> m + start & (1 << width) - 1 for col in cols[:m])
-            for start, width in zip(starts, widths)]
-    rest = iter([col & low for col in cols[m:]])
-    intos = [tuple(islice(rest, len(g))) for g in into]
-    reduced = FreeUComplex(tuple([free.lo[k] for k in kept]),
-                           tuple([free.gradings[k] for k in kept]),
-                           tuple(col & low for col in cols[:m]))
-    return reduced, outs, intos
 
 
 def _spanned(blocks) -> dict:
@@ -274,23 +219,110 @@ class FreeReduction:
             raise ValueError(f"height {n} is negative or not below precision {self.precision}")
 
 
+def _descending(gradings) -> list:
+    """The basis indices in descending grading, ties by index."""
+    return sorted(range(len(gradings)), key=gradings.__getitem__, reverse=True)
+
+
+def _moved(place, mask: int) -> int:
+    """mask with each bit r moved to bit place[r]."""
+    out = 0
+    for r in _mask_bits(mask):
+        out |= 1 << place[r]
+    return out
+
+
+def _clearing(order, columns) -> tuple:
+    """A graded Smith basis of a differential by column masks: one clearing
+    pass (Chen-Kerber, "Persistent homology computation with a twist",
+    2011) of the column reduction on one `F2Span` (module docstring).
+
+    Column j, packed as d e_j << n | e_j, is reduced in `order`, in
+    coordinates where every row of a residue's d part, and every column it
+    is reduced with, comes before its top bit.  A residue with d part 0 is
+    a cycle with top bit j; any other pairs j with the top row r of its d
+    part d c, c having top bit j.  Column r is skipped if it comes later
+    (clearing): d^2 = 0 makes d e_r the sum of the d e_t over the other
+    rows t of d c, so it would only give the cycle d c again; if it came
+    earlier, its cycle gives way to d c.  Returns the basis vector per top
+    bit (c at j, d c at r, a cycle at each tower), unitriangular and so a
+    basis, the (column, row) pairs and the towers; InvariantViolated
+    unless towers + 2 pairs = n."""
+    n, span, basis, pairs, towers = len(columns), F2Span(), {}, [], {}
+    low = (1 << n) - 1
+    for j in order:
+        if j in basis:  # a pivot row: before its column, only rows are keys
+            continue
+        residue = span.add(columns[j] << n | 1 << j)
+        if boundary := residue >> n:
+            row = boundary.bit_length() - 1
+            basis[j], basis[row] = residue & low, boundary
+            pairs.append((j, row))
+            towers.pop(row, None)  # a row met before its column is no tower
+        else:
+            top = residue.bit_length() - 1
+            basis[top] = towers[top] = residue
+    if len(towers) + 2 * len(pairs) != n:
+        raise InvariantViolated("a clearing pass skipped a column that is no pivot row")
+    return basis, pairs, list(towers)
+
+
 def reduce_free(gradings, columns) -> FreeReduction:
     """The exact Smith reduction of a graded free F2[U]-complex by column
-    masks (module docstring), good at every height: each pivot U^v pairs
-    gr[row] - 2v = gr[col] - 1."""
-    order = sorted(range(len(gradings)), key=gradings.__getitem__, reverse=True)
+    masks (module docstring), good at every height: one clearing pass in
+    descending grading, each pivot U^v pairing gr[row] - 2v = gr[col] - 1."""
+    order = _descending(gradings)
     place = {k: p for p, k in enumerate(order)}
-    span, left, pairs = F2Span(), Counter(gradings), []
-    for col in order:
-        mask = sum(1 << place[r] for r in _mask_bits(columns[col]))
-        if mask and (residue := span.add(mask)):
-            row = order[residue.bit_length() - 1]
-            twice = gradings[row] - gradings[col] + 1
-            if twice < 0 or twice % 2:
-                raise InvariantViolated("Smith pivot of a graded complex breaks the grading")
-            left.subtract((gradings[row], gradings[col]))
-            pairs.append((gradings[row], gradings[col], twice // 2))
-    return FreeReduction(len(gradings), tuple(pairs), tuple(sorted(left.elements())))
+    _, pairs, towers = _clearing(range(len(order)), [_moved(place, columns[k]) for k in order])
+    out = []
+    for col, row in pairs:
+        twice = gradings[order[row]] - gradings[order[col]] + 1
+        if twice < 0 or twice % 2:
+            raise InvariantViolated("Smith pivot of a graded complex breaks the grading")
+        out.append((gradings[order[row]], gradings[order[col]], twice // 2))
+    return FreeReduction(len(order), tuple(out), tuple(sorted(gradings[order[t]] for t in towers)))
+
+
+def _in_grading_order(free: FreeUComplex) -> tuple:
+    """free moved into descending grading, ties by index, as `reduce_free`
+    reduces it, with the order and each index's place."""
+    order = _descending(free.gradings)
+    place = {k: p for p, k in enumerate(order)}
+    moved = FreeUComplex._trusted(tuple([free.lo[k] for k in order]),
+                                  tuple([free.gradings[k] for k in order]),
+                                  tuple([_moved(place, free.columns[k]) for k in order]))
+    return moved, order, place
+
+
+def _smith_model(free: FreeUComplex, order) -> tuple:
+    """A', the least model of a graded free complex, its inclusion i and its
+    projection p, from one clearing pass in `order` on free's coordinates
+    (`_clearing`), which must put each residue's least-power row on top.
+
+    The basis splits free into towers and pairs x, y = d c / U^v with
+    d x = U^v y.  A' keeps the towers and the pairs with v >= 1, built with
+    the checked `FreeUComplex`, and drops the unit pairs, which are
+    acyclic; so i, onto the basis vectors, and p, the coordinates on A'
+    solved for top bit by top bit, are chain maps with p i = 1.  p also
+    tells whether it drops a coordinate on a pair's column end, which a
+    cycle has none of."""
+    gradings = free.gradings
+    basis, pairs, towers = _clearing(order, free.columns)
+    arrows = {x: y for x, y in pairs if gradings[y] - gradings[x] + 1}  # column end: row end
+    kept = sorted(towers + [*arrows, *arrows.values()])
+    place = {k: p for p, k in enumerate(kept)}
+    columns = tuple([1 << place[arrows[k]] if k in arrows else 0 for k in kept])
+    reduced = FreeUComplex(tuple([free.lo[k] for k in kept]), tuple([gradings[k] for k in kept]), columns)
+    dropped = {x for x, _ in pairs if x not in place}
+
+    def project(w: int) -> tuple:
+        hit = []
+        while w:
+            hit.append(t := w.bit_length() - 1)
+            w ^= basis[t]
+        return sum(1 << place[t] for t in hit if t in place), any(t in dropped for t in hit)
+
+    return reduced, [basis[k] for k in kept], project
 
 
 def _reduce_ungraded(gradings, columns, precision: int) -> FreeReduction:
@@ -320,11 +352,11 @@ def _artifact_cutoff(c: KnotComplex, n: int) -> int:
 def hf_red_graded(c: KnotComplex) -> dict:
     """Graded dimensions of the finite (U-torsion) part of plus-flavor homology:
     per pivot U^v (v >= 1) of B, one block F2[U]/U^v from grading col + 2v - 2
-    down to col, read off the reduced model B' (`reduced_model`), which has
-    the pivots of B with v >= 1 and lacks only unit pivots, which add no
-    block.  Past _RED_DIM_LIMIT dimensions in all, ReducedHomologyTooLarge."""
+    down to col, read off the Smith reduction of B (`reduce_free`); a unit
+    pivot adds no block.  Past _RED_DIM_LIMIT dimensions in all,
+    ReducedHomologyTooLarge."""
     require_valid(c)
-    b = reduced_model(free_plus_complex(c))[0]
+    b = free_plus_complex(c)
     pairs = reduce_free(b.gradings, b.columns).pairs
     blocks = Counter((col + 2 * v - 2, v) for _, col, v in pairs if v)
     if (total := sum(v for *_, v in pairs)) > _RED_DIM_LIMIT:

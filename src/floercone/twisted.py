@@ -19,9 +19,9 @@ argument says nothing, and torsion occurs.
 
 At s = 0 alone the cone is read off homology bases.  Modulo U, A_0 and B
 have strong deformation retracts (i, p, k) onto their homology A' and B',
-with differential 0: i sends a basis to cycles, p sends each cycle to the
-coordinates of its class, and one clearing pass per model gives both
-(`cone._pencil_maps`), with no cancellation; their sum
+with differential 0: i sends a basis to cycles, p reads each element's
+coordinates on them in a Smith basis, and one clearing pass per model
+gives both (`cone._pencil_maps`); their sum
 retracts d_A (+) d_B over L onto A' (+) B' with the zero differential.
 The cone of W, [[d_A, 0], [W, d_B]], perturbs d_A (+) d_B by
 delta = [[0, 0], [W, 0]], and delta k delta = 0: delta lands in B, k keeps

@@ -28,10 +28,15 @@ chain-map condition only on full assignments instead of pruning each
 partial one, validation on name-keyed term maps composed as dicts of
 U-power sets instead of the index form and the F2[U] product of `linalg`,
 and the plus flavor and reduced homology from Smith reductions of the
-full A_s, B and cones instead of the reduced models left once every unit
-arrow is cancelled, each with every U-power written out and reduced by
+full A_s, B and cones instead of the least models read off one clearing
+pass, each with every U-power written out and reduced by
 `smith_pivots_u` at a precision above every graded pivot instead of
-stored as GF(2) masks and reduced on `F2Span` in grading order,
+stored as GF(2) masks and reduced on `F2Span` in grading order, the
+reduced models of the plus flavor left once every unit arrow is
+cancelled (`cancel_units`, `reduced_model`) instead of read off one
+clearing pass, the graded Smith reduction with every column reduced
+(`reduce_free_without_clearing`) instead of the column of each pivot row
+skipped,
 A_s, B, v and h with every U-power written out and checked on each build
 (powers against the gradings, d^2 = 0, chain maps, over F2[U]) instead of
 built as masks from what `validate` proves, the hat complexes as
@@ -45,7 +50,7 @@ from __future__ import annotations
 
 import itertools
 import re
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import NamedTuple
@@ -99,7 +104,6 @@ from floercone.subquotient import (
     _u0,
     free_plus_complex,
     reduce_free,
-    reduced_model,
 )
 
 # ---------------------------------------------------------------------------
@@ -522,15 +526,142 @@ def oracle_cone_homology_hat(c: KnotComplex, s: int) -> ConeResult:
                       _rank_nullity(ha, hb, dim_h), _rank_nullity(ha, hb, total_dim), graded)
 
 
-def cancelled_maps_modulo_u(c: KnotComplex, s: int) -> tuple:
-    """A' and B', the reduced models of A_s and B read modulo U, and the
-    power-0 masks of v' and h' between them: every unit arrow of A_s modulo U
-    cancelled with v and h carried below it, then every one of B with v i_A
-    and h i_A carried into it (`reduced_model`).  Every differential left is
-    0, which is checked, so f' d = 0 = d f' needs no check."""
-    a, b, *maps = _modulo_u_maps(c, s, free_plus_complex(c, s), free_plus_complex(c))
+# ---------------------------------------------------------------------------
+# the reduced models by unit cancellation, as the plus flavor, `red` and
+# the s = 0 pencil built them before one clearing pass built every reduced
+# model (`subquotient._smith_model`), and the Smith reduction with no
+# clearing
+
+
+def cancel_units(columns, gradings) -> tuple[list, list]:
+    """Cancel every unit arrow of a graded free F2[U]-complex, exactly.
+
+    columns[:size], size = len(gradings), are the differential of a complex
+    on basis 0..size-1 as column masks, entry (r, c) of U-power
+    (gradings[r] - gradings[c] + 1) / 2: a unit has gradings[r] =
+    gradings[c] - 1.  For each unit at (y, x), the cancellation lemma
+    (Gaussian elimination, Bar-Natan 2007) sets d z += <d z, y> d x for
+    every other column z, one XOR of masks whose powers the gradings fix
+    again, and drops x and y: the result is homotopy equivalent to the
+    complex, with differential 0 modulo U once no unit is left.  The
+    equivalence is z -> z + <d z, y> x into the complex and
+    w -> w_Z + <w, y> (d x)_Z out of it, Z the basis left.  So
+    - rows at index >= size below the first size columns (a map out of the
+      complex) take the column steps and come out composed with the
+      inclusion, and
+    - the first size rows of columns[size:] (maps into the complex) take
+      them too, but never pivot, and come out composed with the projection.
+
+    Returns the kept basis indices in order, and the kept columns followed
+    by columns[size:], with each row below size renumbered to its place
+    among the kept and the rows from size on moved down to follow them.
+    """
+    size = len(gradings)
+    low = (1 << size) - 1
+    cols = dict(enumerate(columns))
+    holders: dict[int, set] = {}
+    units = deque()  # first in, first out: on the sums tried, a third of the steps of a stack
+
+    def hold(z: int, rows: int) -> None:
+        """Index the rows of z below size, and queue its units among them."""
+        for r in _mask_bits(rows & low):
+            holders.setdefault(r, set()).add(z)
+            if z < size and gradings[r] == gradings[z] - 1:
+                units.append((r, z))
+
+    for c, col in cols.items():
+        hold(c, col)
+    while units:
+        y, x = units.popleft()
+        pivot = cols.get(x)
+        if pivot is None or not pivot >> y & 1:
+            continue
+        del cols[x]
+        cols.pop(y, None)
+        for z in holders.pop(y):
+            col = cols.get(z)
+            if col is not None and col >> y & 1:
+                cols[z] = col ^ pivot
+                hold(z, pivot & ~col)
+        for z in holders.pop(x, ()):
+            if z in cols:
+                cols[z] &= ~(1 << x)
+    kept = [k for k in range(size) if k in cols]
+    place = {k: i for i, k in enumerate(kept)}
+    out = []
+    for c in kept + list(range(size, len(columns))):
+        col = cols[c]
+        mask = col >> size << len(kept)
+        for r in _mask_bits(col & low):
+            mask |= 1 << place[r]
+        out.append(mask)
+    return kept, out
+
+
+def reduced_model(free: FreeUComplex, out=(), into=()) -> tuple:
+    """The complex with every unit arrow cancelled (`cancel_units`),
+    which is homotopy equivalent to it by an inclusion i and a projection p,
+    with each map f out of it as f i and each map g into it as p g; maps
+    are graded and given by their column masks."""
+    columns, n = list(free.columns), len(free.columns)
+    widths = [max((fcol.bit_length() for fcol in f), default=0) for f in out]
+    starts = list(itertools.accumulate(widths, initial=0))  # map k's rows ride below the columns
+    for f, start in zip(out, starts):
+        columns = [col | fcol << n + start for col, fcol in zip(columns, f)]
+    kept, cols = cancel_units(columns + [col for g in into for col in g], free.gradings)
+    m, low = len(kept), (1 << len(kept)) - 1
+    outs = [tuple(col >> m + start & (1 << width) - 1 for col in cols[:m])
+            for start, width in zip(starts, widths)]
+    rest = iter([col & low for col in cols[m:]])
+    intos = [tuple(itertools.islice(rest, len(g))) for g in into]
+    reduced = FreeUComplex(tuple([free.lo[k] for k in kept]),
+                           tuple([free.gradings[k] for k in kept]),
+                           tuple(col & low for col in cols[:m]))
+    return reduced, outs, intos
+
+
+def reduce_free_without_clearing(gradings, columns) -> FreeReduction:
+    """`reduce_free` as the column reduction on `F2Span` with no clearing:
+    every column reduced, in descending grading, each pivot U^v pairing
+    gr[row] - 2v = gr[col] - 1, and the towers the gradings left unpaired."""
+    order = sorted(range(len(gradings)), key=gradings.__getitem__, reverse=True)
+    place = {k: p for p, k in enumerate(order)}
+    span, left, pairs = F2Span(), Counter(gradings), []
+    for col in order:
+        mask = sum(1 << place[r] for r in _mask_bits(columns[col]))
+        if mask and (residue := span.add(mask)):
+            row = order[residue.bit_length() - 1]
+            twice = gradings[row] - gradings[col] + 1
+            if twice < 0 or twice % 2:
+                raise InvariantViolated("Smith pivot of a graded complex breaks the grading")
+            left.subtract((gradings[row], gradings[col]))
+            pairs.append((gradings[row], gradings[col], twice // 2))
+    return FreeReduction(len(gradings), tuple(pairs), tuple(sorted(left.elements())))
+
+
+def _cancelled(a: FreeUComplex, b: FreeUComplex, maps) -> tuple:
+    """A' and B' with every unit arrow cancelled, A's first with the maps
+    carried below it, then B's with f i_A carried into it (`reduced_model`),
+    and the maps f' = p_B f i_A."""
     a, maps, _ = reduced_model(a, out=maps)          # A' and v i_A, h i_A
     b, _, (v, h) = reduced_model(b, into=maps)       # B' and v', h'
+    return a, b, v, h
+
+
+def cancelled_reduced_maps(c: KnotComplex, s: int) -> tuple:
+    """`cone._reduced_maps` by unit cancellation: A' and B', the reduced
+    models of A_s and B, and the column masks of v' and h' between them."""
+    a, b = free_plus_complex(c, s), free_plus_complex(c)
+    return _cancelled(a, b, (_v_map(a), _h_map(c)))
+
+
+def cancelled_maps_modulo_u(c: KnotComplex, s: int) -> tuple:
+    """A' and B', the reduced models of A_s and B read modulo U, and the
+    power-0 masks of v' and h' between them (`_cancelled`).  Every
+    differential left is 0, which is checked, so f' d = 0 = d f' needs no
+    check."""
+    a, b, *maps = _modulo_u_maps(c, s, free_plus_complex(c, s), free_plus_complex(c))
+    a, b, v, h = _cancelled(a, b, maps)
     if any(a.columns) or any(b.columns):
         raise InvariantViolated("a reduced model modulo U keeps a differential")
     return a, b, v, h

@@ -1,11 +1,10 @@
 """The hat flavor as the free F2[U] model read modulo U: its complexes and
 maps against the plane-region oracle, every hat answer against the cone on
 the full hat complexes and against the reduced models modulo U, the
-clearing pass's homology bases against dense ranks, no cancellation on the
-hat, twisted or prop0check paths, the hat cone as the plus cone at
-height 0, one build of A_s, B, v and h per cone, bounded memory at huge
-|s|, and the checks of the hat path under mutation (also under
-`python -O`)."""
+clearing pass's homology bases against dense ranks, the hat cone as the
+plus cone at height 0, one build of A_s, B, v and h per cone, bounded
+memory at huge |s|, and the checks of the hat path and the clearing pass
+under mutation (also under `python -O`)."""
 
 import os
 import subprocess
@@ -29,7 +28,7 @@ from floercone.detect import VerdictKind, genus, sphere_necessary_conditions
 from floercone.fixtures import ALL_FIXTURES, FIGURE8, TREFOIL
 from floercone.linalg import _combine
 from floercone.model import ValidationError
-from floercone.subquotient import _hat_homology, _modulo_u, free_plus_complex
+from floercone.subquotient import _clearing, _descending, _modulo_u, free_plus_complex
 from floercone.twisted import twisted_homology_laurent
 
 from corpus import (
@@ -161,12 +160,16 @@ def test_hat_equals_the_reduced_models_on_the_sums_and_their_mirrors(name):
 
 
 def assert_clearing_gives_a_homology_basis(gradings, columns):
-    """The cycles and boundaries of `_hat_homology` against dense ranks: the
-    cycles are cycles, independent modulo the boundaries and n - 2 rank of
-    them, and the boundaries are rank many, in the image of d."""
+    """One clearing pass on a complex read modulo U (`_clearing`, in index
+    order with columns in descending grading) against dense ranks: each
+    pair's row vector is d of its column vector, the towers' vectors are
+    cycles, n - 2 rank of them and independent modulo the boundaries, and
+    the boundaries are rank many, in the image of d."""
     n = len(columns)
-    cycles, boundaries = _hat_homology(gradings, columns)
+    basis, pairs, towers = _clearing(_descending(gradings), columns)
+    cycles, boundaries = [basis[t] for t in towers], [basis[row] for _, row in pairs]
     rank = dense_rank_f2([[col >> r & 1 for col in columns] for r in range(n)])
+    assert all(_combine(columns, basis[col]) == basis[row] for col, row in pairs)
     assert not any(_combine(columns, z) for z in cycles)
     assert (len(cycles), len(boundaries)) == (n - 2 * rank, rank)
     assert rank_f2_modulo(boundaries, columns) == 0
@@ -212,44 +215,6 @@ def test_hat_equals_the_reduced_models_at_scale(name, build, generators, want):
         got = cone_homology_hat(c, s)
         assert got == oracle_hat_from_reduced_models(c, s), (name, s)
         assert (got.total_dim, got.rank_v, got.rank_h, got.rank_v_plus_h) == numbers, (name, s)
-
-
-def test_hat_twisted_and_prop0check_cancel_nothing(monkeypatch):
-    """Nothing but the plus flavor and `red` cancels: with `cancel_units`
-    raising, the hat cone, the twisted group at every s and prop0check give
-    the answers they give with it.  prop0check runs twice: as it is, and
-    with the pencil at s = 0 stubbed to pass clause (b), so that it reaches
-    clause (a)."""
-    import floercone.detect as detect_module
-    import floercone.linalg as linalg_module
-    import floercone.subquotient as subquotient_module
-    from floercone.twisted import TwistedConeResult
-
-    reached = []
-    real_total = detect_module._hat_total
-    monkeypatch.setattr(detect_module, "_hat_total",
-                        lambda c, s, a, b: reached.append(s) or real_total(c, s, a, b))
-    pool = list(ALL_FIXTURES) + [f for _, f in with_flip()[:40]] + [connected_sum(n) for n in TWISTED_SUMS]
-
-    def answers():
-        out = [([cone_homology_hat(c, s) for s in every_s(c)],
-                [twisted_homology_laurent(c, s) for s in every_s(c)],
-                sphere_necessary_conditions([c])) for c in pool]
-        with monkeypatch.context() as m:
-            m.setattr(detect_module, "_pencil_maps", lambda *args: ())
-            m.setattr(detect_module, "_pencil_homology", lambda *args: TwistedConeResult(0, ()))
-            return out + [sphere_necessary_conditions([c]) for c in pool]
-
-    want = answers()
-
-    def refuse(*args):
-        raise AssertionError("cancel_units was called")
-
-    for module in (linalg_module, subquotient_module):
-        monkeypatch.setattr(module, "cancel_units", refuse)
-    reached.clear()
-    assert answers() == want
-    assert 1 in reached and -1 in reached  # clause (a) ran
 
 
 def test_hat_cone_is_the_plus_cone_at_height_0():
@@ -388,31 +353,31 @@ def run_under_python_O(code: str) -> subprocess.CompletedProcess:
 
 
 def test_pencil_cycle_check_survives_python_O():
-    """The pencil at s = 0 reduces the image of each cycle of A_0 to its
-    coordinates on the cycles of B, and a map that sends a cycle off the
-    cycles is caught there, with the library's asserts stripped: by the
-    twisted group of Y1SIGMA at s = 0 and by prop0check's clause (b) on
-    Y1SIGMA # T(2,3).  Every column of h gains the first basis element of B
-    that is no cycle modulo U, or one past B's basis where every one is a
-    cycle, as it is on Y1SIGMA."""
+    """The pencil at s = 0 projects the image of each cycle of A_0 onto the
+    homology basis of B, and the projection reports any coordinate on a
+    pair's column end, which a cycle has none of; so a map that sends a
+    cycle off the cycles is caught there, with the library's asserts
+    stripped: by the twisted group of the figure-eight at s = 0 and by
+    prop0check's clause (b) on Y1SIGMA # T(2,3).  Every column of h gains
+    the first basis element of B that is no cycle modulo U."""
     code = (
         "import floercone.cone as cone\n"
         "from corpus import connected_sum\n"
         "from floercone.detect import sphere_necessary_conditions\n"
-        "from floercone.fixtures import Y1SIGMA\n"
+        "from floercone.fixtures import FIGURE8\n"
         "from floercone.linalg import InvariantViolated\n"
         "from floercone.twisted import twisted_homology_laurent\n"
         "assert False, 'asserts are on'\n"
         "real = cone._modulo_u_maps\n"
         "def broken(c, s, a, b):\n"
         "    a, b, v, h = real(c, s, a, b)\n"
-        "    r = next((r for r, col in enumerate(b.columns) if col), len(b.columns))\n"
+        "    r = next(r for r, col in enumerate(b.columns) if col)\n"
         "    return a, b, v, tuple(col | 1 << r for col in h)\n"
         "sum_ = connected_sum('Y1+T2_3')\n"
-        "print(twisted_homology_laurent(Y1SIGMA, 0).laurent_free_rank)\n"
+        "print(twisted_homology_laurent(FIGURE8, 0).laurent_free_rank)\n"
         "print(sphere_necessary_conditions([sum_]).witness['clause'])\n"
         "cone._modulo_u_maps = broken\n"
-        "for run in (lambda: twisted_homology_laurent(Y1SIGMA, 0),\n"
+        "for run in (lambda: twisted_homology_laurent(FIGURE8, 0),\n"
         "            lambda: sphere_necessary_conditions([sum_])):\n"
         "    try:\n"
         "        run()\n"
@@ -421,33 +386,36 @@ def test_pencil_cycle_check_survives_python_O():
     )
     out = run_under_python_O(code)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.split() == ["0", "b", "raised", "raised"]
+    assert out.stdout.split() == ["2", "b", "raised", "raised"]
 
 
 def test_clearing_check_survives_python_O():
     """A clearing pass that skips a column which is no pivot row, here the
-    first column it meets, is caught by its count of cycles and boundaries,
-    with the library's asserts stripped, on the twisted group of Y1SIGMA at
-    s = 0 and on prop0check over Y1SIGMA # T(2,3).  The fault is made in a
-    copy of `_hat_homology` compiled from its source."""
+    first column it meets, is caught by its count of towers and pairs, with
+    the library's asserts stripped: on the twisted group of Y1SIGMA at
+    s = 0, on prop0check over Y1SIGMA # T(2,3), on the plus cone of Y1SIGMA
+    at s = 0 and on its reduced homology.  The fault is made in a copy of
+    `_clearing` compiled from its source."""
     code = (
         "import inspect, textwrap\n"
-        "import floercone.cone as cone\n"
         "import floercone.subquotient as subquotient\n"
         "from corpus import connected_sum\n"
+        "from floercone.cone import cone_homology_plus_truncated\n"
         "from floercone.detect import sphere_necessary_conditions\n"
         "from floercone.fixtures import Y1SIGMA\n"
         "from floercone.linalg import InvariantViolated\n"
         "from floercone.twisted import twisted_homology_laurent\n"
         "assert False, 'asserts are on'\n"
-        "source = textwrap.dedent(inspect.getsource(subquotient._hat_homology))\n"
-        "clearing = 'if j in pivot_rows:'\n"
+        "source = textwrap.dedent(inspect.getsource(subquotient._clearing))\n"
+        "clearing = 'if j in basis:'\n"
         "print(source.count(clearing))\n"
         "namespace = dict(vars(subquotient))\n"
-        "exec(source.replace(clearing, 'if j in pivot_rows or j == order[0]:'), namespace)\n"
-        "cone._hat_homology = namespace['_hat_homology']\n"
+        "exec(source.replace(clearing, 'if j in basis or j == order[0]:'), namespace)\n"
+        "subquotient._clearing = namespace['_clearing']\n"
         "for run in (lambda: twisted_homology_laurent(Y1SIGMA, 0),\n"
-        "            lambda: sphere_necessary_conditions([connected_sum('Y1+T2_3')])):\n"
+        "            lambda: sphere_necessary_conditions([connected_sum('Y1+T2_3')]),\n"
+        "            lambda: cone_homology_plus_truncated(Y1SIGMA, 0),\n"
+        "            lambda: subquotient.hf_red_graded(Y1SIGMA)):\n"
         "    try:\n"
         "        run()\n"
         "    except InvariantViolated as e:\n"
@@ -455,7 +423,7 @@ def test_clearing_check_survives_python_O():
     )
     out = run_under_python_O(code)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.split() == ["1", "raised", "raised"]
+    assert out.stdout.split() == ["1", "raised", "raised", "raised", "raised"]
 
 
 def test_hat_cone_rank_check_survives_python_O():

@@ -421,33 +421,43 @@ def test_free_model_checks_survive_python_O():
 
 
 def test_reduced_model_check_survives_python_O():
-    """The reduced A'_0 of the figure-eight has d y1 = U y0; one more term
-    y0 -> x in v' = p v i breaks v' d = d v' modulo U^P, and the plus cone
-    raises NotAChainMap with the library's asserts stripped."""
+    """The plus cone of the figure-eight at s = 0 reads A'_0, where
+    d y1 = U y0, and B' off `subquotient._smith_model`.  A copy of it,
+    compiled from its source, whose A' sends every element that is no
+    arrow's column end to itself breaks d^2 = 0, and the checked `FreeUComplex` raises
+    CompositionNonzero; a projection that adds the first element of B' to
+    every image breaks v' d = d v', and NotAChainMap is raised; both with
+    the library's asserts stripped."""
     code = (
+        "import inspect, textwrap\n"
         "import floercone.cone as cone\n"
+        "import floercone.subquotient as subquotient\n"
         "from floercone.fixtures import FIGURE8\n"
-        "from floercone.linalg import NotAChainMap\n"
+        "from floercone.linalg import CompositionNonzero, NotAChainMap\n"
         "assert False, 'asserts are on'\n"
-        "real = cone.reduced_model\n"
-        "def broken(free, out=(), into=()):\n"
-        "    reduced, outs, intos = real(free, out, into)\n"
-        "    if intos:\n"
-        "        intos = [(intos[0][0] ^ 1,) + intos[0][1:]] + intos[1:]\n"
-        "    return reduced, outs, intos\n"
+        "real = cone._smith_model\n"
+        "source = textwrap.dedent(inspect.getsource(real))\n"
+        "arrow = 'else 0 for k in kept'\n"
+        "print(source.count(arrow))\n"
+        "namespace = dict(vars(subquotient))\n"
+        "exec(source.replace(arrow, 'else 1 << place[k] for k in kept'), namespace)\n"
+        "def off(free, order):\n"
+        "    reduced, inclusion, project = real(free, order)\n"
+        "    return reduced, inclusion, lambda w: (project(w)[0] ^ 1, 0)\n"
         "print(cone.cone_homology_plus_truncated(FIGURE8, 0).total_dim)\n"
-        "cone.reduced_model = broken\n"
-        "try:\n"
-        "    cone.cone_homology_plus_truncated(FIGURE8, 0)\n"
-        "except NotAChainMap:\n"
-        "    print('raised')\n"
+        "for broken, error in ((namespace['_smith_model'], CompositionNonzero), (off, NotAChainMap)):\n"
+        "    cone._smith_model = broken\n"
+        "    try:\n"
+        "        cone.cone_homology_plus_truncated(FIGURE8, 0)\n"
+        "    except error:\n"
+        "        print('raised')\n"
     )
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                          capture_output=True, text=True, timeout=60)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.split() == ["4", "raised"]
+    assert out.stdout.split() == ["1", "4", "raised", "raised"]
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,11 @@
-"""The plus flavor on reduced models: `linalg.cancel_units` and
-`subquotient.reduced_model` against the homotopy equivalence they claim,
-the reduced sizes against the hat homology, every plus answer against
-the five reductions of the full complexes (`oracles.oracle_plus_reductions`),
-and the reduced homology of B' against that of all of B."""
+"""The plus flavor on reduced models: `subquotient._smith_model`, read
+off one clearing pass, against the homotopy equivalence it claims and
+against unit cancellation (`oracles.cancel_units` and
+`oracles.reduced_model`), the pass's pairs and towers against the column
+reduction with no clearing, the reduced sizes against the hat homology,
+every plus answer against the five reductions of the full complexes
+(`oracles.oracle_plus_reductions`), and the reduced homology of B against
+the full B with its powers written out."""
 
 import random
 
@@ -11,9 +14,11 @@ import pytest
 import floercone.cone as cone_module
 from floercone.cone import (
     _free_cone,
+    _h_map,
     _plus_reductions,
     _reduced_maps,
     _reduce_ungraded,
+    _v_map,
     cone_homology_plus_truncated,
     ensure_flip,
 )
@@ -22,22 +27,25 @@ from floercone.linalg import (
     F2Matrix,
     _combine,
     _minor_degree_bound,
-    cancel_units,
     rank_f2,
     smith_pivots_u,
 )
 from floercone.subquotient import (
+    _in_grading_order,
+    _moved,
+    _smith_model,
     _u0,
     free_plus_complex,
     hf_red_graded,
     reduce_free,
-    reduced_model,
 )
 
 from corpus import BIG_SUMS, TWISTED_SUMS, connected_sum, corpus, staircase, tensor, with_flip
 from oracles import (
     build_A_hat,
     build_B_hat,
+    cancel_units,
+    cancelled_reduced_maps,
     graded_precision,
     hat_homology_dim,
     oracle_hf_red_graded,
@@ -48,6 +56,8 @@ from oracles import (
     power_plus_complex,
     power_reduction,
     powers_of,
+    reduce_free_without_clearing,
+    reduced_model,
 )
 
 TRUNCATIONS = ("auto", 0, 1, 2, 5)
@@ -84,21 +94,32 @@ def every_s(c) -> range:
     return range(-c.a_bound() - 1, c.a_bound() + 2)
 
 
+def smith_model(free):
+    """`_smith_model` on free moved into descending grading: A', and i and p
+    as column masks in free's own indices (p's coordinates alone)."""
+    moved, order, place = _in_grading_order(free)
+    reduced, inclusion, project = _smith_model(moved, range(len(order)))
+    return (reduced, tuple(_moved(order, x) for x in inclusion),
+            tuple(project(1 << place[k])[0] for k in range(len(order))))
+
+
 # ---------------------------------------------------------------------------
-# the cancellation
+# the reduced models
 
 
 def test_cancelling_the_trefoil_keeps_one_generator_of_B():
-    """d b = U a + c on B: the unit arrow b -> c goes, a is left with d = 0;
-    the inclusion sends a to a, the projection sends c to U a."""
+    """d b = U a + c on B: the pass pairs b with c, a unit, and keeps a with
+    d = 0, as cancelling the unit arrow b -> c does; the inclusion sends a
+    to a, the projection sends c to U a and drops b, a column end."""
     b = free_plus_complex(TREFOIL)
     assert b.columns == (0, 0b101, 0)
     assert b.gradings[0] - b.gradings[1] == 1 and b.gradings[2] - b.gradings[1] == -1
     assert cancel_units(b.columns, b.gradings) == ([0], [0])
-    reduced, (inclusion,), (projection,) = reduced_model(b, out=[identity(3)], into=[identity(3)])
+    reduced, inclusion, project = _smith_model(b, range(3))  # already in descending grading
     assert (reduced.gradings, reduced.columns) == ((b.gradings[0],), (0,))
-    assert inclusion == (0b001,)
-    assert projection == (1, 0, 1)  # c -> U a: the power is read off the gradings
+    assert inclusion == [0b001]
+    assert [project(col) for col in identity(3)] == [(1, False), (0, True), (1, False)]  # c -> U a
+    assert reduced_model(b)[0] == reduced
 
 
 def reduced_cases():
@@ -110,18 +131,19 @@ def reduced_cases():
 
 def test_reduced_models_are_homotopy_equivalent_and_minimal():
     """p i = 1, i and p are chain maps, the reduced differential has no
-    entry of power 0, the size is the hat homology, and the Smith pivots U^v
-    with v >= 1 and the towers are those of the full complex."""
+    entry of power 0, the size is the hat homology and that of the model
+    left by unit cancellation, and the Smith pivots U^v with v >= 1 and the
+    towers are those of the full complex."""
     for free in reduced_cases():
         n, gradings = len(free.columns), free.gradings
-        reduced, (i,), (p,) = reduced_model(free, out=[identity(n)], into=[identity(n)])
+        reduced, i, p = smith_model(free)
         m = len(reduced.columns)
         assert compose(p, i) == identity(m)
         assert compose(free.columns, i) == compose(i, reduced.columns)
         assert compose(p, free.columns) == compose(reduced.columns, p)
         assert not any(_u0(reduced.columns, reduced.gradings, reduced.gradings, -1))
         hat = _u0(free.columns, gradings, gradings, -1)
-        assert m == n - 2 * rank_f2(F2Matrix._from_masks(n, n, hat))
+        assert m == n - 2 * rank_f2(F2Matrix._from_masks(n, n, hat)) == len(reduced_model(free)[0].lo)
         full, small = reduce_free(gradings, free.columns), reduce_free(reduced.gradings,
                                                                        reduced.columns)
         assert sorted(pair for pair in full.pairs if pair[2]) == sorted(small.pairs)
@@ -133,8 +155,9 @@ def random_map(rng, rows: int, cols: int) -> tuple:
 
 
 def test_carried_maps_come_out_composed_with_the_inclusion_and_projection():
-    """For any f out of A and g into A, carried alongside the identity, the
-    carried columns are f i and p g, as GF(2) products of their masks."""
+    """For any f out of A and g into A, carried alongside the identity by
+    the reference cancellation, the carried columns are f i and p g, as
+    GF(2) products of their masks."""
     rng = random.Random(5)
     frees = reduced_cases()
     for _ in range(40):
@@ -146,8 +169,26 @@ def test_carried_maps_come_out_composed_with_the_inclusion_and_projection():
         assert pg == compose(p, g)
 
 
+def reductions_of_the_cones(a, b, v, h, s):
+    return [reduce_free(*cone) for cone in (_free_cone(a, b, v), _free_cone(a, b, h, -2 * s))]
+
+
+def test_reduced_maps_give_the_cone_pivots_of_unit_cancellation():
+    """v' and h' between A' and B' against those left by cancelling every
+    unit arrow (`oracles.cancelled_reduced_maps`): the same sizes and the
+    same pivots and towers of the cones of v' and h'."""
+    cases = list(ALL_FIXTURES) + [c for _, c in with_flip()[::3]]
+    for c in cases + [connected_sum(name) for name in TWISTED_SUMS]:
+        c = ensure_flip(c)
+        for s in every_s(c):
+            got, want = _reduced_maps(c, s), cancelled_reduced_maps(c, s)
+            assert [len(m.lo) for m in got[:2]] == [len(m.lo) for m in want[:2]], (c, s)
+            for x, y in zip(reductions_of_the_cones(*got, s), reductions_of_the_cones(*want, s)):
+                assert (sorted(x.pairs), x.towers) == (sorted(y.pairs), y.towers), (c, s)
+
+
 def test_the_reduced_sizes_are_the_hat_homology():
-    """Every unit arrow is cancelled, so |A'_s| = dim H(A_s hat) and
+    """Every unit pair is dropped, so |A'_s| = dim H(A_s hat) and
     |B'| = dim H(B hat): on T2_5+mT2_5+F8, 11, 13 and 7 at s = 0, 1, 2, and 1."""
     c = connected_sum("T2_5+mT2_5+F8")
     sizes = {}
@@ -157,6 +198,44 @@ def test_the_reduced_sizes_are_the_hat_homology():
         assert (ra.size, rb.size) == (hat_a, hat_homology_dim(build_B_hat(c)))
         sizes[s] = ra.size
     assert (sizes[0], sizes[1], sizes[2], rb.size) == (11, 13, 7, 1)
+
+
+def test_a_pivot_row_before_its_column(monkeypatch):
+    """On Y1SIGMA # T(2,3) at s = -1 (9 generators) the row at place 1 of
+    A_s, grading -2, pairs with the column at place 3, grading -3, by U^1:
+    its cycle, met first, is replaced by the boundary and is no tower.  So
+    A_s has one tower at -2, A' has 3 elements, and the plus answers are
+    the oracle's."""
+    c = ensure_flip(connected_sum("Y1+T2_3"))
+    a = free_plus_complex(c, -1)
+    reduction = reduce_free(a.gradings, a.columns)
+    assert reduction == reduce_free_without_clearing(a.gradings, a.columns)
+    assert reduction.pairs == ((-4, -3, 0), (-2, -3, 1), (-4, -3, 0), (-5, -4, 0))
+    assert reduction.towers == (-2,)
+    assert [len(m.lo) for m in _reduced_maps(c, -1)[:2]] == [3, 3]
+    assert_equals_the_oracle(monkeypatch, c, (-1,))
+    assert [(r.total_dim, r.rank_v, r.rank_h, r.truncation)
+            for r in plus_answers(c, (-1,), ("auto", 1, 2)).values()] == [(0, 0, 3, 0), (0, 1, 4, 1),
+                                                                        (0, 2, 5, 2)]
+
+
+def assert_clearing_equals_the_loop_without_clearing(c):
+    """reduce_free with clearing against the loop without it, exactly, on
+    B, and on A_s and the cones of v and h at every s."""
+    c = ensure_flip(c)
+    b = free_plus_complex(c)
+    for s in every_s(c):
+        a = free_plus_complex(c, s)
+        cases = [(b.gradings, b.columns), (a.gradings, a.columns), _free_cone(a, b, _v_map(a)),
+                 _free_cone(a, b, _h_map(c), -2 * s)]
+        for gradings, columns in cases:
+            assert reduce_free(gradings, columns) == reduce_free_without_clearing(gradings, columns), (c, s)
+
+
+@pytest.mark.parametrize("seed", [1, 2] + [pytest.param(seed, marks=pytest.mark.slow) for seed in range(3, 9)])
+def test_clearing_equals_the_loop_without_clearing_on_the_corpus(seed):
+    for _, c in with_flip(seed):
+        assert_clearing_equals_the_loop_without_clearing(c)
 
 
 # ---------------------------------------------------------------------------
@@ -263,9 +342,11 @@ def test_plus_answers_equal_the_oracle_on_a_1331_generator_sum(monkeypatch):
 @pytest.mark.slow
 def test_the_minor_degree_bound_is_small_on_the_reduced_cones(monkeypatch):
     """On the full cones of T(2,11)^#3 the bound is 6,092, 8,152 and 19,967
-    at s = 1, 5 and 15; on the reduced ones it is in the hundreds.  Auto
-    mode reduces each cone once, at it, and finds every pivot: m / 2 of
-    them, as many as half the grading spread plus one plus |s| finds."""
+    at s = 1, 5 and 15; on the least models read off the clearing pass it
+    is in the tens (it was 217, 211 and 16 on the models left by unit
+    cancellation, whose bases differ).  Auto mode reduces each cone once,
+    at it, and finds every pivot: m / 2 of them, as many as half the
+    grading spread plus one plus |s| finds."""
     c = t2_11_cubed()
     calls = []
     monkeypatch.setattr(cone_module, "_reduce_ungraded",
@@ -281,4 +362,4 @@ def test_the_minor_degree_bound_is_small_on_the_reduced_cones(monkeypatch):
         assert sorted(v for *_, v in smith_pivots_u(columns, spread)) == pivots
         assert 2 * len(pivots) == len(columns)
         bounds.append(bound)
-    assert bounds == [217, 211, 16]
+    assert bounds == [35, 31, 16]
