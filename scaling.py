@@ -1,4 +1,4 @@
-"""Time loading, the plus, hat and twisted cones at s = 0 and 1, red and genus, on connected sums of torus knots.
+"""Time loading, the plus, hat and twisted cones at s = 0 and 1, red, genus and prop0check, on connected sums of torus knots.
 
     PYTHONPATH=src python scaling.py [--max-generators N] [--baseline FILE] [--out FILE]
     PYTHONPATH=src python scaling.py --parent DIR [--runs N] [--max-generators N] [--out FILE]
@@ -12,7 +12,9 @@ the input freshly parsed from its canonical text, flip lines included, and
 validated outside the timer, as one CLI call sees it, so no cache on the
 complex is warm; with the answer it gave.  The reduced homology
 `hf_red_graded` gets one row per input, keyed as s = 0, timed the same
-way, and so do `genus`, answered by the genus, and loading:
+way, and so do `genus`, answered by the genus, prop0check
+(`sphere_necessary_conditions`, which scans every s until a clause
+fails), answered by its verdict and witness, and loading:
 `io_format.parse` of that text, with the `validate` it runs (its cache
 cleared before each timing), answered by the generator and term counts.
 `--baseline` reads an earlier output (say, of this script run on another
@@ -45,7 +47,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent / "tests"))
 
 from corpus import staircase, tensor  # noqa: E402
 from floercone.cone import cone_homology_hat, cone_homology_plus_truncated, ensure_flip  # noqa: E402
-from floercone.detect import genus  # noqa: E402
+from floercone.detect import Verdict, genus, sphere_necessary_conditions  # noqa: E402
 from floercone.io_format import DocumentEntry, InputDocument, parse, serialize  # noqa: E402
 from floercone.model import validate  # noqa: E402
 from floercone.subquotient import hf_red_graded  # noqa: E402
@@ -77,6 +79,8 @@ def answer(result) -> dict:
         return {"generators": len(c.generators), "terms": len(c.differential) + len(c.flip)}
     if isinstance(result, int):  # genus
         return {"genus": result}
+    if isinstance(result, Verdict):  # prop0check
+        return {"kind": result.kind.value, "witness": result.witness}
     if isinstance(result, dict):  # hf_red_graded
         return {"reduced": {str(m): n for m, n in result.items()}}
     if isinstance(result, TwistedConeResult):
@@ -97,6 +101,7 @@ def rows(max_generators: int):
         runs = [(flavor, s, lambda fresh, s=s, cone=cone: cone(fresh, s)) for s in (0, 1)
                 for flavor, cone in CONES]
         runs += [("red", 0, hf_red_graded), ("genus", 0, lambda fresh: genus([fresh])),
+                 ("prop0check", 0, lambda fresh: sphere_necessary_conditions([fresh])),
                  ("load", 0, lambda _: load(text))]
         for flavor, s, run in runs:
             times = []

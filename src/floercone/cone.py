@@ -16,15 +16,15 @@ gets the offset back when it is reported.
 
 v and h are graded F2[U] maps between the free models of A_s and B (see
 `subquotient`), column masks whose U-powers the gradings fix, so no
-U^|s| is written out.  The hat flavor reads U^0 alone: A_s, B and the
-cones of v, h and v + h read modulo U (their
-power-0 masks, a grading filter; d^2 = 0 and f d = d f there follow from
-what `validate` proves) have homology of dimension n - 2 rank, and
+U^|s| is written out.  The hat flavor reads U^0 alone (`_modulo_u_maps`):
+A_s by a grading filter, B off the complex's tables and v and h by rule
+(`subquotient`), and A_s, B and the cones of v, h and v + h read modulo
+U have homology of dimension n - 2 rank, and
 dim H(cone f) = dim H(A) + dim H(B) - 2 rank f_* gives each rank
 (`_rank_nullity`), per grading at s = 0.  The twisted group off s = 0
 and prop0check's clause (a) read the same cone of v + h; `genus` and
-`induces_iso` read v_* as an isomorphism modulo U where the cone of v on
-the free models is acyclic modulo U (`subquotient._hat_dim`).  The
+`induces_iso` read v_* as an isomorphism modulo U where the cone of v
+is acyclic modulo U (`_hat_cone`, `subquotient._hat_dim`).  The
 twisted cone at s = 0 and prop0check's clause (b) read the pencil
 v' + T h' on homology bases of A_0 and B modulo U, from one clearing pass
 per model (`_pencil_maps`).  The plus flavor reads the least models A' and
@@ -47,7 +47,6 @@ from typing import NamedTuple
 
 from floercone.linalg import (
     F2Matrix,
-    F2Span,
     InvariantViolated,
     _combine,
     _mask_bits,
@@ -69,7 +68,6 @@ from floercone.subquotient import (
     _reduce_ungraded,
     _reported,
     _smith_model,
-    _u0,
     free_plus_complex,
     reduce_free,
 )
@@ -120,15 +118,15 @@ def project_A(c: KnotComplex, s: int, s_prime: int) -> ChainMapF2:
     """The projection A_s -> A_{s'} through which v_s factors, for s <= s'.
 
     The free inclusion y_g -> U^(lo'(g) - lo(g)) y'_g read modulo U: the
-    identity on the plane elements the two bases share (the generators with
-    A <= s), zero on the rest; v_s = v_{s'} composed with this map.  On
-    masks it is the identity, a chain map as v is (`_v_map`): lo <= lo'.
+    identity on the plane elements the two bases share (lo = lo'), zero on
+    the rest; v_s = v_{s'} composed with this map.  On masks it is the
+    identity, a chain map as v is (`_v_map`): lo <= lo'.
     """
     if s > s_prime:
         raise ValueError("requires s <= s'")
     a, a_prime = free_plus_complex(c, s), free_plus_complex(c, s_prime)
-    n, matrix = len(a.lo), _u0(_v_map(a), a.gradings, a_prime.gradings, 0)
-    return ChainMapF2(_modulo_u(a), _modulo_u(a_prime), F2Matrix._from_masks(n, n, matrix))
+    matrix = tuple([1 << k if x == y else 0 for k, (x, y) in enumerate(zip(a.lo, a_prime.lo))])
+    return ChainMapF2(_modulo_u(a), _modulo_u(a_prime), F2Matrix._from_masks(len(a.lo), len(a.lo), matrix))
 
 
 @dataclass(frozen=True)
@@ -162,6 +160,7 @@ def _reduced_maps(c: KnotComplex, s: int) -> tuple:
     (a, order_a, _), (b, _, place_b) = _in_grading_order(a), _in_grading_order(b)
     a, inclusion, _ = _smith_model(a, range(len(order_a)))
     b, _, project = _smith_model(b, range(len(place_b)))
+    a, b = (FreeUComplex(m.lo, m.gradings, m.columns) for m in (a, b))  # checked: the plus flavor reads d'
     v, h = (tuple([project(_moved(place_b, _combine(f, _moved(order_a, x))))[0] for x in inclusion])
             for f in maps)
     for f in (v, h):
@@ -169,10 +168,9 @@ def _reduced_maps(c: KnotComplex, s: int) -> tuple:
     return a, b, v, h
 
 
-def _pencil_maps(c: KnotComplex, a: FreeUComplex, b: FreeUComplex) -> tuple:
+def _pencil_maps(c: KnotComplex, a: FreeUComplex) -> tuple:
     """A' and B', homology bases of A_0 and B modulo U with differential 0,
-    and the column masks of v' and h' : A' -> B' (`twisted`), on A_0 and B
-    already built.
+    and the column masks of v' and h' : A' -> B' (`twisted`), on A_0 built.
 
     Modulo U every row of a column sits one grading below it, so the pass
     runs in index order, columns in descending grading
@@ -180,7 +178,7 @@ def _pencil_maps(c: KnotComplex, a: FreeUComplex, b: FreeUComplex) -> tuple:
     towers, cycles z_i of A_0, and v'_i = p_B(v z_i), h'_i = p_B(h z_i).
     An image with a coordinate on a pair's column end is no cycle:
     InvariantViolated."""
-    a, b, *maps = _modulo_u_maps(c, 0, a, b)
+    a, b, *maps = _modulo_u_maps(c, 0, a)
     a, inclusion, _ = _smith_model(a, _descending(a.gradings))
     b, _, project = _smith_model(b, _descending(b.gradings))
     images = [[project(_combine(f, z)) for z in inclusion] for f in maps]
@@ -189,46 +187,49 @@ def _pencil_maps(c: KnotComplex, a: FreeUComplex, b: FreeUComplex) -> tuple:
     return (a, b, *(tuple([x for x, _ in image]) for image in images))
 
 
-def _modulo_u_maps(c: KnotComplex, s: int, a: FreeUComplex, b: FreeUComplex) -> tuple:
-    """A_s and B read modulo U, and the power-0 masks of v and h between them."""
-    return (_modulo_u(a), _modulo_u(b), _u0(_v_map(a), a.gradings, b.gradings, 0),
-            _u0(_h_map(c), a.gradings, b.gradings, -2 * s))
+def _modulo_u_maps(c: KnotComplex, s: int, a: FreeUComplex) -> tuple:
+    """A_s read modulo U (`subquotient._modulo_u`), B off the complex's table
+    (`KnotComplex._b_modulo_u`), and v and h by the rules of `subquotient`:
+    the identity on the generators with A <= s, the flip's on A >= s."""
+    alex, maslov = c._alexander_gradings, c._int_maslov[1]
+    return (_modulo_u(a), FreeUComplex._trusted((0,) * len(maslov), maslov, c._b_modulo_u),
+            tuple([1 << k if x <= s else 0 for k, x in enumerate(alex)]),
+            tuple([f if x >= s else 0 for f, x in zip(_h_map(c), alex)]))
 
 
-def _hat_cone(rows: int, b_columns, a_high, f) -> F2Matrix:
-    """The cone of f : A -> B modulo U, B's rows and columns first: b_columns
-    (B's, or an echelon basis of their span, of the same rank), then
-    f | d_A per column of A, with d_A shifted past B's rows (a_high)."""
-    columns = tuple(b_columns) + tuple(map(int.__or__, a_high, f))
-    return F2Matrix._from_masks(rows, len(columns), columns)
+def _hat_cone(c: KnotComplex, a, f, b_columns) -> F2Matrix:
+    """The cone of f : A -> B modulo U, for A's power-0 masks a, B first:
+    b_columns (B's, or its echelon basis `KnotComplex._b_echelon`, of the
+    same rank), then f | d_A per column of A, d_A shifted past B's rows."""
+    nb = len(c.generators)
+    columns = tuple(b_columns) + tuple([fa | da << nb for fa, da in zip(f, a)])
+    return F2Matrix._from_masks(nb + len(a), len(columns), columns)
 
 
-def _hat_total(c: KnotComplex, s: int, a: FreeUComplex, b: FreeUComplex) -> int:
-    """The hat cone's total_dim, n - 2 rank, on A_s and B already built."""
-    a, b, v, h = _modulo_u_maps(c, s, a, b)
-    n, nb = len(a.columns) + len(b.columns), len(b.columns)
-    return n - 2 * rank_f2(_hat_cone(n, b.columns, [da << nb for da in a.columns], map(int.__xor__, v, h)))
+def _hat_total(c: KnotComplex, s: int, a: FreeUComplex) -> int:
+    """The hat cone's total_dim, n - 2 rank, on A_s already built."""
+    a, b, v, h = _modulo_u_maps(c, s, a)
+    return len(a.lo + b.lo) - 2 * rank_f2(_hat_cone(c, a.columns, map(int.__xor__, v, h), c._b_echelon))
 
 
 def cone_homology_hat(c: KnotComplex, s: int) -> ConeResult:
     """Homology of the cone of v_s + h_s on the hat subquotients, with no
     cancellation: A_s, B and the cones of v, h and v + h read modulo U have
     homology of dimension n - 2 rank of their power-0 masks (`_hat_cone`),
-    and the three ranks follow by `_rank_nullity`.  The cones share one
-    echelon basis of B's columns, but at s = 0 the cone of v + h, which is
-    graded there: its homology at grading g has dimension
+    and the three ranks follow by `_rank_nullity`.  B's rank and the cones
+    read B's echelon basis, once per complex, but at s = 0 the cone of
+    v + h, which is graded there: its homology at grading g has dimension
     n_g - r_g - r_(g+1), r_g the rank of its columns at grading g."""
     c = ensure_flip(c)
-    a, b, v, h = _modulo_u_maps(c, s, free_plus_complex(c, s), free_plus_complex(c))
+    a, b, v, h = _modulo_u_maps(c, s, free_plus_complex(c, s))
     na, nb = len(a.columns), len(b.columns)
-    n, basis = na + nb, tuple(filter(None, map(F2Span().add, b.columns)))
-    high, vh = [da << nb for da in a.columns], tuple(map(int.__xor__, v, h))
+    n, vh, basis = na + nb, tuple(map(int.__xor__, v, h)), c._b_echelon
     ha, hb = na - 2 * rank_f2(F2Matrix._from_masks(na, na, a.columns)), nb - 2 * len(basis)
-    dims = [n - 2 * rank_f2(_hat_cone(n, basis, high, f)) for f in ((v, h, vh) if s else (v, h))]
+    dims = [n - 2 * rank_f2(_hat_cone(c, a.columns, f, basis)) for f in ((v, h, vh) if s else (v, h))]
     graded = None
     if s == 0:
         gradings, by_grading = tuple(g - 1 for g in b.gradings) + a.gradings, {}
-        for g, mask in zip(gradings, _hat_cone(n, b.columns, high, vh).column_masks()):
+        for g, mask in zip(gradings, _hat_cone(c, a.columns, vh, b.columns).column_masks()):
             by_grading.setdefault(g, []).append(mask)
         r = {g: rank_f2(F2Matrix._from_masks(n, len(m), tuple(m))) for g, m in by_grading.items()}
         n_g = Counter(gradings)

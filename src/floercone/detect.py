@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 from floercone.linalg import F2Matrix, LaurentPoly, rank_f2
 from floercone.model import KnotComplex, require_valid
-from floercone.cone import _free_cone, _hat_total, _pencil_maps, _rank_nullity, _v_map, ensure_flip
+from floercone.cone import _hat_cone, _hat_total, _modulo_u_maps, _pencil_maps, _rank_nullity, ensure_flip
 from floercone.subquotient import _hat_dim, free_plus_complex
 from floercone.twisted import _pencil_homology, novikov_dim
 
@@ -101,10 +101,11 @@ def sphere_necessary_conditions(complexes) -> Verdict:
 
     Fires when all hold over every supplied complex; the witness of a
     failure is the first violated clause in the scan, (c) over every
-    complex before (a) or (b) within each s.  B is built once per complex
-    and A_s once per (complex, s); (c) reads n - 2 rank(d modulo U) off
-    each.  (a) reads the hat cone of v + h the same way, n - 2 rank of its
-    power-0 masks (`cone._hat_total`), with no cancellation, and its rank
+    complex before (a) or (b) within each s.  B is read off the complex's
+    tables, built once per complex, and A_s built once per (complex, s);
+    (c) reads n - 2 rank(d modulo U) off each.  (a) reads the hat cone of
+    v + h the same way, n - 2 rank of its power-0 masks
+    (`cone._hat_total`), with no cancellation, and its rank
     (dim H(A_s) + dim H(B) - dim H(cone)) / 2 by `cone._rank_nullity`.
     (b) reads the pencil v' + T h' on homology bases of A_0 and B modulo U
     at s = 0 (`cone._pencil_maps`, `twisted`), with no cancellation, and
@@ -114,19 +115,18 @@ def sphere_necessary_conditions(complexes) -> Verdict:
     runs first, so (b) could never decide a verdict there.
     """
     complexes, bound = _prepare(complexes)
-    bs = [free_plus_complex(c) for c in complexes]  # B does not depend on s
-    dims_b = [_hat_dim(b.gradings, b.columns) for b in bs]
+    dims_b = [len(c.generators) - 2 * len(c._b_echelon) for c in complexes]  # B modulo U
     for s in _s_scan(bound):
         built = []  # A_s per complex, for clauses (a) and (b)
         for c, dim_b in zip(complexes, dims_b):
             built.append(a := free_plus_complex(c, s))
             if (dim_a := _hat_dim(a.gradings, a.columns)) != dim_b:
                 return _violated("c", s, c, dim_A=dim_a, dim_B=dim_b)
-        for c, a, b, dim in zip(complexes, built, bs, dims_b):
+        for c, a, dim in zip(complexes, built, dims_b):
             if s == 0:
-                if novikov := _pencil_homology(*_pencil_maps(c, a, b)).novikov_dim:
+                if novikov := _pencil_homology(*_pencil_maps(c, a)).novikov_dim:
                     return _violated("b", s, c, novikov_dim=novikov)
-            elif (rank := _rank_nullity(dim, dim, _hat_total(c, s, a, b))) != dim:
+            elif (rank := _rank_nullity(dim, dim, _hat_total(c, s, a))) != dim:
                 return _violated("a", s, c, rank=rank, dim_A=dim, dim_B=dim)  # dim_A = dim_B by (c)
     return Verdict(
         VerdictKind.FIRES,
@@ -163,15 +163,15 @@ def genus(complexes) -> int:
     v_i induces an isomorphism modulo U exactly when its cone on the free
     models has no homology modulo U.  A_i = B for i >= a_max, so per complex
     the scan runs down from a_max - 1 to the first failure, or to the largest
-    one already found.  B is built once per complex, A_i at most once.
+    one already found.  B is read off the complex's tables, built once
+    per complex, and A_i and v_i modulo U at most once.
     """
     complexes = _prepare(complexes)[0]
     worst = -1
     for c in complexes:
-        b = free_plus_complex(c)
         for i in range(c.a_max() - 1, worst, -1):
-            a = free_plus_complex(c, i)
-            if _hat_dim(*_free_cone(a, b, _v_map(a))):
+            a, _, v, _ = _modulo_u_maps(c, i, free_plus_complex(c, i))
+            if rank_f2(_hat_cone(c, a.columns, v, c._b_echelon)) != len(a.lo):  # not acyclic
                 worst = i
                 break
     return worst + 1

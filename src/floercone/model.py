@@ -45,7 +45,7 @@ from functools import cached_property, lru_cache
 from operator import itemgetter
 from typing import NamedTuple
 
-from floercone.linalg import F2Matrix, rank_f2
+from floercone.linalg import F2Matrix, F2Span, rank_f2
 
 
 # Entries kept by each of the validate and derive_flip caches; a long batch
@@ -199,21 +199,29 @@ class KnotComplex:
         return triples(self.differential), None if self.flip is None else triples(self.flip)
 
     @cached_property
+    def _alexander_gradings(self) -> tuple:
+        """The Alexander gradings, per generator."""
+        return tuple([g.alexander for g in self.generators])
+
+    @cached_property
     def _masks(self) -> tuple:
         """(d, flip) as one column mask per generator, the rows its terms reach,
         the powers left to the gradings (a valid complex has one term per
         (source, target)); flip is None without a flip.  The free models of
         `subquotient` and the map h of `cone` share them at every s."""
-        size = len(self.generators)
-
-        def masks(terms) -> tuple:
-            columns = [0] * size
-            for col, row, _ in terms:
-                columns[col] |= 1 << row
-            return tuple(columns)
-
         d, flip = self._index_form
-        return masks(d), None if flip is None else masks(flip)
+        size = len(self.generators)
+        return _column_masks(d, size), None if flip is None else _column_masks(flip, size)
+
+    @cached_property
+    def _b_modulo_u(self) -> tuple:
+        """B modulo U, lo being 0 in B: the masks of d's terms of U-power 0."""
+        return _column_masks([t for t in self._index_form[0] if not t[2]], len(self.generators))
+
+    @cached_property
+    def _b_echelon(self) -> tuple:
+        """An echelon basis of the span of `_b_modulo_u`, as many as its rank."""
+        return tuple(filter(None, map(F2Span().add, self._b_modulo_u)))
 
     def names(self) -> tuple:
         return tuple(g.name for g in self.generators)
@@ -237,6 +245,14 @@ class KnotComplex:
     def a_bound(self) -> int:
         """Largest |A| over the generators (0 for an empty complex)."""
         return max([0] + [abs(g.alexander) for g in self.generators])
+
+
+def _column_masks(terms, size: int) -> tuple:
+    """Per source index, the mask of the targets of its terms."""
+    columns = [0] * size
+    for col, row, _ in terms:
+        columns[col] |= 1 << row
+    return tuple(columns)
 
 
 def _targets(terms, size: int) -> list:
@@ -298,7 +314,7 @@ def validate(c: KnotComplex) -> ValidationReport:
     grade = split[1] if split is not None else None
     d, phi = c._index_form
 
-    alex = [g.alexander for g in gens]
+    alex = c._alexander_gradings
 
     def listed(terms, triples, role, holds, broken) -> None:
         """Lists each term's violations, in term order: its undeclared ends,
@@ -397,7 +413,7 @@ def _flip_problem(c: KnotComplex) -> tuple:
     every x whose component of phi d = d phi reads sigma(g); cands[g] lists
     the h with A(h) = -A(g) and M(h) = M(g) - 2 A(g), in name order."""
     gens = c.generators
-    alex = [g.alexander for g in gens]
+    alex = c._alexander_gradings
     grade = c._int_maslov[1]
     out = [{} for _ in gens]
     watch = [[k] for k in range(len(gens))]

@@ -14,8 +14,8 @@ graded, so the gradings fix the U-power of each entry: a differential or
 map is one GF(2) column mask per basis element, as in `F2Matrix`, with
 no power written out, and its F2[U] products are mask products, exact
 since every path between two basis elements has the same power.  A hat
-region is the same complex read modulo U: the entries of power 0 (`_u0`),
-and its homology has dimension n - 2 rank(d modulo U) (`_hat_dim`), the
+region is the same complex read modulo U: the entries of power 0, and
+its homology has dimension n - 2 rank(d modulo U) (`_hat_dim`), the
 one rule for homology modulo U, on the cones of `cone` too.
 
 The graded Smith form over F2[U] is a GF(2) column reduction
@@ -34,29 +34,28 @@ remains for the one ungraded cone alone, one proven rule
 (`cone._plus_reductions`).
 
 The free models are built from a validated complex and not checked
-again.  `validate` proves (the `model` docstring):
-- every term names declared generators and is listed once;
-- each term U^n t in d g has n >= 0 (negative-u-power), n >= A(t) - A(g)
-  (filtration) and M(t) - 2n = M(g) - 1 (maslov-drop), so d holds at most
-  one term per (g, t);
-- d o d = 0 over F2[U] (d-squared);
-- each term U^n t in the flip image of g has n = -A(g), A(t) = -A(g) and
-  M(t) = M(g) - 2A(g) (flip-term), so the flip too holds at most one
-  term per (g, t);
-- phi d = d phi over F2[U] (flip-chain-map).
-A_s and B are d conjugated by the diagonal U^lo, so d^2 = 0 carries over;
-each power n + lo(t) - lo(g) is >= 0, since min(0, s - A) drops from g to
-t by at most max(0, A(t) - A(g)) <= n, and by maslov-drop it has the
-grading its mask bit stands for.  v : A_s -> B is that conjugation, the
-identity on masks, so it commutes with d identically.  h : A_s -> B is the
-projection onto C{j >= s}, a chain map since d never raises j
-(filtration), then U^s and the flip, a chain map; by flip-term its
-powers max(0, s - A(g)) have the gradings its masks stand for, and it
-lowers them by 2s.  So `free_plus_complex` and `cone._v_map` and
-`cone._h_map` build masks alone; the checks they made live on in
-`tests/oracles.py` (`checked_free_model`).  The reduced models and the
-maps carried onto them are checked (`_smith_model`, `cone._reduced_maps`),
-and so is the pencil read off homology bases (`cone._pencil_maps`).
+again; they rest on the clauses `validate` proves (the `model` docstring).
+A_s and B are d conjugated by the diagonal U^lo, so d^2 = 0 (d-squared)
+carries over; each power n + lo(t) - lo(g) is >= 0, since min(0, s - A)
+drops from g to t by at most max(0, A(t) - A(g)) <= n (filtration), and
+by maslov-drop it has the grading its mask bit stands for.  So B modulo U
+is d's terms of power 0, lo being 0: a table built once per complex, with
+one echelon basis of its span (`KnotComplex._b_modulo_u`, `_b_echelon`);
+A_s modulo U is read by its gradings (`_u0`).  v : A_s -> B is that
+conjugation, the identity on masks, so it commutes with d identically;
+of power -lo(g) = max(0, A(g) - s) at y_g, modulo U it is the identity on
+the generators with A <= s.  h : A_s -> B is the projection onto
+C{j >= s}, a chain map since d never raises j (filtration), then U^s and
+the flip, a chain map (flip-chain-map); by flip-term its powers
+max(0, s - A(g)), one per flip term, have the gradings its masks stand
+for, and it lowers them by 2s; modulo U it is the flip's masks on the
+generators with A >= s (`cone._modulo_u_maps`).  So `free_plus_complex`,
+`cone._v_map` and `cone._h_map` build masks alone, and B, v and h modulo
+U are read by rule; the checks they made and the grading filter live on
+in `tests/oracles.py` (`checked_free_model`, `oracle_modulo_u_maps`).
+The reduced models and the maps carried onto them are checked
+(`_smith_model`, `cone._reduced_maps`), and so is the pencil read off
+homology bases (`cone._pencil_maps`).
 
 Every grading here is an int, M - offset with the offset shared by the
 Maslov gradings of the complex (`KnotComplex._int_maslov`); the offset is
@@ -141,11 +140,13 @@ def _modulo_u(free: FreeUComplex) -> FreeUComplex:
 def free_plus_complex(c: KnotComplex, s: int | None = None) -> FreeUComplex:
     """B (s None), the region 0 <= i, or A_s, the region 0 <= max(i, j - s):
     lo is 0 or min(0, s - A(g)), and U^n * t in d g is U^(n + lo(t) - lo(g)).
-    Checked by `validate` alone (module docstring)."""
+    Read off the complex's tables; checked by `validate` alone (module docstring)."""
     require_valid(c)
-    lo = tuple(0 if s is None else min(0, s - g.alexander) for g in c.generators)
-    gradings = tuple(m + 2 * low for m, low in zip(c._int_maslov[1], lo))
-    return FreeUComplex._trusted(lo, gradings, c._masks[0])
+    maslov = c._int_maslov[1]
+    if s is None:
+        return FreeUComplex._trusted((0,) * len(maslov), maslov, c._masks[0])
+    lo = tuple([0 if a <= s else s - a for a in c._alexander_gradings])
+    return FreeUComplex._trusted(lo, tuple([m + 2 * low for m, low in zip(maslov, lo)]), c._masks[0])
 
 
 def _check_commutes(f, source: FreeUComplex, target: FreeUComplex) -> None:
@@ -300,8 +301,8 @@ def _smith_model(free: FreeUComplex, order) -> tuple:
     (`_clearing`), which must put each residue's least-power row on top.
 
     The basis splits free into towers and pairs x, y = d c / U^v with
-    d x = U^v y.  A' keeps the towers and the pairs with v >= 1, built with
-    the checked `FreeUComplex`, and drops the unit pairs, which are
+    d x = U^v y.  A' keeps the towers and the pairs with v >= 1, unchecked
+    (a caller that reads d' checks it), and drops the unit pairs, which are
     acyclic; so i, onto the basis vectors, and p, the coordinates on A'
     solved for top bit by top bit, are chain maps with p i = 1.  p also
     tells whether it drops a coordinate on a pair's column end, which a
@@ -312,15 +313,17 @@ def _smith_model(free: FreeUComplex, order) -> tuple:
     kept = sorted(towers + [*arrows, *arrows.values()])
     place = {k: p for p, k in enumerate(kept)}
     columns = tuple([1 << place[arrows[k]] if k in arrows else 0 for k in kept])
-    reduced = FreeUComplex(tuple([free.lo[k] for k in kept]), tuple([gradings[k] for k in kept]), columns)
-    dropped = {x for x, _ in pairs if x not in place}
+    reduced = FreeUComplex._trusted(tuple([free.lo[k] for k in kept]), tuple([gradings[k] for k in kept]),
+                                    columns)
+    weight = {x: 1 for x, _ in pairs}  # bit 0 flags a column end; A's coordinates sit above it
+    weight.update({k: 2 << p for k, p in place.items()})
 
     def project(w: int) -> tuple:
-        hit = []
+        out = 0
         while w:
-            hit.append(t := w.bit_length() - 1)
+            out |= weight.get(t := w.bit_length() - 1, 0)
             w ^= basis[t]
-        return sum(1 << place[t] for t in hit if t in place), any(t in dropped for t in hit)
+        return out >> 1, out & 1
 
     return reduced, [basis[k] for k in kept], project
 

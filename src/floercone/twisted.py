@@ -94,8 +94,8 @@ def twisted_homology_laurent(c: KnotComplex, s: int) -> TwistedConeResult:
     the pencil on homology bases modulo U (module docstring)."""
     c = ensure_flip(c)
     if s:
-        return TwistedConeResult(_hat_total(c, s, free_plus_complex(c, s), free_plus_complex(c)), ())
-    return _pencil_homology(*_pencil_maps(c, free_plus_complex(c, 0), free_plus_complex(c)))
+        return TwistedConeResult(_hat_total(c, s, free_plus_complex(c, s)), ())
+    return _pencil_homology(*_pencil_maps(c, free_plus_complex(c, 0)))
 
 
 def novikov_dim(c: KnotComplex, s: int) -> int:

@@ -16,12 +16,17 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from pathlib import Path
 
 import floercone
+import floercone.cone as cone_module
+import floercone.detect as detect_module
+import floercone.subquotient as subquotient
+import floercone.twisted as twisted_module
 from floercone.fixtures import FIGURE8, TREFOIL, Y1SIGMA
 from floercone.model import (
     DiffTerm,
@@ -219,3 +224,24 @@ def run_on_broken_trefoils_under_python_O(code: str, tmp_path) -> subprocess.Com
                                                       env.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, "-O", "-c", code, *map(str, paths)], env=env,
                           capture_output=True, text=True, timeout=60)
+
+
+# the tables a complex builds on first use, once each, for every s
+TABLES = ("_alexander_gradings", "_b_modulo_u", "_b_echelon")
+
+
+def count_builds(monkeypatch) -> Counter:
+    """Counts `free_plus_complex` calls by s (None for B), the readings of
+    A_s, B, v and h modulo U ("maps", `cone._modulo_u_maps`) and the builds
+    of each of TABLES by name, from every module that calls them."""
+    built, free, maps = Counter(), subquotient.free_plus_complex, cone_module._modulo_u_maps
+    for module in (subquotient, cone_module, detect_module, twisted_module):
+        monkeypatch.setattr(module, "free_plus_complex", lambda c, s=None: built.update([s]) or free(c, s))
+    for module in (cone_module, detect_module):  # genus reads the maps from detect
+        monkeypatch.setattr(module, "_modulo_u_maps", lambda *args: built.update(["maps"]) or maps(*args))
+    for name in TABLES:
+        table = cached_property(lambda c, _f=getattr(KnotComplex, name).func, _name=name:
+                                built.update([_name]) or _f(c))
+        table.__set_name__(KnotComplex, name)
+        monkeypatch.setattr(KnotComplex, name, table)
+    return built

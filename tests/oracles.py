@@ -42,8 +42,11 @@ A_s, B, v and h with every U-power written out and checked on each build
 built as masks from what `validate` proves, the hat complexes as
 plane-element bases with a differential checked on each build
 (`SubquotientComplex`, `hat_view`) instead of homology modulo U read off
-the masks of a free model or a cone (`subquotient._hat_dim`), and the
-parser with a `Fraction` per generator instead of one per distinct M= text.
+the masks of a free model or a cone (`subquotient._hat_dim`), B, v and h
+read modulo U by the grading filter `_u0` on the full free models and
+maps (`oracle_modulo_u_maps`) instead of off the complex's tables and by
+rule, and the parser with a `Fraction` per generator instead of one per
+distinct M= text.
 """
 
 from __future__ import annotations
@@ -60,7 +63,6 @@ from floercone.cone import (
     ConeResult,
     _h_map,
     _induced_rank,
-    _modulo_u_maps,
     _plus_reductions,
     _rank_nullity,
     _v_map,
@@ -365,6 +367,17 @@ def hat_maps(c: KnotComplex, s: int) -> tuple:
     return v, HatMap(a, b, matrix, 0 if matrix.is_zero() else -2 * s)
 
 
+def oracle_modulo_u_maps(c: KnotComplex, s: int) -> tuple:
+    """`cone._modulo_u_maps` by the grading filter: A_s and B read modulo U,
+    the power-0 masks of their free models, and of v and h between them,
+    the entries of each map's masks (`_v_map`, `_h_map`) whose gradings
+    give them power 0, v of degree 0 and h of degree -2s."""
+    c = ensure_flip(c)
+    a, b = free_plus_complex(c, s), free_plus_complex(c)
+    return (_modulo_u(a), _modulo_u(b), _u0(_v_map(a), a.gradings, b.gradings, 0),
+            _u0(_h_map(c), a.gradings, b.gradings, -2 * s))
+
+
 def make_chain_map(source: SubquotientComplex, target: SubquotientComplex,
                    matrix: F2Matrix) -> HatMap:
     """Wrap a matrix as a chain map, verifying commutation with differentials."""
@@ -660,7 +673,7 @@ def cancelled_maps_modulo_u(c: KnotComplex, s: int) -> tuple:
     power-0 masks of v' and h' between them (`_cancelled`).  Every
     differential left is 0, which is checked, so f' d = 0 = d f' needs no
     check."""
-    a, b, *maps = _modulo_u_maps(c, s, free_plus_complex(c, s), free_plus_complex(c))
+    a, b, *maps = oracle_modulo_u_maps(c, s)
     a, b, v, h = _cancelled(a, b, maps)
     if any(a.columns) or any(b.columns):
         raise InvariantViolated("a reduced model modulo U keeps a differential")

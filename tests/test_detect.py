@@ -4,7 +4,6 @@ import os
 import random
 import subprocess
 import sys
-from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -12,9 +11,6 @@ from pathlib import Path
 import pytest
 
 import floercone
-import floercone.cone as cone_module
-import floercone.detect as detect_module
-import floercone.subquotient as subquotient
 from floercone.detect import (
     NotHomologySphere,
     Verdict,
@@ -30,7 +26,17 @@ from floercone.fixtures import ALL_FIXTURES, FIGURE8, TREFOIL, TREFOIL_L, UNKNOT
 from floercone.linalg import LaurentPoly
 from floercone.subquotient import hf_red_graded
 
-from corpus import BIG_SUMS, TWISTED_SUMS, connected_sum, mirror, staircase, tensor, with_flip
+from corpus import (
+    BIG_SUMS,
+    TABLES,
+    TWISTED_SUMS,
+    connected_sum,
+    count_builds,
+    mirror,
+    staircase,
+    tensor,
+    with_flip,
+)
 from oracles import oracle_genus, oracle_necessary_conditions_witness
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -116,21 +122,6 @@ def test_necessary_conditions_figure8_clause_c():
     assert v.witness["clause"] == "c" and v.witness["s"] == 0
 
 
-def count_builds(monkeypatch) -> Counter:
-    """Counts free_plus_complex calls by s (None for B) and v and h builds."""
-    built = Counter()
-    for module in (subquotient, cone_module, detect_module):
-        monkeypatch.setattr(module, "free_plus_complex",
-                            lambda c, s=None, _f=module.free_plus_complex:
-                            built.update([s]) or _f(c, s))
-    for module in (cone_module, detect_module):  # genus calls _v_map from detect
-        for name in ("_v_map", "_h_map"):
-            if hasattr(module, name):
-                monkeypatch.setattr(module, name, lambda *args, _f=getattr(module, name):
-                                    built.update(["map"]) or _f(*args))
-    return built
-
-
 def passes_every_clause_up_to_2():
     """A corpus complex that passes every clause for |s| <= 2."""
     return next(f for _, f in with_flip() if f.a_bound() == 2
@@ -138,18 +129,20 @@ def passes_every_clause_up_to_2():
 
 
 def test_necessary_conditions_build_B_once_and_A_s_once_per_s(monkeypatch):
-    """B is built once per complex and A_s once per s, and clauses (a) and (b)
-    build v and h on them once, s = 0 included."""
-    c = passes_every_clause_up_to_2()
+    """B is never built: clause (c) and the cones read B's tables, each built
+    once per complex across the whole scan.  A_s is built once per s, and
+    clauses (a) and (b) read it, v and h modulo U once per s, s = 0
+    included."""
+    c = replace(passes_every_clause_up_to_2())  # a fresh copy: no table built yet
     built = count_builds(monkeypatch)
     assert sphere_necessary_conditions([c]).kind is VerdictKind.FIRES
-    assert built == {None: 1, "map": 10, **{s: 1 for s in range(-2, 3)}}
+    assert built == {"maps": 5, **{s: 1 for s in range(-2, 3)}, **dict.fromkeys(TABLES, 1)}
 
 
 def test_necessary_conditions_build_no_map_where_clause_c_fails(monkeypatch):
     built = count_builds(monkeypatch)
-    assert sphere_necessary_conditions([TREFOIL_L]).witness["clause"] == "c"
-    assert built == {None: 1, 0: 1}
+    assert sphere_necessary_conditions([replace(TREFOIL_L)]).witness["clause"] == "c"
+    assert built == {0: 1, **dict.fromkeys(TABLES, 1)}
 
 
 def labelled(complexes) -> list:
@@ -294,16 +287,18 @@ def test_genus_equals_lifting_cycles_on_the_corpus_and_the_sums():
 
 
 def test_genus_builds_B_once_and_each_A_i_at_most_once(monkeypatch):
-    """The scan runs down from a_max - 1 to the first i where v_i fails, and
-    builds B once and A_i and v_i once for each i it reaches."""
+    """The scan runs down from a_max - 1 to the first i where v_i fails; it
+    reads B's tables, built once per complex, and builds A_i and reads v_i
+    modulo U once for each i it reaches."""
     acyclic = next(f for _, f in with_flip() if genus([f]) == 0 and f.a_max() == 2)
     cases = [(acyclic, 0), (staircase(3), 3), (tensor(staircase(1), acyclic), 1)]
     built = count_builds(monkeypatch)
     for c, g in cases:
         built.clear()
+        c = replace(c)  # a fresh copy: no table built yet
         assert genus([c]) == g
         scanned = range(max(g - 1, 0), c.a_max())
-        assert built == {None: 1, "map": len(scanned), **{i: 1 for i in scanned}}, g
+        assert built == {"maps": len(scanned), **{i: 1 for i in scanned}, **dict.fromkeys(TABLES, 1)}, g
 
 
 @pytest.mark.slow

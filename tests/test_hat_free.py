@@ -16,17 +16,18 @@ from pathlib import Path
 import pytest
 
 import floercone
-import floercone.cone as cone_module
 from floercone.cli import main
 from floercone.cone import (
+    _modulo_u_maps,
     _plus_reductions,
     cone_homology_hat,
     cone_homology_plus_truncated,
+    ensure_flip,
     project_A,
 )
 from floercone.detect import VerdictKind, genus, sphere_necessary_conditions
 from floercone.fixtures import ALL_FIXTURES, FIGURE8, TREFOIL
-from floercone.linalg import _combine
+from floercone.linalg import F2Span, _combine
 from floercone.model import ValidationError
 from floercone.subquotient import _clearing, _descending, _modulo_u, free_plus_complex
 from floercone.twisted import twisted_homology_laurent
@@ -36,6 +37,7 @@ from corpus import (
     TWISTED_SUMS,
     broken_trefoils,
     connected_sum,
+    count_builds,
     lspace_staircase,
     mirror,
     run_on_broken_trefoils_under_python_O,
@@ -55,6 +57,7 @@ from oracles import (
     oracle_hat_from_reduced_models,
     oracle_hat_parts,
     oracle_hat_ranks,
+    oracle_modulo_u_maps,
     oracle_necessary_conditions_witness,
     oracle_plus_reductions,
     plus_at_height_0,
@@ -119,6 +122,44 @@ def assert_hat_equals_the_oracle(c, s_values):
 
 def every_s(c) -> range:
     return range(-c.a_bound() - 1, c.a_bound() + 2)
+
+
+def assert_tables_and_rules_match_the_grading_filter(c):
+    """B modulo U off the complex's table and v and h modulo U by rule
+    (`cone._modulo_u_maps`), at every s in [-a_bound - 1, a_bound + 1],
+    against the power-0 masks the grading filter reads off the full free
+    models and maps (`oracle_modulo_u_maps`); and B's echelon basis, with
+    distinct top bits, against the span of B's columns modulo U."""
+    c = ensure_flip(c)
+    for s in every_s(c):
+        assert _modulo_u_maps(c, s, free_plus_complex(c, s)) == oracle_modulo_u_maps(c, s), (c, s)
+    n, columns, span = len(c.generators), oracle_modulo_u_maps(c, 0)[1].columns, F2Span()
+    for col in columns:
+        span.add(col)
+    basis = c._b_echelon
+    assert len({x.bit_length() for x in basis}) == len(basis) == dense_rank_f2(
+        [[col >> r & 1 for col in columns] for r in range(n)]), c
+    assert all(x and span.contains(x) for x in basis), c
+
+
+def test_tables_and_rules_match_the_grading_filter_on_the_fixtures():
+    for c in ALL_FIXTURES:
+        for k in (c, mirror(c)):
+            assert_tables_and_rules_match_the_grading_filter(k)
+
+
+@pytest.mark.parametrize("seed", range(1, 9))
+def test_tables_and_rules_match_the_grading_filter_on_the_corpus_and_its_mirrors(seed):
+    for _, c in with_flip(seed):
+        for k in (c, mirror(c)):
+            assert_tables_and_rules_match_the_grading_filter(k)
+
+
+@pytest.mark.parametrize("name", TWISTED_SUMS + BIG_SUMS)
+def test_tables_and_rules_match_the_grading_filter_on_the_sums_and_their_mirrors(name):
+    c = connected_sum(name)
+    for k in (c, mirror(c)):
+        assert_tables_and_rules_match_the_grading_filter(k)
 
 
 def test_hat_answers_equal_the_full_cone_on_the_fixtures_and_the_corpus():
@@ -232,18 +273,18 @@ def test_hat_cone_is_the_plus_cone_at_height_0():
 
 
 def test_each_cone_builds_A_B_v_and_h_once(monkeypatch):
-    import floercone.twisted as twisted_module
-
-    calls = []
-    for module, name in ((cone_module, "free_plus_complex"), (twisted_module, "free_plus_complex"),
-                         (cone_module, "_v_map"), (cone_module, "_h_map")):
-        counted = (lambda *args, _f=getattr(module, name), _name=name, **kwargs:
-                   calls.append(_name) or _f(*args, **kwargs))
-        monkeypatch.setattr(module, name, counted)
-    for build, s in ((cone_homology_hat, 1), (twisted_homology_laurent, 0)):
-        calls.clear()
-        build(FIGURE8, s)
-        assert sorted(calls) == ["_h_map", "_v_map"] + ["free_plus_complex"] * 2, build
+    """Each hat-type cone builds A_s once and reads it, v and h modulo U once;
+    B is read off the complex's tables, each built on first use and once
+    per complex across every cone: the pencil at s = 0 never reads B's
+    echelon basis."""
+    c = replace(FIGURE8)  # a fresh copy: no table built yet
+    built = count_builds(monkeypatch)
+    first = {"_alexander_gradings": 1, "_b_modulo_u": 1}
+    for build, s, tables in ((twisted_homology_laurent, 0, first), (cone_homology_hat, 1, {"_b_echelon": 1}),
+                             (cone_homology_hat, 0, {}), (twisted_homology_laurent, -1, {})):
+        built.clear()
+        build(c, s)
+        assert built == {s: 1, "maps": 1, **tables}, (build, s)
 
 
 # ---------------------------------------------------------------------------
@@ -369,8 +410,8 @@ def test_pencil_cycle_check_survives_python_O():
         "from floercone.twisted import twisted_homology_laurent\n"
         "assert False, 'asserts are on'\n"
         "real = cone._modulo_u_maps\n"
-        "def broken(c, s, a, b):\n"
-        "    a, b, v, h = real(c, s, a, b)\n"
+        "def broken(c, s, a):\n"
+        "    a, b, v, h = real(c, s, a)\n"
         "    r = next(r for r, col in enumerate(b.columns) if col)\n"
         "    return a, b, v, tuple(col | 1 << r for col in h)\n"
         "sum_ = connected_sum('Y1+T2_3')\n"

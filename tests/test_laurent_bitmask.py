@@ -217,7 +217,7 @@ def test_twisted_homology_builds_the_cone_once(monkeypatch):
         monkeypatch.setattr(module, "smith_pivots_u", refused, raising=False)
     for c in ALL_FIXTURES:
         c = ensure_flip(c)
-        a, b, _, _ = _pencil_maps(c, free_plus_complex(c, 0), free_plus_complex(c))
+        a, b, _, _ = _pencil_maps(c, free_plus_complex(c, 0))
         for s in (-1, 0, 1):
             for run in (twisted_homology_laurent, novikov_dim):
                 calls.clear()

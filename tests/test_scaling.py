@@ -29,7 +29,7 @@ def test_parent_runs_both_sides_and_agrees_with_itself(tmp_path):
     report = json.loads(out.read_text())
     assert report["runs_per_side"] == 2
     assert {row["flavor"] for row in report["rows"]} == {
-        "plus", "hat", "twisted", "red", "genus", "load"}
+        "plus", "hat", "twisted", "red", "genus", "prop0check", "load"}
     for row in report["rows"]:
         assert len(row["runs_s"]) == len(row["baseline_runs_s"]) == 2
         low, high = row["baseline_quartiles_s"]

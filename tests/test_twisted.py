@@ -65,7 +65,7 @@ def test_twisted_requires_flip():
     complex is refused there rather than read as h = 0."""
     bare = replace(TREFOIL, flip=None)
     with pytest.raises(FlipMissing):
-        _pencil_maps(bare, free_plus_complex(bare, 0), free_plus_complex(bare))
+        _pencil_maps(bare, free_plus_complex(bare, 0))
 
 
 def test_specialization_at_one_recovers_untwisted():
@@ -140,7 +140,7 @@ def assert_the_pencil_equals_the_cancellation_pencil(monkeypatch, c):
     prop0check verdict, whose clause (b) reads the pencil."""
     got = twisted_homology_laurent(c, 0), sphere_necessary_conditions([c])
     with monkeypatch.context() as m:
-        m.setattr(detect_module, "_pencil_maps", lambda c, a, b: cancelled_maps_modulo_u(c, 0))
+        m.setattr(detect_module, "_pencil_maps", lambda c, a: cancelled_maps_modulo_u(c, 0))
         want = _pencil_homology(*cancelled_maps_modulo_u(c, 0)), sphere_necessary_conditions([c])
     assert got == want, c
 
