@@ -17,7 +17,7 @@ gets the offset back when it is reported.
 v and h are graded F2[U] maps between the free models of A_s and B (see
 `subquotient`), column masks whose U-powers the gradings fix, so no
 U^|s| is written out.  The hat flavor reads U^0 alone (`_modulo_u_maps`):
-A_s by a grading filter, B off the complex's tables and v and h by rule
+A_s off d's terms, B off the complex's tables and v and h by rule
 (`subquotient`), and A_s, B and the cones of v, h and v + h read modulo
 U have homology of dimension n - 2 rank, and
 dim H(cone f) = dim H(A) + dim H(B) - 2 rank f_* gives each rank
@@ -188,11 +188,16 @@ def _pencil_maps(c: KnotComplex, a: FreeUComplex) -> tuple:
 
 
 def _modulo_u_maps(c: KnotComplex, s: int, a: FreeUComplex) -> tuple:
-    """A_s read modulo U (`subquotient._modulo_u`), B off the complex's table
-    (`KnotComplex._b_modulo_u`), and v and h by the rules of `subquotient`:
+    """A_s, B, v and h modulo U by the rules of `subquotient`: d's terms
+    x -> y of power n = lo(x) - lo(y), B's table (`KnotComplex._b_modulo_u`),
     the identity on the generators with A <= s, the flip's on A >= s."""
-    alex, maslov = c._alexander_gradings, c._int_maslov[1]
-    return (_modulo_u(a), FreeUComplex._trusted((0,) * len(maslov), maslov, c._b_modulo_u),
+    alex, maslov, lo = c._alexander_gradings, c._int_maslov[1], a.lo
+    a0 = [0] * len(lo)
+    for x, y, n in c._index_form[0]:
+        if n == lo[x] - lo[y]:
+            a0[x] |= 1 << y
+    return (FreeUComplex._trusted(lo, a.gradings, tuple(a0)),
+            FreeUComplex._trusted((0,) * len(maslov), maslov, c._b_modulo_u),
             tuple([1 << k if x <= s else 0 for k, x in enumerate(alex)]),
             tuple([f if x >= s else 0 for f, x in zip(_h_map(c), alex)]))
 

@@ -10,7 +10,8 @@
 manifold and holds one block per Spin^c structure; block names and spinc
 labels must both be unique within the document.  Differential U-powers
 must be nonnegative; flip U-powers may be negative.  Every parsed
-complex must pass the validator.
+complex must pass the validator.  Each distinct M= text makes one
+Fraction: Fraction(int(text)) without '/', Fraction(text) with it.
 
 serialize produces the canonical form: generators sorted by name,
 differential and flip lines sorted by source with terms sorted by
@@ -74,6 +75,7 @@ def parse(text: str) -> InputDocument:
     flips: list[FlipTerm] = []
     has_flip = False
     gradings: dict[str, Fraction] = {}  # one Fraction per distinct M= text
+    new = tuple.__new__  # a term without the NamedTuple's Python-level __new__
 
     def finish(line_no: int):
         nonlocal name, spinc, gens, diffs, flips, has_flip
@@ -89,9 +91,29 @@ def parse(text: str) -> InputDocument:
         gens, diffs, flips, has_flip = [], [], [], False
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = (raw.split("#", 1)[0] if "#" in raw else raw).strip()
         if not line:
             continue
+        if name is not None:  # d and flip lines first, then gen: they are most lines
+            if m := _LINE_RE.match(line):
+                head, src, rest = m.groups()
+                term, out = (DiffTerm, diffs) if head == "d" else (FlipTerm, flips)
+                has_flip = has_flip or term is FlipTerm
+                for chunk in rest.split(","):
+                    t = _TERM_RE.match(chunk.strip())
+                    if not t:
+                        raise ParseError(line_no, f"bad term {chunk.strip()!r}; expected U^<n> <dst>")
+                    power = int(t[1])
+                    if power < 0 and term is DiffTerm:
+                        raise ParseError(line_no, "differential U-powers must be >= 0")
+                    out.append(new(term, (src, t[2], power)))
+                continue
+            if m := _GEN_RE.match(line):
+                gen, a, m_text = m.groups()
+                if (maslov := gradings.get(m_text)) is None:
+                    maslov = gradings[m_text] = Fraction(m_text if "/" in m_text else int(m_text))
+                gens.append(Generator(gen, int(a), maslov))
+                continue
         head = line.split(None, 1)[0]
         if head == "complex":
             if name is not None:
@@ -106,37 +128,16 @@ def parse(text: str) -> InputDocument:
                 raise DuplicateName(f"line {line_no}: spinc label {spinc!r} reused")
             seen_names.add(name)
             seen_spinc.add(spinc)
-            continue
-        if name is None:
+        elif name is None:
             raise ParseError(line_no, f"{head!r} outside a complex block")
-        if head == "end":
+        elif head == "end":
             if line != "end":
                 raise ParseError(line_no, "expected bare 'end'")
             finish(line_no)
         elif head == "gen":
-            m = _GEN_RE.match(line)
-            if not m:
-                raise ParseError(line_no, "expected: gen <name> A=<int> M=<int or p/q, q > 0>")
-            gen, a, m_text = m.groups()
-            if (maslov := gradings.get(m_text)) is None:
-                maslov = gradings[m_text] = Fraction(m_text)
-            gens.append(Generator(gen, int(a), maslov))
+            raise ParseError(line_no, "expected: gen <name> A=<int> M=<int or p/q, q > 0>")
         elif head in ("d", "flip"):
-            m = _LINE_RE.match(line)
-            if not m:
-                raise ParseError(line_no, f"expected: {head} <src> : U^<n> <dst>[, ...]")
-            _, src, rest = m.groups()
-            term, out = (DiffTerm, diffs) if head == "d" else (FlipTerm, flips)
-            has_flip = has_flip or head == "flip"
-            for chunk in rest.split(","):
-                t = _TERM_RE.match(chunk.strip())
-                if not t:
-                    raise ParseError(line_no, f"bad term {chunk.strip()!r}; expected U^<n> <dst>")
-                power, dst = t.groups()
-                power = int(power)
-                if power < 0 and head == "d":
-                    raise ParseError(line_no, "differential U-powers must be >= 0")
-                out.append(term(src, dst, power))
+            raise ParseError(line_no, f"expected: {head} <src> : U^<n> <dst>[, ...]")
         else:
             raise ParseError(line_no, f"unrecognized directive {head!r}")
     if name is not None:

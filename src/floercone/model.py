@@ -38,11 +38,10 @@ acts by translation: a term U^n * h in the differential of g contributes
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import NamedTuple
 
 from floercone.linalg import F2Matrix, F2Span, rank_f2
@@ -147,7 +146,7 @@ class KnotComplex:
     def __post_init__(self):
         object.__setattr__(
             self, "generators",
-            tuple(sorted(self.generators, key=lambda g: g.name)))
+            tuple(sorted(self.generators, key=attrgetter("name"))))
         object.__setattr__(self, "differential", tuple(sorted(self.differential)))
         if self.flip is not None:
             object.__setattr__(self, "flip", tuple(sorted(self.flip)))
@@ -169,14 +168,14 @@ class KnotComplex:
     def _int_maslov(self) -> tuple | None:
         """(offset, gradings): the fractional part in [0, 1) shared by every
         Maslov grading, and M - offset per generator, as ints; None when two
-        gradings do not differ by an integer.  Read off each M = p / q as
+        gradings do not differ by an integer.  Each M = p / q, split once, gives
         p // q and (p mod q) / q, in lowest terms, with no rational arithmetic."""
-        parts = {(g.maslov.numerator % g.maslov.denominator, g.maslov.denominator)
-                 for g in self.generators}
+        ratios = [g.maslov.as_integer_ratio() for g in self.generators]
+        parts = {(p % q, q) for p, q in ratios}
         if len(parts) > 1:
             return None
         offset = Fraction(*parts.pop()) if parts else Fraction(0)
-        return offset, tuple(g.maslov.numerator // g.maslov.denominator for g in self.generators)
+        return offset, tuple([p // q for p, q in ratios])
 
     @cached_property
     def _index_names(self) -> tuple:
@@ -189,14 +188,17 @@ class KnotComplex:
 
     @cached_property
     def _index_form(self) -> tuple:
-        """(d, flip) in the index form: each term, in term order, as a
-        (source, target, U-power) triple of ints; flip is None without a flip."""
-        index = {name: k for k, name in enumerate(self._index_names)}
-
-        def triples(terms) -> tuple:
-            return tuple([(index[x], index[y], n) for x, y, n in terms])
-
-        return triples(self.differential), None if self.flip is None else triples(self.flip)
+        """(d, flip) in the index form: each term, in term order, as a (source,
+        target, U-power) triple of ints, numbered as in `_index_names`, which is
+        read only when a term names an undeclared generator; flip is None without a flip."""
+        index = {g.name: k for k, g in enumerate(self.generators)}
+        terms = (self.differential, self.flip or ())
+        try:
+            d, flip = [tuple([(index[x], index[y], n) for x, y, n in t]) for t in terms]
+        except KeyError:
+            index = {name: k for k, name in enumerate(self._index_names)}
+            d, flip = [tuple([(index[x], index[y], n) for x, y, n in t]) for t in terms]
+        return d, None if self.flip is None else flip
 
     @cached_property
     def _alexander_gradings(self) -> tuple:
@@ -263,22 +265,31 @@ def _targets(terms, size: int) -> list:
     return out
 
 
+def _odd(triples) -> set:
+    """The triples listed an odd number of times."""
+    odd: set = set()
+    for t in triples:
+        odd ^= {t}
+    return odd
+
+
 def _odd_paths(*compositions) -> set:
     """The (source, target, U-power) triples that an odd number of paths
     reach, over the pairs (outer, inner) of `_targets` lists and index
     triples: a path is a term (x, m, k) of inner followed by a pair (y, j)
     of outer[m], and it reaches (x, y, k + j).  Over one pair these are the
     terms of outer o inner over F2[U, U^-1]; over two, of their sum."""
-    odd = set()
+    return _odd((x, y, k + j) for outer, inner in compositions for x, m, k in inner for y, j in outer[m])
+
+
+def _products_vanish(size: int, *compositions) -> bool:
+    """Whether the sum of outer o inner over the pairs (outer, inner) of
+    column masks and index triples is zero over GF(2)."""
+    acc = [0] * size
     for outer, inner in compositions:
-        for x, m, k in inner:
-            for y, j in outer[m]:
-                t = (x, y, k + j)
-                if t in odd:
-                    odd.remove(t)
-                else:
-                    odd.add(t)
-    return odd
+        for x, m, _ in inner:
+            acc[x] ^= outer[m]
+    return not any(acc)
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
@@ -292,18 +303,18 @@ def validate(c: KnotComplex) -> ValidationReport:
     flip-chain-map failure are listed as for any term; flip-not-invertible
     reads only the flip terms between declared generators.  Both composites
     are read off the index triples (`_odd_paths`), so they are exact on
-    every input, whatever its U-powers."""
+    every input, whatever its U-powers.  Where every term is declared, listed
+    once and holds, d lowers M - 2n by one and the flip keeps it, so M(x)
+    and M(y) fix the U-power of every path x -> y, and the GF(2) products
+    of the masks decide both (`_products_vanish`)."""
     bad: list[Violation] = []
     gens = c.generators
     size = len(gens)
-    seen_names = set()
-    for g in gens:
-        if g.name in seen_names:
-            bad.append(Violation("duplicate-name", g.name, "generator name reused"))
-        seen_names.add(g.name)
-    if bad:
-        # containers keyed by name are unreliable; stop before deriving more
-        return ValidationReport(tuple(bad))
+    declared = [g.name for g in gens]
+    if len(set(declared)) < size:  # containers keyed by name are unreliable: stop here
+        seen: set = set()
+        return ValidationReport(tuple(Violation("duplicate-name", name, "generator name reused")
+                                      for name in declared if name in seen or seen.add(name)))
 
     split = c._int_maslov
     if split is None:
@@ -313,33 +324,35 @@ def validate(c: KnotComplex) -> ValidationReport:
     # the int gradings M - offset; the Maslov checks need them
     grade = split[1] if split is not None else None
     d, phi = c._index_form
-
     alex = c._alexander_gradings
+    # the terms with an undeclared end or a broken rule, in term order
+    d_fails = [(x, y, n) for x, y, n in d if not (
+        x < size and y < size and n >= 0 and n >= alex[y] - alex[x]
+        and (grade is None or grade[y] - 2 * n == grade[x] - 1))]
+    phi_fails = [(x, y, n) for x, y, n in phi or () if not (
+        x < size and y < size and n == alex[y] == -alex[x]
+        and (grade is None or grade[y] == grade[x] - 2 * alex[x]))]
+    once = len(set(d)) == len(d) and (phi is None or len(set(phi)) == len(phi))
+    clean = once and not (d_fails or phi_fails) and grade is not None
+    names = None if clean else c._index_names  # the labels of a clean complex need none
 
-    def listed(terms, triples, role, holds, broken) -> None:
-        """Lists each term's violations, in term order: its undeclared ends,
-        or else a repeat and the (kind, detail) pairs of broken(x, y, n),
-        checked on the int gradings; broken runs, and a label is built,
-        only for a repeat or a term that fails holds(x, y, n)."""
+    def listed(triples, fails, role, broken) -> None:
+        """Lists the violations of the terms fails, or of every term when a
+        term repeats, in term order: its undeclared ends, or else a repeat
+        and the (kind, detail) pairs of broken(x, y, n), checked on the int
+        gradings."""
         seen = set()
-        for t, term in zip(terms, triples):
+        for term in fails if once else triples:
             x, y, n = term
             if x >= size or y >= size:
-                for who, k in ((t.source, x), (t.target, y)):
-                    if k >= size:
-                        bad.append(Violation("unknown-generator", f"{role} {t.source}->{t.target}",
-                                             f"no generator named {who!r}"))
+                bad.extend(Violation("unknown-generator", f"{role} {names[x]}->{names[y]}",
+                                     f"no generator named {names[k]!r}") for k in (x, y) if k >= size)
                 continue
-            repeat = term in seen
+            label = f"{role} {names[x]} -> U^{n} {names[y]}"
+            if term in seen:
+                bad.append(Violation("duplicate-term", label, "term listed twice"))
             seen.add(term)
-            if repeat or not holds(x, y, n):
-                label = f"{role} {t.source} -> U^{n} {t.target}"
-                if repeat:
-                    bad.append(Violation("duplicate-term", label, "term listed twice"))
-                bad.extend(Violation(kind, label, detail) for kind, detail in broken(x, y, n))
-
-    def d_holds(x: int, y: int, n: int) -> bool:
-        return n >= 0 and n >= alex[y] - alex[x] and (grade is None or grade[y] - 2 * n == grade[x] - 1)
+            bad.extend(Violation(kind, label, detail) for kind, detail in broken(x, y, n))
 
     def d_rules(x: int, y: int, n: int) -> list:
         found, lift = [], alex[y] - alex[x]
@@ -352,10 +365,6 @@ def validate(c: KnotComplex) -> ValidationReport:
                                          f"expected M(source) - 1 = {gens[x].maslov - 1}"))
         return found
 
-    def flip_holds(x: int, y: int, n: int) -> bool:
-        a = alex[x]
-        return n == alex[y] == -a and (grade is None or grade[y] == grade[x] - 2 * a)
-
     def flip_rules(x: int, y: int, n: int) -> list:
         found, a = [], alex[x]
         if n != -a:
@@ -367,21 +376,21 @@ def validate(c: KnotComplex) -> ValidationReport:
                                        f"= {gens[x].maslov - 2 * a}"))
         return found
 
-    listed(c.differential, d, "d", d_holds, d_rules)
+    listed(d, d_fails, "d", d_rules)
 
-    names = c._index_names
-    d_out = _targets(d, len(names))
-    for src, tgt, n in sorted((names[x], names[y], n) for x, y, n in _odd_paths((d_out, d))):
-        bad.append(Violation("d-squared", f"{src} -> U^{n} {tgt}", "d o d has this odd term"))
+    if not (clean and _products_vanish(size, (c._masks[0], d))):
+        names = c._index_names
+        odd = _odd_paths((_targets(d, len(names)), d))
+        for src, tgt, n in sorted((names[x], names[y], n) for x, y, n in odd):
+            bad.append(Violation("d-squared", f"{src} -> U^{n} {tgt}", "d o d has this odd term"))
 
     if phi is not None:
-        listed(c.flip, phi, "flip", flip_holds, flip_rules)
-
-        entries = [(y, x) for (x, y, _), n in Counter(phi).items()
-                   if n % 2 and x < size and y < size]
-        if rank_f2(F2Matrix(size, size, entries)) != size:
+        listed(phi, phi_fails, "flip", flip_rules)
+        odd = phi if clean else [t for t in _odd(phi) if t[0] < size and t[1] < size]
+        if rank_f2(F2Matrix(size, size, [(y, x) for x, y, _ in odd])) != size:
             bad.append(Violation("flip-not-invertible", "flip", "generator matrix of the flip is singular"))
-        if _odd_paths((_targets(phi, len(names)), d), (d_out, phi)):
+        if (not _products_vanish(size, (c._masks[1], d), (c._masks[0], phi)) if clean else
+                _odd_paths((_targets(phi, len(names)), d), (_targets(d, len(names)), phi))):
             bad.append(Violation("flip-chain-map", "flip", "flip does not commute with the differential"))
 
     return ValidationReport(tuple(bad))

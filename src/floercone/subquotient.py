@@ -33,29 +33,29 @@ and B, and of A_0 and B modulo U for the pencil of `twisted`.  A precision
 remains for the one ungraded cone alone, one proven rule
 (`cone._plus_reductions`).
 
-The free models are built from a validated complex and not checked
-again; they rest on the clauses `validate` proves (the `model` docstring).
-A_s and B are d conjugated by the diagonal U^lo, so d^2 = 0 (d-squared)
+The free models are built from a validated complex and not checked again;
+they rest on the clauses `validate` proves (the `model` docstring).  A_s
+and B are d conjugated by the diagonal U^lo, so d^2 = 0 (d-squared)
 carries over; each power n + lo(t) - lo(g) is >= 0, since min(0, s - A)
-drops from g to t by at most max(0, A(t) - A(g)) <= n (filtration), and
-by maslov-drop it has the grading its mask bit stands for.  So B modulo U
-is d's terms of power 0, lo being 0: a table built once per complex, with
-one echelon basis of its span (`KnotComplex._b_modulo_u`, `_b_echelon`);
-A_s modulo U is read by its gradings (`_u0`).  v : A_s -> B is that
-conjugation, the identity on masks, so it commutes with d identically;
-of power -lo(g) = max(0, A(g) - s) at y_g, modulo U it is the identity on
-the generators with A <= s.  h : A_s -> B is the projection onto
-C{j >= s}, a chain map since d never raises j (filtration), then U^s and
-the flip, a chain map (flip-chain-map); by flip-term its powers
-max(0, s - A(g)), one per flip term, have the gradings its masks stand
-for, and it lowers them by 2s; modulo U it is the flip's masks on the
-generators with A >= s (`cone._modulo_u_maps`).  So `free_plus_complex`,
-`cone._v_map` and `cone._h_map` build masks alone, and B, v and h modulo
-U are read by rule; the checks they made and the grading filter live on
-in `tests/oracles.py` (`checked_free_model`, `oracle_modulo_u_maps`).
-The reduced models and the maps carried onto them are checked
-(`_smith_model`, `cone._reduced_maps`), and so is the pencil read off
-homology bases (`cone._pencil_maps`).
+drops from g to t by at most max(0, A(t) - A(g)) <= n (filtration), and by
+maslov-drop it has the grading its mask bit stands for.  So B modulo U is
+d's terms of power 0, lo being 0: a table built once per complex, with one
+echelon basis of its span (`KnotComplex._b_modulo_u`, `_b_echelon`); A_s
+modulo U is d's terms U^n t in d g with n = lo(g) - lo(t), of power 0 in
+A_s.  v : A_s -> B is that conjugation, the identity on masks, so it
+commutes with d identically; of power -lo(g) = max(0, A(g) - s) at y_g,
+modulo U it is the identity on the generators with A <= s.  h : A_s -> B
+is the projection onto C{j >= s}, a chain map since d never raises j
+(filtration), then U^s and the flip, a chain map (flip-chain-map); by
+flip-term its powers max(0, s - A(g)), one per flip term, have the
+gradings its masks stand for, and it lowers them by 2s; modulo U it is the
+flip's masks on the generators with A >= s (`cone._modulo_u_maps`).  So
+`free_plus_complex`, `cone._v_map` and `cone._h_map` build masks alone,
+and A_s, B, v and h modulo U are read by rule; the checks they made and
+the grading filter live on in `tests/oracles.py` (`checked_free_model`,
+`oracle_modulo_u_maps`).  The reduced models and the maps carried onto
+them are checked (`_smith_model`, `cone._reduced_maps`), and so is the
+pencil read off homology bases (`cone._pencil_maps`).
 
 Every grading here is an int, M - offset with the offset shared by the
 Maslov gradings of the complex (`KnotComplex._int_maslov`); the offset is

@@ -181,6 +181,17 @@ EDGE_CASES = (
     "complex K spinc=0\ngen a A=0 M=0\nend now\n",
     "complex K spinc=0\ngen a A=0 M=0\nend\ncomplex K spinc=1\nend\n",
     "# nothing\n",
+    # M texts that int and Fraction read alike, or that the grammar refuses
+    *(f"complex K spinc=0\ngen a A=0 M={m}\nflip a : U^0 a\nend\n"
+      for m in ("-0", "007", "+1", "\u0663", "6/4", "-0/5")),
+    "complex K spinc=0\ngen a A=0 M=0\nflip a : U^0 a# after a term\nend\n",
+    "complex K spinc=0\ngen a#b A=0 M=0\nflip a : U^0 a\nend\n",
+    "complex K spinc=0\ngen a A=0 M=0\ngen b A=0 M=0\nflip a\t:\tU^0 a\t,\tU^0 b\nflip b :\tU^0 b\nend\n",
+    "complex K spinc=0\r\ngen a A=0 M=0\r\nflip a : U^0 a\r\nend\r\n",
+    "complex K spinc=0\ngen a A=0 M=0\nflip a : U^0 a,\nend\n",
+    "d a : U^0 a\n",
+    "complex K spinc=0\ngen a A=0 M=0\nend\nd a : U^0 a\n",
+    "complex K spinc=0\ngen a A=0 M=0\nend\ngen b A=0 M=0\n",
 )
 
 

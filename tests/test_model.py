@@ -378,6 +378,21 @@ def test_validate_reads_d_squared_past_any_u_power(power):
     assert validate(c) == oracle_validate(c)
 
 
+def test_validate_reads_the_composites_off_paths_where_no_grading_fixes_a_power():
+    """M(c) is off the others' offset (maslov-offset), so no grading fixes
+    the U-power of a path: a -> b -> e and a -> c -> e reach e with U^0 and
+    U^1, and phi d(a) = c + U b against d phi(a) = b + U c.  GF(2) products
+    of the masks would cancel both; the odd paths list them, as the oracle does."""
+    gens = (Generator("a", 0, 0), Generator("b", 0, -1), Generator("c", 0, Fraction(1, 2)),
+            Generator("e", 0, -2))
+    diff = (DiffTerm("a", "b", 0), DiffTerm("a", "c", 1), DiffTerm("b", "e", 0), DiffTerm("c", "e", 0))
+    flip = (FlipTerm("a", "a", 0), FlipTerm("b", "c", 0), FlipTerm("c", "b", 0), FlipTerm("e", "e", 0))
+    c = KnotComplex("0", gens, diff, flip)
+    assert [v.kind for v in validate(c).violations] == [
+        "maslov-offset", "d-squared", "d-squared", "flip-chain-map"]
+    assert validate(c) == oracle_validate(c)
+
+
 @pytest.mark.slow
 def test_validate_equals_the_oracle_at_15625_generators():
     """T(2,5)^#6, and the same with its first d term dropped, which breaks
