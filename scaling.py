@@ -4,17 +4,19 @@
     PYTHONPATH=src python scaling.py --parent DIR [--runs N] [--max-generators N] [--out FILE]
 
 The inputs are tensor powers of the staircases T(2, 2k+1) of
-`tests/corpus.py`, from 343 to 16,807 generators; those past
-`--max-generators` (default 3,125) are skipped.  Each row is the best of
-three in-process timings of `cone_homology_plus_truncated` in auto mode, of
-`cone_homology_hat` or of `twisted_homology_laurent`, each on a copy of
-the input freshly parsed from its canonical text, flip lines included, and
-validated outside the timer, as one CLI call sees it, so no cache on the
-complex is warm; with the answer it gave.  The reduced homology
-`hf_red_graded` gets one row per input, keyed as s = 0, timed the same
-way, and so do `genus`, answered by the genus, prop0check
-(`sphere_necessary_conditions`, which scans every s until a clause
-fails), answered by its verdict and witness, and loading:
+`tests/corpus.py`, from 343 to 16,807 generators, and for prop0check alone
+T(2, 2k+1) # mT(2, 2k+1), of 961 and 10,201 generators, which passes
+clauses (c) and (b) at s = 0 and fails (c) at s = 1, where every power
+fails (c) at s = 0; inputs past `--max-generators` (default 3,125) are
+skipped.  Each row is the best of three in-process timings of
+`cone_homology_plus_truncated` in auto mode, of `cone_homology_hat` or of
+`twisted_homology_laurent`, each on a copy of the input freshly parsed
+from its canonical text, flip lines included, and validated outside the
+timer, as one CLI call sees it, so no cache on the complex is warm; with
+the answer it gave.  The reduced homology `hf_red_graded` gets one row per
+input, keyed as s = 0, timed the same way, and so do `genus`, answered by
+the genus, prop0check (`sphere_necessary_conditions`, which scans every s
+until a clause fails), answered by its verdict and witness, and loading:
 `io_format.parse` of that text, with the `validate` it runs (its cache
 cleared before each timing), answered by the generator and term counts.
 `--baseline` reads an earlier output (say, of this script run on another
@@ -45,7 +47,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent / "tests"))
 
-from corpus import staircase, tensor  # noqa: E402
+from corpus import mirror, staircase, tensor  # noqa: E402
 from floercone.cone import cone_homology_hat, cone_homology_plus_truncated, ensure_flip  # noqa: E402
 from floercone.detect import Verdict, genus, sphere_necessary_conditions  # noqa: E402
 from floercone.io_format import DocumentEntry, InputDocument, parse, serialize  # noqa: E402
@@ -57,6 +59,8 @@ REPEATS = 3
 # (name, k, summands): T(2, 2k+1) summed with itself
 INPUTS = (("T(2,7)^#3", 3, 3), ("T(2,11)^#3", 5, 3), ("T(2,13)^#3", 6, 3),
           ("T(2,7)^#4", 3, 4), ("T(2,5)^#5", 2, 5), ("T(2,5)^#6", 2, 6), ("T(2,7)^#5", 3, 5))
+# (name, k): T(2, 2k+1) summed with its mirror, for prop0check alone
+SLICE_INPUTS = (("T(2,31)#mT(2,31)", 15), ("T(2,101)#mT(2,101)", 50))
 CONES = (("plus", cone_homology_plus_truncated), ("hat", cone_homology_hat),
          ("twisted", twisted_homology_laurent))
 
@@ -92,11 +96,19 @@ def answer(result) -> dict:
             "graded_dims": None if graded is None else {str(m): n for m, n in graded.items()}}
 
 
-def rows(max_generators: int):
+def inputs():
+    """(name, generators, build, flavors timed, None for all) per input."""
     for name, k, summands in INPUTS:
-        if (2 * k + 1) ** summands > max_generators:
+        yield name, (2 * k + 1) ** summands, lambda k=k, n=summands: tensor_power(k, n), None
+    for name, k in SLICE_INPUTS:
+        yield name, (2 * k + 1) ** 2, lambda k=k: tensor(staircase(k), mirror(staircase(k))), {"prop0check"}
+
+
+def rows(max_generators: int):
+    for name, generators, build, flavors in inputs():
+        if generators > max_generators:
             continue
-        c = ensure_flip(tensor_power(k, summands))
+        c = ensure_flip(build())
         text = serialize(InputDocument((DocumentEntry("K", c),)))
         runs = [(flavor, s, lambda fresh, s=s, cone=cone: cone(fresh, s)) for s in (0, 1)
                 for flavor, cone in CONES]
@@ -104,6 +116,8 @@ def rows(max_generators: int):
                  ("prop0check", 0, lambda fresh: sphere_necessary_conditions([fresh])),
                  ("load", 0, lambda _: load(text))]
         for flavor, s, run in runs:
+            if flavors is not None and flavor not in flavors:
+                continue
             times = []
             for _ in range(REPEATS):
                 fresh = load(text).entries[0].complex  # parsed and validated, not timed

@@ -17,14 +17,14 @@ gets the offset back when it is reported.
 v and h are graded F2[U] maps between the free models of A_s and B (see
 `subquotient`), column masks whose U-powers the gradings fix, so no
 U^|s| is written out.  The hat flavor reads U^0 alone (`_modulo_u_maps`):
-A_s off d's terms, B off the complex's tables and v and h by rule
-(`subquotient`), and A_s, B and the cones of v, h and v + h read modulo
-U have homology of dimension n - 2 rank, and
-dim H(cone f) = dim H(A) + dim H(B) - 2 rank f_* gives each rank
-(`_rank_nullity`), per grading at s = 0.  The twisted group off s = 0
-and prop0check's clause (a) read the same cone of v + h; `genus` and
-`induces_iso` read v_* as an isomorphism modulo U where the cone of v
-is acyclic modulo U (`_hat_cone`, `subquotient._hat_dim`).  The
+A_s off d's terms by one rule (`_a_modulo_u`), B off the complex's tables
+and v and h by rule (`subquotient`).  A_s, B and every hat cone read
+modulo U have homology of dimension n - 2 rank (`_hat_dim`, `_b_hat_dim`,
+`_hat_cone_dim`), and each rank follows from
+dim H(cone f) = dim H(A) + dim H(B) - 2 rank f_* (`_rank_nullity`), per
+grading at s = 0.  The twisted group off s = 0 and prop0check's clause
+(a) read the same cone of v + h; `genus` and `induces_iso` read v_* as an
+isomorphism modulo U where the cone of v is acyclic modulo U.  The
 twisted cone at s = 0 and prop0check's clause (b) read the pencil
 v' + T h' on homology bases of A_0 and B modulo U, from one clearing pass
 per model (`_pencil_maps`).  The plus flavor reads the least models A' and
@@ -32,11 +32,10 @@ B' of A_s and B, with differentials 0 modulo U, off the same pass on
 each, carries v and h over as f' = p_B f i_A (`_reduced_maps`), reduces
 A', B' and the cones of the three maps on them once each, reads each
 induced rank off its cone's dimension by rank-nullity, and every height
-off the pivots.  Every cone
-is graded, with B shifted by the degree of the map, and reduced exactly,
-but the cone of v + h at s != 0: v keeps the gradings and h lowers them
-by 2s, so it alone writes its U-powers out, for `smith_pivots_u` modulo
-one proven precision (`_plus_reductions`).
+off the pivots.  Every cone is graded, with B shifted by the degree of
+the map, and reduced exactly, but the cone of v + h at s != 0: v keeps
+the gradings and h lowers them by 2s, so it alone writes its U-powers
+out, for `smith_pivots_u` modulo one proven precision (`_plus_reductions`).
 """
 
 from __future__ import annotations
@@ -61,9 +60,7 @@ from floercone.subquotient import (
     _artifact_cutoff,
     _check_commutes,
     _descending,
-    _hat_dim,
     _in_grading_order,
-    _modulo_u,
     _moved,
     _reduce_ungraded,
     _reported,
@@ -95,7 +92,10 @@ class ChainMapF2(NamedTuple):
 
 
 def induces_iso(cm: ChainMapF2) -> bool:
-    return _hat_dim(*_free_cone(cm.source, cm.target, cm.matrix.column_masks())) == 0
+    """Whether f_* is an isomorphism: its cone is acyclic modulo U."""
+    if len(cm.source.columns) != len(cm.target.columns):
+        raise ValueError("source and target need one basis element per generator")
+    return _hat_cone_dim(cm.source.columns, cm.matrix.column_masks(), cm.target.columns) == 0
 
 
 def _v_map(a: FreeUComplex) -> tuple:
@@ -126,7 +126,8 @@ def project_A(c: KnotComplex, s: int, s_prime: int) -> ChainMapF2:
         raise ValueError("requires s <= s'")
     a, a_prime = free_plus_complex(c, s), free_plus_complex(c, s_prime)
     matrix = tuple([1 << k if x == y else 0 for k, (x, y) in enumerate(zip(a.lo, a_prime.lo))])
-    return ChainMapF2(_modulo_u(a), _modulo_u(a_prime), F2Matrix._from_masks(len(a.lo), len(a.lo), matrix))
+    return ChainMapF2(_a_modulo_u(c, a), _a_modulo_u(c, a_prime),
+                      F2Matrix._from_masks(len(a.lo), len(a.lo), matrix))
 
 
 @dataclass(frozen=True)
@@ -187,54 +188,70 @@ def _pencil_maps(c: KnotComplex, a: FreeUComplex) -> tuple:
     return (a, b, *(tuple([x for x, _ in image]) for image in images))
 
 
-def _modulo_u_maps(c: KnotComplex, s: int, a: FreeUComplex) -> tuple:
-    """A_s, B, v and h modulo U by the rules of `subquotient`: d's terms
-    x -> y of power n = lo(x) - lo(y), B's table (`KnotComplex._b_modulo_u`),
-    the identity on the generators with A <= s, the flip's on A >= s."""
-    alex, maslov, lo = c._alexander_gradings, c._int_maslov[1], a.lo
-    a0 = [0] * len(lo)
+def _a_modulo_u(c: KnotComplex, a: FreeUComplex) -> FreeUComplex:
+    """A_s, already built, modulo U by the rule of `subquotient`: d's terms
+    x -> y of power n = lo(x) - lo(y); B's where lo is 0."""
+    lo, columns = a.lo, [0] * len(a.lo)
     for x, y, n in c._index_form[0]:
         if n == lo[x] - lo[y]:
-            a0[x] |= 1 << y
-    return (FreeUComplex._trusted(lo, a.gradings, tuple(a0)),
-            FreeUComplex._trusted((0,) * len(maslov), maslov, c._b_modulo_u),
+            columns[x] |= 1 << y
+    return FreeUComplex._trusted(lo, a.gradings, tuple(columns))
+
+
+def _hat_dim(columns) -> int:
+    """dim H of a complex read modulo U, by its power-0 masks: n - 2 rank."""
+    n = len(columns)
+    return n - 2 * rank_f2(F2Matrix._from_masks(n, n, columns))
+
+
+def _b_hat_dim(c: KnotComplex) -> int:
+    """dim H(B) modulo U, n - 2 rank off B's echelon basis."""
+    return len(c.generators) - 2 * len(c._b_echelon)
+
+
+def _modulo_u_maps(c: KnotComplex, s: int, a: FreeUComplex) -> tuple:
+    """A_s, B, v and h modulo U by the rules of `subquotient`: `_a_modulo_u`,
+    B's table (`KnotComplex._b_modulo_u`), the identity on the generators
+    with A <= s, the flip's on A >= s."""
+    alex, maslov = c._alexander_gradings, c._int_maslov[1]
+    return (_a_modulo_u(c, a), FreeUComplex._trusted((0,) * len(maslov), maslov, c._b_modulo_u),
             tuple([1 << k if x <= s else 0 for k, x in enumerate(alex)]),
             tuple([f if x >= s else 0 for f, x in zip(_h_map(c), alex)]))
 
 
-def _hat_cone(c: KnotComplex, a, f, b_columns) -> F2Matrix:
+def _hat_cone(a, f, b_columns) -> F2Matrix:
     """The cone of f : A -> B modulo U, for A's power-0 masks a, B first:
-    b_columns (B's, or its echelon basis `KnotComplex._b_echelon`, of the
-    same rank), then f | d_A per column of A, d_A shifted past B's rows."""
-    nb = len(c.generators)
-    columns = tuple(b_columns) + tuple([fa | da << nb for fa, da in zip(f, a)])
-    return F2Matrix._from_masks(nb + len(a), len(columns), columns)
+    b_columns (B's, or its echelon basis `KnotComplex._b_echelon`, of equal
+    span), then f | d_A per column of A, d_A shifted past B's n = |A| rows."""
+    n = len(a)
+    columns = tuple(b_columns) + tuple([fa | da << n for fa, da in zip(f, a)])
+    return F2Matrix._from_masks(2 * n, len(columns), columns)
+
+
+def _hat_cone_dim(a, f, b_columns) -> int:
+    """dim H of the cone of f modulo U (`_hat_cone`): n - 2 rank."""
+    return 2 * len(a) - 2 * rank_f2(_hat_cone(a, f, b_columns))
 
 
 def _hat_total(c: KnotComplex, s: int, a: FreeUComplex) -> int:
-    """The hat cone's total_dim, n - 2 rank, on A_s already built."""
-    a, b, v, h = _modulo_u_maps(c, s, a)
-    return len(a.lo + b.lo) - 2 * rank_f2(_hat_cone(c, a.columns, map(int.__xor__, v, h), c._b_echelon))
+    """The hat cone's total_dim on A_s already built."""
+    a, _, v, h = _modulo_u_maps(c, s, a)
+    return _hat_cone_dim(a.columns, map(int.__xor__, v, h), c._b_echelon)
 
 
 def cone_homology_hat(c: KnotComplex, s: int) -> ConeResult:
     """Homology of the cone of v_s + h_s on the hat subquotients, with no
-    cancellation: A_s, B and the cones of v, h and v + h read modulo U have
-    homology of dimension n - 2 rank of their power-0 masks (`_hat_cone`),
-    and the three ranks follow by `_rank_nullity`.  B's rank and the cones
-    read B's echelon basis, once per complex, but at s = 0 the cone of
-    v + h, which is graded there: its homology at grading g has dimension
-    n_g - r_g - r_(g+1), r_g the rank of its columns at grading g."""
+    cancellation (module docstring).  At s = 0 the cone of v + h is graded,
+    with B's columns, not its echelon basis: its homology at grading g has
+    dimension n_g - r_g - r_(g+1), r_g the rank of its columns at grading g."""
     c = ensure_flip(c)
     a, b, v, h = _modulo_u_maps(c, s, free_plus_complex(c, s))
-    na, nb = len(a.columns), len(b.columns)
-    n, vh, basis = na + nb, tuple(map(int.__xor__, v, h)), c._b_echelon
-    ha, hb = na - 2 * rank_f2(F2Matrix._from_masks(na, na, a.columns)), nb - 2 * len(basis)
-    dims = [n - 2 * rank_f2(_hat_cone(c, a.columns, f, basis)) for f in ((v, h, vh) if s else (v, h))]
+    vh, ha, hb = tuple(map(int.__xor__, v, h)), _hat_dim(a.columns), _b_hat_dim(c)
+    dims = [_hat_cone_dim(a.columns, f, c._b_echelon) for f in ((v, h, vh) if s else (v, h))]
     graded = None
     if s == 0:
-        gradings, by_grading = tuple(g - 1 for g in b.gradings) + a.gradings, {}
-        for g, mask in zip(gradings, _hat_cone(c, a.columns, vh, b.columns).column_masks()):
+        n, gradings, by_grading = 2 * len(a.columns), tuple(g - 1 for g in b.gradings) + a.gradings, {}
+        for g, mask in zip(gradings, _hat_cone(a.columns, vh, b.columns).column_masks()):
             by_grading.setdefault(g, []).append(mask)
         r = {g: rank_f2(F2Matrix._from_masks(n, len(m), tuple(m))) for g, m in by_grading.items()}
         n_g = Counter(gradings)

@@ -6,9 +6,9 @@ beyond that range, and unit-plus-T-times-nilpotent matrices are
 invertible over the Novikov field).  The bound is recorded in each
 verdict witness.  Scans go s = 0, 1, -1, 2, -2, ... so reported
 witnesses are the ones closest to the torsion Spin^c structure.
-`sphere_necessary_conditions` and `genus` read the free models of
-`cone`, homology modulo U off their masks (`_hat_dim`), and the pencil at
-s = 0 off homology bases modulo U (`cone._pencil_maps`).
+`sphere_necessary_conditions` and `genus` read homology modulo U off
+`cone`'s free models and hat cones (`_hat_dim`, `_hat_cone_dim`), and the
+pencil at s = 0 off homology bases modulo U (`cone._pencil_maps`).
 """
 
 from __future__ import annotations
@@ -19,8 +19,9 @@ from typing import NamedTuple
 
 from floercone.linalg import F2Matrix, LaurentPoly, rank_f2
 from floercone.model import KnotComplex, require_valid
-from floercone.cone import _hat_cone, _hat_total, _modulo_u_maps, _pencil_maps, _rank_nullity, ensure_flip
-from floercone.subquotient import _hat_dim, free_plus_complex
+from floercone.cone import (_a_modulo_u, _b_hat_dim, _hat_cone_dim, _hat_dim, _hat_total, _modulo_u_maps,
+                            _pencil_maps, _rank_nullity, ensure_flip)
+from floercone.subquotient import free_plus_complex
 from floercone.twisted import _pencil_homology, novikov_dim
 
 
@@ -103,8 +104,8 @@ def sphere_necessary_conditions(complexes) -> Verdict:
     failure is the first violated clause in the scan, (c) over every
     complex before (a) or (b) within each s.  B is read off the complex's
     tables, built once per complex, and A_s built once per (complex, s);
-    (c) reads n - 2 rank(d modulo U) off each.  (a) reads the hat cone of
-    v + h the same way, n - 2 rank of its power-0 masks
+    (c) reads n - 2 rank(d modulo U) off each, A_s modulo U by rule
+    (`cone._a_modulo_u`).  (a) reads the hat cone of v + h the same way
     (`cone._hat_total`), with no cancellation, and its rank
     (dim H(A_s) + dim H(B) - dim H(cone)) / 2 by `cone._rank_nullity`.
     (b) reads the pencil v' + T h' on homology bases of A_0 and B modulo U
@@ -115,12 +116,12 @@ def sphere_necessary_conditions(complexes) -> Verdict:
     runs first, so (b) could never decide a verdict there.
     """
     complexes, bound = _prepare(complexes)
-    dims_b = [len(c.generators) - 2 * len(c._b_echelon) for c in complexes]  # B modulo U
+    dims_b = [_b_hat_dim(c) for c in complexes]
     for s in _s_scan(bound):
         built = []  # A_s per complex, for clauses (a) and (b)
         for c, dim_b in zip(complexes, dims_b):
             built.append(a := free_plus_complex(c, s))
-            if (dim_a := _hat_dim(a.gradings, a.columns)) != dim_b:
+            if (dim_a := _hat_dim(_a_modulo_u(c, a).columns)) != dim_b:
                 return _violated("c", s, c, dim_A=dim_a, dim_B=dim_b)
         for c, a, dim in zip(complexes, built, dims_b):
             if s == 0:
@@ -171,7 +172,7 @@ def genus(complexes) -> int:
     for c in complexes:
         for i in range(c.a_max() - 1, worst, -1):
             a, _, v, _ = _modulo_u_maps(c, i, free_plus_complex(c, i))
-            if rank_f2(_hat_cone(c, a.columns, v, c._b_echelon)) != len(a.lo):  # not acyclic
+            if _hat_cone_dim(a.columns, v, c._b_echelon):  # not acyclic
                 worst = i
                 break
     return worst + 1

@@ -14,9 +14,7 @@ graded, so the gradings fix the U-power of each entry: a differential or
 map is one GF(2) column mask per basis element, as in `F2Matrix`, with
 no power written out, and its F2[U] products are mask products, exact
 since every path between two basis elements has the same power.  A hat
-region is the same complex read modulo U: the entries of power 0, and
-its homology has dimension n - 2 rank(d modulo U) (`_hat_dim`), the
-one rule for homology modulo U, on the cones of `cone` too.
+region is the same complex read modulo U, its entries of power 0 (`cone`).
 
 The graded Smith form over F2[U] is a GF(2) column reduction
 (Zomorodian-Carlsson, "Computing persistent homology", 2005): with rows
@@ -42,20 +40,24 @@ maslov-drop it has the grading its mask bit stands for.  So B modulo U is
 d's terms of power 0, lo being 0: a table built once per complex, with one
 echelon basis of its span (`KnotComplex._b_modulo_u`, `_b_echelon`); A_s
 modulo U is d's terms U^n t in d g with n = lo(g) - lo(t), of power 0 in
-A_s.  v : A_s -> B is that conjugation, the identity on masks, so it
-commutes with d identically; of power -lo(g) = max(0, A(g) - s) at y_g,
-modulo U it is the identity on the generators with A <= s.  h : A_s -> B
-is the projection onto C{j >= s}, a chain map since d never raises j
-(filtration), then U^s and the flip, a chain map (flip-chain-map); by
-flip-term its powers max(0, s - A(g)), one per flip term, have the
-gradings its masks stand for, and it lowers them by 2s; modulo U it is the
-flip's masks on the generators with A >= s (`cone._modulo_u_maps`).  So
-`free_plus_complex`, `cone._v_map` and `cone._h_map` build masks alone,
-and A_s, B, v and h modulo U are read by rule; the checks they made and
-the grading filter live on in `tests/oracles.py` (`checked_free_model`,
-`oracle_modulo_u_maps`).  The reduced models and the maps carried onto
-them are checked (`_smith_model`, `cone._reduced_maps`), and so is the
-pencil read off homology bases (`cone._pencil_maps`).
+A_s, read by one rule (`cone._a_modulo_u`).  v : A_s -> B is that
+conjugation, the identity on masks, so it commutes with d identically; of
+power -lo(g) = max(0, A(g) - s) at y_g, modulo U it is the identity on
+the generators with A <= s.  h : A_s -> B is the projection onto
+C{j >= s}, a chain map since d never raises j (filtration), then U^s and
+the flip, a chain map (flip-chain-map); by flip-term its powers
+max(0, s - A(g)), one per flip term, have the gradings its masks stand
+for, and it lowers them by 2s; modulo U it is the flip's masks on the
+generators with A >= s (`cone._modulo_u_maps`).  So `free_plus_complex`,
+`cone._v_map` and `cone._h_map` build masks alone, and A_s, B, v and h
+modulo U are read by rule.  The checks they made live on in
+`tests/oracles.py` (`checked_free_model`), and so does the grading filter
+(`oracle_modulo_u_maps`), which keeps the terms one grading below their
+column: by maslov-drop a term of power p moves the grading by 2p - 1, so
+the filter keeps the rule's terms and no other.  The reduced models and
+the maps carried onto them are checked (`_smith_model`,
+`cone._reduced_maps`), and so is the pencil read off homology bases
+(`cone._pencil_maps`).
 
 Every grading here is an int, M - offset with the offset shared by the
 Maslov gradings of the complex (`KnotComplex._int_maslov`); the offset is
@@ -75,7 +77,6 @@ from floercone.linalg import (
     NotAChainMap,
     _combine,
     _mask_bits,
-    rank_f2,
     smith_pivots_u,
 )
 from floercone.model import KnotComplex, require_valid
@@ -87,20 +88,6 @@ _RED_DIM_LIMIT = 10 ** 6
 
 class ReducedHomologyTooLarge(Exception):
     """HF_red is too large to list grading by grading."""
-
-
-def _u0(columns, source_gradings, target_gradings, degree: int) -> tuple:
-    """The power-0 part of a graded map of this degree, by column masks."""
-    level: dict = {}  # the rows at each grading
-    for r, g in enumerate(target_gradings):
-        level[g] = level.get(g, 0) | 1 << r
-    return tuple([col & level.get(g + degree, 0) for g, col in zip(source_gradings, columns)])
-
-
-def _hat_dim(gradings, columns) -> int:
-    """dim H of a graded free complex read modulo U: n - 2 rank(d modulo U)."""
-    n = len(columns)
-    return n - 2 * rank_f2(F2Matrix._from_masks(n, n, _u0(columns, gradings, gradings, -1)))
 
 
 # ---------------------------------------------------------------------------
@@ -129,12 +116,6 @@ class FreeUComplex:
         free = object.__new__(cls)
         free.__dict__.update(lo=lo, gradings=gradings, columns=columns)
         return free
-
-
-def _modulo_u(free: FreeUComplex) -> FreeUComplex:
-    """The power-0 part of a checked free complex, whose d^2 needs no check."""
-    return FreeUComplex._trusted(free.lo, free.gradings,
-                                 _u0(free.columns, free.gradings, free.gradings, -1))
 
 
 def free_plus_complex(c: KnotComplex, s: int | None = None) -> FreeUComplex:

@@ -42,11 +42,12 @@ A_s, B, v and h with every U-power written out and checked on each build
 built as masks from what `validate` proves, the hat complexes as
 plane-element bases with a differential checked on each build
 (`SubquotientComplex`, `hat_view`) instead of homology modulo U read off
-the masks of a free model or a cone (`subquotient._hat_dim`), B, v and h
-read modulo U by the grading filter `_u0` on the full free models and
+the masks of a free model or a cone (`subquotient._hat_dim`,
+`cone._hat_cone_dim`), A_s, B, v and h read modulo U by the grading
+filter (`u0`, `modulo_u`, `filtered_hat_dim`) on the full free models and
 maps (`oracle_modulo_u_maps`) instead of off the complex's tables and by
-rule, and the parser with a `Fraction` per generator instead of one per
-distinct M= text.
+rule (`cone._a_modulo_u`, `cone._modulo_u_maps`), and the parser with a
+`Fraction` per generator instead of one per distinct M= text.
 """
 
 from __future__ import annotations
@@ -100,10 +101,8 @@ from floercone.model import (
 from floercone.subquotient import (
     FreeReduction,
     FreeUComplex,
-    _modulo_u,
     _reported,
     _spanned,
-    _u0,
     free_plus_complex,
     reduce_free,
 )
@@ -312,10 +311,32 @@ class HatMap:
     maslov_shift: int | None
 
 
+def u0(columns, source_gradings, target_gradings, degree: int) -> tuple:
+    """The grading filter: the power-0 part of a graded map of this degree,
+    by column masks, the entries whose row sits at the source's grading
+    plus degree."""
+    level: dict = {}  # the rows at each grading
+    for r, g in enumerate(target_gradings):
+        level[g] = level.get(g, 0) | 1 << r
+    return tuple([col & level.get(g + degree, 0) for g, col in zip(source_gradings, columns)])
+
+
+def modulo_u(free: FreeUComplex) -> FreeUComplex:
+    """A checked free complex read modulo U by the grading filter."""
+    return FreeUComplex._trusted(free.lo, free.gradings, u0(free.columns, free.gradings, free.gradings, -1))
+
+
+def filtered_hat_dim(gradings, columns) -> int:
+    """dim H of a graded free complex read modulo U by the grading filter:
+    n - 2 rank(d modulo U)."""
+    n = len(columns)
+    return n - 2 * rank_f2(F2Matrix._from_masks(n, n, u0(columns, gradings, gradings, -1)))
+
+
 def hat_view(c: KnotComplex, free: FreeUComplex) -> SubquotientComplex:
     """A free complex read modulo U, on its plane elements (g, lo(g))."""
     basis = tuple(PlaneElement(g.name, low) for g, low in zip(c.generators, free.lo))
-    matrix = F2Matrix._from_masks(len(basis), len(basis), _modulo_u(free).columns)
+    matrix = F2Matrix._from_masks(len(basis), len(basis), modulo_u(free).columns)
     return SubquotientComplex(basis, matrix, free.gradings)
 
 
@@ -332,14 +353,14 @@ def build_v_hat(c: KnotComplex, s: int) -> HatMap:
     """The library's v : A_s -> B, the projection onto the i = 0 part of B,
     read modulo U on the hat views."""
     a, b = free_plus_complex(c, s), free_plus_complex(c)
-    matrix = _u0(_v_map(a), a.gradings, b.gradings, 0)
+    matrix = u0(_v_map(a), a.gradings, b.gradings, 0)
     return HatMap(hat_view(c, a), hat_view(c, b), F2Matrix._from_masks(len(b.lo), len(a.lo), matrix), 0)
 
 
 def v_modulo_u(c: KnotComplex, s: int) -> ChainMapF2:
     """The library's v : A_s -> B read modulo U, as the pinned `induces_iso` takes it."""
     a, b = free_plus_complex(c, s), free_plus_complex(c)
-    return ChainMapF2(_modulo_u(a), _modulo_u(b), build_v_hat(c, s).matrix)
+    return ChainMapF2(modulo_u(a), modulo_u(b), build_v_hat(c, s).matrix)
 
 
 def cone_dim(a: SubquotientComplex, b: SubquotientComplex, f: F2Matrix) -> int:
@@ -363,7 +384,7 @@ def hat_maps(c: KnotComplex, s: int) -> tuple:
     degree 0, h of degree -2s, a zero map of degree 0."""
     v = build_v_hat(c, s)
     a, b = v.source, v.target
-    matrix = F2Matrix._from_masks(b.dim, a.dim, _u0(_h_map(c), a.maslov, b.maslov, -2 * s))
+    matrix = F2Matrix._from_masks(b.dim, a.dim, u0(_h_map(c), a.maslov, b.maslov, -2 * s))
     return v, HatMap(a, b, matrix, 0 if matrix.is_zero() else -2 * s)
 
 
@@ -374,8 +395,8 @@ def oracle_modulo_u_maps(c: KnotComplex, s: int) -> tuple:
     give them power 0, v of degree 0 and h of degree -2s."""
     c = ensure_flip(c)
     a, b = free_plus_complex(c, s), free_plus_complex(c)
-    return (_modulo_u(a), _modulo_u(b), _u0(_v_map(a), a.gradings, b.gradings, 0),
-            _u0(_h_map(c), a.gradings, b.gradings, -2 * s))
+    return (modulo_u(a), modulo_u(b), u0(_v_map(a), a.gradings, b.gradings, 0),
+            u0(_h_map(c), a.gradings, b.gradings, -2 * s))
 
 
 def make_chain_map(source: SubquotientComplex, target: SubquotientComplex,

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from floercone.cone import (
+    ChainMapF2,
     FlipMissing,
     cone_homology_hat,
     cone_homology_plus_truncated,
@@ -15,6 +16,7 @@ from floercone.cone import (
 )
 from floercone.fixtures import ALL_FIXTURES, FIGURE8, TREFOIL, TREFOIL_L, UNKNOT, Y1SIGMA
 from floercone.linalg import F2Matrix, NotAChainMap, rank_f2
+from floercone.subquotient import FreeUComplex
 
 from oracles import (
     build_A_hat,
@@ -121,6 +123,15 @@ def test_project_A_onto_a_max_is_v():
             want = induced_rank(build_v_hat(c, s)) == hat_homology_dim(build_B_hat(c)) \
                 == hat_homology_dim(build_A_hat(c, s))
             assert induces_iso(proj) == induces_iso(v) == want, (c.spinc_label, s)
+
+
+def test_induces_iso_refuses_complexes_of_different_sizes():
+    """The hat cone puts A's rows past B's n = |A| rows, so a map into a
+    complex of another size is refused, not misread."""
+    proj = project_A(TREFOIL, 0, 1)
+    point = FreeUComplex._trusted((0,), (0,), (0,))
+    with pytest.raises(ValueError):
+        induces_iso(ChainMapF2(proj.source, point, F2Matrix._from_masks(1, 3, (0, 0, 0))))
 
 
 def test_project_A_factoring():

@@ -18,6 +18,9 @@ import pytest
 import floercone
 from floercone.cli import main
 from floercone.cone import (
+    _a_modulo_u,
+    _b_hat_dim,
+    _hat_dim,
     _modulo_u_maps,
     _plus_reductions,
     cone_homology_hat,
@@ -29,7 +32,7 @@ from floercone.detect import VerdictKind, genus, sphere_necessary_conditions
 from floercone.fixtures import ALL_FIXTURES, FIGURE8, TREFOIL
 from floercone.linalg import F2Span, _combine
 from floercone.model import ValidationError
-from floercone.subquotient import _clearing, _descending, _modulo_u, free_plus_complex
+from floercone.subquotient import _clearing, _descending, free_plus_complex
 from floercone.twisted import twisted_homology_laurent
 
 from corpus import (
@@ -50,8 +53,10 @@ from oracles import (
     build_A_hat,
     build_B_hat,
     dense_rank_f2,
+    filtered_hat_dim,
     hat_maps,
     maslov_offset,
+    modulo_u,
     oracle_cone_homology_hat,
     oracle_genus,
     oracle_hat_from_reduced_models,
@@ -125,14 +130,22 @@ def every_s(c) -> range:
 
 
 def assert_tables_and_rules_match_the_grading_filter(c):
-    """B modulo U off the complex's table and v and h modulo U by rule
-    (`cone._modulo_u_maps`), at every s in [-a_bound - 1, a_bound + 1],
-    against the power-0 masks the grading filter reads off the full free
-    models and maps (`oracle_modulo_u_maps`); and B's echelon basis, with
-    distinct top bits, against the span of B's columns modulo U."""
+    """A_s modulo U by rule (`cone._a_modulo_u`), B modulo U off the
+    complex's table and v and h modulo U by rule (`cone._modulo_u_maps`),
+    at every s in [-a_bound - 1, a_bound + 1], against the power-0 masks
+    the grading filter reads off the full free models and maps
+    (`oracle_modulo_u_maps`), and so prop0check's dim H(A_s) and dim H(B)
+    modulo U (clause (c)) and the complexes of `project_A`; and B's echelon
+    basis, with distinct top bits, against the span of B's columns modulo U."""
     c = ensure_flip(c)
+    b = free_plus_complex(c)
+    assert _b_hat_dim(c) == filtered_hat_dim(b.gradings, b.columns), c
     for s in every_s(c):
-        assert _modulo_u_maps(c, s, free_plus_complex(c, s)) == oracle_modulo_u_maps(c, s), (c, s)
+        a, want = free_plus_complex(c, s), oracle_modulo_u_maps(c, s)
+        assert _modulo_u_maps(c, s, a) == want, (c, s)
+        assert _hat_dim(_a_modulo_u(c, a).columns) == filtered_hat_dim(a.gradings, a.columns), (c, s)
+        projection = project_A(c, s, s + 1)
+        assert (projection.source, projection.target) == (want[0], oracle_modulo_u_maps(c, s + 1)[0]), (c, s)
     n, columns, span = len(c.generators), oracle_modulo_u_maps(c, 0)[1].columns, F2Span()
     for col in columns:
         span.add(col)
@@ -220,7 +233,7 @@ def assert_clearing_gives_a_homology_basis(gradings, columns):
 def assert_clearing_gives_homology_bases(c):
     """On B and on A_s at every s, read modulo U."""
     for free in [free_plus_complex(c)] + [free_plus_complex(c, s) for s in every_s(c)]:
-        hat = _modulo_u(free)
+        hat = modulo_u(free)
         assert_clearing_gives_a_homology_basis(hat.gradings, hat.columns)
 
 

@@ -19,6 +19,9 @@ with:
 - the genus is additive, and max{|s| : hat total_dim(s) != 0} = g - 1
   (Ozsvath-Szabo, "Holomorphic disks and genus bounds");
 - the hat, plus and Novikov dimensions at s equal those at -s;
+- S^3_0(mK) = -S^3_0(K), and Floer homology dualizes under orientation
+  reversal, so K and its mirror have the same hat and Novikov dimensions
+  at every s, and the same plus dimensions at s != 0;
 - universal coefficients for T -> 1: the hat cone is the twisted cone
   tensored with L / (1 + T), so its total_dim is the Laurent free rank plus
   two per torsion factor p with p(1) = 0, and the Novikov dimension (the
@@ -55,7 +58,17 @@ from floercone.subquotient import (
 )
 from floercone.twisted import novikov_dim, twisted_homology_laurent
 
-from corpus import lspace_staircase, mirror, staircase, tensor, torus_exponents, with_flip
+from corpus import (
+    BIG_SUMS,
+    TWISTED_SUMS,
+    connected_sum,
+    lspace_staircase,
+    mirror,
+    staircase,
+    tensor,
+    torus_exponents,
+    with_flip,
+)
 from oracles import build_A_hat, build_B_hat, laurent_product
 
 TORUS = {pq: torus_exponents(*pq) for pq in ((3, 4), (3, 5), (4, 5), (5, 6), (3, 7))}
@@ -203,6 +216,31 @@ def test_conjugation_symmetry_of_hat_plus_and_novikov_dims():
                         lambda t: cone_homology_plus_truncated(c, t).total_dim,
                         lambda t: novikov_dim(c, t)):
                 assert dim(s) == dim(-s), (name, s)
+
+
+def duality_dims(c, s: int, plus: bool) -> tuple:
+    """The hat total and the Novikov dimension at s, and with plus the plus
+    total at s != 0."""
+    plus_total = cone_homology_plus_truncated(c, s).total_dim if plus and s else None
+    return cone_homology_hat(c, s).total_dim, novikov_dim(c, s), plus_total
+
+
+def assert_mirror_duality(c, plus: bool) -> None:
+    """K and its mirror at every |s| <= a_bound + 1."""
+    m = mirror(c)
+    for s in range(-c.a_bound() - 1, c.a_bound() + 2):
+        assert duality_dims(c, s, plus) == duality_dims(m, s, plus), (c, s)
+
+
+@pytest.mark.parametrize("seed", range(1, 9))
+def test_mirror_duality_on_the_corpus(seed):
+    for _, c in with_flip(seed):
+        assert_mirror_duality(c, plus=False)
+
+
+@pytest.mark.parametrize("name", TWISTED_SUMS + BIG_SUMS)
+def test_mirror_duality_on_the_sums(name):
+    assert_mirror_duality(connected_sum(name), plus=True)
 
 
 def test_universal_coefficients_tie_the_twisted_torsion_to_the_hat_cone():

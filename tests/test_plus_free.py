@@ -38,7 +38,6 @@ from floercone.model import KnotComplex, ValidationError
 from floercone.subquotient import (
     FreeReduction,
     FreeUComplex,
-    _hat_dim,
     _reduce_ungraded,
     free_plus_complex,
     hf_red_graded,
@@ -63,6 +62,7 @@ from oracles import (
     build_plus_truncated,
     checked_free_model,
     default_truncation,
+    filtered_hat_dim,
     hat_homology_dim,
     maslov_offset,
     minor_gcd_spans,
@@ -392,8 +392,8 @@ def test_rank_from_cone_dimensions_is_checked():
         point.homology_dim(5)                   # above the reduction's precision
     # a rank read off dimensions modulo U passes the same check
     a, b = free_plus_complex(TREFOIL_L, 0), free_plus_complex(TREFOIL_L)
-    dims = [_hat_dim(*free) for free in ((a.gradings, a.columns), (b.gradings, b.columns),
-                                         _free_cone(a, b, _v_map(a)))]
+    dims = [filtered_hat_dim(*free) for free in ((a.gradings, a.columns), (b.gradings, b.columns),
+                                                 _free_cone(a, b, _v_map(a)))]
     assert dims[:2] == [3, 1]                   # H(A_0) = 3, H(B) = 1, v_* onto H(B)
     assert _rank_nullity(*dims) == 1
     with pytest.raises(InvariantViolated):

@@ -34,7 +34,6 @@ from floercone.subquotient import (
     _in_grading_order,
     _moved,
     _smith_model,
-    _u0,
     free_plus_complex,
     hf_red_graded,
     reduce_free,
@@ -58,6 +57,7 @@ from oracles import (
     powers_of,
     reduce_free_without_clearing,
     reduced_model,
+    u0,
 )
 
 TRUNCATIONS = ("auto", 0, 1, 2, 5)
@@ -141,8 +141,8 @@ def test_reduced_models_are_homotopy_equivalent_and_minimal():
         assert compose(p, i) == identity(m)
         assert compose(free.columns, i) == compose(i, reduced.columns)
         assert compose(p, free.columns) == compose(reduced.columns, p)
-        assert not any(_u0(reduced.columns, reduced.gradings, reduced.gradings, -1))
-        hat = _u0(free.columns, gradings, gradings, -1)
+        assert not any(u0(reduced.columns, reduced.gradings, reduced.gradings, -1))
+        hat = u0(free.columns, gradings, gradings, -1)
         assert m == n - 2 * rank_f2(F2Matrix._from_masks(n, n, hat)) == len(reduced_model(free)[0].lo)
         full, small = reduce_free(gradings, free.columns), reduce_free(reduced.gradings,
                                                                        reduced.columns)

@@ -34,3 +34,11 @@ def test_parent_runs_both_sides_and_agrees_with_itself(tmp_path):
         assert len(row["runs_s"]) == len(row["baseline_runs_s"]) == 2
         low, high = row["baseline_quartiles_s"]
         assert min(row["baseline_runs_s"]) <= low <= row["baseline_s"] <= high
+
+
+def test_the_slice_row_times_prop0check_past_s_0():
+    """T(2,31) # mT(2,31) passes clauses (c) and (b) at s = 0, so its one
+    row, prop0check, reaches the pencil and fails (c) at s = 1."""
+    (row,) = [row for row in scaling.rows(961) if row["input"] == "T(2,31)#mT(2,31)"]
+    assert row["flavor"] == "prop0check"
+    assert row["answer"]["witness"] == {"clause": "c", "s": 1, "spinc": "0", "dim_A": 31, "dim_B": 1}
