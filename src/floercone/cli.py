@@ -4,6 +4,12 @@ Exit codes: 0 success, 1 the unknotting verdict reports an impossible
 surgery description, 2 input or usage error, or a failed internal check.
 With --machine every result is one JSON object per line with sorted keys;
 human output is aligned text.  Output is deterministic for a given input.
+
+An argv that starts with a command name goes straight to that command's
+parser, which reads the words after it as the program's parser would hand
+them on.  Every other argv, and one with words that parser leaves unread,
+goes through the program's parser, so help, usage errors and exit codes
+are the ones it gives.
 """
 
 from __future__ import annotations
@@ -291,6 +297,9 @@ def _usage(message: str) -> int:
     return 2
 
 
+_COMMANDS: dict = {}  # each command's parser, by name, from build_parser
+
+
 @lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process: parsing leaves it unchanged."""
@@ -344,11 +353,19 @@ def build_parser() -> argparse.ArgumentParser:
                    help="certify that the ambient manifold is a homology sphere")
     p.add_argument("--machine", action="store_true")
 
+    _COMMANDS.update(sub.choices)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser()
+    command = _COMMANDS.get(argv[0]) if argv else None
+    args, unrecognized = command.parse_known_args(argv[1:]) if command else (None, ())
+    if command is None or unrecognized:
+        args = parser.parse_args(argv)
+    else:
+        args.command = argv[0]
     # looked up per call, so a rebinding of a cmd_* function takes effect
     handler = globals()["cmd_" + args.command.replace("-", "_")]
     try:

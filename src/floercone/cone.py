@@ -124,10 +124,9 @@ def project_A(c: KnotComplex, s: int, s_prime: int) -> ChainMapF2:
     """
     if s > s_prime:
         raise ValueError("requires s <= s'")
-    a, a_prime = free_plus_complex(c, s), free_plus_complex(c, s_prime)
+    a, a_prime = _a_modulo_u(c, s), _a_modulo_u(c, s_prime)
     matrix = tuple([1 << k if x == y else 0 for k, (x, y) in enumerate(zip(a.lo, a_prime.lo))])
-    return ChainMapF2(_a_modulo_u(c, a), _a_modulo_u(c, a_prime),
-                      F2Matrix._from_masks(len(a.lo), len(a.lo), matrix))
+    return ChainMapF2(a, a_prime, F2Matrix._from_masks(len(a.lo), len(a.lo), matrix))
 
 
 @dataclass(frozen=True)
@@ -171,7 +170,7 @@ def _reduced_maps(c: KnotComplex, s: int) -> tuple:
 
 def _pencil_maps(c: KnotComplex, a: FreeUComplex) -> tuple:
     """A' and B', homology bases of A_0 and B modulo U with differential 0,
-    and the column masks of v' and h' : A' -> B' (`twisted`), on A_0 built.
+    and the column masks of v' and h' : A' -> B' (`twisted`), on A_0 modulo U.
 
     Modulo U every row of a column sits one grading below it, so the pass
     runs in index order, columns in descending grading
@@ -188,9 +187,10 @@ def _pencil_maps(c: KnotComplex, a: FreeUComplex) -> tuple:
     return (a, b, *(tuple([x for x, _ in image]) for image in images))
 
 
-def _a_modulo_u(c: KnotComplex, a: FreeUComplex) -> FreeUComplex:
-    """A_s, already built, modulo U by the rule of `subquotient`: d's terms
+def _a_modulo_u(c: KnotComplex, s: int) -> FreeUComplex:
+    """A_s, built, and read modulo U by the rule of `subquotient`: d's terms
     x -> y of power n = lo(x) - lo(y); B's where lo is 0."""
+    a = free_plus_complex(c, s)
     lo, columns = a.lo, [0] * len(a.lo)
     for x, y, n in c._index_form[0]:
         if n == lo[x] - lo[y]:
@@ -210,11 +210,11 @@ def _b_hat_dim(c: KnotComplex) -> int:
 
 
 def _modulo_u_maps(c: KnotComplex, s: int, a: FreeUComplex) -> tuple:
-    """A_s, B, v and h modulo U by the rules of `subquotient`: `_a_modulo_u`,
-    B's table (`KnotComplex._b_modulo_u`), the identity on the generators
-    with A <= s, the flip's on A >= s."""
+    """A_s, B, v and h modulo U by the rules of `subquotient`: a, A_s read by
+    `_a_modulo_u`, B's table (`KnotComplex._b_modulo_u`), the identity on the
+    generators with A <= s, the flip's on A >= s."""
     alex, maslov = c._alexander_gradings, c._int_maslov[1]
-    return (_a_modulo_u(c, a), FreeUComplex._trusted((0,) * len(maslov), maslov, c._b_modulo_u),
+    return (a, FreeUComplex._trusted((0,) * len(maslov), maslov, c._b_modulo_u),
             tuple([1 << k if x <= s else 0 for k, x in enumerate(alex)]),
             tuple([f if x >= s else 0 for f, x in zip(_h_map(c), alex)]))
 
@@ -234,7 +234,7 @@ def _hat_cone_dim(a, f, b_columns) -> int:
 
 
 def _hat_total(c: KnotComplex, s: int, a: FreeUComplex) -> int:
-    """The hat cone's total_dim on A_s already built."""
+    """The hat cone's total_dim on A_s already read modulo U."""
     a, _, v, h = _modulo_u_maps(c, s, a)
     return _hat_cone_dim(a.columns, map(int.__xor__, v, h), c._b_echelon)
 
@@ -245,7 +245,7 @@ def cone_homology_hat(c: KnotComplex, s: int) -> ConeResult:
     with B's columns, not its echelon basis: its homology at grading g has
     dimension n_g - r_g - r_(g+1), r_g the rank of its columns at grading g."""
     c = ensure_flip(c)
-    a, b, v, h = _modulo_u_maps(c, s, free_plus_complex(c, s))
+    a, b, v, h = _modulo_u_maps(c, s, _a_modulo_u(c, s))
     vh, ha, hb = tuple(map(int.__xor__, v, h)), _hat_dim(a.columns), _b_hat_dim(c)
     dims = [_hat_cone_dim(a.columns, f, c._b_echelon) for f in ((v, h, vh) if s else (v, h))]
     graded = None

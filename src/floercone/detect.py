@@ -21,7 +21,6 @@ from floercone.linalg import F2Matrix, LaurentPoly, rank_f2
 from floercone.model import KnotComplex, require_valid
 from floercone.cone import (_a_modulo_u, _b_hat_dim, _hat_cone_dim, _hat_dim, _hat_total, _modulo_u_maps,
                             _pencil_maps, _rank_nullity, ensure_flip)
-from floercone.subquotient import free_plus_complex
 from floercone.twisted import _pencil_homology, novikov_dim
 
 
@@ -103,10 +102,10 @@ def sphere_necessary_conditions(complexes) -> Verdict:
     Fires when all hold over every supplied complex; the witness of a
     failure is the first violated clause in the scan, (c) over every
     complex before (a) or (b) within each s.  B is read off the complex's
-    tables, built once per complex, and A_s built once per (complex, s);
-    (c) reads n - 2 rank(d modulo U) off each, A_s modulo U by rule
-    (`cone._a_modulo_u`).  (a) reads the hat cone of v + h the same way
-    (`cone._hat_total`), with no cancellation, and its rank
+    tables, built once per complex, and A_s built and read modulo U by rule
+    once per (complex, s) (`cone._a_modulo_u`), for all three clauses;
+    (c) reads n - 2 rank(d modulo U) off each.  (a) reads the hat cone of
+    v + h the same way (`cone._hat_total`), with no cancellation, and its rank
     (dim H(A_s) + dim H(B) - dim H(cone)) / 2 by `cone._rank_nullity`.
     (b) reads the pencil v' + T h' on homology bases of A_0 and B modulo U
     at s = 0 (`cone._pencil_maps`, `twisted`), with no cancellation, and
@@ -118,10 +117,10 @@ def sphere_necessary_conditions(complexes) -> Verdict:
     complexes, bound = _prepare(complexes)
     dims_b = [_b_hat_dim(c) for c in complexes]
     for s in _s_scan(bound):
-        built = []  # A_s per complex, for clauses (a) and (b)
+        built = []  # A_s modulo U per complex, for clauses (a) and (b)
         for c, dim_b in zip(complexes, dims_b):
-            built.append(a := free_plus_complex(c, s))
-            if (dim_a := _hat_dim(_a_modulo_u(c, a).columns)) != dim_b:
+            built.append(a := _a_modulo_u(c, s))
+            if (dim_a := _hat_dim(a.columns)) != dim_b:
                 return _violated("c", s, c, dim_A=dim_a, dim_B=dim_b)
         for c, a, dim in zip(complexes, built, dims_b):
             if s == 0:
@@ -171,7 +170,7 @@ def genus(complexes) -> int:
     worst = -1
     for c in complexes:
         for i in range(c.a_max() - 1, worst, -1):
-            a, _, v, _ = _modulo_u_maps(c, i, free_plus_complex(c, i))
+            a, _, v, _ = _modulo_u_maps(c, i, _a_modulo_u(c, i))
             if _hat_cone_dim(a.columns, v, c._b_echelon):  # not acyclic
                 worst = i
                 break

@@ -95,7 +95,7 @@ def parse(text: str) -> InputDocument:
         if not line:
             continue
         if name is not None:  # d and flip lines first, then gen: they are most lines
-            if m := _LINE_RE.match(line):
+            if line[0] in "df" and (m := _LINE_RE.match(line)):
                 head, src, rest = m.groups()
                 term, out = (DiffTerm, diffs) if head == "d" else (FlipTerm, flips)
                 has_flip = has_flip or term is FlipTerm
@@ -108,7 +108,7 @@ def parse(text: str) -> InputDocument:
                         raise ParseError(line_no, "differential U-powers must be >= 0")
                     out.append(new(term, (src, t[2], power)))
                 continue
-            if m := _GEN_RE.match(line):
+            if line[0] == "g" and (m := _GEN_RE.match(line)):
                 gen, a, m_text = m.groups()
                 if (maslov := gradings.get(m_text)) is None:
                     maslov = gradings[m_text] = Fraction(m_text if "/" in m_text else int(m_text))

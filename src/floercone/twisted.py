@@ -52,8 +52,7 @@ from dataclasses import dataclass
 
 from floercone.linalg import LaurentMatrix, LaurentPoly, _mask_bits, smith_invariants_laurent
 from floercone.model import KnotComplex
-from floercone.subquotient import free_plus_complex
-from floercone.cone import _hat_total, _pencil_maps, ensure_flip
+from floercone.cone import _a_modulo_u, _hat_total, _pencil_maps, ensure_flip
 
 # 1, T and 1 + T, by the bits of v' (bit 0) and h' (bit 1)
 _PENCIL = (None, LaurentPoly({0}), LaurentPoly({1}), LaurentPoly({0, 1}))
@@ -93,9 +92,8 @@ def twisted_homology_laurent(c: KnotComplex, s: int) -> TwistedConeResult:
     for s != 0 the hat cone's dimension and no torsion, at s = 0 read off
     the pencil on homology bases modulo U (module docstring)."""
     c = ensure_flip(c)
-    if s:
-        return TwistedConeResult(_hat_total(c, s, free_plus_complex(c, s)), ())
-    return _pencil_homology(*_pencil_maps(c, free_plus_complex(c, 0)))
+    a = _a_modulo_u(c, s)
+    return TwistedConeResult(_hat_total(c, s, a), ()) if s else _pencil_homology(*_pencil_maps(c, a))
 
 
 def novikov_dim(c: KnotComplex, s: int) -> int:

@@ -232,13 +232,18 @@ TABLES = ("_alexander_gradings", "_b_modulo_u", "_b_echelon")
 
 def count_builds(monkeypatch) -> Counter:
     """Counts `free_plus_complex` calls by s (None for B), the readings of
-    A_s, B, v and h modulo U ("maps", `cone._modulo_u_maps`) and the builds
-    of each of TABLES by name, from every module that calls them."""
-    built, free, maps = Counter(), subquotient.free_plus_complex, cone_module._modulo_u_maps
+    A_s modulo U ("a_modulo_u", `cone._a_modulo_u`) and of B, v and h modulo
+    U ("maps", `cone._modulo_u_maps`), and the builds of each of TABLES by
+    name, from every module that calls them."""
+    built, free = Counter(), subquotient.free_plus_complex
+    read, maps = cone_module._a_modulo_u, cone_module._modulo_u_maps
+    counted = {"free_plus_complex": lambda c, s=None: built.update([s]) or free(c, s),
+               "_a_modulo_u": lambda c, s: built.update(["a_modulo_u"]) or read(c, s),
+               "_modulo_u_maps": lambda *args: built.update(["maps"]) or maps(*args)}
     for module in (subquotient, cone_module, detect_module, twisted_module):
-        monkeypatch.setattr(module, "free_plus_complex", lambda c, s=None: built.update([s]) or free(c, s))
-    for module in (cone_module, detect_module):  # genus reads the maps from detect
-        monkeypatch.setattr(module, "_modulo_u_maps", lambda *args: built.update(["maps"]) or maps(*args))
+        for name, counter in counted.items():
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counter)
     for name in TABLES:
         table = cached_property(lambda c, _f=getattr(KnotComplex, name).func, _name=name:
                                 built.update([_name]) or _f(c))

@@ -466,6 +466,66 @@ def test_a_rebound_command_function_is_called_after_the_parser_is_built(capsys, 
     assert calls == [[TREFOIL_F]]
 
 
+# Each argv through main, which hands a command's words straight to that
+# command's parser, and through the program's parser alone: the same
+# namespace, or the same exit code, help and error text.
+COMMANDS = tuple(name[4:].replace("_", "-") for name in vars(cli) if name.startswith("cmd_"))
+DISPATCH_ARGVS = [
+    [], ["-h"], ["--help"], ["nope", TREFOIL_F], ["nope", "-h"], ["--machine", "check", TREFOIL_F],
+    ["--", "check", TREFOIL_F], ["check", "--", TREFOIL_F], ["check", TREFOIL_F, "--", "--machine"],
+    ["check"], ["check", TREFOIL_F], ["check", "--machine", TREFOIL_F, UNKNOT_F], ["check", TREFOIL_F, "-x"],
+    *([name, "-h"] for name in COMMANDS),
+    *([name, TREFOIL_F, "--bogus"] for name in COMMANDS),
+    ["cone", "--he"], ["cone", TREFOIL_F, "--fl", "plus"], ["cone", TREFOIL_F, "--flavor", "plus", "--tr", "3"],
+    ["cone", TREFOIL_F, "--s=-2..2"], ["cone", TREFOIL_F, "--s", "-2..2"], ["cone", TREFOIL_F, "--s", "3..1"],
+    ["cone", TREFOIL_F, "--s"], ["cone", TREFOIL_F, "--s", "--machine"], ["cone", TREFOIL_F, "--s", "1", "--s", "2"],
+    ["cone", TREFOIL_F, "-2..2"], ["cone", "--machine", TREFOIL_F, "--twisted", "--s", "-2"],
+    ["cone", TREFOIL_F, "--flavor", "spicy"], ["cone", TREFOIL_F, "--truncation", "-1"],
+    ["red1", "--red", "0:1", "--from-file", TREFOIL_F, "--homology-sphere"], ["red1"],
+    ["red1", "--red", "-1:1,0:2", "--homology-sphere", "--machine"], ["red1", "--red", "x"],
+    ["verdict", "--dim-y", "x", "--dim-n", "1"], ["verdict", "--dim-y", "2", "--dim-n", "1", "--machine"],
+    ["verdict", "--dim-y", "2"], ["detect-sphere", TREFOIL_F, Y1SIGMA_F, "--machine"],
+]
+
+
+def outcome(capsys, call):
+    """vars of the namespace call returns, or its SystemExit code, and what it printed."""
+    try:
+        result = vars(call())
+    except SystemExit as exc:
+        result = ("exit", exc.code)
+    captured = capsys.readouterr()
+    return result, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", DISPATCH_ARGVS,
+                         ids=lambda argv: " ".join(Path(word).name for word in argv) or "no_arguments")
+def test_main_parses_as_the_program_parser_does(argv, capsys, monkeypatch):
+    seen = []
+    for name in COMMANDS:
+        monkeypatch.setattr(cli, "cmd_" + name.replace("-", "_"), lambda args: seen.append(args) or 0)
+    got = outcome(capsys, lambda: main(list(argv)) == 0 and seen[-1])
+    assert got == outcome(capsys, lambda: build_parser().parse_args(argv))
+
+
+def test_main_reads_sys_argv_as_the_program_parser_does(capsys, monkeypatch):
+    seen = []
+    monkeypatch.setattr(cli, "cmd_cone", lambda args: seen.append(args) or 0)
+    for argv in (["cone", TREFOIL_F, "--s", "-1..1"], ["cone", TREFOIL_F, "--bogus"], []):
+        monkeypatch.setattr(sys, "argv", ["floercone", *argv])
+        got = outcome(capsys, lambda: main() == 0 and seen[-1])
+        assert got == outcome(capsys, lambda: build_parser().parse_args()), argv
+
+
+@pytest.mark.parametrize("argv", [[], ["--help"]], ids=["no_arguments", "help"])
+def test_module_entry_point_prints_the_program_parser_text(argv, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # the same help width in both processes
+    proc = subprocess.run([sys.executable, "-m", "floercone.cli", *argv], capture_output=True,
+                          text=True, env=library_env(), timeout=60)
+    result, out, err = outcome(capsys, lambda: build_parser().parse_args(argv))
+    assert (("exit", proc.returncode), proc.stdout, proc.stderr) == (result, out, err)
+
+
 def test_console_script_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "floercone.cli", "detect-sphere", UNKNOT_F],

@@ -130,19 +130,29 @@ def passes_every_clause_up_to_2():
 
 def test_necessary_conditions_build_B_once_and_A_s_once_per_s(monkeypatch):
     """B is never built: clause (c) and the cones read B's tables, each built
-    once per complex across the whole scan.  A_s is built once per s, and
-    clauses (a) and (b) read it, v and h modulo U once per s, s = 0
-    included."""
+    once per complex across the whole scan.  A_s is built and read modulo U
+    once per s, for all three clauses, and clauses (a) and (b) read v and h
+    modulo U once per s, s = 0 included."""
     c = replace(passes_every_clause_up_to_2())  # a fresh copy: no table built yet
     built = count_builds(monkeypatch)
     assert sphere_necessary_conditions([c]).kind is VerdictKind.FIRES
-    assert built == {"maps": 5, **{s: 1 for s in range(-2, 3)}, **dict.fromkeys(TABLES, 1)}
+    assert built == {"maps": 5, "a_modulo_u": 5, **{s: 1 for s in range(-2, 3)}, **dict.fromkeys(TABLES, 1)}
 
 
 def test_necessary_conditions_build_no_map_where_clause_c_fails(monkeypatch):
     built = count_builds(monkeypatch)
     assert sphere_necessary_conditions([replace(TREFOIL_L)]).witness["clause"] == "c"
-    assert built == {0: 1, **dict.fromkeys(TABLES, 1)}
+    assert built == {0: 1, "a_modulo_u": 1, **dict.fromkeys(TABLES, 1)}
+
+
+def test_necessary_conditions_read_A_s_modulo_U_once_per_s(monkeypatch):
+    """T(2,31) # mT(2,31) passes clauses (c) and (b) at s = 0 and fails (c)
+    at s = 1: A_0 and A_1 are each read modulo U once, A_0 for both clauses."""
+    c = tensor(staircase(15), mirror(staircase(15)))
+    built = count_builds(monkeypatch)
+    assert sphere_necessary_conditions([c]).witness == {
+        "clause": "c", "s": 1, "spinc": "0", "dim_A": 31, "dim_B": 1}
+    assert built == {0: 1, 1: 1, "a_modulo_u": 2, "maps": 1, **dict.fromkeys(TABLES, 1)}
 
 
 def labelled(complexes) -> list:
@@ -298,7 +308,8 @@ def test_genus_builds_B_once_and_each_A_i_at_most_once(monkeypatch):
         c = replace(c)  # a fresh copy: no table built yet
         assert genus([c]) == g
         scanned = range(max(g - 1, 0), c.a_max())
-        assert built == {"maps": len(scanned), **{i: 1 for i in scanned}, **dict.fromkeys(TABLES, 1)}, g
+        assert built == {"maps": len(scanned), "a_modulo_u": len(scanned), **{i: 1 for i in scanned},
+                         **dict.fromkeys(TABLES, 1)}, g
 
 
 @pytest.mark.slow

@@ -142,8 +142,8 @@ def assert_tables_and_rules_match_the_grading_filter(c):
     assert _b_hat_dim(c) == filtered_hat_dim(b.gradings, b.columns), c
     for s in every_s(c):
         a, want = free_plus_complex(c, s), oracle_modulo_u_maps(c, s)
-        assert _modulo_u_maps(c, s, a) == want, (c, s)
-        assert _hat_dim(_a_modulo_u(c, a).columns) == filtered_hat_dim(a.gradings, a.columns), (c, s)
+        assert _modulo_u_maps(c, s, _a_modulo_u(c, s)) == want, (c, s)
+        assert _hat_dim(_a_modulo_u(c, s).columns) == filtered_hat_dim(a.gradings, a.columns), (c, s)
         projection = project_A(c, s, s + 1)
         assert (projection.source, projection.target) == (want[0], oracle_modulo_u_maps(c, s + 1)[0]), (c, s)
     n, columns, span = len(c.generators), oracle_modulo_u_maps(c, 0)[1].columns, F2Span()
@@ -297,7 +297,7 @@ def test_each_cone_builds_A_B_v_and_h_once(monkeypatch):
                              (cone_homology_hat, 0, {}), (twisted_homology_laurent, -1, {})):
         built.clear()
         build(c, s)
-        assert built == {s: 1, "maps": 1, **tables}, (build, s)
+        assert built == {s: 1, "a_modulo_u": 1, "maps": 1, **tables}, (build, s)
 
 
 # ---------------------------------------------------------------------------

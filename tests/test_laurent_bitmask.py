@@ -11,7 +11,7 @@ import pytest
 
 import floercone.subquotient
 import floercone.twisted
-from floercone.cone import _pencil_maps, ensure_flip
+from floercone.cone import _a_modulo_u, _pencil_maps, ensure_flip
 from floercone.fixtures import ALL_FIXTURES
 from floercone.linalg import (
     LaurentMatrix,
@@ -21,7 +21,6 @@ from floercone.linalg import (
     laurent_divmod,
     smith_invariants_laurent,
 )
-from floercone.subquotient import free_plus_complex
 from floercone.twisted import novikov_dim, twisted_homology_laurent
 
 from oracles import _poly_add, _poly_mul, laurent_product, minor_gcd_spans
@@ -217,7 +216,7 @@ def test_twisted_homology_builds_the_cone_once(monkeypatch):
         monkeypatch.setattr(module, "smith_pivots_u", refused, raising=False)
     for c in ALL_FIXTURES:
         c = ensure_flip(c)
-        a, b, _, _ = _pencil_maps(c, free_plus_complex(c, 0))
+        a, b, _, _ = _pencil_maps(c, _a_modulo_u(c, 0))
         for s in (-1, 0, 1):
             for run in (twisted_homology_laurent, novikov_dim):
                 calls.clear()

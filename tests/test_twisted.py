@@ -5,11 +5,10 @@ from dataclasses import replace
 import pytest
 
 import floercone.detect as detect_module
-from floercone.cone import FlipMissing, _pencil_maps, ensure_flip
+from floercone.cone import FlipMissing, _a_modulo_u, _pencil_maps, ensure_flip
 from floercone.detect import sphere_necessary_conditions
 from floercone.fixtures import ALL_FIXTURES, FIGURE8, TREFOIL, TREFOIL_L, UNKNOT, Y1SIGMA
 from floercone.linalg import F2Matrix, LaurentPoly, _combine, laurent_divides
-from floercone.subquotient import free_plus_complex
 from floercone.twisted import TwistedConeResult, _pencil_homology, novikov_dim, twisted_homology_laurent
 
 from corpus import (
@@ -65,7 +64,7 @@ def test_twisted_requires_flip():
     complex is refused there rather than read as h = 0."""
     bare = replace(TREFOIL, flip=None)
     with pytest.raises(FlipMissing):
-        _pencil_maps(bare, free_plus_complex(bare, 0))
+        _pencil_maps(bare, _a_modulo_u(bare, 0))
 
 
 def test_specialization_at_one_recovers_untwisted():
