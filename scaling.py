@@ -19,10 +19,13 @@ the genus, prop0check (`sphere_necessary_conditions`, which scans every s
 until a clause fails), answered by its verdict and witness, and loading:
 `io_format.parse` of that text, with the `validate` it runs (its cache
 cleared before each timing), answered by the generator and term counts.
+Each row also gets `peak_mb`, the peak memory in MB that `tracemalloc`
+sees Python allocate in one more, untimed call on a fresh parse, traced
+from after the parse to the end of the call.
 `--baseline` reads an earlier output (say, of this script run on another
 checkout's `src`), puts its times beside each row as `baseline_s` and
-`speedup`, and exits 1 unless some row was run and every row run has an
-answer there that agrees with it.
+`speedup` and its peak as `baseline_peak_mb`, and exits 1 unless some row
+was run and every row run has an answer there that agrees with it.
 `--parent` names the `src` directory of another checkout.  The script
 then runs itself `--runs` times (default 5) in a subprocess per side, on
 this checkout's `src` and on DIR, alternating which side goes first, and
@@ -43,6 +46,7 @@ import statistics
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent / "tests"))
@@ -124,8 +128,14 @@ def rows(max_generators: int):
                 start = time.perf_counter()
                 result = run(fresh)
                 times.append(time.perf_counter() - start)
+            fresh = load(text).entries[0].complex
+            tracemalloc.start()  # one more pass, untimed, for the peak allocated past the parse
+            run(fresh)
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
             yield {"input": name, "generators": len(c.generators), "flavor": flavor, "s": s,
-                   "seconds": round(min(times), 4), "answer": answer(result)}
+                   "seconds": round(min(times), 4), "peak_mb": round(peak / 2 ** 20, 3),
+                   "answer": answer(result)}
 
 
 def alternated(parent: Path, runs: int, max_generators: int) -> tuple:
@@ -195,6 +205,7 @@ def main(argv=None) -> int:
                 agree = False
             else:
                 row["baseline_s"] = before["seconds"]
+                row["baseline_peak_mb"] = before.get("peak_mb")  # None in a file from before peak_mb
                 if args.parent:
                     row["baseline_runs_s"] = before["runs_s"]
                     row["baseline_quartiles_s"] = before["quartiles_s"]

@@ -72,6 +72,8 @@ def _red_dims(text: str):
     for chunk in text.split(","):
         try:
             grading, count = chunk.strip().split(":")
+            if Fraction(grading) in out or int(count) < 0:  # one dimension per grading
+                raise ValueError
             out[Fraction(grading)] = int(count)
         except (ValueError, ZeroDivisionError):
             raise argparse.ArgumentTypeError(
@@ -165,41 +167,27 @@ def cmd_cone(args) -> int:
         c = entry.complex
         rows = []
         for s in args.s:
+            record = {"command": "cone", "twisted": args.twisted, "file": path,
+                      "name": entry.name, "spinc": c.spinc_label, "s": s}
             if args.twisted:
                 res = twisted_homology_laurent(c, s)
-                rows.append((s, res))
-                _emit(args, {
-                    "command": "cone",
-                    "twisted": True,
-                    "file": path,
-                    "name": entry.name,
-                    "spinc": c.spinc_label,
-                    "s": s,
-                    "novikov_dim": res.novikov_dim,
-                    "laurent_free_rank": res.laurent_free_rank,
-                    "torsion_factors": [str(p) for p in res.torsion_factors],
-                }, None)
+                record.update(novikov_dim=res.novikov_dim,
+                              laurent_free_rank=res.laurent_free_rank,
+                              torsion_factors=[str(p) for p in res.torsion_factors])
             else:
                 if args.flavor == "hat":
                     res = cone_homology_hat(c, s)
                 else:
                     res = cone_homology_plus_truncated(c, s, truncation)
-                rows.append((s, res))
-                _emit(args, {
-                    "command": "cone",
-                    "twisted": False,
-                    "file": path,
-                    "name": entry.name,
-                    "spinc": c.spinc_label,
-                    "s": s,
-                    "flavor": res.flavor,
-                    "total_dim": res.total_dim,
-                    "rank_v": res.rank_v,
-                    "rank_h": res.rank_h,
-                    "rank_v_plus_h": res.rank_v_plus_h,
-                    "graded_dims": _graded_pairs(res.graded_dims),
-                    "truncation": res.truncation,
-                }, None)
+                record.update(flavor=res.flavor,
+                              total_dim=res.total_dim,
+                              rank_v=res.rank_v,
+                              rank_h=res.rank_h,
+                              rank_v_plus_h=res.rank_v_plus_h,
+                              graded_dims=_graded_pairs(res.graded_dims),
+                              truncation=res.truncation)
+            rows.append((s, res))
+            _emit(args, record, None)
         if not args.machine:
             if args.twisted:
                 print(f"complex {entry.name} (spinc {c.spinc_label}), twisted")

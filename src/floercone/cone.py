@@ -26,16 +26,17 @@ grading at s = 0.  The twisted group off s = 0 and prop0check's clause
 (a) read the same cone of v + h; `genus` and `induces_iso` read v_* as an
 isomorphism modulo U where the cone of v is acyclic modulo U.  The
 twisted cone at s = 0 and prop0check's clause (b) read the pencil
-v' + T h' on homology bases of A_0 and B modulo U, from one clearing pass
-per model (`_pencil_maps`).  The plus flavor reads the least models A' and
-B' of A_s and B, with differentials 0 modulo U, off the same pass on
-each, carries v and h over as f' = p_B f i_A (`_reduced_maps`), reduces
-A', B' and the cones of the three maps on them once each, reads each
-induced rank off its cone's dimension by rank-nullity, and every height
-off the pivots.  Every cone is graded, with B shifted by the degree of
-the map, and reduced exactly, but the cone of v + h at s != 0: v keeps
-the gradings and h lowers them by 2s, so it alone writes its U-powers
-out, for `smith_pivots_u` modulo one proven precision (`_plus_reductions`).
+v' + T h' on homology bases of A_0 and B modulo U (`_pencil_maps`); the
+plus flavor reads the least models A' and B' of A_s and B, built in
+descending grading, with differentials 0 modulo U (`_reduced_maps`).
+Both read each model off one clearing pass and carry v and h over as
+f' = p_B f i_A (`_carried`).  The plus flavor reduces A', B' and the
+cones of the three maps on them once each, reads each induced rank off
+its cone's dimension by rank-nullity, and every height off the pivots.
+Every cone is graded, with B shifted by the degree of the map, and
+reduced exactly, but the cone of v + h at s != 0: v keeps the gradings
+and h lowers them by 2s, so it alone writes its U-powers out, for
+`smith_pivots_u` modulo one proven precision (`_plus_reductions`).
 """
 
 from __future__ import annotations
@@ -59,7 +60,6 @@ from floercone.subquotient import (
     FreeUComplex,
     _artifact_cutoff,
     _check_commutes,
-    _descending,
     _in_grading_order,
     _moved,
     _reduce_ungraded,
@@ -149,20 +149,29 @@ def _rank_nullity(ha: int, hb: int, cone_dim: int) -> int:
     return twice // 2
 
 
+def _carried(models: list, maps) -> tuple:
+    """A' and B', the least models of A and B, taken off models = [A, B] so
+    that neither outlives its pass (`subquotient._smith_model`), whether
+    p_B drops a coordinate on a pair's column end off some f i_A, and
+    p_B f i_A for each f : A -> B of maps, as column masks."""
+    a, inclusion, _ = _smith_model(models.pop(0))
+    b, _, project = _smith_model(models.pop())
+    images = [[project(_combine(f, x)) for x in inclusion] for f in maps]
+    off = any(off for image in images for _, off in image)
+    return (a, b, off, *(tuple([x for x, _ in image]) for image in images))
+
+
 def _reduced_maps(c: KnotComplex, s: int) -> tuple:
-    """A' and B', the least models of A_s and B moved into descending
-    grading (`subquotient._smith_model`), and the column masks of
-    v' = p_B v i_A and h' = p_B h i_A between them, for the plus flavor,
-    checked to be chain maps; v and h on the full A_s and B are chain maps
-    of the right gradings by what `validate` proves (`subquotient`)."""
-    a, b = free_plus_complex(c, s), free_plus_complex(c)
-    maps = _v_map(a), _h_map(c)
-    (a, order_a, _), (b, _, place_b) = _in_grading_order(a), _in_grading_order(b)
-    a, inclusion, _ = _smith_model(a, range(len(order_a)))
-    b, _, project = _smith_model(b, range(len(place_b)))
+    """A' and B', the least models of A_s and B built in descending grading
+    (`subquotient._in_grading_order`), and v' and h' (`_carried`), v and h
+    moved into the two orders, checked to be chain maps; v and h on the full
+    A_s and B are chain maps of the right gradings by what `validate` proves."""
+    (a, order_a, _), (b, _, place_b) = _in_grading_order(c, s), _in_grading_order(c)
+    maps = (tuple([_moved(place_b, f[k]) for k in order_a]) for f in (_v_map(a), _h_map(c)))
+    models = [a, b]
+    del a, b  # each full model is freed after its pass, and each map moved after both
+    a, b, _, v, h = _carried(models, maps)
     a, b = (FreeUComplex(m.lo, m.gradings, m.columns) for m in (a, b))  # checked: the plus flavor reads d'
-    v, h = (tuple([project(_moved(place_b, _combine(f, _moved(order_a, x))))[0] for x in inclusion])
-            for f in maps)
     for f in (v, h):
         _check_commutes(f, a, b)
     return a, b, v, h
@@ -173,18 +182,15 @@ def _pencil_maps(c: KnotComplex, a: FreeUComplex) -> tuple:
     and the column masks of v' and h' : A' -> B' (`twisted`), on A_0 modulo U.
 
     Modulo U every row of a column sits one grading below it, so the pass
-    runs in index order, columns in descending grading
-    (`subquotient._smith_model`): every pair is a unit, A' and B' are the
-    towers, cycles z_i of A_0, and v'_i = p_B(v z_i), h'_i = p_B(h z_i).
-    An image with a coordinate on a pair's column end is no cycle:
-    InvariantViolated."""
+    runs on the models in index coordinates (`_carried`): every pair is a
+    unit, A' and B' are the towers, cycles z_i of A_0, and
+    v'_i = p_B(v z_i), h'_i = p_B(h z_i).  An image with a coordinate on a
+    pair's column end is no cycle: InvariantViolated."""
     a, b, *maps = _modulo_u_maps(c, 0, a)
-    a, inclusion, _ = _smith_model(a, _descending(a.gradings))
-    b, _, project = _smith_model(b, _descending(b.gradings))
-    images = [[project(_combine(f, z)) for z in inclusion] for f in maps]
-    if any(off for image in images for _, off in image):
+    a, b, off, *maps = _carried([a, b], maps)
+    if off:
         raise InvariantViolated("a map of the pencil sends a cycle off the cycles")
-    return (a, b, *(tuple([x for x, _ in image]) for image in images))
+    return (a, b, *maps)
 
 
 def _a_modulo_u(c: KnotComplex, s: int) -> FreeUComplex:

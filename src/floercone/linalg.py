@@ -7,11 +7,11 @@ of (row, col) positions equal to 1 is a view derived on request.  A graded
 F2[U]-complex or map is stored the same way, since the gradings of its row
 and column fix the U-power of an entry: graded maps compose as masks, and
 `F2Span`, the one GF(2) echelon loop, is the graded Smith reduction over
-F2[U], and gives every reduced model, in one clearing pass once rows and
-columns follow the gradings (`subquotient._clearing`).
-Only an ungraded F2[U] matrix writes its powers out, as columns
-{row: bitmask of U-powers} modulo U^P, for `smith_pivots_u`, its Smith
-reduction.  Laurent polynomials are stored as
+F2[U], and gives every reduced model, in one clearing pass in descending
+grading, on a model built in that order or read modulo U
+(`subquotient._clearing`).  Only an ungraded F2[U] matrix writes its
+powers out, as columns {row: bitmask of U-powers} modulo U^P, for
+`smith_pivots_u`, its Smith reduction.  Laurent polynomials are stored as
 (mask, low): bit k of the int mask is the coefficient of T^(low + k), with
 the mask odd (or both zero), so sums are shifted XORs, products are
 carry-less, and the set of exponents whose coefficient is 1 is again a

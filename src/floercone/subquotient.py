@@ -27,9 +27,10 @@ the Jordan blocks of U at height N (`GradedUModule`) that two towers at
 its gradings give.  Its unpaired gradings are the towers, and the reduced
 part is read off its pivots (`hf_red_graded`).  The same pass gives every
 least model with its inclusion and projection (`_smith_model`): of A_s
-and B, and of A_0 and B modulo U for the pencil of `twisted`.  A precision
-remains for the one ungraded cone alone, one proven rule
-(`cone._plus_reductions`).
+and B, built in descending grading from d's triples (`_in_grading_order`),
+and of A_0 and B modulo U, in index coordinates, for the pencil of
+`twisted`.  A precision remains for the one ungraded cone alone, one
+proven rule (`cone._plus_reductions`).
 
 The free models are built from a validated complex and not checked again;
 they rest on the clauses `validate` proves (the `model` docstring).  A_s
@@ -76,7 +77,6 @@ from floercone.linalg import (
     InvariantViolated,
     NotAChainMap,
     _combine,
-    _mask_bits,
     smith_pivots_u,
 )
 from floercone.model import KnotComplex, require_valid
@@ -209,8 +209,10 @@ def _descending(gradings) -> list:
 def _moved(place, mask: int) -> int:
     """mask with each bit r moved to bit place[r]."""
     out = 0
-    for r in _mask_bits(mask):
-        out |= 1 << place[r]
+    while mask:
+        low = mask & -mask
+        out |= 1 << place[low.bit_length() - 1]
+        mask ^= low
     return out
 
 
@@ -265,21 +267,25 @@ def reduce_free(gradings, columns) -> FreeReduction:
     return FreeReduction(len(order), tuple(out), tuple(sorted(gradings[order[t]] for t in towers)))
 
 
-def _in_grading_order(free: FreeUComplex) -> tuple:
-    """free moved into descending grading, ties by index, as `reduce_free`
-    reduces it, with the order and each index's place."""
+def _in_grading_order(c: KnotComplex, s: int | None = None) -> tuple:
+    """A_s (B for None) in descending grading, ties by index, as `reduce_free`
+    reduces it, with the order and each index's place: lo and the gradings
+    of `free_plus_complex`, the columns built in one pass over d's triples."""
+    free = free_plus_complex(c, s)
     order = _descending(free.gradings)
-    place = {k: p for p, k in enumerate(order)}
-    moved = FreeUComplex._trusted(tuple([free.lo[k] for k in order]),
-                                  tuple([free.gradings[k] for k in order]),
-                                  tuple([_moved(place, free.columns[k]) for k in order]))
-    return moved, order, place
+    place, columns = [0] * len(order), [0] * len(order)
+    for p, k in enumerate(order):
+        place[k] = p
+    for x, y, _ in c._index_form[0]:
+        columns[place[x]] |= 1 << place[y]
+    return (FreeUComplex._trusted(tuple([free.lo[k] for k in order]),
+                                  tuple([free.gradings[k] for k in order]), tuple(columns)), order, place)
 
 
-def _smith_model(free: FreeUComplex, order) -> tuple:
+def _smith_model(free: FreeUComplex) -> tuple:
     """A', the least model of a graded free complex, its inclusion i and its
-    projection p, from one clearing pass in `order` on free's coordinates
-    (`_clearing`), which must put each residue's least-power row on top.
+    projection p, from one clearing pass in descending grading (`_clearing`)
+    on free's coordinates, which must put each residue's least-power row on top.
 
     The basis splits free into towers and pairs x, y = d c / U^v with
     d x = U^v y.  A' keeps the towers and the pairs with v >= 1, unchecked
@@ -289,7 +295,7 @@ def _smith_model(free: FreeUComplex, order) -> tuple:
     tells whether it drops a coordinate on a pair's column end, which a
     cycle has none of."""
     gradings = free.gradings
-    basis, pairs, towers = _clearing(order, free.columns)
+    basis, pairs, towers = _clearing(_descending(gradings), free.columns)
     arrows = {x: y for x, y in pairs if gradings[y] - gradings[x] + 1}  # column end: row end
     kept = sorted(towers + [*arrows, *arrows.values()])
     place = {k: p for p, k in enumerate(kept)}

@@ -34,7 +34,9 @@ pass, each with every U-power written out and reduced by
 stored as GF(2) masks and reduced on `F2Span` in grading order, the
 reduced models of the plus flavor left once every unit arrow is
 cancelled (`cancel_units`, `reduced_model`) instead of read off one
-clearing pass, the graded Smith reduction with every column reduced
+clearing pass, A_s and B moved into descending grading one bit at a time
+(`moved_into_grading_order`) instead of built there from d's triples
+(`subquotient._in_grading_order`), the graded Smith reduction with every column reduced
 (`reduce_free_without_clearing`) instead of the column of each pivot row
 skipped,
 A_s, B, v and h with every U-power written out and checked on each build
@@ -101,6 +103,7 @@ from floercone.model import (
 from floercone.subquotient import (
     FreeReduction,
     FreeUComplex,
+    _moved,
     _reported,
     _spanned,
     free_plus_complex,
@@ -652,6 +655,18 @@ def reduced_model(free: FreeUComplex, out=(), into=()) -> tuple:
                            tuple([free.gradings[k] for k in kept]),
                            tuple(col & low for col in cols[:m]))
     return reduced, outs, intos
+
+
+def moved_into_grading_order(free: FreeUComplex) -> tuple:
+    """free moved into descending grading, ties by index, one bit at a time,
+    as the plus flavor moved A_s and B before `subquotient._in_grading_order`
+    built them there from d's triples; with the order and each index's place."""
+    order = sorted(range(len(free.gradings)), key=free.gradings.__getitem__, reverse=True)
+    place = {k: p for p, k in enumerate(order)}
+    moved = FreeUComplex._trusted(tuple([free.lo[k] for k in order]),
+                                  tuple([free.gradings[k] for k in order]),
+                                  tuple([_moved(place, free.columns[k]) for k in order]))
+    return moved, order, place
 
 
 def reduce_free_without_clearing(gradings, columns) -> FreeReduction:

@@ -433,6 +433,21 @@ def test_red1_bad_red_argument():
     assert exc.value.code == 2
 
 
+def test_red1_negative_count_exit_2(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["red1", "--red", "1:-3", "--homology-sphere"])
+    assert exc.value.code == 2
+    assert "bad reduced-homology entry '1:-3'" in capsys.readouterr().err
+
+
+def test_red1_repeated_grading_exit_2(capsys):
+    """1 and 2/2 are one grading: a second count for it is refused, not kept."""
+    with pytest.raises(SystemExit) as exc:
+        main(["red1", "--red", "1:1,2/2:2", "--homology-sphere"])
+    assert exc.value.code == 2
+    assert "bad reduced-homology entry '2/2:2'" in capsys.readouterr().err
+
+
 def test_red1_zero_denominator_grading_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["red1", "--red", "1/0:1", "--homology-sphere"])

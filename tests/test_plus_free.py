@@ -441,8 +441,8 @@ def test_reduced_model_check_survives_python_O():
         "print(source.count(arrow))\n"
         "namespace = dict(vars(subquotient))\n"
         "exec(source.replace(arrow, 'else 1 << place[k] for k in kept'), namespace)\n"
-        "def off(free, order):\n"
-        "    reduced, inclusion, project = real(free, order)\n"
+        "def off(free):\n"
+        "    reduced, inclusion, project = real(free)\n"
         "    return reduced, inclusion, lambda w: (project(w)[0] ^ 1, 0)\n"
         "print(cone.cone_homology_plus_truncated(FIGURE8, 0).total_dim)\n"
         "for broken, error in ((namespace['_smith_model'], CompositionNonzero), (off, NotAChainMap)):\n"

@@ -39,7 +39,7 @@ from floercone.subquotient import (
     reduce_free,
 )
 
-from corpus import BIG_SUMS, TWISTED_SUMS, connected_sum, corpus, staircase, tensor, with_flip
+from corpus import BIG_SUMS, TWISTED_SUMS, connected_sum, corpus, mirror, staircase, tensor, with_flip
 from oracles import (
     build_A_hat,
     build_B_hat,
@@ -47,6 +47,7 @@ from oracles import (
     cancelled_reduced_maps,
     graded_precision,
     hat_homology_dim,
+    moved_into_grading_order,
     oracle_hf_red_graded,
     oracle_plus_reductions,
     plus_at_height_0,
@@ -95,12 +96,47 @@ def every_s(c) -> range:
 
 
 def smith_model(free):
-    """`_smith_model` on free moved into descending grading: A', and i and p
-    as column masks in free's own indices (p's coordinates alone)."""
-    moved, order, place = _in_grading_order(free)
-    reduced, inclusion, project = _smith_model(moved, range(len(order)))
+    """`_smith_model` on free moved into descending grading by the oracle:
+    A', and i and p as column masks in free's own indices (p's coordinates
+    alone)."""
+    moved, order, place = moved_into_grading_order(free)
+    reduced, inclusion, project = _smith_model(moved)
     return (reduced, tuple(_moved(order, x) for x in inclusion),
             tuple(project(1 << place[k])[0] for k in range(len(order))))
+
+
+# ---------------------------------------------------------------------------
+# A_s and B built in descending grading
+
+
+def assert_built_in_grading_order_as_moved(c):
+    """`_in_grading_order` from d's triples against the full model moved
+    there one bit at a time (`oracles.moved_into_grading_order`): the same
+    model, order and places, on B and at every s in [-a_bound - 1, a_bound + 1]."""
+    for s in (None, *every_s(c)):
+        model, order, place = _in_grading_order(c, s)
+        want, want_order, want_place = moved_into_grading_order(free_plus_complex(c, s))
+        assert (model, order) == (want, want_order), (c, s)
+        assert place == [want_place[k] for k in range(len(order))], (c, s)
+
+
+def test_built_in_grading_order_as_moved_on_the_fixtures_and_their_mirrors():
+    for c in ALL_FIXTURES:
+        for k in (c, mirror(c)):
+            assert_built_in_grading_order_as_moved(k)
+
+
+@pytest.mark.parametrize("seed", range(1, 9))
+def test_built_in_grading_order_as_moved_on_the_corpus(seed):
+    for _, c in with_flip(seed):
+        assert_built_in_grading_order_as_moved(c)
+
+
+@pytest.mark.parametrize("name", TWISTED_SUMS)
+def test_built_in_grading_order_as_moved_on_the_sums_and_their_mirrors(name):
+    c = connected_sum(name)
+    for k in (c, mirror(c)):
+        assert_built_in_grading_order_as_moved(k)
 
 
 # ---------------------------------------------------------------------------
@@ -115,7 +151,7 @@ def test_cancelling_the_trefoil_keeps_one_generator_of_B():
     assert b.columns == (0, 0b101, 0)
     assert b.gradings[0] - b.gradings[1] == 1 and b.gradings[2] - b.gradings[1] == -1
     assert cancel_units(b.columns, b.gradings) == ([0], [0])
-    reduced, inclusion, project = _smith_model(b, range(3))  # already in descending grading
+    reduced, inclusion, project = _smith_model(b)  # already in descending grading
     assert (reduced.gradings, reduced.columns) == ((b.gradings[0],), (0,))
     assert inclusion == [0b001]
     assert [project(col) for col in identity(3)] == [(1, False), (0, True), (1, False)]  # c -> U a

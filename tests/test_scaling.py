@@ -31,6 +31,7 @@ def test_parent_runs_both_sides_and_agrees_with_itself(tmp_path):
     assert {row["flavor"] for row in report["rows"]} == {
         "plus", "hat", "twisted", "red", "genus", "prop0check", "load"}
     for row in report["rows"]:
+        assert row["peak_mb"] > 0 and row["baseline_peak_mb"] > 0
         assert len(row["runs_s"]) == len(row["baseline_runs_s"]) == 2
         low, high = row["baseline_quartiles_s"]
         assert min(row["baseline_runs_s"]) <= low <= row["baseline_s"] <= high
