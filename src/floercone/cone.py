@@ -27,16 +27,16 @@ grading at s = 0.  The twisted group off s = 0 and prop0check's clause
 isomorphism modulo U where the cone of v is acyclic modulo U.  The
 twisted cone at s = 0 and prop0check's clause (b) read the pencil
 v' + T h' on homology bases of A_0 and B modulo U (`_pencil_maps`); the
-plus flavor reads the least models A' and B' of A_s and B, built in
-descending grading, with differentials 0 modulo U (`_reduced_maps`).
-Both read each model off one clearing pass and carry v and h over as
-f' = p_B f i_A (`_carried`).  The plus flavor reduces A', B' and the
-cones of the three maps on them once each, reads each induced rank off
-its cone's dimension by rank-nullity, and every height off the pivots.
-Every cone is graded, with B shifted by the degree of the map, and
-reduced exactly, but the cone of v + h at s != 0: v keeps the gradings
-and h lowers them by 2s, so it alone writes its U-powers out, for
-`smith_pivots_u` modulo one proven precision (`_plus_reductions`).
+plus flavor reads the least models A' and B' of A_s and B, placed with
+v and h in descending grading, with differentials 0 modulo U
+(`_reduced_maps`).  Both read each model off one clearing pass and carry
+v and h over as f' = p_B f i_A (`_carried`).  The plus flavor reduces
+A', B' and the cones of the three maps on them once each, reads each
+induced rank off its cone's dimension by rank-nullity, and every height
+off the pivots.  Every cone is graded, with B shifted by the degree of
+the map, and reduced exactly, but the cone of v + h at s != 0: v keeps
+the gradings and h lowers them by 2s, so it alone writes its U-powers
+out, for `smith_pivots_u` modulo one proven precision (`_plus_reductions`).
 """
 
 from __future__ import annotations
@@ -61,7 +61,7 @@ from floercone.subquotient import (
     _artifact_cutoff,
     _check_commutes,
     _in_grading_order,
-    _moved,
+    _placed,
     _reduce_ungraded,
     _reported,
     _smith_model,
@@ -98,12 +98,6 @@ def induces_iso(cm: ChainMapF2) -> bool:
     return _hat_cone_dim(cm.source.columns, cm.matrix.column_masks(), cm.target.columns) == 0
 
 
-def _v_map(a: FreeUComplex) -> tuple:
-    """v : A_s -> B sends y_g to U^(-lo(g)) x_g: the identity on masks, and a
-    chain map, since A_s is d conjugated by the diagonal U^lo (`subquotient`)."""
-    return tuple([1 << k for k in range(len(a.lo))])
-
-
 def _h_map(c: KnotComplex) -> tuple:
     """h : A_s -> B sends y_g to U^max(0, s - A(g)) x_t per flip target t; it
     lowers gradings by 2s, and its masks, the flip's, are the same at every
@@ -120,7 +114,7 @@ def project_A(c: KnotComplex, s: int, s_prime: int) -> ChainMapF2:
     The free inclusion y_g -> U^(lo'(g) - lo(g)) y'_g read modulo U: the
     identity on the plane elements the two bases share (lo = lo'), zero on
     the rest; v_s = v_{s'} composed with this map.  On masks it is the
-    identity, a chain map as v is (`_v_map`): lo <= lo'.
+    identity, a chain map as v is (`subquotient`): lo <= lo'.
     """
     if s > s_prime:
         raise ValueError("requires s <= s'")
@@ -164,12 +158,13 @@ def _carried(models: list, maps) -> tuple:
 def _reduced_maps(c: KnotComplex, s: int) -> tuple:
     """A' and B', the least models of A_s and B built in descending grading
     (`subquotient._in_grading_order`), and v' and h' (`_carried`), v and h
-    moved into the two orders, checked to be chain maps; v and h on the full
-    A_s and B are chain maps of the right gradings by what `validate` proves."""
-    (a, order_a, _), (b, _, place_b) = _in_grading_order(c, s), _in_grading_order(c)
-    maps = (tuple([_moved(place_b, f[k]) for k in order_a]) for f in (_v_map(a), _h_map(c)))
+    placed there from their triples, checked to be chain maps; by what
+    `validate` proves, v and h on the full A_s and B are graded chain maps."""
+    (a, place_a), (b, place_b) = _in_grading_order(c, s), _in_grading_order(c)
+    ids = range(len(place_a))
+    maps = (_placed(t, place_a, place_b) for t in (zip(ids, ids, ids), c._index_form[1]))
     models = [a, b]
-    del a, b  # each full model is freed after its pass, and each map moved after both
+    del a, b  # each full model is freed after its pass, and each map placed after both
     a, b, _, v, h = _carried(models, maps)
     a, b = (FreeUComplex(m.lo, m.gradings, m.columns) for m in (a, b))  # checked: the plus flavor reads d'
     for f in (v, h):

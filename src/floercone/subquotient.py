@@ -24,13 +24,13 @@ power left in it, in a block U^v read off the gradings (`reduce_free`),
 in one clearing pass that skips the column of each pivot row (`_clearing`).
 It is exact and needs no precision: a pivot U^v with v >= N + 1 gives
 the Jordan blocks of U at height N (`GradedUModule`) that two towers at
-its gradings give.  Its unpaired gradings are the towers, and the reduced
-part is read off its pivots (`hf_red_graded`).  The same pass gives every
-least model with its inclusion and projection (`_smith_model`): of A_s
-and B, built in descending grading from d's triples (`_in_grading_order`),
-and of A_0 and B modulo U, in index coordinates, for the pencil of
-`twisted`.  A precision remains for the one ungraded cone alone, one
-proven rule (`cone._plus_reductions`).
+its gradings give.  Its unpaired gradings are the towers.  The same pass
+gives every least model with its inclusion and projection (`_smith_model`):
+of A_s and B, placed in descending grading from d's triples (`_placed`,
+`_in_grading_order`), and of A_0 and B modulo U, in index coordinates, for
+the pencil of `twisted`; the reduced part is read off B's (`hf_red_graded`),
+as the plus cone reads it.  A precision remains for the one ungraded cone
+alone, one proven rule (`cone._plus_reductions`).
 
 The free models are built from a validated complex and not checked again;
 they rest on the clauses `validate` proves (the `model` docstring).  A_s
@@ -49,16 +49,16 @@ C{j >= s}, a chain map since d never raises j (filtration), then U^s and
 the flip, a chain map (flip-chain-map); by flip-term its powers
 max(0, s - A(g)), one per flip term, have the gradings its masks stand
 for, and it lowers them by 2s; modulo U it is the flip's masks on the
-generators with A >= s (`cone._modulo_u_maps`).  So `free_plus_complex`,
-`cone._v_map` and `cone._h_map` build masks alone, and A_s, B, v and h
-modulo U are read by rule.  The checks they made live on in
-`tests/oracles.py` (`checked_free_model`), and so does the grading filter
-(`oracle_modulo_u_maps`), which keeps the terms one grading below their
-column: by maslov-drop a term of power p moves the grading by 2p - 1, so
-the filter keeps the rule's terms and no other.  The reduced models and
-the maps carried onto them are checked (`_smith_model`,
-`cone._reduced_maps`), and so is the pencil read off homology bases
-(`cone._pencil_maps`).
+generators with A >= s (`cone._modulo_u_maps`).  So `free_plus_complex`
+and `cone._h_map` build masks alone, `cone._reduced_maps` places v and h
+from their triples, and A_s, B, v and h modulo U are read by rule.  The
+checks they made live on in `tests/oracles.py` (`checked_free_model`),
+and so does the grading filter (`oracle_modulo_u_maps`), which keeps the
+terms one grading below their column: by maslov-drop a term of power p
+moves the grading by 2p - 1, so the filter keeps the rule's terms and no
+other.  The reduced models and the maps carried onto them are checked
+(`_smith_model`, `cone._reduced_maps`), and so is the pencil read off
+homology bases (`cone._pencil_maps`).
 
 Every grading here is an int, M - offset with the offset shared by the
 Maslov gradings of the complex (`KnotComplex._int_maslov`); the offset is
@@ -267,19 +267,25 @@ def reduce_free(gradings, columns) -> FreeReduction:
     return FreeReduction(len(order), tuple(out), tuple(sorted(gradings[order[t]] for t in towers)))
 
 
+def _placed(triples, into, place) -> list:
+    """Column masks with bit place[y] in column into[x] per triple (x, y, _)."""
+    columns = [0] * len(into)
+    for x, y, _ in triples:
+        columns[into[x]] |= 1 << place[y]
+    return columns
+
+
 def _in_grading_order(c: KnotComplex, s: int | None = None) -> tuple:
     """A_s (B for None) in descending grading, ties by index, as `reduce_free`
-    reduces it, with the order and each index's place: lo and the gradings
-    of `free_plus_complex`, the columns built in one pass over d's triples."""
+    reduces it, and each index's place: lo and the gradings of
+    `free_plus_complex`, the columns placed from d's triples (`_placed`)."""
     free = free_plus_complex(c, s)
     order = _descending(free.gradings)
-    place, columns = [0] * len(order), [0] * len(order)
+    place = [0] * len(order)
     for p, k in enumerate(order):
         place[k] = p
-    for x, y, _ in c._index_form[0]:
-        columns[place[x]] |= 1 << place[y]
-    return (FreeUComplex._trusted(tuple([free.lo[k] for k in order]),
-                                  tuple([free.gradings[k] for k in order]), tuple(columns)), order, place)
+    lo, gradings = tuple([free.lo[k] for k in order]), tuple([free.gradings[k] for k in order])
+    return FreeUComplex._trusted(lo, gradings, tuple(_placed(c._index_form[0], place, place))), place
 
 
 def _smith_model(free: FreeUComplex) -> tuple:
@@ -342,11 +348,10 @@ def _artifact_cutoff(c: KnotComplex, n: int) -> int:
 def hf_red_graded(c: KnotComplex) -> dict:
     """Graded dimensions of the finite (U-torsion) part of plus-flavor homology:
     per pivot U^v (v >= 1) of B, one block F2[U]/U^v from grading col + 2v - 2
-    down to col, read off the Smith reduction of B (`reduce_free`); a unit
-    pivot adds no block.  Past _RED_DIM_LIMIT dimensions in all,
-    ReducedHomologyTooLarge."""
-    require_valid(c)
-    b = free_plus_complex(c)
+    down to col, read off B's least model B' as the plus cone reads it
+    (`_smith_model`, `reduce_free`): B' lacks only the unit pivots, which add
+    no block.  Past _RED_DIM_LIMIT dimensions in all, ReducedHomologyTooLarge."""
+    b = _smith_model(_in_grading_order(c)[0])[0]
     pairs = reduce_free(b.gradings, b.columns).pairs
     blocks = Counter((col + 2 * v - 2, v) for _, col, v in pairs if v)
     if (total := sum(v for *_, v in pairs)) > _RED_DIM_LIMIT:

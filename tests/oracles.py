@@ -34,9 +34,10 @@ pass, each with every U-power written out and reduced by
 stored as GF(2) masks and reduced on `F2Span` in grading order, the
 reduced models of the plus flavor left once every unit arrow is
 cancelled (`cancel_units`, `reduced_model`) instead of read off one
-clearing pass, A_s and B moved into descending grading one bit at a time
-(`moved_into_grading_order`) instead of built there from d's triples
-(`subquotient._in_grading_order`), the graded Smith reduction with every column reduced
+clearing pass, A_s and B, and v and h on them, moved into descending
+grading one bit at a time (`moved_into_grading_order`, `_v_map`) instead
+of placed there from their triples (`subquotient._in_grading_order`,
+`subquotient._placed`), the graded Smith reduction with every column reduced
 (`reduce_free_without_clearing`) instead of the column of each pivot row
 skipped,
 A_s, B, v and h with every U-power written out and checked on each build
@@ -68,7 +69,6 @@ from floercone.cone import (
     _induced_rank,
     _plus_reductions,
     _rank_nullity,
-    _v_map,
     ensure_flip,
 )
 from floercone.io_format import DocumentEntry, DuplicateName, InputDocument, ParseError
@@ -655,6 +655,14 @@ def reduced_model(free: FreeUComplex, out=(), into=()) -> tuple:
                            tuple([free.gradings[k] for k in kept]),
                            tuple(col & low for col in cols[:m]))
     return reduced, outs, intos
+
+
+def _v_map(a: FreeUComplex) -> tuple:
+    """v : A_s -> B in index coordinates, as the plus flavor built it before
+    `cone._reduced_maps` placed it in grading coordinates from the pairs
+    (k, k): y_g to U^(-lo(g)) x_g, the identity on masks, and a chain map,
+    since A_s is d conjugated by the diagonal U^lo (`subquotient`)."""
+    return tuple([1 << k for k in range(len(a.lo))])
 
 
 def moved_into_grading_order(free: FreeUComplex) -> tuple:

@@ -29,19 +29,29 @@ with:
 - shifting every Maslov grading by a rational q moves every reported grading
   by q and changes no other answer: the relative grading is what the
   complex determines (Ozsvath-Szabo, "Absolutely graded Floer homologies and
-  intersection forms for four-manifolds with boundary").
+  intersection forms for four-manifolds with boundary");
+- for s != 0 the Euler characteristic of HF^+(Y_0(K), s), the sum over the
+  pivots U^v of the plus cone of v + h of (-1)^row v, is -t_s(K), the
+  Turaev torsion, with t_s = sum_(j >= 1) j a_(|s| + j) and
+  a_k = sum_(A(x) = k) (-1)^M(x), for every knot in an integer homology
+  sphere, L-space or not (Ozsvath-Szabo, "Holomorphic disks and
+  three-manifold invariants: properties and applications"): on the
+  complexes with integer gradings, Delta(1) = +-1 and one tower in B,
+  with the sign fixed by eps = Delta(1) (-1)^(grading of B's tower).
 
 The slow tier (`pytest -m slow`) runs the V_s rules and the plus cones at
-s = 0 and s = 1 on T(2,11)#T(2,11)#T(2,11), 1,331 generators, and the
-closed form for V_s on T(2,5)^#5 and T(2,7)^#4, 3,125 and 2,401 generators.
+s = 0 and s = 1 on T(2,11)#T(2,11)#T(2,11), 1,331 generators, the
+closed form for V_s on T(2,5)^#5 and T(2,7)^#4, 3,125 and 2,401 generators,
+and the Euler characteristic on T(2,5)^#3 # m(T(2,5)^#3), 15,625 generators.
 """
 
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from floercone.cone import _plus_reductions, cone_homology_hat, cone_homology_plus_truncated
+from floercone.cone import _plus_reductions, cone_homology_hat, cone_homology_plus_truncated, ensure_flip
 from floercone.detect import (
     alexander_polynomial,
     genus,
@@ -305,6 +315,59 @@ def test_a_rational_maslov_shift_moves_only_the_reported_gradings():
                 for r in _plus_reductions(cq, s):
                     assert all(type(g) is int for row, col, _ in r.pairs for g in (row, col))
                     assert all(type(g) is int for g in r.towers)
+
+
+def euler_characteristics(c, s_values) -> list:
+    """(s, chi, -eps t_s) per s != 0 of s_values: chi, the sum over the
+    pivots U^v of the plus cone of v + h of (-1)^row v, and the Turaev
+    torsion with eps = Delta(1) (-1)^(grading of B's tower); [] unless c has
+    integer gradings, Delta(1) = +-1 and one tower in B."""
+    c = ensure_flip(c)
+    if any(g.maslov.denominator != 1 for g in c.generators):
+        return []
+    a = Counter()
+    for g in c.generators:
+        a[g.alexander] += (-1) ** int(g.maslov % 2)
+    out, delta_at_one = [], sum(a.values())
+    if abs(delta_at_one) != 1:
+        return []
+    for s in s_values:
+        _, rb, _, _, rvh = _plus_reductions(c, s)
+        if len(rb.towers) != 1:
+            return []
+        epsilon = delta_at_one * (-1) ** (rb.towers[0] % 2)
+        torsion = sum(j * a[abs(s) + j] for j in range(1, c.a_bound() + 1))
+        out.append((s, sum((-1) ** (row % 2) * v for row, _, v in rvh.pairs), -epsilon * torsion))
+    return out
+
+
+# (inputs, how many (complex, s) pairs the identity covers on them and their mirrors)
+EULER_INPUTS = {"staircases": (lambda: [staircase(k) for k in (1, 2, 3)], 36),
+                "sums": (lambda: [connected_sum(name) for name in TWISTED_SUMS + BIG_SUMS], 240),
+                "corpus": (lambda: [flipped for _, flipped in with_flip(1)], 128)}
+
+
+@pytest.mark.parametrize("family", EULER_INPUTS)
+def test_the_euler_characteristic_is_minus_the_turaev_torsion(family):
+    inputs, covered = EULER_INPUTS[family]
+    checked = 0
+    for c in inputs():
+        for k in (c, mirror(c)):
+            s_values = [s for s in range(-k.a_bound() - 1, k.a_bound() + 2) if s]
+            for s, chi, torsion in euler_characteristics(k, s_values):
+                assert chi == torsion, (k, s)
+                checked += 1
+    assert checked == covered
+
+
+@pytest.mark.slow
+def test_the_euler_characteristic_on_a_15625_generator_sum():
+    k = staircase(2)
+    c = tensor(tensor(k, k), k)
+    c = tensor(c, mirror(c))
+    assert len(c.generators) == 15625
+    assert euler_characteristics(c, (1, 2, 3, 6)) == [(1, -431, -431), (2, 380, 380), (3, -315, -315),
+                                                      (6, 102, 102)]
 
 
 @pytest.mark.slow

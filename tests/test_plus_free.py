@@ -24,7 +24,6 @@ from floercone.cone import (
     _induced_rank,
     _plus_reductions,
     _rank_nullity,
-    _v_map,
     cone_homology_plus_truncated,
 )
 from floercone.fixtures import ALL_FIXTURES, FIGURE8, TREFOIL, TREFOIL_L, Y1SIGMA
@@ -346,7 +345,7 @@ def assert_checks_that_validate_implies_hold(c):
     for s in range(-c.a_bound() - 1, c.a_bound() + 2):
         a, b = free_plus_complex(c, s), free_plus_complex(c)
         built = (a.gradings, b.gradings, a.columns, b.columns,
-                 cone_module._v_map(a), cone_module._h_map(c))
+                 oracles._v_map(a), cone_module._h_map(c))
         assert checked_free_model(c, s) == built, (c, s)
 
 
@@ -393,7 +392,7 @@ def test_rank_from_cone_dimensions_is_checked():
     # a rank read off dimensions modulo U passes the same check
     a, b = free_plus_complex(TREFOIL_L, 0), free_plus_complex(TREFOIL_L)
     dims = [filtered_hat_dim(*free) for free in ((a.gradings, a.columns), (b.gradings, b.columns),
-                                                 _free_cone(a, b, _v_map(a)))]
+                                                 _free_cone(a, b, oracles._v_map(a)))]
     assert dims[:2] == [3, 1]                   # H(A_0) = 3, H(B) = 1, v_* onto H(B)
     assert _rank_nullity(*dims) == 1
     with pytest.raises(InvariantViolated):

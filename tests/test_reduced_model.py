@@ -18,7 +18,6 @@ from floercone.cone import (
     _plus_reductions,
     _reduced_maps,
     _reduce_ungraded,
-    _v_map,
     cone_homology_plus_truncated,
     ensure_flip,
 )
@@ -41,6 +40,7 @@ from floercone.subquotient import (
 
 from corpus import BIG_SUMS, TWISTED_SUMS, connected_sum, corpus, mirror, staircase, tensor, with_flip
 from oracles import (
+    _v_map,
     build_A_hat,
     build_B_hat,
     cancel_units,
@@ -106,37 +106,60 @@ def smith_model(free):
 
 
 # ---------------------------------------------------------------------------
-# A_s and B built in descending grading
+# A_s, B, v and h placed in descending grading
 
 
-def assert_built_in_grading_order_as_moved(c):
+def placed_maps(monkeypatch, c, s) -> list:
+    """v and h on A_s and B in descending grading, as `_reduced_maps` places
+    them from their triples and hands them to `_carried`."""
+    handed, carried = [], cone_module._carried
+
+    def spy(models, maps):
+        handed.extend(maps)
+        return carried(models, handed)
+
+    with monkeypatch.context() as m:
+        m.setattr(cone_module, "_carried", spy)
+        _reduced_maps(c, s)
+    return handed
+
+
+def assert_built_in_grading_order_as_moved(monkeypatch, c):
     """`_in_grading_order` from d's triples against the full model moved
     there one bit at a time (`oracles.moved_into_grading_order`): the same
-    model, order and places, on B and at every s in [-a_bound - 1, a_bound + 1]."""
+    model and places, on B and at every s in [-a_bound - 1, a_bound + 1];
+    and at every such s, v and h placed from their triples against
+    `oracles._v_map` and `_h_map` moved into the orders of A_s and B."""
+    c = ensure_flip(c)
+    _, _, place_b = moved_into_grading_order(free_plus_complex(c))
     for s in (None, *every_s(c)):
-        model, order, place = _in_grading_order(c, s)
-        want, want_order, want_place = moved_into_grading_order(free_plus_complex(c, s))
-        assert (model, order) == (want, want_order), (c, s)
-        assert place == [want_place[k] for k in range(len(order))], (c, s)
+        model, place = _in_grading_order(c, s)
+        a = free_plus_complex(c, s)
+        want, order_a, want_place = moved_into_grading_order(a)
+        assert model == want, (c, s)
+        assert place == [want_place[k] for k in range(len(order_a))], (c, s)
+        if s is not None:
+            moved = [[_moved(place_b, f[k]) for k in order_a] for f in (_v_map(a), _h_map(c))]
+            assert placed_maps(monkeypatch, c, s) == moved, (c, s)
 
 
-def test_built_in_grading_order_as_moved_on_the_fixtures_and_their_mirrors():
+def test_built_in_grading_order_as_moved_on_the_fixtures_and_their_mirrors(monkeypatch):
     for c in ALL_FIXTURES:
         for k in (c, mirror(c)):
-            assert_built_in_grading_order_as_moved(k)
+            assert_built_in_grading_order_as_moved(monkeypatch, k)
 
 
 @pytest.mark.parametrize("seed", range(1, 9))
-def test_built_in_grading_order_as_moved_on_the_corpus(seed):
+def test_built_in_grading_order_as_moved_on_the_corpus(monkeypatch, seed):
     for _, c in with_flip(seed):
-        assert_built_in_grading_order_as_moved(c)
+        assert_built_in_grading_order_as_moved(monkeypatch, c)
 
 
 @pytest.mark.parametrize("name", TWISTED_SUMS)
-def test_built_in_grading_order_as_moved_on_the_sums_and_their_mirrors(name):
+def test_built_in_grading_order_as_moved_on_the_sums_and_their_mirrors(monkeypatch, name):
     c = connected_sum(name)
     for k in (c, mirror(c)):
-        assert_built_in_grading_order_as_moved(k)
+        assert_built_in_grading_order_as_moved(monkeypatch, k)
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +320,7 @@ def graded_cases(c):
             yield (label, s), gradings, columns, powers_of(gradings, columns)
     a, b = free_plus_complex(c, 0), free_plus_complex(c)
     pa, pb = power_plus_complex(c, 0), power_plus_complex(c)
-    maps = cone_module._v_map(a), cone_module._h_map(c)
+    maps = _v_map(a), cone_module._h_map(c)
     power = power_maps(c, 0, pa, pb, None)
     power += ([{r: x for r in cv.keys() | ch.keys() if (x := cv.get(r, 0) ^ ch.get(r, 0))}
                for cv, ch in zip(*power)],)
