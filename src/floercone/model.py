@@ -30,6 +30,11 @@ it again:
   term per (g, t);
 - phi d = d phi over F2[U] (flip-chain-map).
 
+The validation report and the derived flip are per-complex tables, like
+the index form and the masks (`KnotComplex._report`, `_flipped`): each is
+computed on first use and lives exactly as long as its complex, and no
+module-level cache keeps a complex alive.
+
 The plane element (g, i) stands for U^{-i} * g.  It sits at lattice
 position (i, i + A(g)) and has Maslov grading M(g) + 2i.  The differential
 acts by translation: a term U^n * h in the differential of g contributes
@@ -46,10 +51,6 @@ from typing import NamedTuple
 
 from floercone.linalg import F2Matrix, F2Span, rank_f2
 
-
-# Entries kept by each of the validate and derive_flip caches; a long batch
-# evicts the least recently used complexes instead of growing.
-_CACHE_SIZE = 256
 
 # Assigned pairs that derive_flip tries before it gives up.
 _FLIP_SEARCH_NODES = 100_000
@@ -225,6 +226,17 @@ class KnotComplex:
         """An echelon basis of the span of `_b_modulo_u`, as many as its rank."""
         return tuple(filter(None, map(F2Span().add, self._b_modulo_u)))
 
+    @cached_property
+    def _report(self) -> ValidationReport:
+        """The validation report (`validate`)."""
+        return validate(self)
+
+    @cached_property
+    def _flipped(self) -> KnotComplex:
+        """A copy with the derived flip (`derive_flip`); a failed search
+        raises and stores nothing."""
+        return _search_flip(self)
+
     def names(self) -> tuple:
         return tuple(g.name for g in self.generators)
 
@@ -292,7 +304,7 @@ def _products_vanish(size: int, *compositions) -> bool:
     return not any(acc)
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
+@lru_cache(maxsize=0)  # stores nothing; keeps cache_info() for bench/tracer.py
 def validate(c: KnotComplex) -> ValidationReport:
     """Full structural check; returns every violation found, never raises.
 
@@ -397,7 +409,7 @@ def validate(c: KnotComplex) -> ValidationReport:
 
 
 def require_valid(c: KnotComplex) -> None:
-    report = validate(c)
+    report = c._report
     if not report.ok:
         raise ValidationError(c.spinc_label, report)
 
@@ -470,9 +482,10 @@ def _can_hold(x: int, sigma: list, taken: list, alex, out) -> bool:
     return image[t] == power and taken[t] < 0 and alex[t] == -alex[free]
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
 def derive_flip(c: KnotComplex) -> KnotComplex:
     """Search for an involution flip; returns a copy with flip populated.
+    The search (`_search_flip`) runs once per complex, whose
+    `KnotComplex._flipped` keeps the copy.
 
     Pairing constraints: A(sigma g) = -A(g) and M(sigma g) = M(g) - 2 A(g).
     The constraints are symmetric in g and sigma g, so assignments are made
@@ -491,6 +504,11 @@ def derive_flip(c: KnotComplex) -> KnotComplex:
     it raises FlipSearchExhausted, which says nothing about whether a flip
     exists; NoFlipFound means the whole tree was ruled out.
     """
+    return c._flipped
+
+
+def _search_flip(c: KnotComplex) -> KnotComplex:
+    """The search that `derive_flip` describes."""
     require_valid(c)
     if c.flip is not None:
         raise ValueError("flip already present")
@@ -521,7 +539,11 @@ def derive_flip(c: KnotComplex) -> KnotComplex:
             sigma[g] = sigma[h] = -1
         return False
 
-    if not search(0):
+    try:
+        found = search(0)
+    finally:
+        del search  # it refers to itself: break the cycle, so c dies with its last reference
+    if not found:
         raise NoFlipFound(f"no involution flip exists for complex {c.spinc_label!r}")
     flipped = replace(c, flip=_flip_terms_of(c, _named(c, sigma)))
     require_valid(flipped)

@@ -78,7 +78,7 @@ def test_enumerate_flips_equals_the_product_search_on_the_corpus(seed):
 def test_derive_flip_finishes_within_a_second_on_flipless_sums(name):
     c = replace(connected_sum(name), flip=None)
     start = time.perf_counter()
-    flipped = derive_flip.__wrapped__(c)  # past the cache: time the search itself
+    flipped = derive_flip(c)  # a fresh copy: no flip is stored on it yet
     assert time.perf_counter() - start < 1.0
     assert validate(flipped).ok
 
@@ -87,14 +87,14 @@ def test_forcing_the_last_free_target_keeps_the_search_small(monkeypatch):
     # the 125-generator sum needs 1,102 nodes; without forcing it needs 1,569
     monkeypatch.setattr(model, "_FLIP_SEARCH_NODES", 1200)
     c = replace(connected_sum("T2_5+mT2_5+F8"), flip=None)
-    assert validate(derive_flip.__wrapped__(c)).ok
+    assert validate(derive_flip(c)).ok
 
 
 def test_the_node_budget_raises_its_own_error(monkeypatch):
     monkeypatch.setattr(model, "_FLIP_SEARCH_NODES", 5)
     c = replace(connected_sum("F8+F8"), flip=None)
     with pytest.raises(FlipSearchExhausted):
-        derive_flip.__wrapped__(c)
+        derive_flip(c)
     assert not issubclass(FlipSearchExhausted, NoFlipFound)
 
 
@@ -103,7 +103,6 @@ def test_genus_exits_2_when_the_flip_search_gives_up(tmp_path, monkeypatch, caps
     path = tmp_path / "f8f8.cfk"
     path.write_text(serialize(InputDocument((DocumentEntry("F8F8", c),))))
     monkeypatch.setattr(model, "_FLIP_SEARCH_NODES", 5)
-    derive_flip.cache_clear()  # an equal complex may have been derived earlier
     assert main(["genus", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "flip search" in err

@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import weakref
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -11,8 +12,10 @@ from pathlib import Path
 import pytest
 
 from floercone.cli import main
+from floercone.cone import cone_homology_hat, ensure_flip
 
 from floercone.fixtures import ALL_FIXTURES, FIGURE8, TREFOIL, UNKNOT, Y1SIGMA
+from floercone.io_format import DocumentEntry, InputDocument, parse, serialize
 from floercone.model import (
     DiffTerm,
     FlipTerm,
@@ -191,6 +194,23 @@ def test_derive_flip_prefers_lexicographic():
     assert flipped.flip == (FlipTerm("p", "p", 0), FlipTerm("q", "q", 0))
 
 
+def test_the_report_and_the_flip_die_with_their_complex():
+    """The validation report and the derived flip live on the complex, so
+    dropping a parsed complex frees it and its flipped copy at once, with no
+    cyclic collection, and `validate` keeps nothing."""
+    text = serialize(InputDocument((DocumentEntry("K", replace(FIGURE8, flip=None)),)))
+    doc = parse(text)
+    c = doc.entries[0].complex
+    flipped = ensure_flip(c)
+    assert flipped is ensure_flip(c) and flipped.flip == FIGURE8.flip
+    cone_homology_hat(c, 1)
+    require_valid(c)
+    refs = weakref.ref(c), weakref.ref(flipped)
+    del doc, c, flipped
+    assert [ref() for ref in refs] == [None, None]
+    assert validate.cache_info().currsize == 0
+
+
 def test_enumerate_flips_unique_for_fixtures():
     for c in ALL_FIXTURES:
         bare = replace(c, flip=None)
@@ -344,7 +364,7 @@ def test_hash_and_equality_agree():
     """Terms hash and sort as tuples and the hash covers names and terms
     alone: reordered terms give an equal complex with an equal hash, and a
     complex that differs in one Maslov grading is unequal, hashes alike,
-    and gets its own report from the validate cache."""
+    and gets its own report."""
     for c in ALL_FIXTURES:
         flip = None if c.flip is None else c.flip[::-1]
         shuffled = KnotComplex(c.spinc_label, c.generators[::-1], c.differential[::-1], flip)

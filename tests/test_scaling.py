@@ -22,6 +22,16 @@ def test_summary_gives_medians_and_quartiles_and_flags_a_changed_answer():
     assert not scaling.summary([[run[1]], [changed]])[1]
 
 
+def test_quartiles_keep_microseconds():
+    """Five runs within 0.05 ms of each other, which rounding to 0.1 ms
+    would give one quartile, keep distinct quartiles."""
+    run = [{"input": "K", "flavor": "twisted", "s": 1, "seconds": t, "answer": {}}
+           for t in (0.008945, 0.008901, 0.008934, 0.008912, 0.008923)]
+    rows, _ = scaling.summary([[row] for row in run])
+    (row,) = rows.values()
+    assert row["seconds"] == 0.008923 and row["quartiles_s"] == [0.008912, 0.008934]
+
+
 def test_parent_runs_both_sides_and_agrees_with_itself(tmp_path):
     out = tmp_path / "bench.json"
     argv = ["--parent", str(ROOT / "src"), "--runs", "2", "--max-generators", "343", "--out", str(out)]
